@@ -81,6 +81,9 @@ fn measure(two_level: Option<PmLevelConfig>, ng: usize, ranks: usize, steps: usi
         let mut sim = DistSimulation::new(&comm, cfg, &ics);
         comm.barrier();
         let before = comm.traffic_stats().by_class;
+        // No rank may start stepping (and sending) before every rank
+        // has taken its snapshot.
+        comm.barrier();
         for s in 0..steps {
             sim.step(cfg.a_init + 0.01 * (s + 1) as f64);
         }

@@ -1591,55 +1591,6 @@ impl Comm {
             .collect())
     }
 
-    /// Start a chunked personalized all-to-all: `sends[c][r]` is chunk
-    /// `c`'s payload for rank `r`. Every chunk's sends are posted up
-    /// front — buffered sends never block on the receiver (the Transport
-    /// contract), so this cannot deadlock — and the caller then drains
-    /// chunks in order with [`ChunkedExchange::recv_chunk`], overlapping
-    /// compute on already-received chunks with still-in-flight traffic.
-    /// This is the communication shape of the pencil-FFT transposes: the
-    /// paper overlaps butterfly work on received slabs with the
-    /// remaining transpose exchange.
-    ///
-    /// Every rank must start the exchange with the same chunk count.
-    /// Dropping the returned exchange without draining every chunk
-    /// leaves messages queued on the communicator; a later exchange on
-    /// the same communicator would then mis-deliver (as with unmatched
-    /// MPI sends).
-    #[must_use = "dropping the exchange without draining leaves queued messages"]
-    pub fn alltoallv_chunked_start<T: WireMsg>(
-        &self,
-        sends: Vec<Vec<Vec<T>>>,
-    ) -> ChunkedExchange<'_, T> {
-        let p = self.size();
-        let chunks = sends.len();
-        // Chunk tags must stay inside the block reserved below TAG_A2A.
-        assert!(chunks * p < 1_000_000, "chunked alltoallv: too many chunks");
-        let mut self_chunks = std::collections::VecDeque::with_capacity(chunks);
-        for (ci, mut bufs) in sends.into_iter().enumerate() {
-            assert_eq!(
-                bufs.len(),
-                p,
-                "chunked alltoallv: need one send buffer per rank"
-            );
-            self_chunks.push_back(std::mem::take(&mut bufs[self.rank]));
-            for step in 1..p {
-                let dst = (self.rank + step) % p;
-                self.send(
-                    dst,
-                    TAG_A2AC + (ci * p + step) as u64,
-                    std::mem::take(&mut bufs[dst]),
-                );
-            }
-        }
-        ChunkedExchange {
-            comm: self,
-            chunks,
-            next: 0,
-            self_chunks,
-        }
-    }
-
     /// Split into sub-communicators by `color`; ranks with equal color form
     /// one communicator, ordered by `key` (ties broken by parent rank).
     /// Must be called collectively.
@@ -1722,82 +1673,19 @@ impl Comm {
     }
 }
 
-/// An in-flight chunked all-to-all started by
-/// [`Comm::alltoallv_chunked_start`]. All sends are already posted;
-/// call [`ChunkedExchange::recv_chunk`] exactly `chunks` times (in
-/// chunk order) to drain it.
-pub struct ChunkedExchange<'a, T: WireMsg> {
-    comm: &'a Comm,
-    chunks: usize,
-    next: usize,
-    /// Own-rank payloads, delivered without touching the transport.
-    self_chunks: std::collections::VecDeque<Vec<T>>,
-}
-
-impl<T: WireMsg> ChunkedExchange<'_, T> {
-    /// Chunks not yet received.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.chunks - self.next
-    }
-
-    /// Receive the next chunk: the payloads every rank sent for it, in
-    /// rank order. Panics on communication failure, like
-    /// [`Comm::alltoallv`]; see [`ChunkedExchange::try_recv_chunk`].
-    #[must_use]
-    pub fn recv_chunk(&mut self) -> Vec<Vec<T>> {
-        match self.try_recv_chunk() {
-            Ok(v) => v,
-            Err(CommError::Poisoned) => panic!("machine poisoned: another rank panicked"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`ChunkedExchange::recv_chunk`] with failures as values.
-    pub fn try_recv_chunk(&mut self) -> Result<Vec<Vec<T>>, CommError> {
-        assert!(
-            self.next < self.chunks,
-            "chunked alltoallv: all {} chunks already received",
-            self.chunks
-        );
-        let p = self.comm.size();
-        let ci = self.next;
-        let mut out: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        out[self.comm.rank] = Some(self.self_chunks.pop_front().expect("self chunk"));
-        // Same rotated pairwise order as `try_alltoallv`: disjoint pairs
-        // per step, no hot spots.
-        for step in 1..p {
-            let src = (self.comm.rank + p - step) % p;
-            out[src] = Some(
-                self.comm
-                    .recv_result::<T>(src, TAG_A2AC + (ci * p + step) as u64)?,
-            );
-        }
-        self.next += 1;
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("chunked alltoallv slot"))
-            .collect())
-    }
-}
-
 const TAG_BARRIER: u64 = u64::MAX - 1_000_000;
 const TAG_BCAST: u64 = u64::MAX - 2_000_000;
 const TAG_REDUCE: u64 = u64::MAX - 3_000_000;
 const TAG_GATHER: u64 = u64::MAX - 4_000_000;
 const TAG_AGATHER: u64 = u64::MAX - 5_000_000;
 const TAG_A2A: u64 = u64::MAX - 6_000_000;
-/// Chunked all-to-all tags: `TAG_A2AC + chunk·p + step`, bounded below
-/// `TAG_A2A` by the chunk-count assertion in `alltoallv_chunked_start`.
-const TAG_A2AC: u64 = u64::MAX - 7_000_000;
 
 /// Coarse class of a message tag, for communication-volume accounting.
 ///
 /// The reserved tag bands above carve the tag space into three regimes:
-/// everything below [`TAG_A2AC`] is a user-issued point-to-point tag,
-/// the `[TAG_A2AC, TAG_AGATHER)` window carries alltoallv payloads
-/// (plain steps and the chunked transpose variant), and the remaining
-/// reserved bands are control-plane collectives.
+/// everything below [`TAG_A2A`] is a user-issued point-to-point tag,
+/// the `[TAG_A2A, TAG_AGATHER)` window carries alltoallv payloads, and
+/// the remaining reserved bands are control-plane collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagClass {
     /// User point-to-point traffic (halo exchanges, particle refresh).
@@ -1811,7 +1699,7 @@ pub enum TagClass {
 /// Classify a wire tag into its [`TagClass`] band.
 #[must_use]
 pub fn tag_class(tag: u64) -> TagClass {
-    if tag < TAG_A2AC {
+    if tag < TAG_A2A {
         TagClass::P2p
     } else if tag < TAG_AGATHER {
         TagClass::A2a
@@ -1911,7 +1799,7 @@ mod tests {
             stats.total_msgs()
         );
         assert_eq!(tag_class(0), TagClass::P2p);
-        assert_eq!(tag_class(TAG_A2AC), TagClass::A2a);
+        assert_eq!(tag_class(TAG_A2A - 1), TagClass::P2p);
         assert_eq!(tag_class(TAG_A2A), TagClass::A2a);
         assert_eq!(tag_class(TAG_AGATHER), TagClass::Control);
         assert_eq!(tag_class(TAG_BARRIER), TagClass::Control);
@@ -2040,64 +1928,6 @@ mod tests {
         let total_sent: usize = res.iter().map(|&(s, _)| s).sum();
         let total_got: usize = res.iter().map(|&(_, g)| g).sum();
         assert_eq!(total_sent, total_got);
-    }
-
-    #[test]
-    fn chunked_alltoallv_matches_monolithic() {
-        for (p, chunks) in [(1usize, 3usize), (3, 1), (4, 3), (5, 4)] {
-            let (res, _) = Machine::new(p).run(move |c| {
-                // Chunk c's payload for dst: marker encoding (src, dst, chunk).
-                let sends: Vec<Vec<Vec<u64>>> = (0..chunks)
-                    .map(|ci| {
-                        (0..p)
-                            .map(|dst| vec![(c.rank() * 10_000 + dst * 100 + ci) as u64; ci + 1])
-                            .collect()
-                    })
-                    .collect();
-                let mut ex = c.alltoallv_chunked_start(sends);
-                let mut ok = true;
-                for ci in 0..chunks {
-                    assert_eq!(ex.remaining(), chunks - ci);
-                    let recvs = ex.recv_chunk();
-                    ok &= recvs.iter().enumerate().all(|(src, v)| {
-                        v == &vec![(src * 10_000 + c.rank() * 100 + ci) as u64; ci + 1]
-                    });
-                }
-                assert_eq!(ex.remaining(), 0);
-                ok
-            });
-            assert!(res.iter().all(|&ok| ok), "p={p} chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn chunked_alltoallv_overlaps_with_other_collectives() {
-        // Chunks are drained while barriers and a second chunked exchange
-        // on a split communicator are interleaved in between — tag blocks
-        // and contexts must not cross-talk.
-        let p = 4;
-        let (res, _) = Machine::new(p).run(move |c| {
-            let sub = c.split(0, c.rank() as u64);
-            let sends: Vec<Vec<Vec<u32>>> = (0..2)
-                .map(|ci| (0..p).map(|dst| vec![(ci * p + dst) as u32]).collect())
-                .collect();
-            let sub_sends: Vec<Vec<Vec<u32>>> = (0..2)
-                .map(|ci| (0..p).map(|dst| vec![(90 + ci * p + dst) as u32]).collect())
-                .collect();
-            let mut ex = c.alltoallv_chunked_start(sends);
-            let mut sex = sub.alltoallv_chunked_start(sub_sends);
-            let a = ex.recv_chunk();
-            c.barrier();
-            let sa = sex.recv_chunk();
-            let b = ex.recv_chunk();
-            let sb = sex.recv_chunk();
-            let me = c.rank() as u32;
-            a.iter().all(|v| v == &vec![me])
-                && b.iter().all(|v| v == &vec![p as u32 + me])
-                && sa.iter().all(|v| v == &vec![90 + me])
-                && sb.iter().all(|v| v == &vec![90 + p as u32 + me])
-        });
-        assert!(res.iter().all(|&ok| ok));
     }
 
     #[test]

@@ -80,8 +80,7 @@ pub struct TagClassVolumes {
     /// Point-to-point sends under user tags (halo exchanges, spill
     /// folds, particle refresh handoffs).
     pub p2p: ClassVolume,
-    /// Alltoallv payloads — plain steps and the chunked variant the
-    /// pencil FFT transposes ride on.
+    /// Alltoallv payloads (the FFT transposes and particle refresh).
     pub a2a: ClassVolume,
     /// Control-plane collectives: barrier, broadcast, reduce, gather,
     /// allgather rings.

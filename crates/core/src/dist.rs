@@ -14,14 +14,13 @@
 //! fold keeps the deposit free of replica double-counting without
 //! tracking canonical copies.
 
+use std::cell::OnceCell;
 use std::time::Instant;
 
 use hacc_comm::Comm;
 use hacc_domain::{gridhalo, refresh, Decomposition, Packed, Particles};
-use hacc_fft::{DistRealFft3, RealPencilFft, SlabFft};
-use hacc_pm::{
-    coarse_solve_forces, DistPoisson, ForceSplit, GridForceFit, LocalComplementSolver,
-};
+use hacc_fft::{DistRealFft3, RealPencilFft};
+use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
 use hacc_short::{ForceKernel, RcbTree};
 
 use crate::config::{SimConfig, SolverKind};
@@ -35,16 +34,50 @@ const TAGS_COARSE_FOLD: (u64, u64) = (111, 112);
 const TAGS_COARSE_FORCE_HALO: (u64, u64) = (211, 212);
 const TAGS_FINE_DENSITY_HALO: (u64, u64) = (221, 222);
 
-/// Rank-local machinery of the two-level PM mesh: the force split, the
-/// local complement solver on the ghost-padded slab, and the coarse
-/// global transform (a pencil FFT on a `p × 1` grid, whose real layout
-/// is exactly this rank's coarse slab).
-struct TwoLevelDist<'a> {
+/// Rank-local machinery of the two-level PM mesh: the force split and
+/// the local complement solver on the ghost-padded slab.
+struct TwoLevelDist {
     split: ForceSplit,
     local: LocalComplementSolver,
-    coarse_fft: RealPencilFft<'a>,
     /// Fine-complement kernel support in fine cells.
     h_kernel: usize,
+}
+
+impl TwoLevelDist {
+    /// Build the per-rank two-level machinery for `p` slabs, validating
+    /// that the slab geometry can host the ghost depths the split
+    /// requires. Communication-free.
+    fn new(cfg: &SimConfig, p: usize, w_cells: f64) -> Option<Self> {
+        let lv = cfg.two_level?;
+        let split = ForceSplit::new(cfg.ng, cfg.box_len, cfg.spectral, lv);
+        let nc = split.nc();
+        assert_eq!(
+            nc % p,
+            0,
+            "coarse grid side {nc} must be divisible by the rank count {p}"
+        );
+        let lx = cfg.ng / p;
+        let h_int = (w_cells.ceil() as usize) + 1;
+        let h_kernel = split.ghost_width();
+        let hh = h_kernel + h_int;
+        assert!(
+            hh <= lx,
+            "slab too thin for the two-level ghost depth: \
+             kernel {h_kernel} + interpolation {h_int} planes vs {lx}-plane slab \
+             (use more grid per rank or a looser matching_tol)"
+        );
+        let lc = nc / p;
+        let h_c = ((w_cells / lv.coarsening as f64).ceil() as usize) + 1;
+        assert!(
+            h_c <= lc && lc >= 2,
+            "coarse slab too thin: {lc} planes vs halo {h_c}"
+        );
+        Some(TwoLevelDist {
+            local: LocalComplementSolver::new(&split, lx + 2 * hh),
+            split,
+            h_kernel,
+        })
+    }
 }
 
 /// One rank's view of a distributed simulation.
@@ -62,53 +95,16 @@ pub struct DistSimulation<'a> {
     /// Overload width in grid cells.
     w_cells: f64,
     /// Two-level PM machinery when `cfg.two_level` is set.
-    tl: Option<TwoLevelDist<'a>>,
-}
-
-/// Build the per-rank two-level machinery, validating that the slab
-/// geometry can host the ghost depths the split requires.
-fn build_two_level<'a>(
-    comm: &'a Comm,
-    cfg: &SimConfig,
-    w_cells: f64,
-) -> Option<TwoLevelDist<'a>> {
-    let lv = cfg.two_level?;
-    let split = ForceSplit::new(cfg.ng, cfg.box_len, cfg.spectral, lv);
-    let p = comm.size();
-    let nc = split.nc();
-    assert_eq!(
-        nc % p,
-        0,
-        "coarse grid side {nc} must be divisible by the rank count {p}"
-    );
-    let lx = cfg.ng / p;
-    let h_int = (w_cells.ceil() as usize) + 1;
-    let h_kernel = split.ghost_width();
-    let hh = h_kernel + h_int;
-    assert!(
-        hh <= lx,
-        "slab too thin for the two-level ghost depth: \
-         kernel {h_kernel} + interpolation {h_int} planes vs {lx}-plane slab \
-         (use more grid per rank or a looser matching_tol)"
-    );
-    let lc = nc / p;
-    let h_c = ((w_cells / lv.coarsening as f64).ceil() as usize) + 1;
-    assert!(
-        h_c <= lc && lc >= 2,
-        "coarse slab too thin: {lc} planes vs halo {h_c}"
-    );
-    let coarse_fft = RealPencilFft::with_grid(comm, nc, p, 1);
-    // The p×1 pencil grid must hand this rank exactly its coarse slab,
-    // aligned with the particle decomposition.
-    let rl = coarse_fft.real_layout();
-    assert_eq!(rl.origin, [comm.rank() * lc, 0, 0], "coarse slab misaligned");
-    assert_eq!(rl.size, [lc, nc, nc], "coarse slab shape mismatch");
-    Some(TwoLevelDist {
-        local: LocalComplementSolver::new(&split, lx + 2 * hh),
-        coarse_fft,
-        split,
-        h_kernel,
-    })
+    tl: Option<TwoLevelDist>,
+    /// The global long-range solve of this view — the `ng` mesh, or the
+    /// coarse `ng/c` mesh of the two-level split — on a `p × 1` pencil
+    /// FFT, whose real layout is exactly this rank's slab. Building it is
+    /// collective (`Comm::split`), so the first long-range solve of a
+    /// view builds it and [`Self::try_reconstruct_ranks`] drops it:
+    /// constructors stay communication-free (a lone replacement rank
+    /// builds its view while survivors keep theirs), and survivors and
+    /// replacements rebuild it together with matching sub-communicators.
+    global: OnceCell<DistRealPoisson<RealPencilFft<'a>>>,
 }
 
 impl<'a> DistSimulation<'a> {
@@ -117,28 +113,12 @@ impl<'a> DistSimulation<'a> {
     /// boundaries coincide, and slabs wide enough for the overload shell.
     #[must_use] 
     pub fn new(comm: &'a Comm, cfg: SimConfig, ics: &hacc_ics::IcsRealization) -> Self {
-        let p = comm.size();
-        assert_eq!(cfg.ng % p, 0, "ng must be divisible by rank count");
-        let w_cells = cfg.rcut_cells + 1.5;
-        let lx = cfg.ng / p;
-        assert!(
-            (lx as f64) > w_cells + 1.0,
-            "slab too thin: {lx} cells vs overload {w_cells}"
-        );
-        let delta = cfg.box_len / cfg.ng as f64;
-        let decomp = Decomposition::new([p, 1, 1], cfg.box_len, w_cells * delta);
-        let fit = crate::sim::cached_grid_fit(cfg.spectral, cfg.rcut_cells);
-        let kernel = ForceKernel::new(
-            fit.coeffs_f32(),
-            cfg.rcut_cells as f32,
-            fit.epsilon as f32,
-        );
+        let mut sim = Self::from_checkpoint_state(comm, cfg, ics.a_init, Particles::default());
         // Claim this rank's particles.
-        let mut parts = Particles::default();
         for i in 0..ics.len() {
             let pos = [f64::from(ics.x[i]), f64::from(ics.y[i]), f64::from(ics.z[i])];
-            if decomp.owner_of(pos) == comm.rank() {
-                parts.push(Packed {
+            if sim.decomp.owner_of(pos) == comm.rank() {
+                sim.parts.push(Packed {
                     x: ics.x[i],
                     y: ics.y[i],
                     z: ics.z[i],
@@ -149,20 +129,7 @@ impl<'a> DistSimulation<'a> {
                 });
             }
         }
-        parts.n_active = parts.len();
-        let tl = build_two_level(comm, &cfg, w_cells);
-        let mut sim = DistSimulation {
-            comm,
-            cfg,
-            decomp,
-            fit,
-            kernel,
-            parts,
-            a: ics.a_init,
-            stats: RunStats::default(),
-            w_cells,
-            tl,
-        };
+        sim.parts.n_active = sim.parts.len();
         refresh(sim.comm, &sim.decomp, &mut sim.parts);
         sim
     }
@@ -171,8 +138,8 @@ impl<'a> DistSimulation<'a> {
     /// particles exactly as they were (order and bits), scale factor
     /// restored. No refresh is performed here — `step()` refreshes
     /// first, exactly as it would have in the uninterrupted run, so the
-    /// resumed trajectory is bit-identical. Collective only in the sense
-    /// that every rank must call it with consistent `cfg`.
+    /// resumed trajectory is bit-identical. Communication-free; every
+    /// rank must call it with consistent `cfg`.
     pub(crate) fn from_checkpoint_state(
         comm: &'a Comm,
         cfg: SimConfig,
@@ -195,7 +162,7 @@ impl<'a> DistSimulation<'a> {
             cfg.rcut_cells as f32,
             fit.epsilon as f32,
         );
-        let tl = build_two_level(comm, &cfg, w_cells);
+        let tl = TwoLevelDist::new(&cfg, p, w_cells);
         DistSimulation {
             comm,
             cfg,
@@ -207,6 +174,7 @@ impl<'a> DistSimulation<'a> {
             stats: RunStats::default(),
             w_cells,
             tl,
+            global: OnceCell::new(),
         }
     }
 
@@ -260,6 +228,9 @@ impl<'a> DistSimulation<'a> {
             !failed.contains(&self.comm.rank()) || self.parts.is_empty(),
             "a failed rank must re-enter reconstruction as a blank replacement"
         );
+        // The replacement cannot join the survivors' sub-communicators;
+        // every rank rebuilds the global transform on its next solve.
+        self.global.take();
         hacc_domain::try_salvage_refresh(self.comm, &self.decomp, &mut self.parts)?;
         hacc_domain::try_refresh(self.comm, &self.decomp, &mut self.parts)?;
         Ok(self.global_count())
@@ -459,6 +430,29 @@ impl<'a> DistSimulation<'a> {
         out
     }
 
+    /// The global long-range solve of this view, built collectively on
+    /// first use (see the `global` field).
+    fn global_solve(&self) -> &DistRealPoisson<RealPencilFft<'a>> {
+        self.global.get_or_init(|| {
+            let p = self.comm.size();
+            let n = self.tl.as_ref().map_or(self.cfg.ng, |tl| tl.split.nc());
+            let fft = RealPencilFft::with_grid(self.comm, n, p, 1);
+            // The p×1 pencil grid must hand this rank exactly its slab,
+            // aligned with the particle decomposition.
+            let rl = fft.real_layout();
+            assert_eq!(rl.origin, [self.comm.rank() * (n / p), 0, 0], "slab misaligned");
+            assert_eq!(rl.size, [n / p, n, n], "slab shape mismatch");
+            match &self.tl {
+                Some(tl) => DistRealPoisson::with_kernels(
+                    fft,
+                    |g| tl.split.coarse_scalar(g),
+                    |j| tl.split.coarse_grad(j),
+                ),
+                None => DistRealPoisson::new(fft, self.cfg.box_len, self.cfg.spectral),
+            }
+        })
+    }
+
     /// Long-range acceleration for every local particle.
     fn pm_accel(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
         if self.tl.is_some() {
@@ -471,9 +465,7 @@ impl<'a> DistSimulation<'a> {
         brk.cic += t0.elapsed();
 
         let t1 = Instant::now();
-        let fft = SlabFft::new(self.comm, ng);
-        let solver = DistPoisson::new(&fft, self.cfg.box_len, self.cfg.spectral);
-        let forces = solver.solve_forces(&source);
+        let forces = self.global_solve().solve_forces(source);
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
@@ -515,7 +507,7 @@ impl<'a> DistSimulation<'a> {
 
         // Coarse global solve: 1 r2c + 3 c2r on the (ng/c)³ grid.
         let t1 = Instant::now();
-        let coarse_forces = coarse_solve_forces(&tl.coarse_fft, &tl.split, &coarse_src);
+        let coarse_forces = self.global_solve().solve_forces(coarse_src);
         brk.coarse_fft += t1.elapsed();
 
         // Fine complement: ghost-padded local solve, no global comm.
@@ -709,7 +701,6 @@ fn wrap_cell(g: f64, n: usize) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulation;
     use hacc_comm::Machine;
     use hacc_cosmo::{Cosmology, LinearPower, Transfer};
 
@@ -730,110 +721,6 @@ mod tests {
         hacc_ics::zeldovich(16, 64.0, &power, a0, 99)
     }
 
-    /// Distributed run must agree with the serial driver.
-    fn check_matches_serial(solver: SolverKind, ranks: usize) {
-        let a0 = 0.2;
-        let a1 = 0.22;
-        let a2 = 0.24;
-        let realization = ics(a0);
-
-        let mut serial = Simulation::from_ics(cfg(solver, a0), &realization);
-        serial.step(a1);
-        serial.step(a2);
-        let (sx, sy, sz) = serial.positions();
-
-        let r2 = realization.clone();
-        let (results, _) = Machine::new(ranks).run(move |comm| {
-            let mut sim = DistSimulation::new(&comm, cfg(solver, a0), &r2);
-            sim.step(a1);
-            sim.step(a2);
-            sim.gather_positions()
-        });
-        let gathered = results[0].as_ref().expect("rank 0 gathers");
-        assert_eq!(gathered.len(), realization.len(), "particles lost");
-        let l = 64.0f32;
-        let mut max_err: f32 = 0.0;
-        for &(id, p) in gathered {
-            let i = id as usize;
-            for (got, want) in [(p[0], sx[i]), (p[1], sy[i]), (p[2], sz[i])] {
-                let mut d = (got - want).abs();
-                d = d.min(l - d); // periodic distance
-                max_err = max_err.max(d);
-            }
-        }
-        // f32 summation-order differences only.
-        assert!(
-            max_err < 0.05,
-            "solver {solver:?} ranks {ranks}: max position err {max_err}"
-        );
-    }
-
-    #[test]
-    fn pm_only_matches_serial_two_ranks() {
-        check_matches_serial(SolverKind::PmOnly, 2);
-    }
-
-    /// Distributed two-level run must agree with the *serial two-level*
-    /// driver — the coarse pencil solve, the ghost-padded local
-    /// complement, and all four new halo paths reproduce the shared-
-    /// memory result to f32 summation noise.
-    #[test]
-    fn two_level_matches_serial_two_ranks() {
-        let a0 = 0.2;
-        let a1 = 0.22;
-        let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
-        let realization = hacc_ics::zeldovich(16, 64.0, &power, a0, 99);
-        // ng=64 so each of 2 slabs (32 planes) can host the
-        // kernel+interpolation ghost depth of the default matching_tol.
-        let mk_cfg = || SimConfig {
-            ng: 64,
-            box_len: 64.0,
-            a_init: a0,
-            steps: 1,
-            subcycles: 2,
-            solver: SolverKind::PmOnly,
-            two_level: Some(hacc_pm::PmLevelConfig::default()),
-            ..SimConfig::small_lcdm()
-        };
-
-        let mut serial = Simulation::from_ics(mk_cfg(), &realization);
-        serial.step(a1);
-        let (sx, sy, sz) = serial.positions();
-
-        let r2 = realization.clone();
-        let (results, _) = Machine::new(2).run(move |comm| {
-            let mut sim = DistSimulation::new(&comm, mk_cfg(), &r2);
-            sim.step(a1);
-            let coarse_ns = sim.stats.total().coarse_fft.as_nanos();
-            (sim.gather_positions(), coarse_ns)
-        });
-        let (gathered, coarse_ns) = &results[0];
-        assert!(*coarse_ns > 0, "coarse solve not timed");
-        let gathered = gathered.as_ref().expect("rank 0 gathers");
-        assert_eq!(gathered.len(), realization.len(), "particles lost");
-        let l = 64.0f32;
-        let mut max_err: f32 = 0.0;
-        for &(id, p) in gathered {
-            let i = id as usize;
-            for (got, want) in [(p[0], sx[i]), (p[1], sy[i]), (p[2], sz[i])] {
-                let mut d = (got - want).abs();
-                d = d.min(l - d);
-                max_err = max_err.max(d);
-            }
-        }
-        assert!(max_err < 0.05, "two-level dist vs serial: max err {max_err}");
-    }
-
-    #[test]
-    fn treepm_matches_serial_two_ranks() {
-        check_matches_serial(SolverKind::TreePm, 2);
-    }
-
-    #[test]
-    fn treepm_matches_serial_four_ranks() {
-        check_matches_serial(SolverKind::TreePm, 4);
-    }
-
     #[test]
     fn particles_conserved_across_steps() {
         let a0 = 0.3;
@@ -848,6 +735,26 @@ mod tests {
         for c in counts {
             assert_eq!(c, total);
         }
+    }
+
+    /// An active particle that drifted a hair below zero wraps to
+    /// `box_len - 1e-6`, which rounds to exactly `box_len` in f32: the
+    /// step's refresh must hand it to rank 0 *at* 0.0, not a box away
+    /// from its slab where the deposit rejects it.
+    #[test]
+    fn particle_just_below_zero_survives_a_step() {
+        let a0 = 0.3;
+        let realization = ics(a0);
+        let total = realization.len();
+        let (counts, _) = Machine::new(2).run(move |comm| {
+            let mut sim = DistSimulation::new(&comm, cfg(SolverKind::PmOnly, a0), &realization);
+            if comm.rank() == 0 {
+                sim.parts.x[0] = -1e-6;
+            }
+            sim.step(0.33);
+            sim.global_count()
+        });
+        assert_eq!(counts, vec![total; 2]);
     }
 
     #[test]

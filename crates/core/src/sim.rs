@@ -131,34 +131,16 @@ impl Simulation {
     #[must_use] 
     pub fn from_ics(cfg: SimConfig, ics: &hacc_ics::IcsRealization) -> Self {
         assert!((ics.box_len - cfg.box_len).abs() < 1e-9, "box mismatch");
-        let pm = PmSolver::new(cfg.ng, cfg.box_len, cfg.spectral);
-        let pm2 = cfg
-            .two_level
-            .map(|lv| TwoLevelPmSolver::new(cfg.ng, cfg.box_len, cfg.spectral, lv));
-        let fit = crate::sim::cached_grid_fit(cfg.spectral, cfg.rcut_cells);
-        let kernel = ForceKernel::new(
-            fit.coeffs_f32(),
-            cfg.rcut_cells as f32,
-            fit.epsilon as f32,
-        );
-        Simulation {
+        Self::from_state(
             cfg,
-            pm,
-            pm2,
-            fit,
-            kernel,
-            a: ics.a_init,
-            x: ics.x.clone(),
-            y: ics.y.clone(),
-            z: ics.z.clone(),
-            vx: ics.vx.clone(),
-            vy: ics.vy.clone(),
-            vz: ics.vz.clone(),
-            lr_cache: None,
-            lr_spare: Default::default(),
-            scratch: StepScratch::default(),
-            stats: RunStats::default(),
-        }
+            ics.a_init,
+            ics.x.clone(),
+            ics.y.clone(),
+            ics.z.clone(),
+            ics.vx.clone(),
+            ics.vy.clone(),
+            ics.vz.clone(),
+        )
     }
 
     /// Rebuild a simulation from checkpointed state (positions, momenta,
@@ -247,139 +229,10 @@ impl Simulation {
         self.len() as f64 / (self.cfg.ng * self.cfg.ng * self.cfg.ng) as f64
     }
 
-    /// Positions in PM grid units.
-    fn grid_positions(&self) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let s = (self.cfg.ng as f64 / self.cfg.box_len) as f32;
-        (
-            self.x.iter().map(|&v| v * s).collect(),
-            self.y.iter().map(|&v| v * s).collect(),
-            self.z.iter().map(|&v| v * s).collect(),
-        )
-    }
-
     /// Long/medium-range acceleration per particle (physical units).
-    fn pm_accel(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
-        let ng = self.cfg.ng;
-        let (gx, gy, gz) = self.grid_positions();
-        let t0 = Instant::now();
-        let mut grid = vec![0.0f64; ng * ng * ng];
-        deposit_cic_par(&mut grid, ng, &gx, &gy, &gz, 1.0);
-        let nbar = self.nbar();
-        for v in grid.iter_mut() {
-            *v = *v / nbar - 1.0;
-        }
-        brk.cic += t0.elapsed();
-
-        if let Some(tl) = &self.pm2 {
-            // Two-level: fine complement from the fine contrast, coarse
-            // level from its own deposit on the (ng/c)³ grid.
-            let nc = tl.nc();
-            let inv_c = (nc as f64 / ng as f64) as f32;
-            let cgx: Vec<f32> = gx.iter().map(|&v| v * inv_c).collect();
-            let cgy: Vec<f32> = gy.iter().map(|&v| v * inv_c).collect();
-            let cgz: Vec<f32> = gz.iter().map(|&v| v * inv_c).collect();
-            let tc = Instant::now();
-            let mut cgrid = vec![0.0f64; nc * nc * nc];
-            deposit_cic_par(&mut cgrid, nc, &cgx, &cgy, &cgz, 1.0);
-            let nbar_c = self.len() as f64 / (nc * nc * nc) as f64;
-            for v in cgrid.iter_mut() {
-                *v = *v / nbar_c - 1.0;
-            }
-            brk.cic += tc.elapsed();
-
-            let t1 = Instant::now();
-            let mut ff = [Vec::new(), Vec::new(), Vec::new()];
-            tl.solve_fine_into(&grid, &mut ff);
-            brk.fft += t1.elapsed();
-            let t1c = Instant::now();
-            let mut fc = [Vec::new(), Vec::new(), Vec::new()];
-            tl.solve_coarse_into(&cgrid, &mut fc);
-            brk.coarse_fft += t1c.elapsed();
-
-            let t2 = Instant::now();
-            let mut out = [
-                interpolate_cic(&ff[0], ng, &gx, &gy, &gz),
-                interpolate_cic(&ff[1], ng, &gx, &gy, &gz),
-                interpolate_cic(&ff[2], ng, &gx, &gy, &gz),
-            ];
-            for (c, slot) in out.iter_mut().enumerate() {
-                let coarse = interpolate_cic(&fc[c], nc, &cgx, &cgy, &cgz);
-                for (o, v) in slot.iter_mut().zip(&coarse) {
-                    *o += v;
-                }
-            }
-            brk.cic += t2.elapsed();
-            return out;
-        }
-
-        let t1 = Instant::now();
-        let forces = self.pm.solve_forces(&grid);
-        brk.fft += t1.elapsed();
-
-        let t2 = Instant::now();
-        let out = [
-            interpolate_cic(&forces[0], ng, &gx, &gy, &gz),
-            interpolate_cic(&forces[1], ng, &gx, &gy, &gz),
-            interpolate_cic(&forces[2], ng, &gx, &gy, &gz),
-        ];
-        brk.cic += t2.elapsed();
-        out
-    }
-
-    /// Short-range acceleration per particle (physical units).
-    fn short_accel(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
-        let ng = self.cfg.ng;
-        let (gx, gy, gz) = self.grid_positions();
-        let np = self.len();
-        // Conversion from grid-unit pair forces to physical acceleration:
-        // (Δ/n̄)·norm (see crates/pm response-fit docs): each unit-mass particle
-        // sources `norm/r²` in grid units for a δ-normalized solve.
-        let scale = (self.cfg.box_len / ng as f64 / self.nbar() * self.fit.norm) as f32;
-        let mut f = match self.cfg.solver {
-            SolverKind::PmOnly => unreachable!("short_accel with PmOnly"),
-            SolverKind::P3m => {
-                let t0 = Instant::now();
-                let solver = P3mSolver::new(self.kernel, ng as f32);
-                let (f, inter) = solver.forces(&gx, &gy, &gz, &vec![1.0f32; np]);
-                brk.kernel += t0.elapsed();
-                brk.interactions += inter;
-                brk.pair_interactions += inter;
-                f
-            }
-            SolverKind::TreePm => {
-                // Ghost images for periodicity (the serial stand-in for
-                // overloading): replicate particles within r_cut of faces.
-                let t0 = Instant::now();
-                let rcut = self.cfg.rcut_cells as f32;
-                let (ax, ay, az, n_real) = with_ghosts(&gx, &gy, &gz, ng as f32, rcut);
-                let tree = RcbTree::build(&ax, &ay, &az, &vec![1.0f32; ax.len()], self.cfg.tree);
-                brk.build += t0.elapsed();
-                let mut scratch = TreeScratch::default();
-                let mut ff = [Vec::new(), Vec::new(), Vec::new()];
-                let rep = tree.forces_symmetric_into(&self.kernel, 0.0, &mut scratch, &mut ff);
-                brk.walk += rep.walk;
-                brk.kernel += rep.kernel;
-                brk.interactions += rep.directed;
-                brk.pair_interactions += rep.evals;
-                let _ = n_real;
-                [
-                    ff[0][..np].to_vec(),
-                    ff[1][..np].to_vec(),
-                    ff[2][..np].to_vec(),
-                ]
-            }
-        };
-        for c in f.iter_mut() {
-            for v in c.iter_mut() {
-                *v *= scale;
-            }
-        }
-        f
-    }
-
-    /// Allocation-free variant of [`Self::pm_accel`]: grids, CIC bins and
-    /// spectra come from `self.scratch` / the solver workspace, the
-    /// per-particle result lands in `out` (resized once, then reused).
+    /// Allocation-free once warm: grids, CIC bins and spectra come from
+    /// `self.scratch` / the solver workspace, the per-particle result
+    /// lands in `out` (resized once, then reused).
     fn pm_accel_into(&mut self, brk: &mut StepBreakdown, out: &mut [Vec<f32>; 3]) {
         let ng = self.cfg.ng;
         let nbar = self.nbar();
@@ -455,10 +308,10 @@ impl Simulation {
         brk.cic += t2.elapsed();
     }
 
-    /// Allocation-free variant of [`Self::short_accel`] for the tree path:
-    /// the tree is rebuilt in place, ghost/mass/force buffers persist in
-    /// `self.scratch`, and the scaled result is left in `self.scratch.sr`
-    /// (first `self.len()` entries are the real particles).
+    /// Short-range acceleration per particle (physical units), left in
+    /// `self.scratch.sr` (first `self.len()` entries are the real
+    /// particles). Allocation-free once warm: the tree is rebuilt in
+    /// place and ghost/mass/force buffers persist in `self.scratch`.
     fn short_accel_into(&mut self, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let np = self.len();
@@ -512,9 +365,10 @@ impl Simulation {
                     || skin <= 0.0
                     || 2.0 * *drift_since_build > f64::from(skin);
                 if rebuild {
-                    // Ghost band widened by the skin so every partner a
-                    // particle can meet while drifting up to skin/2 is
-                    // already present.
+                    // Ghost images for periodicity (the serial stand-in
+                    // for overloading), in a band widened by the skin so
+                    // every partner a particle can meet while drifting up
+                    // to skin/2 is already present.
                     with_ghosts_into(gx, gy, gz, lg, rcut + skin, ax, ay, az, ghost_src);
                     mass.clear();
                     mass.resize(ax.len(), 1.0);
@@ -725,7 +579,12 @@ impl Simulation {
         // would double-count softening; using the production kernel keeps
         // consistency with the forces actually applied).
         let ng = self.cfg.ng;
-        let (gx, gy, gz) = self.grid_positions();
+        let to_grid = (ng as f64 / self.cfg.box_len) as f32;
+        let [gx, gy, gz] = [&self.x, &self.y, &self.z].map(|c| {
+            let mut g = Vec::new();
+            fill_scaled(c, to_grid, &mut g);
+            g
+        });
         let mut grid = vec![0.0f64; ng * ng * ng];
         deposit_cic_par(&mut grid, ng, &gx, &gy, &gz, 1.0);
         let nbar = self.nbar();
@@ -740,18 +599,18 @@ impl Simulation {
     }
 
     /// Total acceleration (PM + short-range) at the current positions —
-    /// exposed for force-accuracy studies and tests.
-    pub fn total_accel(&self) -> [Vec<f32>; 3] {
+    /// exposed for force-accuracy studies and tests. Runs the step's own
+    /// force paths, so it takes the step's scratch (`&mut self`).
+    pub fn total_accel(&mut self) -> [Vec<f32>; 3] {
         let mut brk = StepBreakdown::default();
-        let lr = self.pm_accel(&mut brk);
-        if self.cfg.solver == SolverKind::PmOnly {
-            return lr;
-        }
-        let sr = self.short_accel(&mut brk);
-        let mut out = lr;
-        for c in 0..3 {
-            for (o, s) in out[c].iter_mut().zip(&sr[c]) {
-                *o += s;
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        self.pm_accel_into(&mut brk, &mut out);
+        if self.cfg.solver != SolverKind::PmOnly {
+            self.short_accel_into(&mut brk);
+            for (o, s) in out.iter_mut().zip(&self.scratch.sr) {
+                for (o, s) in o.iter_mut().zip(s) {
+                    *o += s;
+                }
             }
         }
         out
@@ -785,8 +644,9 @@ fn fill_scaled(src: &[f32], s: f32, out: &mut Vec<f32>) {
     out.extend(src.iter().map(|&v| v * s));
 }
 
-/// Allocation-free [`with_ghosts`]: appends the periodic images into the
-/// caller's reused buffers and returns the count of real particles.
+/// Append periodic ghost images of particles within `rcut` of the box
+/// faces (grid units, box side `l`) into the caller's reused buffers;
+/// returns the count of real particles (the prefix).
 ///
 /// `ghost_src[g]` records the real-particle index each appended ghost is
 /// an image of, so a Verlet-skin refresh can re-derive ghost coordinates
@@ -847,47 +707,6 @@ fn with_ghosts_into(
     n
 }
 
-/// Append periodic ghost images of particles within `rcut` of the box
-/// faces (grid units, box side `l`). Returns augmented SoA arrays and the
-/// count of real particles (prefix).
-fn with_ghosts(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    l: f32,
-    rcut: f32,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>, usize) {
-    let n = xs.len();
-    let mut ax = xs.to_vec();
-    let mut ay = ys.to_vec();
-    let mut az = zs.to_vec();
-    for i in 0..n {
-        let shifts = |v: f32| -> Vec<f32> {
-            let mut s = vec![0.0f32];
-            if v < rcut {
-                s.push(l);
-            }
-            if v > l - rcut {
-                s.push(-l);
-            }
-            s
-        };
-        for &sx in &shifts(xs[i]) {
-            for &sy in &shifts(ys[i]) {
-                for &sz in &shifts(zs[i]) {
-                    if sx == 0.0 && sy == 0.0 && sz == 0.0 {
-                        continue;
-                    }
-                    ax.push(xs[i] + sx);
-                    ay.push(ys[i] + sy);
-                    az.push(zs[i] + sz);
-                }
-            }
-        }
-    }
-    (ax, ay, az, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,47 +733,32 @@ mod tests {
         Simulation::from_ics(cfg, &ics)
     }
 
+    /// `with_ghosts_into` through fresh buffers: augmented x/y/z, the
+    /// ghost → source map and the real-particle count.
+    fn ghosts(xs: &[f32], ys: &[f32], zs: &[f32]) -> ([Vec<f32>; 3], Vec<u32>, usize) {
+        let (mut ax, mut ay, mut az, mut gs) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let n = with_ghosts_into(xs, ys, zs, 10.0, 1.0, &mut ax, &mut ay, &mut az, &mut gs);
+        ([ax, ay, az], gs, n)
+    }
+
     #[test]
     fn ghosts_replicate_faces_only() {
-        let (ax, _, _, n) = with_ghosts(&[5.0, 0.5], &[5.0, 5.0], &[5.0, 5.0], 10.0, 1.0);
+        let ([ax, _, _], gs, n) = ghosts(&[5.0, 0.5], &[5.0, 5.0], &[5.0, 5.0]);
         assert_eq!(n, 2);
         // Interior particle adds nothing; the face particle adds one image.
         assert_eq!(ax.len(), 3);
         assert_eq!(ax[2], 10.5);
+        assert_eq!(gs, vec![1]);
     }
 
     #[test]
     fn corner_ghosts_complete() {
-        let (ax, ay, az, _) = with_ghosts(&[0.2], &[0.3], &[9.9], 10.0, 1.0);
+        let ([ax, ay, az], gs, _) = ghosts(&[0.2], &[0.3], &[9.9]);
         // 2×2×2 images minus the original = 7 ghosts.
         assert_eq!(ax.len(), 8);
         assert_eq!(ay.len(), 8);
         assert_eq!(az.len(), 8);
-    }
-
-    #[test]
-    fn ghosts_into_matches_allocating_path() {
-        let xs = [5.0, 0.5, 9.9, 0.2];
-        let ys = [5.0, 5.0, 0.3, 0.1];
-        let zs = [5.0, 5.0, 9.8, 5.0];
-        let (ex, ey, ez, en) = with_ghosts(&xs, &ys, &zs, 10.0, 1.0);
-        let (mut ax, mut ay, mut az) = (Vec::new(), Vec::new(), Vec::new());
-        let mut gs = Vec::new();
-        // Run twice through the same buffers: reuse must not change output.
-        for _ in 0..2 {
-            let n = with_ghosts_into(&xs, &ys, &zs, 10.0, 1.0, &mut ax, &mut ay, &mut az, &mut gs);
-            assert_eq!(n, en);
-            assert_eq!(ax, ex);
-            assert_eq!(ay, ey);
-            assert_eq!(az, ez);
-            // Every ghost maps back to the particle it images (ghosts are
-            // appended in particle order; each differs only by ±l shifts).
-            assert_eq!(gs.len(), ax.len() - en);
-            for (g, &src) in gs.iter().enumerate() {
-                let d = ax[en + g] - xs[src as usize];
-                assert!(d == 0.0 || d.abs() == 10.0, "ghost {g} shift {d}");
-            }
-        }
+        assert_eq!(gs, vec![0; 7]);
     }
 
     #[test]
@@ -1029,8 +833,8 @@ mod tests {
 
     #[test]
     fn treepm_and_p3m_forces_agree() {
-        let sim_tree = make_sim(SolverKind::TreePm, 0.3);
-        let sim_p3m = make_sim(SolverKind::P3m, 0.3);
+        let mut sim_tree = make_sim(SolverKind::TreePm, 0.3);
+        let mut sim_p3m = make_sim(SolverKind::P3m, 0.3);
         let ft = sim_tree.total_accel();
         let fp = sim_p3m.total_accel();
         // Identical particle states ⇒ near-identical forces (both exact
@@ -1191,7 +995,7 @@ mod tests {
             ics.vy = vec![0.0; 2];
             ics.vz = vec![0.0; 2];
             ics.a_init = 0.5;
-            let sim = Simulation::from_ics(cfg, &ics);
+            let mut sim = Simulation::from_ics(cfg, &ics);
             let f = sim.total_accel();
             // Radial component of the force on particle 0 toward 1.
             let fr = f64::from(f[0][0]) * ux + f64::from(f[1][0]) * uy + f64::from(f[2][0]) * uz;

@@ -83,6 +83,16 @@ impl Particles {
         }
     }
 
+    /// [`Self::pack`] with the position wrapped into `decomp`'s box.
+    fn pack_wrapped(&self, i: usize, decomp: &Decomposition) -> Packed {
+        Packed {
+            x: decomp.wrap_f32(self.x[i]),
+            y: decomp.wrap_f32(self.y[i]),
+            z: decomp.wrap_f32(self.z[i]),
+            ..self.pack(i)
+        }
+    }
+
     /// Overload memory overhead: passive / active (the paper quotes ~10%
     /// for large runs).
     #[must_use] 
@@ -189,6 +199,21 @@ impl Decomposition {
         let l = self.box_len;
         let w = v - (v / l).floor() * l;
         if w >= l {
+            0.0
+        } else {
+            w
+        }
+    }
+
+    /// [`Self::wrap`] for a stored `f32` coordinate. The wrap runs in
+    /// f64, and a result a hair below `box_len` (from `v = -1e-6`) rounds
+    /// to exactly `box_len` when narrowed — which [`Self::owner_of`] would
+    /// hand to block 0, a whole box away from the stored value. Such a
+    /// result is the periodic image of 0, so it narrows to `0.0`.
+    #[must_use]
+    pub fn wrap_f32(&self, v: f32) -> f32 {
+        let w = self.wrap(f64::from(v)) as f32;
+        if f64::from(w) >= self.box_len {
             0.0
         } else {
             w
@@ -387,11 +412,7 @@ pub fn try_refresh(
     let mut sends: Vec<Vec<Tagged>> = (0..comm.size()).map(|_| Vec::new()).collect();
     let mut targets = OverloadTargets::default();
     for i in 0..particles.n_active {
-        let mut p = particles.pack(i);
-        // Wrap into the periodic box.
-        p.x = decomp.wrap(f64::from(p.x)) as f32;
-        p.y = decomp.wrap(f64::from(p.y)) as f32;
-        p.z = decomp.wrap(f64::from(p.z)) as f32;
+        let p = particles.pack_wrapped(i, decomp);
         let pos = [f64::from(p.x), f64::from(p.y), f64::from(p.z)];
         let owner = decomp.owner_of(pos);
         sends[owner].push(Tagged {
@@ -446,10 +467,7 @@ pub fn try_refresh(
 pub fn salvage_for(decomp: &Decomposition, particles: &Particles, failed: usize) -> Vec<Packed> {
     let mut out = Vec::new();
     for i in particles.n_active..particles.len() {
-        let mut p = particles.pack(i);
-        p.x = decomp.wrap(f64::from(p.x)) as f32;
-        p.y = decomp.wrap(f64::from(p.y)) as f32;
-        p.z = decomp.wrap(f64::from(p.z)) as f32;
+        let p = particles.pack_wrapped(i, decomp);
         let pos = [f64::from(p.x), f64::from(p.y), f64::from(p.z)];
         if decomp.owner_of(pos) == failed {
             out.push(p);
@@ -496,10 +514,7 @@ pub fn try_salvage_refresh(
     assert_eq!(comm.size(), decomp.ranks(), "decomposition/communicator mismatch");
     let mut sends: Vec<Vec<Tagged>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for i in 0..particles.len() {
-        let mut p = particles.pack(i);
-        p.x = decomp.wrap(f64::from(p.x)) as f32;
-        p.y = decomp.wrap(f64::from(p.y)) as f32;
-        p.z = decomp.wrap(f64::from(p.z)) as f32;
+        let p = particles.pack_wrapped(i, decomp);
         let owner = decomp.owner_of([f64::from(p.x), f64::from(p.y), f64::from(p.z)]);
         sends[owner].push(Tagged {
             p,
@@ -570,10 +585,7 @@ pub fn try_reshard(
     );
     let mut sends: Vec<Vec<Packed>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for i in 0..particles.n_active {
-        let mut p = particles.pack(i);
-        p.x = new_decomp.wrap(f64::from(p.x)) as f32;
-        p.y = new_decomp.wrap(f64::from(p.y)) as f32;
-        p.z = new_decomp.wrap(f64::from(p.z)) as f32;
+        let p = particles.pack_wrapped(i, new_decomp);
         let owner = new_decomp.owner_of([f64::from(p.x), f64::from(p.y), f64::from(p.z)]);
         sends[owner].push(p);
     }
@@ -880,6 +892,33 @@ mod tests {
             parts.x.clone()
         });
         assert!(res[1].contains(&16.5), "rank1 x: {:?}", res[1]);
+    }
+
+    #[test]
+    fn refresh_never_stores_box_len() {
+        // -1e-6 wraps to 127.999999, which is nearer to 128.0 than to the
+        // f32 below it: the owner (rank 0, via the periodic image) must
+        // receive the particle at 0.0, inside its own slab.
+        let (res, _) = Machine::new(2).run(|comm| {
+            let d = Decomposition::new([2, 1, 1], 128.0, 6.0);
+            let mut parts = Particles::default();
+            if comm.rank() == 1 {
+                parts.push(Packed {
+                    x: -1e-6,
+                    y: 64.0,
+                    z: 64.0,
+                    vx: 0.0,
+                    vy: 0.0,
+                    vz: 0.0,
+                    id: 7,
+                });
+                parts.n_active = 1;
+            }
+            refresh(&comm, &d, &mut parts);
+            parts.x[..parts.n_active].to_vec()
+        });
+        assert_eq!(res[0], vec![0.0]);
+        assert!(res[1].is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod wavenumber;
 pub use complex::Complex64;
 pub use dim3::Fft3;
 pub use kernels::FftSimdLevel;
-pub use pencil::{PencilFft, PencilTimings, RealPencilFft, TransposeSchedule};
+pub use pencil::{PencilFft, RealPencilFft};
 pub use plan::Fft1d;
 pub use real::RealFft3;
 pub use scratch::BufPool;

@@ -1,9 +1,11 @@
-//! Distributed spectral Poisson solver.
+//! Distributed spectral Poisson solvers.
 //!
-//! Works over any [`DistFft3`] (slab or pencil): the k-space kernel
-//! multiplication uses the transform's own k-layout descriptor, so the
-//! same code runs on both decompositions. The weak-scaling studies of
-//! Fig. 6 and the full-code driver both build on this.
+//! [`DistPoisson`] works over any complex [`DistFft3`] (slab or pencil):
+//! the k-space kernel multiplication uses the transform's own k-layout
+//! descriptor, so the same code runs on both decompositions — the
+//! weak-scaling comparison of Fig. 6 and the test reference.
+//! [`DistRealPoisson`] is the half-spectrum, table-driven solve the
+//! full-code driver runs for both of its mesh levels.
 
 use hacc_fft::{Complex64, DistFft3, DistRealFft3, Layout3};
 
@@ -88,85 +90,83 @@ impl<'a, F: DistFft3 + ?Sized> DistPoisson<'a, F> {
     }
 }
 
-/// Distributed Poisson solve over a real-to-complex transform
-/// ([`DistRealFft3`]): the half-spectrum analogue of [`DistPoisson`],
-/// with half the FFT flops and half the transpose traffic.
-pub struct DistRealPoisson<'a, F: DistRealFft3 + ?Sized> {
-    fft: &'a F,
-    params: SpectralParams,
-    delta: f64,
+/// Distributed half-spectrum force solve: a held [`DistRealFft3`] plus
+/// the spectral tables in that transform's own k-layout, built once.
+/// Against the c2c [`DistPoisson`] it moves half the transpose bytes and
+/// evaluates no kernel per solve. Both mesh levels of the distributed
+/// driver are one of these: [`Self::new`] for the single-level mesh,
+/// [`Self::with_kernels`] carrying the two-level split's coarse tables.
+pub struct DistRealPoisson<F: DistRealFft3> {
+    fft: F,
+    /// Per-mode scalar over the local k block, in its row-major order.
+    scalar: Vec<f64>,
+    /// Gradient multiplier along each axis of the local k block.
+    grad: [Vec<f64>; 3],
 }
 
-impl<'a, F: DistRealFft3 + ?Sized> DistRealPoisson<'a, F> {
-    /// Create a solver; `box_len` is the periodic box side.
-    pub fn new(fft: &'a F, box_len: f64, params: SpectralParams) -> Self {
-        DistRealPoisson {
+impl<F: DistRealFft3> DistRealPoisson<F> {
+    /// The reference response (influence × filter, Nyquist-zeroed
+    /// gradient — the tables of [`crate::solver::PmSolver`]) on `fft`'s
+    /// grid over a periodic box of side `box_len`.
+    pub fn new(fft: F, box_len: f64, params: SpectralParams) -> Self {
+        let n = fft.n();
+        let d = box_len / n as f64;
+        Self::with_kernels(
             fft,
-            params,
-            delta: box_len / fft.n() as f64,
-        }
+            |g| params.influence(g, n, d) * params.filter(g, n, d),
+            |i| {
+                if n.is_multiple_of(2) && i == n / 2 {
+                    0.0
+                } else {
+                    params.gradient(i, n, d)
+                }
+            },
+        )
     }
 
-    /// Layout of the rank-local real-space block.
-    #[must_use] 
-    pub fn real_layout(&self) -> Layout3 {
-        self.fft.real_layout()
-    }
-
-    /// Gradient multiplier with the Nyquist index projected to zero so
-    /// the half-spectrum product stays Hermitian (see
-    /// [`crate::solver::PmSolver`] for the rationale).
-    fn grad(&self, i: usize, n: usize) -> f64 {
-        if n.is_multiple_of(2) && i == n / 2 {
-            0.0
-        } else {
-            self.params.gradient(i, n, self.delta)
-        }
+    /// Tabulate caller-supplied kernels: `scalar` at global mode indices
+    /// and the 1-D `grad` multiplier at a global index along any axis
+    /// (already zero at the Nyquist index, so the half-spectrum product
+    /// stays Hermitian).
+    pub fn with_kernels(
+        fft: F,
+        scalar: impl Fn([usize; 3]) -> f64,
+        grad: impl Fn(usize) -> f64,
+    ) -> Self {
+        let kl = fft.k_layout();
+        let scalar = (0..kl.len()).map(|i| scalar(kl.global_coords(i))).collect();
+        let grad = [0, 1, 2].map(|a| (0..kl.size[a]).map(|i| grad(kl.origin[a] + i)).collect());
+        DistRealPoisson { fft, scalar, grad }
     }
 
     /// Solve for the three force component grids from the local source
     /// block (real layout in, real layout out). Cost: 1 r2c forward +
     /// 3 c2r inverse distributed FFTs on the half-spectrum.
-    #[must_use] 
-    pub fn solve_forces(&self, source: &[f64]) -> [Vec<f64>; 3] {
-        let rl = self.fft.real_layout();
-        assert_eq!(source.len(), rl.len(), "source does not match layout");
-        let mut k_data = self.fft.forward(source.to_vec());
-        let kl = self.fft.k_layout();
-        let (n, d) = (self.fft.n(), self.delta);
-        let p = self.params;
-        for (i, v) in k_data.iter_mut().enumerate() {
-            let g = kl.global_coords(i);
-            let scale = p.influence(g, n, d) * p.filter(g, n, d);
-            *v = v.scale(scale);
+    #[must_use]
+    pub fn solve_forces(&self, source: Vec<f64>) -> [Vec<f64>; 3] {
+        assert_eq!(
+            source.len(),
+            self.fft.real_layout().len(),
+            "source does not match layout"
+        );
+        let mut phi = self.fft.forward(source);
+        for (v, &s) in phi.iter_mut().zip(&self.scalar) {
+            *v = v.scale(s);
         }
-        let mut out: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (c, slot) in out.iter_mut().enumerate() {
-            let mut comp = k_data.clone();
-            for (i, v) in comp.iter_mut().enumerate() {
-                let g = kl.global_coords(i);
-                *v *= Complex64::new(0.0, -self.grad(g[c], n));
+        let [_, sy, sz] = self.fft.k_layout().size;
+        std::array::from_fn(|axis| {
+            // F_c(k) = -i·D_c(k)·φ(k).
+            let g = &self.grad[axis];
+            let mut comp = Vec::with_capacity(phi.len());
+            for (row, line) in phi.chunks(sz).enumerate() {
+                let at = [row / sy, row % sy];
+                comp.extend(line.iter().enumerate().map(|(iz, v)| {
+                    let d = if axis < 2 { g[at[axis]] } else { g[iz] };
+                    Complex64::new(v.im * d, -v.re * d)
+                }));
             }
-            *slot = self.fft.backward(comp);
-        }
-        out
-    }
-
-    /// Solve for the potential only (1 r2c forward + 1 c2r inverse).
-    #[must_use] 
-    pub fn solve_potential(&self, source: &[f64]) -> Vec<f64> {
-        let rl = self.fft.real_layout();
-        assert_eq!(source.len(), rl.len());
-        let mut k_data = self.fft.forward(source.to_vec());
-        let kl = self.fft.k_layout();
-        let (n, d) = (self.fft.n(), self.delta);
-        let p = self.params;
-        for (i, v) in k_data.iter_mut().enumerate() {
-            let g = kl.global_coords(i);
-            let scale = p.influence(g, n, d) * p.filter(g, n, d);
-            *v = v.scale(scale);
-        }
-        self.fft.backward(k_data)
+            self.fft.backward(comp)
+        })
     }
 }
 
@@ -248,64 +248,62 @@ mod tests {
         check_against_serial(12, 6, true);
     }
 
-    /// The distributed half-spectrum solve must equal the serial solver
-    /// (which itself is pinned to the c2c reference).
+    /// The half-spectrum solve must equal the serial solver and the
+    /// retained c2c reference per cell, on the `p × 1` grid the driver
+    /// holds and on the default 2-D grid, for even, odd and 2·3·5 sides.
     #[test]
-    fn real_pencil_matches_serial() {
-        for (n, ranks) in [(8usize, 4usize), (12, 6), (9, 4)] {
+    fn real_pencil_matches_serial_and_c2c() {
+        for (n, ranks) in [(8usize, 2usize), (9, 3), (12, 4), (30, 6), (8, 4)] {
             let source = rand_source(n, 5 * n as u64 + 1);
             let serial = PmSolver::new(n, n as f64, SpectralParams::default());
             let want = serial.solve_forces(&source);
             let src = source.clone();
             let (results, _) = Machine::new(ranks).run(move |comm| {
-                let fft = RealPencilFft::new(&comm, n);
-                let rl = fft.real_layout();
-                let mut local = vec![0.0; rl.len()];
-                for (i, v) in local.iter_mut().enumerate() {
-                    let g = rl.global_coords(i);
-                    *v = src[(g[0] * n + g[1]) * n + g[2]];
+                let load = |rl: Layout3| -> Vec<f64> {
+                    (0..rl.len())
+                        .map(|i| {
+                            let g = rl.global_coords(i);
+                            src[(g[0] * n + g[1]) * n + g[2]]
+                        })
+                        .collect()
+                };
+                let params = SpectralParams::default();
+                let c2c_fft = PencilFft::new(&comm, n);
+                let c2c = DistPoisson::new(&c2c_fft, n as f64, params);
+                let mut out = vec![(c2c.real_layout(), c2c.solve_forces(&load(c2c.real_layout())))];
+                for fft in [
+                    RealPencilFft::with_grid(&comm, n, ranks, 1),
+                    RealPencilFft::new(&comm, n),
+                ] {
+                    let rl = fft.real_layout();
+                    let solver = DistRealPoisson::new(fft, n as f64, params);
+                    out.push((rl, solver.solve_forces(load(rl))));
                 }
-                let solver = DistRealPoisson::new(&fft, n as f64, SpectralParams::default());
-                (rl, solver.solve_forces(&local))
+                out
             });
-            for (rl, forces) in &results {
-                for c in 0..3 {
-                    for (i, v) in forces[c].iter().enumerate() {
-                        let g = rl.global_coords(i);
-                        let w = want[c][(g[0] * n + g[1]) * n + g[2]];
-                        assert!(
-                            (v - w).abs() < 1e-9,
-                            "n={n} ranks={ranks} c={c} {g:?}: {v} vs {w}"
-                        );
+            // Reassemble each variant's global force grids: [c2c, r2c on
+            // p × 1, r2c on the default grid].
+            let mut global = vec![[vec![0.0; n * n * n], vec![0.0; n * n * n], vec![0.0; n * n * n]]; 3];
+            for per_rank in &results {
+                for (grids, (rl, forces)) in global.iter_mut().zip(per_rank) {
+                    for c in 0..3 {
+                        for (i, &v) in forces[c].iter().enumerate() {
+                            let g = rl.global_coords(i);
+                            grids[c][(g[0] * n + g[1]) * n + g[2]] = v;
+                        }
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn real_pencil_potential_matches_serial() {
-        let n = 8;
-        let source = rand_source(n, 11);
-        let serial = PmSolver::new(n, n as f64, SpectralParams::default());
-        let want = serial.solve_potential(&source);
-        let src = source.clone();
-        let (results, _) = Machine::new(4).run(move |comm| {
-            let fft = RealPencilFft::new(&comm, n);
-            let rl = fft.real_layout();
-            let mut local = vec![0.0; rl.len()];
-            for (i, v) in local.iter_mut().enumerate() {
-                let g = rl.global_coords(i);
-                *v = src[(g[0] * n + g[1]) * n + g[2]];
-            }
-            let solver = DistRealPoisson::new(&fft, n as f64, SpectralParams::default());
-            (rl, solver.solve_potential(&local))
-        });
-        for (rl, phi) in &results {
-            for (i, v) in phi.iter().enumerate() {
-                let g = rl.global_coords(i);
-                let w = want[(g[0] * n + g[1]) * n + g[2]];
-                assert!((v - w).abs() < 1e-10);
+            for r2c in &global[1..] {
+                for c in 0..3 {
+                    for (i, v) in r2c[c].iter().enumerate() {
+                        let (w, k) = (want[c][i], global[0][c][i]);
+                        assert!(
+                            (v - w).abs() < 1e-9 && (v - k).abs() < 1e-9,
+                            "n={n} ranks={ranks} c={c} cell {i}: {v} vs serial {w}, c2c {k}"
+                        );
+                    }
+                }
             }
         }
     }

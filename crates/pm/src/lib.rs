@@ -26,6 +26,4 @@ pub use dist::{DistPoisson, DistRealPoisson};
 pub use response::GridForceFit;
 pub use solver::PmSolver;
 pub use spectral::SpectralParams;
-pub use twolevel::{
-    coarse_solve_forces, ForceSplit, LocalComplementSolver, PmLevelConfig, TwoLevelPmSolver,
-};
+pub use twolevel::{ForceSplit, LocalComplementSolver, PmLevelConfig, TwoLevelPmSolver};

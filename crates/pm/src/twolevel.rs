@@ -33,7 +33,7 @@
 use std::sync::Mutex;
 
 use hacc_fft::wavenumber::{k_index, k_of_index};
-use hacc_fft::{Complex64, DistRealFft3, RealFft3};
+use hacc_fft::{Complex64, RealFft3};
 use rayon::prelude::*;
 
 use crate::solver::PmSolver;
@@ -626,39 +626,6 @@ impl LocalComplementSolver {
     }
 }
 
-/// Distributed coarse-level force solve over any [`DistRealFft3`]
-/// (the production choice is [`hacc_fft::RealPencilFft`], reused
-/// unchanged at `n/c` — this is where the `~c³` all-to-all byte
-/// reduction comes from). Source and outputs use the transform's own
-/// real layout; cost is 1 r2c forward + 3 c2r inverses.
-#[must_use]
-pub fn coarse_solve_forces<F: DistRealFft3 + ?Sized>(
-    fft: &F,
-    split: &ForceSplit,
-    source: &[f64],
-) -> [Vec<f64>; 3] {
-    let nc = split.nc();
-    assert_eq!(fft.n(), nc, "coarse transform side must be n/c");
-    let rl = fft.real_layout();
-    assert_eq!(source.len(), rl.len(), "source does not match layout");
-    let mut k_data = fft.forward(source.to_vec());
-    let kl = fft.k_layout();
-    for (i, v) in k_data.iter_mut().enumerate() {
-        let g = kl.global_coords(i);
-        *v = v.scale(split.coarse_scalar(g));
-    }
-    let mut out: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (c, slot) in out.iter_mut().enumerate() {
-        let mut comp = k_data.clone();
-        for (i, v) in comp.iter_mut().enumerate() {
-            let g = kl.global_coords(i);
-            *v *= Complex64::new(0.0, -split.coarse_grad(g[c]));
-        }
-        *slot = fft.backward(comp);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,8 +1056,9 @@ mod tests {
 #[cfg(all(test, not(miri)))]
 mod dist_tests {
     use super::*;
+    use crate::dist::DistRealPoisson;
     use hacc_comm::Machine;
-    use hacc_fft::RealPencilFft;
+    use hacc_fft::{DistRealFft3, RealPencilFft};
 
     /// The distributed coarse solve over a slab-shaped RealPencilFft
     /// must equal the serial coarse level bit-for-tolerance.
@@ -1123,7 +1091,12 @@ mod dist_tests {
                 let g = rl.global_coords(i);
                 *v = src[(g[0] * nc + g[1]) * nc + g[2]];
             }
-            (rl, coarse_solve_forces(&fft, &split, &local))
+            let solver = DistRealPoisson::with_kernels(
+                fft,
+                |g| split.coarse_scalar(g),
+                |j| split.coarse_grad(j),
+            );
+            (rl, solver.solve_forces(local))
         });
         for (rl, forces) in &results {
             for axis in 0..3 {

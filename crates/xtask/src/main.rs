@@ -4,7 +4,7 @@
 //! same entry point works locally and in CI:
 //!
 //! ```text
-//! cargo xtask verify     # lint wall + dependency checks + loom (+ miri/tsan when available)
+//! cargo xtask verify     # lint wall + workspace tests + dependency checks + loom (+ miri/tsan when available)
 //! cargo xtask lint       # clippy --workspace --all-targets with -D warnings
 //! cargo xtask deny       # cargo-deny if installed, else the built-in fallback
 //! cargo xtask loom       # vendored-loom self-tests + RUSTFLAGS=--cfg loom comm suite
@@ -57,6 +57,10 @@ struct Report {
     /// When set (the `verify` command), `exit` writes the machine-
     /// readable per-pass report here.
     json_out: Option<PathBuf>,
+    /// `git diff --shortstat` of the source trees against the merge base
+    /// with `main` (the `verify` command), so a change's line balance
+    /// travels with its pass results.
+    diffstat: String,
 }
 
 impl Report {
@@ -65,6 +69,7 @@ impl Report {
             steps: Vec::new(),
             last: Instant::now(),
             json_out: None,
+            diffstat: String::new(),
         }
     }
 
@@ -121,7 +126,8 @@ impl Report {
             .iter()
             .any(|(_, o, _)| matches!(o, Outcome::Fail(_)));
         let body = format!(
-            "{{\n  \"ok\": {ok},\n  \"steps\": [\n{}\n  ],\n  \"models\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"ok\": {ok},\n  \"diffstat\": {},\n  \"steps\": [\n{}\n  ],\n  \"models\": [\n{}\n  ]\n}}\n",
+            json_string(&self.diffstat),
             steps_json.join(",\n"),
             models.join(",\n"),
         );
@@ -679,12 +685,30 @@ fn step_test(report: &mut Report) {
     report.record("test (cargo test --workspace)", outcome);
 }
 
+/// `git diff --shortstat` of the source trees between the merge base
+/// with `main` and the working tree (on `main` itself: the uncommitted
+/// change). `None` when git cannot answer.
+fn source_diffstat() -> Option<String> {
+    let git = |args: &[&str]| -> Option<String> {
+        let out = Command::new("git")
+            .args(args)
+            .current_dir(repo_root())
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let base = git(&["merge-base", "HEAD", "main"])?;
+    git(&["diff", "--shortstat", &base, "--", "crates", "src", "tests", "scripts"])
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <verify|lint|deny|lockorder|protocol|loom|miri|tsan|test>\n\
          \n\
-         verify    run lint + deny + lockorder + protocol + loom (+ miri/tsan when\n\
-         \u{20}         installed) and write out/verify/VERIFY.json\n\
+         verify    run lint + test + deny + lockorder + protocol + loom (+ miri/tsan\n\
+         \u{20}         when installed) and write out/verify/VERIFY.json\n\
          lint      clippy --workspace --all-targets with -D warnings\n\
          deny      cargo-deny check, or the built-in duplicate/advisory/license check\n\
          lockorder source pass: every `.lock(` in crates/comm/src names its LockRank\n\
@@ -705,7 +729,13 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "verify" => {
             report.json_out = Some(repo_root().join("out/verify/VERIFY.json"));
+            report.diffstat = source_diffstat().unwrap_or_else(|| "unavailable".into());
+            println!(
+                "xtask: crates/ src/ tests/ scripts/ vs merge base: {}",
+                report.diffstat
+            );
             step_lint(&mut report);
+            step_test(&mut report);
             step_deny(&mut report);
             step_lockorder(&mut report);
             step_protocol(&mut report);

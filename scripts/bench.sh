@@ -16,16 +16,14 @@
 #
 # PR7 — FFT microarchitecture: the same pm_step run judged against the
 # pre-split-radix baseline (out/bench/pm_step_pr7_baseline.json,
-# recorded on the generic mixed-radix scalar FFT with blocking pencil
-# transposes), plus the pencil_overlap probe (blocking vs overlapped
-# transpose schedule with pack/comm/unpack/fft breakdown) →
+# recorded on the generic mixed-radix scalar FFT) →
 # out/bench/BENCH_pr7.json. The gate asserts at least MIN_PM_SPEEDUP
 # (default 2.0) on both the step median and the FFT phase.
 #
 # PR9 — two-level mesh: the comm_volume A/B (single-level vs two-level
-# distributed PM, per-tag-class transport counters) plus the socket
-# pencil_overlap run → out/bench/BENCH_pr9.json. The gates assert the
-# pm_step speedup held (no regression from the two-level plumbing) and
+# distributed PM, per-tag-class transport counters) →
+# out/bench/BENCH_pr9.json. The gates assert the pm_step speedup held
+# (no regression from the two-level plumbing) and
 # the measured alltoallv bytes dropped at least MIN_A2A_RATIO
 # (default 4) at coarsening 2.
 #
@@ -114,12 +112,9 @@ awk -v s="$tree_speedup" -v m="$MIN_TREE_SPEEDUP" 'BEGIN { exit !(s >= m) }' || 
 }
 echo "==> PASS: tree_step speedup ${tree_speedup}x >= ${MIN_TREE_SPEEDUP}x"
 
-echo "==> pencil_overlap (blocking vs overlapped transpose schedule)"
-./target/release/pencil_overlap --json "$OUT/pencil_overlap.json"
-
 # PR7 gate: the SIMD split-radix kernels + cache-blocked transposes must
 # beat the pre-rework pm_step baseline on BOTH the whole step and the
-# FFT phase; the overlap probe's breakdown rides along in BENCH_pr7.json.
+# FFT phase.
 pr7_base_step=$(sed -n 's/.*"step_ms_median": \([0-9.]*\).*/\1/p' "$PR7_BASELINE")
 pr7_base_fft=$(sed -n 's/.*"fft_ms_per_step": \([0-9.]*\).*/\1/p' "$PR7_BASELINE")
 pr7_cur_step=$(sed -n 's/.*"step_ms_median": \([0-9.]*\).*/\1/p' "$OUT/pm_step_current.json")
@@ -137,9 +132,7 @@ fft_speedup=$(awk -v b="$pr7_base_fft" -v c="$pr7_cur_fft" 'BEGIN { printf "%.3f
   echo "  \"speedup_step_median\": $pm_speedup,"
   echo "  \"speedup_fft\": $fft_speedup,"
   echo "  \"cic_ms_per_step\": $pr7_cur_cic,"
-  echo "  \"min_required\": $MIN_PM_SPEEDUP,"
-  echo '  "pencil_overlap":'
-  sed 's/^/  /' "$OUT/pencil_overlap.json"
+  echo "  \"min_required\": $MIN_PM_SPEEDUP"
   echo '}'
 } > "$OUT/BENCH_pr7.json"
 
@@ -160,10 +153,6 @@ echo "==> PASS: pm_step ${pm_speedup}x and FFT ${fft_speedup}x >= ${MIN_PM_SPEED
 echo "==> comm_volume (two-level mesh alltoallv A/B at c=2)"
 ./target/release/comm_volume --json "$OUT/comm_volume.json"
 
-echo "==> hacc-mprun pencil_overlap (socket transport, 4 OS processes)"
-cargo build --release --bin hacc-mprun
-./target/release/hacc-mprun --ranks 4 --scenario pencil_overlap --out "$OUT"
-
 # PR9 gates: (a) the two-level machinery must not regress the
 # single-level pm_step — judged against the same PR7 baseline and bar;
 # (b) the coarse global solve must cut measured alltoallv bytes by at
@@ -181,9 +170,7 @@ total_ratio=$(sed -n 's/.*"total_ratio": \([0-9.]*\).*/\1/p' "$OUT/comm_volume.j
   echo "  \"min_pm_speedup\": $MIN_PM_SPEEDUP,"
   echo "  \"min_a2a_ratio\": $MIN_A2A_RATIO,"
   echo '  "comm_volume":'
-  sed 's/^/  /' "$OUT/comm_volume.json" | sed '$ s/$/,/'
-  echo '  "pencil_overlap_socket":'
-  sed 's/^/  /' "$OUT/pencil_overlap_socket.json"
+  sed 's/^/  /' "$OUT/comm_volume.json"
   echo '}'
 } > "$OUT/BENCH_pr9.json"
 

@@ -31,15 +31,8 @@
 //!   fails with `RankFailed` (not a hang) and record how long detection
 //!   took.
 //! - `pencil` — distributed-FFT determinism over real sockets: four
-//!   processes run the r2c pencil transform under both the blocking and
-//!   the overlapped transpose schedule, assert the spectra and
-//!   roundtrips are bitwise identical, and write a per-rank spectrum
-//!   hash so the harness can compare against an in-process run.
-//! - `pencil_overlap` — transpose-overlap timing over real sockets:
-//!   the same blocking vs overlapped A/B the in-process
-//!   `pencil_overlap` bench runs, but with every exchange crossing a
-//!   TCP link between four OS processes. Rank 0 writes
-//!   `pencil_overlap_socket.json` with both walls and the speedup.
+//!   processes run the r2c pencil transform and write a per-rank
+//!   spectrum hash so the harness can compare against an in-process run.
 //!
 //! ```text
 //! hacc-mprun --ranks 4 --scenario sim --kill 1@3 --seed 9 --out out/mprun
@@ -103,7 +96,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "usage: hacc-mprun [--ranks N] \
-                     [--scenario sim|elastic|barrier|pencil|pencil_overlap] \
+                     [--scenario sim|elastic|barrier|pencil] \
                      [--seed S] [--kill RANK@STEP] [--active N] \
                      [--scale TARGET@STEP[,..]] [--out DIR]"
                 );
@@ -281,7 +274,6 @@ fn child_main() {
         "elastic" => child_elastic(&comm, replacement, &out),
         "barrier" => child_barrier(&comm, &out),
         "pencil" => child_pencil(&comm, &out),
-        "pencil_overlap" => child_pencil_overlap(&comm, &out),
         other => panic!("unknown scenario {other}"),
     }
     comm.shutdown();
@@ -427,36 +419,23 @@ fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
-/// Distributed-FFT determinism over sockets: blocking and overlapped
-/// transpose schedules must agree bit for bit on spectra and roundtrips
-/// even when every exchange crosses a real TCP link.
+/// Distributed-FFT determinism over sockets: the r2c pencil spectrum,
+/// with every transpose crossing a real TCP link, hashed per rank for
+/// the harness to compare against an in-process run.
 fn child_pencil(comm: &Comm, out: &Path) {
-    use hacc::fft::{DistRealFft3, RealPencilFft, TransposeSchedule};
+    use hacc::fft::{DistRealFft3, RealPencilFft};
 
     assert_eq!(comm.size(), 4, "pencil scenario is wired for 4 ranks");
     let n = 16usize;
-    let mut fft = RealPencilFft::with_grid(comm, n, 2, 2);
+    let fft = RealPencilFft::with_grid(comm, n, 2, 2);
     let rl = fft.real_layout();
     let mut local = vec![0.0f64; rl.len()];
     for (i, v) in local.iter_mut().enumerate() {
         let g = rl.global_coords(i);
         *v = pencil_grid_val(((g[0] * n + g[1]) * n + g[2]) as u64);
     }
-
-    fft.set_schedule(TransposeSchedule::Blocking);
-    let kb = fft.forward(local.clone());
-    let bb = fft.backward(kb.clone());
-    fft.set_schedule(TransposeSchedule::Overlapped { chunks: 3 });
-    let ko = fft.forward(local.clone());
-    let bo = fft.backward(ko.clone());
-
-    let identical = kb
-        .iter()
-        .zip(&ko)
-        .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits())
-        && bb.iter().zip(&bo).all(|(a, b)| a.to_bits() == b.to_bits());
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for c in &kb {
+    for c in &fft.forward(local) {
         h = fnv(h, c.re.to_bits());
         h = fnv(h, c.im.to_bits());
     }
@@ -464,115 +443,8 @@ fn child_pencil(comm: &Comm, out: &Path) {
     let rank = comm.rank();
     std::fs::write(
         out.join(format!("pencil_rank{rank}.json")),
-        format!(
-            "{{\"rank\":{rank},\"identical\":{},\"k_hash\":{h}}}\n",
-            u64::from(identical)
-        ),
+        format!("{{\"rank\":{rank},\"k_hash\":{h}}}\n"),
     )
     .expect("pencil artifact");
-    comm.barrier();
-}
-
-/// Transpose-overlap timing over real sockets: the same blocking vs
-/// overlapped A/B the in-process `pencil_overlap` bench runs, but with
-/// every transpose exchange crossing a TCP link between OS processes —
-/// so the overlap win on a real wire is a measured artifact, not an
-/// extrapolation from shared-memory queues.
-fn child_pencil_overlap(comm: &Comm, out: &Path) {
-    use hacc::fft::{DistRealFft3, RealPencilFft, TransposeSchedule};
-
-    assert_eq!(comm.size(), 4, "pencil_overlap scenario is wired for 4 ranks");
-    let (n, warm, reps, chunks) = (32usize, 1usize, 5usize, 3usize);
-    let mut fft = RealPencilFft::with_grid(comm, n, 2, 2);
-    let rl = fft.real_layout();
-    let mut local = vec![0.0f64; rl.len()];
-    for (i, v) in local.iter_mut().enumerate() {
-        let g = rl.global_coords(i);
-        *v = pencil_grid_val(((g[0] * n + g[1]) * n + g[2]) as u64);
-    }
-
-    let schedules = [
-        TransposeSchedule::Blocking,
-        TransposeSchedule::Overlapped { chunks },
-    ];
-    // Per schedule: reps barrier-bounded wall times plus the four phase
-    // totals from `PencilTimings`, flattened for one gather to rank 0.
-    let mut record = Vec::with_capacity(2 * (reps + 4));
-    let mut spectra: Vec<Vec<(u64, u64)>> = Vec::new();
-    for &sched in &schedules {
-        fft.set_schedule(sched);
-        for _ in 0..warm {
-            let k = fft.forward(local.clone());
-            let _ = fft.backward(k);
-        }
-        let _ = fft.take_timings(); // drop warm-up accumulation
-        let mut k_last = Vec::new();
-        for _ in 0..reps {
-            comm.barrier();
-            let t0 = Instant::now();
-            let k = fft.forward(local.clone());
-            let _ = fft.backward(k.clone());
-            comm.barrier();
-            record.push(t0.elapsed().as_secs_f64() * 1e3);
-            k_last = k;
-        }
-        let tm = fft.take_timings();
-        record.extend([tm.fft_s, tm.pack_s, tm.comm_s, tm.unpack_s]);
-        spectra.push(
-            k_last
-                .iter()
-                .map(|c| (c.re.to_bits(), c.im.to_bits()))
-                .collect(),
-        );
-    }
-    // Overlap must stay a pure scheduling change even across TCP.
-    let identical = spectra[0] == spectra[1];
-    let all_identical =
-        comm.allreduce(vec![f64::from(u8::from(identical))], |a, b| a.min(*b))[0] > 0.5;
-    assert!(identical, "rank {}: schedules differ bitwise", comm.rank());
-
-    let Some(rows) = comm.gather(0, record) else {
-        comm.barrier();
-        return;
-    };
-    // Critical path per rep = slowest rank; phases = mean ms per rank
-    // per forward+backward pair.
-    let ranks = comm.size();
-    let stats = |base: usize| -> (f64, f64, [f64; 4]) {
-        let mut per_rep = vec![0.0f64; reps];
-        let mut phases = [0.0f64; 4];
-        for row in &rows {
-            for (acc, w) in per_rep.iter_mut().zip(&row[base..base + reps]) {
-                *acc = acc.max(*w);
-            }
-            for (p, s) in phases.iter_mut().zip(&row[base + reps..base + reps + 4]) {
-                *p += s * 1e3 / (ranks * reps) as f64;
-            }
-        }
-        per_rep.sort_by(f64::total_cmp);
-        (per_rep[reps / 2], per_rep[0], phases)
-    };
-    let (b_med, b_min, b_ph) = stats(0);
-    let (o_med, o_min, o_ph) = stats(reps + 4);
-    let speedup = b_med / o_med;
-    let sched_json = |med: f64, min: f64, ph: [f64; 4]| {
-        format!(
-            "{{\"wall_ms_median\": {med:.3}, \"wall_ms_min\": {min:.3}, \
-             \"fft_ms\": {:.3}, \"pack_ms\": {:.3}, \"comm_ms\": {:.3}, \
-             \"unpack_ms\": {:.3}}}",
-            ph[0], ph[1], ph[2], ph[3]
-        )
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"pencil_overlap_socket\",\n  \"transport\": \"socket\",\n  \
-         \"n\": {n},\n  \"ranks\": {ranks},\n  \"chunks\": {chunks},\n  \"reps\": {reps},\n  \
-         \"blocking\": {},\n  \"overlapped\": {},\n  \
-         \"overlap_speedup_median\": {speedup:.3},\n  \"bitwise_identical\": {all_identical}\n}}",
-        sched_json(b_med, b_min, b_ph),
-        sched_json(o_med, o_min, o_ph),
-    );
-    std::fs::write(out.join("pencil_overlap_socket.json"), format!("{json}\n"))
-        .expect("pencil_overlap artifact");
-    println!("{json}");
     comm.barrier();
 }

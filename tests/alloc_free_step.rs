@@ -8,40 +8,60 @@
 //! process-wide `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Wraps the system allocator and counts allocation events while armed.
 /// Deallocations are free to happen (dropping a warm-up buffer is not a
 /// steady-state cost); `alloc`/`alloc_zeroed`/`realloc` are what we gate.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Armed and counted per thread: libtest's own threads allocate whenever
+// they like, and a process-global counter would charge that to whichever
+// test is armed. The vendored rayon is serial, so a step runs entirely
+// on the thread that armed. Const-initialised `Cell`s of `Copy` types
+// have no lazy init and no destructor, so touching them inside the
+// allocator never allocates or recurses.
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System`; the wrapper adds only atomic
-// counter updates, never changes layouts or pointers, so the GlobalAlloc
+fn count_if_armed() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+/// Zero this thread's counter and start counting.
+fn arm() {
+    ALLOCS.with(|c| c.set(0));
+    ARMED.with(|a| a.set(true));
+}
+
+/// Stop counting; returns the allocations made since [`arm`].
+fn disarm() -> u64 {
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: pure pass-through to `System`; the wrapper adds only
+// thread-local counter updates, never changes layouts or pointers, so the GlobalAlloc
 // contract is exactly the system allocator's.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         // SAFETY: caller upholds `layout` validity (delegated contract).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         // SAFETY: caller upholds `layout` validity (delegated contract).
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         // SAFETY: `ptr`/`layout`/`new_size` come from our own `alloc`,
         // which is `System`'s (delegated contract).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -57,10 +77,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The two tests share `ARMED`/`ALLOCS`; serialize them so the counter
-/// is never armed by one while the other steps.
-static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Warm a simulation with the given solver, then assert two further
 /// steps allocate nothing. `warm` extra steps run after the (counted)
 /// cold step, so capacity-sizing growth is never charged to steady state.
@@ -68,7 +84,6 @@ fn assert_steady_state_alloc_free(solver: &str, warm: usize) {
     use hacc::core::{SimConfig, Simulation, SolverKind};
     use hacc::cosmo::{Cosmology, LinearPower, Transfer};
 
-    let _guard = TEST_LOCK.lock().expect("test lock");
     let (solver, two_level) = match solver {
         "pm" => (SolverKind::PmOnly, None),
         "pm2" => (SolverKind::PmOnly, Some(hacc::pm::PmLevelConfig::default())),
@@ -97,13 +112,11 @@ fn assert_steady_state_alloc_free(solver: &str, warm: usize) {
     // Warm-up: the first steps size every scratch buffer and fill the
     // FFT buffer pools. Count these too — a cold step MUST allocate, which
     // proves the counter is actually wired up.
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    arm();
     let mut a = 0.21;
     sim.step(a);
-    ARMED.store(false, Ordering::SeqCst);
     assert!(
-        ALLOCS.load(Ordering::SeqCst) > 0,
+        disarm() > 0,
         "warm-up step should allocate; the counter appears dead"
     );
     for _ in 0..warm {
@@ -111,13 +124,10 @@ fn assert_steady_state_alloc_free(solver: &str, warm: usize) {
         sim.step(a);
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    arm();
     sim.step(a + 0.01);
     sim.step(a + 0.02);
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = disarm();
     assert_eq!(
         n, 0,
         "steady-state Simulation::step made {n} heap allocations"
@@ -139,7 +149,6 @@ fn steady_state_step_allocates_nothing() {
 fn steady_state_serial_fft_allocates_nothing() {
     use hacc::fft::{Complex64, Fft3, RealFft3};
 
-    let _guard = TEST_LOCK.lock().expect("test lock");
     for n in [16usize, 30] {
         let c2c = Fft3::new_cubic(n);
         let r2c = RealFft3::new_cubic(n);
@@ -157,15 +166,12 @@ fn steady_state_serial_fft_allocates_nothing() {
         r2c.forward(&real, &mut spec);
         r2c.backward(&mut spec, &mut back);
 
-        ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        arm();
         c2c.forward(&mut grid);
         c2c.backward(&mut grid);
         r2c.forward(&real, &mut spec);
         r2c.backward(&mut spec, &mut back);
-        ARMED.store(false, Ordering::SeqCst);
-
-        let made = ALLOCS.load(Ordering::SeqCst);
+        let made = disarm();
         assert_eq!(made, 0, "warm n={n} serial FFTs made {made} allocations");
     }
 }
@@ -198,7 +204,6 @@ fn steady_state_two_level_step_allocates_nothing() {
 fn steady_state_two_level_solver_allocates_nothing() {
     use hacc::pm::{PmLevelConfig, SpectralParams, TwoLevelPmSolver};
 
-    let _guard = TEST_LOCK.lock().expect("test lock");
     for n in [16usize, 30] {
         let solver = TwoLevelPmSolver::new(n, 64.0, SpectralParams::default(), PmLevelConfig::default());
         let nc = n / 2;
@@ -210,12 +215,9 @@ fn steady_state_two_level_solver_allocates_nothing() {
         // Warm-up sizes the workspaces and fills the FFT pools.
         solver.solve_forces_into(&fine, &coarse, &mut fine_out, &mut coarse_out);
 
-        ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        arm();
         solver.solve_forces_into(&fine, &coarse, &mut fine_out, &mut coarse_out);
-        ARMED.store(false, Ordering::SeqCst);
-
-        let made = ALLOCS.load(Ordering::SeqCst);
+        let made = disarm();
         assert_eq!(made, 0, "warm n={n} two-level solve made {made} allocations");
     }
 }

@@ -59,47 +59,59 @@ fn distributed_ffts_match_serial() {
 }
 
 /// The distributed overloaded driver reproduces the serial driver's
-/// trajectory (the Table II/III workhorse).
+/// trajectory (the Table II/III workhorse) on every axis the long-range
+/// layer has: PM-only and TreePM, single-level and two-level mesh, and 1,
+/// 2 and 4 ranks — the 1-rank case pins "serial is the 1-rank case" for
+/// the one distributed pipeline both mesh levels run.
 #[test]
 fn distributed_driver_tracks_serial() {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
-    let np = 16usize;
-    let cfg = SimConfig {
-        cosmology: Cosmology::lcdm(),
-        box_len: 64.0,
-        ng: 32,
-        a_init: 0.25,
-        a_final: 0.3,
-        steps: 2,
-        subcycles: 2,
-        solver: SolverKind::TreePm,
-        ..SimConfig::small_lcdm()
-    };
-    let ics = hacc::ics::zeldovich(np, 64.0, &power, cfg.a_init, 2024);
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, 0.25, 2024);
+    // ng = 80 gives each of 4 slabs the 20 planes the default two-level
+    // split needs (14 kernel + 6 interpolation ghost planes).
+    let meshes = [(32, None), (80, Some(hacc::pm::PmLevelConfig::default()))];
+    for solver in [SolverKind::PmOnly, SolverKind::TreePm] {
+        for (ng, two_level) in meshes {
+            let cfg = SimConfig {
+                cosmology: Cosmology::lcdm(),
+                box_len: 64.0,
+                ng,
+                a_init: 0.25,
+                a_final: 0.3,
+                steps: 2,
+                subcycles: 2,
+                solver,
+                two_level,
+                ..SimConfig::small_lcdm()
+            };
+            let mut serial = Simulation::from_ics(cfg, &ics);
+            serial.run(|_, _| {});
+            let (sx, sy, sz) = serial.positions();
 
-    let mut serial = Simulation::from_ics(cfg, &ics);
-    serial.run(|_, _| {});
-    let (sx, sy, sz) = serial.positions();
-
-    let ics2 = ics.clone();
-    let (res, stats) = Machine::new(4).run(move |comm| {
-        let mut sim = DistSimulation::new(&comm, cfg, &ics2);
-        for &a in &cfg.step_edges()[1..] {
-            sim.step(a);
-        }
-        sim.gather_positions()
-    });
-    // Real communication happened.
-    assert!(stats.total_bytes() > 0);
-    let gathered = res[0].as_ref().expect("rank 0");
-    assert_eq!(gathered.len(), ics.len());
-    let l = 64.0f32;
-    for &(id, p) in gathered {
-        let i = id as usize;
-        for (got, want) in [(p[0], sx[i]), (p[1], sy[i]), (p[2], sz[i])] {
-            let mut d = (got - want).abs();
-            d = d.min(l - d);
-            assert!(d < 0.05, "id {id}: {got} vs {want}");
+            for ranks in [1usize, 2, 4] {
+                let ics2 = ics.clone();
+                let (res, _) = Machine::new(ranks).run(move |comm| {
+                    let mut sim = DistSimulation::new(&comm, cfg, &ics2);
+                    for &a in &cfg.step_edges()[1..] {
+                        sim.step(a);
+                    }
+                    (sim.gather_positions(), sim.stats.total().coarse_fft.as_nanos())
+                });
+                let case = format!("{solver:?} ng={ng} two_level={} ranks={ranks}", two_level.is_some());
+                let (gathered, coarse_ns) = &res[0];
+                assert_eq!(*coarse_ns > 0, two_level.is_some(), "{case}: coarse solve timing");
+                let gathered = gathered.as_ref().expect("rank 0 gathers");
+                assert_eq!(gathered.len(), ics.len(), "{case}: particles lost");
+                let l = 64.0f32;
+                for &(id, p) in gathered {
+                    let i = id as usize;
+                    for (got, want) in [(p[0], sx[i]), (p[1], sy[i]), (p[2], sz[i])] {
+                        let mut d = (got - want).abs();
+                        d = d.min(l - d);
+                        assert!(d < 0.05, "{case} id {id}: {got} vs {want}");
+                    }
+                }
+            }
         }
     }
 }

@@ -487,6 +487,56 @@ fn heartbeat_kill_recovers_online_without_rollback() {
     let _ = std::fs::remove_dir_all(&dir_faulty);
 }
 
+/// Tier-0 recovery with the two-level mesh on. The respawned rank builds
+/// its blank view alone while the survivor keeps its own, so building a
+/// view must not communicate: the collectively built coarse transform is
+/// dropped by reconstruction on every rank and rebuilt together on the
+/// next solve. Geometry: a 9.5-cell overload shell (r_cut 8) from each
+/// face covers an 18-plane slab, which in turn hosts the 7 + 11 ghost
+/// planes of a loose force split.
+#[test]
+fn two_level_kill_recovers_online_without_rollback() {
+    let cfg = SimConfig {
+        ng: 36,
+        solver: SolverKind::PmOnly,
+        rcut_cells: 8.0,
+        two_level: Some(hacc::pm::PmLevelConfig {
+            coarsening: 2,
+            matching_tol: 0.3,
+        }),
+        ..cfg32()
+    };
+    let dir = scratch("tier0_two_level");
+    let realization = ics32();
+    let expected = realization.len();
+    let run = run_resilient(
+        cfg,
+        &realization,
+        &online_rc(RANKS, &dir),
+        &FaultPlan::seeded(fault_seed()).kill_rank_at_step(1, 3),
+    )
+    .expect("online tier-0 recovery");
+    assert_eq!(run.attempts, 1, "tier-0 must not relaunch: {:?}", run.timeline);
+    assert!(
+        run.timeline
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::Tier0Reconstructed { count, .. } if *count == expected)),
+        "tier-0 reconstruction missing: {:?}",
+        run.timeline
+    );
+    assert!(
+        !run.timeline.iter().any(|e| matches!(
+            e,
+            RecoveryEvent::Tier1Rollback { .. } | RecoveryEvent::Failure { .. }
+        )),
+        "tier-0 path must not roll back: {:?}",
+        run.timeline
+    );
+    let ids: Vec<u64> = run.positions.iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids, (0..expected as u64).collect::<Vec<_>>(), "gapless ids");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Acceptance test 2: at 2 ranks the 16-cell slab dwarfs the 4.5-cell
 /// overload shell, so a dead rank's interior particles are beyond any
 /// survivor's replicas — Tier 0 must report incomplete coverage and the
