@@ -198,21 +198,13 @@ impl Wire {
     }
 }
 
-/// Table-less CRC-32 (IEEE 802.3 reflected polynomial) over the
-/// little-endian bytes of the header words. 40 bytes per frame — the
-/// bitwise loop is plenty fast for a per-message check.
+/// [`wire::crc32`] over the 40 little-endian bytes of the header words.
 fn crc32_words(words: &[u64; 5]) -> u32 {
-    let mut crc = !0u32;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            }
-        }
+    let mut bytes = [0u8; 40];
+    for (chunk, w) in bytes.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&w.to_le_bytes());
     }
-    !crc
+    wire::crc32(&bytes)
 }
 
 /// Transport-level state of one rank's incoming mailbox.

@@ -778,8 +778,9 @@ pub mod locks {
 
     use LockOp::{Acquire, Release};
 
-    /// `SocketTransport::register_link`: purges the mailbox while
-    /// holding the link lock (`Link → Mail`).
+    /// `SocketTransport::register_link`, inner part: purges the mailbox
+    /// while holding the link lock (`Link → Mail`). The whole function
+    /// is [`register_link_drain`].
     #[must_use]
     pub fn register_link() -> Vec<LockOp> {
         vec![
@@ -873,6 +874,46 @@ pub mod locks {
             Release(LockRank::Health),
             Release(LockRank::HubClients),
             Release(LockRank::HubLedger),
+        ]
+    }
+
+    /// `Transport::send` over a live link (`write_frame`): the writer
+    /// lock spans the stream write; `Link` is taken under it twice —
+    /// to stamp the sequence number, then to commit or requeue — and is
+    /// *not* held in between, where the blocking `write` happens.
+    #[must_use]
+    pub fn send_frame() -> Vec<LockOp> {
+        vec![
+            Acquire(LockRank::LinkWriter),
+            Acquire(LockRank::Link),
+            Release(LockRank::Link),
+            Acquire(LockRank::Link),
+            Release(LockRank::Link),
+            Release(LockRank::LinkWriter),
+        ]
+    }
+
+    /// `SocketTransport::register_link` in full: the writer lock spans
+    /// the `Link → Mail` purge ([`register_link`]) and the drain of one
+    /// backlog frame (the tail of [`send_frame`]).
+    #[must_use]
+    pub fn register_link_drain() -> Vec<LockOp> {
+        let mut ops = vec![Acquire(LockRank::LinkWriter)];
+        ops.extend(register_link());
+        ops.extend(&send_frame()[1..]);
+        ops
+    }
+
+    /// Every script that contends for one peer link. The reader thread's
+    /// accepted frame (`Link`, then `Mail`, sequential) has the shape of
+    /// [`condemn`]; it never appears holding `LinkWriter`.
+    #[must_use]
+    pub fn link_threads() -> Vec<(&'static str, Vec<LockOp>)> {
+        vec![
+            ("send_frame", send_frame()),
+            ("register_link_drain", register_link_drain()),
+            ("reader_frame", condemn()),
+            ("recv_timeout", recv_timeout_diagnosis(&Mutations::NONE)),
         ]
     }
 

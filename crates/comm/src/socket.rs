@@ -57,7 +57,8 @@
 //!
 //! | mutex | rank | role |
 //! |---|---|---|
-//! | `links[peer].state` | `Link` (30) | one peer link's send half + sequence state |
+//! | `links[peer].writer` | `LinkWriter` (28) | one peer link's stream write half; serializes senders |
+//! | `links[peer].state` | `Link` (30) | one peer link's up flag, sequence state and backlog |
 //! | `mail.state` | `Mail` (32) | the byte mailbox (delivery, condemnation flags) |
 //! | `mirror.state` | `Mirror` (34) | local replica of the hub's failure detector |
 //! | `control.rpc` | `ControlRpc` (36) | the one-slot hub RPC (`BEAT`, `AWAITFAILED`) |
@@ -65,15 +66,31 @@
 //!
 //! Functions that hold more than one at once — the complete list:
 //!
-//! - [`SocketTransport::register_link`]: `Link → Mail` (purges the
-//!   mailbox of a dead incarnation's frames while the link lock pins
-//!   the registration).
+//! - [`SocketTransport::register_link`]: `LinkWriter → Link → Mail`
+//!   (purges the mailbox of a dead incarnation's frames while the link
+//!   lock pins the registration; the writer lock spans the whole
+//!   registration so no sender interleaves with the backlog drain).
+//! - [`Transport::send`] / `write_frame`: `LinkWriter → Link` (the
+//!   writer lock is held across the stream write; `Link` is taken
+//!   under it only to stamp the sequence number and, after the write,
+//!   to commit it or requeue the message).
 //! - [`SocketTransport::recv`]: `Mail → Mirror` (the precedence check
 //!   consults the detector mirror while the mailbox lock pins the
 //!   verdict to a consistent queue snapshot).
 //! - [`SocketTransport::hub_rpc`]: `ControlRpc → ControlWriter` (the
 //!   request line goes out while the RPC slot is held so a reply can
 //!   never race the reset).
+//!
+//! **No blocking syscall under `Link`.** A link's reader thread takes
+//! `Link` for every frame it accepts, so a sender that sat in `write`
+//! while holding it would stop this rank draining the very peer whose
+//! reader it is waiting on: two ranks that each queue more than one
+//! loopback connection holds in flight (4–8 MiB until the receive
+//! buffer autotunes, tens of MiB after) before either receives would
+//! never return. Stream writes therefore happen under
+//! `LinkWriter` alone, which no reader thread ever takes, and a reader's
+//! liveness check reads the link's atomic `generation`, not a lock. The
+//! lock-order model checks this shape as `locks::send_frame`.
 //!
 //! Everything else takes one lock at a time. Two historical corollaries
 //! are now theorems of the rank order: the receive-timeout diagnosis
@@ -167,14 +184,10 @@ struct PendingMsg {
     incarnation: u64,
 }
 
-/// Send side of one peer link.
+/// Send-side bookkeeping of one peer link.
 struct LinkState {
-    writer: Option<TcpStream>,
     up: bool,
     ever_up: bool,
-    /// Bumped on every (re)registration; readers for older generations
-    /// exit instead of marking the fresh link down.
-    generation: u64,
     /// The pure sequence/incarnation machine (see [`crate::protocol`]):
     /// monotonic seqs across same-incarnation reconnects, reset only
     /// for a replacement, shared by the link's successive reader
@@ -184,24 +197,31 @@ struct LinkState {
 }
 
 struct Link {
+    /// Write half of the live stream. Held across the stream write, so
+    /// it also orders concurrent senders; never taken by a reader
+    /// thread (see "No blocking syscall under `Link`" above).
+    writer: Mutex<Option<TcpStream>>,
     state: Mutex<LinkState>,
+    /// Bumped (under `state`) on every (re)registration; readers for
+    /// older generations exit instead of marking the fresh link down.
+    generation: AtomicU64,
     signal: Condvar,
 }
 
 impl Default for Link {
     fn default() -> Self {
         Link {
+            writer: Mutex::new(LockRank::LinkWriter, None),
             state: Mutex::new(
                 LockRank::Link,
                 LinkState {
-                    writer: None,
                     up: false,
                     ever_up: false,
-                    generation: 0,
                     session: protocol::LinkSession::default(),
                     pending: VecDeque::new(),
                 },
             ),
+            generation: AtomicU64::new(0),
             signal: Condvar::new(),
         }
     }
@@ -504,17 +524,18 @@ impl SocketTransport {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(READ_POLL))?;
         let reader_stream = stream.try_clone()?;
+        let link = &self.links[peer];
+        // Lock order: LinkWriter → Link → Mail (see module docs).
+        let mut writer = link.writer.lock(LockRank::LinkWriter);
         let generation;
+        let backlog: Vec<PendingMsg>;
         {
-            let link = &self.links[peer];
             let mut st = link.state.lock(LockRank::Link);
-            st.generation += 1;
-            generation = st.generation;
+            generation = link.generation.fetch_add(1, Ordering::SeqCst) + 1;
             if st.ever_up {
                 self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
             }
             let plan = st.session.register(peer_incarnation, LIVE);
-            // Lock order: Link → Mail (see module docs).
             let mut mail = self.mail.state.lock(LockRank::Mail);
             if plan.replacement {
                 // A replacement process: the dead incarnation's backlog
@@ -531,46 +552,52 @@ impl SocketTransport {
                 mail.corrupt[peer] = None;
             }
             drop(mail);
-            st.writer = Some(stream);
             st.up = true;
             st.ever_up = true;
-            let backlog: Vec<PendingMsg> = st.pending.drain(..).collect();
-            for msg in backlog {
-                if self.write_frame(&mut st, msg) {
-                    self.counters.frames_retried.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            backlog = st.pending.drain(..).collect();
         }
-        self.links[peer].signal.notify_all();
+        *writer = Some(stream);
+        link.signal.notify_all();
+        // The reader starts before the backlog drains: a peer draining
+        // its own backlog at us needs this side reading to make progress.
         let t = Arc::clone(self);
         std::thread::spawn(move || t.reader_loop(reader_stream, peer, generation));
+        for msg in backlog {
+            if self.write_frame(peer, &mut writer, msg) {
+                self.counters.frames_retried.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         Ok(())
     }
 
-    /// Frame and write one message under the link lock. Returns whether
-    /// it went out; on failure the link is marked down and the message
-    /// requeued.
-    fn write_frame(&self, st: &mut LinkState, msg: PendingMsg) -> bool {
+    /// Frame and write one message to `peer`: header on the stack,
+    /// payload borrowed, one vectored write ([`wire::write_frame`]).
+    /// `writer` is the content of the held `LinkWriter` guard; `Link` is
+    /// taken only to stamp the sequence number and to record the
+    /// outcome, never across the write. Returns whether the frame went
+    /// out; on failure the link is marked down and the message requeued.
+    fn write_frame(&self, peer: usize, writer: &mut Option<TcpStream>, msg: PendingMsg) -> bool {
+        let link = &self.links[peer];
         let header = FrameHeader {
             src: self.cfg.rank as u32,
             context: msg.context,
             tag: msg.tag,
-            seq: st.session.next_send_seq(),
+            seq: link.state.lock(LockRank::Link).session.next_send_seq(),
             type_hash: msg.type_hash,
             len: msg.payload.len() as u64,
         };
-        let frame = wire::encode_frame(&header, &msg.payload);
-        let Some(writer) = st.writer.as_mut() else {
-            st.pending.push_back(msg);
-            return false;
+        let sent = match writer.as_mut() {
+            Some(w) => wire::write_frame(w, &header, &msg.payload),
+            None => Err(std::io::ErrorKind::NotConnected.into()),
         };
-        match writer.write_all(&frame) {
-            Ok(()) => {
+        let mut st = link.state.lock(LockRank::Link);
+        match sent {
+            Ok(frame_len) => {
                 st.session.commit_send();
                 self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
                 self.counters
                     .bytes_on_wire
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                    .fetch_add(frame_len as u64, Ordering::Relaxed);
                 true
             }
             Err(_) => {
@@ -578,8 +605,8 @@ impl SocketTransport {
                 // for a same-incarnation reconnect. Failure semantics
                 // stay with the hub's detector — a socket error is
                 // never itself a death certificate.
+                *writer = None;
                 st.up = false;
-                st.writer = None;
                 st.pending.push_back(msg);
                 false
             }
@@ -623,16 +650,29 @@ impl SocketTransport {
         }
     }
 
-    /// Per-link inbound pump: validate every frame, deliver to the byte
-    /// mailbox, condemn the link on the first structural failure.
+    /// Per-link reader thread: run the inbound pump, then close the
+    /// socket. Senders never see the reader's verdict through the
+    /// `LinkWriter` slot (the reader must not take that lock), so the
+    /// shutdown is what fails a write still in flight and tells the
+    /// peer this end is gone.
     fn reader_loop(self: &Arc<Self>, mut stream: TcpStream, src: usize, generation: u64) {
+        self.pump_frames(&mut stream, src, generation);
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    /// Validate every inbound frame, deliver it to the byte mailbox,
+    /// condemn the link on the first structural failure. The header
+    /// lands on the stack and the payload is read straight into the
+    /// `Vec` the mailbox will own; the CRC streams over both.
+    fn pump_frames(&self, stream: &mut TcpStream, src: usize, generation: u64) {
+        let link = &self.links[src];
         let alive = || {
             !self.closing.load(Ordering::SeqCst)
-                && self.links[src].state.lock(LockRank::Link).generation == generation
+                && link.generation.load(Ordering::SeqCst) == generation
         };
         loop {
-            let mut buf = vec![0u8; FRAME_HEADER];
-            match read_full(&mut stream, &mut buf, &alive) {
+            let mut head = [0u8; FRAME_HEADER];
+            match read_full(stream, &mut head, &alive) {
                 Ok(true) => {}
                 Ok(false) => {
                     // Clean EOF between frames: the peer closed (exit or
@@ -649,37 +689,34 @@ impl SocketTransport {
                     return;
                 }
             }
-            let header = match wire::parse_header(&buf) {
+            let header = match wire::parse_header(&head) {
                 Ok(h) => h,
                 Err(e) => {
                     self.condemn(src, generation, &format!("{e}"));
                     return;
                 }
             };
-            let body = usize::try_from(header.len).expect("frame length fits usize");
-            buf.resize(FRAME_HEADER + body + FRAME_TRAILER, 0);
-            if !matches!(
-                read_full(&mut stream, &mut buf[FRAME_HEADER..], &alive),
-                Ok(true)
-            ) {
+            let mut payload =
+                vec![0u8; usize::try_from(header.len).expect("frame length fits usize")];
+            let mut trailer = [0u8; FRAME_TRAILER];
+            if !matches!(read_full(stream, &mut payload, &alive), Ok(true))
+                || !matches!(read_full(stream, &mut trailer, &alive), Ok(true))
+            {
                 self.condemn(src, generation, "torn frame: stream ended mid-payload");
                 return;
             }
-            let (header, payload) = match wire::decode_frame(&buf) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    self.condemn(src, generation, &format!("{e}"));
-                    return;
-                }
-            };
+            if let Err(e) = wire::check_crc(&head, &payload, trailer) {
+                self.condemn(src, generation, &format!("{e}"));
+                return;
+            }
             {
                 // Source + sequence check against the link's persistent
                 // session machine: it survives same-incarnation
                 // reconnects, so frames lost in a dead connection's
                 // buffers surface as a gap here instead of being
                 // silently skipped.
-                let mut st = self.links[src].state.lock(LockRank::Link);
-                if st.generation != generation {
+                let mut st = link.state.lock(LockRank::Link);
+                if link.generation.load(Ordering::SeqCst) != generation {
                     return; // superseded mid-frame by a fresh registration
                 }
                 match st.session.accept_frame(header.src, src, header.seq) {
@@ -696,7 +733,7 @@ impl SocketTransport {
             mail.ready
                 .entry(key)
                 .or_default()
-                .push_back((header.type_hash, payload.to_vec()));
+                .push_back((header.type_hash, payload));
             drop(mail);
             self.mail.signal.notify_all();
         }
@@ -706,11 +743,10 @@ impl SocketTransport {
     fn link_down(&self, src: usize, generation: u64) {
         {
             let mut st = self.links[src].state.lock(LockRank::Link);
-            if st.generation != generation {
+            if self.links[src].generation.load(Ordering::SeqCst) != generation {
                 return; // superseded by a fresh registration
             }
             st.up = false;
-            st.writer = None;
         }
         self.links[src].signal.notify_all();
         // Receivers re-evaluate (the detector may have declared the peer).
@@ -725,9 +761,8 @@ impl SocketTransport {
         self.counters.crc_rejects.fetch_add(1, Ordering::Relaxed);
         {
             let mut st = self.links[src].state.lock(LockRank::Link);
-            if st.generation == generation {
+            if self.links[src].generation.load(Ordering::SeqCst) == generation {
                 st.up = false;
-                st.writer = None;
             }
         }
         {
@@ -1050,6 +1085,8 @@ impl Transport for SocketTransport {
             }
             SendRoute::Link => {
                 let link = &self.links[dst];
+                // Lock order: LinkWriter → Link (see module docs).
+                let mut writer = link.writer.lock(LockRank::LinkWriter);
                 let mut st = link.state.lock(LockRank::Link);
                 let msg = PendingMsg {
                     context,
@@ -1059,7 +1096,8 @@ impl Transport for SocketTransport {
                     incarnation: st.session.peer_incarnation,
                 };
                 if st.up {
-                    let _ = self.write_frame(&mut st, msg);
+                    drop(st);
+                    let _ = self.write_frame(dst, &mut writer, msg);
                 } else {
                     // Link down: buffer until reconnect (drained or
                     // dropped by `register_link` depending on the
@@ -1157,15 +1195,15 @@ impl Transport for SocketTransport {
 
     fn shutdown(&self, _me: usize) {
         self.closing.store(true, Ordering::SeqCst);
-        // `write_all` is synchronous, so every accepted send is already
-        // in the kernel buffer; half-close each link so peers read a
-        // clean EOF after draining it.
+        // Frame writes are synchronous, so every accepted send is
+        // already in the kernel buffer; half-close each link so peers
+        // read a clean EOF after draining it.
         for link in &self.links {
-            let mut st = link.state.lock(LockRank::Link);
-            if let Some(w) = st.writer.take() {
+            let mut writer = link.writer.lock(LockRank::LinkWriter);
+            if let Some(w) = writer.take() {
                 let _ = w.shutdown(Shutdown::Write);
             }
-            st.up = false;
+            link.state.lock(LockRank::Link).up = false;
         }
         let _ = self.control_send(&ClientLine::Goodbye.render());
         let w = self.control.writer.lock(LockRank::ControlWriter);

@@ -86,7 +86,7 @@ use std::time::Duration;
 /// | family | ranks (in required acquisition order) |
 /// |---|---|
 /// | hub (launcher process) | `HubChildren` → `HubLedger` → `HubClients` → `HubReport` → `HubSpawn` |
-/// | socket child (transport) | `Link` → `Mail` → `Mirror` → `ControlRpc` → `ControlWriter` |
+/// | socket child (transport) | `LinkWriter` → `Link` → `Mail` → `Mirror` → `ControlRpc` → `ControlWriter` |
 /// | in-process channel backend | `Holdback` → `ChannelMail` → `FirstFailure` |
 /// | shared leaf | `Health` (any family may take it last) |
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -105,7 +105,13 @@ pub enum LockRank {
     /// The respawn closure cell in `hub::run`.
     HubSpawn = 18,
     // -- socket child (transport) family ------------------------------
-    /// `SocketTransport.links[peer].state`: one peer link's send half.
+    /// `SocketTransport.links[peer].writer`: one peer link's stream
+    /// write half. The only transport lock held across a blocking
+    /// syscall, and never taken by a reader thread.
+    LinkWriter = 28,
+    /// `SocketTransport.links[peer].state`: one peer link's up flag,
+    /// sequence state and backlog. Nested inside `LinkWriter` by `send`
+    /// and `register_link`.
     Link = 30,
     /// `SocketTransport.mail.state`: the byte mailbox. Nested inside
     /// `Link` by `register_link`'s purge.

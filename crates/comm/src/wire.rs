@@ -7,8 +7,17 @@
 //! CRC-32 and the same "corruption is loud, never silent" rule: a frame
 //! that fails any structural check is rejected whole, never resynced.
 //!
-//! Everything in this module is pure (no I/O, no sync primitives), so it
-//! compiles unchanged under `cfg(loom)` and is directly property-testable.
+//! Everything in this module is pure (no sockets, no sync primitives —
+//! the one I/O-shaped function, [`write_frame`], is generic over
+//! [`std::io::Write`]), so it compiles unchanged under `cfg(loom)` and
+//! is directly property-testable.
+//!
+//! The frame has **one codec**: [`encode_header`] + the streaming
+//! [`Crc32`] are the pieces, [`write_frame`] sends them with the payload
+//! borrowed (one vectored write, no frame buffer), [`check_crc`]
+//! verifies a payload the receiver read straight into its final buffer,
+//! and [`encode_frame`] / [`decode_frame`] are the whole-buffer forms
+//! of the same two functions.
 
 /// Fixed-size little-endian encoding for a payload element.
 ///
@@ -173,18 +182,92 @@ pub fn type_hash<T: 'static>() -> u64 {
     h.finish()
 }
 
-/// CRC-32 (IEEE, reflected polynomial) over a byte slice, table-less.
+/// Slicing-by-8 tables for the reflected IEEE polynomial `0xEDB88320`,
+/// built at compile time: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table reads retire eight input bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Streaming CRC-32 (IEEE 802.3, reflected): feed any partition of the
+/// input through [`update`](Self::update) and [`finish`](Self::finish)
+/// yields the one-shot [`crc32`] of the concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// State before any input.
+    #[must_use]
+    pub const fn new() -> Self {
+        Crc32(!0)
+    }
+
+    /// Absorb `bytes` (slicing-by-8; any length, any alignment).
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// The CRC of everything absorbed so far.
+    #[must_use]
+    pub const fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+/// CRC-32 (IEEE, reflected polynomial) over a byte slice: the one-shot
+/// form of [`Crc32`].
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// First 4 bytes of every frame. "HACW" little-endian.
@@ -255,14 +338,6 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().expect("wire: header slice"))
 }
@@ -271,29 +346,93 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("wire: header slice"))
 }
 
-/// Encode a complete frame: 48-byte header, payload, trailing CRC-32
-/// computed over everything after the magic (header fields + payload).
+/// The 48 header bytes of a frame, magic first (inverse of
+/// [`parse_header`]).
+#[must_use]
+pub fn encode_header(h: &FrameHeader) -> [u8; FRAME_HEADER] {
+    let mut out = [0u8; FRAME_HEADER];
+    out[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out[4..8].copy_from_slice(&h.src.to_le_bytes());
+    out[8..16].copy_from_slice(&h.context.to_le_bytes());
+    out[16..24].copy_from_slice(&h.tag.to_le_bytes());
+    out[24..32].copy_from_slice(&h.seq.to_le_bytes());
+    out[32..40].copy_from_slice(&h.type_hash.to_le_bytes());
+    out[40..48].copy_from_slice(&h.len.to_le_bytes());
+    out
+}
+
+/// The frame trailer's value: CRC-32 over everything after the magic
+/// (header fields, then payload), streamed so the two never have to be
+/// contiguous.
+#[must_use]
+pub fn frame_crc(head: &[u8; FRAME_HEADER], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&head[4..]);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// Compare a received trailer against the CRC of the header and payload
+/// it arrived with.
+pub fn check_crc(
+    head: &[u8; FRAME_HEADER],
+    payload: &[u8],
+    trailer: [u8; FRAME_TRAILER],
+) -> Result<(), FrameError> {
+    let expected = u32::from_le_bytes(trailer);
+    let got = frame_crc(head, payload);
+    if got == expected {
+        Ok(())
+    } else {
+        Err(FrameError::CrcMismatch { expected, got })
+    }
+}
+
+/// Write one complete frame — 48-byte header, the *borrowed* payload,
+/// trailing CRC-32 — with vectored writes, so a stream sender never
+/// copies the payload into a frame buffer. Returns the frame's length.
+pub fn write_frame<W: std::io::Write>(
+    w: &mut W,
+    h: &FrameHeader,
+    payload: &[u8],
+) -> std::io::Result<usize> {
+    assert!(payload.len() as u64 == h.len, "wire: header/payload length mismatch");
+    let head = encode_header(h);
+    let trailer = frame_crc(&head, payload).to_le_bytes();
+    let parts: [&[u8]; 3] = [&head, payload, &trailer];
+    let total = FRAME_HEADER + payload.len() + FRAME_TRAILER;
+    let mut written = 0;
+    while written < total {
+        // Re-slice past what earlier (partial) writes already took.
+        let mut skip = written;
+        let bufs = parts.map(|p| {
+            let s = skip.min(p.len());
+            skip -= s;
+            std::io::IoSlice::new(&p[s..])
+        });
+        match w.write_vectored(&bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(total)
+}
+
+/// Encode a complete frame into one buffer: [`write_frame`] into a
+/// `Vec`.
 #[must_use]
 pub fn encode_frame(h: &FrameHeader, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() as u64 == h.len, "wire: header/payload length mismatch");
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
-    put_u32(&mut out, FRAME_MAGIC);
-    put_u32(&mut out, h.src);
-    put_u64(&mut out, h.context);
-    put_u64(&mut out, h.tag);
-    put_u64(&mut out, h.seq);
-    put_u64(&mut out, h.type_hash);
-    put_u64(&mut out, h.len);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[4..]);
-    put_u32(&mut out, crc);
+    write_frame(&mut out, h, payload).expect("wire: writing to a Vec cannot fail");
     out
 }
 
 /// Parse and validate the fixed header prefix (no payload or CRC check).
 ///
 /// Used by stream readers to learn how many more bytes to pull before
-/// the whole frame can be handed to [`decode_frame`].
+/// the payload and trailer can be handed to [`check_crc`].
 pub fn parse_header(bytes: &[u8]) -> Result<FrameHeader, FrameError> {
     if bytes.len() < FRAME_HEADER {
         return Err(FrameError::Truncated { need: FRAME_HEADER, have: bytes.len() });
@@ -319,8 +458,8 @@ pub fn parse_header(bytes: &[u8]) -> Result<FrameHeader, FrameError> {
 /// Validate and decode a complete frame from a buffer.
 ///
 /// Checks, in order: header structure ([`parse_header`]), total length,
-/// and the trailing CRC over header-after-magic + payload. Returns the
-/// header and a view of the payload bytes.
+/// and the trailing CRC over header-after-magic + payload
+/// ([`check_crc`]). Returns the header and a view of the payload bytes.
 pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
     let h = parse_header(bytes)?;
     let need = FRAME_HEADER
@@ -330,12 +469,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
         return Err(FrameError::Truncated { need, have: bytes.len() });
     }
     let body_end = need - FRAME_TRAILER;
-    let got = crc32(&bytes[4..body_end]);
-    let expected = read_u32(bytes, body_end);
-    if got != expected {
-        return Err(FrameError::CrcMismatch { expected, got });
-    }
-    Ok((h, &bytes[FRAME_HEADER..body_end]))
+    let head = bytes[..FRAME_HEADER].try_into().expect("wire: header slice");
+    let payload = &bytes[FRAME_HEADER..body_end];
+    let trailer = bytes[body_end..need].try_into().expect("wire: trailer slice");
+    check_crc(head, payload, trailer)?;
+    Ok((h, payload))
 }
 
 #[cfg(test)]

@@ -86,7 +86,10 @@ fn run_script(ops: &[LockOp]) {
 /// runtime rank checker.
 #[test]
 fn shipping_scripts_pass_the_runtime_checker() {
-    for (name, script) in locks::transport_threads(&Mutations::NONE) {
+    for (name, script) in locks::transport_threads(&Mutations::NONE)
+        .into_iter()
+        .chain(locks::link_threads())
+    {
         let result = panic_message(move || run_script(&script));
         assert!(result.is_none(), "script {name} tripped the checker: {result:?}");
     }

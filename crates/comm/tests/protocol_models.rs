@@ -675,6 +675,20 @@ fn transport_lock_scripts_are_deadlock_free() {
     assert_proven(&report);
 }
 
+/// The send path after the `LinkWriter` split: a sender mid-frame, a
+/// re-registration draining its backlog, the link's reader thread and a
+/// receive-timeout diagnosis all contend for one link and never stick.
+#[test]
+fn link_lock_scripts_are_deadlock_free() {
+    let model = LockOrderModel {
+        name: "lock-order-link",
+        threads: locks::link_threads(),
+    };
+    let report = check(&model, &lock_order_properties(), &Options::default());
+    record(&report);
+    assert_proven(&report);
+}
+
 #[test]
 fn hub_lock_scripts_are_deadlock_free() {
     let model = LockOrderModel {

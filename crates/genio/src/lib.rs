@@ -370,9 +370,9 @@ fn get_block<'a>(data: &mut &'a [u8]) -> Result<(String, u8, &'a [u8]), GenioErr
     Ok((name, dtype, payload))
 }
 
-/// CRC-32 (IEEE 802.3 polynomial), bytewise table-driven.
-#[must_use] 
-pub fn crc32(data: &[u8]) -> u32 {
+/// Byte-at-a-time table for the reflected IEEE 802.3 polynomial, built
+/// at compile time.
+const CRC_TABLE: [u32; 256] = {
     const POLY: u32 = 0xEDB8_8320;
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -386,9 +386,15 @@ pub fn crc32(data: &[u8]) -> u32 {
         table[i] = c;
         i += 1;
     }
+    table
+};
+
+/// CRC-32 (IEEE 802.3 polynomial), bytewise table-driven.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }

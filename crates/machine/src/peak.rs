@@ -7,11 +7,15 @@
 
 use std::time::Instant;
 
+/// Independent 8-lane FMA chains per burst iteration: eight hide a
+/// 4-cycle FMA latency on two issue ports.
+const CHAINS: usize = 8;
+
 /// Measure achievable single-precision flops/s using `threads` OS threads,
 /// each running independent FMA chains for roughly `millis` milliseconds.
 ///
 /// Returns flops per second (an FMA counts as 2 flops).
-#[must_use] 
+#[must_use]
 pub fn calibrate_peak_flops(threads: usize, millis: u64) -> f64 {
     assert!(threads > 0);
     let iters_guess: u64 = 4_000_000;
@@ -25,8 +29,8 @@ pub fn calibrate_peak_flops(threads: usize, millis: u64) -> f64 {
                     let start = Instant::now();
                     let acc = fma_burst(iters, 1.0 + t as f32 * 1e-7);
                     elapsed += start.elapsed().as_secs_f64();
-                    // 8 lanes × 4 chains × 2 flops per FMA per iteration.
-                    total_flops += iters as f64 * 8.0 * 4.0 * 2.0;
+                    // 8 lanes × CHAINS × 2 flops per FMA per iteration.
+                    total_flops += iters as f64 * 8.0 * CHAINS as f64 * 2.0;
                     std::hint::black_box(acc);
                     iters = iters.saturating_mul(2);
                 }
@@ -40,33 +44,73 @@ pub fn calibrate_peak_flops(threads: usize, millis: u64) -> f64 {
         .sum()
 }
 
-/// A burst of `iters` iterations over four interleaved 8-lane FMA
-/// chains (32 independent accumulators — enough to hide FMA latency and
-/// keep the auto-vectorizer on wide registers, matching what the force
-/// kernel's inner loop achieves).
-#[inline(never)]
+/// A burst of `iters` iterations over [`CHAINS`] interleaved 8-lane FMA
+/// chains, on the same path the force kernel takes (`hacc-short`'s
+/// `simd::detect`): AVX2+FMA intrinsics where the CPU has them, else the
+/// portable loop. The dispatch is what makes this a roof: without the
+/// `fma` target feature `f32::mul_add` lowers to a libm call, and the
+/// auto-vectorizer folds or scalarizes the lanes as it pleases.
 fn fma_burst(iters: u64, seed: f32) -> f32 {
-    let mut a = [seed; 8];
-    let mut b = [seed * 0.5 + 0.1; 8];
-    let mut e = [seed * 0.25 + 0.2; 8];
-    let mut g = [seed * 0.125 + 0.3; 8];
-    let c = [0.999_9f32; 8];
-    let d = [1.000_1f32; 8];
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the (std-cached) CPUID check above confirmed AVX2 and
+        // FMA, exactly the target-feature set the callee enables.
+        return unsafe { fma_burst_avx2(iters, seed) };
+    }
+    fma_burst_portable(iters, seed)
+}
+
+/// First value of lane `i` of chain `k`. Every lane differs, so no
+/// compiler can fold a chain's eight lanes into one scalar.
+fn lane_seed(seed: f32, k: usize, i: usize) -> f32 {
+    seed + 0.1 * k as f32 + 0.01 * i as f32
+}
+
+/// Per-chain multiplier and addend; alternating signs keep every
+/// accumulator bounded however long the burst runs.
+const MUL: [f32; 2] = [0.999_9, 1.000_1];
+const ADD: [f32; 2] = [1e-9, -1e-9];
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2,fma")]
+#[inline(never)]
+fn fma_burst_avx2(iters: u64, seed: f32) -> f32 {
+    use core::arch::x86_64::{
+        _mm256_add_ps, _mm256_fmadd_ps, _mm256_set1_ps, _mm256_setr_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let mul = MUL.map(|m| _mm256_set1_ps(m));
+    let add = ADD.map(|a| _mm256_set1_ps(a));
+    let mut acc = std::array::from_fn::<_, CHAINS, _>(|k| {
+        let l = |i| lane_seed(seed, k, i);
+        _mm256_setr_ps(l(0), l(1), l(2), l(3), l(4), l(5), l(6), l(7))
+    });
     for _ in 0..iters {
-        for i in 0..8 {
-            a[i] = a[i].mul_add(c[i], 1e-9);
-        }
-        for i in 0..8 {
-            b[i] = b[i].mul_add(d[i], -1e-9);
-        }
-        for i in 0..8 {
-            e[i] = e[i].mul_add(c[i], 2e-9);
-        }
-        for i in 0..8 {
-            g[i] = g[i].mul_add(d[i], -2e-9);
+        for (k, chain) in acc.iter_mut().enumerate() {
+            *chain = _mm256_fmadd_ps(*chain, mul[k % 2], add[k % 2]);
         }
     }
-    a.iter().sum::<f32>() + b.iter().sum::<f32>() + e.iter().sum::<f32>() + g.iter().sum::<f32>()
+    let total = acc
+        .into_iter()
+        .fold(_mm256_setzero_ps(), |s, v| _mm256_add_ps(s, v));
+    let mut lanes = [0.0f32; 8];
+    // SAFETY: `lanes` is exactly 8 f32s, matching the 256-bit store.
+    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), total) };
+    lanes.iter().sum()
+}
+
+#[inline(never)]
+fn fma_burst_portable(iters: u64, seed: f32) -> f32 {
+    let mut acc: [[f32; 8]; CHAINS] =
+        std::array::from_fn(|k| std::array::from_fn(|i| lane_seed(seed, k, i)));
+    for _ in 0..iters {
+        for (k, chain) in acc.iter_mut().enumerate() {
+            for lane in chain {
+                *lane = lane.mul_add(MUL[k % 2], ADD[k % 2]);
+            }
+        }
+    }
+    acc.iter().flatten().sum()
 }
 
 #[cfg(test)]

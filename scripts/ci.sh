@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate: release build, the complete workspace test suite, and
-# lint-clean clippy. Run locally before pushing; .github/workflows/ci.yml
-# runs the same three steps.
+# lint-clean clippy, then the benchmark's toy-size smoke run. Run locally
+# before pushing; .github/workflows/ci.yml runs the same steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,5 +19,8 @@ cargo bench --no-run
 
 echo "==> cargo xtask verify  (lint wall, deny, loom; miri/tsan when installed)"
 cargo xtask verify
+
+echo "==> bash benchmark/run.sh --smoke  (pm.inproc2 == pm.socket2 digest, 0 CRC rejects, 0 retries)"
+bash benchmark/run.sh --smoke
 
 echo "==> CI gate passed"
