@@ -1,9 +1,10 @@
-//! Criterion benchmarks of the RCB tree: build (3-phase SoA partition)
-//! and force evaluation, across leaf sizes — the "fat leaf" trade-off of
-//! Section III (walk minimization vs kernel work).
+//! Criterion benchmarks of the RCB tree on the path the engines run:
+//! rebuild (3-phase SoA partition + chunk level) and the symmetric
+//! chunk-pair force pass, across leaf sizes — the "fat leaf" trade-off
+//! of Section III (walk minimization vs kernel work).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hacc_short::{ForceKernel, P3mSolver, RcbTree, TreeParams};
+use hacc_short::{ForceKernel, P3mSolver, RcbTree, TreeParams, TreeScratch};
 
 fn particles(np: usize, side: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut s = 7u64;
@@ -29,20 +30,16 @@ fn bench_tree(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(np as u64));
     for &leaf in &[16usize, 64, 256] {
-        group.bench_with_input(BenchmarkId::new("build", leaf), &leaf, |b, &leaf| {
-            b.iter(|| {
-                std::hint::black_box(RcbTree::build(
-                    &xs,
-                    &ys,
-                    &zs,
-                    &m,
-                    TreeParams { leaf_size: leaf },
-                ))
-            });
+        let mut tree = RcbTree::new_empty(TreeParams { leaf_size: leaf });
+        let mut scratch = TreeScratch::default();
+        group.bench_with_input(BenchmarkId::new("rebuild", leaf), &leaf, |b, _| {
+            b.iter(|| tree.rebuild(&xs, &ys, &zs, &m, &mut scratch));
         });
-        let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: leaf });
-        group.bench_with_input(BenchmarkId::new("forces", leaf), &leaf, |b, _| {
-            b.iter(|| std::hint::black_box(tree.forces(&kernel)));
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        group.bench_with_input(BenchmarkId::new("forces_symmetric", leaf), &leaf, |b, _| {
+            b.iter(|| {
+                std::hint::black_box(tree.forces_symmetric_into(&kernel, 0.0, &mut scratch, &mut out))
+            });
         });
     }
     // P3M comparison point.

@@ -122,12 +122,19 @@ fn main() {
         tot.interactions as f64,
         tot.pair_interactions as f64,
     );
+    // Kernel evaluations per particle per sub-cycle over every step run
+    // (warm-up included — the counters are): the list-tightness figure CI
+    // bounds.
+    let substeps = (np * np * np * 4 * (args.warm + args.steps)) as f64;
+    let evals_per_particle_substep = tot.pair_interactions as f64 / substeps;
+    println!("kernel evaluations per particle per sub-cycle: {evals_per_particle_substep:.0}");
     if let Some(path) = &args.json {
         let json = format!(
             "{{\n  \"bench\": \"tree_step\",\n  \"ng\": {ng},\n  \"np\": {np},\n  \
              \"subcycles\": 4,\n  \"steps\": {},\n  \"step_ms_median\": {median:.1},\n  \
              \"step_ms_mean\": {mean:.1},\n  \"kernel_pct\": {},\n  \
-             \"interactions\": {},\n  \"pair_interactions\": {}\n}}",
+             \"interactions\": {},\n  \"pair_interactions\": {},\n  \
+             \"pair_evals_per_particle_substep\": {evals_per_particle_substep:.1}\n}}",
             times_ms.len(),
             pct(tot.kernel),
             tot.interactions,

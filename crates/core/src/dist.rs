@@ -21,9 +21,11 @@ use hacc_comm::Comm;
 use hacc_domain::{gridhalo, refresh, Decomposition, Packed, Particles};
 use hacc_fft::{DistRealFft3, RealPencilFft};
 use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
-use hacc_short::{ForceKernel, RcbTree};
+use hacc_short::ForceKernel;
 
 use crate::config::{SimConfig, SolverKind};
+use crate::short::TreeShortRange;
+use crate::sim::{apply_kick, fill_scaled};
 use crate::stats::{RunStats, StepBreakdown};
 
 /// Point-to-point tag pairs for the slab-grid exchanges; each call site
@@ -105,6 +107,10 @@ pub struct DistSimulation<'a> {
     /// builds its view while survivors keep theirs), and survivors and
     /// replacements rebuild it together with matching sub-communicators.
     global: OnceCell<DistRealPoisson<RealPencilFft<'a>>>,
+    /// Persistent short-range tree state over the rank's overloaded
+    /// particle set: built at most once per long step after the
+    /// refresh, positions refreshed in place on the other sub-cycles.
+    short: TreeShortRange,
 }
 
 impl<'a> DistSimulation<'a> {
@@ -175,6 +181,7 @@ impl<'a> DistSimulation<'a> {
             w_cells,
             tl,
             global: OnceCell::new(),
+            short: TreeShortRange::new(cfg.tree),
         }
     }
 
@@ -320,7 +327,9 @@ impl<'a> DistSimulation<'a> {
         self.comm
     }
 
-    /// Global particle count (collective).
+    /// Global particle count (collective: one allreduce). The count is
+    /// conserved, so a step takes it once, right after its refresh, and
+    /// hands it to the force calls.
     #[must_use] 
     pub fn global_count(&self) -> usize {
         self.comm.allreduce_sum(self.parts.n_active as f64) as usize
@@ -453,13 +462,14 @@ impl<'a> DistSimulation<'a> {
         })
     }
 
-    /// Long-range acceleration for every local particle.
-    fn pm_accel(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
+    /// Long-range acceleration for every local particle; `count` is the
+    /// global particle count.
+    fn pm_accel(&self, count: usize, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
         if self.tl.is_some() {
-            return self.pm_accel_two_level(brk);
+            return self.pm_accel_two_level(count, brk);
         }
         let ng = self.cfg.ng;
-        let nbar = self.global_count() as f64 / (ng * ng * ng) as f64;
+        let nbar = count as f64 / (ng * ng * ng) as f64;
         let t0 = Instant::now();
         let source = self.deposit(ng, nbar, TAGS_FINE_FOLD);
         brk.cic += t0.elapsed();
@@ -488,11 +498,11 @@ impl<'a> DistSimulation<'a> {
     /// interpolation touches) sit at least `h_kernel` from the padded
     /// boundary, so slab periodization never contaminates them beyond
     /// the matching tolerance.
-    fn pm_accel_two_level(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
+    fn pm_accel_two_level(&self, count: usize, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
         let tl = self.tl.as_ref().expect("two-level machinery");
         let ng = self.cfg.ng;
         let (_, lx) = self.slab_range();
-        let np = self.global_count() as f64;
+        let np = count as f64;
         let nc = tl.split.nc();
 
         // Both deposits (fine for the complement, coarse for the global
@@ -547,50 +557,44 @@ impl<'a> DistSimulation<'a> {
         out
     }
 
-    /// Short-range acceleration via the rank-local RCB tree — no
-    /// communication, exactly the overloading payoff.
-    fn short_accel(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
+    /// Short-range acceleration via the rank-local RCB tree, left in
+    /// `self.short` — no communication, exactly the overloading payoff,
+    /// and no allocation once warm.
+    fn short_accel(&mut self, count: usize, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let to_grid = (ng as f64 / self.cfg.box_len) as f32;
-        let gx: Vec<f32> = self.parts.x.iter().map(|&v| v * to_grid).collect();
-        let gy: Vec<f32> = self.parts.y.iter().map(|&v| v * to_grid).collect();
-        let gz: Vec<f32> = self.parts.z.iter().map(|&v| v * to_grid).collect();
         let t0 = Instant::now();
-        let tree = RcbTree::build(&gx, &gy, &gz, &vec![1.0f32; gx.len()], self.cfg.tree);
+        for (g, p) in self
+            .short
+            .pos
+            .iter_mut()
+            .zip([&self.parts.x, &self.parts.y, &self.parts.z])
+        {
+            fill_scaled(p, to_grid, g);
+        }
         brk.build += t0.elapsed();
-        let mut scratch = hacc_short::TreeScratch::default();
-        let mut f = [Vec::new(), Vec::new(), Vec::new()];
-        let rep = tree.forces_symmetric_into(&self.kernel, 0.0, &mut scratch, &mut f);
-        brk.walk += rep.walk;
-        brk.kernel += rep.kernel;
-        brk.interactions += rep.directed;
-        brk.pair_interactions += rep.evals;
-        let nbar = self.global_count() as f64 / (ng * ng * ng) as f64;
+        let nbar = count as f64 / (ng * ng * ng) as f64;
         let scale = (self.cfg.box_len / ng as f64 / nbar * self.fit.norm) as f32;
-        for c in f.iter_mut() {
-            for v in c.iter_mut() {
-                *v *= scale;
-            }
-        }
-        f
-    }
-
-    fn kick(&mut self, accel: &[Vec<f32>; 3], factor: f64) {
-        let k = (1.5 * self.cfg.cosmology.omega_m * factor) as f32;
-        #[allow(clippy::needless_range_loop)] // four parallel SoA arrays
-        for i in 0..self.parts.len() {
-            self.parts.vx[i] += k * accel[0][i];
-            self.parts.vy[i] += k * accel[1][i];
-            self.parts.vz[i] += k * accel[2][i];
-        }
+        self.short
+            .evaluate(&self.kernel, self.cfg.skin_cells as f32, scale, brk);
     }
 
     fn drift(&mut self, factor: f64) {
         let f = factor as f32;
-        for i in 0..self.parts.len() {
-            self.parts.x[i] += f * self.parts.vx[i];
-            self.parts.y[i] += f * self.parts.vy[i];
-            self.parts.z[i] += f * self.parts.vz[i];
+        let p = &mut self.parts;
+        for i in 0..p.len() {
+            p.x[i] += f * p.vx[i];
+            p.y[i] += f * p.vy[i];
+            p.z[i] += f * p.vz[i];
+        }
+        if self.cfg.solver == SolverKind::TreePm {
+            // Rank-local displacement bound for the tree's rebuild
+            // criterion: this rank's own momenta, no collective.
+            self.short.add_drift(
+                factor,
+                [&p.vx, &p.vy, &p.vz],
+                self.cfg.ng as f64 / self.cfg.box_len,
+            );
         }
     }
 
@@ -605,10 +609,17 @@ impl<'a> DistSimulation<'a> {
         // Re-synchronize domains and overload shells.
         let t0 = Instant::now();
         refresh(self.comm, &self.decomp, &mut self.parts);
+        self.short.invalidate();
+        let count = self.global_count();
         brk.other += t0.elapsed();
 
-        let lr = self.pm_accel(&mut brk);
-        self.kick(&lr, cosmo.kick_factor(a0, am));
+        let kick = |p: &mut Particles, accel: &[Vec<f32>; 3], factor: f64| {
+            let k = (1.5 * cosmo.omega_m * factor) as f32;
+            let [ax, ay, az] = accel;
+            apply_kick(&mut p.vx, &mut p.vy, &mut p.vz, ax, ay, az, k);
+        };
+        let lr = self.pm_accel(count, &mut brk);
+        kick(&mut self.parts, &lr, cosmo.kick_factor(a0, am));
 
         let nc = self.cfg.subcycles.max(1);
         let l0 = a0.ln();
@@ -619,14 +630,14 @@ impl<'a> DistSimulation<'a> {
             let bm = (b0 * b1).sqrt();
             self.drift(cosmo.drift_factor(b0, bm));
             if self.cfg.solver != SolverKind::PmOnly {
-                let sr = self.short_accel(&mut brk);
-                self.kick(&sr, cosmo.kick_factor(b0, b1));
+                self.short_accel(count, &mut brk);
+                kick(&mut self.parts, self.short.force(), cosmo.kick_factor(b0, b1));
             }
             self.drift(cosmo.drift_factor(bm, b1));
         }
 
-        let lr2 = self.pm_accel(&mut brk);
-        self.kick(&lr2, cosmo.kick_factor(am, a1));
+        let lr2 = self.pm_accel(count, &mut brk);
+        kick(&mut self.parts, &lr2, cosmo.kick_factor(am, a1));
 
         self.a = a1;
         self.stats.steps.push(brk);

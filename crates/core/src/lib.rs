@@ -34,6 +34,7 @@ pub mod dist;
 pub mod elastic;
 pub mod invariant;
 pub mod resilient;
+mod short;
 pub mod sim;
 pub mod stats;
 

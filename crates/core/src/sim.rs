@@ -6,10 +6,11 @@ use hacc_pm::{
     deposit_cic_par, deposit_cic_par_with, interpolate_cic, interpolate_cic_into, CicScratch,
     GridForceFit, PmSolver, TwoLevelPmSolver,
 };
-use hacc_short::{ForceKernel, P3mScratch, P3mSolver, RcbTree, TreeScratch};
+use hacc_short::{ForceKernel, P3mScratch, P3mSolver};
 use rayon::prelude::*;
 
 use crate::config::{SimConfig, SolverKind};
+use crate::short::TreeShortRange;
 use crate::stats::{RunStats, StepBreakdown};
 
 /// Process-wide cache of grid-force fits, keyed by the spectral
@@ -68,28 +69,12 @@ struct StepScratch {
     cfgrids: [Vec<f64>; 3],
     ccic: CicScratch,
     cbuf: Vec<f32>,
-    /// Persistent RCB tree plus its build/walk scratch (TreePm path).
-    tree: Option<RcbTree>,
-    tscratch: TreeScratch,
-    /// Ghost-augmented positions and unit masses for the tree build.
-    ax: Vec<f32>,
-    ay: Vec<f32>,
-    az: Vec<f32>,
+    /// Unit masses and force accumulators of the P3m path.
     mass: Vec<f32>,
-    /// Short-range force accumulators (ghost-padded length on the tree path).
     sr: [Vec<f32>; 3],
-    /// Build-frame copy of the ghost-augmented positions (Verlet-skin
-    /// reuse): the coordinates the persistent tree was last rebuilt from.
-    ax0: Vec<f32>,
-    ay0: Vec<f32>,
-    az0: Vec<f32>,
-    /// Source particle index of each ghost image appended at build time.
+    /// TreePm path: source particle index of each ghost image appended
+    /// to the tree's coordinates at build time.
     ghost_src: Vec<u32>,
-    /// Upper bound on any particle's displacement since the last tree
-    /// build, in PM grid units. Maintained by [`Simulation::drift`];
-    /// reset on rebuild. The skin pair list stays valid while
-    /// `2 · drift_since_build ≤ skin_cells`.
-    drift_since_build: f64,
     /// Chaining-mesh scratch (P3m path).
     p3m: P3mScratch,
 }
@@ -119,6 +104,8 @@ pub struct Simulation {
     lr_spare: [Vec<f32>; 3],
     /// Reusable per-step working memory.
     scratch: StepScratch,
+    /// Persistent short-range tree state (TreePm path).
+    tree_sr: TreeShortRange,
     /// Statistics.
     pub stats: RunStats,
 }
@@ -190,6 +177,7 @@ impl Simulation {
             lr_cache: None,
             lr_spare: Default::default(),
             scratch: StepScratch::default(),
+            tree_sr: TreeShortRange::new(cfg.tree),
             stats: RunStats::default(),
         }
     }
@@ -308,10 +296,10 @@ impl Simulation {
         brk.cic += t2.elapsed();
     }
 
-    /// Short-range acceleration per particle (physical units), left in
-    /// `self.scratch.sr` (first `self.len()` entries are the real
-    /// particles). Allocation-free once warm: the tree is rebuilt in
-    /// place and ghost/mass/force buffers persist in `self.scratch`.
+    /// Short-range acceleration per particle (physical units), readable
+    /// through [`short_force`] afterwards (first `self.len()`
+    /// entries are the real particles). Allocation-free once warm: the
+    /// tree is rebuilt in place and ghost/mass/force buffers persist.
     fn short_accel_into(&mut self, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let np = self.len();
@@ -321,18 +309,9 @@ impl Simulation {
             gx,
             gy,
             gz,
-            tree,
-            tscratch,
-            ax,
-            ay,
-            az,
             mass,
             sr,
-            ax0,
-            ay0,
-            az0,
             ghost_src,
-            drift_since_build,
             p3m,
             ..
         } = &mut self.scratch;
@@ -350,38 +329,30 @@ impl Simulation {
                 brk.kernel += t0.elapsed();
                 brk.interactions += inter;
                 brk.pair_interactions += inter;
+                for v in sr.iter_mut().flatten() {
+                    *v *= scale;
+                }
             }
             SolverKind::TreePm => {
                 let t0 = Instant::now();
                 let rcut = self.cfg.rcut_cells as f32;
                 let skin = self.cfg.skin_cells.max(0.0) as f32;
                 let lg = ng as f32;
-                let tree = tree.get_or_insert_with(|| RcbTree::new_empty(self.cfg.tree));
-                // Verlet-skin reuse: rebuild only when the accumulated
-                // displacement bound can have moved a pair across the
-                // inflated acceptance radius (each of two particles may
-                // drift toward the other, hence the factor 2).
-                let rebuild = tree.generation() == 0
-                    || skin <= 0.0
-                    || 2.0 * *drift_since_build > f64::from(skin);
+                let rebuild = self.tree_sr.must_rebuild(skin);
+                let [ax, ay, az] = &mut self.tree_sr.pos;
                 if rebuild {
                     // Ghost images for periodicity (the serial stand-in
                     // for overloading), in a band widened by the skin so
                     // every partner a particle can meet while drifting up
                     // to skin/2 is already present.
                     with_ghosts_into(gx, gy, gz, lg, rcut + skin, ax, ay, az, ghost_src);
-                    mass.clear();
-                    mass.resize(ax.len(), 1.0);
-                    tree.rebuild(ax, ay, az, mass, tscratch);
-                    ax0.clone_from(ax);
-                    ay0.clone_from(ay);
-                    az0.clone_from(az);
-                    *drift_since_build = 0.0;
                 } else {
-                    // Refresh coordinates inside the frozen tree topology.
-                    // Positions may have wrapped through the periodic
-                    // boundary since the build, so take the minimum image
-                    // of each displacement relative to the build frame.
+                    // Move the tree's coordinates along with the
+                    // particles. Positions may have wrapped through the
+                    // periodic boundary since the last sub-cycle, so take
+                    // the minimum image of each displacement; a ghost
+                    // moves with its source (read before the source
+                    // itself is updated).
                     let mi = move |d: f32| -> f32 {
                         if d > 0.5 * lg {
                             d - lg
@@ -391,30 +362,20 @@ impl Simulation {
                             d
                         }
                     };
-                    for i in 0..np {
-                        ax[i] = ax0[i] + mi(gx[i] - ax0[i]);
-                        ay[i] = ay0[i] + mi(gy[i] - ay0[i]);
-                        az[i] = az0[i] + mi(gz[i] - az0[i]);
-                    }
                     for (g, &src) in ghost_src.iter().enumerate() {
                         let (j, sp) = (np + g, src as usize);
-                        ax[j] = ax0[j] + mi(gx[sp] - ax0[sp]);
-                        ay[j] = ay0[j] + mi(gy[sp] - ay0[sp]);
-                        az[j] = az0[j] + mi(gz[sp] - az0[sp]);
+                        ax[j] += mi(gx[sp] - ax[sp]);
+                        ay[j] += mi(gy[sp] - ay[sp]);
+                        az[j] += mi(gz[sp] - az[sp]);
                     }
-                    tree.refresh_positions(ax, ay, az);
+                    for i in 0..np {
+                        ax[i] += mi(gx[i] - ax[i]);
+                        ay[i] += mi(gy[i] - ay[i]);
+                        az[i] += mi(gz[i] - az[i]);
+                    }
                 }
                 brk.build += t0.elapsed();
-                let rep = tree.forces_symmetric_into(&self.kernel, skin, tscratch, sr);
-                brk.walk += rep.walk;
-                brk.kernel += rep.kernel;
-                brk.interactions += rep.directed;
-                brk.pair_interactions += rep.evals;
-            }
-        }
-        for c in sr.iter_mut() {
-            for v in c[..np].iter_mut() {
-                *v *= scale;
+                self.tree_sr.evaluate(&self.kernel, skin, scale, brk);
             }
         }
     }
@@ -432,10 +393,6 @@ impl Simulation {
             }
             w
         };
-        let max_abs = |v: &[f32]| -> f32 {
-            v.par_iter().map(|&x| x.abs()).reduce(|| 0.0f32, f32::max)
-        };
-        let (mx, my, mz) = (max_abs(&self.vx), max_abs(&self.vy), max_abs(&self.vz));
         self.x
             .par_iter_mut()
             .zip(self.vx.par_iter())
@@ -448,15 +405,12 @@ impl Simulation {
             .par_iter_mut()
             .zip(self.vz.par_iter())
             .for_each(|(p, &v)| *p = wrap(*p + f * v));
-        // Displacement bound for the Verlet-skin rebuild criterion, in PM
-        // grid units: no particle moved farther than
-        // |f|·√(max|vx|² + max|vy|² + max|vz|²) this drift.
-        let bound = f64::from(f.abs())
-            * (f64::from(mx) * f64::from(mx)
-                + f64::from(my) * f64::from(my)
-                + f64::from(mz) * f64::from(mz))
-                .sqrt();
-        self.scratch.drift_since_build += bound * (self.cfg.ng as f64 / self.cfg.box_len);
+        // Displacement bound for the Verlet-skin rebuild criterion.
+        self.tree_sr.add_drift(
+            factor,
+            [&self.vx, &self.vy, &self.vz],
+            self.cfg.ng as f64 / self.cfg.box_len,
+        );
     }
 
     /// Advance one full long-range step to scale factor `a1`
@@ -510,7 +464,7 @@ impl Simulation {
                 let t1 = Instant::now();
                 let np = self.x.len();
                 let k = (1.5 * cosmo.omega_m * cosmo.kick_factor(b0, b1)) as f32;
-                let sr = &self.scratch.sr;
+                let sr = short_force(self.cfg.solver, &self.tree_sr, &self.scratch);
                 apply_kick(
                     &mut self.vx,
                     &mut self.vy,
@@ -607,7 +561,8 @@ impl Simulation {
         self.pm_accel_into(&mut brk, &mut out);
         if self.cfg.solver != SolverKind::PmOnly {
             self.short_accel_into(&mut brk);
-            for (o, s) in out.iter_mut().zip(&self.scratch.sr) {
+            let sr = short_force(self.cfg.solver, &self.tree_sr, &self.scratch);
+            for (o, s) in out.iter_mut().zip(sr) {
                 for (o, s) in o.iter_mut().zip(s) {
                     *o += s;
                 }
@@ -617,11 +572,25 @@ impl Simulation {
     }
 }
 
+/// The acceleration the last `short_accel_into` left behind. A free
+/// function over the two fields that can hold it, so the step can kick
+/// the momenta while borrowing it.
+fn short_force<'a>(
+    solver: SolverKind,
+    tree_sr: &'a TreeShortRange,
+    scratch: &'a StepScratch,
+) -> &'a [Vec<f32>; 3] {
+    match solver {
+        SolverKind::TreePm => tree_sr.force(),
+        _ => &scratch.sr,
+    }
+}
+
 /// `p += k·a` over three SoA components. A free function (rather than a
 /// method) so the caller can borrow the acceleration out of the step
 /// scratch while mutating the momenta — disjoint field borrows.
 #[allow(clippy::too_many_arguments)] // six parallel SoA arrays + factor
-fn apply_kick(
+pub(crate) fn apply_kick(
     vx: &mut [f32],
     vy: &mut [f32],
     vz: &mut [f32],
@@ -639,7 +608,7 @@ fn apply_kick(
 }
 
 /// `out = s·src` into a reused buffer (positions → grid units).
-fn fill_scaled(src: &[f32], s: f32, out: &mut Vec<f32>) {
+pub(crate) fn fill_scaled(src: &[f32], s: f32, out: &mut Vec<f32>) {
     out.clear();
     out.extend(src.iter().map(|&v| v * s));
 }

@@ -174,36 +174,6 @@ impl ForceKernel {
         [fx, fy, fz]
     }
 
-    /// Evaluate the kernel for every target of a leaf against the leaf's
-    /// shared interaction list ("every particle on a leaf node shares the
-    /// interaction list"), accumulating into the force slices.
-    ///
-    /// Routes each row through [`crate::simd::force_on_best`] — the AVX2
-    /// path when the CPU has it, the 8-lane blocked portable kernel
-    /// otherwise. [`ForceKernel::force_on`] remains the scalar reference.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_leaf(
-        &self,
-        txs: &[f32],
-        tys: &[f32],
-        tzs: &[f32],
-        nx: &[f32],
-        ny: &[f32],
-        nz: &[f32],
-        nm: &[f32],
-        fxs: &mut [f32],
-        fys: &mut [f32],
-        fzs: &mut [f32],
-    ) -> u64 {
-        for t in 0..txs.len() {
-            let f = crate::simd::force_on_best(self, txs[t], tys[t], tzs[t], nx, ny, nz, nm);
-            fxs[t] += f[0];
-            fys[t] += f[1];
-            fzs[t] += f[2];
-        }
-        (txs.len() * nx.len()) as u64
-    }
-
     /// Reference scalar implementation with explicit branches, for
     /// validating the branch-free kernel.
     #[must_use] 
@@ -291,32 +261,6 @@ mod tests {
         let f1 = k.force_on(0.0, 0.0, 0.0, &[1.0], &[0.0], &[0.0], &[1.0])[0];
         let f2 = k.force_on(0.0, 0.0, 0.0, &[2.0], &[0.0], &[0.0], &[1.0])[0];
         assert!((f1 / f2 - 4.0).abs() < 1e-4, "ratio {}", f1 / f2);
-    }
-
-    #[test]
-    fn eval_leaf_accumulates_and_counts() {
-        let k = ForceKernel::newtonian(5.0, 1e-5);
-        let (nx, ny, nz, nm) = (
-            vec![1.0f32, -1.0],
-            vec![0.0f32, 0.0],
-            vec![0.0f32, 0.0],
-            vec![1.0f32, 1.0],
-        );
-        let txs = [0.0f32, 0.5];
-        let tys = [0.0f32, 0.0];
-        let tzs = [0.0f32, 0.0];
-        let mut fx = [0.0f32; 2];
-        let mut fy = [0.0f32; 2];
-        let mut fz = [0.0f32; 2];
-        let inter = k.eval_leaf(
-            &txs, &tys, &tzs, &nx, &ny, &nz, &nm, &mut fx, &mut fy, &mut fz,
-        );
-        assert_eq!(inter, 4);
-        // Target 0 sits symmetrically between the two neighbors: zero net.
-        assert!(fx[0].abs() < 1e-6);
-        // Target 1 is closer to +x neighbor: net positive x force.
-        assert!(fx[1] > 0.0);
-        assert!(fy.iter().chain(fz.iter()).all(|v| v.abs() < 1e-6));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * [`P3mSolver`] — direct particle–particle interactions organized by a
 //!   chaining mesh (the Roadrunner / CPU-GPU path; "P³M");
 //! * [`RcbTree`] — a recursive-coordinate-bisection tree with "fat"
-//!   leaves feeding the shared-interaction-list polynomial force kernel
-//!   (the BG/Q path; "PPTreePM").
+//!   leaves whose pairs feed the polynomial force kernel in 8-particle
+//!   chunks (the BG/Q path; "PPTreePM").
 //!
 //! Both evaluate the same pair force, paper Eq. 7:
 //! `f_SR(s) = (s+ε)^{-3/2} − poly5(s)`, `s = r·r`, where `poly5` is the
@@ -15,14 +15,12 @@
 //! arithmetic is single precision (the mixed-precision design), stored as
 //! structure-of-arrays for vectorization.
 
-pub mod forest;
 pub mod kernel;
 pub mod p3m;
 pub mod simd;
 pub mod tree;
 
-pub use forest::TreeForest;
 pub use kernel::{ForceKernel, FLOPS_PER_INTERACTION, FLOPS_PER_INTERACTION_ACTUAL};
 pub use p3m::{P3mScratch, P3mSolver};
-pub use simd::{force_on_best, SimdLevel};
+pub use simd::{force_on_best, SimdLevel, CHUNK};
 pub use tree::{RcbTree, SymmetricReport, TreeParams, TreeScratch};

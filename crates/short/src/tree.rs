@@ -12,45 +12,59 @@
 //!   to the remaining arrays (mass, permutation) — letting the hardware
 //!   prefetcher hide latency.
 //! * **Walk minimization** — "fat" leaves keep tens to hundreds of
-//!   particles; one *shared interaction list* is gathered per leaf
-//!   (contiguous SoA) and handed to the vectorized force kernel, trading
-//!   slow pointer-chasing walks for fast kernel flops.
+//!   particles, so the walk only ever pairs leaves; all fine-grained
+//!   work happens in the vectorized force kernel, trading slow
+//!   pointer-chasing walks for fast kernel flops.
 //!
 //! Forces have finite range `r_cut` (everything longer-range belongs to
 //! the PM solver), so interaction lists are exact: all particles in leaves
 //! intersecting the target leaf's bounding box inflated by `r_cut`.
 //!
-//! Two evaluation strategies are provided:
+//! A fat leaf pair is mostly out of range (at one particle per cell and
+//! `r_cut = 3` a 128-particle leaf pair holds ~27 pairs per pair inside
+//! the cutoff), so there is one level *below* the leaf that costs no
+//! walk: [`RcbTree::rebuild`] continues the bisection inside each leaf
+//! for ordering only, cuts the leaf into **chunks** of
+//! [`CHUNK`](crate::simd::CHUNK) = 8 consecutive particles and keeps one
+//! bounding box per chunk. Leaf storage is padded to whole chunks.
 //!
-//! * [`RcbTree::forces_into`] — the original one-sided walk: every leaf
-//!   gathers its shared interaction list and each of its particles is
-//!   evaluated against the full list. Kept as the reference path.
-//! * [`RcbTree::forces_symmetric_into`] — the symmetric dual-tree walk:
-//!   each interacting *leaf pair* is emitted once and evaluated with a
-//!   pair kernel that accumulates `+f` on targets and the Newton-3
-//!   reaction `−f` on sources, halving kernel evaluations. Accumulation
-//!   uses a fixed set of chunk-owned force buffers reduced in a fixed
-//!   order, so results are race-free and bit-reproducible regardless of
-//!   how rayon schedules the chunks.
+//! * [`RcbTree::forces_symmetric_into`] — what the engines run: the
+//!   symmetric dual-tree walk emits each interacting *leaf pair* once;
+//!   each listed pair is evaluated chunk × chunk, a box test discarding
+//!   chunk pairs beyond `r_cut` and an 8 × 8 tile kernel accumulating
+//!   `+f` on targets and the Newton-3 reaction `−f` on sources.
+//!   Accumulation uses a fixed set of chunk-owned force buffers reduced
+//!   in a fixed order, so results are race-free and bit-reproducible
+//!   regardless of how rayon schedules them.
+//! * [`RcbTree::forces_into`] — the one-sided walk (every leaf gathers
+//!   its shared interaction list; each of its particles is evaluated
+//!   against the full list). No engine runs it; it stays as the test
+//!   oracle for the symmetric path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use crate::kernel::ForceKernel;
-use crate::simd;
+use crate::simd::{self, CHUNK};
 
 /// Fixed number of pair-list chunks for the symmetric walk. Each chunk
-/// owns its own full-length force accumulator and processes a contiguous,
+/// owns its own force accumulator and processes a contiguous,
 /// cost-balanced range of the pair list; the serial reduction over chunks
 /// runs in index order. Chunk→buffer assignment is positional (not
 /// per-thread), which is what makes the result independent of rayon's
 /// work-stealing schedule.
 const PAIR_CHUNKS: usize = 16;
 
-/// Per-worker gather buffers for one interaction-list walk.
+/// `perm` entry of a pad slot.
+const PAD: u32 = u32::MAX;
+
+/// Coordinate of pad slots: finite (so `d · 0` is `0`, not NaN) and far
+/// beyond any cutoff (so the kernel's select always zeroes the pair).
+const PAD_COORD: f32 = 1.0e10;
+
+/// Gather buffers for one interaction-list walk of the one-sided oracle.
 #[derive(Default)]
 struct Gather {
     nx: Vec<f32>,
@@ -60,59 +74,40 @@ struct Gather {
     stack: Vec<usize>,
 }
 
-/// Pool of [`Gather`] buffers, leased per worker during a force pass and
-/// returned on drop, so repeated passes reuse the same allocations.
-#[derive(Default)]
-struct GatherPool {
-    bufs: Mutex<Vec<Gather>>,
+/// One contiguous range of the leaf-pair list and the tree-order slots
+/// its pairs can write — all of its accumulator that is ever zeroed,
+/// written or reduced.
+#[derive(Clone, Copy)]
+struct PairChunk {
+    pairs: (u32, u32),
+    slots: (u32, u32),
 }
 
-impl GatherPool {
-    fn lease(&self) -> GatherLease<'_> {
-        let buf = self
-            .bufs
-            .lock()
-            .expect("gather pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        GatherLease { pool: self, buf }
-    }
-}
-
-struct GatherLease<'a> {
-    pool: &'a GatherPool,
-    buf: Gather,
-}
-
-impl Drop for GatherLease<'_> {
-    fn drop(&mut self) {
-        // `if let`: during unwind the lock may be poisoned; dropping the
-        // buffer then is fine, aborting on a double panic is not.
-        if let Ok(mut bufs) = self.pool.bufs.lock() {
-            bufs.push(std::mem::take(&mut self.buf));
-        }
-    }
-}
-
-/// Reusable scratch for [`RcbTree::rebuild`] and [`RcbTree::forces_into`]:
-/// partition swap records, per-worker gather buffers, and the tree-order
+/// Reusable scratch for [`RcbTree::rebuild`] and the force passes:
+/// partition swap records, in-leaf ordering columns, and the tree-order
 /// force accumulators. Steady-state rebuild + force evaluation performs
 /// no heap allocation.
 #[derive(Default)]
 pub struct TreeScratch {
     /// Swap pairs recorded by the three-phase partition.
     swaps: Vec<(u32, u32)>,
-    /// Interaction-list gather buffers, one lease per worker.
-    pool: GatherPool,
-    /// Forces in tree (permuted) order, scattered to input order at the
+    /// In-leaf ordering: slot index list under bisection, and staging
+    /// columns for moving one SoA array into that order.
+    order: Vec<u32>,
+    tmp_f32: Vec<f32>,
+    tmp_u32: Vec<u32>,
+    /// One-sided oracle: the current leaf's interaction list.
+    gather: Gather,
+    /// Forces in tree (slot) order, scattered to input order at the
     /// end of a pass.
     ftree: [Vec<f32>; 3],
     /// Symmetric walk: interacting leaf-pair list (node indices, first ≤
     /// second in tree order).
     pairs: Vec<(u32, u32)>,
-    /// Symmetric walk: contiguous pair-index ranges, one per chunk.
-    chunk_ranges: Vec<(u32, u32)>,
-    /// Symmetric walk: chunk-owned force accumulators (tree order).
+    /// Symmetric walk: the pair list cut into at most [`PAIR_CHUNKS`].
+    chunks: Vec<PairChunk>,
+    /// Symmetric walk: chunk-owned force accumulators (slot order). Only
+    /// a chunk's `slots` span holds meaningful data.
     chunk_bufs: Vec<[Vec<f32>; 3]>,
     /// Symmetric walk: node stack for pair generation.
     stack: Vec<usize>,
@@ -121,7 +116,12 @@ pub struct TreeScratch {
 /// Tree tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeParams {
-    /// Maximum particles per leaf (paper: up to ~hundreds; default 128).
+    /// Maximum particles per leaf. The leaf is the unit of the *walk*
+    /// only — the kernel works on 8-particle chunks inside it — so the
+    /// trade is walk and chunk-cull candidates (fewer, fatter leaves)
+    /// against pad lanes (a leaf wastes 3.5 of them on average). The
+    /// default is the flat optimum of `ablation_leaf_size` at the
+    /// benchmark's density (EXPERIMENTS.md).
     pub leaf_size: usize,
 }
 
@@ -133,21 +133,38 @@ impl Default for TreeParams {
 
 #[derive(Debug, Clone)]
 struct Node {
-    /// Start index into the (permuted) particle arrays.
+    /// Tree-order rank of the first particle (pads not counted).
     start: usize,
     /// One past the last particle.
     end: usize,
-    /// Axis-aligned bounding box of the particles.
+    /// Axis-aligned bounding box of the particles at build time.
     lo: [f32; 3],
     hi: [f32; 3],
     /// Children indices; `usize::MAX` marks a leaf.
     left: usize,
     right: usize,
+    /// Leaves: first storage slot (a multiple of [`CHUNK`]); the leaf's
+    /// particles sit in `slot..slot + (end − start)`, pads after them.
+    slot: usize,
 }
 
 impl Node {
     fn is_leaf(&self) -> bool {
         self.left == usize::MAX
+    }
+
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Storage slots of the leaf's particles.
+    fn slots(&self) -> std::ops::Range<usize> {
+        self.slot..self.slot + self.len()
+    }
+
+    /// The leaf's chunk range.
+    fn chunks(&self) -> std::ops::Range<usize> {
+        self.slot / CHUNK..self.slot / CHUNK + self.len().div_ceil(CHUNK)
     }
 }
 
@@ -156,14 +173,21 @@ impl Node {
 /// locally; for serial full-box use, callers append ghost images).
 pub struct RcbTree {
     nodes: Vec<Node>,
-    /// Permuted SoA particle data.
+    /// Permuted SoA particle data in storage slots: each leaf's
+    /// particles, then pads up to a whole number of chunks.
     xs: Vec<f32>,
     ys: Vec<f32>,
     zs: Vec<f32>,
     mass: Vec<f32>,
-    /// `perm[i]` = original index of permuted slot `i`.
+    /// `perm[i]` = original index of slot `i`, [`PAD`] for pad slots.
     perm: Vec<u32>,
     leaves: Vec<usize>,
+    /// Per chunk: bounding box over its real lanes at the *current*
+    /// coordinates (SoA, 7 far entries appended so 8-wide loads stay in
+    /// bounds) and the count of real lanes.
+    chunk_lo: [Vec<f32>; 3],
+    chunk_hi: [Vec<f32>; 3],
+    chunk_len: Vec<u8>,
     params: TreeParams,
     /// Incremented by every [`RcbTree::rebuild`] (not by position
     /// refreshes), so callers can tell whether a cached companion
@@ -174,7 +198,7 @@ pub struct RcbTree {
 impl RcbTree {
     /// Build the tree (copies the particle data into tree-local SoA
     /// buffers, then partitions them in place).
-    #[must_use] 
+    #[must_use]
     pub fn build(
         xs: &[f32],
         ys: &[f32],
@@ -188,7 +212,7 @@ impl RcbTree {
     }
 
     /// An empty tree ready for [`RcbTree::rebuild`].
-    #[must_use] 
+    #[must_use]
     pub fn new_empty(params: TreeParams) -> Self {
         RcbTree {
             nodes: Vec::new(),
@@ -198,6 +222,9 @@ impl RcbTree {
             mass: Vec::new(),
             perm: Vec::new(),
             leaves: Vec::new(),
+            chunk_lo: Default::default(),
+            chunk_hi: Default::default(),
+            chunk_len: Vec::new(),
             params,
             generation: 0,
         }
@@ -216,6 +243,7 @@ impl RcbTree {
     ) {
         let np = xs.len();
         assert!(ys.len() == np && zs.len() == np && mass.len() == np);
+        assert!(np < PAD as usize, "particle index must fit below the pad marker");
         self.nodes.clear();
         self.leaves.clear();
         self.xs.clear();
@@ -233,6 +261,7 @@ impl RcbTree {
             let root = self.make_node(0, np);
             self.split(root, &mut scratch.swaps);
         }
+        self.cut_chunks(scratch);
     }
 
     /// Rebuild counter — bumped by [`RcbTree::rebuild`] only, never by
@@ -243,54 +272,72 @@ impl RcbTree {
     }
 
     /// Update the permuted particle coordinates *without* re-partitioning
-    /// or recomputing bounding boxes — the Verlet-skin refresh.
+    /// or recomputing leaf bounding boxes — the Verlet-skin refresh.
     ///
-    /// The topology (leaf membership, node boxes) stays frozen at its
-    /// build-time state, so interaction lists generated with a `slack`
-    /// margin remain a superset of the true `r_cut` neighborhood as long
-    /// as no particle has moved more than `slack / 2` since the build
-    /// (the kernel's own cutoff select keeps the evaluated forces exact
-    /// regardless). Callers must track drift and rebuild once that bound
-    /// is exceeded.
+    /// The topology (leaf and chunk membership, leaf boxes) stays frozen
+    /// at its build-time state, so leaf-pair lists generated with a
+    /// `slack` margin remain a superset of the true `r_cut` neighborhood
+    /// as long as no particle has moved more than `slack / 2` since the
+    /// build. Chunk boxes *are* recomputed from the new coordinates (one
+    /// O(N) pass), so the chunk test stays exact at `r_cut` itself.
+    /// Callers must track drift and rebuild once the bound is exceeded.
     pub fn refresh_positions(&mut self, xs: &[f32], ys: &[f32], zs: &[f32]) {
-        let np = self.perm.len();
+        let np = self.particle_count();
         assert!(xs.len() == np && ys.len() == np && zs.len() == np);
         for (i, &orig) in self.perm.iter().enumerate() {
-            let o = orig as usize;
-            self.xs[i] = xs[o];
-            self.ys[i] = ys[o];
-            self.zs[i] = zs[o];
+            if orig != PAD {
+                let o = orig as usize;
+                self.xs[i] = xs[o];
+                self.ys[i] = ys[o];
+                self.zs[i] = zs[o];
+            }
         }
+        self.bound_chunks();
+    }
+
+    /// Number of particles the tree was built over.
+    #[must_use]
+    pub fn particle_count(&self) -> usize {
+        self.nodes.first().map_or(0, Node::len)
     }
 
     /// Number of tree nodes.
-    #[must_use] 
+    #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Number of leaves.
-    #[must_use] 
+    #[must_use]
     pub fn leaf_count(&self) -> usize {
         self.leaves.len()
     }
 
     /// The permutation from tree order to original order.
-    #[must_use] 
-    pub fn permutation(&self) -> &[u32] {
-        &self.perm
+    pub fn permutation(&self) -> impl Iterator<Item = u32> + '_ {
+        self.perm.iter().copied().filter(|&p| p != PAD)
+    }
+
+    fn coord(&self, axis: usize) -> &[f32] {
+        match axis {
+            0 => &self.xs,
+            1 => &self.ys,
+            _ => &self.zs,
+        }
+    }
+
+    /// Bounding box of slots `start..end`.
+    fn bounds(&self, start: usize, end: usize) -> ([f32; 3], [f32; 3]) {
+        let mut lo = [0.0; 3];
+        let mut hi = [0.0; 3];
+        for c in 0..3 {
+            (lo[c], hi[c]) = min_max(&self.coord(c)[start..end]);
+        }
+        (lo, hi)
     }
 
     fn make_node(&mut self, start: usize, end: usize) -> usize {
-        let mut lo = [f32::INFINITY; 3];
-        let mut hi = [f32::NEG_INFINITY; 3];
-        for i in start..end {
-            let p = [self.xs[i], self.ys[i], self.zs[i]];
-            for c in 0..3 {
-                lo[c] = lo[c].min(p[c]);
-                hi[c] = hi[c].max(p[c]);
-            }
-        }
+        let (lo, hi) = self.bounds(start, end);
         self.nodes.push(Node {
             start,
             end,
@@ -298,8 +345,15 @@ impl RcbTree {
             hi,
             left: usize::MAX,
             right: usize::MAX,
+            slot: 0,
         });
         self.nodes.len() - 1
+    }
+
+    fn longest_axis(lo: &[f32; 3], hi: &[f32; 3]) -> usize {
+        (0..3)
+            .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
+            .expect("three axes")
     }
 
     fn split(&mut self, node: usize, swaps: &mut Vec<(u32, u32)>) {
@@ -308,17 +362,9 @@ impl RcbTree {
             self.leaves.push(node);
             return;
         }
-        // Longest side of the bounding box.
-        let (lo, hi) = (self.nodes[node].lo, self.nodes[node].hi);
-        let axis = (0..3)
-            .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
-            .expect("three axes");
+        let axis = Self::longest_axis(&self.nodes[node].lo, &self.nodes[node].hi);
         // Center-of-mass coordinate along the split axis.
-        let coord: &[f32] = match axis {
-            0 => &self.xs,
-            1 => &self.ys,
-            _ => &self.zs,
-        };
+        let coord = self.coord(axis);
         let mut msum = 0.0f64;
         let mut wsum = 0.0f64;
         for (m, x) in self.mass[start..end].iter().zip(&coord[start..end]) {
@@ -402,6 +448,110 @@ impl RcbTree {
         mid
     }
 
+    /// The level below the leaf. Orders each leaf's particles by
+    /// continued bisection, spreads the leaves out to whole chunks (pads
+    /// after each leaf's particles) and bounds every chunk.
+    fn cut_chunks(&mut self, scratch: &mut TreeScratch) {
+        let mut slots = 0;
+        for l in 0..self.leaves.len() {
+            let leaf = self.leaves[l];
+            let (start, end) = (self.nodes[leaf].start, self.nodes[leaf].end);
+            self.order_chunks(start, end, scratch);
+            self.nodes[leaf].slot = slots;
+            slots += (end - start).next_multiple_of(CHUNK);
+        }
+        // Spread from the last leaf back: a leaf's slots never start
+        // before its packed range, so each move only overwrites data that
+        // has already been moved.
+        for arr in [&mut self.xs, &mut self.ys, &mut self.zs] {
+            arr.resize(slots, PAD_COORD);
+        }
+        self.mass.resize(slots, 0.0);
+        self.perm.resize(slots, PAD);
+        self.chunk_len.clear();
+        self.chunk_len.resize(slots / CHUNK, CHUNK as u8);
+        for &leaf in self.leaves.iter().rev() {
+            let node = &self.nodes[leaf];
+            let (src, dst) = (node.start..node.end, node.slots());
+            let pads = dst.end..node.chunks().end * CHUNK;
+            self.chunk_len[node.chunks().end - 1] = (CHUNK - pads.len()) as u8;
+            for arr in [&mut self.xs, &mut self.ys, &mut self.zs] {
+                arr.copy_within(src.clone(), dst.start);
+                arr[pads.clone()].fill(PAD_COORD);
+            }
+            self.mass.copy_within(src.clone(), dst.start);
+            self.mass[pads.clone()].fill(0.0);
+            self.perm.copy_within(src, dst.start);
+            self.perm[pads].fill(PAD);
+        }
+        for b in self.chunk_lo.iter_mut().chain(self.chunk_hi.iter_mut()) {
+            b.clear();
+            b.resize(slots / CHUNK + CHUNK - 1, PAD_COORD);
+        }
+        self.bound_chunks();
+    }
+
+    /// Order packed range `start..end` (one leaf) so that every aligned
+    /// run of [`CHUNK`] particles is spatially compact: bisect at a
+    /// chunk-aligned rank along the longest side, recursively. Ordering
+    /// only — no nodes, and force results do not depend on it. The
+    /// bisection permutes an index list; the five SoA arrays move once.
+    fn order_chunks(&mut self, start: usize, end: usize, scratch: &mut TreeScratch) {
+        let TreeScratch {
+            order,
+            tmp_f32,
+            tmp_u32,
+            ..
+        } = scratch;
+        if end - start <= CHUNK {
+            return;
+        }
+        order.clear();
+        order.extend(start as u32..end as u32);
+        self.bisect(order);
+        reorder(&mut self.perm, start, order, tmp_u32);
+        for arr in [&mut self.xs, &mut self.ys, &mut self.zs, &mut self.mass] {
+            reorder(arr, start, order, tmp_f32);
+        }
+    }
+
+    /// Reorder slot indices `idx` so the first half of its chunks holds
+    /// the particles lowest along the longest side of their box, then
+    /// recurse into both halves.
+    fn bisect(&self, idx: &mut [u32]) {
+        let chunks = idx.len().div_ceil(CHUNK);
+        if chunks < 2 {
+            return;
+        }
+        let mut lo = [f32::INFINITY; 3];
+        let mut hi = [f32::NEG_INFINITY; 3];
+        for &i in idx.iter() {
+            for c in 0..3 {
+                let v = self.coord(c)[i as usize];
+                lo[c] = lo[c].min(v);
+                hi[c] = hi[c].max(v);
+            }
+        }
+        let coord = self.coord(Self::longest_axis(&lo, &hi));
+        let mid = CHUNK * (chunks / 2);
+        idx.select_nth_unstable_by(mid, |&a, &b| coord[a as usize].total_cmp(&coord[b as usize]));
+        let (left, right) = idx.split_at_mut(mid);
+        self.bisect(left);
+        self.bisect(right);
+    }
+
+    /// Recompute every chunk's bounding box from the current coordinates
+    /// of its real lanes.
+    fn bound_chunks(&mut self) {
+        for (c, &n) in self.chunk_len.iter().enumerate() {
+            let (lo, hi) = self.bounds(c * CHUNK, c * CHUNK + usize::from(n));
+            for ax in 0..3 {
+                self.chunk_lo[ax][c] = lo[ax];
+                self.chunk_hi[ax][c] = hi[ax];
+            }
+        }
+    }
+
     /// Squared distance between a point's box and a node's bounding box.
     fn box_dist2(lo_a: &[f32; 3], hi_a: &[f32; 3], lo_b: &[f32; 3], hi_b: &[f32; 3]) -> f32 {
         let mut d2 = 0.0f32;
@@ -444,10 +594,10 @@ impl RcbTree {
                 continue;
             }
             if node.is_leaf() {
-                nx.extend_from_slice(&self.xs[node.start..node.end]);
-                ny.extend_from_slice(&self.ys[node.start..node.end]);
-                nz.extend_from_slice(&self.zs[node.start..node.end]);
-                nm.extend_from_slice(&self.mass[node.start..node.end]);
+                nx.extend_from_slice(&self.xs[node.slots()]);
+                ny.extend_from_slice(&self.ys[node.slots()]);
+                nz.extend_from_slice(&self.zs[node.slots()]);
+                nm.extend_from_slice(&self.mass[node.slots()]);
             } else {
                 stack.push(node.left);
                 stack.push(node.right);
@@ -455,100 +605,85 @@ impl RcbTree {
         }
     }
 
-    /// Evaluate short-range forces for every particle.
+    /// One-sided evaluation of the short-range force on every particle —
+    /// the test oracle for [`RcbTree::forces_symmetric_into`]; no engine
+    /// calls it.
     ///
     /// Returns forces *in the original input ordering* plus the total
     /// interaction count (for the flops accounting of Figs. 5/7).
-    #[must_use] 
+    #[must_use]
     pub fn forces(&self, kernel: &ForceKernel) -> ([Vec<f32>; 3], u64) {
         let (f, inter, _, _) = self.forces_timed(kernel);
         (f, inter)
     }
 
-    /// Like [`RcbTree::forces`] but also reports aggregate walk
-    /// (interaction-list gathering) and kernel time across workers — the
-    /// 80%/10% split of the paper's Section III timing budget.
-    #[must_use] 
+    /// Like [`RcbTree::forces`] (test oracle only) but also reports
+    /// aggregate walk (interaction-list gathering) and kernel time across
+    /// workers.
+    #[must_use]
     pub fn forces_timed(
         &self,
         kernel: &ForceKernel,
-    ) -> ([Vec<f32>; 3], u64, std::time::Duration, std::time::Duration) {
+    ) -> ([Vec<f32>; 3], u64, Duration, Duration) {
         let mut scratch = TreeScratch::default();
         let mut out = [Vec::new(), Vec::new(), Vec::new()];
         let (inter, walk, kern) = self.forces_into(kernel, &mut scratch, &mut out);
         (out, inter, walk, kern)
     }
 
-    /// Evaluate short-range forces into caller-owned buffers, reusing
-    /// `scratch` — allocation-free once everything is warm. Forces land
-    /// in the original input ordering; returns (interaction count, walk
-    /// time, kernel time).
+    /// The one-sided walk into caller-owned buffers (test oracle only):
+    /// every leaf gathers its shared interaction list and each of its
+    /// particles is evaluated against the full list. Forces land in the
+    /// original input ordering; returns (interaction count, walk time,
+    /// kernel time).
     pub fn forces_into(
         &self,
         kernel: &ForceKernel,
         scratch: &mut TreeScratch,
         out: &mut [Vec<f32>; 3],
-    ) -> (u64, std::time::Duration, std::time::Duration) {
-        let np = self.xs.len();
-        let TreeScratch { pool, ftree, .. } = scratch;
+    ) -> (u64, Duration, Duration) {
+        let TreeScratch { gather: g, ftree, .. } = scratch;
         for f in ftree.iter_mut() {
-            f.resize(np, 0.0);
+            f.resize(self.xs.len(), 0.0);
         }
-        let inter = AtomicU64::new(0);
-        let walk_ns = AtomicU64::new(0);
-        let kernel_ns = AtomicU64::new(0);
-        // Each leaf owns the disjoint tree-order range [start, end), so
-        // concurrent leaves write disjoint slices of the accumulators.
-        let fp = [
-            SyncF32Ptr(ftree[0].as_mut_ptr()),
-            SyncF32Ptr(ftree[1].as_mut_ptr()),
-            SyncF32Ptr(ftree[2].as_mut_ptr()),
-        ];
-        self.leaves.par_iter().for_each_init(
-            || pool.lease(),
-            |lease, &leaf| {
-                let g = &mut lease.buf;
-                let node = &self.nodes[leaf];
-                let t0 = std::time::Instant::now();
-                self.gather_neighbors(leaf, kernel.rcut2, g);
-                walk_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                let t1 = std::time::Instant::now();
-                let mut count = 0u64;
-                for t in node.start..node.end {
-                    let f = simd::force_on_best(
-                        kernel,
-                        self.xs[t],
-                        self.ys[t],
-                        self.zs[t],
-                        &g.nx,
-                        &g.ny,
-                        &g.nz,
-                        &g.nm,
-                    );
-                    count += g.nx.len() as u64;
-                    // SAFETY: distinct leaves cover disjoint [start, end).
-                    unsafe {
-                        *fp[0].0.add(t) = f[0];
-                        *fp[1].0.add(t) = f[1];
-                        *fp[2].0.add(t) = f[2];
-                    }
+        let (mut inter, mut walk, mut kern) = (0u64, Duration::ZERO, Duration::ZERO);
+        for &leaf in &self.leaves {
+            let t0 = Instant::now();
+            self.gather_neighbors(leaf, kernel.rcut2, g);
+            walk += t0.elapsed();
+            let t1 = Instant::now();
+            for t in self.nodes[leaf].slots() {
+                let f = simd::force_on_best(
+                    kernel,
+                    self.xs[t],
+                    self.ys[t],
+                    self.zs[t],
+                    &g.nx,
+                    &g.ny,
+                    &g.nz,
+                    &g.nm,
+                );
+                for (acc, v) in ftree.iter_mut().zip(f) {
+                    acc[t] = v;
                 }
-                kernel_ns.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                inter.fetch_add(count, Ordering::Relaxed);
-            },
-        );
-        // Scatter from tree order back to the original input ordering.
-        for c in 0..3 {
-            out[c].resize(np, 0.0);
-            for (i, &orig) in self.perm.iter().enumerate() {
-                out[c][orig as usize] = ftree[c][i];
+                inter += g.nx.len() as u64;
+            }
+            kern += t1.elapsed();
+        }
+        self.scatter(ftree, out);
+        (inter, walk, kern)
+    }
+
+    /// Scatter slot-order forces back to the original input ordering.
+    fn scatter(&self, ftree: &[Vec<f32>; 3], out: &mut [Vec<f32>; 3]) {
+        for (o, f) in out.iter_mut().zip(ftree) {
+            o.resize(self.particle_count(), 0.0);
+            for (&orig, &v) in self.perm.iter().zip(f) {
+                if orig != PAD {
+                    o[orig as usize] = v;
+                }
             }
         }
-        (
-            inter.load(Ordering::Relaxed),
-            std::time::Duration::from_nanos(walk_ns.load(Ordering::Relaxed)),
-            std::time::Duration::from_nanos(kernel_ns.load(Ordering::Relaxed)),
-        )
     }
 
     /// Convenience wrapper over [`RcbTree::forces_symmetric_into`] with
@@ -565,26 +700,32 @@ impl RcbTree {
     /// Symmetric dual-tree force evaluation.
     ///
     /// Emits each interacting leaf pair **once** (including each leaf's
-    /// self pair), then evaluates every pair with a kernel that
+    /// self pair), then evaluates every listed pair chunk × chunk: a
+    /// box test on the chunks' current bounding boxes keeps the chunk
+    /// pairs within `r_cut`, and each of those runs one 8 × 8 tile that
     /// accumulates `+f` on the targets and the Newton-3 reaction `−f` on
     /// the sources — one kernel evaluation per particle pair instead of
-    /// the one-sided walk's two. Within a leaf only the strict upper
-    /// triangle is evaluated.
+    /// the one-sided walk's two. Within a leaf only the upper triangle of
+    /// chunk pairs is evaluated.
     ///
     /// `slack` widens the leaf-pair acceptance test to
     /// `(r_cut + slack)²` at *build-time* bounding boxes. With `slack =
     /// 0` and unmoved particles this selects exactly the one-sided walk's
-    /// pair coverage; a positive slack makes the pair list a valid
+    /// leaf coverage; a positive slack makes the pair list a valid
     /// superset for any particle configuration in which no particle has
     /// drifted more than `slack / 2` from its build-time position (see
-    /// [`RcbTree::refresh_positions`]) — the kernel's own cutoff select
-    /// zeroes pairs beyond `r_cut`, so forces stay exact.
+    /// [`RcbTree::refresh_positions`]). Only the leaf list needs the
+    /// skin: chunk boxes follow the particles, so the chunk test uses
+    /// `r_cut` itself, and the kernel's own cutoff select zeroes the
+    /// remaining pairs beyond `r_cut`, so forces stay exact.
     ///
     /// Race-freedom and reproducibility: the pair list is split into at
-    /// most [`PAIR_CHUNKS`] contiguous cost-balanced ranges; chunk `i`
-    /// always accumulates into scratch buffer `i`, and the final
-    /// reduction sums buffers in index order. The result is bit-identical
-    /// for a given tree no matter how rayon schedules the chunks.
+    /// most [`PAIR_CHUNKS`] contiguous cost-balanced ranges; range `i`
+    /// always accumulates into scratch buffer `i` (zeroed and reduced
+    /// only over the slots its pairs can touch), and the final reduction
+    /// sums buffers in index order. The result is bit-identical for a
+    /// given tree no matter how rayon schedules the ranges or what the
+    /// scratch held before.
     ///
     /// Forces land in `out` in the original input ordering.
     pub fn forces_symmetric_into(
@@ -594,11 +735,11 @@ impl RcbTree {
         scratch: &mut TreeScratch,
         out: &mut [Vec<f32>; 3],
     ) -> SymmetricReport {
-        let np = self.xs.len();
+        let slots = self.xs.len();
         let TreeScratch {
             ftree,
             pairs,
-            chunk_ranges,
+            chunks,
             chunk_bufs,
             stack,
             ..
@@ -622,9 +763,7 @@ impl RcbTree {
         for &leaf in &self.leaves {
             let la = &self.nodes[leaf];
             stack.clear();
-            if !self.nodes.is_empty() {
-                stack.push(0);
-            }
+            stack.push(0);
             while let Some(n) = stack.pop() {
                 let node = &self.nodes[n];
                 if node.end <= la.start
@@ -641,154 +780,140 @@ impl RcbTree {
             }
         }
 
-        // Cost-balanced contiguous chunking of the pair list. Pair cost =
-        // kernel evaluations it performs.
+        // Cost-balanced contiguous cut of the pair list. Pair cost = the
+        // particle pairs it holds, an upper bound on its evaluations.
         let cost = |&(a, b): &(u32, u32)| -> u64 {
-            let na = (self.nodes[a as usize].end - self.nodes[a as usize].start) as u64;
+            let na = self.nodes[a as usize].len() as u64;
             if a == b {
                 na * na.saturating_sub(1) / 2
             } else {
-                let nb = (self.nodes[b as usize].end - self.nodes[b as usize].start) as u64;
-                na * nb
+                na * self.nodes[b as usize].len() as u64
             }
         };
-        let mut evals = 0u64;
-        let mut directed = 0u64;
-        for p in pairs.iter() {
-            let c = cost(p);
-            evals += c;
-            directed += 2 * c;
-        }
+        let total: u64 = pairs.iter().map(cost).sum();
         let nchunks = PAIR_CHUNKS.min(pairs.len()).max(1);
-        let target = evals / nchunks as u64 + 1;
-        chunk_ranges.clear();
+        let target = total / nchunks as u64 + 1;
+        chunks.clear();
         let mut acc = 0u64;
-        let mut start = 0usize;
+        let empty_from = |at: u32| PairChunk {
+            pairs: (at, at),
+            slots: (u32::MAX, 0),
+        };
+        let mut open = empty_from(0);
         for (i, p) in pairs.iter().enumerate() {
             acc += cost(p);
-            if acc >= target && chunk_ranges.len() + 1 < nchunks {
-                chunk_ranges.push((start as u32, (i + 1) as u32));
-                start = i + 1;
+            // The earlier leaf starts the pair's slot span, the later
+            // leaf's last chunk ends it.
+            let first = self.nodes[p.0 as usize].slot as u32;
+            let last = (self.nodes[p.1 as usize].chunks().end * CHUNK) as u32;
+            open.slots = (open.slots.0.min(first), open.slots.1.max(last));
+            open.pairs.1 = (i + 1) as u32;
+            if acc >= target && chunks.len() + 1 < nchunks {
+                chunks.push(open);
+                open = empty_from(open.pairs.1);
                 acc = 0;
             }
         }
-        chunk_ranges.push((start as u32, pairs.len() as u32));
+        if open.pairs.0 < open.pairs.1 {
+            chunks.push(open);
+        }
         let walk = t0.elapsed();
 
-        // Phase 2 (kernel): each chunk accumulates into its own
-        // full-length buffer; disjoint buffers make the writes race-free.
-        if chunk_bufs.len() < chunk_ranges.len() {
-            chunk_bufs.resize_with(chunk_ranges.len(), Default::default);
+        // Phase 2 (kernel, chunk culling included): each range
+        // accumulates into its own buffer; disjoint buffers make the
+        // writes race-free.
+        if chunk_bufs.len() < chunks.len() {
+            chunk_bufs.resize_with(chunks.len(), Default::default);
         }
-        let used = chunk_ranges.len();
-        for buf in chunk_bufs[..used].iter_mut() {
-            for c in buf.iter_mut() {
-                c.clear();
-                c.resize(np, 0.0);
-            }
-        }
+        let view = simd::Chunks {
+            pos: [&self.xs, &self.ys, &self.zs],
+            mass: &self.mass,
+            lo: [&self.chunk_lo[0], &self.chunk_lo[1], &self.chunk_lo[2]],
+            hi: [&self.chunk_hi[0], &self.chunk_hi[1], &self.chunk_hi[2]],
+            len: &self.chunk_len,
+        };
         let kernel_ns = AtomicU64::new(0);
-        chunk_bufs[..used]
+        let evals = AtomicU64::new(0);
+        chunk_bufs
             .par_iter_mut()
-            .zip(chunk_ranges.par_iter())
-            .for_each(|(buf, &(p0, p1))| {
+            .zip(chunks.par_iter())
+            .for_each(|(buf, chunk)| {
                 let tk = Instant::now();
-                for &(la, lb) in &pairs[p0 as usize..p1 as usize] {
-                    self.eval_pair(kernel, la as usize, lb as usize, buf);
+                let span = chunk.slots.0 as usize..chunk.slots.1 as usize;
+                for c in buf.iter_mut() {
+                    if c.len() < slots {
+                        // Fresh zeroed pages, with headroom so a rebuild
+                        // that shifts the padding does not come back here;
+                        // pages outside the spans are never touched.
+                        *c = vec![0.0; slots + slots / 8];
+                    }
+                    c[span.clone()].fill(0.0);
                 }
+                let mut n = 0;
+                for &(la, lb) in &pairs[chunk.pairs.0 as usize..chunk.pairs.1 as usize] {
+                    let (a, b) = (&self.nodes[la as usize], &self.nodes[lb as usize]);
+                    debug_assert!(la == lb || a.end <= b.start, "pairs must be tree-ordered");
+                    n += simd::leaf_pair(kernel, &view, a.chunks(), b.chunks(), buf);
+                }
+                evals.fetch_add(n, Ordering::Relaxed);
                 kernel_ns.fetch_add(tk.elapsed().as_nanos() as u64, Ordering::Relaxed);
             });
 
         // Deterministic reduction in fixed chunk order, then scatter from
-        // tree order back to the original input ordering.
+        // slot order back to the original input ordering.
         for f in ftree.iter_mut() {
             f.clear();
-            f.resize(np, 0.0);
+            f.resize(slots, 0.0);
         }
-        for buf in chunk_bufs[..used].iter() {
+        for (buf, chunk) in chunk_bufs.iter().zip(chunks.iter()) {
+            let span = chunk.slots.0 as usize..chunk.slots.1 as usize;
             for (acc, part) in ftree.iter_mut().zip(buf.iter()) {
-                for (a, &p) in acc.iter_mut().zip(part.iter()) {
+                for (a, &p) in acc[span.clone()].iter_mut().zip(&part[span.clone()]) {
                     *a += p;
                 }
             }
         }
-        for c in 0..3 {
-            out[c].resize(np, 0.0);
-            for (i, &orig) in self.perm.iter().enumerate() {
-                out[c][orig as usize] = ftree[c][i];
-            }
-        }
+        self.scatter(ftree, out);
+        let evals = evals.load(Ordering::Relaxed);
         SymmetricReport {
             evals,
-            directed,
+            directed: 2 * evals,
             walk,
             kernel: Duration::from_nanos(kernel_ns.load(Ordering::Relaxed)),
         }
     }
+}
 
-    /// Evaluate one leaf pair symmetrically into a chunk buffer (tree
-    /// order). For a cross pair the earlier leaf's particles are the
-    /// targets and the later leaf's the sources; a self pair runs the
-    /// strict upper triangle.
-    fn eval_pair(&self, kernel: &ForceKernel, la: usize, lb: usize, buf: &mut [Vec<f32>; 3]) {
-        let a = &self.nodes[la];
-        let t = (
-            &self.xs[a.start..a.end],
-            &self.ys[a.start..a.end],
-            &self.zs[a.start..a.end],
-            &self.mass[a.start..a.end],
-        );
-        let [bx, by, bz] = buf;
-        if la == lb {
-            simd::eval_self_rows(
-                kernel,
-                t.0,
-                t.1,
-                t.2,
-                t.3,
-                &mut bx[a.start..a.end],
-                &mut by[a.start..a.end],
-                &mut bz[a.start..a.end],
-            );
-            return;
-        }
-        let b = &self.nodes[lb];
-        debug_assert!(a.end <= b.start, "pairs must be tree-ordered");
-        let s = (
-            &self.xs[b.start..b.end],
-            &self.ys[b.start..b.end],
-            &self.zs[b.start..b.end],
-            &self.mass[b.start..b.end],
-        );
-        let nb = b.end - b.start;
-        let (fx0, fx1) = bx.split_at_mut(b.start);
-        let (fy0, fy1) = by.split_at_mut(b.start);
-        let (fz0, fz1) = bz.split_at_mut(b.start);
-        simd::eval_pair_rows(
-            kernel,
-            (t.0, t.1, t.2, t.3),
-            (s.0, s.1, s.2, s.3),
-            (
-                &mut fx0[a.start..a.end],
-                &mut fy0[a.start..a.end],
-                &mut fz0[a.start..a.end],
-            ),
-            (&mut fx1[..nb], &mut fy1[..nb], &mut fz1[..nb]),
-        );
-    }
+/// Move `arr[order[i]]` to `arr[start + i]` (`order` permutes the slots
+/// `start..start + order.len()`), staging through `tmp`.
+fn reorder<T: Copy>(arr: &mut [T], start: usize, order: &[u32], tmp: &mut Vec<T>) {
+    tmp.clear();
+    tmp.extend(order.iter().map(|&i| arr[i as usize]));
+    arr[start..start + tmp.len()].copy_from_slice(tmp);
+}
 
-    /// Mean shared-interaction-list length over leaves (the x-axis of
-    /// Fig. 5).
-    #[must_use] 
-    pub fn mean_neighbor_list_len(&self, rcut2: f32) -> f64 {
-        let mut total = 0usize;
-        let mut g = Gather::default();
-        for &leaf in &self.leaves {
-            self.gather_neighbors(leaf, rcut2, &mut g);
-            total += g.nx.len();
+/// Smallest and largest value of `v` (`(+∞, −∞)` when empty), NaNs
+/// ignored. Eight independent lanes, so the build's box passes run at
+/// vector min/max throughput instead of one scalar dependency chain.
+fn min_max(v: &[f32]) -> (f32, f32) {
+    let mut lo = [f32::INFINITY; CHUNK];
+    let mut hi = [f32::NEG_INFINITY; CHUNK];
+    let blocks = v.chunks_exact(CHUNK);
+    let tail = blocks.remainder();
+    for b in blocks {
+        for l in 0..CHUNK {
+            lo[l] = lo[l].min(b[l]);
+            hi[l] = hi[l].max(b[l]);
         }
-        total as f64 / self.leaves.len().max(1) as f64
     }
+    for (l, &x) in tail.iter().enumerate() {
+        lo[l] = lo[l].min(x);
+        hi[l] = hi[l].max(x);
+    }
+    (
+        lo.into_iter().fold(f32::INFINITY, f32::min),
+        hi.into_iter().fold(f32::NEG_INFINITY, f32::max),
+    )
 }
 
 /// What a symmetric force pass did: kernel evaluations executed, directed
@@ -796,29 +921,16 @@ impl RcbTree {
 /// time split.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SymmetricReport {
-    /// Kernel evaluations actually executed (pair evaluations).
+    /// Particle pairs sent through the kernel — the pairs of the chunk
+    /// pairs that passed the box test, pad lanes not counted.
     pub evals: u64,
     /// Directed (target, source) interactions applied — `2 × evals`.
     pub directed: u64,
-    /// Pair-list generation time.
+    /// Leaf-pair list generation time.
     pub walk: Duration,
-    /// Force evaluation time (summed across workers).
+    /// Chunk culling plus force evaluation time (summed across workers).
     pub kernel: Duration,
 }
-
-/// Pointer wrapper asserting cross-thread use is sound (leaf ranges are
-/// disjoint).
-#[derive(Clone, Copy)]
-struct SyncF32Ptr(*mut f32);
-// SAFETY: the pointer names the caller's acceleration buffers, which
-// outlive the scoped leaf walk, and each parallel task writes only its
-// leaf's disjoint [start, end) index range (leaves partition the
-// particle permutation). The wrapper only moves the pointer into rayon
-// closures.
-unsafe impl Send for SyncF32Ptr {}
-// SAFETY: shared references only copy the pointer; dereferences happen
-// inside the unsafe block that proves per-leaf disjointness.
-unsafe impl Sync for SyncF32Ptr {}
 
 #[cfg(test)]
 mod tests {
@@ -873,18 +985,71 @@ mod tests {
         let (xs, ys, zs, m) = rand_particles(1000, 10.0, 3);
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 16 });
         let mut seen = vec![false; 1000];
-        for &p in tree.permutation() {
+        for p in tree.permutation() {
             assert!(!seen[p as usize], "duplicate {p}");
             seen[p as usize] = true;
         }
         assert!(seen.iter().all(|&b| b));
-        // Permuted data matches originals.
-        for i in 0..1000 {
-            let orig = tree.perm[i] as usize;
+        // Permuted data matches originals; pads are inert.
+        for (i, &orig) in tree.perm.iter().enumerate() {
+            if orig == PAD {
+                assert_eq!(tree.mass[i], 0.0);
+                assert_eq!(tree.xs[i], PAD_COORD);
+                continue;
+            }
+            let orig = orig as usize;
             assert_eq!(tree.xs[i], xs[orig]);
             assert_eq!(tree.ys[i], ys[orig]);
             assert_eq!(tree.zs[i], zs[orig]);
+            assert_eq!(tree.mass[i], m[orig]);
         }
+    }
+
+    #[test]
+    fn chunks_tile_the_leaves_and_bound_their_particles() {
+        let (xs, ys, zs, m) = rand_particles(777, 10.0, 5);
+        let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 50 });
+        let mut next_chunk = 0;
+        for &l in &tree.leaves {
+            let node = &tree.nodes[l];
+            assert_eq!(node.slot % CHUNK, 0);
+            assert_eq!(node.chunks().start, next_chunk, "leaves are chunk-contiguous");
+            next_chunk = node.chunks().end;
+            let real: usize = node.chunks().map(|c| usize::from(tree.chunk_len[c])).sum();
+            assert_eq!(real, node.len());
+            // Only a leaf's last chunk is partial.
+            for c in node.chunks().start..node.chunks().end - 1 {
+                assert_eq!(usize::from(tree.chunk_len[c]), CHUNK);
+            }
+        }
+        assert_eq!(next_chunk * CHUNK, tree.xs.len());
+        for (c, &n) in tree.chunk_len.iter().enumerate() {
+            assert!(n >= 1);
+            for l in 0..CHUNK {
+                let i = c * CHUNK + l;
+                assert_eq!(tree.perm[i] == PAD, l >= usize::from(n), "pads trail the chunk");
+                if l < usize::from(n) {
+                    for (ax, v) in [tree.xs[i], tree.ys[i], tree.zs[i]].into_iter().enumerate() {
+                        assert!(tree.chunk_lo[ax][c] <= v && v <= tree.chunk_hi[ax][c]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_leaf_ordering_makes_chunks_compact() {
+        // One leaf of 128 uniform particles in a unit cube: kd-ordered
+        // chunks of 8 tile it, so the mean chunk box is a small fraction
+        // of the leaf's volume (an unordered chunk spans most of it).
+        let (xs, ys, zs, m) = rand_particles(128, 1.0, 19);
+        let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 128 });
+        assert_eq!(tree.leaf_count(), 1);
+        let vol = |c: usize| -> f32 {
+            (0..3).map(|ax| tree.chunk_hi[ax][c] - tree.chunk_lo[ax][c]).product()
+        };
+        let mean: f32 = (0..16).map(vol).sum::<f32>() / 16.0;
+        assert!(mean < 0.1, "mean chunk volume {mean} of a unit leaf");
     }
 
     #[test]
@@ -905,7 +1070,7 @@ mod tests {
     fn forces_match_brute_force() {
         let kernel = ForceKernel::newtonian(2.0, 1e-4);
         // Miri: fewer particles (O(np²) reference) but still several
-        // leaves, so the parallel unsafe leaf walk is exercised.
+        // leaves.
         let np = if cfg!(miri) { 64 } else { 400 };
         let (xs, ys, zs, m) = rand_particles(np, 10.0, 11);
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 24 });
@@ -1014,10 +1179,19 @@ mod tests {
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 24 });
         let (want, one_sided) = tree.forces(&kernel);
         let (got, directed) = tree.forces_symmetric(&kernel);
-        // Directed counts: one-sided includes each target against its own
-        // leaf's full list (np self terms, masked to zero force); the
-        // symmetric triangle skips them.
-        assert_eq!(directed + np as u64, one_sided);
+        // Directed counts: the one-sided walk charges every target its
+        // leaf's full list, np masked self terms included. The symmetric
+        // path skips those and every chunk pair the box test discards,
+        // but can never drop a pair inside the cutoff.
+        let in_range = (0..np)
+            .flat_map(|i| (i + 1..np).map(move |j| (i, j)))
+            .filter(|&(i, j)| {
+                let d = [xs[j] - xs[i], ys[j] - ys[i], zs[j] - zs[i]];
+                d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < kernel.rcut2
+            })
+            .count() as u64;
+        assert!(directed + np as u64 <= one_sided);
+        assert!(directed >= 2 * in_range, "{directed} directed < 2 × {in_range} in range");
         for c in 0..3 {
             for p in 0..np {
                 let scale = want[c][p].abs().max(1e-2);
@@ -1049,6 +1223,23 @@ mod tests {
                 total.abs() < 1e-5 * mag.max(1.0),
                 "c={c}: ΣF = {total:.3e} vs Σ|F| = {mag:.3e}"
             );
+        }
+    }
+
+    #[test]
+    fn pad_slots_never_receive_force() {
+        let kernel = ForceKernel::newtonian(2.0, 1e-4);
+        let (xs, ys, zs, m) = rand_particles(if cfg!(miri) { 60 } else { 333 }, 6.0, 47);
+        let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 20 });
+        let mut scratch = TreeScratch::default();
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        tree.forces_symmetric_into(&kernel, 0.2, &mut scratch, &mut out);
+        let pads = tree.perm.iter().filter(|&&p| p == PAD).count();
+        assert!(pads > 0, "the case must have pad slots");
+        for f in &scratch.ftree {
+            for (&p, &v) in tree.perm.iter().zip(f) {
+                assert!(p != PAD || v == 0.0, "pad slot accumulated {v}");
+            }
         }
     }
 
@@ -1139,14 +1330,5 @@ mod tests {
         let (f1, d1) = one.forces_symmetric(&kernel);
         assert_eq!(d1, 0);
         assert_eq!(f1[0][0], 0.0);
-    }
-
-    #[test]
-    fn mean_neighbor_list_scales_with_cutoff() {
-        let (xs, ys, zs, m) = rand_particles(3000, 10.0, 23);
-        let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 32 });
-        let small = tree.mean_neighbor_list_len(1.0);
-        let large = tree.mean_neighbor_list_len(9.0);
-        assert!(large > small, "small {small}, large {large}");
     }
 }

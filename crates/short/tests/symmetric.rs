@@ -1,6 +1,6 @@
 //! Property-based tests of the symmetric dual-tree walk: for arbitrary
-//! particle distributions the Newton-3 pair evaluation must reproduce the
-//! per-leaf (one-sided) walk to f32 tolerance, conserve total momentum,
+//! particle distributions the Newton-3 chunk-pair evaluation must
+//! reproduce the per-leaf (one-sided) walk to f32 tolerance, conserve total momentum,
 //! and the Verlet-skin reuse path (stale tree + refreshed coordinates)
 //! must match a fresh build as long as no particle drifted farther than
 //! half the skin.
@@ -59,9 +59,11 @@ proptest! {
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: leaf });
         let (want, one_sided) = tree.forces(&kernel);
         let (got, directed) = tree.forces_symmetric(&kernel);
-        // Every one-sided interaction appears as exactly one directed
-        // interaction, except the self term the one-sided walk counts.
-        prop_assert_eq!(directed + np as u64, one_sided);
+        // The symmetric path evaluates a subset of the one-sided walk's
+        // leaf coverage: it skips the np self terms and every chunk pair
+        // the box test puts beyond the cutoff (`tile_oracle.rs` pins the
+        // lower bound: no pair in range is ever dropped).
+        prop_assert!(directed + np as u64 <= one_sided);
         prop_assert!(
             max_rel_err(&want, &got) < 2e-3,
             "symmetric vs one-sided forces diverge: {}",

@@ -88,6 +88,7 @@ fn assert_steady_state_alloc_free(solver: &str, warm: usize) {
         "pm" => (SolverKind::PmOnly, None),
         "pm2" => (SolverKind::PmOnly, Some(hacc::pm::PmLevelConfig::default())),
         "p3m" => (SolverKind::P3m, None),
+        "treepm" => (SolverKind::TreePm, None),
         other => panic!("unknown solver {other}"),
     };
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
@@ -184,6 +185,64 @@ fn steady_state_serial_fft_allocates_nothing() {
 #[test]
 fn steady_state_p3m_step_allocates_nothing() {
     assert_steady_state_alloc_free("p3m", 3);
+}
+
+/// The RCB-tree (TreePM) short-range path: the persistent tree, its
+/// chunk boxes and in-leaf ordering scratch, the ghost-augmented
+/// coordinates and the span-zeroed pair accumulators all live in the
+/// shared short-range state / `TreeScratch`. Extra warm steps let the
+/// ghost set reach its high-water size before the counter arms.
+#[test]
+fn steady_state_treepm_step_allocates_nothing() {
+    assert_steady_state_alloc_free("treepm", 3);
+}
+
+/// The distributed sub-cycle loop (drift → short-range force → kick)
+/// allocates nothing. Everything a distributed step communicates —
+/// refresh, deposit folds, transposes, force halos — happens once per
+/// long-range step whatever the sub-cycle count, so a warm step's
+/// allocation count is the same at 1 and at 4 sub-cycles exactly when
+/// the three extra trips through the loop allocate nothing. The steps
+/// are tiny so both runs see the same particles on the same ranks: the
+/// per-step allocations (migration lists, message payloads) depend on
+/// those counts, and a real trajectory would differ between the two.
+#[test]
+fn distributed_subcycle_loop_allocates_nothing() {
+    use hacc::comm::Machine;
+    use hacc::core::{DistSimulation, SimConfig, SolverKind};
+    use hacc::cosmo::{Cosmology, LinearPower, Transfer};
+
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let a0 = 0.2;
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, a0, 11);
+    let armed_step_allocs = |subcycles: usize| -> Vec<u64> {
+        let cfg = SimConfig {
+            ng: 32,
+            box_len: 64.0,
+            a_init: a0,
+            subcycles,
+            solver: SolverKind::TreePm,
+            ..SimConfig::small_lcdm()
+        };
+        let ics = ics.clone();
+        let (counts, _) = Machine::new(2).run(move |comm| {
+            let mut sim = DistSimulation::new(&comm, cfg, &ics);
+            sim.stats.steps.reserve(8);
+            // Warm-up sizes the tree, its scratch and the force buffers.
+            sim.step(a0 + 1e-6);
+            sim.step(a0 + 2e-6);
+            arm();
+            sim.step(a0 + 3e-6);
+            disarm()
+        });
+        counts
+    };
+    let (one, four) = (armed_step_allocs(1), armed_step_allocs(4));
+    assert!(one.iter().all(|&n| n > 0), "a step's communication allocates; the counter appears dead");
+    assert_eq!(
+        one, four,
+        "per-rank allocations of a warm distributed step differ between 1 and 4 sub-cycles"
+    );
 }
 
 /// The two-level PM path: both levels' density/force grids, the coarse

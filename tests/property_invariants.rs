@@ -116,7 +116,7 @@ proptest! {
         let m = vec![1.0f32; xs.len()];
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size });
         let mut seen = vec![false; xs.len()];
-        for &p in tree.permutation() {
+        for p in tree.permutation() {
             prop_assert!(!seen[p as usize]);
             seen[p as usize] = true;
         }
