@@ -218,12 +218,6 @@ impl FaultPlan {
             _ => false,
         }
     }
-
-    /// The configured kill target `(rank, step)`, if any.
-    #[must_use] 
-    pub fn kill_target(&self) -> Option<(usize, u64)> {
-        self.kill.as_ref().map(|k| (k.rank, k.step))
-    }
 }
 
 /// SplitMix64 finalizer — a strong 64-bit mixer.
@@ -253,14 +247,6 @@ pub struct FaultStats {
     pub corrupted: u64,
     /// Frames the receiver's CRC rejected and discarded.
     pub corrupt_detected: u64,
-}
-
-impl FaultStats {
-    /// Total injected events.
-    #[must_use]
-    pub fn total_injected(&self) -> u64 {
-        self.dropped + self.duplicated + self.delayed + self.corrupted
-    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,10 @@
 
 use std::time::Duration;
 
-use crate::sync::{AtomicBool, AtomicU64, Condvar, Instant, LockRank, Mutex, Ordering};
+use crate::protocol::{self, ControlEvent, Mutations, PeerView};
+use crate::sync::{
+    AtomicBool, AtomicU64, Condvar, Instant, LockRank, Mutex, MutexGuard, Ordering,
+};
 use crate::CommError;
 
 /// Tuning for the failure detector.
@@ -106,29 +109,86 @@ pub struct EpochReport {
     pub failed: Vec<(usize, u64)>,
 }
 
-/// Detector view of one rank.
-#[derive(Debug, Clone, Copy)]
+/// What the scan remembers about one rank between passes. The rank's
+/// membership record itself is a [`PeerView`].
+#[derive(Debug, Clone, Copy, Default)]
 struct RankHealth {
-    status: RankStatus,
-    /// Highest epoch this rank has beaten.
-    epoch: u64,
     /// Heartbeat counter value at the last monitor scan.
     observed_tick: u64,
     /// Consecutive scans with no heartbeat while epoch-behind.
     stale_scans: u32,
-    /// Epoch recorded when the rank was declared `Failed`.
-    failed_epoch: u64,
 }
 
-const FRESH: RankHealth = RankHealth {
-    status: RankStatus::Healthy,
-    epoch: 0,
-    observed_tick: 0,
-    stale_scans: 0,
-    failed_epoch: 0,
-};
+/// Everything behind the detector lock: the membership records and the
+/// scan's bookkeeping, index-aligned by rank.
+struct Detector {
+    view: Vec<PeerView>,
+    book: Vec<RankHealth>,
+}
 
-/// Shared failure-detector state for one [`crate::Machine`].
+impl Detector {
+    /// The one mutation path of the records. A change of record starts
+    /// the rank's staleness count afresh, so scans that elapsed in its
+    /// previous state never count against the new one.
+    fn apply(&mut self, ev: ControlEvent) {
+        let rank = ev.rank();
+        let before = self.view[rank];
+        protocol::apply_control(&mut self.view, ev, &Mutations::NONE);
+        if self.view[rank] != before {
+            self.book[rank].stale_scans = 0;
+        }
+    }
+}
+
+/// Block on `signal` until `gate` passes over the state `st` guards
+/// (the caller takes the lock, so every lock site names its rank). The
+/// one wait loop of the membership protocol, shared by the detector
+/// here and its mirror in [`crate::socket`]: poison check → gate →
+/// deadline → wait. `gate` returns `Err(rank)` naming the rank it is
+/// still waiting on; expiry of `timeout` surfaces as a
+/// [`CommError::Timeout`] blaming that rank with `what_timed_out(rank)`.
+pub(crate) fn wait_until<S, T>(
+    mut st: MutexGuard<'_, S>,
+    signal: &Condvar,
+    poisoned: &AtomicBool,
+    timeout: Duration,
+    mut gate: impl FnMut(&S) -> Result<T, usize>,
+    what_timed_out: impl FnOnce(usize) -> String,
+) -> Result<T, CommError> {
+    let start = Instant::now();
+    let deadline = start + timeout;
+    loop {
+        // SeqCst pairs with `Shared::poison`, which stores the flag and
+        // then takes the detector lock before notifying — either this
+        // check sees the flag or the upcoming wait is woken (no
+        // lost-wakeup window).
+        if poisoned.load(Ordering::SeqCst) {
+            return Err(CommError::Poisoned);
+        }
+        let waiting_on = match gate(&st) {
+            Ok(passed) => return Ok(passed),
+            Err(waiting_on) => waiting_on,
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(CommError::Timeout {
+                context: 0,
+                src: waiting_on,
+                tag: 0,
+                waited: now - start,
+                detail: what_timed_out(waiting_on),
+            });
+        }
+        let _ = signal.wait_for(&mut st, deadline - now);
+    }
+}
+
+/// Shared failure-detector state for one [`crate::Machine`] — or for
+/// the hub of a socket world, whose children mirror it.
+///
+/// Every mutation of the per-rank records is a [`ControlEvent`] through
+/// [`protocol::apply_control`] and every wait is a [`protocol`] gate,
+/// so the model suite checks the detector the machine actually runs.
 ///
 /// Lock ordering: methods here take only the internal state lock, never
 /// a mailbox lock, so callers may hold a mailbox lock while querying
@@ -136,7 +196,7 @@ const FRESH: RankHealth = RankHealth {
 pub struct HealthState {
     /// Per-rank heartbeat counters, bumped lock-free on every send.
     ticks: Vec<AtomicU64>,
-    state: Mutex<Vec<RankHealth>>,
+    state: Mutex<Detector>,
     signal: Condvar,
     cfg: HeartbeatConfig,
     enabled: bool,
@@ -150,7 +210,13 @@ impl HealthState {
         let enabled = cfg.is_some();
         HealthState {
             ticks: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-            state: Mutex::new(LockRank::Health, vec![FRESH; ranks]),
+            state: Mutex::new(
+                LockRank::Health,
+                Detector {
+                    view: vec![PeerView::INITIAL; ranks],
+                    book: vec![RankHealth::default(); ranks],
+                },
+            ),
             signal: Condvar::new(),
             cfg: cfg.unwrap_or_default(),
             enabled,
@@ -177,78 +243,65 @@ impl HealthState {
         }
     }
 
+    /// Apply one membership change and wake every detector waiter.
+    pub(crate) fn apply(&self, ev: ControlEvent) {
+        if !self.enabled {
+            return;
+        }
+        self.state.lock(LockRank::Health).apply(ev);
+        self.signal.notify_all();
+    }
+
     /// Explicit per-step heartbeat: `rank` announces it has reached
     /// `epoch`. Clears a pending suspicion — unless the monitor already
     /// declared the rank dead, in which case the declaration stands
     /// (fencing) and the returned status tells the rank to rejoin as a
     /// replacement.
     pub fn beat(&self, rank: usize, epoch: u64) -> RankStatus {
+        self.beat_event(rank, epoch).0
+    }
+
+    /// [`HealthState::beat`], also returning the `EPOCH` event an
+    /// accepted beat applied — what the hub broadcasts to the mirrors.
+    pub(crate) fn beat_event(&self, rank: usize, epoch: u64) -> (RankStatus, Option<ControlEvent>) {
         if !self.enabled {
-            return RankStatus::Healthy;
+            return (RankStatus::Healthy, None);
         }
         self.ticks[rank].fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock(LockRank::Health);
-        let h = &mut st[rank];
-        match h.status {
-            // Fenced: a heartbeat arriving after the declaration cannot
-            // resurrect the rank. A parked rank likewise stays parked —
-            // only an explicit `activate` admits it to the world.
-            RankStatus::Failed | RankStatus::Rebuilding | RankStatus::Parked => h.status,
-            _ => {
-                h.status = RankStatus::Healthy;
-                h.stale_scans = 0;
-                if epoch > h.epoch {
-                    h.epoch = epoch;
-                }
-                drop(st);
-                self.signal.notify_all();
-                RankStatus::Healthy
-            }
+        let outcome = protocol::beat_gate(&st.view[rank], rank, epoch);
+        if let (_, Some(ev)) = outcome {
+            st.apply(ev);
+            drop(st);
+            self.signal.notify_all();
         }
+        outcome
     }
 
     /// One monitor pass over all ranks; returns the ranks *newly*
     /// declared `Failed` this scan as `(rank, last completed epoch)`.
     pub fn scan(&self) -> Vec<(usize, u64)> {
         let mut st = self.state.lock(LockRank::Health);
-        let max_epoch = st.iter().map(|h| h.epoch).max().unwrap_or(0);
+        let max_epoch = st.view.iter().map(|p| p.epoch).max().unwrap_or(0);
         let mut newly = Vec::new();
         for (rank, tick) in self.ticks.iter().enumerate() {
             // Relaxed: see `tick` — freshness comparison only.
             let t = tick.load(Ordering::Relaxed);
-            let h = &mut st[rank];
-            let progressed = t != h.observed_tick;
-            h.observed_tick = t;
-            match h.status {
-                RankStatus::Healthy => {
-                    // Epoch gate: a rank at the frontier is never
-                    // suspected — its peers are waiting for it, not the
-                    // other way round.
-                    if progressed || h.epoch >= max_epoch {
-                        h.stale_scans = 0;
-                    } else {
-                        h.stale_scans += 1;
-                        if h.stale_scans >= self.cfg.suspect_scans {
-                            h.status = RankStatus::Suspected;
-                            h.stale_scans = 0;
-                        }
-                    }
-                }
-                RankStatus::Suspected => {
-                    if progressed {
-                        h.status = RankStatus::Healthy;
-                        h.stale_scans = 0;
-                    } else {
-                        h.stale_scans += 1;
-                        if h.stale_scans >= self.cfg.confirm_scans {
-                            h.status = RankStatus::Failed;
-                            h.failed_epoch = h.epoch;
-                            h.stale_scans = 0;
-                            newly.push((rank, h.epoch));
-                        }
-                    }
-                }
-                RankStatus::Failed | RankStatus::Rebuilding | RankStatus::Parked => {}
+            let Detector { view, book } = &mut *st;
+            let progressed = t != book[rank].observed_tick;
+            book[rank].observed_tick = t;
+            let declare = protocol::scan_step(
+                &mut view[rank],
+                &mut book[rank].stale_scans,
+                progressed,
+                max_epoch,
+                &self.cfg,
+                &Mutations::NONE,
+            );
+            if declare {
+                let failed_epoch = view[rank].epoch;
+                st.apply(ControlEvent::Declared { rank, failed_epoch });
+                newly.push((rank, failed_epoch));
             }
         }
         if !newly.is_empty() {
@@ -264,7 +317,16 @@ impl HealthState {
     /// Current lifecycle status of `rank`.
     #[must_use]
     pub fn status(&self, rank: usize) -> RankStatus {
-        self.state.lock(LockRank::Health)[rank].status
+        self.view(rank).status
+    }
+
+    /// `rank`'s membership record ([`PeerView::INITIAL`] without a
+    /// monitor, and then without taking the lock).
+    pub(crate) fn view(&self, rank: usize) -> PeerView {
+        if !self.enabled {
+            return PeerView::INITIAL;
+        }
+        self.state.lock(LockRank::Health).view[rank]
     }
 
     /// Every rank currently dead (`Failed` or `Rebuilding`) with the
@@ -274,27 +336,23 @@ impl HealthState {
     /// set can only grow between a survivor's report and this read).
     #[must_use]
     pub fn dead_set(&self) -> Vec<(usize, u64)> {
-        self.state
-            .lock(LockRank::Health)
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| matches!(h.status, RankStatus::Failed | RankStatus::Rebuilding))
-            .map(|(r, h)| (r, h.failed_epoch))
-            .collect()
+        protocol::dead_set(&self.state.lock(LockRank::Health).view)
     }
 
-    /// `Some(last completed epoch)` while `rank` stands declared
-    /// `Failed` (used by `recv` to turn a wait on a dead source into a
-    /// [`CommError::RankFailed`]).
-    pub(crate) fn failed_epoch_of(&self, rank: usize) -> Option<u64> {
-        if !self.enabled {
-            return None;
-        }
-        let st = self.state.lock(LockRank::Health);
-        match st[rank].status {
-            RankStatus::Failed => Some(st[rank].failed_epoch),
-            _ => None,
-        }
+    fn wait_until<T>(
+        &self,
+        poisoned: &AtomicBool,
+        gate: impl FnMut(&Detector) -> Result<T, usize>,
+        what_timed_out: impl FnOnce(usize) -> String,
+    ) -> Result<T, CommError> {
+        wait_until(
+            self.state.lock(LockRank::Health),
+            &self.signal,
+            poisoned,
+            self.cfg.sync_timeout,
+            gate,
+            what_timed_out,
+        )
     }
 
     /// Block until every rank has either beaten `epoch` or been
@@ -305,56 +363,16 @@ impl HealthState {
     /// proceeds.
     pub(crate) fn epoch_sync(
         &self,
+        me: usize,
         epoch: u64,
         poisoned: &AtomicBool,
     ) -> Result<EpochReport, CommError> {
-        let start = Instant::now();
-        let deadline = start + self.cfg.sync_timeout;
-        let mut st = self.state.lock(LockRank::Health);
-        loop {
-            // SeqCst pairs with `Shared::poison`, which takes this lock
-            // before notifying — either this check sees the flag or the
-            // upcoming wait is woken (no lost-wakeup window).
-            if poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            let mut failed = Vec::new();
-            let mut pending = None;
-            for (rank, h) in st.iter().enumerate() {
-                if h.epoch >= epoch {
-                    continue;
-                }
-                match h.status {
-                    RankStatus::Failed | RankStatus::Rebuilding => {
-                        failed.push((rank, h.failed_epoch));
-                    }
-                    // Parked ranks are outside the world: nobody waits
-                    // for them and they are not reported as failed.
-                    RankStatus::Parked => {}
-                    RankStatus::Healthy | RankStatus::Suspected => {
-                        pending = Some(rank);
-                        break;
-                    }
-                }
-            }
-            let Some(waiting_on) = pending else {
-                return Ok(EpochReport { epoch, failed });
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    context: 0,
-                    src: waiting_on,
-                    tag: 0,
-                    waited: now - start,
-                    detail: format!(
-                        "epoch sync stalled: rank {waiting_on} has neither beaten epoch \
-                         {epoch} nor been declared failed"
-                    ),
-                });
-            }
-            let _ = self.signal.wait_for(&mut st, deadline - now);
-        }
+        self.wait_until(
+            poisoned,
+            |d| protocol::epoch_gate(&d.view, me, epoch),
+            |rank| epoch_sync_stalled(rank, epoch),
+        )
+        .map(|failed| EpochReport { epoch, failed })
     }
 
     /// Block until this rank's own death is declared, acknowledge it
@@ -362,35 +380,23 @@ impl HealthState {
     /// Called by a killed rank's respawned thread before it rejoins as
     /// a replacement.
     pub(crate) fn await_failed(&self, rank: usize, poisoned: &AtomicBool) -> Result<u64, CommError> {
-        let start = Instant::now();
-        let deadline = start + self.cfg.sync_timeout;
-        let mut st = self.state.lock(LockRank::Health);
-        loop {
-            if poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            if st[rank].status == RankStatus::Failed {
-                st[rank].status = RankStatus::Rebuilding;
-                let epoch = st[rank].failed_epoch;
-                drop(st);
-                self.signal.notify_all();
-                return Ok(epoch);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    context: 0,
-                    src: rank,
-                    tag: 0,
-                    waited: now - start,
-                    detail: format!(
-                        "rank {rank} awaiting its own failure declaration that never came \
-                         (is the heartbeat monitor enabled?)"
-                    ),
-                });
-            }
-            let _ = self.signal.wait_for(&mut st, deadline - now);
-        }
+        let epoch = self.wait_until(
+            poisoned,
+            |d| match d.view[rank] {
+                PeerView { status: RankStatus::Failed, failed_epoch, .. } => Ok(failed_epoch),
+                _ => Err(rank),
+            },
+            |rank| {
+                format!(
+                    "rank {rank} awaiting its own failure declaration that never came \
+                     (is the heartbeat monitor enabled?)"
+                )
+            },
+        )?;
+        // Only this rank ever moves itself out of `Failed`, so the
+        // record cannot have changed since the gate passed.
+        self.apply(ControlEvent::Rebuilding { rank });
+        Ok(epoch)
     }
 
     /// Block until every rank in `failed` has acknowledged its death
@@ -403,53 +409,17 @@ impl HealthState {
         failed: &[usize],
         poisoned: &AtomicBool,
     ) -> Result<(), CommError> {
-        let start = Instant::now();
-        let deadline = start + self.cfg.sync_timeout;
-        let mut st = self.state.lock(LockRank::Health);
-        loop {
-            if poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            match failed.iter().find(|&&r| st[r].status == RankStatus::Failed) {
-                None => return Ok(()),
-                Some(&waiting_on) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(CommError::Timeout {
-                            context: 0,
-                            src: waiting_on,
-                            tag: 0,
-                            waited: now - start,
-                            detail: format!(
-                                "failed rank {waiting_on} never acknowledged its death"
-                            ),
-                        });
-                    }
-                    let _ = self.signal.wait_for(&mut st, deadline - now);
-                }
-            }
-        }
+        self.wait_until(
+            poisoned,
+            |d| protocol::rebirth_gate(&d.view, failed),
+            rebirth_stalled,
+        )
     }
 
     /// Reconstruction finished: the replacement for `rank` rejoins the
     /// healthy population at `epoch`.
     pub fn mark_recovered(&self, rank: usize, epoch: u64) {
-        if !self.enabled {
-            return;
-        }
-        {
-            let mut st = self.state.lock(LockRank::Health);
-            let h = &mut st[rank];
-            h.status = RankStatus::Healthy;
-            h.stale_scans = 0;
-            if epoch > h.epoch {
-                h.epoch = epoch;
-            }
-            // Re-baseline freshness so the scans that elapsed while dead
-            // don't count against the replacement.
-            h.observed_tick = self.ticks[rank].load(Ordering::Relaxed);
-        }
-        self.signal.notify_all();
+        self.apply(ControlEvent::Recovered { rank, epoch });
     }
 
     /// Administratively remove `rank` from the active world (elastic
@@ -458,85 +428,33 @@ impl HealthState {
     /// *not* a failure declaration and the rank never enters the dead
     /// set.
     pub fn park(&self, rank: usize) {
-        if !self.enabled {
-            return;
-        }
-        {
-            let mut st = self.state.lock(LockRank::Health);
-            let h = &mut st[rank];
-            h.status = RankStatus::Parked;
-            h.stale_scans = 0;
-        }
-        self.signal.notify_all();
+        self.apply(ControlEvent::Parked { rank });
     }
 
     /// Admit a parked rank to the active world at `epoch` (a grow, or
-    /// the initial activation of reserve capacity). The rank rejoins
-    /// the healthy population at the frontier so the scans elapsed
-    /// while parked do not count against it.
+    /// the initial activation of reserve capacity); a no-op on a rank
+    /// that is not parked. `epoch == u64::MAX` is the run-over release:
+    /// it wakes the parked waiter without readmitting the rank, which
+    /// stays `Parked` (inert to the scan, epoch waits, and the dead
+    /// set) while its driver exits instead of stepping.
     pub fn activate(&self, rank: usize, epoch: u64) {
-        if !self.enabled {
-            return;
-        }
-        {
-            let mut st = self.state.lock(LockRank::Health);
-            let h = &mut st[rank];
-            if h.status != RankStatus::Parked {
-                return;
-            }
-            if epoch == u64::MAX {
-                // Run-over release: wake the parked waiter without
-                // readmitting the rank to the world. It stays `Parked`
-                // (inert to the scan, epoch waits, and the dead set) and
-                // its driver exits instead of stepping.
-                h.epoch = u64::MAX;
-            } else {
-                h.status = RankStatus::Healthy;
-                h.stale_scans = 0;
-                if epoch > h.epoch {
-                    h.epoch = epoch;
-                }
-                h.observed_tick = self.ticks[rank].load(Ordering::Relaxed);
-            }
-        }
-        self.signal.notify_all();
+        self.apply(ControlEvent::Activated { rank, epoch });
     }
 
     /// Block until `rank` leaves `Parked` (a grow admitted it), and
-    /// return the epoch it was activated at. Parked ranks sit in this
-    /// wait instead of participating in steps.
+    /// return the epoch it was activated at — `u64::MAX` if it was
+    /// released at end of run while still parked. Parked ranks sit in
+    /// this wait instead of participating in steps.
     pub(crate) fn await_activation(
         &self,
         rank: usize,
         poisoned: &AtomicBool,
     ) -> Result<u64, CommError> {
-        let start = Instant::now();
-        let deadline = start + self.cfg.sync_timeout;
-        let mut st = self.state.lock(LockRank::Health);
-        loop {
-            if poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            if st[rank].status != RankStatus::Parked {
-                return Ok(st[rank].epoch);
-            }
-            if st[rank].epoch == u64::MAX {
-                // Released at end of run while still parked: the sentinel
-                // tells the driver to exit instead of joining a world.
-                return Ok(u64::MAX);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    context: 0,
-                    src: rank,
-                    tag: 0,
-                    waited: now - start,
-                    detail: format!("parked rank {rank} was never activated"),
-                });
-            }
-            let _ = self.signal.wait_for(&mut st, deadline - now);
-        }
+        self.wait_until(
+            poisoned,
+            |d| protocol::activation_gate(&d.view, rank),
+            never_activated,
+        )
     }
 
     /// Wake all detector waiters (poison path).
@@ -544,6 +462,20 @@ impl HealthState {
         let _guard = self.state.lock(LockRank::Health);
         self.signal.notify_all();
     }
+}
+
+/// Timeout diagnoses of the membership waits, worded once for the
+/// detector and its socket mirror.
+pub(crate) fn epoch_sync_stalled(rank: usize, epoch: u64) -> String {
+    format!("epoch sync stalled: rank {rank} has neither beaten epoch {epoch} nor been declared failed")
+}
+
+pub(crate) fn rebirth_stalled(rank: usize) -> String {
+    format!("failed rank {rank} never acknowledged its death")
+}
+
+pub(crate) fn never_activated(rank: usize) -> String {
+    format!("parked rank {rank} was never activated")
 }
 
 #[cfg(all(test, not(loom)))]
@@ -638,7 +570,7 @@ mod tests {
         h.scan();
         h.scan();
         assert_eq!(h.status(1), RankStatus::Failed);
-        let report = h.epoch_sync(1, &poisoned).expect("no live laggard");
+        let report = h.epoch_sync(0, 1, &poisoned).expect("no live laggard");
         assert_eq!(report.epoch, 1);
         assert_eq!(report.failed, vec![(1, 0)]);
     }
@@ -650,7 +582,7 @@ mod tests {
         h.beat(0, 1);
         // Rank 1 is behind but never declared (suspect threshold out of
         // reach): the sync must expire with a named culprit, not hang.
-        match h.epoch_sync(1, &poisoned) {
+        match h.epoch_sync(0, 1, &poisoned) {
             Err(CommError::Timeout { src, detail, .. }) => {
                 assert_eq!(src, 1);
                 assert!(detail.contains("epoch sync stalled"), "{detail}");
@@ -673,7 +605,7 @@ mod tests {
         }
         assert_eq!(h.status(2), RankStatus::Parked);
         assert!(h.dead_set().is_empty());
-        let report = h.epoch_sync(5, &poisoned).expect("parked rank skipped");
+        let report = h.epoch_sync(0, 5, &poisoned).expect("parked rank skipped");
         assert!(report.failed.is_empty());
         // Beats while parked do not self-activate.
         assert_eq!(h.beat(2, 5), RankStatus::Parked);
@@ -743,6 +675,6 @@ mod tests {
         h.tick(0);
         assert_eq!(h.beat(0, 5), RankStatus::Healthy);
         assert!(h.scan().is_empty());
-        assert_eq!(h.failed_epoch_of(1), None);
+        assert_eq!(h.view(1), PeerView::INITIAL);
     }
 }

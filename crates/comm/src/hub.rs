@@ -21,9 +21,7 @@
 
 use crate::fault::FaultPlan;
 use crate::health::{HealthState, HeartbeatConfig};
-use crate::protocol::{
-    self, status_name, ClientLine, ControlEvent, ControlLine,
-};
+use crate::protocol::{status_name, ClientLine, ControlEvent, ControlLine};
 use crate::sync::{LockRank, Mutex};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -125,21 +123,15 @@ struct ChildSlot {
     hub_killed: bool,
 }
 
-/// Lock order (see [`crate::sync`]): `HubChildren` → `HubLedger` →
-/// `HubClients` → `HubReport` → `HubSpawn`, with the shared-leaf
-/// `Health` lock last. The deepest real nestings are `welcome_block`
-/// (`HubLedger → HubClients → Health`) and the reaper
-/// (`HubChildren → HubReport`).
+/// Lock order (see [`crate::sync`]): `HubChildren` → `HubClients` →
+/// `HubReport` → `HubSpawn`, with the shared-leaf `Health` lock last.
+/// The deepest real nestings are `welcome_block` (`HubClients →
+/// Health`) and the reaper (`HubChildren → HubReport`).
 struct HubState {
     opts: HubOptions,
     health: HealthState,
     clients: Vec<Mutex<Option<ClientConn>>>,
     children: Mutex<Vec<ChildSlot>>,
-    /// Hub-side epoch/failure ledger (`HealthState` keeps its own copy
-    /// private; the hub needs it for `STATE` snapshot lines). Mutated
-    /// only through the pure FSM helpers in [`crate::protocol`]
-    /// (`hub_beat_outcome`, `hub_declare`, `hub_recover`).
-    ledger: Mutex<Vec<(u64, u64)>>, // (epoch, failed_epoch)
     report: Mutex<HubReport>,
     shutdown: AtomicBool,
     started: Instant,
@@ -173,6 +165,13 @@ impl HubState {
         self.broadcast(&ControlLine::Event(ev).render());
     }
 
+    /// A child-requested membership change: apply it to the
+    /// authoritative detector, then let every mirror follow.
+    fn commit(&self, ev: ControlEvent) {
+        self.health.apply(ev);
+        self.broadcast_event(ev);
+    }
+
     fn broadcast(&self, line: &str) {
         for dst in 0..self.opts.ranks {
             self.send_to(dst, line);
@@ -190,9 +189,8 @@ impl HubState {
             hb.scan_interval.as_millis(),
             hb.sync_timeout.as_millis(),
         );
-        // Lock order: HubLedger → HubClients → Health (see crate::sync).
-        let ledger = self.ledger.lock(LockRank::HubLedger);
         for rank in 0..self.opts.ranks {
+            // Lock order: HubClients → Health (see crate::sync).
             let client = self.clients[rank].lock(LockRank::HubClients);
             if let Some(conn) = client.as_ref() {
                 out.push_str(&format!(
@@ -200,10 +198,12 @@ impl HubState {
                     conn.incarnation, conn.data_addr
                 ));
             }
-            let (epoch, failed_epoch) = ledger[rank];
+            let state = self.health.view(rank);
             out.push_str(&format!(
-                "STATE {rank} {} {epoch} {failed_epoch}\n",
-                status_name(self.health.status(rank))
+                "STATE {rank} {} {} {}\n",
+                status_name(state.status),
+                state.epoch,
+                state.failed_epoch
             ));
         }
         out.push_str("READY\n");
@@ -239,18 +239,16 @@ impl HubState {
                     if self.opts.plan.should_kill(rank, epoch) {
                         // The scheduled death: a real SIGKILL in place
                         // of the ack. The victim never proceeds into
-                        // this epoch, so its ledger stays at `epoch-1` —
+                        // this epoch, so its record stays at `epoch-1` —
                         // byte-for-byte the in-process kill semantics.
                         self.kill_child(rank, epoch);
                         return;
                     }
-                    let status = self.health.beat(rank, epoch);
-                    let (ack, announce) = {
-                        let mut ledger = self.ledger.lock(LockRank::HubLedger);
-                        protocol::hub_beat_outcome(&mut ledger, rank, epoch, status)
-                    };
-                    self.send_to(rank, &ack.render());
-                    if let Some(ev) = announce {
+                    // Only an accepted beat advances the world: a fenced
+                    // or parked rank gets its status back and no `EPOCH`.
+                    let (status, accepted) = self.health.beat_event(rank, epoch);
+                    self.send_to(rank, &ControlLine::BeatAck(status).render());
+                    if let Some(ev) = accepted {
                         self.broadcast_event(ev);
                     }
                 }
@@ -270,12 +268,7 @@ impl HubState {
                     }
                 }
                 Some(ClientLine::Recovered { epoch }) => {
-                    self.health.mark_recovered(rank, epoch);
-                    let ev = {
-                        let mut ledger = self.ledger.lock(LockRank::HubLedger);
-                        protocol::hub_recover(&mut ledger, rank, epoch)
-                    };
-                    self.broadcast_event(ev);
+                    self.commit(ControlEvent::Recovered { rank, epoch });
                 }
                 Some(ClientLine::Poisoned) => {
                     // A child panicked: poison the world like the
@@ -283,24 +276,17 @@ impl HubState {
                     self.broadcast(&ControlLine::Poison.render());
                 }
                 Some(ClientLine::Retire) => {
-                    // Deliberate shrink: park, never declare. The ledger
-                    // is untouched — parking is not a failure and must
-                    // not disturb the epoch record (protocol bug #4).
-                    self.health.park(rank);
+                    // Deliberate shrink: park, never declare — parking
+                    // is not a failure (protocol bug #4).
                     self.stamp("parked", rank, 0);
-                    self.broadcast_event(protocol::hub_park(rank));
+                    self.commit(ControlEvent::Parked { rank });
                 }
                 Some(ClientLine::Activate { rank: target, epoch }) => {
                     // Grow: readmit a parked rank at the current epoch
-                    // frontier. `health.activate` refuses non-parked
-                    // targets, so a failed rank cannot be resurrected.
-                    self.health.activate(target, epoch);
-                    let ev = {
-                        let mut ledger = self.ledger.lock(LockRank::HubLedger);
-                        protocol::hub_activate(&mut ledger, target, epoch)
-                    };
+                    // frontier. `ACTIVATED` is a no-op on a non-parked
+                    // record, so a failed rank cannot be resurrected.
                     self.stamp("activated", target, epoch);
-                    self.broadcast_event(ev);
+                    self.commit(ControlEvent::Activated { rank: target, epoch });
                 }
                 Some(ClientLine::Goodbye) => return,
                 None => {}
@@ -409,7 +395,6 @@ pub fn run(
             .map(|_| Mutex::new(LockRank::HubClients, None))
             .collect(),
         children: Mutex::new(LockRank::HubChildren, Vec::new()),
-        ledger: Mutex::new(LockRank::HubLedger, vec![(0, 0); ranks]),
         report: Mutex::new(LockRank::HubReport, HubReport::default()),
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
@@ -523,17 +508,13 @@ pub fn run(
             while !monitor_state.shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(interval);
                 for (rank, failed_epoch) in monitor_state.health.scan() {
-                    let ev = {
-                        let mut ledger = monitor_state.ledger.lock(LockRank::HubLedger);
-                        protocol::hub_declare(&mut ledger, rank, failed_epoch)
-                    };
                     monitor_state
                         .report
                         .lock(LockRank::HubReport)
                         .declared
                         .push((rank, failed_epoch));
                     monitor_state.stamp("declared", rank, failed_epoch);
-                    monitor_state.broadcast_event(ev);
+                    monitor_state.broadcast_event(ControlEvent::Declared { rank, failed_epoch });
                     if !monitor_state.opts.respawn {
                         continue;
                     }

@@ -45,7 +45,7 @@ pub mod wire;
 pub use fault::{FaultAction, FaultPlan, FaultStats, SlowRank};
 pub use health::{EpochReport, HealthState, HeartbeatConfig, RankStatus};
 pub use stats::{ClassVolume, TagClassVolumes, TrafficStats, WireStats};
-pub use topology::{dims_create, CartComm};
+pub use topology::dims_create;
 pub use transport::{Transport, WirePayload};
 pub use wire::WireMsg;
 
@@ -563,46 +563,67 @@ impl Transport for Shared {
         let deadline = timeout.map(|t| start + t);
         let mut st = mbox.state.lock(LockRank::ChannelMail);
         loop {
-            if let Some(q) = st.ready.get_mut(&key) {
-                if let Some(boxed) = q.pop_front() {
+            // The verdict order (queued → poisoned → source declared
+            // failed → wait) is `protocol::recv_gate`'s, shared with the
+            // socket backend; there is no link here to condemn.
+            let queued = st.ready.get_mut(&key).filter(|q| !q.is_empty());
+            // With a heartbeat monitor attached, a wait on a source that
+            // stands declared `Failed` can never be satisfied. (The
+            // monitor wakes every mailbox after a declaration, so a
+            // blocked receiver reaches this check. Health state is a
+            // leaf lock — safe to take under the mailbox lock, and not
+            // taken at all when a payload is queued or no monitor runs.)
+            let source = if queued.is_some() || src == me {
+                protocol::PeerView::INITIAL
+            } else {
+                self.health.view(src)
+            };
+            let verdict = protocol::recv_gate(
+                queued.is_some(),
+                // SeqCst, checked while holding the mailbox lock: pairs
+                // with `Shared::poison`, which stores SeqCst and then
+                // takes this lock before notifying — so either this
+                // check sees the flag or the upcoming wait is woken by
+                // the notify (no lost-wakeup window; model-checked in
+                // tests/loom.rs).
+                self.poisoned.load(Ordering::SeqCst),
+                src == me,
+                source.status,
+                source.failed_epoch,
+                false,
+                &protocol::Mutations::NONE,
+            );
+            match verdict {
+                protocol::RecvVerdict::Deliver => {
+                    let boxed = queued
+                        .and_then(VecDeque::pop_front)
+                        .expect("gate saw a queued payload");
                     return Ok(WirePayload::Boxed(boxed));
                 }
-            }
-            // SeqCst, checked while holding the mailbox lock: pairs
-            // with `Shared::poison`, which stores SeqCst and then takes
-            // this lock before notifying — so either this check sees
-            // the flag or the upcoming wait is woken by the notify (no
-            // lost-wakeup window; model-checked in tests/loom.rs).
-            if self.poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            // With a heartbeat monitor attached, a wait on a source that
-            // stands declared `Failed` can never be satisfied: surface
-            // it as a survivable error. (The monitor wakes every mailbox
-            // after a declaration, so a blocked receiver reaches this
-            // check. Health state is a leaf lock — safe to take under
-            // the mailbox lock; see `HealthState` docs.)
-            if self.health.enabled() {
-                if let Some(epoch) = self.health.failed_epoch_of(src) {
+                protocol::RecvVerdict::Poisoned => return Err(CommError::Poisoned),
+                protocol::RecvVerdict::RankFailed { epoch } => {
                     return Err(CommError::RankFailed { rank: src, epoch });
                 }
-            }
-            match deadline {
-                None => mbox.signal.wait(&mut st),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        let detail = st.diagnose(&key);
-                        return Err(CommError::Timeout {
-                            context,
-                            src,
-                            tag,
-                            waited: now - start,
-                            detail,
-                        });
-                    }
-                    let _ = mbox.signal.wait_for(&mut st, d - now);
+                protocol::RecvVerdict::Corrupt => {
+                    unreachable!("the in-process backend never condemns a source")
                 }
+                protocol::RecvVerdict::Wait => match deadline {
+                    None => mbox.signal.wait(&mut st),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            let detail = st.diagnose(&key);
+                            return Err(CommError::Timeout {
+                                context,
+                                src,
+                                tag,
+                                waited: now - start,
+                                detail,
+                            });
+                        }
+                        let _ = mbox.signal.wait_for(&mut st, d - now);
+                    }
+                },
             }
         }
     }
@@ -658,8 +679,8 @@ impl Transport for Shared {
         self.health.beat(me, epoch)
     }
 
-    fn epoch_sync(&self, _me: usize, epoch: u64) -> Result<EpochReport, CommError> {
-        self.health.epoch_sync(epoch, &self.poisoned)
+    fn epoch_sync(&self, me: usize, epoch: u64) -> Result<EpochReport, CommError> {
+        self.health.epoch_sync(me, epoch, &self.poisoned)
     }
 
     fn await_failed(&self, me: usize) -> Result<u64, CommError> {
@@ -1134,9 +1155,6 @@ impl Comm {
     /// Tier-0 recovery path handles.
     #[must_use]
     pub fn dead_set(&self) -> Vec<(usize, u64)> {
-        if !self.t().health_enabled() {
-            return Vec::new();
-        }
         self.t().dead_set()
     }
 
@@ -1144,9 +1162,6 @@ impl Comm {
     /// tests); `Healthy` on machines without a monitor.
     #[must_use]
     pub fn rank_status(&self, rank: usize) -> RankStatus {
-        if !self.t().health_enabled() {
-            return RankStatus::Healthy;
-        }
         self.t().rank_status(self.global(rank))
     }
 
@@ -1185,20 +1200,6 @@ impl Comm {
                 Err(e) => panic!("{e}"),
             }
         }
-    }
-
-    /// Number of ranks currently in the active world (everything not
-    /// `Parked` — dead ranks still count, since their replacements are
-    /// world members). Equals [`Comm::size`] on machines without a
-    /// monitor.
-    #[must_use]
-    pub fn active_count(&self) -> usize {
-        if !self.t().health_enabled() {
-            return self.size();
-        }
-        (0..self.size())
-            .filter(|&r| self.t().rank_status(self.global(r)) != RankStatus::Parked)
-            .count()
     }
 
     /// Sub-communicator over the active prefix `[0, active)` of this

@@ -27,15 +27,16 @@
 //! | here | drives |
 //! |---|---|
 //! | [`LinkSession`] | `socket::LinkState` seq/incarnation handling (`register_link`, `write_frame`, `reader_loop`) |
-//! | [`recv_gate`] | the verdict loop in `SocketTransport::recv` |
+//! | [`recv_gate`] | the verdict loop of `SocketTransport::recv` and of the in-process `Shared::recv` (which has no link to condemn and passes `condemned = false`) |
 //! | [`send_route`] | the self-send / dead-drop / link split in `SocketTransport::send` |
-//! | [`apply_control`] + [`PeerView`] | `SocketTransport::control_loop`'s mirror updates |
-//! | [`epoch_gate`], [`rebirth_gate`], [`dead_set`] | `epoch_sync`, `await_rebirth`, `dead_set` |
+//! | [`PeerView`] + [`apply_control`] | the one membership record: `health.rs`'s authoritative detector (in-process machine *and* hub) and `SocketTransport::control_loop`'s mirror of it |
+//! | [`scan_step`] | the suspicion FSM of `HealthState::scan` |
+//! | [`epoch_gate`], [`rebirth_gate`], [`activation_gate`], [`dead_set`] | `epoch_sync`, `await_rebirth`, `await_activation`, `dead_set` on both backends |
 //! | [`ControlLine`], [`ClientLine`] | both wire directions of the control-line protocol (hub renders, child parses, and vice versa) |
-//! | [`hub_beat_outcome`], [`hub_declare`], [`hub_recover`] | the hub's ledger FSM in `serve_client` and the failure monitor |
+//! | [`beat_gate`] | fencing in `HealthState::beat`; the ack and `EPOCH` broadcast `hub::serve_client` emits for a beat |
 //! | [`locks`] | the lock-acquisition scripts checked by the lock-order model |
 
-use crate::RankStatus;
+use crate::{HeartbeatConfig, RankStatus};
 
 /// Test-only mutation hooks: each flag reintroduces one historical bug
 /// so the model checker can demonstrate it finds that bug class. The
@@ -63,6 +64,10 @@ pub struct Mutations {
     /// shrink as a casualty, and recovery machinery fires for a rank
     /// that was never lost.
     pub retire_marks_failed: bool,
+    /// Bug #5 (epoch gate): the scan counts silence against a rank at
+    /// the epoch frontier, so a rank deep in send-free compute — whose
+    /// peers are all waiting *for it* — is suspected and then declared.
+    pub suspect_at_frontier: bool,
 }
 
 impl Mutations {
@@ -72,6 +77,7 @@ impl Mutations {
         reset_seq_on_reconnect: false,
         diagnose_under_mailbox: false,
         retire_marks_failed: false,
+        suspect_at_frontier: false,
     };
 }
 
@@ -290,10 +296,14 @@ pub fn send_route(src: usize, dst: usize, dst_status: RankStatus) -> SendRoute {
 }
 
 // ---------------------------------------------------------------------
-// Detector mirror: hub broadcasts → local failure view
+// Membership record: one per rank, in the detector and in its mirrors
 // ---------------------------------------------------------------------
 
-/// One rank's entry in the child-side replica of the hub's detector.
+/// One rank's membership record. The authoritative copy lives in
+/// `HealthState` (the in-process machine's detector, and the hub's);
+/// every socket child mirrors it from the hub's broadcasts. Both are
+/// mutated only through [`apply_control`] (plus [`scan_step`]'s local
+/// suspicion) and read only through the gates below.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PeerView {
     pub status: RankStatus,
@@ -312,8 +322,9 @@ impl PeerView {
     };
 }
 
-/// A hub state broadcast (the mirror-mutating subset of
-/// [`ControlLine`]).
+/// One membership change: what the authoritative detector applies to
+/// its own record and what the hub broadcasts for every mirror to apply
+/// (the record-mutating subset of [`ControlLine`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ControlEvent {
     /// `EPOCH r e`: rank `r` completed epoch `e` (healthy beat).
@@ -333,6 +344,27 @@ pub enum ControlEvent {
     Activated { rank: usize, epoch: u64 },
 }
 
+impl ControlEvent {
+    /// Wire form: keyword, the rank whose record the event changes, and
+    /// the epoch argument of the events that carry one.
+    fn wire(&self) -> (&'static str, usize, Option<u64>) {
+        match *self {
+            ControlEvent::Epoch { rank, epoch } => ("EPOCH", rank, Some(epoch)),
+            ControlEvent::Declared { rank, failed_epoch } => ("DECLARED", rank, Some(failed_epoch)),
+            ControlEvent::Rebuilding { rank } => ("REBUILDING", rank, None),
+            ControlEvent::Recovered { rank, epoch } => ("RECOVERED", rank, Some(epoch)),
+            ControlEvent::Parked { rank } => ("PARKED", rank, None),
+            ControlEvent::Activated { rank, epoch } => ("ACTIVATED", rank, Some(epoch)),
+        }
+    }
+
+    /// The rank whose record this event changes.
+    #[must_use]
+    pub fn rank(&self) -> usize {
+        self.wire().1
+    }
+}
+
 /// Side effect a mirror update demands outside the mirror itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MirrorEffect {
@@ -344,12 +376,20 @@ pub enum MirrorEffect {
     LiftCondemnation { rank: usize },
 }
 
-/// Apply one hub broadcast to the local mirror. Pure: the caller owns
-/// the locking and performs the returned [`MirrorEffect`].
+/// Apply one membership change to a record set — the detector's own or
+/// a mirror of it. Pure: the caller owns the locking and performs the
+/// returned [`MirrorEffect`].
 pub fn apply_control(view: &mut [PeerView], ev: ControlEvent, m: &Mutations) -> MirrorEffect {
     match ev {
         ControlEvent::Epoch { rank, epoch } => {
             if let Some(p) = view.get_mut(rank) {
+                // A beat is proof of life: it clears a pending
+                // suspicion. Whether a beat may be applied at all (it
+                // may not once the rank is declared or parked) is
+                // [`beat_gate`]'s decision, taken by the detector only.
+                if p.status == RankStatus::Suspected {
+                    p.status = RankStatus::Healthy;
+                }
                 if epoch > p.epoch {
                     p.epoch = epoch;
                 }
@@ -426,6 +466,71 @@ pub fn apply_control(view: &mut [PeerView], ev: ControlEvent, m: &Mutations) -> 
     }
 }
 
+/// The detector's judgement of a `BEAT e` from `rank`: the status to
+/// acknowledge, and the [`ControlEvent::Epoch`] to apply and announce —
+/// `None` once the rank stands declared (fencing: a late heartbeat
+/// cannot resurrect it, it must rejoin as a replacement) or parked
+/// (only an explicit activation admits it to the world).
+#[must_use]
+pub fn beat_gate(p: &PeerView, rank: usize, epoch: u64) -> (RankStatus, Option<ControlEvent>) {
+    match p.status {
+        RankStatus::Failed | RankStatus::Rebuilding | RankStatus::Parked => (p.status, None),
+        RankStatus::Healthy | RankStatus::Suspected => {
+            (RankStatus::Healthy, Some(ControlEvent::Epoch { rank, epoch }))
+        }
+    }
+}
+
+/// One monitor scan of one rank: the suspicion FSM `healthy →
+/// suspected → failed`. `progressed` says whether the rank's heartbeat
+/// counter moved since the previous scan, `stale_scans` counts its
+/// consecutive silent scans, `max_epoch` is the epoch frontier.
+///
+/// Suspicion is local to the detector (never broadcast), so the
+/// `Healthy ↔ Suspected` moves happen on `p` in place. Returns `true`
+/// when continued silence hardens into a death: the caller applies —
+/// and the hub broadcasts — [`ControlEvent::Declared`] with
+/// `failed_epoch = p.epoch`.
+///
+/// Epoch gate: a rank *at* the frontier is never suspected, however
+/// silent — its peers are blocked waiting for it and cannot advance the
+/// frontier, so silence there is compute, not death. Declared and
+/// parked ranks are inert.
+pub fn scan_step(
+    p: &mut PeerView,
+    stale_scans: &mut u32,
+    progressed: bool,
+    max_epoch: u64,
+    cfg: &HeartbeatConfig,
+    m: &Mutations,
+) -> bool {
+    match p.status {
+        RankStatus::Healthy => {
+            let at_frontier = p.epoch >= max_epoch && !m.suspect_at_frontier;
+            if progressed || at_frontier {
+                *stale_scans = 0;
+            } else {
+                *stale_scans += 1;
+                if *stale_scans >= cfg.suspect_scans {
+                    p.status = RankStatus::Suspected;
+                    *stale_scans = 0;
+                }
+            }
+            false
+        }
+        RankStatus::Suspected => {
+            if progressed {
+                p.status = RankStatus::Healthy;
+                *stale_scans = 0;
+                return false;
+            }
+            *stale_scans += 1;
+            *stale_scans >= cfg.confirm_scans
+        }
+        RankStatus::Failed | RankStatus::Rebuilding | RankStatus::Parked => false,
+    }
+}
+
 /// The dead set a transport reports: every rank currently `Failed` or
 /// `Rebuilding`, with the last epoch its dead incarnation completed.
 #[must_use]
@@ -437,22 +542,17 @@ pub fn dead_set(view: &[PeerView]) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// Outcome of one `epoch_sync` poll of the mirror.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EpochGate {
-    /// Every rank has either reached `epoch` or been declared:
-    /// proceed, reporting the casualties.
-    Ready { failed: Vec<(usize, u64)> },
-    /// `rank` has neither beaten `epoch` nor been declared — keep
-    /// waiting on the mirror.
-    Waiting { rank: usize },
-}
+// The wait gates. Each judges one poll of a record set (the detector's
+// or a mirror's) and answers in the shape `health::wait_until` loops
+// on: `Ok(outcome)` once the wait is over, `Err(rank)` naming the rank
+// it is still waiting on.
 
-/// Decide whether epoch `epoch` is globally complete from `me`'s
-/// mirror. A rank's own healthy entry passes even if its `EPOCH` echo
-/// is still in flight — its beat-ack already proved it.
-#[must_use]
-pub fn epoch_gate(view: &[PeerView], me: usize, epoch: u64) -> EpochGate {
+/// `epoch_sync`: is epoch `epoch` globally complete from `me`'s point of
+/// view? `Ok(casualties)` once every rank has either reached `epoch` or
+/// been declared; `Err(rank)` while `rank` has done neither. A rank's
+/// own healthy entry passes even if its `EPOCH` echo is still in flight
+/// — its beat-ack already proved it.
+pub fn epoch_gate(view: &[PeerView], me: usize, epoch: u64) -> Result<Vec<(usize, u64)>, usize> {
     let mut failed = Vec::new();
     for (rank, p) in view.iter().enumerate() {
         if p.epoch >= epoch || rank == me && p.status == RankStatus::Healthy {
@@ -465,38 +565,27 @@ pub fn epoch_gate(view: &[PeerView], me: usize, epoch: u64) -> EpochGate {
             // Parked ranks are outside the world: never waited on,
             // never reported failed.
             RankStatus::Parked => {}
-            RankStatus::Healthy | RankStatus::Suspected => {
-                return EpochGate::Waiting { rank };
-            }
+            RankStatus::Healthy | RankStatus::Suspected => return Err(rank),
         }
     }
-    EpochGate::Ready { failed }
+    Ok(failed)
 }
 
-/// Which of `failed` is still `Failed` (not yet `Rebuilding` or
-/// better)? `await_rebirth` blocks while this returns `Some`.
-#[must_use]
-pub fn rebirth_gate(view: &[PeerView], failed: &[usize]) -> Option<usize> {
-    failed
-        .iter()
-        .copied()
-        .find(|&r| view.get(r).is_some_and(|p| p.status == RankStatus::Failed))
+/// `await_rebirth`: `Err(rank)` while some `rank` of `failed` is still
+/// `Failed` (not yet `Rebuilding` or better).
+pub fn rebirth_gate(view: &[PeerView], failed: &[usize]) -> Result<(), usize> {
+    let unacknowledged = |&r: &usize| view.get(r).is_some_and(|p| p.status == RankStatus::Failed);
+    failed.iter().copied().find(unacknowledged).map_or(Ok(()), Err)
 }
 
-/// `Some(epoch)` once parked `rank` has been admitted to the active
-/// world (its mirror entry left `Parked`); `None` while
-/// `await_activation` must keep waiting.
-#[must_use]
-pub fn activation_gate(view: &[PeerView], rank: usize) -> Option<u64> {
-    view.get(rank).and_then(|p| {
-        if p.status != RankStatus::Parked || p.epoch == u64::MAX {
-            // Either readmitted, or released at end of run while still
-            // parked (the `u64::MAX` sentinel the hub broadcasts).
-            Some(p.epoch)
-        } else {
-            None
-        }
-    })
+/// `await_activation`: `Ok(epoch)` once parked `rank` has been admitted
+/// to the active world (its entry left `Parked`) — or released at end of
+/// run while still parked, with the `u64::MAX` sentinel as the epoch.
+pub fn activation_gate(view: &[PeerView], rank: usize) -> Result<u64, usize> {
+    match view.get(rank) {
+        Some(p) if p.status != RankStatus::Parked || p.epoch == u64::MAX => Ok(p.epoch),
+        _ => Err(rank),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -553,20 +642,10 @@ impl ControlLine {
         match self {
             ControlLine::BeatAck(status) => format!("BEATACK {}", status_name(*status)),
             ControlLine::FailedEpoch(epoch) => format!("FAILEDEPOCH {epoch}"),
-            ControlLine::Event(ControlEvent::Epoch { rank, epoch }) => {
-                format!("EPOCH {rank} {epoch}")
-            }
-            ControlLine::Event(ControlEvent::Declared { rank, failed_epoch }) => {
-                format!("DECLARED {rank} {failed_epoch}")
-            }
-            ControlLine::Event(ControlEvent::Rebuilding { rank }) => format!("REBUILDING {rank}"),
-            ControlLine::Event(ControlEvent::Recovered { rank, epoch }) => {
-                format!("RECOVERED {rank} {epoch}")
-            }
-            ControlLine::Event(ControlEvent::Parked { rank }) => format!("PARKED {rank}"),
-            ControlLine::Event(ControlEvent::Activated { rank, epoch }) => {
-                format!("ACTIVATED {rank} {epoch}")
-            }
+            ControlLine::Event(ev) => match ev.wire() {
+                (keyword, rank, Some(epoch)) => format!("{keyword} {rank} {epoch}"),
+                (keyword, rank, None) => format!("{keyword} {rank}"),
+            },
             ControlLine::Poison => "POISON".to_string(),
         }
     }
@@ -577,54 +656,21 @@ impl ControlLine {
     #[must_use]
     pub fn parse(line: &str) -> Option<ControlLine> {
         let mut it = line.split_whitespace();
-        match it.next()? {
-            "BEATACK" => Some(ControlLine::BeatAck(parse_status(it.next().unwrap_or("")))),
-            "FAILEDEPOCH" => Some(ControlLine::FailedEpoch(
-                parse_arg(it.next()).unwrap_or(0),
-            )),
-            "EPOCH" => {
-                let (rank, epoch) = (parse_arg(it.next())?, parse_arg(it.next())?);
-                Some(ControlLine::Event(ControlEvent::Epoch {
-                    rank: rank as usize,
-                    epoch,
-                }))
-            }
-            "DECLARED" => {
-                let (rank, failed_epoch) = (parse_arg(it.next())?, parse_arg(it.next())?);
-                Some(ControlLine::Event(ControlEvent::Declared {
-                    rank: rank as usize,
-                    failed_epoch,
-                }))
-            }
-            "REBUILDING" => {
-                let rank = parse_arg(it.next())?;
-                Some(ControlLine::Event(ControlEvent::Rebuilding {
-                    rank: rank as usize,
-                }))
-            }
-            "RECOVERED" => {
-                let (rank, epoch) = (parse_arg(it.next())?, parse_arg(it.next())?);
-                Some(ControlLine::Event(ControlEvent::Recovered {
-                    rank: rank as usize,
-                    epoch,
-                }))
-            }
-            "PARKED" => {
-                let rank = parse_arg(it.next())?;
-                Some(ControlLine::Event(ControlEvent::Parked {
-                    rank: rank as usize,
-                }))
-            }
-            "ACTIVATED" => {
-                let (rank, epoch) = (parse_arg(it.next())?, parse_arg(it.next())?);
-                Some(ControlLine::Event(ControlEvent::Activated {
-                    rank: rank as usize,
-                    epoch,
-                }))
-            }
-            "POISON" => Some(ControlLine::Poison),
-            _ => None,
-        }
+        let keyword = it.next()?;
+        let mut arg = || parse_arg(it.next());
+        let event = match keyword {
+            "BEATACK" => return Some(ControlLine::BeatAck(parse_status(it.next().unwrap_or("")))),
+            "FAILEDEPOCH" => return Some(ControlLine::FailedEpoch(arg().unwrap_or(0))),
+            "POISON" => return Some(ControlLine::Poison),
+            "EPOCH" => ControlEvent::Epoch { rank: arg()? as usize, epoch: arg()? },
+            "DECLARED" => ControlEvent::Declared { rank: arg()? as usize, failed_epoch: arg()? },
+            "REBUILDING" => ControlEvent::Rebuilding { rank: arg()? as usize },
+            "RECOVERED" => ControlEvent::Recovered { rank: arg()? as usize, epoch: arg()? },
+            "PARKED" => ControlEvent::Parked { rank: arg()? as usize },
+            "ACTIVATED" => ControlEvent::Activated { rank: arg()? as usize, epoch: arg()? },
+            _ => return None,
+        };
+        Some(ControlLine::Event(event))
     }
 }
 
@@ -694,61 +740,6 @@ impl ClientLine {
             _ => None,
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Hub ledger FSM: which broadcasts a hub event produces
-// ---------------------------------------------------------------------
-
-/// The hub's reaction to a `BEAT e` it did *not* answer with a kill:
-/// the ack line, plus the `EPOCH` broadcast iff the detector judged
-/// the rank healthy (only healthy beats advance the world's ledger).
-#[must_use]
-pub fn hub_beat_outcome(
-    ledger: &mut [(u64, u64)],
-    rank: usize,
-    epoch: u64,
-    status: RankStatus,
-) -> (ControlLine, Option<ControlEvent>) {
-    let announce = (status == RankStatus::Healthy).then(|| {
-        ledger[rank].0 = epoch;
-        ControlEvent::Epoch { rank, epoch }
-    });
-    (ControlLine::BeatAck(status), announce)
-}
-
-/// The hub's detector declared `rank` dead: record the last completed
-/// epoch and produce the `DECLARED` broadcast.
-#[must_use]
-pub fn hub_declare(ledger: &mut [(u64, u64)], rank: usize, failed_epoch: u64) -> ControlEvent {
-    ledger[rank].1 = failed_epoch;
-    ControlEvent::Declared { rank, failed_epoch }
-}
-
-/// `rank` finished its recovery collectives at `epoch`: record it and
-/// produce the `RECOVERED` broadcast.
-#[must_use]
-pub fn hub_recover(ledger: &mut [(u64, u64)], rank: usize, epoch: u64) -> ControlEvent {
-    ledger[rank].0 = epoch;
-    ControlEvent::Recovered { rank, epoch }
-}
-
-/// `rank` deliberately retired (or was allocated as reserve capacity):
-/// produce the `PARKED` broadcast. Deliberately does NOT touch the
-/// failed-epoch column — parking is not a death, and the ledger must
-/// never let the two be confused.
-#[must_use]
-pub fn hub_park(rank: usize) -> ControlEvent {
-    ControlEvent::Parked { rank }
-}
-
-/// Parked `rank` was admitted to the world at `epoch`: record the
-/// epoch (it joins at the frontier) and produce the `ACTIVATED`
-/// broadcast.
-#[must_use]
-pub fn hub_activate(ledger: &mut [(u64, u64)], rank: usize, epoch: u64) -> ControlEvent {
-    ledger[rank].0 = epoch;
-    ControlEvent::Activated { rank, epoch }
 }
 
 // ---------------------------------------------------------------------
@@ -863,17 +854,15 @@ pub mod locks {
         ]
     }
 
-    /// `hub::HubState::welcome_block`: snapshot lines under
-    /// `HubLedger → HubClients → Health`.
+    /// `hub::HubState::welcome_block`: one rank's `PEER` and `STATE`
+    /// lines under `HubClients → Health`.
     #[must_use]
     pub fn hub_welcome_block() -> Vec<LockOp> {
         vec![
-            Acquire(LockRank::HubLedger),
             Acquire(LockRank::HubClients),
             Acquire(LockRank::Health),
             Release(LockRank::Health),
             Release(LockRank::HubClients),
-            Release(LockRank::HubLedger),
         ]
     }
 
@@ -1078,7 +1067,7 @@ mod tests {
         active[0].epoch = 9;
         active[1].epoch = 9;
         apply_control(&mut active, ControlEvent::Parked { rank: 2 }, &Mutations::NONE);
-        assert_eq!(epoch_gate(&active, 0, 9), EpochGate::Ready { failed: vec![] });
+        assert_eq!(epoch_gate(&active, 0, 9), Ok(vec![]));
         // The mutated protocol (bug #4) turns the retire into a death:
         // the model run's counterexample.
         let m = Mutations {
@@ -1096,14 +1085,14 @@ mod tests {
     fn activation_admits_only_parked_ranks() {
         let mut view = [PeerView::INITIAL; 2];
         apply_control(&mut view, ControlEvent::Parked { rank: 1 }, &Mutations::NONE);
-        assert_eq!(activation_gate(&view, 1), None, "parked: keep waiting");
+        assert_eq!(activation_gate(&view, 1), Err(1), "parked: keep waiting");
         apply_control(
             &mut view,
             ControlEvent::Activated { rank: 1, epoch: 4 },
             &Mutations::NONE,
         );
         assert_eq!(view[1].status, RankStatus::Healthy);
-        assert_eq!(activation_gate(&view, 1), Some(4));
+        assert_eq!(activation_gate(&view, 1), Ok(4));
         // Activation must not resurrect a failed rank.
         apply_control(
             &mut view,
@@ -1122,30 +1111,49 @@ mod tests {
     }
 
     #[test]
-    fn hub_beat_announces_only_healthy() {
-        let mut ledger = vec![(0, 0); 2];
-        let (ack, ev) = hub_beat_outcome(&mut ledger, 1, 5, RankStatus::Healthy);
-        assert_eq!(ack, ControlLine::BeatAck(RankStatus::Healthy));
-        assert_eq!(ev, Some(ControlEvent::Epoch { rank: 1, epoch: 5 }));
-        assert_eq!(ledger[1].0, 5);
-        let (_, ev) = hub_beat_outcome(&mut ledger, 1, 6, RankStatus::Suspected);
-        assert_eq!(ev, None, "suspected beat must not advance the world");
-        assert_eq!(ledger[1].0, 5);
+    fn beat_gate_fences_declared_and_parked() {
+        let mut p = PeerView::INITIAL;
+        let epoch = Some(ControlEvent::Epoch { rank: 1, epoch: 5 });
+        assert_eq!(beat_gate(&p, 1, 5), (RankStatus::Healthy, epoch));
+        p.status = RankStatus::Suspected;
+        assert_eq!(beat_gate(&p, 1, 5), (RankStatus::Healthy, epoch), "a beat clears suspicion");
+        for fenced in [RankStatus::Failed, RankStatus::Rebuilding, RankStatus::Parked] {
+            p.status = fenced;
+            assert_eq!(beat_gate(&p, 1, 5), (fenced, None), "{fenced:?} beat must not advance the world");
+        }
+    }
+
+    #[test]
+    fn scan_step_walks_healthy_suspected_failed() {
+        let cfg = HeartbeatConfig {
+            suspect_scans: 2,
+            confirm_scans: 2,
+            ..HeartbeatConfig::default()
+        };
+        let mut p = PeerView::INITIAL;
+        let mut stale = 0;
+        // At the frontier: silence is not suspicious.
+        assert!(!scan_step(&mut p, &mut stale, false, 0, &cfg, &Mutations::NONE));
+        assert_eq!((p.status, stale), (RankStatus::Healthy, 0));
+        // Behind it: two silent scans suspect, two more declare.
+        assert!(!scan_step(&mut p, &mut stale, false, 1, &cfg, &Mutations::NONE));
+        assert!(!scan_step(&mut p, &mut stale, false, 1, &cfg, &Mutations::NONE));
+        assert_eq!(p.status, RankStatus::Suspected);
+        assert!(!scan_step(&mut p, &mut stale, false, 1, &cfg, &Mutations::NONE));
+        assert!(scan_step(&mut p, &mut stale, false, 1, &cfg, &Mutations::NONE));
+        // Any traffic clears the suspicion instead.
+        assert!(!scan_step(&mut p, &mut stale, true, 1, &cfg, &Mutations::NONE));
+        assert_eq!((p.status, stale), (RankStatus::Healthy, 0));
     }
 
     #[test]
     fn epoch_gate_mirrors_sync_loop() {
         let mut view = vec![PeerView::INITIAL; 3];
         view[0].epoch = 2;
-        assert_eq!(epoch_gate(&view, 0, 2), EpochGate::Waiting { rank: 1 });
+        assert_eq!(epoch_gate(&view, 0, 2), Err(1));
         view[1].status = RankStatus::Failed;
         view[1].failed_epoch = 1;
         view[2].epoch = 2;
-        assert_eq!(
-            epoch_gate(&view, 0, 2),
-            EpochGate::Ready {
-                failed: vec![(1, 1)]
-            }
-        );
+        assert_eq!(epoch_gate(&view, 0, 2), Ok(vec![(1, 1)]));
     }
 }

@@ -107,14 +107,16 @@
 //! them to sockets, threads, and the locks above.
 
 use crate::protocol::{
-    self, ClientLine, ControlEvent, ControlLine, EpochGate, FrameVerdict, MirrorEffect, Mutations,
-    PeerView, RecvVerdict, SendRoute,
+    self, ClientLine, ControlEvent, ControlLine, FrameVerdict, MirrorEffect, Mutations, PeerView,
+    RecvVerdict, SendRoute,
 };
 use crate::stats::WireStats;
 use crate::sync::{Condvar, LockRank, Mutex};
 use crate::transport::{Transport, WirePayload};
 use crate::wire::{self, FrameHeader, FRAME_HEADER, FRAME_TRAILER};
-use crate::{fault, ClassCounters, CommError, EpochReport, FaultStats, RankStatus, TrafficStats};
+use crate::{
+    fault, health, ClassCounters, CommError, EpochReport, FaultStats, RankStatus, TrafficStats,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -779,22 +781,9 @@ impl SocketTransport {
     /// Block until every peer link is up (initial rendezvous).
     fn wait_links_up(&self) -> std::io::Result<()> {
         let deadline = Instant::now() + self.timing.sync_timeout;
-        for peer in 0..self.cfg.ranks {
-            if peer == self.cfg.rank {
-                continue;
-            }
-            let link = &self.links[peer];
-            let mut st = link.state.lock(LockRank::Link);
-            while !st.up {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(io_err(
-                        "rendezvous",
-                        format!("link to rank {peer} never came up"),
-                    ));
-                }
-                let _ = link.signal.wait_for(&mut st, deadline - now);
-            }
+        for peer in (0..self.cfg.ranks).filter(|&p| p != self.cfg.rank) {
+            self.wait_link_up(peer, deadline, |p| format!("link to rank {p} never came up"))
+                .map_err(|e| io_err("rendezvous", e))?;
         }
         Ok(())
     }
@@ -826,16 +815,10 @@ impl SocketTransport {
             let Ok(line) = line else { break };
             match ControlLine::parse(&line) {
                 Some(ControlLine::BeatAck(status)) => {
-                    let mut slot = self.control.rpc.lock(LockRank::ControlRpc);
-                    slot.beat_ack = Some(status);
-                    drop(slot);
-                    self.control.rpc_signal.notify_all();
+                    self.rpc_reply(|slot| slot.beat_ack = Some(status));
                 }
                 Some(ControlLine::FailedEpoch(epoch)) => {
-                    let mut slot = self.control.rpc.lock(LockRank::ControlRpc);
-                    slot.failed_epoch = Some(epoch);
-                    drop(slot);
-                    self.control.rpc_signal.notify_all();
+                    self.rpc_reply(|slot| slot.failed_epoch = Some(epoch));
                 }
                 Some(ControlLine::Event(ev)) => self.apply_control_event(ev),
                 Some(ControlLine::Poison) => self.poison_self(),
@@ -847,6 +830,12 @@ impl SocketTransport {
         if !self.closing.load(Ordering::SeqCst) {
             self.poison_self();
         }
+    }
+
+    /// Fill the RPC slot with the hub's answer and wake the caller.
+    fn rpc_reply(&self, fill: impl FnOnce(&mut RpcSlot)) {
+        fill(&mut self.control.rpc.lock(LockRank::ControlRpc));
+        self.control.rpc_signal.notify_all();
     }
 
     /// Drive one detector broadcast through the pure mirror machine
@@ -911,6 +900,41 @@ impl SocketTransport {
             assert!(now < deadline, "hub did not answer {line} in time");
             let _ = self.control.rpc_signal.wait_for(&mut slot, deadline - now);
         }
+    }
+
+    /// Block until `gate` passes over the detector mirror (the wait
+    /// loop itself is the detector's own, [`health::wait_until`]).
+    fn wait_mirror<T>(
+        &self,
+        gate: impl FnMut(&Vec<PeerView>) -> Result<T, usize>,
+        what_timed_out: impl FnOnce(usize) -> String,
+    ) -> Result<T, CommError> {
+        health::wait_until(
+            self.mirror.state.lock(LockRank::Mirror),
+            &self.mirror.signal,
+            &self.poisoned,
+            self.timing.sync_timeout,
+            gate,
+            what_timed_out,
+        )
+    }
+
+    /// Block until the link to `peer` is up, or `deadline` passes.
+    fn wait_link_up(
+        &self,
+        peer: usize,
+        deadline: Instant,
+        what_timed_out: impl FnOnce(usize) -> String,
+    ) -> Result<(), CommError> {
+        let link = &self.links[peer];
+        health::wait_until(
+            link.state.lock(LockRank::Link),
+            &link.signal,
+            &self.poisoned,
+            deadline.saturating_duration_since(Instant::now()),
+            |st| if st.up { Ok(()) } else { Err(peer) },
+            what_timed_out,
+        )
     }
 
     /// Build the timeout diagnosis for `src`. Takes the link lock, so
@@ -1255,33 +1279,11 @@ impl Transport for SocketTransport {
     }
 
     fn epoch_sync(&self, me: usize, epoch: u64) -> Result<EpochReport, CommError> {
-        let start = Instant::now();
-        let deadline = start + self.timing.sync_timeout;
-        let mut st = self.mirror.state.lock(LockRank::Mirror);
-        loop {
-            if self.poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            match protocol::epoch_gate(&st, me, epoch) {
-                EpochGate::Ready { failed } => return Ok(EpochReport { epoch, failed }),
-                EpochGate::Waiting { rank: waiting_on } => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(CommError::Timeout {
-                            context: 0,
-                            src: waiting_on,
-                            tag: 0,
-                            waited: now - start,
-                            detail: format!(
-                                "epoch sync stalled: rank {waiting_on} has neither beaten epoch \
-                                 {epoch} nor been declared failed"
-                            ),
-                        });
-                    }
-                    let _ = self.mirror.signal.wait_for(&mut st, deadline - now);
-                }
-            }
-        }
+        self.wait_mirror(
+            |view| protocol::epoch_gate(view, me, epoch),
+            |rank| health::epoch_sync_stalled(rank, epoch),
+        )
+        .map(|failed| EpochReport { epoch, failed })
     }
 
     fn await_failed(&self, me: usize) -> Result<u64, CommError> {
@@ -1295,59 +1297,19 @@ impl Transport for SocketTransport {
     }
 
     fn await_rebirth(&self, _me: usize, failed: &[usize]) -> Result<(), CommError> {
-        let start = Instant::now();
-        let deadline = start + self.timing.sync_timeout;
-        {
-            let mut st = self.mirror.state.lock(LockRank::Mirror);
-            loop {
-                if self.poisoned.load(Ordering::SeqCst) {
-                    return Err(CommError::Poisoned);
-                }
-                match protocol::rebirth_gate(&st, failed) {
-                    None => break,
-                    Some(waiting_on) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(CommError::Timeout {
-                                context: 0,
-                                src: waiting_on,
-                                tag: 0,
-                                waited: now - start,
-                                detail: format!(
-                                    "failed rank {waiting_on} never acknowledged its death"
-                                ),
-                            });
-                        }
-                        let _ = self.mirror.signal.wait_for(&mut st, deadline - now);
-                    }
-                }
-            }
-        }
+        let deadline = Instant::now() + self.timing.sync_timeout;
+        self.wait_mirror(
+            |view| protocol::rebirth_gate(view, failed),
+            health::rebirth_stalled,
+        )?;
         // Belt and braces: the replacement dials the mesh *before* its
         // AWAITFAILED, so by the time REBUILDING reached us its link is
-        // normally already up — but wait for it explicitly anyway.
-        for &r in failed {
-            if r == self.cfg.rank {
-                continue;
-            }
-            let link = &self.links[r];
-            let mut st = link.state.lock(LockRank::Link);
-            while !st.up {
-                if self.poisoned.load(Ordering::SeqCst) {
-                    return Err(CommError::Poisoned);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(CommError::Timeout {
-                        context: 0,
-                        src: r,
-                        tag: 0,
-                        waited: now - start,
-                        detail: format!("replacement for rank {r} never connected"),
-                    });
-                }
-                let _ = link.signal.wait_for(&mut st, deadline - now);
-            }
+        // normally already up — but wait for it explicitly anyway, on
+        // what is left of the one deadline.
+        for &r in failed.iter().filter(|&&r| r != self.cfg.rank) {
+            self.wait_link_up(r, deadline, |r| {
+                format!("replacement for rank {r} never connected")
+            })?;
         }
         Ok(())
     }
@@ -1371,40 +1333,22 @@ impl Transport for SocketTransport {
     fn retire(&self, me: usize) {
         debug_assert_eq!(me, self.cfg.rank);
         // Optimistic local apply; the hub parks us in its authoritative
-        // ledger and broadcasts PARKED to everyone (idempotent on us).
+        // detector and broadcasts PARKED to everyone (idempotent on us).
         self.apply_control_event(ControlEvent::Parked { rank: me });
         let _ = self.control_send(&ClientLine::Retire.render());
     }
 
     fn activate(&self, _me: usize, rank: usize, epoch: u64) {
         // No optimistic apply here: the admission frontier must come
-        // from the hub's ledger, so wait for the ACTIVATED broadcast.
+        // from the hub's detector, so wait for the ACTIVATED broadcast.
         let _ = self.control_send(&ClientLine::Activate { rank, epoch }.render());
     }
 
     fn await_activation(&self, me: usize) -> Result<u64, CommError> {
         debug_assert_eq!(me, self.cfg.rank);
-        let start = Instant::now();
-        let deadline = start + self.timing.sync_timeout;
-        let mut st = self.mirror.state.lock(LockRank::Mirror);
-        loop {
-            if self.poisoned.load(Ordering::SeqCst) {
-                return Err(CommError::Poisoned);
-            }
-            if let Some(epoch) = protocol::activation_gate(&st, me) {
-                return Ok(epoch);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    context: 0,
-                    src: me,
-                    tag: 0,
-                    waited: now - start,
-                    detail: format!("parked rank {me} was never activated"),
-                });
-            }
-            let _ = self.mirror.signal.wait_for(&mut st, deadline - now);
-        }
+        self.wait_mirror(
+            |view| protocol::activation_gate(view, me),
+            health::never_activated,
+        )
     }
 }

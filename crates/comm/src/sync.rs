@@ -85,7 +85,7 @@ use std::time::Duration;
 ///
 /// | family | ranks (in required acquisition order) |
 /// |---|---|
-/// | hub (launcher process) | `HubChildren` → `HubLedger` → `HubClients` → `HubReport` → `HubSpawn` |
+/// | hub (launcher process) | `HubChildren` → `HubClients` → `HubReport` → `HubSpawn` |
 /// | socket child (transport) | `LinkWriter` → `Link` → `Mail` → `Mirror` → `ControlRpc` → `ControlWriter` |
 /// | in-process channel backend | `Holdback` → `ChannelMail` → `FirstFailure` |
 /// | shared leaf | `Health` (any family may take it last) |
@@ -93,14 +93,11 @@ use std::time::Duration;
 #[repr(u8)]
 pub enum LockRank {
     // -- hub (launcher process) family --------------------------------
-    /// `HubState.children`: child process handles and exit ledger.
+    /// `HubState.children`: child process handles and exit codes.
     HubChildren = 10,
-    /// `HubState.ledger`: per-rank (epoch, failed_epoch) snapshot source.
-    HubLedger = 12,
-    /// `HubState.clients[r]`: one child's control stream. Nested inside
-    /// `HubLedger` by `welcome_block`.
+    /// `HubState.clients[r]`: one child's control stream.
     HubClients = 14,
-    /// `HubState.report`: what-happened ledger (kills, declarations).
+    /// `HubState.report`: what happened to the world (kills, declarations).
     HubReport = 16,
     /// The respawn closure cell in `hub::run`.
     HubSpawn = 18,

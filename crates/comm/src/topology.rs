@@ -2,11 +2,7 @@
 //!
 //! HACC decomposes space into regular (non-cubic) 3-D blocks of ranks —
 //! Table II lists geometries like `192x128x64`. `dims_create` factors a rank
-//! count into a near-balanced grid the same way `MPI_Dims_create` does, and
-//! [`CartComm`] provides rank ↔ coordinate maps plus periodic neighbor
-//! lookup for the overloading exchanges.
-
-use crate::Comm;
+//! count into a near-balanced grid the same way `MPI_Dims_create` does.
 
 /// Factor `n` ranks into `ndims` near-equal dimensions, largest first
 /// (the `MPI_Dims_create` contract).
@@ -39,89 +35,9 @@ pub fn dims_create(n: usize, ndims: usize) -> Vec<usize> {
     dims
 }
 
-/// A 3-D periodic Cartesian topology laid over a communicator.
-pub struct CartComm {
-    /// The underlying communicator.
-    pub comm: Comm,
-    /// Grid dimensions (x, y, z); product equals `comm.size()`.
-    pub dims: [usize; 3],
-}
-
-impl CartComm {
-    /// Build a 3-D topology over `comm`. `dims` entries of 0 are filled by
-    /// [`dims_create`].
-    #[must_use] 
-    pub fn new(comm: Comm, dims: [usize; 3]) -> Self {
-        let dims = if dims.iter().all(|&d| d > 0) {
-            dims
-        } else {
-            let d = dims_create(comm.size(), 3);
-            [d[0], d[1], d[2]]
-        };
-        assert_eq!(
-            dims[0] * dims[1] * dims[2],
-            comm.size(),
-            "topology does not match communicator size"
-        );
-        CartComm { comm, dims }
-    }
-
-    /// Coordinates of a rank (row-major: x slowest).
-    #[must_use] 
-    pub fn coords_of(&self, rank: usize) -> [usize; 3] {
-        let [_, dy, dz] = self.dims;
-        [rank / (dy * dz), (rank / dz) % dy, rank % dz]
-    }
-
-    /// Rank of given (periodic) coordinates.
-    #[must_use] 
-    pub fn rank_of(&self, coords: [i64; 3]) -> usize {
-        let mut c = [0usize; 3];
-        for i in 0..3 {
-            let d = self.dims[i] as i64;
-            c[i] = (coords[i].rem_euclid(d)) as usize;
-        }
-        (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2]
-    }
-
-    /// This rank's coordinates.
-    #[must_use] 
-    pub fn my_coords(&self) -> [usize; 3] {
-        self.coords_of(self.comm.rank())
-    }
-
-    /// The 26 periodic neighbors (and self excluded), deduplicated — on
-    /// small grids several offsets can map to the same rank.
-    #[must_use] 
-    pub fn neighbors(&self) -> Vec<usize> {
-        let me = self.my_coords();
-        let mut out = Vec::new();
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    if (dx, dy, dz) == (0, 0, 0) {
-                        continue;
-                    }
-                    let r = self.rank_of([
-                        me[0] as i64 + dx,
-                        me[1] as i64 + dy,
-                        me[2] as i64 + dz,
-                    ]);
-                    if r != self.comm.rank() && !out.contains(&r) {
-                        out.push(r);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Machine;
 
     #[test]
     fn dims_create_balanced() {
@@ -138,49 +54,6 @@ mod tests {
         for n in 1..=64 {
             let d = dims_create(n, 3);
             assert_eq!(d.iter().product::<usize>(), n, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn coords_roundtrip() {
-        let (res, _) = Machine::new(12).run(|c| {
-            let cart = CartComm::new(c, [3, 2, 2]);
-            let me = cart.my_coords();
-            cart.rank_of([me[0] as i64, me[1] as i64, me[2] as i64]) == cart.comm.rank()
-        });
-        assert!(res.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn periodic_wrapping() {
-        let (res, _) = Machine::new(8).run(|c| {
-            let cart = CartComm::new(c, [2, 2, 2]);
-            // -1 wraps to dims-1.
-            cart.rank_of([-1, 0, 0]) == cart.rank_of([1, 0, 0])
-        });
-        assert!(res.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn neighbors_exclude_self_and_dedup() {
-        let (res, _) = Machine::new(8).run(|c| {
-            let me = c.rank();
-            let cart = CartComm::new(c, [2, 2, 2]);
-            let n = cart.neighbors();
-            // On a 2x2x2 periodic grid every other rank is a neighbor.
-            n.len() == 7 && !n.contains(&me)
-        });
-        assert!(res.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn auto_dims() {
-        let (res, _) = Machine::new(6).run(|c| {
-            let cart = CartComm::new(c, [0, 0, 0]);
-            cart.dims
-        });
-        for d in res {
-            assert_eq!(d.iter().product::<usize>(), 6);
         }
     }
 }

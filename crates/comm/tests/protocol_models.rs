@@ -22,6 +22,11 @@
 //!   against the rank order.
 //! - **survivors-agree**: every child mirror converges to the hub's
 //!   dead set once the broadcast log drains.
+//! - **frontier-never-suspected / declaration-is-final /
+//!   parked-never-declared**: the detector's scan never suspects a rank
+//!   its peers are waiting for, never repeats or undoes a declaration
+//!   when a late beat arrives (fencing), and never touches parked
+//!   capacity.
 //!
 //! Each theorem is paired with a *mutation run*: the historical bug it
 //! guards against is reintroduced via a [`Mutations`] flag and the
@@ -56,6 +61,10 @@ const BUG_LOCK_INVERSION: Mutations = Mutations {
 };
 const BUG_RETIRE_AS_DEATH: Mutations = Mutations {
     retire_marks_failed: true,
+    ..Mutations::NONE
+};
+const BUG_SUSPECT_AT_FRONTIER: Mutations = Mutations {
+    suspect_at_frontier: true,
     ..Mutations::NONE
 };
 
@@ -951,6 +960,231 @@ fn mutated_retire_confused_with_failure_is_caught() {
     // The schedule's signature: rank 0 was retired, never declared.
     assert!(actions.contains(&DeadSetAction::Retire(0)));
     assert!(!actions.contains(&DeadSetAction::Declare(0)));
+}
+
+// =====================================================================
+// Scan model: the detector's suspicion FSM under the step protocol
+// =====================================================================
+
+/// The authoritative detector (`HealthState`, in-process and in the
+/// hub) as the pure functions it runs: [`protocol::beat_gate`] +
+/// [`protocol::apply_control`] for a beat, [`protocol::scan_step`] for a
+/// monitor pass, [`protocol::epoch_gate`] for the barrier that keeps a
+/// rank from beating the next epoch before its peers caught up or were
+/// declared. Ranks 0 and 1 step (either may fall silent for any
+/// stretch, or beat arbitrarily late); rank 2 is parked reserve.
+struct ScanModel {
+    name: &'static str,
+    m: Mutations,
+}
+
+const SCAN_RANKS: usize = 3;
+const SCAN_PARKED: usize = 2;
+const SCAN_MAX_EPOCH: u64 = 3;
+const SCAN_CFG: hacc_comm::HeartbeatConfig = hacc_comm::HeartbeatConfig {
+    scan_interval: std::time::Duration::from_millis(1),
+    suspect_scans: 2,
+    confirm_scans: 2,
+    sync_timeout: std::time::Duration::from_millis(1),
+};
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct ScanState {
+    view: [PeerView; SCAN_RANKS],
+    stale: [u32; SCAN_RANKS],
+    /// Heartbeat counter moved since the last scan.
+    ticked: [bool; SCAN_RANKS],
+    /// The scan declared this rank at some point.
+    declared: [bool; SCAN_RANKS],
+    /// The scan declared an already-declared rank again.
+    redeclared: bool,
+    /// A beat bounced off a declaration or a park.
+    fenced_beat: bool,
+    /// Traffic or a beat cleared a pending suspicion.
+    suspicion_cleared: bool,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ScanAction {
+    /// `admit_step`'s beat of the rank's next epoch.
+    Beat(usize),
+    /// Plain send traffic: a tick with no epoch progress.
+    Tick(usize),
+    /// One monitor pass over every rank.
+    Scan,
+}
+
+fn frontier(view: &[PeerView]) -> u64 {
+    view.iter().map(|p| p.epoch).max().unwrap_or(0)
+}
+
+impl Model for ScanModel {
+    type State = ScanState;
+    type Action = ScanAction;
+
+    fn init_states(&self) -> Vec<ScanState> {
+        let mut view = [PeerView::INITIAL; SCAN_RANKS];
+        let _ = protocol::apply_control(
+            &mut view,
+            ControlEvent::Parked { rank: SCAN_PARKED },
+            &self.m,
+        );
+        vec![ScanState {
+            view,
+            stale: [0; SCAN_RANKS],
+            ticked: [false; SCAN_RANKS],
+            declared: [false; SCAN_RANKS],
+            redeclared: false,
+            fenced_beat: false,
+            suspicion_cleared: false,
+        }]
+    }
+
+    fn actions(&self, s: &ScanState, out: &mut Vec<ScanAction>) {
+        for r in 0..SCAN_RANKS {
+            // The step protocol: a rank beats epoch e+1 only once the
+            // barrier for e let it through.
+            let passed = protocol::epoch_gate(&s.view, r, s.view[r].epoch).is_ok();
+            if passed && s.view[r].epoch < SCAN_MAX_EPOCH {
+                out.push(ScanAction::Beat(r));
+            }
+            if !s.ticked[r] {
+                out.push(ScanAction::Tick(r));
+            }
+        }
+        out.push(ScanAction::Scan);
+    }
+
+    fn next_state(&self, s: &ScanState, a: &ScanAction) -> Option<ScanState> {
+        let mut n = s.clone();
+        match *a {
+            ScanAction::Beat(r) => {
+                n.ticked[r] = true;
+                match protocol::beat_gate(&n.view[r], r, n.view[r].epoch + 1) {
+                    (_, Some(ev)) => {
+                        n.suspicion_cleared |= n.view[r].status == RankStatus::Suspected;
+                        let _ = protocol::apply_control(&mut n.view, ev, &self.m);
+                        n.stale[r] = 0;
+                    }
+                    (_, None) => n.fenced_beat = true,
+                }
+            }
+            ScanAction::Tick(r) => n.ticked[r] = true,
+            ScanAction::Scan => {
+                let max_epoch = frontier(&n.view);
+                for r in 0..SCAN_RANKS {
+                    let progressed = std::mem::take(&mut n.ticked[r]);
+                    let was = n.view[r].status;
+                    let declare = protocol::scan_step(
+                        &mut n.view[r],
+                        &mut n.stale[r],
+                        progressed,
+                        max_epoch,
+                        &SCAN_CFG,
+                        &self.m,
+                    );
+                    n.suspicion_cleared |=
+                        was == RankStatus::Suspected && n.view[r].status == RankStatus::Healthy;
+                    if declare {
+                        n.redeclared |= n.declared[r];
+                        n.declared[r] = true;
+                        let failed_epoch = n.view[r].epoch;
+                        let _ = protocol::apply_control(
+                            &mut n.view,
+                            ControlEvent::Declared { rank: r, failed_epoch },
+                            &self.m,
+                        );
+                        n.stale[r] = 0;
+                    }
+                }
+            }
+        }
+        Some(n)
+    }
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+fn scan_properties() -> Vec<Property<ScanModel>> {
+    vec![
+        // The epoch gate: suspicion only ever rests on a rank some peer
+        // has already left behind.
+        Property::<ScanModel>::always("frontier-never-suspected", |_, s| {
+            let max_epoch = frontier(&s.view);
+            s.view
+                .iter()
+                .all(|p| p.status != RankStatus::Suspected || p.epoch < max_epoch)
+        }),
+        // Fencing: no beat, however late, undoes a declaration or moves
+        // the dead rank's epoch past the one it died at (which would
+        // slip it through the survivors' barrier unreported), and the
+        // scan never declares the same death twice.
+        Property::<ScanModel>::always("declaration-is-final", |_, s| {
+            !s.redeclared
+                && (0..SCAN_RANKS).all(|r| {
+                    let p = &s.view[r];
+                    !s.declared[r]
+                        || (p.status == RankStatus::Failed && p.epoch == p.failed_epoch)
+                })
+        }),
+        Property::<ScanModel>::always("parked-never-declared", |_, s| {
+            s.view[SCAN_PARKED].status == RankStatus::Parked
+                && !s.declared[SCAN_PARKED]
+                && protocol::dead_set(&s.view).iter().all(|&(r, _)| r != SCAN_PARKED)
+        }),
+        Property::<ScanModel>::sometimes("silent-laggard-declared", |_, s| s.declared[1]),
+        Property::<ScanModel>::sometimes("late-beat-fenced", |_, s| {
+            s.fenced_beat && s.declared.contains(&true)
+        }),
+        Property::<ScanModel>::sometimes("suspicion-cleared", |_, s| s.suspicion_cleared),
+        // The declaration releases the survivor's barrier: it runs on
+        // to the end of the schedule without the dead rank.
+        Property::<ScanModel>::sometimes("survivor-runs-on", |_, s| {
+            s.declared[1] && s.view[0].epoch == SCAN_MAX_EPOCH
+        }),
+    ]
+}
+
+#[test]
+fn detector_scan_is_proven_sound() {
+    let model = ScanModel {
+        name: "detector-scan",
+        m: Mutations::NONE,
+    };
+    let report = check(&model, &scan_properties(), &Options::default());
+    record(&report);
+    assert_proven(&report);
+}
+
+/// Bug #5 regression: without the epoch gate the scan counts silence
+/// against a rank at the frontier — one deep in send-free compute while
+/// every peer waits for it. The checker must find the schedule, and it
+/// needs nothing but scans: no rank has to fall behind.
+#[test]
+fn mutated_frontier_suspicion_is_caught() {
+    let model = ScanModel {
+        name: "detector-scan-mut-frontier",
+        m: BUG_SUSPECT_AT_FRONTIER,
+    };
+    let report = check(&model, &scan_properties(), &Options::default());
+    record(&report);
+    let v = report
+        .violation("frontier-never-suspected")
+        .expect("the checker must catch bug #5 (frontier rank suspected)");
+    let actions: Vec<ScanAction> = v.trace.steps.iter().map(|(a, _)| *a).collect();
+    let states = replay(&model, 0, &actions);
+    let end = states.last().unwrap();
+    let max_epoch = frontier(&end.view);
+    assert!(
+        end.view
+            .iter()
+            .any(|p| p.status == RankStatus::Suspected && p.epoch >= max_epoch),
+        "{}",
+        v.trace.render()
+    );
+    assert!(actions.contains(&ScanAction::Scan));
 }
 
 // =====================================================================

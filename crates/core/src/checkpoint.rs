@@ -511,4 +511,32 @@ mod tests {
         assert_eq!(gc_checkpoints(&dir, 2, 2), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Every run now leaves the world write-ahead record next to its
+    /// checkpoint sets; set discovery and the trim must not see it (nor
+    /// the temp file its atomic rewrite passes through).
+    #[test]
+    fn world_meta_record_is_not_a_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("hacc_ckpt_meta_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = crate::elastic::WorldMeta {
+            active: 2,
+            generation: 0,
+            step: 0,
+            resizing: None,
+        };
+        meta.write(&dir).unwrap();
+        let path = crate::elastic::WorldMeta::path(&dir);
+        for name in ["world_meta.json", "world_meta.json.tmp"] {
+            assert_eq!(parse_name(name), None, "{name} parsed as a checkpoint");
+        }
+        for rank in 0..2 {
+            std::fs::write(checkpoint_path(&dir, 2, rank, 2), b"x").unwrap();
+        }
+        assert_eq!(complete_sets(&dir, 2), vec![2]);
+        assert_eq!(gc_checkpoints(&dir, 2, 0), 2, "only the set's own files are removed");
+        assert_eq!(crate::elastic::WorldMeta::read(&dir), Some(meta));
+        assert!(path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

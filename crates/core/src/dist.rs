@@ -82,6 +82,11 @@ impl TwoLevelDist {
     }
 }
 
+/// Overload shell depth in grid cells (DESIGN.md: `w = r_cut + 1.5`).
+fn overload_cells(cfg: &SimConfig) -> f64 {
+    cfg.rcut_cells + 1.5
+}
+
 /// One rank's view of a distributed simulation.
 pub struct DistSimulation<'a> {
     comm: &'a Comm,
@@ -154,14 +159,13 @@ impl<'a> DistSimulation<'a> {
     ) -> Self {
         let p = comm.size();
         assert_eq!(cfg.ng % p, 0, "ng must be divisible by rank count");
-        let w_cells = cfg.rcut_cells + 1.5;
+        let w_cells = overload_cells(&cfg);
         let lx = cfg.ng / p;
         assert!(
             (lx as f64) > w_cells + 1.0,
             "slab too thin: {lx} cells vs overload {w_cells}"
         );
-        let delta = cfg.box_len / cfg.ng as f64;
-        let decomp = Decomposition::new([p, 1, 1], cfg.box_len, w_cells * delta);
+        let decomp = Self::decomposition(&cfg, p);
         let fit = crate::sim::cached_grid_fit(cfg.spectral, cfg.rcut_cells);
         let kernel = ForceKernel::new(
             fit.coeffs_f32(),
@@ -183,6 +187,15 @@ impl<'a> DistSimulation<'a> {
             global: OnceCell::new(),
             short: TreeShortRange::new(cfg.tree),
         }
+    }
+
+    /// How `ranks` ranks tile the box, overload shell included. The one
+    /// place that knows: the engine above and the resize reshard both
+    /// build from it, so a resharded world can never disagree with the
+    /// engine built on it.
+    pub(crate) fn decomposition(cfg: &SimConfig, ranks: usize) -> Decomposition {
+        let delta = cfg.box_len / cfg.ng as f64;
+        Decomposition::new([ranks, 1, 1], cfg.box_len, overload_cells(cfg) * delta)
     }
 
     /// A blank replacement view for a rank being rebuilt online: correct

@@ -1,8 +1,12 @@
-//! Elastic rank scaling on the recovery path.
+//! The recovery driver, and elastic rank scaling on the recovery path.
 //!
-//! Planned world resizing built from the *same* primitives failures
-//! use, so scaling inherits their correctness argument instead of
-//! growing a parallel one:
+//! One per-rank attempt function ([`run_attempt_elastic`]) and one
+//! relaunch loop ([`run_elastic`]) drive every resilient run; a
+//! fixed-size run is the elastic run with an empty [`ScaleSchedule`]
+//! (that is all [`crate::resilient::run_resilient`] is). Planned world
+//! resizing is built from the *same* primitives failures use, so
+//! scaling inherits their correctness argument instead of growing a
+//! parallel one:
 //!
 //! * the world runs at a fixed **capacity**; ranks beyond the active
 //!   prefix are parked in the failure detector and cost nothing;
@@ -20,28 +24,29 @@
 //!   orient themselves without a survivor's help.
 //!
 //! The run is a sequence of **eras**: a fixed-size stretch of steps
-//! between resizes. Within an era the driver is exactly the online
-//! recovery loop of [`crate::resilient::run_attempt_online`] (tier-0
-//! overload reconstruction, tier-1 rollback, invariant vetting); at a
-//! scheduled boundary the era ends in a resize rendezvous that either
-//! commits a new era at the new size, retires this rank to the reserve
-//! pool, or aborts back into the old era.
+//! between resizes. Within an era the driver is the online recovery
+//! loop (tier-0 overload reconstruction, tier-1 rollback, invariant
+//! vetting — the tiers of [`crate::resilient`]); at a scheduled
+//! boundary the era ends in a resize rendezvous that either commits a
+//! new era at the new size, retires this rank to the reserve pool, or
+//! aborts back into the old era.
 
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use hacc_comm::{Comm, CommError, FaultPlan, Machine, MachineError, StepAdmission};
-use hacc_domain::{try_reshard, Decomposition, Particles};
+use hacc_comm::{
+    Comm, CommError, EpochReport, FaultPlan, Machine, MachineError, StepAdmission,
+};
+use hacc_domain::{try_reshard, Particles};
 use hacc_machine::ResizeModel;
 
-use crate::checkpoint::{complete_sets, CheckpointError};
+use crate::checkpoint::{complete_sets, gc_checkpoints, CheckpointError};
 use crate::config::SimConfig;
 use crate::dist::DistSimulation;
 use crate::invariant::{InvariantMonitor, InvariantVerdict};
 use crate::resilient::{
-    maybe_gc, tier1_rollback, AttemptOutput, RecoveryEvent, ResilienceConfig, ResilienceError,
-    ResilientRun,
+    AttemptOutput, RecoveryEvent, ResilienceConfig, ResilienceError, ResilientRun,
 };
 
 /// Wire size of one migrated particle (`Packed`: six f32 + one u64 id),
@@ -300,10 +305,11 @@ fn union_tag(generation: u64, step: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The elastic attempt driver
+// The per-rank attempt driver
 // ---------------------------------------------------------------------------
 
-/// What an era ended as, seen from one rank.
+/// What an era — or the resize rendezvous that closes it — ended as,
+/// seen from one rank.
 enum EraOutcome {
     /// The schedule finished; rank 0 carries the gathered positions.
     Completed(Option<Vec<(u64, [f32; 3])>>),
@@ -317,23 +323,6 @@ enum EraOutcome {
     Retired { to: usize },
 }
 
-/// What the resize rendezvous resolved to, seen from one rank.
-// The `Aborted` simulation is moved straight back into the era loop;
-// the enum lives for one match arm, so boxing would be pure overhead.
-#[allow(clippy::large_enum_variant)]
-enum ResizeResult<'a> {
-    Committed {
-        state: (f64, Particles, usize),
-    },
-    Retired,
-    /// Fence broken or certification failed: the old world rolled back
-    /// to the pre-resize checkpoint; continue the old era from `resume`.
-    Aborted {
-        sim: DistSimulation<'a>,
-        resume: usize,
-    },
-}
-
 /// How the fence + certification round resolved.
 enum FenceVerdict {
     Certified,
@@ -345,18 +334,40 @@ enum FenceVerdict {
     IDied,
 }
 
-/// One rank's run of the full schedule on an elastic world.
+/// What every layer of one rank's attempt shares: the fixed inputs and
+/// the recovery state that outlives an era.
+struct Attempt<'w> {
+    /// The **capacity** communicator (all ranks, parked included).
+    world: &'w Comm,
+    cfg: SimConfig,
+    rc: &'w ResilienceConfig,
+    schedule: &'w ScaleSchedule,
+    /// Particles the run must contain.
+    expected: usize,
+    edges: Vec<f64>,
+    events: Vec<RecoveryEvent>,
+    /// Fence steps whose resize aborted once: deterministic replay must
+    /// not retry a doomed rendezvous.
+    aborted: BTreeSet<u64>,
+    /// Tier-1 rollbacks so far (the tier-2 budget).
+    rollbacks: u32,
+}
+
+/// One rank's run of the full schedule: the one recovery driver, for a
+/// fixed world (empty `schedule`, `initial_active = world.size()`) and
+/// an elastic one alike.
 ///
-/// `world` is the **capacity** communicator (all ranks, parked included).
-/// Transport-generic exactly like [`run_attempt_online`]: the in-process
-/// driver [`run_elastic`] calls it from `Machine::try_run` threads, and
-/// the multi-process launcher calls it from each OS process. A respawned
-/// process passes `start_as_replacement = true` and is routed by the
-/// write-ahead record: dead reserve ranks re-park, a rank that died at a
-/// resize fence joins the collective abort, and an ordinary mid-era
-/// death enters the tier-0 rebuild path.
-///
-/// [`run_attempt_online`]: crate::resilient::run_attempt_online
+/// `world` is the **capacity** communicator (all ranks, parked
+/// included). Transport-generic: the in-process driver [`run_elastic`]
+/// calls it from `Machine::try_run` threads, and the multi-process
+/// launcher (`hacc-mprun`) calls it from each OS process over the socket
+/// transport — same protocol, same code. A respawned process passes
+/// `start_as_replacement = true` and orients itself from the
+/// write-ahead record alone: a dead reserve rank re-parks, a rank that
+/// died at a resize fence joins the collective abort, and an ordinary
+/// mid-era death enters through [`Comm::rejoin_as_replacement`] and is
+/// rebuilt by the tier-0 collective, exactly like the respawned thread
+/// of an in-process machine.
 #[must_use]
 pub fn run_attempt_elastic(
     world: &Comm,
@@ -379,10 +390,17 @@ pub fn run_attempt_elastic(
             "schedule grows to {max} ranks but capacity is {capacity}"
         );
     }
-    let edges = cfg.step_edges();
-    let mut events: Vec<RecoveryEvent> = Vec::new();
-    let mut aborted: BTreeSet<u64> = BTreeSet::new();
-    let mut rollbacks = 0u32;
+    let mut run = Attempt {
+        world,
+        cfg,
+        rc,
+        schedule,
+        expected: ics.len(),
+        edges: cfg.step_edges(),
+        events: Vec::new(),
+        aborted: BTreeSet::new(),
+        rollbacks: 0,
+    };
 
     // Orient: the write-ahead record is the single source of truth once
     // it exists; before it does (cold start) the launcher's initial
@@ -401,26 +419,21 @@ pub fn run_attempt_elastic(
                 // a respawned process re-deriving its role from the
                 // intent record). Acknowledge the death, hold in
                 // `Rebuilding` until every union survivor has exited
-                // the fence sync (the union communicator re-derives
-                // identically from the WAL fields), then join the
-                // survivors' collective abort: the era entered below
-                // opens with the same `resume_from` collective their
-                // tier-1 rollback runs.
-                let _fence_epoch = world.rejoin_as_replacement();
-                let union = m.active.max(target);
-                let ucomm = world.active_world(union, union_tag(m.generation, m.step));
-                fence_victim_sync(&ucomm);
+                // the fence sync, then join the survivors' collective
+                // abort: the era entered below opens with the same
+                // `resume_from` collective their tier-1 rollback runs.
+                rejoin_through_fence(world, Some(m));
                 world.mark_recovered(m.step + 1);
-                events.push(RecoveryEvent::ScaleAborted {
+                run.events.push(RecoveryEvent::ScaleAborted {
                     step: m.step,
                     from: m.active,
                     to: target,
                     reason: format!("rank {me} died at the resize fence"),
                 });
-                aborted.insert(m.step);
+                run.aborted.insert(m.step);
                 // Survivors count this rollback too; keep the tier-2
                 // budget collectively consistent.
-                rollbacks = 1;
+                run.rollbacks = 1;
                 inherited_admission = true;
                 pending_replacement = false;
             } else if !pending_replacement {
@@ -429,13 +442,13 @@ pub fn run_attempt_elastic(
                 // pre-fence checkpoint at the old size is the newest
                 // valid set, so recovery is ordinary relaunch recovery —
                 // just remember not to retry the doomed resize.
-                events.push(RecoveryEvent::ScaleAborted {
+                run.events.push(RecoveryEvent::ScaleAborted {
                     step: m.step,
                     from: m.active,
                     to: target,
                     reason: "relaunch found resize in flight; rolled back".into(),
                 });
-                aborted.insert(m.step);
+                run.aborted.insert(m.step);
                 if me == 0 {
                     WorldMeta {
                         resizing: None,
@@ -459,17 +472,7 @@ pub fn run_attempt_elastic(
                 // straight back to the pool from `Rebuilding` — no
                 // `mark_recovered`, which would open a
                 // Healthy-but-unparked window era syncs could trip on.
-                let _epoch = world.rejoin_as_replacement();
-                if let Some(m) = WorldMeta::read(&rc.dir) {
-                    if let Some(target) = m.resizing {
-                        let union = m.active.max(target);
-                        if me < union {
-                            let ucomm =
-                                world.active_world(union, union_tag(m.generation, m.step));
-                            fence_victim_sync(&ucomm);
-                        }
-                    }
-                }
+                rejoin_through_fence(world, WorldMeta::read(&rc.dir));
                 world.retire();
                 pending_replacement = false;
             }
@@ -477,28 +480,16 @@ pub fn run_attempt_elastic(
             // for good by the end-of-run sentinel).
             let epoch = world.await_activation();
             if epoch == u64::MAX {
-                return (None, events);
+                return (None, run.events);
             }
             let m = WorldMeta::read(&rc.dir)
                 .expect("activated with no world meta record");
             if let Some(target) = m.resizing {
-                match join_resize_as_newcomer(
-                    world,
-                    cfg,
-                    rc,
-                    &m,
-                    target,
-                    ics.len(),
-                    &edges,
-                    &mut events,
-                ) {
-                    NewcomerOutcome::Committed { a, parts } => {
-                        active = target;
-                        generation = m.generation + 1;
-                        carry = Some((a, parts, m.step as usize));
-                        inherited_admission = true;
-                    }
-                    NewcomerOutcome::Parked => continue,
+                if let Some((a, parts)) = run.join_resize_as_newcomer(&m, target) {
+                    active = target;
+                    generation = m.generation + 1;
+                    carry = Some((a, parts, m.step as usize));
+                    inherited_admission = true;
                 }
             } else {
                 // Woken outside a rendezvous: a relaunch catching this
@@ -526,21 +517,14 @@ pub fn run_attempt_elastic(
         }
 
         let acomm = world.active_world(active, generation);
-        match run_era(
-            world,
+        match run.run_era(
             &acomm,
-            cfg,
             ics,
-            rc,
-            schedule,
             active,
             generation,
             std::mem::take(&mut carry),
             std::mem::take(&mut inherited_admission),
             std::mem::take(&mut pending_replacement),
-            &mut aborted,
-            &mut rollbacks,
-            &mut events,
         ) {
             EraOutcome::Completed(positions) => {
                 if me == 0 {
@@ -551,7 +535,7 @@ pub fn run_attempt_elastic(
                         world.activate_rank(r, u64::MAX);
                     }
                 }
-                return (positions, events);
+                return (positions, run.events);
             }
             EraOutcome::Committed { to, state } => {
                 active = to;
@@ -568,490 +552,574 @@ pub fn run_attempt_elastic(
     }
 }
 
-/// One era: the online recovery loop over a fixed-size world, ending at
-/// schedule completion or the first committed/retiring resize.
-#[allow(clippy::too_many_arguments)]
-fn run_era(
-    world: &Comm,
-    acomm: &Comm,
-    cfg: SimConfig,
-    ics: &hacc_ics::IcsRealization,
-    rc: &ResilienceConfig,
-    schedule: &ScaleSchedule,
-    active: usize,
-    generation: u64,
-    carry: Option<(f64, Particles, usize)>,
-    mut inherited_admission: bool,
-    mut pending_replacement: bool,
-    aborted: &mut BTreeSet<u64>,
-    rollbacks: &mut u32,
-    events: &mut Vec<RecoveryEvent>,
-) -> EraOutcome {
-    let expected = ics.len();
-    let edges = cfg.step_edges();
-    let (mut sim, done) = if pending_replacement {
-        // Placeholder until the rejoin learns the real epoch.
-        (DistSimulation::blank_replacement(acomm, cfg, edges[0]), 0)
-    } else if let Some((a, parts, k)) = carry {
-        // Post-resize handover: the certified resharded state.
-        let done = k as u64;
-        (
-            DistSimulation::from_checkpoint_state(acomm, cfg, a, parts),
-            done,
-        )
-    } else {
-        match DistSimulation::resume_from(acomm, cfg, &rc.dir) {
-            Ok(resumed) => resumed,
-            Err(CheckpointError::NoCheckpoint) => (DistSimulation::new(acomm, cfg, ics), 0),
-            Err(e) => panic!("checkpoint restore failed: {e}"),
-        }
-    };
-    // Fresh per-era monitor: every member baselines on the same state,
-    // so newcomers and veterans stay collectively consistent.
-    let mut monitor = rc.invariants.map(InvariantMonitor::new);
-    let mut k = done as usize;
-    while k < cfg.steps {
-        let (failed_now, replacement) = if std::mem::take(&mut pending_replacement) {
-            let epoch = acomm.rejoin_as_replacement();
-            k = epoch as usize;
-            (acomm.dead_set(), true)
-        } else if std::mem::take(&mut inherited_admission) {
-            // The resize fence (or the rendezvous abort that consumed
-            // it) already admitted this step on every member;
-            // re-admitting would deadlock the epoch barrier.
-            (Vec::new(), false)
+/// `Some(why)` when a physics invariant watchdog trips on `sim`'s state.
+fn breach(monitor: &mut Option<InvariantMonitor>, sim: &DistSimulation<'_>) -> Option<String> {
+    match monitor.as_mut()?.assess(&sim.invariant_sample()) {
+        InvariantVerdict::Breach(why) => Some(why),
+        InvariantVerdict::Pass => None,
+    }
+}
+
+impl Attempt<'_> {
+    /// One era: the online recovery loop over a fixed-size world, ending
+    /// at schedule completion or the first committed/retiring resize.
+    /// Every step is admitted through the heartbeat epoch barrier, a
+    /// detected death triggers in-run tiered recovery, and (optionally)
+    /// invariant watchdogs vet every new state.
+    #[allow(clippy::too_many_arguments)]
+    fn run_era(
+        &mut self,
+        acomm: &Comm,
+        ics: &hacc_ics::IcsRealization,
+        active: usize,
+        generation: u64,
+        carry: Option<(f64, Particles, usize)>,
+        mut inherited_admission: bool,
+        mut pending_replacement: bool,
+    ) -> EraOutcome {
+        let (cfg, rc) = (self.cfg, self.rc);
+        let (mut sim, done) = if pending_replacement {
+            // Placeholder until the rejoin learns the real epoch; the
+            // tier-0 path rebuilds it at the right schedule slot.
+            (DistSimulation::blank_replacement(acomm, cfg, self.edges[0]), 0)
+        } else if let Some((a, parts, k)) = carry {
+            // Post-resize handover: the certified resharded state.
+            (
+                DistSimulation::from_checkpoint_state(acomm, cfg, a, parts),
+                k as u64,
+            )
         } else {
-            match acomm.admit_step((k + 1) as u64) {
+            match DistSimulation::resume_from(acomm, cfg, &rc.dir) {
+                Ok(resumed) => resumed,
+                Err(CheckpointError::NoCheckpoint) => (DistSimulation::new(acomm, cfg, ics), 0),
+                Err(e) => panic!("checkpoint restore failed: {e}"),
+            }
+        };
+        // Fresh per-era monitor: every member baselines on the same
+        // state, so newcomers and veterans stay collectively consistent.
+        let mut monitor = rc.invariants.map(InvariantMonitor::new);
+        let mut k = done as usize;
+        while k < cfg.steps {
+            let admission = if std::mem::take(&mut pending_replacement) {
+                // A respawned OS process never admits its first step: it
+                // enters exactly like a rank that just found itself
+                // fenced.
+                StepAdmission::Dead
+            } else if std::mem::take(&mut inherited_admission) {
+                // The resize fence (or the rendezvous abort that
+                // consumed it) already admitted this step on every
+                // member; re-admitting would deadlock the epoch barrier.
+                StepAdmission::Proceed(EpochReport {
+                    epoch: (k + 1) as u64,
+                    failed: Vec::new(),
+                })
+            } else {
+                acomm.admit_step((k + 1) as u64)
+            };
+            let (failed_now, replacement) = match admission {
                 StepAdmission::Proceed(report) if report.failed.is_empty() => (Vec::new(), false),
                 StepAdmission::Proceed(report) => (acomm.agree_failed(&report), false),
                 StepAdmission::Dead => {
-                    let epoch = acomm.rejoin_as_replacement();
-                    k = epoch as usize;
+                    // This rank was killed silently; the thread (or the
+                    // respawned process) now plays the replacement. Its
+                    // pre-death state is gone as far as the protocol is
+                    // concerned. The epoch it learns is the last step it
+                    // completed, which every survivor also stands at
+                    // (they cannot pass the epoch barrier ahead of the
+                    // death declaration).
+                    k = acomm.rejoin_as_replacement() as usize;
                     (acomm.dead_set(), true)
                 }
+            };
+            let step = (k + 1) as u64;
+            // Tier 0 on a death, then the step itself, each vetted; a
+            // state that cannot be certified escalates to tier 1.
+            let mut certified = failed_now.is_empty()
+                || self.tier0_recover(acomm, &mut sim, &failed_now, replacement, k, &mut monitor);
+            if certified {
+                // Survivors admitted `step` above, and a replacement
+                // inherits that admission (re-admitting here would
+                // deadlock the barrier).
+                sim.step(self.edges[k + 1]);
+                // Vet the new state before it can reach a checkpoint file.
+                if let Some(why) = breach(&mut monitor, &sim) {
+                    self.events.push(RecoveryEvent::InvariantBreach { step, detail: why });
+                    certified = false;
+                }
+            }
+            if !certified {
+                (sim, k) = self.tier1_rollback(acomm, step, &mut monitor);
+                continue;
+            }
+            k += 1;
+            if step.is_multiple_of(rc.checkpoint_every) || step == cfg.steps as u64 {
+                if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
+                    panic!("checkpoint write failed at step {step}: {e}");
+                }
+                self.maybe_gc(acomm);
+            }
+            // Elastic fence: a scheduled resize lands after the step
+            // just completed — unless that exact resize already aborted.
+            let target = self.schedule.target_after(k as u64).filter(|&target| {
+                target != active && k < cfg.steps && !self.aborted.contains(&(k as u64))
+            });
+            if let Some(target) = target {
+                match self.resize_rendezvous(acomm, sim, active, generation, target, k, &mut monitor)
+                {
+                    Ok(era_over) => return era_over,
+                    // Aborted: the old era goes on from the rollback,
+                    // its next step already admitted by the fence.
+                    Err(rolled_back) => {
+                        (sim, k) = rolled_back;
+                        inherited_admission = true;
+                    }
+                }
+            }
+        }
+        EraOutcome::Completed(sim.gather_positions())
+    }
+
+    /// Tier 0: rebuild the domains of `failed_now` from overload shells
+    /// and certify the result — full particle count, invariants within
+    /// their gates — then lock it in with a proactive checkpoint.
+    /// `false` sends the caller to tier 1. The count compares
+    /// identically on every rank (allreduce), so the tier decision is
+    /// collective-safe; a *second* failure striking mid-recovery
+    /// surfaces as an error on every participant (the collective cannot
+    /// complete for anyone), so escalating stays collective-safe too.
+    fn tier0_recover<'a>(
+        &mut self,
+        acomm: &'a Comm,
+        sim: &mut DistSimulation<'a>,
+        failed_now: &[(usize, u64)],
+        replacement: bool,
+        k: usize,
+        monitor: &mut Option<InvariantMonitor>,
+    ) -> bool {
+        let step = (k + 1) as u64;
+        let events = &mut self.events;
+        events.extend(failed_now.iter().map(|&(rank, epoch)| {
+            RecoveryEvent::RankFailureDetected { step, rank, epoch }
+        }));
+        let ranks: Vec<usize> = failed_now.iter().map(|&(r, _)| r).collect();
+        if replacement {
+            *sim = DistSimulation::blank_replacement(acomm, self.cfg, self.edges[k]);
+        } else {
+            acomm.await_rebirth(&ranks);
+        }
+        let reconstructed = sim.try_reconstruct_ranks(&ranks);
+        if replacement {
+            acomm.mark_recovered(step);
+        }
+        let count = match reconstructed {
+            Ok(count) => count,
+            Err(e) => {
+                events.push(RecoveryEvent::Tier0Disrupted {
+                    step,
+                    detail: e.to_string(),
+                });
+                return false;
             }
         };
-        let step = (k + 1) as u64;
-        if !failed_now.is_empty() {
-            for &(r, e) in &failed_now {
-                events.push(RecoveryEvent::RankFailureDetected {
-                    step,
-                    rank: r,
-                    epoch: e,
-                });
-            }
-            let failed_ranks: Vec<usize> = failed_now.iter().map(|&(r, _)| r).collect();
-            if replacement {
-                sim = DistSimulation::blank_replacement(acomm, cfg, edges[k]);
-            } else {
-                acomm.await_rebirth(&failed_ranks);
-            }
-            let count = match sim.try_reconstruct_ranks(&failed_ranks) {
-                Ok(count) => count,
-                Err(e) => {
-                    events.push(RecoveryEvent::Tier0Disrupted {
-                        step,
-                        detail: e.to_string(),
-                    });
-                    if replacement {
-                        acomm.mark_recovered(step);
-                    }
-                    let (restored, resumed) =
-                        tier1_rollback(acomm, cfg, rc, step, rollbacks, events, &mut monitor);
-                    sim = restored;
-                    k = resumed;
-                    continue;
-                }
-            };
-            if replacement {
-                acomm.mark_recovered(step);
-            }
-            let mut certified = count == expected;
-            if certified {
-                events.push(RecoveryEvent::Tier0Reconstructed {
-                    step,
-                    ranks: failed_ranks,
-                    count,
-                });
+        if count != self.expected {
+            events.push(RecoveryEvent::Tier0Incomplete {
+                step,
+                expected: self.expected,
+                got: count,
+            });
+            return false;
+        }
+        events.push(RecoveryEvent::Tier0Reconstructed { step, ranks, count });
+        // Vet the reconstruction against the pre-failure baseline:
+        // replicas track their lost originals only to force-noise, but
+        // anything beyond the drift gate means the rebuild is not the
+        // state that died.
+        if let Some(why) = breach(monitor, sim) {
+            events.push(RecoveryEvent::InvariantBreach { step, detail: why });
+            return false;
+        }
+        // Lock the recovered state in before stepping on: a second
+        // failure must not compound with this one.
+        match sim.checkpoint_to(&self.rc.dir, k as u64) {
+            Ok(_) => events.push(RecoveryEvent::ProactiveCheckpoint { step: k as u64 }),
+            Err(e) => panic!("proactive checkpoint failed at step {k}: {e}"),
+        }
+        self.maybe_gc(acomm);
+        true
+    }
+
+    /// Tier 1: collectively restore the newest checkpoint set every rank
+    /// can validate; escalate to a tier-2 abort when that is impossible
+    /// or rollbacks stop making progress. All ranks reach identical
+    /// decisions (the triggers are allreduced quantities), so the
+    /// `resume_from` collective and the abort are globally consistent.
+    fn tier1_rollback<'a>(
+        &mut self,
+        acomm: &'a Comm,
+        step: u64,
+        monitor: &mut Option<InvariantMonitor>,
+    ) -> (DistSimulation<'a>, usize) {
+        self.rollbacks += 1;
+        if self.rollbacks > self.rc.max_retries.max(1) {
+            panic!(
+                "tier-2 abort: {} checkpoint rollbacks without completing the schedule \
+                 (deterministic replay keeps re-triggering escalation at step {step})",
+                self.rollbacks
+            );
+        }
+        match DistSimulation::resume_from(acomm, self.cfg, &self.rc.dir) {
+            Ok((restored, resume_step)) => {
+                self.events
+                    .push(RecoveryEvent::Tier1Rollback { step, resume_step });
+                // The restored trajectory is a different (earlier) state;
+                // drifts must be measured against it, not the abandoned one.
                 if let Some(mon) = monitor.as_mut() {
-                    if let InvariantVerdict::Breach(why) = mon.assess(&sim.invariant_sample()) {
-                        events.push(RecoveryEvent::InvariantBreach { step, detail: why });
-                        certified = false;
-                    }
+                    mon.rebaseline();
                 }
-            } else {
-                events.push(RecoveryEvent::Tier0Incomplete {
-                    step,
-                    expected,
-                    got: count,
-                });
+                (restored, resume_step as usize)
             }
-            if certified {
-                match sim.checkpoint_to(&rc.dir, k as u64) {
-                    Ok(_) => events.push(RecoveryEvent::ProactiveCheckpoint { step: k as u64 }),
-                    Err(e) => panic!("proactive checkpoint failed at step {k}: {e}"),
-                }
-                maybe_gc(acomm, rc);
-            } else {
-                let (restored, resumed) =
-                    tier1_rollback(acomm, cfg, rc, step, rollbacks, events, &mut monitor);
-                sim = restored;
-                k = resumed;
-                continue;
-            }
-        }
-        sim.step(edges[k + 1]);
-        if let Some(mon) = monitor.as_mut() {
-            if let InvariantVerdict::Breach(why) = mon.assess(&sim.invariant_sample()) {
-                events.push(RecoveryEvent::InvariantBreach { step, detail: why });
-                let (restored, resumed) =
-                    tier1_rollback(acomm, cfg, rc, step, rollbacks, events, &mut monitor);
-                sim = restored;
-                k = resumed;
-                continue;
-            }
-        }
-        k += 1;
-        if step.is_multiple_of(rc.checkpoint_every) || step == cfg.steps as u64 {
-            if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
-                panic!("checkpoint write failed at step {step}: {e}");
-            }
-            maybe_gc(acomm, rc);
-        }
-        // Elastic fence: a scheduled resize lands after the step just
-        // completed — unless that exact resize already aborted once
-        // (deterministic replay must not retry a doomed rendezvous).
-        if k < cfg.steps && !aborted.contains(&(k as u64)) {
-            if let Some(target) = schedule.target_after(k as u64) {
-                if target != active {
-                    match resize_rendezvous(
-                        world,
-                        acomm,
-                        cfg,
-                        rc,
-                        sim,
-                        expected,
-                        active,
-                        generation,
-                        target,
-                        k,
-                        aborted,
-                        rollbacks,
-                        &mut monitor,
-                        events,
-                    ) {
-                        ResizeResult::Committed { state } => {
-                            return EraOutcome::Committed { to: target, state };
-                        }
-                        ResizeResult::Retired => return EraOutcome::Retired { to: target },
-                        ResizeResult::Aborted { sim: restored, resume } => {
-                            sim = restored;
-                            k = resume;
-                            inherited_admission = true;
-                        }
-                    }
-                }
-            }
+            Err(CheckpointError::NoCheckpoint) => panic!(
+                "tier-2 abort: escalation at step {step} found no checkpoint set to roll back to \
+                 (overload coverage was incomplete and no prior state survives)"
+            ),
+            Err(e) => panic!("tier-2 abort: rollback at step {step} failed: {e}"),
         }
     }
-    EraOutcome::Completed(sim.gather_positions())
-}
 
-/// The resize rendezvous: price, intend, fence, reshard, certify,
-/// commit — or abort back to the checkpoint written on the way in.
-#[allow(clippy::too_many_arguments)]
-fn resize_rendezvous<'a>(
-    world: &Comm,
-    acomm: &'a Comm,
-    cfg: SimConfig,
-    rc: &ResilienceConfig,
-    sim: DistSimulation<'a>,
-    expected: usize,
-    active: usize,
-    generation: u64,
-    target: usize,
-    k: usize,
-    aborted: &mut BTreeSet<u64>,
-    rollbacks: &mut u32,
-    monitor: &mut Option<InvariantMonitor>,
-    events: &mut Vec<RecoveryEvent>,
-) -> ResizeResult<'a> {
-    let step = k as u64;
-    // Price the plan from measured cost: each rank contributes its own
-    // last step's wall time; elementwise max assembles the full vector
-    // identically everywhere, so the plan is collectively consistent.
-    let mut costs = vec![0.0_f64; active];
-    costs[acomm.rank()] = sim
-        .stats
-        .steps
-        .last()
-        .map_or(0.0, |b| b.total().as_secs_f64());
-    let costs = acomm.allreduce(costs, |a, b| a.max(*b));
-    let plan = ScalePlan::decide(step, active, target, &costs, expected);
-    events.push(RecoveryEvent::ScalePlanned {
-        step,
-        from: active,
-        to: target,
-        break_even: plan.break_even,
-        rationale: plan.rationale.clone(),
-    });
-
-    // The abort target: a checkpoint of the old world taken right here.
-    // Every member writes it before anything irreversible happens, so a
-    // broken fence always has a complete old-size set at `step`.
-    if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
-        panic!("pre-resize checkpoint failed at step {step}: {e}");
+    /// Trim old checkpoint sets after a write (collective when enabled).
+    /// The barrier makes every rank's just-written file visible before
+    /// rank 0 collects, so the newest set always counts as complete and
+    /// the trim is deterministic; without it, rank 0 could scan while
+    /// peers are still writing and conservatively spare an extra old
+    /// set. Old sets themselves are dead weight, not write targets, so
+    /// rank 0 deletes them without further synchronization.
+    fn maybe_gc(&self, acomm: &Comm) {
+        let Some(keep) = self.rc.retain else {
+            return;
+        };
+        acomm.barrier();
+        if acomm.rank() == 0 {
+            let _removed = gc_checkpoints(&self.rc.dir, acomm.size(), keep);
+        }
     }
-    events.push(RecoveryEvent::ProactiveCheckpoint { step });
 
-    // Declare intent durably, *then* admit the reserve ranks (grow): a
-    // newcomer waking from `await_activation` must always find the
-    // intent record that explains why it was woken.
-    if acomm.rank() == 0 {
-        WorldMeta {
+    /// The resize rendezvous: price, intend, fence, reshard, certify,
+    /// commit — or abort: fence broken or certification failed, the old
+    /// world rolled back to the checkpoint written on the way in, and
+    /// `Err((restored, resume step))` hands it back to the old era.
+    // The restored simulation is moved straight back into the era loop,
+    // so boxing the `Err` would be pure overhead.
+    #[allow(clippy::too_many_arguments, clippy::result_large_err)]
+    fn resize_rendezvous<'a>(
+        &mut self,
+        acomm: &'a Comm,
+        sim: DistSimulation<'a>,
+        active: usize,
+        generation: u64,
+        target: usize,
+        k: usize,
+        monitor: &mut Option<InvariantMonitor>,
+    ) -> Result<EraOutcome, (DistSimulation<'a>, usize)> {
+        let (world, cfg, rc) = (self.world, self.cfg, self.rc);
+        let step = k as u64;
+        // Price the plan from measured cost: each rank contributes its
+        // own last step's wall time; elementwise max assembles the full
+        // vector identically everywhere, so the plan is collectively
+        // consistent.
+        let mut costs = vec![0.0_f64; active];
+        costs[acomm.rank()] = sim
+            .stats
+            .steps
+            .last()
+            .map_or(0.0, |b| b.total().as_secs_f64());
+        let costs = acomm.allreduce(costs, |a, b| a.max(*b));
+        let plan = ScalePlan::decide(step, active, target, &costs, self.expected);
+        self.events.push(RecoveryEvent::ScalePlanned {
+            step,
+            from: active,
+            to: target,
+            break_even: plan.break_even,
+            rationale: plan.rationale,
+        });
+
+        // The abort target: a checkpoint of the old world taken right
+        // here. Every member writes it before anything irreversible
+        // happens, so a broken fence always has a complete old-size set
+        // at `step`.
+        if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
+            panic!("pre-resize checkpoint failed at step {step}: {e}");
+        }
+        self.events.push(RecoveryEvent::ProactiveCheckpoint { step });
+
+        // Declare intent durably, *then* admit the reserve ranks (grow):
+        // a newcomer waking from `await_activation` must always find the
+        // intent record that explains why it was woken.
+        let old_world = WorldMeta {
             active,
             generation,
             step,
-            resizing: Some(target),
+            resizing: None,
+        };
+        if acomm.rank() == 0 {
+            WorldMeta {
+                resizing: Some(target),
+                ..old_world
+            }
+            .write(&rc.dir)
+            .expect("world meta: resize intent");
+            for r in active..target {
+                world.activate_rank(r, step);
+            }
         }
-        .write(&rc.dir)
-        .expect("world meta: resize intent");
-        for r in active..target {
-            world.activate_rank(r, step);
+
+        let (a, mut parts) = sim.into_state();
+        let (reason, deaths) = match self.fence_and_certify(active, generation, target, k, &mut parts)
+        {
+            FenceVerdict::Certified => {
+                self.events.push(RecoveryEvent::ScaleCommitted {
+                    step,
+                    from: active,
+                    to: target,
+                    count: self.expected,
+                    generation: generation + 1,
+                });
+                if world.rank() >= target {
+                    // Shrink: this rank's particles are certified
+                    // elsewhere; hand the seat back to the reserve pool.
+                    world.retire();
+                    return Ok(EraOutcome::Retired { to: target });
+                }
+                let new_acomm = world.active_world(target, generation + 1);
+                let sim2 = DistSimulation::from_checkpoint_state(&new_acomm, cfg, a, parts);
+                // The new world writes its own checkpoint set at the
+                // same step before the commit record: a crash between
+                // the two relaunches into the *old* size, whose set also
+                // exists.
+                if let Err(e) = sim2.checkpoint_to(&rc.dir, step) {
+                    panic!("post-resize checkpoint failed at step {step}: {e}");
+                }
+                new_acomm.barrier();
+                if new_acomm.rank() == 0 {
+                    WorldMeta {
+                        active: target,
+                        generation: generation + 1,
+                        ..old_world
+                    }
+                    .write(&rc.dir)
+                    .expect("world meta: resize commit");
+                }
+                // The commit record must be durable before any member
+                // can reach a step where a death would route a respawn
+                // through a stale record.
+                new_acomm.barrier();
+                let (a2, parts2) = sim2.into_state();
+                return Ok(EraOutcome::Committed {
+                    to: target,
+                    state: (a2, parts2, k),
+                });
+            }
+            FenceVerdict::Uncertified { reason } => (reason, Vec::new()),
+            FenceVerdict::FenceBroken(failed) => {
+                // The fence-exit ack (sent inside `fence_and_certify`
+                // after `await_rebirth` on the union world) already
+                // closed the respawn window for every death — old member
+                // or newcomer. A respawned old rank joins the rollback
+                // below (its entry path reads the intent record and
+                // routes here); a respawned newcomer re-parks.
+                let ranks: Vec<usize> = failed.iter().map(|&(r, _)| r).collect();
+                (format!("fence broken by death of rank(s) {ranks:?}"), failed)
+            }
+            FenceVerdict::IDied => {
+                // Killed at the fence (in-process transport): this
+                // thread continues as its own replacement.
+                // `fence_and_certify` already rejoined and drained the
+                // fence-exit acks, so every survivor's fence sync has
+                // provably returned — recovering here can no longer
+                // split the verdict. The pre-fence checkpoint is on
+                // disk, so tier 1 needs no tier-0 reconstruction.
+                acomm.mark_recovered(step + 1);
+                (
+                    format!("rank {} died at the resize fence", world.rank()),
+                    Vec::new(),
+                )
+            }
+        };
+        // Abort: roll the *old* world back together to the pre-fence
+        // set, and never retry this resize.
+        self.events.push(RecoveryEvent::ScaleAborted {
+            step,
+            from: active,
+            to: target,
+            reason,
+        });
+        self.events.extend(deaths.iter().map(|&(rank, epoch)| {
+            RecoveryEvent::RankFailureDetected {
+                step: step + 1,
+                rank,
+                epoch,
+            }
+        }));
+        self.aborted.insert(step);
+        let rolled_back = self.tier1_rollback(acomm, step + 1, monitor);
+        if acomm.rank() == 0 {
+            old_world.write(&rc.dir).expect("world meta: resize abort");
+        }
+        Err(rolled_back)
+    }
+
+    /// The shared middle of the rendezvous, identical for veterans and
+    /// newcomers: reshard over the union world, fence through the epoch
+    /// barrier, certify by global count.
+    fn fence_and_certify(
+        &self,
+        old_active: usize,
+        generation: u64,
+        target: usize,
+        k: usize,
+        parts: &mut Particles,
+    ) -> FenceVerdict {
+        let step = k as u64;
+        let union = old_active.max(target);
+        let ucomm = self.world.active_world(union, union_tag(generation, step));
+        let new_decomp = DistSimulation::decomposition(&self.cfg, target);
+        // Ownership routing to the new decomposition. On error the local
+        // set is untouched; the verdict travels through certification,
+        // so the outcome stays collective.
+        let reshard_ok = try_reshard(&ucomm, &new_decomp, parts).is_ok();
+        // The fence: the same admission machinery failures use. A death
+        // lands as a detector verdict on every survivor, never a hang.
+        match ucomm.admit_step(step + 1) {
+            StepAdmission::Dead => {
+                // Killed at the fence (in-process transport: this thread
+                // continues as its own replacement). Acknowledge the
+                // death (`Failed -> Rebuilding`) but HOLD there until
+                // every union survivor has exited the fence sync.
+                // Recovering earlier would erase this failure from a
+                // late waker's report and split the fence verdict: part
+                // of the union certifies and part aborts, and the halves
+                // wedge in collectives the other never enters. The
+                // caller runs `mark_recovered` only after this returns.
+                let _fence_epoch = ucomm.rejoin_as_replacement();
+                fence_victim_sync(&ucomm);
+                return FenceVerdict::IDied;
+            }
+            StepAdmission::Proceed(report) if report.failed.is_empty() => {}
+            StepAdmission::Proceed(report) => {
+                let agreed = ucomm.agree_failed(&report);
+                let ranks: Vec<usize> = agreed.iter().map(|&(r, _)| r).collect();
+                // Fence-exit acks: each dead rank stays `Rebuilding` —
+                // still reported as failed by any in-flight sync — until
+                // every survivor has captured this verdict and said so.
+                // `await_rebirth` first, so over the socket transport
+                // the ack reaches a registered replacement instead of
+                // being dropped at a still-`Failed` peer.
+                ucomm.await_rebirth(&ranks);
+                for &r in &ranks {
+                    ucomm.send(r, FENCE_ACK_TAG, vec![1u64]);
+                }
+                return FenceVerdict::FenceBroken(agreed);
+            }
+        }
+        // Certification: one allreduce combines the global count with
+        // every member's local verdict — a failed reshard or a
+        // non-finite particle poisons the sum with NaN, which can never
+        // equal `expected` — so all members take the same branch with no
+        // extra round.
+        let finite = (0..parts.n_active).all(|i| {
+            let p = parts.pack(i);
+            [p.x, p.y, p.z, p.vx, p.vy, p.vz].iter().all(|v| v.is_finite())
+        });
+        let contrib = if reshard_ok && finite {
+            parts.n_active as f64
+        } else {
+            f64::NAN
+        };
+        let total = ucomm.allreduce_sum(contrib);
+        if total == self.expected as f64 {
+            FenceVerdict::Certified
+        } else {
+            FenceVerdict::Uncertified {
+                reason: format!(
+                    "certification failed: global count {total} != expected {}",
+                    self.expected
+                ),
+            }
         }
     }
 
-    let (a, mut parts) = sim.into_state();
-    match fence_and_certify(world, cfg, active, generation, target, k, &mut parts, expected) {
-        FenceVerdict::Certified => {
-            events.push(RecoveryEvent::ScaleCommitted {
-                step,
-                from: active,
-                to: target,
-                count: expected,
-                generation: generation + 1,
-            });
-            if world.rank() >= target {
-                // Shrink: this rank's particles are certified elsewhere;
-                // hand the seat back to the reserve pool.
-                world.retire();
-                return ResizeResult::Retired;
-            }
-            let new_acomm = world.active_world(target, generation + 1);
-            let sim2 = DistSimulation::from_checkpoint_state(&new_acomm, cfg, a, parts);
-            // The new world writes its own checkpoint set at the same
-            // step before the commit record: a crash between the two
-            // relaunches into the *old* size, whose set also exists.
-            if let Err(e) = sim2.checkpoint_to(&rc.dir, step) {
-                panic!("post-resize checkpoint failed at step {step}: {e}");
-            }
-            new_acomm.barrier();
-            if new_acomm.rank() == 0 {
-                WorldMeta {
-                    active: target,
-                    generation: generation + 1,
-                    step,
-                    resizing: None,
-                }
-                .write(&rc.dir)
-                .expect("world meta: resize commit");
-            }
-            // The commit record must be durable before any member can
-            // reach a step where a death would route a respawn through
-            // a stale record.
-            new_acomm.barrier();
-            let (a2, parts2) = sim2.into_state();
-            ResizeResult::Committed {
-                state: (a2, parts2, k),
-            }
-        }
-        FenceVerdict::Uncertified { reason } => {
-            events.push(RecoveryEvent::ScaleAborted {
-                step,
-                from: active,
-                to: target,
-                reason,
-            });
-            aborted.insert(step);
-            let (restored, resume) =
-                tier1_rollback(acomm, cfg, rc, step + 1, rollbacks, events, monitor);
-            if acomm.rank() == 0 {
-                WorldMeta {
-                    active,
-                    generation,
-                    step,
-                    resizing: None,
-                }
-                .write(&rc.dir)
-                .expect("world meta: resize abort");
-            }
-            ResizeResult::Aborted {
-                sim: restored,
-                resume,
-            }
-        }
-        FenceVerdict::FenceBroken(failed) => {
-            let failed_ranks: Vec<usize> = failed.iter().map(|&(r, _)| r).collect();
-            events.push(RecoveryEvent::ScaleAborted {
-                step,
-                from: active,
-                to: target,
-                reason: format!("fence broken by death of rank(s) {failed_ranks:?}"),
-            });
-            for &(r, e) in &failed {
-                events.push(RecoveryEvent::RankFailureDetected {
-                    step: step + 1,
-                    rank: r,
-                    epoch: e,
+    /// A reserve rank woken into an in-flight grow: join the shared
+    /// reshard/fence/certify with an empty particle set and adopt
+    /// whatever ownership routing assigns. `Some((a, particles))` makes
+    /// this rank a member of the committed world; `None` means the
+    /// resize aborted (or this rank died at the fence) and it is back
+    /// in the reserve pool.
+    fn join_resize_as_newcomer(&mut self, m: &WorldMeta, target: usize) -> Option<(f64, Particles)> {
+        let (world, rc) = (self.world, self.rc);
+        let k = m.step as usize;
+        let mut parts = Particles::default();
+        match self.fence_and_certify(m.active, m.generation, target, k, &mut parts) {
+            FenceVerdict::Certified => {
+                self.events.push(RecoveryEvent::ScaleCommitted {
+                    step: m.step,
+                    from: m.active,
+                    to: target,
+                    count: self.expected,
+                    generation: m.generation + 1,
                 });
-            }
-            aborted.insert(step);
-            // The fence-exit ack (sent inside `fence_and_certify`
-            // after `await_rebirth` on the union world) already closed
-            // the respawn window for every death — old member or
-            // newcomer. Roll the *old* world back together: a
-            // respawned old rank joins this very `resume_from` (its
-            // entry path reads the intent record and routes here); a
-            // respawned newcomer re-parks.
-            let (restored, resume) =
-                tier1_rollback(acomm, cfg, rc, step + 1, rollbacks, events, monitor);
-            if acomm.rank() == 0 {
-                WorldMeta {
-                    active,
-                    generation,
-                    step,
-                    resizing: None,
+                let new_acomm = world.active_world(target, m.generation + 1);
+                let sim =
+                    DistSimulation::from_checkpoint_state(&new_acomm, self.cfg, self.edges[k], parts);
+                if let Err(e) = sim.checkpoint_to(&rc.dir, m.step) {
+                    panic!("post-resize checkpoint failed at step {}: {e}", m.step);
                 }
-                .write(&rc.dir)
-                .expect("world meta: resize abort");
+                // Mirror the veterans' barrier pair around rank 0's
+                // commit record write.
+                new_acomm.barrier();
+                new_acomm.barrier();
+                Some(sim.into_state())
             }
-            ResizeResult::Aborted {
-                sim: restored,
-                resume,
+            FenceVerdict::IDied => {
+                // Killed at the very fence that admitted us (in-process
+                // transport): `fence_and_certify` already rejoined and
+                // drained the fence-exit acks. Park straight from
+                // `Rebuilding` (`park` is unconditional) — passing
+                // through `mark_recovered` would open a
+                // Healthy-but-unparked window the old world's era syncs
+                // could trip over.
+                world.retire();
+                None
             }
-        }
-        FenceVerdict::IDied => {
-            // Killed at the fence (in-process transport): this thread
-            // continues as its own replacement. `fence_and_certify`
-            // already rejoined and drained the fence-exit acks, so
-            // every survivor's fence sync has provably returned —
-            // recovering here can no longer split the verdict. The
-            // pre-fence checkpoint is on disk, so tier-1 needs no
-            // tier-0 reconstruction.
-            acomm.mark_recovered(step + 1);
-            events.push(RecoveryEvent::ScaleAborted {
-                step,
-                from: active,
-                to: target,
-                reason: format!("rank {} died at the resize fence", world.rank()),
-            });
-            aborted.insert(step);
-            let (restored, resume) =
-                tier1_rollback(acomm, cfg, rc, step + 1, rollbacks, events, monitor);
-            if acomm.rank() == 0 {
-                WorldMeta {
-                    active,
-                    generation,
-                    step,
-                    resizing: None,
-                }
-                .write(&rc.dir)
-                .expect("world meta: resize abort");
-            }
-            ResizeResult::Aborted {
-                sim: restored,
-                resume,
+            FenceVerdict::FenceBroken(_) | FenceVerdict::Uncertified { .. } => {
+                // The grow is rolled back by the old world; this rank
+                // was never part of a certified decomposition, so it
+                // simply hands its seat back. No rebirth wait: the next
+                // thing it does is park, not talk to the dead.
+                self.events.push(RecoveryEvent::ScaleAborted {
+                    step: m.step,
+                    from: m.active,
+                    to: target,
+                    reason: "grow aborted before certification; newcomer re-parked".into(),
+                });
+                world.retire();
+                None
             }
         }
     }
 }
 
-/// The shared middle of the rendezvous, identical for veterans and
-/// newcomers: reshard over the union world, fence through the epoch
-/// barrier, certify by global count.
-#[allow(clippy::too_many_arguments)]
-fn fence_and_certify(
-    world: &Comm,
-    cfg: SimConfig,
-    old_active: usize,
-    generation: u64,
-    target: usize,
-    k: usize,
-    parts: &mut Particles,
-    expected: usize,
-) -> FenceVerdict {
-    let step = k as u64;
-    let union = old_active.max(target);
-    let ucomm = world.active_world(union, union_tag(generation, step));
-    let w_cells = cfg.rcut_cells + 1.5;
-    let delta = cfg.box_len / cfg.ng as f64;
-    let new_decomp = Decomposition::new([target, 1, 1], cfg.box_len, w_cells * delta);
-    // Ownership routing to the new decomposition. On error the local
-    // set is untouched; the verdict travels through certification, so
-    // the outcome stays collective.
-    let reshard_ok = try_reshard(&ucomm, &new_decomp, parts).is_ok();
-    // The fence: the same admission machinery failures use. A death
-    // lands as a detector verdict on every survivor, never a hang.
-    match ucomm.admit_step(step + 1) {
-        StepAdmission::Dead => {
-            // Killed at the fence (in-process transport: this thread
-            // continues as its own replacement). Acknowledge the death
-            // (`Failed -> Rebuilding`) but HOLD there until every union
-            // survivor has exited the fence sync. Recovering earlier
-            // would erase this failure from a late waker's report and
-            // split the fence verdict: part of the union certifies and
-            // part aborts, and the halves wedge in collectives the
-            // other never enters. The caller runs `mark_recovered`
-            // only after this returns.
-            let _fence_epoch = ucomm.rejoin_as_replacement();
-            fence_victim_sync(&ucomm);
-            return FenceVerdict::IDied;
-        }
-        StepAdmission::Proceed(report) if report.failed.is_empty() => {}
-        StepAdmission::Proceed(report) => {
-            let agreed = ucomm.agree_failed(&report);
-            let ranks: Vec<usize> = agreed.iter().map(|&(r, _)| r).collect();
-            // Fence-exit acks: each dead rank stays `Rebuilding` —
-            // still reported as failed by any in-flight sync — until
-            // every survivor has captured this verdict and said so.
-            // `await_rebirth` first, so over the socket transport the
-            // ack reaches a registered replacement instead of being
-            // dropped at a still-`Failed` peer.
-            ucomm.await_rebirth(&ranks);
-            for &r in &ranks {
-                ucomm.send(r, FENCE_ACK_TAG, vec![1u64]);
-            }
-            return FenceVerdict::FenceBroken(agreed);
-        }
-    }
-    // Certification: one allreduce combines the global count with every
-    // member's local verdict — a failed reshard or a non-finite
-    // particle poisons the sum with NaN, which can never equal
-    // `expected` — so all members take the same branch with no extra
-    // round.
-    let finite = (0..parts.n_active).all(|i| {
-        let p = parts.pack(i);
-        p.x.is_finite()
-            && p.y.is_finite()
-            && p.z.is_finite()
-            && p.vx.is_finite()
-            && p.vy.is_finite()
-            && p.vz.is_finite()
-    });
-    let contrib = if reshard_ok && finite {
-        parts.n_active as f64
-    } else {
-        f64::NAN
+/// A respawned process's re-entry: acknowledge the death, and — if the
+/// write-ahead record shows a resize in flight whose union world
+/// includes this rank — hold in `Rebuilding` through the fence-exit
+/// handshake (the union communicator re-derives identically from the
+/// record's fields).
+fn rejoin_through_fence(world: &Comm, meta: Option<WorldMeta>) {
+    let _last_epoch = world.rejoin_as_replacement();
+    let Some((m, target)) = meta.and_then(|m| Some((m, m.resizing?))) else {
+        return;
     };
-    let total = ucomm.allreduce_sum(contrib);
-    if total == expected as f64 {
-        FenceVerdict::Certified
-    } else {
-        FenceVerdict::Uncertified {
-            reason: format!(
-                "certification failed: global count {total} != expected {expected}"
-            ),
-        }
+    let union = m.active.max(target);
+    if world.rank() < union {
+        fence_victim_sync(&world.active_world(union, union_tag(m.generation, m.step)));
     }
 }
 
@@ -1104,98 +1172,24 @@ fn fence_victim_sync(ucomm: &Comm) {
     }
 }
 
-/// How a newcomer's rendezvous resolved.
-enum NewcomerOutcome {
-    /// Member of the committed world; carries its adopted state.
-    Committed { a: f64, parts: Particles },
-    /// The resize aborted (or this rank died at the fence); back to the
-    /// reserve pool.
-    Parked,
-}
-
-/// A reserve rank woken into an in-flight grow: join the shared
-/// reshard/fence/certify with an empty particle set and adopt whatever
-/// ownership routing assigns.
-#[allow(clippy::too_many_arguments)]
-fn join_resize_as_newcomer(
-    world: &Comm,
-    cfg: SimConfig,
-    rc: &ResilienceConfig,
-    m: &WorldMeta,
-    target: usize,
-    expected: usize,
-    edges: &[f64],
-    events: &mut Vec<RecoveryEvent>,
-) -> NewcomerOutcome {
-    let k = m.step as usize;
-    let mut parts = Particles::default();
-    match fence_and_certify(
-        world,
-        cfg,
-        m.active,
-        m.generation,
-        target,
-        k,
-        &mut parts,
-        expected,
-    ) {
-        FenceVerdict::Certified => {
-            events.push(RecoveryEvent::ScaleCommitted {
-                step: m.step,
-                from: m.active,
-                to: target,
-                count: expected,
-                generation: m.generation + 1,
-            });
-            let new_acomm = world.active_world(target, m.generation + 1);
-            let sim = DistSimulation::from_checkpoint_state(&new_acomm, cfg, edges[k], parts);
-            if let Err(e) = sim.checkpoint_to(&rc.dir, m.step) {
-                panic!("post-resize checkpoint failed at step {}: {e}", m.step);
-            }
-            // Mirror the veterans' barrier pair around rank 0's commit
-            // record write.
-            new_acomm.barrier();
-            new_acomm.barrier();
-            let (a, parts) = sim.into_state();
-            NewcomerOutcome::Committed { a, parts }
-        }
-        FenceVerdict::IDied => {
-            // Killed at the very fence that admitted us (in-process
-            // transport): `fence_and_certify` already rejoined and
-            // drained the fence-exit acks. Park straight from
-            // `Rebuilding` (`park` is unconditional) — passing through
-            // `mark_recovered` would open a Healthy-but-unparked
-            // window the old world's era syncs could trip over.
-            world.retire();
-            NewcomerOutcome::Parked
-        }
-        FenceVerdict::FenceBroken(_) | FenceVerdict::Uncertified { .. } => {
-            // The grow is rolled back by the old world; this rank was
-            // never part of a certified decomposition, so it simply
-            // hands its seat back. No rebirth wait: the next thing it
-            // does is park, not talk to the dead.
-            events.push(RecoveryEvent::ScaleAborted {
-                step: m.step,
-                from: m.active,
-                to: target,
-                reason: "grow aborted before certification; newcomer re-parked".into(),
-            });
-            world.retire();
-            NewcomerOutcome::Parked
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// In-process driver
+// The relaunch loop
 // ---------------------------------------------------------------------------
 
-/// Run `cfg`'s full schedule on an in-process elastic machine of
-/// `rc.ranks` capacity, starting `initial_active` ranks and resizing
-/// per `schedule`, surviving injected failures by the tiered recovery
-/// protocol. The elastic analogue of [`crate::resilient::run_resilient`].
+/// Run `cfg`'s full schedule on an in-process machine of `rc.ranks`
+/// capacity, starting `initial_active` ranks and resizing per
+/// `schedule`, surviving injected failures by the tiered recovery
+/// protocol.
 ///
-/// Requires `rc.heartbeat` (parking lives in the failure detector).
+/// A rank death is detected by the heartbeat monitor and recovered
+/// *inside* the attempt (tier-0 overload reconstruction, escalating to
+/// tier-1 rollback). What the tiers cannot recover — a tier-2 abort, or
+/// any rank panic — fails the attempt, and the driver falls back to its
+/// oldest trick, "every rank failed": relaunch the whole machine from
+/// the newest complete checkpoint set of whatever world size last
+/// committed (cold from `ics` when there is none), after an
+/// exponentially growing pause. After `rc.max_retries` relaunches it
+/// gives up and returns the timeline for diagnosis.
 pub fn run_elastic(
     cfg: SimConfig,
     ics: &hacc_ics::IcsRealization,
@@ -1205,9 +1199,6 @@ pub fn run_elastic(
     plan: &FaultPlan,
 ) -> Result<ResilientRun, ResilienceError> {
     let rc = &rc.for_sim(&cfg);
-    let hb = rc
-        .heartbeat
-        .expect("run_elastic requires ResilienceConfig::heartbeat");
     let mut timeline = Vec::new();
     let mut attempt = 1u32;
     loop {
@@ -1219,7 +1210,7 @@ pub fn run_elastic(
         });
         let mut machine = Machine::new(rc.ranks)
             .with_faults(plan.clone())
-            .with_heartbeat(hb)
+            .with_heartbeat(rc.heartbeat)
             .with_active(active_now);
         if let Some(w) = rc.watchdog {
             machine = machine.with_watchdog(w);

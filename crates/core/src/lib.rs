@@ -44,7 +44,7 @@ pub use dist::DistSimulation;
 pub use elastic::{run_attempt_elastic, run_elastic, ScalePlan, ScaleSchedule, WorldMeta};
 pub use invariant::{InvariantConfig, InvariantMonitor, InvariantSample, InvariantVerdict};
 pub use resilient::{
-    run_attempt_online, run_resilient, write_timeline_json, AttemptOutput, RecoveryEvent,
+    run_resilient, write_timeline_json, AttemptOutput, RecoveryEvent,
     ResilienceConfig, ResilienceError, ResilientRun, TimelineHeader,
 };
 pub use sim::Simulation;

@@ -1,12 +1,14 @@
-//! Fault-tolerant recovery driver: run to completion through failures.
+//! Fault-tolerant recovery: policy, tiers and the timeline of a run
+//! that goes to completion through failures. The driver itself lives in
+//! [`crate::elastic`].
 //!
 //! Ties the fault-tolerance layers together the way a production HACC
 //! campaign does, in escalating tiers (DESIGN.md §11):
 //!
-//! * **Tier 0 — online reconstruction.** With a heartbeat monitor
-//!   attached ([`ResilienceConfig::heartbeat`]), a silently killed rank
-//!   is *detected* at the next epoch boundary instead of hanging the
-//!   machine. Survivors rebuild the lost domain from their particle
+//! * **Tier 0 — online reconstruction.** A heartbeat monitor
+//!   ([`ResilienceConfig::heartbeat`]) is always attached, so a silently
+//!   killed rank is *detected* at the next epoch boundary instead of
+//!   hanging the machine. Survivors rebuild the lost domain from their particle
 //!   overload shells ([`DistSimulation::reconstruct_ranks`]) while the
 //!   fenced rank rejoins as a blank replacement — no rollback, no
 //!   checkpoint I/O, computation continues from the very step that
@@ -27,10 +29,9 @@
 //! rank 0 and broadcasts, so every rank compares bitwise-identical
 //! numbers and takes the same branch.
 //!
-//! Without a heartbeat the driver degrades to the PR-1 behaviour: a
-//! killed rank panics the machine and the next attempt restores from
-//! the newest checkpoint — still bit-exact w.r.t. an uninterrupted run
-//! (see [`crate::checkpoint`]). Either way the driver records a
+//! The relaunch restores from the newest checkpoint set and replays
+//! deterministically, so it is still bit-exact w.r.t. an uninterrupted
+//! run (see [`crate::checkpoint`]). Either way the driver records a
 //! [`RecoveryEvent`] timeline so a run can report what it survived;
 //! [`write_timeline_json`] serializes it for CI artifacts.
 
@@ -38,12 +39,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use hacc_comm::{Comm, FaultPlan, HeartbeatConfig, Machine, MachineError, StepAdmission};
+use hacc_comm::{FaultPlan, HeartbeatConfig};
 
-use crate::checkpoint::{complete_sets, gc_checkpoints, CheckpointError};
 use crate::config::SimConfig;
-use crate::dist::DistSimulation;
-use crate::invariant::{InvariantConfig, InvariantMonitor, InvariantVerdict};
+use crate::elastic::{run_elastic, ScaleSchedule};
+use crate::invariant::InvariantConfig;
 
 /// Policy knobs for [`run_resilient`].
 #[derive(Debug, Clone)]
@@ -63,9 +63,9 @@ pub struct ResilienceConfig {
     /// Per-receive watchdog for the relaunched machines; a lost message
     /// then surfaces as a diagnostic timeout instead of a hang.
     pub watchdog: Option<Duration>,
-    /// Attach a heartbeat failure detector and recover rank deaths
-    /// *online* (Tier 0/1 in-run) instead of relaunching the attempt.
-    pub heartbeat: Option<HeartbeatConfig>,
+    /// Tuning of the heartbeat failure detector that turns a rank death
+    /// into an in-run (Tier 0/1) recovery.
+    pub heartbeat: HeartbeatConfig,
     /// Physics invariant watchdogs (NaN scan, momentum drift, kinetic
     /// blowup) assessed after every step; a breach escalates to Tier 1.
     pub invariants: Option<InvariantConfig>,
@@ -79,9 +79,8 @@ pub struct ResilienceConfig {
 
 impl ResilienceConfig {
     /// Sensible defaults: checkpoint every 2 steps, 3 retries, 10 ms
-    /// initial backoff doubling per failure, no watchdog, no heartbeat
-    /// (relaunch-only recovery), no invariant monitors, keep every
-    /// checkpoint.
+    /// initial backoff doubling per failure, no watchdog, default
+    /// heartbeat tuning, no invariant monitors, keep every checkpoint.
     pub fn new(ranks: usize, dir: impl Into<PathBuf>) -> Self {
         ResilienceConfig {
             ranks,
@@ -90,7 +89,7 @@ impl ResilienceConfig {
             backoff: Duration::from_millis(10),
             backoff_factor: 2.0,
             watchdog: None,
-            heartbeat: None,
+            heartbeat: HeartbeatConfig::default(),
             invariants: None,
             retain: None,
             dir: dir.into(),
@@ -570,7 +569,7 @@ pub struct ResilientRun {
     pub positions: Vec<(u64, [f32; 3])>,
 }
 
-/// Terminal failure of [`run_resilient`].
+/// Terminal failure of [`run_resilient`] / [`run_elastic`].
 #[derive(Debug)]
 pub enum ResilienceError {
     /// Every attempt failed; carries the timeline for post-mortems.
@@ -600,357 +599,16 @@ impl std::error::Error for ResilienceError {}
 /// positions plus its view of the in-run recovery events.
 pub type AttemptOutput = (Option<Vec<(u64, [f32; 3])>>, Vec<RecoveryEvent>);
 
-/// Run `cfg`'s full schedule on a simulated machine under `plan`,
-/// surviving injected failures by the tiered recovery protocol.
-///
-/// Each attempt resumes from the newest valid checkpoint set in
-/// `rc.dir` (cold-starting from `ics` when none exists) and checkpoints
-/// every `rc.checkpoint_every` steps. With `rc.heartbeat` set, rank
-/// deaths are detected and recovered *inside* the attempt (Tier 0
-/// overload reconstruction, escalating to Tier 1 rollback); without it,
-/// a death panics the attempt and recovery is relaunch-from-checkpoint.
-/// A failed attempt costs an exponentially growing pause; after
-/// `rc.max_retries` relaunches the driver gives up and returns the
-/// timeline for diagnosis.
+/// Run `cfg`'s full schedule on a simulated machine of `rc.ranks` ranks
+/// under `plan`, surviving injected failures by the tiered recovery
+/// protocol: [`run_elastic`] on a world that never resizes.
 pub fn run_resilient(
     cfg: SimConfig,
     ics: &hacc_ics::IcsRealization,
     rc: &ResilienceConfig,
     plan: &FaultPlan,
 ) -> Result<ResilientRun, ResilienceError> {
-    let rc = &rc.for_sim(&cfg);
-    let mut timeline = Vec::new();
-    let mut attempt = 1u32;
-    loop {
-        timeline.push(RecoveryEvent::AttemptStarted {
-            attempt,
-            resume_step: complete_sets(&rc.dir, rc.ranks).last().copied(),
-        });
-        let mut machine = Machine::new(rc.ranks).with_faults(plan.clone());
-        if let Some(w) = rc.watchdog {
-            machine = machine.with_watchdog(w);
-        }
-        if let Some(hb) = rc.heartbeat {
-            machine = machine.with_heartbeat(hb);
-        }
-        let online = rc.heartbeat.is_some();
-        let result = machine.try_run(|comm| -> AttemptOutput {
-            if online {
-                run_attempt_online(&comm, cfg, ics, rc, false)
-            } else {
-                run_attempt_legacy(&comm, cfg, ics, rc)
-            }
-        });
-        match result {
-            Ok((per_rank, _stats)) => {
-                let (positions, events) = per_rank
-                    .into_iter()
-                    .next()
-                    .expect("machine returns at least rank 0");
-                timeline.extend(events);
-                timeline.push(RecoveryEvent::Completed {
-                    attempt,
-                    final_step: cfg.steps as u64,
-                });
-                return Ok(ResilientRun {
-                    timeline,
-                    attempts: attempt,
-                    final_step: cfg.steps as u64,
-                    positions: positions.expect("rank 0 gathered positions"),
-                });
-            }
-            Err(MachineError::RankPanicked { rank, message }) => {
-                if let Some(reason) = message.split("tier-2 abort: ").nth(1) {
-                    timeline.push(RecoveryEvent::Tier2Abort {
-                        attempt,
-                        reason: reason.to_string(),
-                    });
-                } else {
-                    timeline.push(RecoveryEvent::Failure {
-                        attempt,
-                        rank,
-                        message: message.clone(),
-                    });
-                }
-                if attempt > rc.max_retries {
-                    return Err(ResilienceError::RetriesExhausted {
-                        attempts: attempt,
-                        last: message,
-                        timeline,
-                    });
-                }
-                attempt += 1;
-                let pause = rc.pause_before_attempt(attempt);
-                timeline.push(RecoveryEvent::BackedOff { attempt, pause });
-                std::thread::sleep(pause);
-            }
-        }
-    }
-}
-
-/// The PR-1 recovery path: no failure detector, so an injected kill
-/// panics the machine and the *next attempt* restores from checkpoint.
-fn run_attempt_legacy(
-    comm: &Comm,
-    cfg: SimConfig,
-    ics: &hacc_ics::IcsRealization,
-    rc: &ResilienceConfig,
-) -> AttemptOutput {
-    let (mut sim, done) = match DistSimulation::resume_from(comm, cfg, &rc.dir) {
-        Ok(resumed) => resumed,
-        Err(CheckpointError::NoCheckpoint) => (DistSimulation::new(comm, cfg, ics), 0),
-        Err(e) => panic!("checkpoint restore failed: {e}"),
-    };
-    let edges = cfg.step_edges();
-    for k in done as usize..cfg.steps {
-        let step = (k + 1) as u64;
-        comm.begin_step(step);
-        sim.step(edges[k + 1]);
-        if step.is_multiple_of(rc.checkpoint_every) || step == cfg.steps as u64 {
-            if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
-                panic!("checkpoint write failed at step {step}: {e}");
-            }
-            maybe_gc(comm, rc);
-        }
-    }
-    (sim.gather_positions(), Vec::new())
-}
-
-/// The online recovery path: every step is admitted through the
-/// heartbeat epoch barrier, a detected death triggers in-run tiered
-/// recovery, and (optionally) invariant watchdogs vet every new state.
-///
-/// Public because it is transport-generic: the in-process driver above
-/// calls it from `Machine::try_run` threads, and the multi-process
-/// launcher (`hacc-mprun`) calls it from each OS process over the
-/// socket transport — same protocol, same code. A respawned OS process
-/// passes `start_as_replacement = true`: instead of admitting its first
-/// step it enters through [`Comm::rejoin_as_replacement`] and is rebuilt
-/// by the Tier-0 collective, exactly like the respawned thread of an
-/// in-process machine.
-pub fn run_attempt_online(
-    comm: &Comm,
-    cfg: SimConfig,
-    ics: &hacc_ics::IcsRealization,
-    rc: &ResilienceConfig,
-    start_as_replacement: bool,
-) -> AttemptOutput {
-    let mut events = Vec::new();
-    let expected = ics.len();
-    let edges = cfg.step_edges();
-    let (mut sim, done) = if start_as_replacement {
-        // Placeholder until the rejoin learns the real epoch; the
-        // failure branch below rebuilds it at the right schedule slot.
-        (DistSimulation::blank_replacement(comm, cfg, edges[0]), 0)
-    } else {
-        match DistSimulation::resume_from(comm, cfg, &rc.dir) {
-            Ok(resumed) => resumed,
-            Err(CheckpointError::NoCheckpoint) => (DistSimulation::new(comm, cfg, ics), 0),
-            Err(e) => panic!("checkpoint restore failed: {e}"),
-        }
-    };
-    let mut monitor = rc.invariants.map(InvariantMonitor::new);
-    let mut rollbacks = 0u32;
-    let mut pending_replacement = start_as_replacement;
-    let mut k = done as usize;
-    while k < cfg.steps {
-        let (failed_now, replacement) = if std::mem::take(&mut pending_replacement) {
-            // A respawned OS process: it never admits its first step —
-            // it announces itself to the detector and learns where the
-            // world stopped.
-            let epoch = comm.rejoin_as_replacement();
-            k = epoch as usize;
-            (comm.dead_set(), true)
-        } else {
-            match comm.admit_step((k + 1) as u64) {
-                StepAdmission::Proceed(report) if report.failed.is_empty() => (Vec::new(), false),
-                StepAdmission::Proceed(report) => (comm.agree_failed(&report), false),
-                StepAdmission::Dead => {
-                    // This rank was killed silently; the thread now plays
-                    // the respawned replacement. Its pre-death state is
-                    // gone as far as the protocol is concerned — it will be
-                    // overwritten before any use. `epoch` is the last step
-                    // it completed, which every survivor also stands at
-                    // (they cannot pass the epoch barrier ahead of the
-                    // death declaration).
-                    let epoch = comm.rejoin_as_replacement();
-                    k = epoch as usize;
-                    (comm.dead_set(), true)
-                }
-            }
-        };
-        let step = (k + 1) as u64;
-        if !failed_now.is_empty() {
-            for &(r, e) in &failed_now {
-                events.push(RecoveryEvent::RankFailureDetected {
-                    step,
-                    rank: r,
-                    epoch: e,
-                });
-            }
-            let failed_ranks: Vec<usize> = failed_now.iter().map(|&(r, _)| r).collect();
-            if replacement {
-                sim = DistSimulation::blank_replacement(comm, cfg, edges[k]);
-            } else {
-                comm.await_rebirth(&failed_ranks);
-            }
-            // Tier 0: rebuild the lost domains from overload shells.
-            // The count compares identically on every rank (allreduce),
-            // so the tier decision is collective-safe. A *second*
-            // failure striking mid-recovery surfaces as an error on
-            // every participant (the collective cannot complete for
-            // anyone), so escalating to rollback stays collective-safe
-            // too.
-            let count = match sim.try_reconstruct_ranks(&failed_ranks) {
-                Ok(count) => count,
-                Err(e) => {
-                    events.push(RecoveryEvent::Tier0Disrupted {
-                        step,
-                        detail: e.to_string(),
-                    });
-                    if replacement {
-                        comm.mark_recovered(step);
-                    }
-                    let (restored, resumed) = tier1_rollback(
-                        comm,
-                        cfg,
-                        rc,
-                        step,
-                        &mut rollbacks,
-                        &mut events,
-                        &mut monitor,
-                    );
-                    sim = restored;
-                    k = resumed;
-                    continue;
-                }
-            };
-            if replacement {
-                comm.mark_recovered(step);
-            }
-            let mut certified = count == expected;
-            if certified {
-                events.push(RecoveryEvent::Tier0Reconstructed {
-                    step,
-                    ranks: failed_ranks,
-                    count,
-                });
-                // Vet the reconstruction against the pre-failure
-                // baseline: replicas track their lost originals only to
-                // force-noise, but anything beyond the drift gate means
-                // the rebuild is not the state that died.
-                if let Some(mon) = monitor.as_mut() {
-                    if let InvariantVerdict::Breach(why) = mon.assess(&sim.invariant_sample()) {
-                        events.push(RecoveryEvent::InvariantBreach { step, detail: why });
-                        certified = false;
-                    }
-                }
-            } else {
-                events.push(RecoveryEvent::Tier0Incomplete {
-                    step,
-                    expected,
-                    got: count,
-                });
-            }
-            if certified {
-                // Lock the recovered state in before stepping on: a
-                // second failure must not compound with this one.
-                match sim.checkpoint_to(&rc.dir, k as u64) {
-                    Ok(_) => events.push(RecoveryEvent::ProactiveCheckpoint { step: k as u64 }),
-                    Err(e) => panic!("proactive checkpoint failed at step {k}: {e}"),
-                }
-                maybe_gc(comm, rc);
-                // Fall through and execute `step`: survivors admitted
-                // it above, and the replacement inherits that admission
-                // (re-admitting here would deadlock the barrier).
-            } else {
-                let (restored, resumed) =
-                    tier1_rollback(comm, cfg, rc, step, &mut rollbacks, &mut events, &mut monitor);
-                sim = restored;
-                k = resumed;
-                continue;
-            }
-        }
-        sim.step(edges[k + 1]);
-        // Vet the new state before it can reach a checkpoint file.
-        if let Some(mon) = monitor.as_mut() {
-            if let InvariantVerdict::Breach(why) = mon.assess(&sim.invariant_sample()) {
-                events.push(RecoveryEvent::InvariantBreach { step, detail: why });
-                let (restored, resumed) =
-                    tier1_rollback(comm, cfg, rc, step, &mut rollbacks, &mut events, &mut monitor);
-                sim = restored;
-                k = resumed;
-                continue;
-            }
-        }
-        k += 1;
-        if step.is_multiple_of(rc.checkpoint_every) || step == cfg.steps as u64 {
-            if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
-                panic!("checkpoint write failed at step {step}: {e}");
-            }
-            maybe_gc(comm, rc);
-        }
-    }
-    (sim.gather_positions(), events)
-}
-
-/// Tier 1: collectively restore the newest checkpoint set every rank
-/// can validate; escalate to a Tier-2 abort when that is impossible or
-/// rollbacks stop making progress. All ranks reach identical decisions
-/// (the triggers are allreduced quantities), so the `resume_from`
-/// collective and the abort are globally consistent.
-pub(crate) fn tier1_rollback<'a>(
-    comm: &'a Comm,
-    cfg: SimConfig,
-    rc: &ResilienceConfig,
-    step: u64,
-    rollbacks: &mut u32,
-    events: &mut Vec<RecoveryEvent>,
-    monitor: &mut Option<InvariantMonitor>,
-) -> (DistSimulation<'a>, usize) {
-    *rollbacks += 1;
-    if *rollbacks > rc.max_retries.max(1) {
-        panic!(
-            "tier-2 abort: {} checkpoint rollbacks without completing the schedule \
-             (deterministic replay keeps re-triggering escalation at step {step})",
-            *rollbacks
-        );
-    }
-    match DistSimulation::resume_from(comm, cfg, &rc.dir) {
-        Ok((restored, resume_step)) => {
-            events.push(RecoveryEvent::Tier1Rollback { step, resume_step });
-            // The restored trajectory is a different (earlier) state;
-            // drifts must be measured against it, not the abandoned one.
-            if let Some(mon) = monitor.as_mut() {
-                mon.rebaseline();
-            }
-            (restored, resume_step as usize)
-        }
-        Err(CheckpointError::NoCheckpoint) => panic!(
-            "tier-2 abort: escalation at step {step} found no checkpoint set to roll back to \
-             (overload coverage was incomplete and no prior state survives)"
-        ),
-        Err(e) => panic!("tier-2 abort: rollback at step {step} failed: {e}"),
-    }
-}
-
-/// Trim old checkpoint sets after a write (collective when enabled).
-/// The barrier makes every rank's just-written file visible before
-/// rank 0 collects, so the newest set always counts as complete and
-/// the trim is deterministic; without it, rank 0 could scan while
-/// peers are still writing and conservatively spare an extra old set.
-/// Old sets themselves are dead weight, not write targets, so rank 0
-/// deletes them without further synchronization.
-pub(crate) fn maybe_gc(comm: &Comm, rc: &ResilienceConfig) {
-    if rc.retain.is_none() {
-        return;
-    }
-    comm.barrier();
-    if comm.rank() == 0 {
-        if let Some(keep) = rc.retain {
-            let _removed = gc_checkpoints(&rc.dir, comm.size(), keep);
-        }
-    }
+    run_elastic(cfg, ics, rc, rc.ranks, &ScaleSchedule::default(), plan)
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Survive a mid-run node failure: a small ΛCDM run on a simulated
-//! 4-rank machine where fault injection kills a rank partway through,
-//! and the recovery driver restores from the last checkpoint set and
-//! finishes. Prints the recovery timeline and verifies the final state
-//! is bit-identical to a failure-free run.
+//! 4-rank machine where fault injection silently kills a rank partway
+//! through. The heartbeat monitor detects the death at the next step
+//! boundary and the survivors rebuild the lost domain online from their
+//! particle overload shells (tier 0) — no restart, no checkpoint read.
+//! Prints the recovery timeline and verifies that every particle is
+//! accounted for and the run stayed on the failure-free trajectory.
 //!
 //! ```text
 //! cargo run --release --example resilient_run
@@ -67,21 +69,29 @@ fn main() {
         run.positions.len()
     );
 
-    let bit_exact = clean.positions.len() == run.positions.len()
-        && clean
-            .positions
-            .iter()
-            .zip(&run.positions)
-            .all(|(c, f)| c.0 == f.0 && (0..3).all(|k| c.1[k].to_bits() == f.1[k].to_bits()));
+    // Tier 0 resurrects the lost particles from their overload replicas,
+    // which track the originals to force-noise rather than bit for bit:
+    // the population must be exact, the positions merely very close.
+    // (Only a relaunch from a checkpoint replays bit-exactly.)
+    assert_eq!(run.attempts, 1, "a detected death is recovered in-run");
+    let same_ids = clean.positions.len() == run.positions.len()
+        && clean.positions.iter().zip(&run.positions).all(|(c, f)| c.0 == f.0);
+    assert!(same_ids, "particles lost or duplicated across the recovery");
+    let wrap = |d: f32| d.abs().min(cfg.box_len as f32 - d.abs());
+    let max_shift = clean
+        .positions
+        .iter()
+        .zip(&run.positions)
+        .flat_map(|(c, f)| (0..3).map(move |k| wrap(c.1[k] - f.1[k])))
+        .fold(0.0f32, f32::max);
+    let cell = (cfg.box_len / cfg.ng as f64) as f32;
     println!(
-        "final state vs uninterrupted run: {}",
-        if bit_exact {
-            "bit-exact"
-        } else {
-            "DIVERGED (bug!)"
-        }
+        "final state vs uninterrupted run: same {} particle ids, \
+         largest position shift {max_shift:.2e} Mpc/h ({:.2e} grid cells)",
+        run.positions.len(),
+        max_shift / cell
     );
-    assert!(bit_exact);
+    assert!(max_shift < 0.05 * cell, "recovered run left the trajectory");
 
     // What this machinery costs at paper scale (Young/Daly model).
     let part = BgqPartition::racks(96);

@@ -19,13 +19,13 @@
 //!   overload shells, and the respawned OS process rejoined as a blank
 //!   replacement. Rank 0 writes final positions; every rank writes its
 //!   recovery timeline and wire stats.
-//! - `elastic` — the chaos-soak acceptance run: a 36³ mesh over 10
-//!   steps on an elastic world. `--ranks` is the capacity, `--active`
-//!   the starting world, and `--scale` (e.g. `6@3,3@7`) schedules
-//!   grows into the parked reserve and shrinks back out, every resize
-//!   epoch-fenced and count-certified — all while `--kill` SIGKILLs
-//!   ranks per the fault plan. Artifacts match `sim` (timelines with
-//!   config headers, rank-0 positions).
+//! - `elastic` — the chaos-soak acceptance run: the same driver on a
+//!   36³ mesh over 10 steps with a resize schedule. `--ranks` is the
+//!   capacity, `--active` the starting world, and `--scale` (e.g.
+//!   `6@3,3@7`) schedules grows into the parked reserve and shrinks
+//!   back out, every resize epoch-fenced and count-certified — all
+//!   while `--kill` SIGKILLs ranks per the fault plan. Artifacts match
+//!   `sim`.
 //! - `barrier` — a detection-latency probe: ranks run epoch barriers
 //!   until the victim dies, then verify a receive from the dead rank
 //!   fails with `RankFailed` (not a hang) and record how long detection
@@ -40,10 +40,10 @@
 
 use hacc::comm::hub::{self, HubOptions};
 use hacc::comm::socket::{SocketConfig, SocketTransport};
-use hacc::comm::{Comm, CommError, FaultPlan, HeartbeatConfig, StepAdmission};
+use hacc::comm::{Comm, CommError, FaultPlan, StepAdmission};
 use hacc::core::{
-    run_attempt_elastic, run_attempt_online, write_timeline_json, ResilienceConfig, ScaleSchedule,
-    SimConfig, SolverKind, TimelineHeader,
+    run_attempt_elastic, write_timeline_json, ResilienceConfig, ScaleSchedule, SimConfig,
+    SolverKind, TimelineHeader,
 };
 use hacc::cosmo::{Cosmology, LinearPower, Transfer};
 use std::path::{Path, PathBuf};
@@ -124,9 +124,10 @@ fn sim_config() -> SimConfig {
     }
 }
 
-fn sim_ics() -> hacc::ics::IcsRealization {
+/// Zel'dovich initial conditions, `np`³ particles in the 64 Mpc/h box.
+fn zeldovich_ics(np: usize) -> hacc::ics::IcsRealization {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
-    hacc::ics::zeldovich(16, 64.0, &power, 0.2, 31)
+    hacc::ics::zeldovich(np, 64.0, &power, 0.2, 31)
 }
 
 /// The elastic acceptance geometry: a 36³ mesh (divisible by every
@@ -135,19 +136,10 @@ fn sim_ics() -> hacc::ics::IcsRealization {
 fn elastic_config() -> SimConfig {
     SimConfig {
         ng: 36,
-        box_len: 64.0,
-        a_init: 0.2,
         a_final: 0.32,
         steps: 10,
-        subcycles: 2,
-        solver: SolverKind::TreePm,
-        ..SimConfig::small_lcdm()
+        ..sim_config()
     }
-}
-
-fn elastic_ics() -> hacc::ics::IcsRealization {
-    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
-    hacc::ics::zeldovich(18, 64.0, &power, 0.2, 31)
 }
 
 fn main() {
@@ -176,16 +168,9 @@ fn launcher_main() {
     // The barrier scenario measures detection, not recovery: dead stays
     // dead so survivors can probe the corpse.
     hub_opts.respawn = matches!(opts.scenario.as_str(), "sim" | "elastic");
-    hub_opts.heartbeat = HeartbeatConfig::default();
     // Elastic runs start a prefix of the capacity world; the rest park
-    // in the detector as the reserve pool.
+    // in the detector as the reserve pool (the hub checks the range).
     hub_opts.active = opts.active;
-    if let Some(a) = opts.active {
-        assert!(
-            a >= 1 && a <= opts.ranks,
-            "--active must be within [1, --ranks]"
-        );
-    }
 
     let exe = std::env::current_exe().expect("current exe");
     let scenario = opts.scenario.clone();
@@ -283,18 +268,61 @@ fn env_seed() -> u64 {
     std::env::var("HACC_SEED").map_or(9, |s| s.parse().unwrap_or(9))
 }
 
-/// The acceptance scenario: the transport-generic online-recovery driver
-/// (`run_attempt_online`), exactly as the in-process machine runs it.
+/// The acceptance scenario: the transport-generic recovery driver on a
+/// world that never resizes, exactly as the in-process machine runs it.
 fn child_sim(comm: &Comm, replacement: bool, out: &Path) {
-    let ckpt = PathBuf::from(std::env::var("HACC_CKPT").expect("HACC_CKPT"));
-    let mut rc = ResilienceConfig::new(comm.size(), &ckpt);
-    rc.heartbeat = Some(HeartbeatConfig::default());
+    let mut rc = ResilienceConfig::new(comm.size(), ckpt_dir());
     rc.retain = Some(2);
-    let realization = sim_ics();
-    let (positions, events) = run_attempt_online(comm, sim_config(), &realization, &rc, replacement);
+    let run = run_attempt_elastic(
+        comm,
+        sim_config(),
+        &zeldovich_ics(16),
+        &rc,
+        &ScaleSchedule::default(),
+        comm.size(),
+        replacement,
+    );
+    write_run_artifacts(comm, &rc, run, out);
+}
 
+/// The elastic chaos scenario: the same driver with a resize schedule
+/// over real sockets. `comm` is the capacity world; `HACC_ACTIVE` of it
+/// start active and `HACC_SCALE` drives the grows/shrinks, all while
+/// the hub SIGKILLs whatever the fault plan names.
+fn child_elastic(comm: &Comm, replacement: bool, out: &Path) {
+    let schedule = ScaleSchedule::parse(&std::env::var("HACC_SCALE").unwrap_or_default());
+    let active: usize = std::env::var("HACC_ACTIVE")
+        .map_or_else(|_| comm.size(), |s| s.parse().expect("HACC_ACTIVE"));
+    // `retain` stays `None`: the harness reads both the old-size and
+    // new-size checkpoint sets back to verify the handover.
+    let rc = ResilienceConfig::new(comm.size(), ckpt_dir());
+    let run = run_attempt_elastic(
+        comm,
+        elastic_config(),
+        &zeldovich_ics(18),
+        &rc,
+        &schedule,
+        active,
+        replacement,
+    );
+    write_run_artifacts(comm, &rc, run, out);
+}
+
+fn ckpt_dir() -> PathBuf {
+    PathBuf::from(std::env::var("HACC_CKPT").expect("HACC_CKPT"))
+}
+
+/// What every rank of a driver scenario leaves behind: its recovery
+/// timeline (with the policy header) and wire stats, plus rank 0's
+/// final positions.
+fn write_run_artifacts(
+    comm: &Comm,
+    rc: &ResilienceConfig,
+    (positions, events): hacc::core::AttemptOutput,
+    out: &Path,
+) {
     let rank = comm.rank();
-    let header = TimelineHeader::for_config(&rc, Some(env_seed()));
+    let header = TimelineHeader::for_config(rc, Some(env_seed()));
     write_timeline_json(
         &out.join(format!("timeline_rank{rank}.json")),
         Some(&header),
@@ -306,43 +334,6 @@ fn child_sim(comm: &Comm, replacement: bool, out: &Path) {
         format!("{}\n", comm.traffic_stats().to_json()),
     )
     .expect("wire stats artifact");
-    if let Some(positions) = positions {
-        let mut body = String::new();
-        for (id, [x, y, z]) in positions {
-            body.push_str(&format!("{id} {x} {y} {z}\n"));
-        }
-        std::fs::write(out.join("positions.txt"), body).expect("positions artifact");
-    }
-    comm.barrier();
-}
-
-/// The elastic chaos scenario: the full resize-capable driver over real
-/// sockets. `comm` is the capacity world; `HACC_ACTIVE` of it start
-/// active and `HACC_SCALE` drives the grows/shrinks, all while the hub
-/// SIGKILLs whatever the fault plan names.
-fn child_elastic(comm: &Comm, replacement: bool, out: &Path) {
-    let ckpt = PathBuf::from(std::env::var("HACC_CKPT").expect("HACC_CKPT"));
-    let schedule = ScaleSchedule::parse(&std::env::var("HACC_SCALE").unwrap_or_default());
-    let active: usize = std::env::var("HACC_ACTIVE")
-        .map_or_else(|_| comm.size(), |s| s.parse().expect("HACC_ACTIVE"));
-    let mut rc = ResilienceConfig::new(comm.size(), &ckpt);
-    rc.heartbeat = Some(HeartbeatConfig::default());
-    // Keep every checkpoint set: the harness reads both the old-size
-    // and new-size sets back to verify the handover.
-    rc.retain = None;
-    let cfg = elastic_config();
-    let realization = elastic_ics();
-    let (positions, events) =
-        run_attempt_elastic(comm, cfg, &realization, &rc, &schedule, active, replacement);
-
-    let rank = comm.rank();
-    let header = TimelineHeader::for_config(&rc, Some(env_seed()));
-    write_timeline_json(
-        &out.join(format!("timeline_rank{rank}.json")),
-        Some(&header),
-        &events,
-    )
-    .expect("timeline artifact");
     if let Some(positions) = positions {
         let mut body = String::new();
         for (id, [x, y, z]) in positions {

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use hacc::analysis::PowerSpectrum;
-use hacc::comm::{FaultPlan, HeartbeatConfig};
+use hacc::comm::FaultPlan;
 use hacc::core::checkpoint::{checkpoint_path, complete_sets};
 use hacc::core::{run_resilient, InvariantConfig, ResilienceConfig, SimConfig, SolverKind};
 use hacc::cosmo::{Cosmology, LinearPower, Transfer};
@@ -163,7 +163,6 @@ fn sigkilled_process_recovers_online_to_fault_free_trajectory() {
     let realization = ics32();
     let expected = realization.len();
     let mut rc = ResilienceConfig::new(R4, &dir_clean);
-    rc.heartbeat = Some(HeartbeatConfig::default());
     rc.invariants = Some(InvariantConfig::default());
     rc.retain = Some(2);
     let clean = run_resilient(cfg32(), &realization, &rc, &FaultPlan::none())
@@ -267,6 +266,23 @@ fn sigkilled_process_recovers_online_to_fault_free_trajectory() {
             );
         }
     }
+
+    // A world that never resizes still journals itself: the respawned
+    // victim oriented from this record, which must read "launch size,
+    // nothing in flight" — and must be invisible to set discovery (the
+    // `retain = 2` trim ran next to it all along).
+    let ckpt = out.join("ckpt");
+    let meta = read_json(&ckpt.join("world_meta.json"));
+    assert!(
+        meta.contains(&format!(r#""active":{R4},"generation":0,"#))
+            && meta.contains(r#""resizing":null"#),
+        "plain run must leave a settled launch-size world record: {meta}"
+    );
+    let sets = complete_sets(&ckpt, R4);
+    assert!(
+        sets.len() <= 2 && sets.last() == Some(&4),
+        "world record disturbed checkpoint set discovery: {sets:?}"
+    );
 
     // Wire stats exist for every rank and saw real traffic.
     for rank in 0..R4 {
@@ -409,7 +425,6 @@ fn elastic_world_resizes_across_processes_under_chaos() {
     let realization = ics36();
     let expected = realization.len();
     let mut rc = ResilienceConfig::new(4, &dir_ref);
-    rc.heartbeat = Some(HeartbeatConfig::default());
     rc.invariants = Some(InvariantConfig::default());
     rc.retain = Some(2);
     let reference =
