@@ -69,7 +69,7 @@ pub struct FaultPlan {
     delay_prob: f64,
     corrupt_prob: f64,
     slow: Option<SlowRank>,
-    kill: Option<KillSpec>,
+    kills: Vec<KillSpec>,
 }
 
 impl FaultPlan {
@@ -132,9 +132,10 @@ impl FaultPlan {
 
     /// Kill `rank` (panic) the first time it begins `step`. One-shot:
     /// clones share the latch, so recovery retries are not re-killed.
+    /// Calls accumulate: each adds one more kill.
     #[must_use] 
     pub fn kill_rank_at_step(mut self, rank: usize, step: u64) -> Self {
-        self.kill = Some(KillSpec {
+        self.kills.push(KillSpec {
             rank,
             step,
             fired: Arc::new(AtomicBool::new(false)),
@@ -151,7 +152,7 @@ impl FaultPlan {
             || self.delay_prob > 0.0
             || self.corrupt_prob > 0.0
             || self.slow.is_some()
-            || self.kill.is_some()
+            || !self.kills.is_empty()
     }
 
     /// The configured slow rank, if any.
@@ -202,21 +203,18 @@ impl FaultPlan {
         h
     }
 
-    /// Should `rank` die entering `step`? Latches: returns `true` exactly
-    /// once per plan (including clones).
+    /// Should `rank` die entering `step`? Latches: each kill returns
+    /// `true` exactly once per plan (including clones).
     #[must_use] 
     pub fn should_kill(&self, rank: usize, step: u64) -> bool {
-        match &self.kill {
-            // SeqCst swap: the latch gates control flow (exactly one
-            // kill across plan clones, possibly on different machines /
-            // retry attempts with no other synchronization between
-            // them), so the strongest ordering keeps the one-shot
-            // guarantee independent of surrounding code.
-            Some(k) if k.rank == rank && k.step == step => {
-                !k.fired.swap(true, Ordering::SeqCst)
-            }
-            _ => false,
-        }
+        // SeqCst swap: the latch gates control flow (exactly one kill
+        // across plan clones, possibly on different machines / retry
+        // attempts with no other synchronization between them), so the
+        // strongest ordering keeps the one-shot guarantee independent of
+        // surrounding code.
+        self.kills
+            .iter()
+            .any(|k| k.rank == rank && k.step == step && !k.fired.swap(true, Ordering::SeqCst))
     }
 }
 
@@ -289,6 +287,17 @@ mod tests {
         assert!(!plan.should_kill(2, 4));
         assert!(plan.should_kill(2, 5));
         assert!(!clone.should_kill(2, 5), "latch shared across clones");
+    }
+
+    #[test]
+    fn kills_accumulate_each_one_shot() {
+        let plan = FaultPlan::seeded(0)
+            .kill_rank_at_step(1, 3)
+            .kill_rank_at_step(0, 4);
+        assert!(plan.should_kill(1, 3));
+        assert!(!plan.should_kill(1, 3));
+        assert!(plan.should_kill(0, 4));
+        assert!(!plan.clone().should_kill(0, 4));
     }
 
     #[test]

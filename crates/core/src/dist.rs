@@ -15,10 +15,11 @@
 //! tracking canonical copies.
 
 use std::cell::OnceCell;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hacc_comm::Comm;
-use hacc_domain::{gridhalo, refresh, Decomposition, Packed, Particles};
+use hacc_domain::gridhalo::{exchange_halos, fold_spill_into, Halos};
+use hacc_domain::{refresh, Decomposition, Packed, Particles};
 use hacc_fft::{DistRealFft3, RealPencilFft};
 use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
 use hacc_short::ForceKernel;
@@ -87,6 +88,189 @@ fn overload_cells(cfg: &SimConfig) -> f64 {
     cfg.rcut_cells + 1.5
 }
 
+/// The long-range pipeline's held buffers, one set for both mesh
+/// levels: sized by the first solve, reused by every later one.
+#[derive(Default)]
+struct PmState {
+    /// The global solve's grids: `[0]` is the extended deposit slab,
+    /// folded in place into the owned density contrast (the source),
+    /// and the solve leaves the three force slabs here.
+    grids: [Vec<f64>; 3],
+    /// Two-level mesh only: the fine deposit, extended in place by the
+    /// local solve's ghost planes, and the one fine force component the
+    /// local solve hands out at a time.
+    fine_source: Vec<f64>,
+    fine_force: Vec<f64>,
+    /// The acceleration the next kick applies to every local particle:
+    /// the long-range gather's, or between sub-cycle kicks the
+    /// short-range tree's. The two are never live together, so they
+    /// share one buffer.
+    accel: [Vec<f32>; 3],
+}
+
+/// A slab field with its halo, planes `[x0-h, x0+lx+h)`, as three runs
+/// of whole planes: the halo received from below, the owned planes and
+/// the halo received from above (or one run and two empty ones).
+#[derive(Clone, Copy)]
+struct HaloSlab<'a>([&'a [f64]; 3]);
+
+impl<'a> HaloSlab<'a> {
+    /// Field `k` of a halo exchange, its halos read in place from the
+    /// received messages.
+    fn received(halos: &'a Halos, k: usize, owned: &'a [f64]) -> Self {
+        HaloSlab([halos.below(k), owned, halos.above(k)])
+    }
+}
+
+/// This rank's slab of an `n`-per-side mesh (the fine grid or the
+/// coarse `ng/c` grid; slab boundaries coincide because both are
+/// divisible by the rank count).
+#[derive(Clone, Copy)]
+struct SlabGrid {
+    n: usize,
+    lx: usize,
+    x0: usize,
+    /// Box units → grid units.
+    to_grid: f64,
+}
+
+impl SlabGrid {
+    fn new(comm: &Comm, n: usize, box_len: f64) -> Self {
+        let lx = n / comm.size();
+        SlabGrid {
+            n,
+            lx,
+            x0: comm.rank() * lx,
+            to_grid: n as f64 / box_len,
+        }
+    }
+
+    /// Deposit the active particles into `ext` with a two-plane halo on
+    /// each side, fold the spill planes onto the neighbors, and leave
+    /// the owned `lx`-plane density contrast in `ext`. Two planes cover
+    /// the CIC cloud (one cell), the sub-cycle drift of active particles
+    /// between refreshes (well under one cell per step at any sane time
+    /// step), and the fine-to-coarse rounding of the slab boundary.
+    fn deposit(
+        &self,
+        comm: &Comm,
+        parts: &Particles,
+        nbar: f64,
+        tags: (u64, u64),
+        ext: &mut Vec<f64>,
+    ) {
+        const HD: usize = 2;
+        let (n, lx) = (self.n, self.lx);
+        assert!(lx >= HD, "slab thinner than the deposit halo");
+        let plane = n * n;
+        // Extended grid: planes [x0-HD, x0+lx+HD).
+        ext.clear();
+        ext.resize((lx + 2 * HD) * plane, 0.0);
+        for i in 0..parts.n_active {
+            let gx = f64::from(parts.x[i]) * self.to_grid;
+            let gy = f64::from(parts.y[i]) * self.to_grid;
+            let gz = f64::from(parts.z[i]) * self.to_grid;
+            let fx = gx.floor();
+            let (iy, dy) = wrap_cell_near(gy, n);
+            let (iz, dz) = wrap_cell_near(gz, n);
+            let dx = gx - fx;
+            let ix_ext = fx as i64 - (self.x0 as i64 - HD as i64);
+            assert!(
+                ix_ext >= 0 && ix_ext + 1 < (lx + 2 * HD) as i64,
+                "active particle drifted outside the deposit halo"
+            );
+            let iy1 = next_cell(iy, n);
+            let iz1 = next_cell(iz, n);
+            let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
+            for (pofs, wx) in [(ix_ext as usize, tx), (ix_ext as usize + 1, dx)] {
+                let base = pofs * plane;
+                ext[base + iy * n + iz] += wx * ty * tz;
+                ext[base + iy * n + iz1] += wx * ty * dz;
+                ext[base + iy1 * n + iz] += wx * dy * tz;
+                ext[base + iy1 * n + iz1] += wx * dy * dz;
+            }
+        }
+        // Fold spill planes onto the owning neighbors (periodic ring).
+        fold_spill_into(comm, ext, plane, HD, tags);
+        // Density contrast.
+        for v in ext.iter_mut() {
+            *v = *v / nbar - 1.0;
+        }
+    }
+
+    /// Fused CIC gather of `K` force slabs (the three components) at
+    /// every particle in `pos` (local-frame coordinates, possibly outside
+    /// the box): the eight cells and their offsets are found once per
+    /// particle, and each component is read with the single-component
+    /// interpolation's exact expression, so the result is bitwise that
+    /// of `K` separate gathers. The slabs cover planes `[x0-h, x0+lx+h)`
+    /// in the same runs. Writes `out`, or adds to it when `add`.
+    fn gather<const K: usize>(
+        &self,
+        fields: [HaloSlab<'_>; K],
+        h: usize,
+        pos: [&[f32]; 3],
+        out: &mut [Vec<f32>; K],
+        add: bool,
+    ) {
+        let n = self.n;
+        let plane = n * n;
+        let [below, owned, _] = fields[0].0.map(|r| r.len() / plane);
+        debug_assert_eq!(
+            below + owned + fields[0].0[2].len() / plane,
+            self.lx + 2 * h
+        );
+        // (run, offset of the plane in it) for extended plane `ix`.
+        let locate = |ix: usize| {
+            if ix < below {
+                (0, ix * plane)
+            } else if ix < below + owned {
+                (1, (ix - below) * plane)
+            } else {
+                (2, (ix - below - owned) * plane)
+            }
+        };
+        let [xs, ys, zs] = pos;
+        for o in out.iter_mut() {
+            o.resize(xs.len(), 0.0);
+        }
+        for i in 0..xs.len() {
+            let gx = f64::from(xs[i]) * self.to_grid;
+            let gy = f64::from(ys[i]) * self.to_grid;
+            let gz = f64::from(zs[i]) * self.to_grid;
+            let fx = gx.floor();
+            let dx = gx - fx;
+            let ixe = fx as i64 - (self.x0 as i64 - h as i64);
+            debug_assert!(
+                ixe >= 0 && (ixe as usize) < self.lx + 2 * h - 1,
+                "particle outside halo: ixe={ixe}"
+            );
+            let planes = [
+                (locate(ixe as usize), 1.0 - dx),
+                (locate(ixe as usize + 1), dx),
+            ];
+            let (iy, dy) = wrap_cell_near(gy, n);
+            let (iz, dz) = wrap_cell_near(gz, n);
+            let iy1 = next_cell(iy, n);
+            let iz1 = next_cell(iz, n);
+            let cells = [iy * n + iz, iy * n + iz1, iy1 * n + iz, iy1 * n + iz1];
+            let (ty, tz) = (1.0 - dy, 1.0 - dz);
+            for (f, o) in fields.iter().zip(out.iter_mut()) {
+                let mut acc = 0.0;
+                for ((run, base), wx) in planes {
+                    let c = cells.map(|c| f.0[run][base + c]);
+                    acc += wx * (c[0] * ty * tz + c[1] * ty * dz + c[2] * dy * tz + c[3] * dy * dz);
+                }
+                if add {
+                    o[i] += acc as f32;
+                } else {
+                    o[i] = acc as f32;
+                }
+            }
+        }
+    }
+}
+
 /// One rank's view of a distributed simulation.
 pub struct DistSimulation<'a> {
     comm: &'a Comm,
@@ -116,6 +300,8 @@ pub struct DistSimulation<'a> {
     /// particle set: built at most once per long step after the
     /// refresh, positions refreshed in place on the other sub-cycles.
     short: TreeShortRange,
+    /// Held long-range buffers.
+    pm: PmState,
 }
 
 impl<'a> DistSimulation<'a> {
@@ -186,6 +372,7 @@ impl<'a> DistSimulation<'a> {
             tl,
             global: OnceCell::new(),
             short: TreeShortRange::new(cfg.tree),
+            pm: PmState::default(),
         }
     }
 
@@ -348,108 +535,8 @@ impl<'a> DistSimulation<'a> {
         self.comm.allreduce_sum(self.parts.n_active as f64) as usize
     }
 
-    fn slab_range(&self) -> (usize, usize) {
-        let lx = self.cfg.ng / self.comm.size();
-        (self.comm.rank() * lx, lx)
-    }
-
-    /// Deposit active particles into this rank's slab of an `n`-per-side
-    /// grid (`n` is the fine grid or the coarse `ng/c` grid; slab
-    /// boundaries coincide because both are divisible by the rank count)
-    /// with a two-plane halo on each side, then fold the spill planes
-    /// onto the neighbors. Two planes cover the CIC cloud (one cell),
-    /// the sub-cycle drift of active particles between refreshes (well
-    /// under one cell per step at any sane time step), and the
-    /// fine-to-coarse rounding of the slab boundary.
-    fn deposit(&self, n: usize, nbar: f64, tags: (u64, u64)) -> Vec<f64> {
-        const HD: usize = 2;
-        let p = self.comm.size();
-        let lx = n / p;
-        let x0 = self.comm.rank() * lx;
-        assert!(lx >= HD, "slab thinner than the deposit halo");
-        let to_grid = n as f64 / self.cfg.box_len;
-        let plane = n * n;
-        // Extended grid: planes [x0-HD, x0+lx+HD).
-        let mut ext = vec![0.0f64; (lx + 2 * HD) * plane];
-        for i in 0..self.parts.n_active {
-            let gx = f64::from(self.parts.x[i]) * to_grid;
-            let gy = f64::from(self.parts.y[i]) * to_grid;
-            let gz = f64::from(self.parts.z[i]) * to_grid;
-            let fx = gx.floor();
-            let (iy, dy) = wrap_cell(gy, n);
-            let (iz, dz) = wrap_cell(gz, n);
-            let dx = gx - fx;
-            let ix_ext = fx as i64 - (x0 as i64 - HD as i64);
-            assert!(
-                ix_ext >= 0 && ix_ext + 1 < (lx + 2 * HD) as i64,
-                "active particle drifted outside the deposit halo"
-            );
-            let iy1 = (iy + 1) % n;
-            let iz1 = (iz + 1) % n;
-            let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
-            for (pofs, wx) in [(ix_ext as usize, tx), (ix_ext as usize + 1, dx)] {
-                let base = pofs * plane;
-                ext[base + iy * n + iz] += wx * ty * tz;
-                ext[base + iy * n + iz1] += wx * ty * dz;
-                ext[base + iy1 * n + iz] += wx * dy * tz;
-                ext[base + iy1 * n + iz1] += wx * dy * dz;
-            }
-        }
-        // Fold spill planes onto the owning neighbors (periodic ring).
-        let mut local = gridhalo::fold_spill(self.comm, &ext, plane, HD, tags);
-        // Density contrast.
-        for v in local.iter_mut() {
-            *v = *v / nbar - 1.0;
-        }
-        local
-    }
-
-    /// Exchange `h` halo planes of a local slab field of an `n`-per-side
-    /// grid; returns the extended field covering `[x0-h, x0+lx+h)`.
-    fn halo_exchange(&self, local: &[f64], n: usize, h: usize, tags: (u64, u64)) -> Vec<f64> {
-        gridhalo::exchange_planes(self.comm, local, n * n, h, tags)
-    }
-
-    /// Interpolate an extended (haloed) slab field of an `n`-per-side
-    /// grid at all local particles (local-frame coordinates, possibly
-    /// outside the box).
-    fn interpolate_ext(&self, ext: &[f64], n: usize, h: usize) -> Vec<f32> {
-        let ng = n;
-        let p = self.comm.size();
-        let lx = n / p;
-        let x0 = self.comm.rank() * lx;
-        let to_grid = n as f64 / self.cfg.box_len;
-        let plane = n * n;
-        let mut out = Vec::with_capacity(self.parts.len());
-        for i in 0..self.parts.len() {
-            let gx = f64::from(self.parts.x[i]) * to_grid;
-            let gy = f64::from(self.parts.y[i]) * to_grid;
-            let gz = f64::from(self.parts.z[i]) * to_grid;
-            let fx = gx.floor();
-            let dx = gx - fx;
-            let ixe = fx as i64 - (x0 as i64 - h as i64);
-            debug_assert!(
-                ixe >= 0 && (ixe as usize) < lx + 2 * h - 1,
-                "particle outside halo: ixe={ixe}"
-            );
-            let ixe = ixe as usize;
-            let (iy, dy) = wrap_cell(gy, ng);
-            let (iz, dz) = wrap_cell(gz, ng);
-            let iy1 = (iy + 1) % ng;
-            let iz1 = (iz + 1) % ng;
-            let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
-            let mut acc = 0.0;
-            for (pofs, wx) in [(ixe, tx), (ixe + 1, dx)] {
-                let base = pofs * plane;
-                acc += wx
-                    * (ext[base + iy * ng + iz] * ty * tz
-                        + ext[base + iy * ng + iz1] * ty * dz
-                        + ext[base + iy1 * ng + iz] * dy * tz
-                        + ext[base + iy1 * ng + iz1] * dy * dz);
-            }
-            out.push(acc as f32);
-        }
-        out
+    fn slab_grid(&self, n: usize) -> SlabGrid {
+        SlabGrid::new(self.comm, n, self.cfg.box_len)
     }
 
     /// The global long-range solve of this view, built collectively on
@@ -475,31 +562,45 @@ impl<'a> DistSimulation<'a> {
         })
     }
 
-    /// Long-range acceleration for every local particle; `count` is the
-    /// global particle count.
-    fn pm_accel(&self, count: usize, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
-        if self.tl.is_some() {
-            return self.pm_accel_two_level(count, brk);
+    /// Long-range acceleration for every local particle into
+    /// `self.pm.accel`; `count` is the global particle count.
+    fn pm_accel(&mut self, count: usize, brk: &mut StepBreakdown) {
+        let mut pm = std::mem::take(&mut self.pm);
+        match &self.tl {
+            Some(tl) => self.pm_accel_two_level(tl, &mut pm, count, brk),
+            None => self.pm_accel_single(&mut pm, count, brk),
         }
+        self.pm = pm;
+    }
+
+    fn particle_positions(&self) -> [&[f32]; 3] {
+        [&self.parts.x, &self.parts.y, &self.parts.z]
+    }
+
+    fn pm_accel_single(&self, pm: &mut PmState, count: usize, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
+        let grid = self.slab_grid(ng);
         let nbar = count as f64 / (ng * ng * ng) as f64;
         let t0 = Instant::now();
-        let source = self.deposit(ng, nbar, TAGS_FINE_FOLD);
+        grid.deposit(
+            self.comm,
+            &self.parts,
+            nbar,
+            TAGS_FINE_FOLD,
+            &mut pm.grids[0],
+        );
         brk.cic += t0.elapsed();
 
         let t1 = Instant::now();
-        let forces = self.global_solve().solve_forces(source);
+        self.global_solve().solve_forces_in_place(&mut pm.grids);
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
         let h = (self.w_cells.ceil() as usize) + 1;
-        let out = [
-            self.interpolate_ext(&self.halo_exchange(&forces[0], ng, h, TAGS_FORCE_HALO), ng, h),
-            self.interpolate_ext(&self.halo_exchange(&forces[1], ng, h, TAGS_FORCE_HALO), ng, h),
-            self.interpolate_ext(&self.halo_exchange(&forces[2], ng, h, TAGS_FORCE_HALO), ng, h),
-        ];
+        let halos = exchange_halos(self.comm, &pm.grids, ng * ng, h, TAGS_FORCE_HALO);
+        let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
+        grid.gather(fields, h, self.particle_positions(), &mut pm.accel, false);
         brk.cic += t2.elapsed();
-        out
     }
 
     /// Two-level long-range acceleration: the only *global* transform is
@@ -511,68 +612,86 @@ impl<'a> DistSimulation<'a> {
     /// interpolation touches) sit at least `h_kernel` from the padded
     /// boundary, so slab periodization never contaminates them beyond
     /// the matching tolerance.
-    fn pm_accel_two_level(&self, count: usize, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
-        let tl = self.tl.as_ref().expect("two-level machinery");
+    fn pm_accel_two_level(
+        &self,
+        tl: &TwoLevelDist,
+        pm: &mut PmState,
+        count: usize,
+        brk: &mut StepBreakdown,
+    ) {
         let ng = self.cfg.ng;
-        let (_, lx) = self.slab_range();
         let np = count as f64;
         let nc = tl.split.nc();
+        let (fine, coarse) = (self.slab_grid(ng), self.slab_grid(nc));
 
         // Both deposits (fine for the complement, coarse for the global
         // solve) sample the same density-contrast field at their own
         // resolution.
         let t0 = Instant::now();
         let nbar_f = np / (ng * ng * ng) as f64;
-        let fine_src = self.deposit(ng, nbar_f, TAGS_FINE_FOLD);
+        fine.deposit(
+            self.comm,
+            &self.parts,
+            nbar_f,
+            TAGS_FINE_FOLD,
+            &mut pm.fine_source,
+        );
         let nbar_c = np / (nc * nc * nc) as f64;
-        let coarse_src = self.deposit(nc, nbar_c, TAGS_COARSE_FOLD);
+        coarse.deposit(
+            self.comm,
+            &self.parts,
+            nbar_c,
+            TAGS_COARSE_FOLD,
+            &mut pm.grids[0],
+        );
         brk.cic += t0.elapsed();
 
         // Coarse global solve: 1 r2c + 3 c2r on the (ng/c)³ grid.
         let t1 = Instant::now();
-        let coarse_forces = self.global_solve().solve_forces(coarse_src);
+        self.global_solve().solve_forces_in_place(&mut pm.grids);
         brk.coarse_fft += t1.elapsed();
 
-        // Fine complement: ghost-padded local solve, no global comm.
+        // Fine complement: ghost-padded local solve, no global comm,
+        // each component gathered as it lands. Valid fine planes
+        // [x0-h_int, x0+lx+h_int) are the contiguous slice starting
+        // h_kernel planes into the padded output.
         let h_int = (self.w_cells.ceil() as usize) + 1;
         let hh = tl.h_kernel + h_int;
+        let plane = ng * ng;
+        let valid = tl.h_kernel * plane..(tl.h_kernel + fine.lx + 2 * h_int) * plane;
+        let pos = self.particle_positions();
         let t2 = Instant::now();
-        let ext_density =
-            self.halo_exchange(&fine_src, ng, hh, TAGS_FINE_DENSITY_HALO);
-        let mut fine_forces = [Vec::new(), Vec::new(), Vec::new()];
-        tl.local.solve_into(&ext_density, &mut fine_forces);
-        brk.fft += t2.elapsed();
+        let density = std::slice::from_ref(&pm.fine_source);
+        exchange_halos(self.comm, density, plane, hh, TAGS_FINE_DENSITY_HALO)
+            .extend(0, &mut pm.fine_source);
+        let mut gather_time = Duration::ZERO;
+        tl.local
+            .solve_each_axis(&pm.fine_source, &mut pm.fine_force, |axis, force| {
+                let t = Instant::now();
+                let field = [HaloSlab([&[], &force[valid.clone()], &[]])];
+                fine.gather(
+                    field,
+                    h_int,
+                    pos,
+                    std::array::from_mut(&mut pm.accel[axis]),
+                    false,
+                );
+                gather_time += t.elapsed();
+            });
+        brk.fft += t2.elapsed() - gather_time;
+        brk.cic += gather_time;
 
         let t3 = Instant::now();
-        let plane = ng * ng;
         let h_c = ((self.w_cells / (ng / nc) as f64).ceil() as usize) + 1;
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        for (axis, slot) in out.iter_mut().enumerate() {
-            // Valid fine planes [x0-h_int, x0+lx+h_int) are the
-            // contiguous slice starting h_kernel planes into the padded
-            // output.
-            let fine_slice =
-                &fine_forces[axis][tl.h_kernel * plane..(tl.h_kernel + lx + 2 * h_int) * plane];
-            let mut f = self.interpolate_ext(fine_slice, ng, h_int);
-            let ext_c = self.halo_exchange(
-                &coarse_forces[axis],
-                nc,
-                h_c,
-                TAGS_COARSE_FORCE_HALO,
-            );
-            let fc = self.interpolate_ext(&ext_c, nc, h_c);
-            for (o, v) in f.iter_mut().zip(&fc) {
-                *o += v;
-            }
-            *slot = f;
-        }
+        let halos = exchange_halos(self.comm, &pm.grids, nc * nc, h_c, TAGS_COARSE_FORCE_HALO);
+        let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
+        coarse.gather(fields, h_c, pos, &mut pm.accel, true);
         brk.cic += t3.elapsed();
-        out
     }
 
     /// Short-range acceleration via the rank-local RCB tree, left in
-    /// `self.short` — no communication, exactly the overloading payoff,
-    /// and no allocation once warm.
+    /// `self.pm.accel` — no communication, exactly the overloading
+    /// payoff, and no allocation once warm.
     fn short_accel(&mut self, count: usize, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let to_grid = (ng as f64 / self.cfg.box_len) as f32;
@@ -588,8 +707,9 @@ impl<'a> DistSimulation<'a> {
         brk.build += t0.elapsed();
         let nbar = count as f64 / (ng * ng * ng) as f64;
         let scale = (self.cfg.box_len / ng as f64 / nbar * self.fit.norm) as f32;
+        let skin = self.cfg.skin_cells as f32;
         self.short
-            .evaluate(&self.kernel, self.cfg.skin_cells as f32, scale, brk);
+            .evaluate(&self.kernel, skin, scale, brk, &mut self.pm.accel);
     }
 
     fn drift(&mut self, factor: f64) {
@@ -631,8 +751,8 @@ impl<'a> DistSimulation<'a> {
             let [ax, ay, az] = accel;
             apply_kick(&mut p.vx, &mut p.vy, &mut p.vz, ax, ay, az, k);
         };
-        let lr = self.pm_accel(count, &mut brk);
-        kick(&mut self.parts, &lr, cosmo.kick_factor(a0, am));
+        self.pm_accel(count, &mut brk);
+        kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(a0, am));
 
         let nc = self.cfg.subcycles.max(1);
         let l0 = a0.ln();
@@ -644,13 +764,13 @@ impl<'a> DistSimulation<'a> {
             self.drift(cosmo.drift_factor(b0, bm));
             if self.cfg.solver != SolverKind::PmOnly {
                 self.short_accel(count, &mut brk);
-                kick(&mut self.parts, self.short.force(), cosmo.kick_factor(b0, b1));
+                kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(b0, b1));
             }
             self.drift(cosmo.drift_factor(bm, b1));
         }
 
-        let lr2 = self.pm_accel(count, &mut brk);
-        kick(&mut self.parts, &lr2, cosmo.kick_factor(am, a1));
+        self.pm_accel(count, &mut brk);
+        kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(am, a1));
 
         self.a = a1;
         self.stats.steps.push(brk);
@@ -704,6 +824,38 @@ impl<'a> DistSimulation<'a> {
             flat.sort_by_key(|&(id, _)| id);
             flat
         })
+    }
+}
+
+/// [`wrap_cell`] with its `%` replaced by one compare-and-add. On
+/// `-n < g < 2n` — every coordinate a slab particle or its replica holds
+/// — `g % n` is `g`, or `g - n` exactly (Sterbenz), so the cell and
+/// offset are bit-identical; anything else, and a `g + n` that rounds to
+/// `n`, takes the `%` path.
+#[inline]
+fn wrap_cell_near(g: f64, n: usize) -> (usize, f64) {
+    let nf = n as f64;
+    let w = if g < 0.0 {
+        g + nf
+    } else if g >= nf {
+        g - nf
+    } else {
+        g
+    };
+    if !(g > -nf && g < 2.0 * nf && w < nf) {
+        return wrap_cell(g, n);
+    }
+    let i = w.floor() as usize;
+    (i.min(n - 1), w - i as f64)
+}
+
+/// The periodic successor of cell `i` on an `n` grid.
+#[inline]
+fn next_cell(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
     }
 }
 
@@ -793,6 +945,65 @@ mod tests {
             // 4.5-cell overload on an 8-cell slab (plus y/z self-ghosts):
             // sizable but bounded replication.
             assert!(f > 0.0 && f < 6.0, "overload fraction {f}");
+        }
+    }
+
+    /// The fused three-component gather on one rank — the periodic grid
+    /// padded by a one-rank force halo exchange, which wraps the ring
+    /// onto itself — is bitwise three serial `interpolate_cic_into`
+    /// calls, and `add` accumulates onto what is there. Grid values are
+    /// small integers and cell offsets multiples of 1/8, so both
+    /// summation orders are exact and any index, weight, wrap or
+    /// component slip shows as a bit difference. Positions cover the
+    /// x halo on both sides, y/z on the compare-and-add path (−n, 2n)
+    /// and beyond it on the `%` fallback.
+    #[test]
+    fn fused_gather_is_bitwise_serial_interpolation() {
+        let n = 8usize;
+        let grids: [Vec<f64>; 3] = [0, 1, 2].map(|c| {
+            (0..n * n * n)
+                .map(|i| ((i * 37 + c * 11) % 61) as f64 - 30.0)
+                .collect()
+        });
+        let eighths = |k: usize, lo: f32, span: usize| lo + (k % (8 * span)) as f32 / 8.0;
+        let count = 500;
+        let xs: Vec<f32> = (0..count).map(|k| eighths(k * 13, -1.0, n + 1)).collect();
+        let ys: Vec<f32> = (0..count)
+            .map(|k| eighths(k * 29 + 5, -(n as f32), 3 * n))
+            .collect();
+        let mut zs: Vec<f32> = (0..count)
+            .map(|k| eighths(k * 7 + 3, -(n as f32), 3 * n))
+            .collect();
+        zs[..4].copy_from_slice(&[-1.5 * n as f32, 2.5 * n as f32, -(n as f32), 2.0 * n as f32]);
+        let want = grids.each_ref().map(|g| {
+            let mut out = Vec::new();
+            hacc_pm::cic::interpolate_cic_into(g, n, &xs, &ys, &zs, &mut out);
+            out
+        });
+        let (got, _) = Machine::new(1).run(|comm| {
+            let halos = exchange_halos(&comm, &grids, n * n, 1, (991, 992));
+            let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &grids[k]));
+            let grid = SlabGrid::new(&comm, n, n as f64);
+            let mut once = Default::default();
+            grid.gather(fields, 1, [&xs, &ys, &zs], &mut once, false);
+            let mut twice = once.clone();
+            grid.gather(fields, 1, [&xs, &ys, &zs], &mut twice, true);
+            (once, twice)
+        });
+        let (once, twice) = &got[0];
+        for c in 0..3 {
+            for i in 0..count {
+                assert_eq!(
+                    once[c][i].to_bits(),
+                    want[c][i].to_bits(),
+                    "component {c} particle {i}"
+                );
+                assert_eq!(
+                    twice[c][i].to_bits(),
+                    (2.0 * want[c][i]).to_bits(),
+                    "add, component {c} particle {i}"
+                );
+            }
         }
     }
 

@@ -21,7 +21,6 @@ pub(crate) struct TreeShortRange {
     pub(crate) pos: [Vec<f32>; 3],
     /// Unit masses, one per tree particle.
     mass: Vec<f32>,
-    force: [Vec<f32>; 3],
     /// Upper bound on any particle's displacement since the last build,
     /// in grid cells; infinite while there is no build to reuse.
     drift_since_build: f64,
@@ -34,7 +33,6 @@ impl TreeShortRange {
             scratch: TreeScratch::default(),
             pos: Default::default(),
             mass: Vec::new(),
-            force: Default::default(),
             drift_since_build: f64::INFINITY,
         }
     }
@@ -60,15 +58,17 @@ impl TreeShortRange {
         skin <= 0.0 || 2.0 * self.drift_since_build > f64::from(skin)
     }
 
-    /// Short-range acceleration at `self.pos`, times `scale`: rebuild or
-    /// refresh the tree, then one symmetric pass. Allocation-free once
-    /// warm. The result stays readable through [`Self::force`].
+    /// Short-range acceleration at `self.pos`, times `scale`, into
+    /// `force` (one entry per tree particle): rebuild or refresh the
+    /// tree, then one symmetric pass. Allocation-free once warm. The
+    /// buffer is the engine's — the acceleration its next kick applies.
     pub(crate) fn evaluate(
         &mut self,
         kernel: &ForceKernel,
         skin: f32,
         scale: f32,
         brk: &mut StepBreakdown,
+        force: &mut [Vec<f32>; 3],
     ) {
         let t0 = Instant::now();
         let [x, y, z] = &self.pos;
@@ -83,19 +83,14 @@ impl TreeShortRange {
         brk.build += t0.elapsed();
         let rep = self
             .tree
-            .forces_symmetric_into(kernel, skin, &mut self.scratch, &mut self.force);
+            .forces_symmetric_into(kernel, skin, &mut self.scratch, force);
         brk.walk += rep.walk;
         brk.kernel += rep.kernel;
         brk.interactions += rep.directed;
         brk.pair_interactions += rep.evals;
-        for v in self.force.iter_mut().flatten() {
+        for v in force.iter_mut().flatten() {
             *v *= scale;
         }
-    }
-
-    /// The last evaluated acceleration, one entry per tree particle.
-    pub(crate) fn force(&self) -> &[Vec<f32>; 3] {
-        &self.force
     }
 }
 

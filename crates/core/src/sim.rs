@@ -69,8 +69,10 @@ struct StepScratch {
     cfgrids: [Vec<f64>; 3],
     ccic: CicScratch,
     cbuf: Vec<f32>,
-    /// Unit masses and force accumulators of the P3m path.
+    /// Unit masses of the P3m path.
     mass: Vec<f32>,
+    /// Short-range acceleration of either path (the TreePm one includes
+    /// the ghost images after the real particles).
     sr: [Vec<f32>; 3],
     /// TreePm path: source particle index of each ghost image appended
     /// to the tree's coordinates at build time.
@@ -296,8 +298,8 @@ impl Simulation {
         brk.cic += t2.elapsed();
     }
 
-    /// Short-range acceleration per particle (physical units), readable
-    /// through [`short_force`] afterwards (first `self.len()`
+    /// Short-range acceleration per particle (physical units), left in
+    /// `self.scratch.sr` (first `self.len()`
     /// entries are the real particles). Allocation-free once warm: the
     /// tree is rebuilt in place and ghost/mass/force buffers persist.
     fn short_accel_into(&mut self, brk: &mut StepBreakdown) {
@@ -375,7 +377,8 @@ impl Simulation {
                     }
                 }
                 brk.build += t0.elapsed();
-                self.tree_sr.evaluate(&self.kernel, skin, scale, brk);
+                self.tree_sr
+                    .evaluate(&self.kernel, skin, scale, brk, &mut self.scratch.sr);
             }
         }
     }
@@ -464,7 +467,7 @@ impl Simulation {
                 let t1 = Instant::now();
                 let np = self.x.len();
                 let k = (1.5 * cosmo.omega_m * cosmo.kick_factor(b0, b1)) as f32;
-                let sr = short_force(self.cfg.solver, &self.tree_sr, &self.scratch);
+                let sr = &self.scratch.sr;
                 apply_kick(
                     &mut self.vx,
                     &mut self.vy,
@@ -561,7 +564,7 @@ impl Simulation {
         self.pm_accel_into(&mut brk, &mut out);
         if self.cfg.solver != SolverKind::PmOnly {
             self.short_accel_into(&mut brk);
-            let sr = short_force(self.cfg.solver, &self.tree_sr, &self.scratch);
+            let sr = &self.scratch.sr;
             for (o, s) in out.iter_mut().zip(sr) {
                 for (o, s) in o.iter_mut().zip(s) {
                     *o += s;
@@ -569,20 +572,6 @@ impl Simulation {
             }
         }
         out
-    }
-}
-
-/// The acceleration the last `short_accel_into` left behind. A free
-/// function over the two fields that can hold it, so the step can kick
-/// the momenta while borrowing it.
-fn short_force<'a>(
-    solver: SolverKind,
-    tree_sr: &'a TreeShortRange,
-    scratch: &'a StepScratch,
-) -> &'a [Vec<f32>; 3] {
-    match solver {
-        SolverKind::TreePm => tree_sr.force(),
-        _ => &scratch.sr,
     }
 }
 

@@ -46,6 +46,22 @@ pub struct Particles {
 }
 
 impl Particles {
+    /// Drop every particle, keeping the arrays' capacity.
+    fn clear(&mut self) {
+        for v in [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.vx,
+            &mut self.vy,
+            &mut self.vz,
+        ] {
+            v.clear();
+        }
+        self.id.clear();
+        self.n_active = 0;
+    }
+
     /// Total stored particles (active + passive).
     #[must_use] 
     pub fn len(&self) -> usize {
@@ -434,20 +450,21 @@ pub fn try_refresh(
         }
     }
     let recvs = comm.try_alltoallv(sends)?;
-    let mut fresh = Particles::default();
+    // Rebuilt in the old store's capacity: a refresh allocates its
+    // messages, not a second particle set.
+    particles.clear();
     // Active first.
     for chunk in &recvs {
         for t in chunk.iter().filter(|t| t.active == 1) {
-            fresh.push(t.p);
+            particles.push(t.p);
         }
     }
-    fresh.n_active = fresh.len();
+    particles.n_active = particles.len();
     for chunk in &recvs {
         for t in chunk.iter().filter(|t| t.active == 0) {
-            fresh.push(t.p);
+            particles.push(t.p);
         }
     }
-    *particles = fresh;
     Ok(())
 }
 
@@ -625,24 +642,114 @@ pub fn dedup_by_id(recovered: Vec<Packed>) -> Vec<Packed> {
 /// fields decomposed along x, one slab per rank on a periodic ring.
 ///
 /// These are the grid-side counterparts of the particle overload shell:
-/// the two-level PM mesh uses [`gridhalo::exchange_planes`] to pad each
-/// rank's fine density slab with the ghost planes its local complement
-/// FFT needs, and [`gridhalo::fold_spill`] to push deposit spill from the
-/// halo back onto the owning neighbors. The distributed driver's
-/// single-level solve reuses the same primitives for force interpolation
-/// halos, so every slab-plane message in the code goes through one
-/// audited path.
+/// the distributed driver uses [`gridhalo::fold_spill_into`] to push
+/// deposit spill from the halo back onto the owning neighbors and
+/// [`gridhalo::exchange_halos`] to pad its three force slabs with
+/// the planes interpolation reads (and, on the two-level mesh, the fine
+/// density slab with the ghost planes its local complement FFT needs),
+/// so every slab-plane message in the code goes through one audited
+/// path. Both work on the caller's held fields; the messages are the
+/// only buffers they allocate.
 pub mod gridhalo {
     use hacc_comm::Comm;
 
-    /// Exchange `h` halo planes of a slab field along the x ring.
+    /// Send `up` to the next rank and `down` to the previous one and
+    /// return `(from_prev, from_next)` — what they sent up and down.
+    fn ring_exchange(
+        comm: &Comm,
+        tags: (u64, u64),
+        up: Vec<f64>,
+        down: Vec<f64>,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let p = comm.size();
+        let next = (comm.rank() + 1) % p;
+        let prev = (comm.rank() + p - 1) % p;
+        comm.send(next, tags.0, up);
+        comm.send(prev, tags.1, down);
+        (comm.recv(prev, tags.0), comm.recv(next, tags.1))
+    }
+
+    /// The halo planes of one [`exchange_halos`], `k` fields to a
+    /// message, read in place from the two received messages.
+    #[derive(Debug)]
+    pub struct Halos {
+        from_prev: Vec<f64>,
+        from_next: Vec<f64>,
+        /// Values per field in each message.
+        len: usize,
+    }
+
+    impl Halos {
+        /// Field `k`'s planes `[x0 - h, x0)`, from the previous rank.
+        #[must_use]
+        pub fn below(&self, k: usize) -> &[f64] {
+            &self.from_prev[k * self.len..(k + 1) * self.len]
+        }
+
+        /// Field `k`'s planes `[x0 + lx, x0 + lx + h)`, from the next
+        /// rank.
+        #[must_use]
+        pub fn above(&self, k: usize) -> &[f64] {
+            &self.from_next[k * self.len..(k + 1) * self.len]
+        }
+
+        /// Extend field `k` in place to its haloed form, planes
+        /// `[x0 - h, x0 + lx + h)` — for a consumer that needs one
+        /// contiguous slab.
+        pub fn extend(&self, k: usize, field: &mut Vec<f64>) {
+            let (hp, owned) = (self.len, field.len());
+            field.resize(owned + 2 * hp, 0.0);
+            field.copy_within(..owned, hp);
+            field[..hp].copy_from_slice(self.below(k));
+            field[hp + owned..].copy_from_slice(self.above(k));
+        }
+    }
+
+    /// Exchange `h` halo planes of `k` slab fields along the x ring, all
+    /// `k` in one message per direction.
     ///
-    /// `local` holds `lx` whole planes of `plane` values each. The top
-    /// `h` planes go to the next rank, the bottom `h` to the previous;
-    /// returns the extended field of `lx + 2h` planes covering
-    /// `[x0 - h, x0 + lx + h)`. `tags` is a `(up, down)` pair that must
-    /// be unique per call site so concurrent exchanges never cross.
-    /// Collective over the ring; requires `h ≤ lx` (one-hop exchange).
+    /// Each field holds `lx` whole planes of `plane` values. The top `h`
+    /// planes of every field go to the next rank, the bottom `h` to the
+    /// previous; the returned [`Halos`] hold field `k`'s planes
+    /// `[x0 - h, x0)` and `[x0 + lx, x0 + lx + h)`. `tags` is an
+    /// `(up, down)` pair that must be unique per call site so concurrent
+    /// exchanges never cross. Collective over the ring; requires
+    /// `h ≤ lx` (one-hop exchange).
+    #[must_use]
+    pub fn exchange_halos(
+        comm: &Comm,
+        fields: &[Vec<f64>],
+        plane: usize,
+        h: usize,
+        tags: (u64, u64),
+    ) -> Halos {
+        let first = fields.first().map_or(0, Vec::len);
+        assert!(plane > 0 && first.is_multiple_of(plane), "not whole planes");
+        let lx = first / plane;
+        assert!(
+            fields.iter().all(|f| f.len() == lx * plane),
+            "fields differ in size"
+        );
+        assert!(h <= lx, "halo ({h} planes) wider than slab ({lx})");
+        let len = h * plane;
+        // Planes [from, from + h) of every field, back to back.
+        let message = |from: usize| -> Vec<f64> {
+            let mut msg = Vec::with_capacity(fields.len() * len);
+            for f in fields {
+                msg.extend_from_slice(&f[from * plane..][..len]);
+            }
+            msg
+        };
+        let (from_prev, from_next) = ring_exchange(comm, tags, message(lx - h), message(0));
+        Halos {
+            from_prev,
+            from_next,
+            len,
+        }
+    }
+
+    /// Single-field [`exchange_halos`] into a fresh extended field
+    /// covering `[x0 - h, x0 + lx + h)`.
     #[must_use]
     pub fn exchange_planes(
         comm: &Comm,
@@ -651,32 +758,55 @@ pub mod gridhalo {
         h: usize,
         tags: (u64, u64),
     ) -> Vec<f64> {
-        assert!(plane > 0 && local.len().is_multiple_of(plane), "not whole planes");
-        let lx = local.len() / plane;
-        assert!(h <= lx, "halo ({h} planes) wider than slab ({lx})");
-        let p = comm.size();
-        let next = (comm.rank() + 1) % p;
-        let prev = (comm.rank() + p - 1) % p;
-        comm.send(next, tags.0, local[(lx - h) * plane..].to_vec());
-        comm.send(prev, tags.1, local[..h * plane].to_vec());
-        let from_prev = comm.recv::<f64>(prev, tags.0);
-        let from_next = comm.recv::<f64>(next, tags.1);
-        let mut ext = vec![0.0f64; (lx + 2 * h) * plane];
-        ext[..h * plane].copy_from_slice(&from_prev);
-        ext[h * plane..(h + lx) * plane].copy_from_slice(local);
-        ext[(h + lx) * plane..].copy_from_slice(&from_next);
+        let mut ext = local.to_vec();
+        let halos = exchange_halos(comm, std::slice::from_ref(&ext), plane, h, tags);
+        halos.extend(0, &mut ext);
         ext
     }
 
     /// Fold the spill planes of an extended deposit onto the ring
-    /// neighbors.
+    /// neighbors, in place.
     ///
     /// `ext` holds `lx + 2·hd` planes covering `[x0 - hd, x0 + lx + hd)`
     /// — a slab deposit whose clouds may have spilled up to `hd` planes
-    /// past either face. The spill is sent to the owning neighbor and
-    /// the neighbors' incoming spill is accumulated into this rank's
-    /// planes; returns the owned `lx`-plane field. Collective; requires
-    /// `hd ≤ lx` so the fold is one hop.
+    /// past either face. The spill is sent to the owning neighbor, the
+    /// neighbors' incoming spill is accumulated into this rank's planes,
+    /// and `ext` is cut down to the owned `lx`-plane field. Collective;
+    /// requires `hd ≤ lx` so the fold is one hop.
+    pub fn fold_spill_into(
+        comm: &Comm,
+        ext: &mut Vec<f64>,
+        plane: usize,
+        hd: usize,
+        tags: (u64, u64),
+    ) {
+        assert!(
+            plane > 0 && ext.len().is_multiple_of(plane),
+            "not whole planes"
+        );
+        let nx = ext.len() / plane;
+        assert!(nx > 2 * hd, "extended field smaller than its halos");
+        let lx = nx - 2 * hd;
+        assert!(hd <= lx, "spill ({hd} planes) wider than slab ({lx})");
+        // Our planes [x0+lx, x0+lx+hd) are next's [0, hd); our
+        // [x0-hd, x0) are prev's [lx-hd, lx).
+        let up = ext[(lx + hd) * plane..].to_vec();
+        let down = ext[..hd * plane].to_vec();
+        let (from_prev, from_next) = ring_exchange(comm, tags, up, down);
+        for (d, s) in ext[hd * plane..2 * hd * plane].iter_mut().zip(&from_prev) {
+            *d += s;
+        }
+        for (d, s) in ext[lx * plane..(lx + hd) * plane]
+            .iter_mut()
+            .zip(&from_next)
+        {
+            *d += s;
+        }
+        ext.copy_within(hd * plane..(lx + hd) * plane, 0);
+        ext.truncate(lx * plane);
+    }
+
+    /// [`fold_spill_into`] into a fresh owned field.
     #[must_use]
     pub fn fold_spill(
         comm: &Comm,
@@ -685,27 +815,8 @@ pub mod gridhalo {
         hd: usize,
         tags: (u64, u64),
     ) -> Vec<f64> {
-        assert!(plane > 0 && ext.len().is_multiple_of(plane), "not whole planes");
-        let nx = ext.len() / plane;
-        assert!(nx > 2 * hd, "extended field smaller than its halos");
-        let lx = nx - 2 * hd;
-        assert!(hd <= lx, "spill ({hd} planes) wider than slab ({lx})");
-        let p = comm.size();
-        let next = (comm.rank() + 1) % p;
-        let prev = (comm.rank() + p - 1) % p;
-        // Our planes [x0+lx, x0+lx+hd) are next's [0, hd); our
-        // [x0-hd, x0) are prev's [lx-hd, lx).
-        comm.send(next, tags.0, ext[(lx + hd) * plane..].to_vec());
-        comm.send(prev, tags.1, ext[..hd * plane].to_vec());
-        let from_prev = comm.recv::<f64>(prev, tags.0);
-        let from_next = comm.recv::<f64>(next, tags.1);
-        let mut local = ext[hd * plane..(lx + hd) * plane].to_vec();
-        for (d, s) in local[..hd * plane].iter_mut().zip(&from_prev) {
-            *d += s;
-        }
-        for (d, s) in local[(lx - hd) * plane..].iter_mut().zip(&from_next) {
-            *d += s;
-        }
+        let mut local = ext.to_vec();
+        fold_spill_into(comm, &mut local, plane, hd, tags);
         local
     }
 }
@@ -1222,6 +1333,46 @@ mod gridhalo_tests {
                 let gx = (x0 + n + pl - h) % n;
                 for j in 0..plane {
                     assert_eq!(ext[pl * plane + j], plane_val(gx), "rank {rank} plane {pl}");
+                }
+            }
+        }
+    }
+
+    /// Three fields in one message per direction, wrapped around the
+    /// ring at 2 and 3 ranks.
+    #[test]
+    fn exchange_halos_wraps_three_fields() {
+        use super::gridhalo::exchange_halos;
+        for p in [2usize, 3] {
+            let (lx, plane, h) = (3usize, 2, 2);
+            let field_val = |k: usize, gx: usize| plane_val(gx) + 1000.0 * k as f64;
+            let (results, _) = Machine::new(p).run(move |comm| {
+                let x0 = comm.rank() * lx;
+                let mut fields: [Vec<f64>; 3] = [0, 1, 2].map(|k| {
+                    (0..lx * plane)
+                        .map(|i| field_val(k, x0 + i / plane))
+                        .collect()
+                });
+                let halos = exchange_halos(&comm, &fields, plane, h, (911, 912));
+                for (k, f) in fields.iter_mut().enumerate() {
+                    halos.extend(k, f);
+                }
+                fields
+            });
+            let n = p * lx;
+            for (rank, fields) in results.iter().enumerate() {
+                for (k, ext) in fields.iter().enumerate() {
+                    assert_eq!(ext.len(), (lx + 2 * h) * plane);
+                    for pl in 0..lx + 2 * h {
+                        let gx = (rank * lx + n + pl - h) % n;
+                        for j in 0..plane {
+                            assert_eq!(
+                                ext[pl * plane + j],
+                                field_val(k, gx),
+                                "p={p} rank {rank} field {k} plane {pl}"
+                            );
+                        }
+                    }
                 }
             }
         }

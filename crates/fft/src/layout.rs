@@ -113,10 +113,25 @@ pub trait DistRealFft3 {
     /// Layout of half-spectrum data on this rank after `forward` (z
     /// coordinates run over `0..nzh`).
     fn k_layout(&self) -> Layout3;
+    /// Unnormalized forward r2c transform into `out` (resized to the
+    /// k layout; once `out` is warm, only transpose messages allocate).
+    fn forward_into(&self, data: &[f64], out: &mut Vec<Complex64>);
+    /// Normalized inverse c2r transform into `out` (resized to the real
+    /// layout). `data` is the transform's workspace: it is left holding
+    /// an intermediate stage.
+    fn backward_into(&self, data: &mut Vec<Complex64>, out: &mut Vec<f64>);
     /// Unnormalized forward r2c transform.
-    fn forward(&self, data: Vec<f64>) -> Vec<Complex64>;
+    fn forward(&self, data: Vec<f64>) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        self.forward_into(&data, &mut out);
+        out
+    }
     /// Normalized inverse c2r transform.
-    fn backward(&self, data: Vec<Complex64>) -> Vec<f64>;
+    fn backward(&self, mut data: Vec<Complex64>) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.backward_into(&mut data, &mut out);
+        out
+    }
     /// The communicator the transform runs on.
     fn comm(&self) -> &Comm;
 }

@@ -177,158 +177,139 @@ impl<'a> PencilFft<'a> {
         }
     }
 
+    /// The z↔y (row) transpose is the identity when `P2 = 1`: a rank's
+    /// z-pencils `[lx][n][nz]` already are its y-pencils.
+    fn row_is_identity(&self) -> bool {
+        self.row_comm.size() == 1
+    }
+
+    /// The y↔x (column) transpose is the identity when `P1 = 1`: the
+    /// y-pencils `[n][n][lz]` already are the x-pencils.
+    fn col_is_identity(&self) -> bool {
+        self.col_comm.size() == 1
+    }
+
+    /// One transpose, in place on `data`: `pack(q, data, buf)` appends
+    /// the payload for sub-communicator rank `q` to an empty buffer of
+    /// `send_len(q)` capacity, the payloads go through one `alltoallv`,
+    /// `data` is resized to `out_len` and `unpack(q, buf, data)` lands
+    /// rank `q`'s payload. Payloads are the only transient buffers, each
+    /// `1/P` of a spectrum: holding them between transforms would add a
+    /// whole spectrum to the solve's resident set.
+    fn transpose(
+        &self,
+        comm: &Comm,
+        data: &mut Vec<Complex64>,
+        out_len: usize,
+        send_len: impl Fn(usize) -> usize,
+        pack: impl Fn(usize, &[Complex64], &mut Vec<Complex64>),
+        unpack: impl Fn(usize, &[Complex64], &mut [Complex64]),
+    ) {
+        let sends: Vec<Vec<Complex64>> = (0..comm.size())
+            .map(|q| {
+                let mut buf = Vec::with_capacity(send_len(q));
+                pack(q, data, &mut buf);
+                buf
+            })
+            .collect();
+        let recvs = comm.alltoallv(sends);
+        data.resize(out_len, Complex64::ZERO);
+        for (q, buf) in recvs.iter().enumerate() {
+            unpack(q, buf, data);
+        }
+    }
+
     /// Row transpose: z-pencils `[lx][ly2][nz]` → y-pencils `[lx][n][lz]`,
     /// where `nz` is the stored z extent (`n` for c2c, `nzh` for the
     /// half-spectrum) and `z_ranges` its split over `P2`.
-    fn z_to_y(
-        &self,
-        data: &[Complex64],
-        nz: usize,
-        z_ranges: &[(usize, usize)],
-    ) -> Vec<Complex64> {
+    fn z_to_y(&self, data: &mut Vec<Complex64>, nz: usize, z_ranges: &[(usize, usize)]) {
         let (n, lx, ly) = (self.n, self.lx(), self.ly2());
-        let sends: Vec<Vec<Complex64>> = z_ranges
-            .iter()
-            .map(|&(z0, lzq)| {
-                let mut buf = Vec::with_capacity(lx * ly * lzq);
-                for ixl in 0..lx {
-                    for iyl in 0..ly {
-                        let row = (ixl * ly + iyl) * nz + z0;
-                        buf.extend_from_slice(&data[row..row + lzq]);
-                    }
-                }
-                buf
-            })
-            .collect();
-        let recvs = self.row_comm.alltoallv(sends);
         let lz = z_ranges[self.p2].1;
-        let mut out = vec![Complex64::ZERO; lx * n * lz];
-        for (q, buf) in recvs.iter().enumerate() {
-            let (y0, lyq) = self.y2[q];
-            let mut it = buf.iter();
-            for ixl in 0..lx {
-                for iyl in 0..lyq {
-                    let dst = (ixl * n + y0 + iyl) * lz;
-                    for v in out[dst..dst + lz].iter_mut() {
-                        *v = *it.next().expect("z_to_y payload");
-                    }
+        self.transpose(
+            &self.row_comm,
+            data,
+            lx * n * lz,
+            |q| lx * ly * z_ranges[q].1,
+            |q, src, buf| {
+                let (z0, lzq) = z_ranges[q];
+                for row in src.chunks_exact(nz) {
+                    buf.extend_from_slice(&row[z0..z0 + lzq]);
                 }
-            }
-        }
-        out
+            },
+            |q, buf, out| {
+                let (y0, lyq) = self.y2[q];
+                for (slab, src) in out.chunks_exact_mut(n * lz).zip(buf.chunks_exact(lyq * lz)) {
+                    slab[y0 * lz..(y0 + lyq) * lz].copy_from_slice(src);
+                }
+            },
+        );
     }
 
     /// Inverse of [`PencilFft::z_to_y`].
-    fn y_to_z(
-        &self,
-        data: &[Complex64],
-        nz: usize,
-        z_ranges: &[(usize, usize)],
-    ) -> Vec<Complex64> {
-        let (n, lx) = (self.n, self.lx());
+    fn y_to_z(&self, data: &mut Vec<Complex64>, nz: usize, z_ranges: &[(usize, usize)]) {
+        let (n, lx, ly) = (self.n, self.lx(), self.ly2());
         let lz = z_ranges[self.p2].1;
-        let sends: Vec<Vec<Complex64>> = self
-            .y2
-            .iter()
-            .map(|&(y0, lyq)| {
-                let mut buf = Vec::with_capacity(lx * lyq * lz);
-                for ixl in 0..lx {
-                    for iyl in 0..lyq {
-                        let row = (ixl * n + y0 + iyl) * lz;
-                        buf.extend_from_slice(&data[row..row + lz]);
-                    }
+        self.transpose(
+            &self.row_comm,
+            data,
+            lx * ly * nz,
+            |q| lx * self.y2[q].1 * lz,
+            |q, src, buf| {
+                let (y0, lyq) = self.y2[q];
+                for slab in src.chunks_exact(n * lz) {
+                    buf.extend_from_slice(&slab[y0 * lz..(y0 + lyq) * lz]);
                 }
-                buf
-            })
-            .collect();
-        let recvs = self.row_comm.alltoallv(sends);
-        let ly = self.ly2();
-        let mut out = vec![Complex64::ZERO; lx * ly * nz];
-        for (q, buf) in recvs.iter().enumerate() {
-            let (z0, lzq) = z_ranges[q];
-            let mut it = buf.iter();
-            for ixl in 0..lx {
-                for iyl in 0..ly {
-                    let dst = (ixl * ly + iyl) * nz + z0;
-                    for v in out[dst..dst + lzq].iter_mut() {
-                        *v = *it.next().expect("y_to_z payload");
-                    }
+            },
+            |q, buf, out| {
+                let (z0, lzq) = z_ranges[q];
+                for (row, src) in out.chunks_exact_mut(nz).zip(buf.chunks_exact(lzq)) {
+                    row[z0..z0 + lzq].copy_from_slice(src);
                 }
-            }
-        }
-        out
+            },
+        );
     }
 
     /// Column transpose: y-pencils `[lx][n][lz]` → x-pencils `[n][ly1][lz]`.
-    fn y_to_x(&self, data: &[Complex64], lz: usize) -> Vec<Complex64> {
-        let (n, lx) = (self.n, self.lx());
-        let sends: Vec<Vec<Complex64>> = self
-            .y1
-            .iter()
-            .map(|&(y0, lyq)| {
-                let mut buf = Vec::with_capacity(lx * lyq * lz);
-                for ixl in 0..lx {
-                    for iyl in 0..lyq {
-                        let row = (ixl * n + y0 + iyl) * lz;
-                        buf.extend_from_slice(&data[row..row + lz]);
-                    }
+    fn y_to_x(&self, data: &mut Vec<Complex64>, lz: usize) {
+        let (n, lx, ly) = (self.n, self.lx(), self.ly1());
+        self.transpose(
+            &self.col_comm,
+            data,
+            n * ly * lz,
+            |q| lx * self.y1[q].1 * lz,
+            |q, src, buf| {
+                let (y0, lyq) = self.y1[q];
+                for slab in src.chunks_exact(n * lz) {
+                    buf.extend_from_slice(&slab[y0 * lz..(y0 + lyq) * lz]);
                 }
-                buf
-            })
-            .collect();
-        let recvs = self.col_comm.alltoallv(sends);
-        let ly = self.ly1();
-        let mut out = vec![Complex64::ZERO; n * ly * lz];
-        for (q, buf) in recvs.iter().enumerate() {
-            let (x0, lxq) = self.x1[q];
-            let mut it = buf.iter();
-            for ixl in 0..lxq {
-                for iyl in 0..ly {
-                    let dst = ((x0 + ixl) * ly + iyl) * lz;
-                    for v in out[dst..dst + lz].iter_mut() {
-                        *v = *it.next().expect("y_to_x payload");
-                    }
-                }
-            }
-        }
-        out
+            },
+            |q, buf, out| {
+                let (x0, lxq) = self.x1[q];
+                out[x0 * ly * lz..(x0 + lxq) * ly * lz].copy_from_slice(buf);
+            },
+        );
     }
 
     /// Inverse of [`PencilFft::y_to_x`].
-    fn x_to_y(&self, data: &[Complex64], lz: usize) -> Vec<Complex64> {
-        let (n, ly) = (self.n, self.ly1());
-        let sends: Vec<Vec<Complex64>> = self
-            .x1
-            .iter()
-            .map(|&(x0, lxq)| {
-                let mut buf = Vec::with_capacity(lxq * ly * lz);
-                for ixl in 0..lxq {
-                    for iyl in 0..ly {
-                        let row = ((x0 + ixl) * ly + iyl) * lz;
-                        buf.extend_from_slice(&data[row..row + lz]);
-                    }
+    fn x_to_y(&self, data: &mut Vec<Complex64>, lz: usize) {
+        let (n, lx, ly) = (self.n, self.lx(), self.ly1());
+        self.transpose(
+            &self.col_comm,
+            data,
+            lx * n * lz,
+            |q| self.x1[q].1 * ly * lz,
+            |q, src, buf| {
+                let (x0, lxq) = self.x1[q];
+                buf.extend_from_slice(&src[x0 * ly * lz..(x0 + lxq) * ly * lz]);
+            },
+            |q, buf, out| {
+                let (y0, lyq) = self.y1[q];
+                for (slab, src) in out.chunks_exact_mut(n * lz).zip(buf.chunks_exact(lyq * lz)) {
+                    slab[y0 * lz..(y0 + lyq) * lz].copy_from_slice(src);
                 }
-                buf
-            })
-            .collect();
-        let recvs = self.col_comm.alltoallv(sends);
-        let lx = self.lx();
-        let mut out = vec![Complex64::ZERO; lx * n * lz];
-        for (q, buf) in recvs.iter().enumerate() {
-            let (y0, lyq) = self.y1[q];
-            let mut it = buf.iter();
-            for ixl in 0..lx {
-                for iyl in 0..lyq {
-                    let dst = (ixl * n + y0 + iyl) * lz;
-                    for v in out[dst..dst + lz].iter_mut() {
-                        *v = *it.next().expect("x_to_y payload");
-                    }
-                }
-            }
-        }
-        out
+            },
+        );
     }
-
 }
 
 impl DistFft3 for PencilFft<'_> {
@@ -356,26 +337,34 @@ impl DistFft3 for PencilFft<'_> {
         assert_eq!(data.len(), self.real_layout().len());
         let lz = self.lz2();
         self.fft_z(&mut data, false);
-        let mut y = self.z_to_y(&data, self.n, &self.z2);
-        self.fft_y(&mut y, lz, false);
-        let mut x = self.y_to_x(&y, lz);
-        self.fft_x(&mut x, lz, false);
-        x
+        if !self.row_is_identity() {
+            self.z_to_y(&mut data, self.n, &self.z2);
+        }
+        self.fft_y(&mut data, lz, false);
+        if !self.col_is_identity() {
+            self.y_to_x(&mut data, lz);
+        }
+        self.fft_x(&mut data, lz, false);
+        data
     }
 
     fn backward(&self, mut data: Vec<Complex64>) -> Vec<Complex64> {
         assert_eq!(data.len(), self.k_layout().len());
         let lz = self.lz2();
         self.fft_x(&mut data, lz, true);
-        let mut y = self.x_to_y(&data, lz);
-        self.fft_y(&mut y, lz, true);
-        let mut z = self.y_to_z(&y, self.n, &self.z2);
-        self.fft_z(&mut z, true);
+        if !self.col_is_identity() {
+            self.x_to_y(&mut data, lz);
+        }
+        self.fft_y(&mut data, lz, true);
+        if !self.row_is_identity() {
+            self.y_to_z(&mut data, self.n, &self.z2);
+        }
+        self.fft_z(&mut data, true);
         let inv = 1.0 / (self.n * self.n * self.n) as f64;
-        for v in z.iter_mut() {
+        for v in data.iter_mut() {
             *v = v.scale(inv);
         }
-        z
+        data
     }
 
     fn comm(&self) -> &Comm {
@@ -450,53 +439,57 @@ impl DistRealFft3 for RealPencilFft<'_> {
         }
     }
 
-    fn forward(&self, data: Vec<f64>) -> Vec<Complex64> {
+    fn forward_into(&self, data: &[f64], out: &mut Vec<Complex64>) {
         let f = &self.inner;
         assert_eq!(data.len(), self.real_layout().len());
         let (n, nzh) = (f.n, self.nzh);
         let lz = self.lzh();
         // Local r2c z pass: pair-packed real-line bundles → half-spectrum
         // rows, batched through pooled tiles.
-        let rows = f.lx() * f.ly2();
-        let mut spec = vec![Complex64::ZERO; rows * nzh];
+        out.resize(f.lx() * f.ly2() * nzh, Complex64::ZERO);
         {
             let mut zbuf = f.pool.lease(BATCH * n);
             let mut scratch = f.pool.lease(f.plan.scratch_len_batch(BATCH));
             for (src, dst) in data
                 .chunks(2 * BATCH * n)
-                .zip(spec.chunks_mut(2 * BATCH * nzh))
+                .zip(out.chunks_mut(2 * BATCH * nzh))
             {
                 r2c_lines(&f.plan, src, dst, n, nzh, &mut zbuf, &mut scratch);
             }
         }
-        let mut y = f.z_to_y(&spec, nzh, &self.zh2);
-        f.fft_y(&mut y, lz, false);
-        let mut x = f.y_to_x(&y, lz);
-        f.fft_x(&mut x, lz, false);
-        x
+        if !f.row_is_identity() {
+            f.z_to_y(out, nzh, &self.zh2);
+        }
+        f.fft_y(out, lz, false);
+        if !f.col_is_identity() {
+            f.y_to_x(out, lz);
+        }
+        f.fft_x(out, lz, false);
     }
 
-    fn backward(&self, mut data: Vec<Complex64>) -> Vec<f64> {
+    fn backward_into(&self, data: &mut Vec<Complex64>, out: &mut Vec<f64>) {
         let f = &self.inner;
         assert_eq!(data.len(), self.k_layout().len());
         let (n, nzh) = (f.n, self.nzh);
         let lz = self.lzh();
-        let rows = f.lx() * f.ly2();
         let inv = 1.0 / (n * n * n) as f64;
-        f.fft_x(&mut data, lz, true);
-        let mut y = f.x_to_y(&data, lz);
-        f.fft_y(&mut y, lz, true);
-        let spec = f.y_to_z(&y, nzh, &self.zh2);
-        let mut out = vec![0.0f64; rows * n];
+        f.fft_x(data, lz, true);
+        if !f.col_is_identity() {
+            f.x_to_y(data, lz);
+        }
+        f.fft_y(data, lz, true);
+        if !f.row_is_identity() {
+            f.y_to_z(data, nzh, &self.zh2);
+        }
+        out.resize(f.lx() * f.ly2() * n, 0.0);
         let mut zbuf = f.pool.lease(BATCH * n);
         let mut scratch = f.pool.lease(f.plan.scratch_len_batch(BATCH));
-        for (src, dst) in spec
+        for (src, dst) in data
             .chunks(2 * BATCH * nzh)
             .zip(out.chunks_mut(2 * BATCH * n))
         {
             c2r_lines(&f.plan, src, dst, n, nzh, inv, &mut zbuf, &mut scratch);
         }
-        out
     }
 
     fn comm(&self) -> &Comm {
@@ -692,6 +685,64 @@ mod tests {
                     .all(|(a, b)| (*a - *b).abs() < 1e-12)
             });
             assert!(ok.iter().all(|&b| b), "roundtrip n={n} {p1}x{p2}");
+        }
+    }
+
+    /// The grids whose transposes are elided — `p × 1` (the engine's
+    /// slab grid: z↔y is the identity), `1 × p` (y↔x is the identity)
+    /// and `1 × 1` (both) — at the benchmark's sides: forward and
+    /// backward each match serial [`crate::real::RealFft3`] to 1e-12
+    /// relative.
+    #[test]
+    fn elided_transposes_match_serial_at_benchmark_sides() {
+        use crate::real::RealFft3;
+        let max_abs = |v: &mut dyn Iterator<Item = f64>| v.fold(0.0f64, f64::max);
+        for n in [48usize, 96] {
+            let flat = |c: [usize; 3]| (c[0] * n + c[1]) * n + c[2];
+            let nzh = n / 2 + 1;
+            let global = rand_real(n * n * n, 90 + n as u64);
+            let serial = RealFft3::new_cubic(n);
+            let mut want = vec![Complex64::ZERO; n * n * nzh];
+            serial.forward(&global, &mut want);
+            let mut back = vec![0.0; n * n * n];
+            serial.backward(&mut want.clone(), &mut back);
+            let k_scale = max_abs(&mut want.iter().map(|v| v.abs()));
+            let r_scale = max_abs(&mut back.iter().map(|v| v.abs()));
+            for (p1, p2) in [(1usize, 1usize), (2, 1), (3, 1), (1, 2), (1, 3)] {
+                let (g, w) = (&global, &want);
+                let (errs, _) = Machine::new(p1 * p2).run(|comm| {
+                    let fft = RealPencilFft::with_grid(&comm, n, p1, p2);
+                    let (rl, kl) = (fft.real_layout(), fft.k_layout());
+                    let local: Vec<f64> = (0..rl.len())
+                        .map(|i| g[flat(rl.global_coords(i))])
+                        .collect();
+                    let k = fft.forward(local);
+                    let k_err = max_abs(&mut k.iter().enumerate().map(|(i, v)| {
+                        let c = kl.global_coords(i);
+                        (*v - w[(c[0] * n + c[1]) * nzh + c[2]]).abs()
+                    }));
+                    let spec: Vec<Complex64> = (0..kl.len())
+                        .map(|i| {
+                            let c = kl.global_coords(i);
+                            w[(c[0] * n + c[1]) * nzh + c[2]]
+                        })
+                        .collect();
+                    let real = fft.backward(spec);
+                    let r_err = max_abs(
+                        &mut real
+                            .iter()
+                            .enumerate()
+                            .map(|(i, v)| (v - back[flat(rl.global_coords(i))]).abs()),
+                    );
+                    (k_err, r_err)
+                });
+                for (k_err, r_err) in errs {
+                    assert!(
+                        k_err <= 1e-12 * k_scale && r_err <= 1e-12 * r_scale,
+                        "n={n} grid {p1}x{p2}: forward {k_err:e}, backward {r_err:e}"
+                    );
+                }
+            }
         }
     }
 

@@ -7,6 +7,8 @@
 //! [`DistRealPoisson`] is the half-spectrum, table-driven solve the
 //! full-code driver runs for both of its mesh levels.
 
+use std::sync::Mutex;
+
 use hacc_fft::{Complex64, DistFft3, DistRealFft3, Layout3};
 
 use crate::spectral::SpectralParams;
@@ -102,6 +104,15 @@ pub struct DistRealPoisson<F: DistRealFft3> {
     scalar: Vec<f64>,
     /// Gradient multiplier along each axis of the local k block.
     grad: [Vec<f64>; 3],
+    /// Held spectra: the scaled potential and the gradient component
+    /// each inverse transform consumes.
+    ws: Mutex<Spectra>,
+}
+
+#[derive(Default)]
+struct Spectra {
+    phi: Vec<Complex64>,
+    comp: Vec<Complex64>,
 }
 
 impl<F: DistRealFft3> DistRealPoisson<F> {
@@ -136,37 +147,56 @@ impl<F: DistRealFft3> DistRealPoisson<F> {
         let kl = fft.k_layout();
         let scalar = (0..kl.len()).map(|i| scalar(kl.global_coords(i))).collect();
         let grad = [0, 1, 2].map(|a| (0..kl.size[a]).map(|i| grad(kl.origin[a] + i)).collect());
-        DistRealPoisson { fft, scalar, grad }
+        DistRealPoisson {
+            fft,
+            scalar,
+            grad,
+            ws: Mutex::default(),
+        }
     }
 
-    /// Solve for the three force component grids from the local source
-    /// block (real layout in, real layout out). Cost: 1 r2c forward +
-    /// 3 c2r inverse distributed FFTs on the half-spectrum.
+    /// [`Self::solve_forces_in_place`] on a copy of `source`, into fresh
+    /// grids.
     #[must_use]
-    pub fn solve_forces(&self, source: Vec<f64>) -> [Vec<f64>; 3] {
+    pub fn solve_forces(&self, source: &[f64]) -> [Vec<f64>; 3] {
+        let mut grids = [source.to_vec(), Vec::new(), Vec::new()];
+        self.solve_forces_in_place(&mut grids);
+        grids
+    }
+
+    /// Solve for the three force component grids of the local block:
+    /// `grids[0]` holds the source on entry (real layout), and all three
+    /// hold the force components on exit (resized to the real layout).
+    /// Cost: 1 r2c forward + 3 c2r inverse distributed FFTs on the
+    /// half-spectrum, through the held spectra — the caller's three
+    /// grids plus two spectra are the whole working set, and a warm
+    /// solve allocates only the transform's message envelopes.
+    pub fn solve_forces_in_place(&self, grids: &mut [Vec<f64>; 3]) {
         assert_eq!(
-            source.len(),
+            grids[0].len(),
             self.fft.real_layout().len(),
             "source does not match layout"
         );
-        let mut phi = self.fft.forward(source);
+        let mut ws = self.ws.lock().expect("distributed pm workspace poisoned");
+        let Spectra { phi, comp } = &mut *ws;
+        self.fft.forward_into(&grids[0], phi);
         for (v, &s) in phi.iter_mut().zip(&self.scalar) {
             *v = v.scale(s);
         }
         let [_, sy, sz] = self.fft.k_layout().size;
-        std::array::from_fn(|axis| {
+        for (axis, slot) in grids.iter_mut().enumerate() {
             // F_c(k) = -i·D_c(k)·φ(k).
             let g = &self.grad[axis];
-            let mut comp = Vec::with_capacity(phi.len());
-            for (row, line) in phi.chunks(sz).enumerate() {
+            comp.resize(phi.len(), Complex64::ZERO);
+            for (row, (src, dst)) in phi.chunks(sz).zip(comp.chunks_mut(sz)).enumerate() {
                 let at = [row / sy, row % sy];
-                comp.extend(line.iter().enumerate().map(|(iz, v)| {
+                for (iz, (v, c)) in src.iter().zip(dst).enumerate() {
                     let d = if axis < 2 { g[at[axis]] } else { g[iz] };
-                    Complex64::new(v.im * d, -v.re * d)
-                }));
+                    *c = Complex64::new(v.im * d, -v.re * d);
+                }
             }
-            self.fft.backward(comp)
-        })
+            self.fft.backward_into(comp, slot);
+        }
     }
 }
 
@@ -277,7 +307,7 @@ mod tests {
                 ] {
                     let rl = fft.real_layout();
                     let solver = DistRealPoisson::new(fft, n as f64, params);
-                    out.push((rl, solver.solve_forces(load(rl))));
+                    out.push((rl, solver.solve_forces(&load(rl))));
                 }
                 out
             });

@@ -586,10 +586,17 @@ impl LocalComplementSolver {
     }
 
     /// Solve the fine complement on the ghost-padded local grid
-    /// (`nx·n·n` source, three `nx·n·n` force grids out; only the
-    /// interior planes — those ≥ ghost width from either edge — are
-    /// valid). Allocation-free once the buffers are warm.
-    pub fn solve_into(&self, source: &[f64], out: &mut [Vec<f64>; 3]) {
+    /// (`nx·n·n` source): each force component in turn lands in `out`
+    /// (`nx·n·n`; only the interior planes — those ≥ ghost width from
+    /// either edge — are valid) and is handed to `each(axis, out)`, so
+    /// one force grid is live rather than three. Allocation-free once
+    /// the buffers are warm.
+    pub fn solve_each_axis(
+        &self,
+        source: &[f64],
+        out: &mut Vec<f64>,
+        mut each: impl FnMut(usize, &[f64]),
+    ) {
         let (nx, n, nzh) = (self.nx, self.n, self.nzh);
         assert_eq!(source.len(), nx * n * n);
         let mut ws = self.ws.lock().expect("local complement workspace poisoned");
@@ -598,8 +605,8 @@ impl LocalComplementSolver {
         base.resize(slen, Complex64::ZERO);
         comp.resize(slen, Complex64::ZERO);
         self.rfft.forward(source, base);
-        for (axis, slot) in out.iter_mut().enumerate() {
-            slot.resize(nx * n * n, 0.0);
+        out.resize(nx * n * n, 0.0);
+        for axis in 0..3 {
             comp.par_chunks_mut(n * nzh)
                 .enumerate()
                 .for_each(|(ix, cp)| {
@@ -621,7 +628,8 @@ impl LocalComplementSolver {
                         }
                     }
                 });
-            self.rfft.backward(comp, slot);
+            self.rfft.backward(comp, out);
+            each(axis, out);
         }
     }
 }
@@ -846,8 +854,8 @@ mod tests {
             let gx = (x0 + n + pl - h) % n;
             dst.copy_from_slice(&src[gx * n * n..(gx + 1) * n * n]);
         }
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        local.solve_into(&ext, &mut out);
+        let mut out: [Vec<f64>; 3] = Default::default();
+        local.solve_each_axis(&ext, &mut Vec::new(), |axis, f| out[axis] = f.to_vec());
         let mut max_err = 0.0f64;
         for axis in 0..3 {
             for pl in 0..lx {
@@ -1096,7 +1104,7 @@ mod dist_tests {
                 |g| split.coarse_scalar(g),
                 |j| split.coarse_grad(j),
             );
-            (rl, solver.solve_forces(local))
+            (rl, solver.solve_forces(&local))
         });
         for (rl, forces) in &results {
             for axis in 0..3 {

@@ -18,8 +18,9 @@
 //! CI installs the components and the same subcommands run for real.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 /// Licenses acceptable for anything this workspace links. Everything in
@@ -195,15 +196,75 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Run a command from the repo root, streaming its output; returns the
-/// outcome with the exit status folded in.
+/// Run a command from the repo root, streaming its output and keeping a
+/// copy; returns the outcome with the exit status folded in. A failing
+/// command's full stdout and stderr are written to
+/// `out/verify/<label>.log`, so a red run that does not reproduce still
+/// says which test failed and how.
 fn run(label: &str, cmd: &mut Command) -> Outcome {
     println!("xtask: running {label}: {cmd:?}");
-    match cmd.current_dir(repo_root()).status() {
+    let spawned = cmd
+        .current_dir(repo_root())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn();
+    let mut child = match spawned {
+        Ok(child) => child,
+        Err(e) => return Outcome::Fail(format!("failed to launch: {e}")),
+    };
+    let out = tee(
+        child.stdout.take().expect("piped stdout"),
+        std::io::stdout(),
+    );
+    let err = tee(
+        child.stderr.take().expect("piped stderr"),
+        std::io::stderr(),
+    );
+    let status = child.wait();
+    let (out, err) = (
+        out.join().unwrap_or_default(),
+        err.join().unwrap_or_default(),
+    );
+    match status {
         Ok(status) if status.success() => Outcome::Pass,
-        Ok(status) => Outcome::Fail(format!("exit status {status}")),
-        Err(e) => Outcome::Fail(format!("failed to launch: {e}")),
+        Ok(status) => {
+            let path = repo_root()
+                .join("out/verify")
+                .join(format!("{}.log", label.replace(' ', "-")));
+            let log = format!(
+                "{cmd:?}\n{status}\n\n=== stdout ===\n{}\n=== stderr ===\n{}",
+                String::from_utf8_lossy(&out),
+                String::from_utf8_lossy(&err)
+            );
+            let kept = path
+                .parent()
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .and_then(|()| std::fs::write(&path, log));
+            match kept {
+                Ok(()) => Outcome::Fail(format!("exit status {status}; log {}", path.display())),
+                Err(e) => Outcome::Fail(format!("exit status {status}; log not written: {e}")),
+            }
+        }
+        Err(e) => Outcome::Fail(format!("failed to wait: {e}")),
     }
+}
+
+/// Copy `from` to `to` as it arrives; the thread returns everything it
+/// copied.
+fn tee(
+    mut from: impl Read + Send + 'static,
+    mut to: impl Write + Send + 'static,
+) -> std::thread::JoinHandle<Vec<u8>> {
+    std::thread::spawn(move || {
+        let mut kept = Vec::new();
+        let mut buf = [0u8; 8192];
+        while let Ok(n @ 1..) = from.read(&mut buf) {
+            let _ = to.write_all(&buf[..n]);
+            let _ = to.flush();
+            kept.extend_from_slice(&buf[..n]);
+        }
+        kept
+    })
 }
 
 /// True if `cargo <subcommand> --version` runs successfully — the probe
@@ -754,4 +815,36 @@ fn main() -> ExitCode {
         _ => return usage(),
     }
     report.exit()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A failing step keeps both of its streams, whole, under
+    /// `out/verify/`; a passing one leaves no log.
+    #[test]
+    fn failing_step_keeps_its_log() {
+        let label = "xtask selftest failing step";
+        let path = repo_root().join("out/verify/xtask-selftest-failing-step.log");
+        let _ = std::fs::remove_file(&path);
+        let script = "echo to-stdout; echo to-stderr >&2; exit 3";
+        let outcome = run(label, Command::new("sh").args(["-c", script]));
+        assert!(
+            matches!(&outcome, Outcome::Fail(why) if why.contains("log")),
+            "{outcome:?}"
+        );
+        let log = std::fs::read_to_string(&path).expect("log written");
+        assert!(
+            log.contains("to-stdout") && log.contains("to-stderr"),
+            "{log}"
+        );
+        std::fs::remove_file(&path).expect("remove log");
+
+        assert!(matches!(
+            run(label, Command::new("true").arg("")),
+            Outcome::Pass
+        ));
+        assert!(!path.exists());
+    }
 }

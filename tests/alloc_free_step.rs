@@ -10,9 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Wraps the system allocator and counts allocation events while armed.
-/// Deallocations are free to happen (dropping a warm-up buffer is not a
-/// steady-state cost); `alloc`/`alloc_zeroed`/`realloc` are what we gate.
+/// Wraps the system allocator and counts allocation events — and the
+/// largest single request — while armed. Deallocations are free to
+/// happen (dropping a warm-up buffer is not a steady-state cost);
+/// `alloc`/`alloc_zeroed`/`realloc` are what we gate.
 struct CountingAlloc;
 
 // Armed and counted per thread: libtest's own threads allocate whenever
@@ -24,18 +25,26 @@ struct CountingAlloc;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_if_armed() {
+fn count_if_armed(bytes: usize) {
     if ARMED.with(Cell::get) {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        LARGEST.with(|c| c.set(c.get().max(bytes)));
     }
 }
 
-/// Zero this thread's counter and start counting.
+/// Zero this thread's counters and start counting.
 fn arm() {
     ALLOCS.with(|c| c.set(0));
+    LARGEST.with(|c| c.set(0));
     ARMED.with(|a| a.set(true));
+}
+
+/// The largest single allocation (bytes) since [`arm`].
+fn largest() -> usize {
+    LARGEST.with(Cell::get)
 }
 
 /// Stop counting; returns the allocations made since [`arm`].
@@ -49,19 +58,19 @@ fn disarm() -> u64 {
 // contract is exactly the system allocator's.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(layout.size());
         // SAFETY: caller upholds `layout` validity (delegated contract).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(layout.size());
         // SAFETY: caller upholds `layout` validity (delegated contract).
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(new_size);
         // SAFETY: `ptr`/`layout`/`new_size` come from our own `alloc`,
         // which is `System`'s (delegated contract).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -243,6 +252,54 @@ fn distributed_subcycle_loop_allocates_nothing() {
         one, four,
         "per-rank allocations of a warm distributed step differ between 1 and 4 sub-cycles"
     );
+}
+
+/// The distributed long-range pipeline holds its grids: after warm-up
+/// a PM-only step allocates nothing as large as one rank's real slab
+/// (`lx·n²·8` B) — the deposit slab, force grids, halo slabs, spectra
+/// and particle accelerations are all held, and the elided z↔y
+/// transpose of the `p × 1` pencil grid allocates no spectrum. What
+/// still allocates is message traffic and the refresh lists: the
+/// transpose payloads (`1/p` of a spectrum each) and message envelopes.
+#[test]
+fn distributed_pm_step_holds_its_grids() {
+    use hacc::comm::Machine;
+    use hacc::core::{DistSimulation, SimConfig, SolverKind};
+    use hacc::cosmo::{Cosmology, LinearPower, Transfer};
+
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let a0 = 0.2;
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, a0, 11);
+    let (ng, ranks) = (48usize, 2usize);
+    let cfg = SimConfig {
+        ng,
+        box_len: 64.0,
+        a_init: a0,
+        subcycles: 1,
+        solver: SolverKind::PmOnly,
+        ..SimConfig::small_lcdm()
+    };
+    let (per_rank, _) = Machine::new(ranks).run(|comm| {
+        let mut sim = DistSimulation::new(&comm, cfg, &ics);
+        sim.stats.steps.reserve(8);
+        sim.step(a0 + 1e-6);
+        sim.step(a0 + 2e-6);
+        arm();
+        sim.step(a0 + 3e-6);
+        let made = disarm();
+        (made, largest())
+    });
+    let slab = (ng / ranks) * ng * ng * std::mem::size_of::<f64>();
+    for (rank, &(made, big)) in per_rank.iter().enumerate() {
+        assert!(
+            made > 0,
+            "a step's communication allocates; the counter appears dead"
+        );
+        assert!(
+            big < slab,
+            "rank {rank}: a warm PM step allocated {big} B at once, a real slab is {slab} B"
+        );
+    }
 }
 
 /// The two-level PM path: both levels' density/force grids, the coarse

@@ -195,6 +195,87 @@ fn killed_run_recovers_to_bit_exact_state() {
     let _ = std::fs::remove_dir_all(&dir_faulty);
 }
 
+/// The relaunch-from-checkpoint route end to end through `run_elastic`:
+/// attempt 1 writes the step-2 set, then kills at steps 3 and 4 on 2
+/// ranks (where every tier-0 rebuild falls short, see `cfg32`) spend
+/// the one-rollback budget of `max_retries = 1`, and the second
+/// escalation is a tier-2 abort. Attempt 2 resumes from that set — not a cold start — and
+/// finishes bit-identical to an uninterrupted run.
+#[test]
+fn tier2_abort_relaunches_from_checkpoint_bit_exact() {
+    let dir_clean = scratch("relaunch_clean");
+    let dir_faulty = scratch("relaunch_faulty");
+    let realization = ics32();
+    let mut rc = ResilienceConfig::new(RANKS, &dir_clean);
+    rc.max_retries = 1;
+    rc.backoff = Duration::from_millis(1);
+    let clean = run_elastic(
+        cfg32(),
+        &realization,
+        &rc,
+        RANKS,
+        &ScaleSchedule::default(),
+        &FaultPlan::none(),
+    )
+    .expect("clean run");
+
+    rc.dir = dir_faulty.clone();
+    let plan = FaultPlan::seeded(5)
+        .kill_rank_at_step(1, 3)
+        .kill_rank_at_step(0, 4);
+    let run = run_elastic(
+        cfg32(),
+        &realization,
+        &rc,
+        RANKS,
+        &ScaleSchedule::default(),
+        &plan,
+    )
+    .expect("relaunched run");
+    assert_eq!(run.attempts, 2, "{:?}", run.timeline);
+    // A failed attempt's in-run events die with it; the abort reason
+    // carries the rollback count.
+    assert!(
+        run.timeline.iter().any(|e| matches!(
+            e,
+            RecoveryEvent::Tier2Abort { attempt: 1, reason }
+                if reason.starts_with("2 checkpoint rollbacks") && reason.contains("step 4")
+        )),
+        "attempt 1 must end in a tier-2 abort after its rollback budget: {:?}",
+        run.timeline
+    );
+    assert!(
+        run.timeline.iter().any(|e| matches!(
+            e,
+            RecoveryEvent::AttemptStarted {
+                attempt: 2,
+                resume_step: Some(2)
+            }
+        )),
+        "attempt 2 must resume from the step-2 set: {:?}",
+        run.timeline
+    );
+    assert_eq!(clean.positions.len(), run.positions.len());
+    for (c, f) in clean.positions.iter().zip(&run.positions) {
+        assert_eq!(c.0, f.0);
+        for k in 0..3 {
+            assert_eq!(
+                c.1[k].to_bits(),
+                f.1[k].to_bits(),
+                "relaunch diverged at id {}",
+                c.0
+            );
+        }
+    }
+    for rank in 0..RANKS {
+        let a = Snapshot::read_file(&checkpoint_path(&dir_clean, 4, rank, RANKS)).unwrap();
+        let b = Snapshot::read_file(&checkpoint_path(&dir_faulty, 4, rank, RANKS)).unwrap();
+        assert_eq!(a, b, "final checkpoint differs on rank {rank}");
+    }
+    let _ = std::fs::remove_dir_all(&dir_clean);
+    let _ = std::fs::remove_dir_all(&dir_faulty);
+}
+
 /// A corrupted file in the newest checkpoint set must not be trusted:
 /// restart falls back to the previous complete, valid set.
 #[test]
