@@ -19,7 +19,7 @@
 //!   *behind* the frontier (`epoch[r] < max_epoch`): some peer has
 //!   already beaten a later epoch, so `r` ought to have been heard
 //!   from. A rank that is merely deep in send-free compute sits *at*
-//!   the frontier (its peers block in [`HealthState::epoch_sync`]
+//!   the frontier (its peers block in an epoch barrier ([`Gate::Epoch`])
 //!   waiting for it and cannot advance `max_epoch`), so it is never
 //!   falsely suspected, no matter how slow.
 //! - **Fencing.** Once the monitor declares a rank `Failed`, a late
@@ -36,7 +36,7 @@
 
 use std::time::Duration;
 
-use crate::protocol::{self, ControlEvent, Mutations, PeerView};
+use crate::protocol::{self, ControlEvent, Gate, Mutations, PeerView};
 use crate::sync::{
     AtomicBool, AtomicU64, Condvar, Instant, LockRank, Mutex, MutexGuard, Ordering,
 };
@@ -54,9 +54,8 @@ pub struct HeartbeatConfig {
     /// Further consecutive stale scans before a `Suspected` rank is
     /// declared `Failed`.
     pub confirm_scans: u32,
-    /// Deadline for the blocking waits ([`HealthState::epoch_sync`],
-    /// [`HealthState::await_failed`]); expiry surfaces as a diagnostic
-    /// [`CommError::Timeout`] instead of a hang.
+    /// Deadline for the blocking waits ([`HealthState::wait`]); expiry
+    /// surfaces as a diagnostic [`CommError::Timeout`] instead of a hang.
     pub sync_timeout: Duration,
 }
 
@@ -88,13 +87,13 @@ pub enum RankStatus {
     Failed,
     /// Its (respawned) thread has acknowledged the death and is being
     /// reconstructed; cleared to `Healthy` by
-    /// [`HealthState::mark_recovered`].
+    /// a `Recovered` event.
     Rebuilding,
     /// Deliberately outside the active world (elastic capacity held in
     /// reserve, or retired by a shrink). Exempt from suspicion, skipped
-    /// by `epoch_sync`, and *never* part of the dead set — parking is
+    /// by epoch barriers, and *never* part of the dead set — parking is
     /// an administrative act, not a failure. Cleared to `Healthy` by
-    /// [`HealthState::activate`].
+    /// an `Activated` event.
     Parked,
 }
 
@@ -244,7 +243,7 @@ impl HealthState {
     }
 
     /// Apply one membership change and wake every detector waiter.
-    pub(crate) fn apply(&self, ev: ControlEvent) {
+    pub fn apply(&self, ev: ControlEvent) {
         if !self.enabled {
             return;
         }
@@ -256,14 +255,9 @@ impl HealthState {
     /// `epoch`. Clears a pending suspicion — unless the monitor already
     /// declared the rank dead, in which case the declaration stands
     /// (fencing) and the returned status tells the rank to rejoin as a
-    /// replacement.
-    pub fn beat(&self, rank: usize, epoch: u64) -> RankStatus {
-        self.beat_event(rank, epoch).0
-    }
-
-    /// [`HealthState::beat`], also returning the `EPOCH` event an
-    /// accepted beat applied — what the hub broadcasts to the mirrors.
-    pub(crate) fn beat_event(&self, rank: usize, epoch: u64) -> (RankStatus, Option<ControlEvent>) {
+    /// replacement. Also returns the `EPOCH` event an accepted beat
+    /// applied — what the hub broadcasts to the mirrors.
+    pub fn beat(&self, rank: usize, epoch: u64) -> (RankStatus, Option<ControlEvent>) {
         if !self.enabled {
             return (RankStatus::Healthy, None);
         }
@@ -306,7 +300,7 @@ impl HealthState {
         }
         if !newly.is_empty() {
             drop(st);
-            // Wake epoch_sync / await_failed waiters; the monitor also
+            // Wake the membership waiters; the monitor also
             // wakes every mailbox so blocked receives re-check for the
             // dead source (see `Machine::try_run`).
             self.signal.notify_all();
@@ -314,147 +308,50 @@ impl HealthState {
         newly
     }
 
-    /// Current lifecycle status of `rank`.
-    #[must_use]
-    pub fn status(&self, rank: usize) -> RankStatus {
-        self.view(rank).status
-    }
-
     /// `rank`'s membership record ([`PeerView::INITIAL`] without a
     /// monitor, and then without taking the lock).
-    pub(crate) fn view(&self, rank: usize) -> PeerView {
+    #[must_use]
+    pub fn view(&self, rank: usize) -> PeerView {
         if !self.enabled {
             return PeerView::INITIAL;
         }
         self.state.lock(LockRank::Health).view[rank]
     }
 
-    /// Every rank currently dead (`Failed` or `Rebuilding`) with the
-    /// epoch it last completed, in rank order. A replacement queries
-    /// this after [`HealthState::await_failed`] to learn which other
-    /// ranks died in the same epoch (declarations are monotonic, so the
-    /// set can only grow between a survivor's report and this read).
+    /// Every rank's membership record, in rank order.
     #[must_use]
-    pub fn dead_set(&self) -> Vec<(usize, u64)> {
-        protocol::dead_set(&self.state.lock(LockRank::Health).view)
+    pub fn views(&self) -> Vec<PeerView> {
+        (0..self.ticks.len()).map(|r| self.view(r)).collect()
     }
 
-    fn wait_until<T>(
+    /// Block at rank `me` until `gate` passes (see [`Gate`]). Waiting on
+    /// [`Gate::OwnDeath`] also acknowledges the death (`Failed →
+    /// Rebuilding`): a killed rank's respawned thread calls it before it
+    /// rejoins as a replacement. An epoch barrier is the agreement point
+    /// of the step protocol: all survivors return the same casualties
+    /// for a given epoch because declarations are monotonic and a rank
+    /// behind the epoch must be one or the other before anyone proceeds.
+    pub fn wait(
         &self,
+        me: usize,
+        gate: Gate<'_>,
         poisoned: &AtomicBool,
-        gate: impl FnMut(&Detector) -> Result<T, usize>,
-        what_timed_out: impl FnOnce(usize) -> String,
-    ) -> Result<T, CommError> {
-        wait_until(
+    ) -> Result<EpochReport, CommError> {
+        assert!(self.enabled, "membership waits require Machine::with_heartbeat");
+        let report = wait_until(
             self.state.lock(LockRank::Health),
             &self.signal,
             poisoned,
             self.cfg.sync_timeout,
-            gate,
-            what_timed_out,
-        )
-    }
-
-    /// Block until every rank has either beaten `epoch` or been
-    /// declared dead; returns the dead set. This is the agreement point
-    /// of the step protocol: all survivors return the same `failed`
-    /// list for a given epoch because declarations are monotonic and a
-    /// rank behind the epoch must be one or the other before anyone
-    /// proceeds.
-    pub(crate) fn epoch_sync(
-        &self,
-        me: usize,
-        epoch: u64,
-        poisoned: &AtomicBool,
-    ) -> Result<EpochReport, CommError> {
-        self.wait_until(
-            poisoned,
-            |d| protocol::epoch_gate(&d.view, me, epoch),
-            |rank| epoch_sync_stalled(rank, epoch),
-        )
-        .map(|failed| EpochReport { epoch, failed })
-    }
-
-    /// Block until this rank's own death is declared, acknowledge it
-    /// (`Failed → Rebuilding`), and return the last epoch it completed.
-    /// Called by a killed rank's respawned thread before it rejoins as
-    /// a replacement.
-    pub(crate) fn await_failed(&self, rank: usize, poisoned: &AtomicBool) -> Result<u64, CommError> {
-        let epoch = self.wait_until(
-            poisoned,
-            |d| match d.view[rank] {
-                PeerView { status: RankStatus::Failed, failed_epoch, .. } => Ok(failed_epoch),
-                _ => Err(rank),
-            },
-            |rank| {
-                format!(
-                    "rank {rank} awaiting its own failure declaration that never came \
-                     (is the heartbeat monitor enabled?)"
-                )
-            },
+            |d: &Detector| gate.poll(&d.view, me),
+            |rank| gate.stalled(rank),
         )?;
-        // Only this rank ever moves itself out of `Failed`, so the
-        // record cannot have changed since the gate passed.
-        self.apply(ControlEvent::Rebuilding { rank });
-        Ok(epoch)
-    }
-
-    /// Block until every rank in `failed` has acknowledged its death
-    /// (left `Failed` for `Rebuilding`). Survivors call this before the
-    /// first recovery collective so no receive can race the window
-    /// between declaration and acknowledgement and misread the
-    /// replacement as still dead.
-    pub(crate) fn await_rebirth(
-        &self,
-        failed: &[usize],
-        poisoned: &AtomicBool,
-    ) -> Result<(), CommError> {
-        self.wait_until(
-            poisoned,
-            |d| protocol::rebirth_gate(&d.view, failed),
-            rebirth_stalled,
-        )
-    }
-
-    /// Reconstruction finished: the replacement for `rank` rejoins the
-    /// healthy population at `epoch`.
-    pub fn mark_recovered(&self, rank: usize, epoch: u64) {
-        self.apply(ControlEvent::Recovered { rank, epoch });
-    }
-
-    /// Administratively remove `rank` from the active world (elastic
-    /// reserve capacity, or a deliberate retire after a shrink). The
-    /// rank becomes exempt from suspicion and epoch waits; this is
-    /// *not* a failure declaration and the rank never enters the dead
-    /// set.
-    pub fn park(&self, rank: usize) {
-        self.apply(ControlEvent::Parked { rank });
-    }
-
-    /// Admit a parked rank to the active world at `epoch` (a grow, or
-    /// the initial activation of reserve capacity); a no-op on a rank
-    /// that is not parked. `epoch == u64::MAX` is the run-over release:
-    /// it wakes the parked waiter without readmitting the rank, which
-    /// stays `Parked` (inert to the scan, epoch waits, and the dead
-    /// set) while its driver exits instead of stepping.
-    pub fn activate(&self, rank: usize, epoch: u64) {
-        self.apply(ControlEvent::Activated { rank, epoch });
-    }
-
-    /// Block until `rank` leaves `Parked` (a grow admitted it), and
-    /// return the epoch it was activated at — `u64::MAX` if it was
-    /// released at end of run while still parked. Parked ranks sit in
-    /// this wait instead of participating in steps.
-    pub(crate) fn await_activation(
-        &self,
-        rank: usize,
-        poisoned: &AtomicBool,
-    ) -> Result<u64, CommError> {
-        self.wait_until(
-            poisoned,
-            |d| protocol::activation_gate(&d.view, rank),
-            never_activated,
-        )
+        if gate == Gate::OwnDeath {
+            // Only this rank ever moves itself out of `Failed`, so the
+            // record cannot have changed since the gate passed.
+            self.apply(ControlEvent::Rebuilding { rank: me });
+        }
+        Ok(report)
     }
 
     /// Wake all detector waiters (poison path).
@@ -462,20 +359,6 @@ impl HealthState {
         let _guard = self.state.lock(LockRank::Health);
         self.signal.notify_all();
     }
-}
-
-/// Timeout diagnoses of the membership waits, worded once for the
-/// detector and its socket mirror.
-pub(crate) fn epoch_sync_stalled(rank: usize, epoch: u64) -> String {
-    format!("epoch sync stalled: rank {rank} has neither beaten epoch {epoch} nor been declared failed")
-}
-
-pub(crate) fn rebirth_stalled(rank: usize) -> String {
-    format!("failed rank {rank} never acknowledged its death")
-}
-
-pub(crate) fn never_activated(rank: usize) -> String {
-    format!("parked rank {rank} was never activated")
 }
 
 #[cfg(all(test, not(loom)))]
@@ -495,13 +378,13 @@ mod tests {
     #[test]
     fn silent_epoch_behind_rank_is_declared_failed() {
         let h = HealthState::new(2, Some(cfg(2, 2)));
-        assert_eq!(h.beat(0, 1), RankStatus::Healthy);
+        assert_eq!(h.beat(0, 1).0, RankStatus::Healthy);
         // Rank 1 never beats epoch 1: behind the frontier and silent.
         for _ in 0..3 {
             assert!(h.scan().is_empty());
         }
         assert_eq!(h.scan(), vec![(1, 0)]);
-        assert_eq!(h.status(1), RankStatus::Failed);
+        assert_eq!(h.view(1).status, RankStatus::Failed);
         // Declarations are not repeated.
         assert!(h.scan().is_empty());
     }
@@ -515,8 +398,8 @@ mod tests {
         for _ in 0..64 {
             assert!(h.scan().is_empty());
         }
-        assert_eq!(h.status(0), RankStatus::Healthy);
-        assert_eq!(h.status(1), RankStatus::Healthy);
+        assert_eq!(h.view(0).status, RankStatus::Healthy);
+        assert_eq!(h.view(1).status, RankStatus::Healthy);
     }
 
     #[test]
@@ -525,10 +408,10 @@ mod tests {
         h.beat(0, 1);
         assert!(h.scan().is_empty());
         assert!(h.scan().is_empty());
-        assert_eq!(h.status(1), RankStatus::Suspected);
+        assert_eq!(h.view(1).status, RankStatus::Suspected);
         h.tick(1); // plain send traffic, no epoch progress
         assert!(h.scan().is_empty());
-        assert_eq!(h.status(1), RankStatus::Healthy);
+        assert_eq!(h.view(1).status, RankStatus::Healthy);
     }
 
     #[test]
@@ -537,9 +420,9 @@ mod tests {
         h.beat(0, 1);
         h.scan();
         h.scan();
-        assert_eq!(h.status(1), RankStatus::Failed);
-        assert_eq!(h.beat(1, 1), RankStatus::Failed, "declared dead stays dead");
-        assert_eq!(h.status(1), RankStatus::Failed);
+        assert_eq!(h.view(1).status, RankStatus::Failed);
+        assert_eq!(h.beat(1, 1).0, RankStatus::Failed, "declared dead stays dead");
+        assert_eq!(h.view(1).status, RankStatus::Failed);
     }
 
     #[test]
@@ -549,12 +432,12 @@ mod tests {
         h.beat(0, 2);
         h.scan();
         h.scan();
-        let epoch = h.await_failed(1, &poisoned).expect("declared");
+        let epoch = h.wait(1, Gate::OwnDeath, &poisoned).expect("declared").epoch;
         assert_eq!(epoch, 0);
-        assert_eq!(h.status(1), RankStatus::Rebuilding);
-        h.await_rebirth(&[1], &poisoned).expect("acknowledged");
-        h.mark_recovered(1, 2);
-        assert_eq!(h.status(1), RankStatus::Healthy);
+        assert_eq!(h.view(1).status, RankStatus::Rebuilding);
+        h.wait(0, Gate::Rebirth(&[1]), &poisoned).expect("acknowledged");
+        h.apply(ControlEvent::Recovered { rank: 1, epoch: 2 });
+        assert_eq!(h.view(1).status, RankStatus::Healthy);
         // Recovered rank is back at the frontier: not suspectable.
         for _ in 0..8 {
             assert!(h.scan().is_empty());
@@ -569,8 +452,8 @@ mod tests {
         h.beat(2, 1);
         h.scan();
         h.scan();
-        assert_eq!(h.status(1), RankStatus::Failed);
-        let report = h.epoch_sync(0, 1, &poisoned).expect("no live laggard");
+        assert_eq!(h.view(1).status, RankStatus::Failed);
+        let report = h.wait(0, Gate::Epoch(1), &poisoned).expect("no live laggard");
         assert_eq!(report.epoch, 1);
         assert_eq!(report.failed, vec![(1, 0)]);
     }
@@ -582,7 +465,7 @@ mod tests {
         h.beat(0, 1);
         // Rank 1 is behind but never declared (suspect threshold out of
         // reach): the sync must expire with a named culprit, not hang.
-        match h.epoch_sync(0, 1, &poisoned) {
+        match h.wait(0, Gate::Epoch(1), &poisoned) {
             Err(CommError::Timeout { src, detail, .. }) => {
                 assert_eq!(src, 1);
                 assert!(detail.contains("epoch sync stalled"), "{detail}");
@@ -595,7 +478,7 @@ mod tests {
     fn parked_rank_is_never_suspected_and_never_in_dead_set() {
         let h = HealthState::new(3, Some(cfg(1, 1)));
         let poisoned = AtomicBool::new(false);
-        h.park(2);
+        h.apply(ControlEvent::Parked { rank: 2 });
         h.beat(0, 5);
         h.beat(1, 5);
         // Parked rank is arbitrarily far behind the frontier and silent:
@@ -603,24 +486,24 @@ mod tests {
         for _ in 0..16 {
             assert!(h.scan().is_empty());
         }
-        assert_eq!(h.status(2), RankStatus::Parked);
-        assert!(h.dead_set().is_empty());
-        let report = h.epoch_sync(0, 5, &poisoned).expect("parked rank skipped");
+        assert_eq!(h.view(2).status, RankStatus::Parked);
+        assert!(protocol::dead_set(&h.views()).is_empty());
+        let report = h.wait(0, Gate::Epoch(5), &poisoned).expect("parked rank skipped");
         assert!(report.failed.is_empty());
         // Beats while parked do not self-activate.
-        assert_eq!(h.beat(2, 5), RankStatus::Parked);
-        assert_eq!(h.status(2), RankStatus::Parked);
+        assert_eq!(h.beat(2, 5).0, RankStatus::Parked);
+        assert_eq!(h.view(2).status, RankStatus::Parked);
     }
 
     #[test]
     fn activation_readmits_parked_rank_at_frontier() {
         let h = HealthState::new(2, Some(cfg(1, 1)));
         let poisoned = AtomicBool::new(false);
-        h.park(1);
+        h.apply(ControlEvent::Parked { rank: 1 });
         h.beat(0, 7);
-        h.activate(1, 7);
-        assert_eq!(h.status(1), RankStatus::Healthy);
-        let epoch = h.await_activation(1, &poisoned).expect("activated");
+        h.apply(ControlEvent::Activated { rank: 1, epoch: 7 });
+        assert_eq!(h.view(1).status, RankStatus::Healthy);
+        let epoch = h.wait(1, Gate::Activation, &poisoned).expect("activated").epoch;
         assert_eq!(epoch, 7);
         // At the frontier: silence after activation is not suspicious.
         for _ in 0..8 {
@@ -630,42 +513,30 @@ mod tests {
         // a failed rank).
         h.scan();
         h.beat(0, 8);
-        h.park(1);
-        h.activate(0, 8); // healthy: no-op
-        assert_eq!(h.status(0), RankStatus::Healthy);
-    }
-
-    #[test]
-    fn retire_then_reactivate_round_trips() {
-        let h = HealthState::new(2, Some(cfg(1, 1)));
-        h.beat(0, 3);
-        h.beat(1, 3);
-        h.park(1); // shrink retires rank 1
-        assert_eq!(h.status(1), RankStatus::Parked);
-        assert!(h.dead_set().is_empty(), "retired is not failed");
-        h.activate(1, 9); // later grow re-admits it
-        assert_eq!(h.status(1), RankStatus::Healthy);
+        h.apply(ControlEvent::Parked { rank: 1 });
+        h.apply(ControlEvent::Activated { rank: 0, epoch: 8 }); // healthy: no-op
+        assert_eq!(h.view(0).status, RankStatus::Healthy);
     }
 
     #[test]
     fn release_sentinel_wakes_parked_rank_without_unparking() {
         let h = HealthState::new(2, Some(cfg(1, 1)));
         let poisoned = AtomicBool::new(false);
-        h.park(1);
+        h.apply(ControlEvent::Parked { rank: 1 });
         // End of run: the driver releases reserve capacity with the
         // `u64::MAX` sentinel. The waiter wakes with the sentinel, but
         // the rank stays parked — still invisible to the scan and the
         // dead set, so a racing monitor pass cannot declare it.
-        h.activate(1, u64::MAX);
-        assert_eq!(h.status(1), RankStatus::Parked);
-        let epoch = h.await_activation(1, &poisoned).expect("released");
+        h.apply(ControlEvent::Activated { rank: 1, epoch: u64::MAX });
+        assert_eq!(h.view(1).status, RankStatus::Parked);
+        let epoch = h.wait(1, Gate::Activation, &poisoned).expect("released").epoch;
         assert_eq!(epoch, u64::MAX);
         h.beat(0, 1);
         for _ in 0..8 {
             h.tick(0);
             assert!(h.scan().is_empty());
         }
-        assert!(h.dead_set().is_empty());
+        assert!(protocol::dead_set(&h.views()).is_empty());
     }
 
     #[test]
@@ -673,7 +544,7 @@ mod tests {
         let h = HealthState::new(2, None);
         assert!(!h.enabled());
         h.tick(0);
-        assert_eq!(h.beat(0, 5), RankStatus::Healthy);
+        assert_eq!(h.beat(0, 5).0, RankStatus::Healthy);
         assert!(h.scan().is_empty());
         assert_eq!(h.view(1), PeerView::INITIAL);
     }

@@ -16,12 +16,12 @@
 //!   `s - 1`),
 //! - optionally respawns a declared-dead rank as a blank **replacement**
 //!   process with a bumped incarnation number, which rejoins through the
-//!   same `await_failed → reconstruct → mark_recovered` protocol the
-//!   in-process recovery stack uses.
+//!   same `OwnDeath` wait → rehome → `Recovered` protocol the in-process
+//!   recovery stack uses.
 
 use crate::fault::FaultPlan;
 use crate::health::{HealthState, HeartbeatConfig};
-use crate::protocol::{status_name, ClientLine, ControlEvent, ControlLine};
+use crate::protocol::{status_name, ClientLine, ControlEvent, ControlLine, Gate};
 use crate::sync::{LockRank, Mutex};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -85,12 +85,6 @@ pub struct HubEvent {
 /// What happened to the world, as the hub saw it.
 #[derive(Debug, Default, Clone)]
 pub struct HubReport {
-    /// `(rank, step)` for every scheduled SIGKILL the hub delivered.
-    pub killed: Vec<(usize, u64)>,
-    /// `(rank, last completed epoch)` for every detector declaration.
-    pub declared: Vec<(usize, u64)>,
-    /// Ranks respawned as replacement processes.
-    pub respawned: Vec<usize>,
     /// `(rank, exit code)` for children that exited nonzero *without*
     /// having been killed by the hub.
     pub exit_failures: Vec<(usize, i32)>,
@@ -100,6 +94,19 @@ pub struct HubReport {
 }
 
 impl HubReport {
+    /// `(rank, step)` of every timeline event of `kind`, in hub order:
+    /// `"killed"` gives each scheduled SIGKILL's step, `"declared"` each
+    /// declaration's last completed epoch, `"respawned"` each
+    /// replacement process.
+    #[must_use]
+    pub fn events(&self, kind: &str) -> Vec<(usize, u64)> {
+        self.timeline
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.rank, e.step))
+            .collect()
+    }
+
     /// Did every surviving child exit cleanly?
     #[must_use]
     pub fn clean(&self) -> bool {
@@ -222,7 +229,6 @@ impl HubState {
             slot.child = None;
         }
         drop(children);
-        self.report.lock(LockRank::HubReport).killed.push((rank, step));
         self.stamp("killed", rank, step);
     }
 
@@ -246,7 +252,7 @@ impl HubState {
                     }
                     // Only an accepted beat advances the world: a fenced
                     // or parked rank gets its status back and no `EPOCH`.
-                    let (status, accepted) = self.health.beat_event(rank, epoch);
+                    let (status, accepted) = self.health.beat(rank, epoch);
                     self.send_to(rank, &ControlLine::BeatAck(status).render());
                     if let Some(ev) = accepted {
                         self.broadcast_event(ev);
@@ -254,10 +260,10 @@ impl HubState {
                 }
                 Some(ClientLine::Tick) => {}
                 Some(ClientLine::AwaitFailed) => {
-                    match self.health.await_failed(rank, &self.shutdown) {
-                        Ok(epoch) => {
+                    match self.health.wait(rank, Gate::OwnDeath, &self.shutdown) {
+                        Ok(report) => {
                             self.broadcast_event(ControlEvent::Rebuilding { rank });
-                            self.send_to(rank, &ControlLine::FailedEpoch(epoch).render());
+                            self.send_to(rank, &ControlLine::FailedEpoch(report.epoch).render());
                         }
                         Err(_) => {
                             // Shutdown or a detector that never declared
@@ -410,7 +416,7 @@ pub fn run(
             "active world must be within [1, {ranks}]"
         );
         for rank in active..ranks {
-            state.health.park(rank);
+            state.health.apply(ControlEvent::Parked { rank });
         }
     }
 
@@ -508,11 +514,6 @@ pub fn run(
             while !monitor_state.shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(interval);
                 for (rank, failed_epoch) in monitor_state.health.scan() {
-                    monitor_state
-                        .report
-                        .lock(LockRank::HubReport)
-                        .declared
-                        .push((rank, failed_epoch));
                     monitor_state.stamp("declared", rank, failed_epoch);
                     monitor_state.broadcast_event(ControlEvent::Declared { rank, failed_epoch });
                     if !monitor_state.opts.respawn {
@@ -546,11 +547,6 @@ pub fn run(
                                 exit: None,
                                 hub_killed: false,
                             };
-                            monitor_state
-                                .report
-                                .lock(LockRank::HubReport)
-                                .respawned
-                                .push(rank);
                             monitor_state.stamp("respawned", rank, failed_epoch);
                         }
                         Err(_) => monitor_state.broadcast(&ControlLine::Poison.render()),

@@ -49,6 +49,7 @@ pub use topology::dims_create;
 pub use transport::{Transport, WirePayload};
 pub use wire::WireMsg;
 
+use crate::protocol::{ControlEvent, FenceAdmission, Gate, PeerView};
 use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Instant, LockRank, Mutex, Ordering};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -426,7 +427,7 @@ impl Shared {
     /// pre-wait check or is woken by the notify — there is no window
     /// for a lost wakeup. The loom model
     /// `poison_always_wakes_blocked_recv` proves this exhaustively.
-    /// Detector waiters (`epoch_sync`, `await_failed`) use the same
+    /// Detector waiters ([`Transport::wait`]) use the same
     /// flag-under-lock pattern against the health condvar.
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
@@ -438,10 +439,6 @@ impl Shared {
 /// The in-process backend: typed mailboxes, injectable faults, the
 /// loom-verified reference implementation of the transport contract.
 impl Transport for Shared {
-    fn world_size(&self) -> usize {
-        self.boxes.len()
-    }
-
     fn is_wire(&self) -> bool {
         false
     }
@@ -667,52 +664,25 @@ impl Transport for Shared {
         }
     }
 
-    fn health_enabled(&self) -> bool {
-        self.health.enabled()
-    }
-
-    fn should_kill(&self, rank: usize, step: u64) -> bool {
-        self.plan.should_kill(rank, step)
-    }
-
     fn beat(&self, me: usize, epoch: u64) -> RankStatus {
-        self.health.beat(me, epoch)
+        if self.plan.should_kill(me, epoch) {
+            // Silent death: no beat, no panic — detection is the
+            // monitor's job, exactly as with a real dead node.
+            return RankStatus::Failed;
+        }
+        self.health.beat(me, epoch).0
     }
 
-    fn epoch_sync(&self, me: usize, epoch: u64) -> Result<EpochReport, CommError> {
-        self.health.epoch_sync(me, epoch, &self.poisoned)
+    fn wait(&self, me: usize, gate: Gate<'_>) -> Result<EpochReport, CommError> {
+        self.health.wait(me, gate, &self.poisoned)
     }
 
-    fn await_failed(&self, me: usize) -> Result<u64, CommError> {
-        self.health.await_failed(me, &self.poisoned)
+    fn apply(&self, _me: usize, ev: ControlEvent) {
+        self.health.apply(ev);
     }
 
-    fn await_rebirth(&self, _me: usize, failed: &[usize]) -> Result<(), CommError> {
-        self.health.await_rebirth(failed, &self.poisoned)
-    }
-
-    fn mark_recovered(&self, me: usize, epoch: u64) {
-        self.health.mark_recovered(me, epoch);
-    }
-
-    fn dead_set(&self) -> Vec<(usize, u64)> {
-        self.health.dead_set()
-    }
-
-    fn rank_status(&self, rank: usize) -> RankStatus {
-        self.health.status(rank)
-    }
-
-    fn retire(&self, me: usize) {
-        self.health.park(me);
-    }
-
-    fn activate(&self, _me: usize, rank: usize, epoch: u64) {
-        self.health.activate(rank, epoch);
-    }
-
-    fn await_activation(&self, me: usize) -> Result<u64, CommError> {
-        self.health.await_activation(me, &self.poisoned)
+    fn view(&self) -> Vec<PeerView> {
+        self.health.views()
     }
 }
 
@@ -741,7 +711,7 @@ impl Machine {
 
     /// Allocate the machine at full capacity but admit only the first
     /// `active` ranks to the initial world: the rest start `Parked`
-    /// (elastic reserve, blocked in [`Comm::await_activation`]) until a
+    /// (elastic reserve, blocked in a [`Gate::Activation`] wait) until a
     /// grow activates them. Pre-parking happens before any rank thread
     /// runs, so a reserve rank can never be suspected by the monitor
     /// between startup and its own `retire` call. Requires
@@ -921,7 +891,7 @@ impl Machine {
         });
         if let Some(active) = self.active {
             for rank in active..self.ranks {
-                shared.health.park(rank);
+                shared.health.apply(ControlEvent::Parked { rank });
             }
         }
         shared
@@ -963,18 +933,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
                 .map(|e| e.to_string())
         })
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
-}
-
-/// Outcome of [`Comm::admit_step`].
-#[derive(Debug, Clone)]
-pub enum StepAdmission {
-    /// All live ranks reached this epoch; `failed` lists any ranks the
-    /// monitor declared dead that recovery must now handle.
-    Proceed(EpochReport),
-    /// This rank is dead to the rest of the machine — killed by the
-    /// fault plan here, or fenced after a late heartbeat. Drop all
-    /// local state and call [`Comm::rejoin_as_replacement`].
-    Dead,
 }
 
 /// The transport behind a [`Comm`]. A closed enum rather than a bare
@@ -1061,156 +1019,119 @@ impl Comm {
         self.group[rank]
     }
 
-    /// Fault-injection hook for step-structured drivers: call at the top
-    /// of simulation step `step`. If the machine's [`FaultPlan`] schedules
-    /// a kill for this rank at this step, the rank dies here (once).
-    pub fn begin_step(&self, step: u64) {
-        let me = self.global(self.rank);
-        if self.t().should_kill(me, step) {
-            panic!("fault injected: rank {me} killed at step {step}");
-        }
-    }
-
-    /// Failure-aware replacement for [`Comm::begin_step`] on machines
-    /// with a heartbeat monitor. Call collectively (on the world
-    /// communicator) at the top of step `step`:
+    /// Step admission — the fence of the step protocol — for drivers on
+    /// machines with a heartbeat monitor. Call collectively (on the
+    /// world communicator, or a prefix of it) at the top of step `step`:
     ///
-    /// - A rank scheduled to die here does **not** beat the epoch — it
-    ///   goes silent and returns [`StepAdmission::Dead`] (the monitor
+    /// - A rank the fault plan kills here does **not** beat the epoch —
+    ///   it goes silent and reads [`FenceAdmission::Dead`] (the monitor
     ///   will detect the silence and declare it). A rank whose late
     ///   heartbeat finds itself already declared `Failed` is fenced and
-    ///   also returns `Dead`. Either way the rank must drop its state
-    ///   and call [`Comm::rejoin_as_replacement`].
+    ///   reads `Dead` too. Either way the rank must drop its state and
+    ///   call [`Comm::rejoin_as_replacement`].
     /// - Every other rank beats epoch `step`, then blocks until all
-    ///   ranks have either reached the epoch or been declared dead, and
-    ///   returns [`StepAdmission::Proceed`] with the (possibly empty)
-    ///   failed set every survivor agrees on.
+    ///   ranks have either reached the epoch or been declared dead:
+    ///   [`FenceAdmission::Proceed`], or [`FenceAdmission::Deaths`] with
+    ///   the dead set every survivor agreed on.
     #[must_use]
-    pub fn admit_step(&self, step: u64) -> StepAdmission {
-        let t = self.t();
-        assert!(
-            t.health_enabled(),
-            "admit_step requires Machine::with_heartbeat"
-        );
+    pub fn admit_step(&self, step: u64) -> (FenceAdmission, Vec<(usize, u64)>) {
         let me = self.global(self.rank);
-        if t.should_kill(me, step) {
-            // Silent death: no beat, no panic — detection is the
-            // monitor's job, exactly as with a real dead node.
-            return StepAdmission::Dead;
-        }
-        match t.beat(me, step) {
-            RankStatus::Failed | RankStatus::Rebuilding => StepAdmission::Dead,
+        match self.t().beat(me, step) {
+            RankStatus::Failed | RankStatus::Rebuilding => (FenceAdmission::Dead, Vec::new()),
             // A parked rank admitting a step is a driver bug: parked
-            // ranks block in `await_activation` until a grow readmits
-            // them, and a shrink only parks a rank *after* its last
-            // fenced step. Fail loudly rather than wedge the epoch.
-            RankStatus::Parked => panic!("parked rank {me} must await_activation, not admit_step"),
-            RankStatus::Healthy | RankStatus::Suspected => match t.epoch_sync(me, step) {
-                Ok(report) => StepAdmission::Proceed(report),
-                Err(e) => panic!("{e}"),
-            },
+            // ranks wait for activation until a grow readmits them, and
+            // a shrink only parks a rank *after* its last fenced step.
+            // Fail loudly rather than wedge the epoch.
+            RankStatus::Parked => panic!("parked rank {me} must wait for activation, not admit_step"),
+            RankStatus::Healthy | RankStatus::Suspected => {
+                let report = self.wait(Gate::Epoch(step));
+                if report.failed.is_empty() {
+                    return (FenceAdmission::Proceed, Vec::new());
+                }
+                // Agreement over the survivors: every one contributes its
+                // failed-set view and asserts all views are identical, on
+                // a shrunken communicator whose context every member
+                // derives *deterministically* from `(parent context,
+                // epoch, failed set)` — no collective with the dead ranks
+                // is needed to construct it (cf. ULFM's `MPI_Comm_shrink`
+                // + `MPI_Comm_agree`).
+                let mut h = fault::mix64(self.context ^ 0x5ec0_17ab_1e5d_a157);
+                for &(r, e) in &report.failed {
+                    h = fault::mix64(fault::mix64(h ^ r as u64) ^ e);
+                }
+                h = fault::mix64(h ^ report.epoch);
+                let survivors: Vec<usize> = (0..self.size())
+                    .filter(|r| !report.failed.iter().any(|&(fr, _)| fr == *r))
+                    .collect();
+                let sub = self.subset(&survivors, h);
+                let mine: Vec<u64> = std::iter::once(report.epoch)
+                    .chain(report.failed.iter().flat_map(|&(r, e)| [r as u64, e]))
+                    .collect();
+                for (peer, view) in sub.allgather(mine.clone()).iter().enumerate() {
+                    assert_eq!(
+                        view, &mine,
+                        "failure-agreement divergence between survivor {peer} and rank {}",
+                        sub.rank()
+                    );
+                }
+                (FenceAdmission::Deaths, report.failed)
+            }
         }
     }
 
     /// A dead rank's re-entry point: block until the monitor declares
-    /// this rank's death (acknowledging it, `Failed → Rebuilding`) and
-    /// return the last epoch it completed. The caller then participates
-    /// in the recovery collectives as a blank replacement and finishes
-    /// with [`Comm::mark_recovered`].
+    /// this rank's death, acknowledge it (`Failed → Rebuilding`) and
+    /// return the last epoch it completed. The caller then takes part in
+    /// the recovery collectives as a blank replacement and rejoins the
+    /// healthy population with a `Recovered` event.
     #[must_use]
     pub fn rejoin_as_replacement(&self) -> u64 {
-        let me = self.global(self.rank);
-        match self.t().await_failed(me) {
-            Ok(epoch) => epoch,
-            Err(e) => panic!("{e}"),
-        }
+        self.wait(Gate::OwnDeath).epoch
     }
 
-    /// Survivors' counterpart to [`Comm::rejoin_as_replacement`]: block
-    /// until every rank in `failed` has acknowledged its death, closing
-    /// the window in which a receive could misread the incoming
-    /// replacement as still dead. Call before the first recovery
-    /// collective.
-    pub fn await_rebirth(&self, failed: &[usize]) {
-        let global: Vec<usize> = failed.iter().map(|&r| self.global(r)).collect();
-        let me = self.global(self.rank);
-        if let Err(e) = self.t().await_rebirth(me, &global) {
-            panic!("{e}");
-        }
-    }
-
-    /// Reconstruction done: this (replacement) rank rejoins the healthy
-    /// population at `epoch`.
-    pub fn mark_recovered(&self, epoch: u64) {
-        let me = self.global(self.rank);
-        self.t().mark_recovered(me, epoch);
-    }
-
-    /// Every rank the detector currently considers dead (`Failed` or
-    /// `Rebuilding`), as `(global rank, last completed epoch)` in rank
-    /// order. A replacement calls this right after
-    /// [`Comm::rejoin_as_replacement`] to learn whether other ranks died
-    /// in the same epoch — the set it sees is a superset of the one the
-    /// survivors agreed on, identical in the single-failure case the
-    /// Tier-0 recovery path handles.
+    /// Block until `gate` passes for this rank (ranks inside the gate
+    /// are global). Failures panic, as a plain `recv` does — except the
+    /// detector's sync timeout on [`Gate::Activation`]: a parked rank may
+    /// legitimately wait out a whole run, so only poison breaks it.
     #[must_use]
-    pub fn dead_set(&self) -> Vec<(usize, u64)> {
-        self.t().dead_set()
-    }
-
-    /// Detector status of communicator rank `rank` (for diagnostics and
-    /// tests); `Healthy` on machines without a monitor.
-    #[must_use]
-    pub fn rank_status(&self, rank: usize) -> RankStatus {
-        self.t().rank_status(self.global(rank))
-    }
-
-    /// Deliberately retire this rank from the active world (elastic
-    /// shrink). The detector parks it — exempt from suspicion, skipped
-    /// by epoch waits, never in the dead set — while its process or
-    /// thread stays alive as reserve capacity for a later grow. This is
-    /// an administrative act, not a failure declaration: the protocol
-    /// model (`protocol.rs` bug #4) proves the two cannot be confused.
-    pub fn retire(&self) {
-        let me = self.global(self.rank);
-        self.t().retire(me);
-    }
-
-    /// Admit parked communicator rank `rank` to the active world at
-    /// `epoch` (elastic grow). Called by the rank driving the resize;
-    /// a no-op if `rank` is not currently parked (activation cannot
-    /// resurrect a failed rank).
-    pub fn activate_rank(&self, rank: usize, epoch: u64) {
-        let me = self.global(self.rank);
-        self.t().activate(me, self.global(rank), epoch);
-    }
-
-    /// Block while this rank is parked, until a grow readmits it via
-    /// [`Comm::activate_rank`]; returns the epoch it was activated at.
-    /// Parked ranks may legitimately wait out an entire run, so the
-    /// detector's sync timeout is retried indefinitely — only poison
-    /// (another rank panicked) breaks the wait.
-    #[must_use]
-    pub fn await_activation(&self) -> u64 {
+    pub fn wait(&self, gate: Gate<'_>) -> EpochReport {
         let me = self.global(self.rank);
         loop {
-            match self.t().await_activation(me) {
-                Ok(epoch) => return epoch,
-                Err(CommError::Timeout { .. }) => {}
+            match self.t().wait(me, gate) {
+                Ok(report) => return report,
+                Err(CommError::Timeout { .. }) if gate == Gate::Activation => {}
                 Err(e) => panic!("{e}"),
             }
         }
+    }
+
+    /// Request one membership change (ranks inside `ev` are global): this
+    /// rank's own `Recovered` once rebuilt, its `Parked` when it retires
+    /// from the active world (elastic shrink — an administrative act,
+    /// never a failure declaration; `protocol.rs` bug #4 proves the two
+    /// cannot be confused), or the `Activated` of a parked rank (elastic
+    /// grow; a no-op on a rank that is not parked, so it cannot resurrect
+    /// a failed one).
+    pub fn apply(&self, ev: ControlEvent) {
+        self.t().apply(self.global(self.rank), ev);
+    }
+
+    /// Every rank's membership record, indexed by global rank
+    /// ([`PeerView::INITIAL`] on machines without a monitor).
+    #[must_use]
+    pub fn view(&self) -> Vec<PeerView> {
+        self.t().view()
     }
 
     /// Sub-communicator over the active prefix `[0, active)` of this
     /// communicator, with a context every member derives
     /// *deterministically* from `(parent context, active, generation)` —
     /// no collective involving parked ranks is needed to construct it
-    /// (the same trick as [`Comm::agree_failed`]'s survivor
-    /// communicator). `generation` is the scale-generation counter,
-    /// bumped on every committed resize, so traffic from a rolled-back
-    /// world can never alias the one that replaced it. The caller must
-    /// have rank `< active`.
+    /// (the same trick as `admit_step`'s survivor agreement).
+    /// `generation` is the scale-generation counter, bumped on every
+    /// committed resize, so traffic from a rolled-back world can never
+    /// alias the one that replaced it. The caller must have rank
+    /// `< active`.
     #[must_use]
     pub fn active_world(&self, active: usize, generation: u64) -> Comm {
         assert!(
@@ -1228,40 +1149,6 @@ impl Comm {
         h = fault::mix64(h ^ generation);
         let members: Vec<usize> = (0..active).collect();
         self.subset(&members, h)
-    }
-
-    /// Agreement collective over the survivors of `report`: every
-    /// survivor contributes its failed-set view and asserts all views
-    /// are identical, returning the agreed set. Runs on a shrunken
-    /// survivor communicator whose context every member derives
-    /// *deterministically* from `(parent context, epoch, failed set)` —
-    /// no collective with the dead ranks is needed to construct it,
-    /// which is the whole point (cf. ULFM's `MPI_Comm_shrink` +
-    /// `MPI_Comm_agree`). Failed ranks must not call this.
-    #[must_use]
-    pub fn agree_failed(&self, report: &EpochReport) -> Vec<(usize, u64)> {
-        let mut h = fault::mix64(self.context ^ 0x5ec0_17ab_1e5d_a157);
-        for &(r, e) in &report.failed {
-            h = fault::mix64(h ^ r as u64);
-            h = fault::mix64(h ^ e);
-        }
-        h = fault::mix64(h ^ report.epoch);
-        let survivors: Vec<usize> = (0..self.size())
-            .filter(|r| !report.failed.iter().any(|&(fr, _)| fr == *r))
-            .collect();
-        let sub = self.subset(&survivors, h);
-        let mine: Vec<u64> = std::iter::once(report.epoch)
-            .chain(report.failed.iter().flat_map(|&(r, e)| [r as u64, e]))
-            .collect();
-        let views = sub.allgather(mine.clone());
-        for (peer, view) in views.iter().enumerate() {
-            assert_eq!(
-                view, &mine,
-                "failure-agreement divergence between survivor {peer} and rank {}",
-                sub.rank()
-            );
-        }
-        report.failed.clone()
     }
 
     /// A sub-communicator over `members` (communicator-local ranks, in
@@ -1307,15 +1194,7 @@ impl Comm {
     /// sent (a programming error, as in MPI).
     #[must_use]
     pub fn recv<T: WireMsg>(&self, src: usize, tag: u64) -> Vec<T> {
-        match self.recv_result(src, tag) {
-            Ok(v) => v,
-            Err(
-                e @ (CommError::Timeout { .. }
-                | CommError::RankFailed { .. }
-                | CommError::CorruptDetected { .. }),
-            ) => panic!("{e}"),
-            Err(CommError::Poisoned) => panic!("machine poisoned: another rank panicked"),
-        }
+        self.recv_result(src, tag).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Comm::recv`] with failures as values: blocks until a matching
@@ -1393,32 +1272,17 @@ impl Comm {
 
     /// Dissemination barrier (log₂ P rounds of token exchange).
     pub fn barrier(&self) {
-        match self.try_barrier() {
-            Ok(()) => (),
-            Err(CommError::Poisoned) => panic!("machine poisoned: another rank panicked"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Comm::barrier`] with failures as values: a barrier involving a
-    /// dead peer returns [`CommError::RankFailed`] so a recovery driver
-    /// can act instead of unwinding.
-    pub fn try_barrier(&self) -> Result<(), CommError> {
         let p = self.size();
-        if p == 1 {
-            return Ok(());
-        }
         let mut step = 1usize;
         let mut round = 0u64;
         while step < p {
             let dst = (self.rank + step) % p;
             let src = (self.rank + p - step) % p;
             self.send::<u8>(dst, TAG_BARRIER + round, Vec::new());
-            let _ = self.recv_result::<u8>(src, TAG_BARRIER + round)?;
+            let _ = self.recv::<u8>(src, TAG_BARRIER + round);
             step <<= 1;
             round += 1;
         }
-        Ok(())
     }
 
     /// Broadcast from `root` to every rank via a binomial tree; returns the
@@ -1553,11 +1417,7 @@ impl Comm {
     /// vector received from each rank (in rank order).
     #[must_use]
     pub fn alltoallv<T: WireMsg>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        match self.try_alltoallv(sends) {
-            Ok(v) => v,
-            Err(CommError::Poisoned) => panic!("machine poisoned: another rank panicked"),
-            Err(e) => panic!("{e}"),
-        }
+        self.try_alltoallv(sends).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Comm::alltoallv`] with failures as values: an exchange whose
@@ -2162,30 +2022,23 @@ mod tests {
 
     #[test]
     fn kill_at_step_fires_once() {
+        // A driver checks the plan at the top of each step; the one-shot
+        // latch is spent by the first run, so the retry runs clean.
         let plan = FaultPlan::seeded(0).kill_rank_at_step(1, 3);
-        let machine = Machine::new(2).with_faults(plan);
-        let err = machine
-            .try_run(|c| {
+        let machine = Machine::new(2);
+        let run = || {
+            machine.try_run(|c| {
                 for step in 0..5u64 {
-                    c.begin_step(step);
-                    c.barrier();
-                }
-            })
-            .unwrap_err();
-        let MachineError::RankPanicked { rank, message } = err;
-        assert_eq!(rank, 1);
-        assert!(message.contains("killed at step 3"), "got: {message}");
-        // The latch is spent: the same machine re-runs cleanly (recovery).
-        let (res, _) = machine
-            .try_run(|c| {
-                for step in 0..5u64 {
-                    c.begin_step(step);
+                    assert!(!plan.should_kill(c.rank(), step), "rank {} killed at step {step}", c.rank());
                     c.barrier();
                 }
                 c.rank()
             })
-            .expect("retry succeeds");
-        assert_eq!(res, vec![0, 1]);
+        };
+        let MachineError::RankPanicked { rank, message } = run().unwrap_err();
+        assert_eq!(rank, 1);
+        assert!(message.contains("killed at step 3"), "got: {message}");
+        assert_eq!(run().expect("retry succeeds").0, vec![0, 1]);
     }
 
     #[test]
@@ -2246,8 +2099,8 @@ mod tests {
     }
 
     /// End-to-end heartbeat detection: a rank goes silent at its kill
-    /// step, the monitor declares it, survivors get the failed set from
-    /// `admit_step` + `agree_failed`, the replacement rejoins, and the
+    /// step, the monitor declares it, survivors get the agreed failed set
+    /// from `admit_step`, the replacement rejoins, and the
     /// machine finishes with **no** poisoning.
     #[test]
     fn silent_kill_is_detected_and_survived() {
@@ -2265,22 +2118,20 @@ mod tests {
                 let mut detected = Vec::new();
                 for step in 1..=5u64 {
                     match c.admit_step(step) {
-                        StepAdmission::Dead => {
+                        (FenceAdmission::Dead, _) => {
                             let epoch = c.rejoin_as_replacement();
                             assert_eq!(epoch, step - 1, "died after completing step-1");
                             detected.push((c.rank(), epoch));
                             // Rejoin the recovery collective the survivors run.
                             let _ = c.allreduce_sum(0.0);
-                            c.mark_recovered(step);
+                            c.apply(ControlEvent::Recovered { rank: c.rank(), epoch: step });
                         }
-                        StepAdmission::Proceed(report) => {
-                            if !report.failed.is_empty() {
-                                let agreed = c.agree_failed(&report);
-                                detected.extend(agreed.iter().copied());
-                                c.await_rebirth(&[agreed[0].0]);
-                                let _ = c.allreduce_sum(1.0);
-                            }
+                        (FenceAdmission::Deaths, agreed) => {
+                            detected.extend(agreed.iter().copied());
+                            let _ = c.wait(Gate::Rebirth(&[agreed[0].0]));
+                            let _ = c.allreduce_sum(1.0);
                         }
+                        (FenceAdmission::Proceed, _) => {}
                     }
                     // Normal step traffic.
                     let _ = c.allreduce_sum(c.rank() as f64);
@@ -2311,7 +2162,7 @@ mod tests {
             .with_faults(plan)
             .with_heartbeat(hb)
             .try_run(|c| {
-                if let StepAdmission::Dead = c.admit_step(1) {
+                if let (FenceAdmission::Dead, _) = c.admit_step(1) {
                     // Stay dead (no rejoin): models a node that never
                     // comes back, so its status remains `Failed`.
                     return Err(CommError::Poisoned); // placeholder; never asserted

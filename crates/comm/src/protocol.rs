@@ -31,12 +31,13 @@
 //! | [`send_route`] | the self-send / dead-drop / link split in `SocketTransport::send` |
 //! | [`PeerView`] + [`apply_control`] | the one membership record: `health.rs`'s authoritative detector (in-process machine *and* hub) and `SocketTransport::control_loop`'s mirror of it |
 //! | [`scan_step`] | the suspicion FSM of `HealthState::scan` |
-//! | [`epoch_gate`], [`rebirth_gate`], [`activation_gate`], [`dead_set`] | `epoch_sync`, `await_rebirth`, `await_activation`, `dead_set` on both backends |
+//! | [`Gate`], [`dead_set`] | `Transport::wait` and the dead set of `Transport::view`, on both backends |
+//! | [`fence_next`] | every membership change of `hacc-core`'s recovery driver (`elastic.rs`): tier-0 recovery and the resize rendezvous |
 //! | [`ControlLine`], [`ClientLine`] | both wire directions of the control-line protocol (hub renders, child parses, and vice versa) |
 //! | [`beat_gate`] | fencing in `HealthState::beat`; the ack and `EPOCH` broadcast `hub::serve_client` emits for a beat |
 //! | [`locks`] | the lock-acquisition scripts checked by the lock-order model |
 
-use crate::{HeartbeatConfig, RankStatus};
+use crate::{EpochReport, HeartbeatConfig, RankStatus};
 
 /// Test-only mutation hooks: each flag reintroduces one historical bug
 /// so the model checker can demonstrate it finds that bug class. The
@@ -68,6 +69,12 @@ pub struct Mutations {
     /// the epoch frontier, so a rank deep in send-free compute — whose
     /// peers are all waiting *for it* — is suspected and then declared.
     pub suspect_at_frontier: bool,
+    /// Bug #6 (verdict split): a resize-fence victim rejoins the healthy
+    /// world as soon as it has acknowledged its death, without holding
+    /// for the survivors' fence-exit acks — a survivor whose fence sync
+    /// evaluates late then sees no death and certifies while the others
+    /// abort.
+    pub recover_before_fence_acks: bool,
 }
 
 impl Mutations {
@@ -78,6 +85,7 @@ impl Mutations {
         diagnose_under_mailbox: false,
         retire_marks_failed: false,
         suspect_at_frontier: false,
+        recover_before_fence_acks: false,
     };
 }
 
@@ -542,49 +550,171 @@ pub fn dead_set(view: &[PeerView]) -> Vec<(usize, u64)> {
         .collect()
 }
 
-// The wait gates. Each judges one poll of a record set (the detector's
-// or a mirror's) and answers in the shape `health::wait_until` loops
-// on: `Ok(outcome)` once the wait is over, `Err(rank)` naming the rank
-// it is still waiting on.
+/// A membership wait: what `Transport::wait` blocks on. Rank lists are
+/// global ranks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gate<'a> {
+    /// Every rank has reached this epoch or been declared dead.
+    Epoch(u64),
+    /// The waiter's own death is declared (a dead rank's re-entry; the
+    /// waiter then acknowledges it, `Failed → Rebuilding`).
+    OwnDeath,
+    /// Every listed rank has acknowledged its death (left `Failed`).
+    Rebirth(&'a [usize]),
+    /// The waiter, parked, was admitted to the active world — or
+    /// released at end of run, with the `u64::MAX` sentinel epoch.
+    Activation,
+}
 
-/// `epoch_sync`: is epoch `epoch` globally complete from `me`'s point of
-/// view? `Ok(casualties)` once every rank has either reached `epoch` or
-/// been declared; `Err(rank)` while `rank` has done neither. A rank's
-/// own healthy entry passes even if its `EPOCH` echo is still in flight
-/// — its beat-ack already proved it.
-pub fn epoch_gate(view: &[PeerView], me: usize, epoch: u64) -> Result<Vec<(usize, u64)>, usize> {
-    let mut failed = Vec::new();
-    for (rank, p) in view.iter().enumerate() {
-        if p.epoch >= epoch || rank == me && p.status == RankStatus::Healthy {
-            continue;
-        }
-        match p.status {
-            RankStatus::Failed | RankStatus::Rebuilding => {
-                failed.push((rank, p.failed_epoch));
+impl Gate<'_> {
+    /// Judge one poll of a record set (the detector's or a mirror's) for
+    /// waiter `me`, in the shape `health::wait_until` loops on: `Ok` once
+    /// the wait is over — with the epoch it resolved at (the barrier
+    /// epoch, the waiter's last completed epoch, its activation epoch; 0
+    /// for a rebirth) and, at an epoch barrier, the casualties — or
+    /// `Err(rank)` naming the rank still waited on.
+    ///
+    /// An epoch barrier passes once every rank has either reached the
+    /// epoch or been declared; parked ranks are outside the world, never
+    /// waited on and never reported failed. The waiter's own healthy
+    /// entry passes even if its `EPOCH` echo is still in flight — its
+    /// beat-ack already proved it.
+    pub fn poll(&self, view: &[PeerView], me: usize) -> Result<EpochReport, usize> {
+        let report = |epoch| EpochReport { epoch, failed: Vec::new() };
+        match *self {
+            Gate::Epoch(epoch) => {
+                let mut failed = Vec::new();
+                for (rank, p) in view.iter().enumerate() {
+                    if p.epoch >= epoch || rank == me && p.status == RankStatus::Healthy {
+                        continue;
+                    }
+                    match p.status {
+                        RankStatus::Failed | RankStatus::Rebuilding => failed.push((rank, p.failed_epoch)),
+                        RankStatus::Parked => {}
+                        RankStatus::Healthy | RankStatus::Suspected => return Err(rank),
+                    }
+                }
+                Ok(EpochReport { epoch, failed })
             }
-            // Parked ranks are outside the world: never waited on,
-            // never reported failed.
-            RankStatus::Parked => {}
-            RankStatus::Healthy | RankStatus::Suspected => return Err(rank),
+            Gate::OwnDeath => match view.get(me) {
+                Some(p) if p.status == RankStatus::Failed => Ok(report(p.failed_epoch)),
+                _ => Err(me),
+            },
+            Gate::Rebirth(failed) => {
+                let unacknowledged = |&r: &usize| view.get(r).is_some_and(|p| p.status == RankStatus::Failed);
+                failed.iter().copied().find(unacknowledged).map_or(Ok(report(0)), Err)
+            }
+            Gate::Activation => match view.get(me) {
+                Some(p) if p.status != RankStatus::Parked || p.epoch == u64::MAX => Ok(report(p.epoch)),
+                _ => Err(me),
+            },
         }
     }
-    Ok(failed)
+
+    /// Timeout diagnosis of this wait, blaming `rank`.
+    #[must_use]
+    pub fn stalled(&self, rank: usize) -> String {
+        match self {
+            Gate::Epoch(epoch) => format!(
+                "epoch sync stalled: rank {rank} has neither beaten epoch {epoch} nor been declared failed"
+            ),
+            Gate::OwnDeath => format!(
+                "rank {rank} awaiting its own failure declaration that never came \
+                 (is the heartbeat monitor enabled?)"
+            ),
+            Gate::Rebirth(_) => format!("failed rank {rank} never acknowledged its death"),
+            Gate::Activation => format!("parked rank {rank} was never activated"),
+        }
+    }
 }
 
-/// `await_rebirth`: `Err(rank)` while some `rank` of `failed` is still
-/// `Failed` (not yet `Rebuilding` or better).
-pub fn rebirth_gate(view: &[PeerView], failed: &[usize]) -> Result<(), usize> {
-    let unacknowledged = |&r: &usize| view.get(r).is_some_and(|p| p.status == RankStatus::Failed);
-    failed.iter().copied().find(unacknowledged).map_or(Ok(()), Err)
+// ---------------------------------------------------------------------
+// The fence: one membership change, failure or resize
+// ---------------------------------------------------------------------
+
+/// Which membership change a fence opens.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ChangeKind {
+    /// Same-size change after a rank failure: the dead ranks rejoin as
+    /// blank replacements and are rebuilt from overload replicas.
+    Recovery,
+    /// Planned resize over the union of the old and new worlds.
+    Resize,
 }
 
-/// `await_activation`: `Ok(epoch)` once parked `rank` has been admitted
-/// to the active world (its entry left `Parked`) — or released at end of
-/// run while still parked, with the `u64::MAX` sentinel as the epoch.
-pub fn activation_gate(view: &[PeerView], rank: usize) -> Result<u64, usize> {
-    match view.get(rank) {
-        Some(p) if p.status != RankStatus::Parked || p.epoch == u64::MAX => Ok(p.epoch),
-        _ => Err(rank),
+/// Where a member stood before the change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FenceRole {
+    /// A member of the world being changed.
+    Member,
+    /// A parked rank a grow admitted for this change.
+    Newcomer,
+}
+
+/// What admitting the fence step told one member.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FenceAdmission {
+    /// Everyone reached the step.
+    Proceed,
+    /// Survivors agreed on a non-empty dead set.
+    Deaths,
+    /// This rank is itself dead at the fence: the fence victim.
+    Dead,
+}
+
+/// The points at which a member consults [`fence_next`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FencePoint {
+    /// The fence step's admission returned.
+    Admitted(FenceAdmission),
+    /// A fence victim drained every survivor's fence-exit ack.
+    Held,
+    /// Particles rehomed; did the poisoned count allreduce (plus, for a
+    /// recovery, the invariant gates) certify the result?
+    Counted { certified: bool },
+}
+
+/// A member's next move through the fence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FenceAction {
+    /// Route every copy it holds to its owner in the changed world.
+    Rehome,
+    /// Stay `Rebuilding` until every survivor acked the fence.
+    HoldForAcks,
+    /// Lock the changed world in (checkpoint; a resize journals it).
+    Commit,
+    /// Hand the seat back to the reserve pool.
+    Retire,
+    /// Roll back to the newest checkpoint — the pre-fence set of a resize.
+    Abort,
+}
+
+/// The fence's decision, one answer per [`FencePoint`]. Every live member
+/// of a change reaches the same branch from collectively agreed inputs
+/// (the agreed dead set, the allreduced count); a fence victim of a
+/// resize holds in `Rebuilding` until the survivors' acks prove their
+/// fence syncs returned, so recovering cannot blank its death out of a
+/// late survivor's report. A recovery victim needs no hold: the rehome
+/// collective it joins as a blank replacement already proves that.
+#[must_use]
+pub fn fence_next(kind: ChangeKind, role: FenceRole, at: FencePoint, m: &Mutations) -> FenceAction {
+    let back_out = match role {
+        FenceRole::Member => FenceAction::Abort,
+        FenceRole::Newcomer => FenceAction::Retire,
+    };
+    match (kind, at) {
+        (ChangeKind::Resize, FencePoint::Admitted(FenceAdmission::Dead)) => {
+            if m.recover_before_fence_acks {
+                // Mutated: bug #6 — straight out of the fence, no hold.
+                back_out
+            } else {
+                FenceAction::HoldForAcks
+            }
+        }
+        (ChangeKind::Resize, FencePoint::Admitted(FenceAdmission::Deaths)) => back_out,
+        (_, FencePoint::Admitted(_)) => FenceAction::Rehome,
+        (_, FencePoint::Counted { certified: true }) => FenceAction::Commit,
+        (_, FencePoint::Held | FencePoint::Counted { certified: false }) => back_out,
     }
 }
 
@@ -1067,7 +1197,7 @@ mod tests {
         active[0].epoch = 9;
         active[1].epoch = 9;
         apply_control(&mut active, ControlEvent::Parked { rank: 2 }, &Mutations::NONE);
-        assert_eq!(epoch_gate(&active, 0, 9), Ok(vec![]));
+        assert_eq!(Gate::Epoch(9).poll(&active, 0).map(|r| r.failed), Ok(vec![]));
         // The mutated protocol (bug #4) turns the retire into a death:
         // the model run's counterexample.
         let m = Mutations {
@@ -1085,14 +1215,14 @@ mod tests {
     fn activation_admits_only_parked_ranks() {
         let mut view = [PeerView::INITIAL; 2];
         apply_control(&mut view, ControlEvent::Parked { rank: 1 }, &Mutations::NONE);
-        assert_eq!(activation_gate(&view, 1), Err(1), "parked: keep waiting");
+        assert_eq!(Gate::Activation.poll(&view, 1).map(|r| r.epoch), Err(1), "parked: keep waiting");
         apply_control(
             &mut view,
             ControlEvent::Activated { rank: 1, epoch: 4 },
             &Mutations::NONE,
         );
         assert_eq!(view[1].status, RankStatus::Healthy);
-        assert_eq!(activation_gate(&view, 1), Ok(4));
+        assert_eq!(Gate::Activation.poll(&view, 1).map(|r| r.epoch), Ok(4));
         // Activation must not resurrect a failed rank.
         apply_control(
             &mut view,
@@ -1150,10 +1280,10 @@ mod tests {
     fn epoch_gate_mirrors_sync_loop() {
         let mut view = vec![PeerView::INITIAL; 3];
         view[0].epoch = 2;
-        assert_eq!(epoch_gate(&view, 0, 2), Err(1));
+        assert_eq!(Gate::Epoch(2).poll(&view, 0).map(|r| r.failed), Err(1));
         view[1].status = RankStatus::Failed;
         view[1].failed_epoch = 1;
         view[2].epoch = 2;
-        assert_eq!(epoch_gate(&view, 0, 2), Ok(vec![(1, 1)]));
+        assert_eq!(Gate::Epoch(2).poll(&view, 0).map(|r| r.failed), Ok(vec![(1, 1)]));
     }
 }

@@ -107,8 +107,8 @@
 //! them to sockets, threads, and the locks above.
 
 use crate::protocol::{
-    self, ClientLine, ControlEvent, ControlLine, FrameVerdict, MirrorEffect, Mutations, PeerView,
-    RecvVerdict, SendRoute,
+    self, ClientLine, ControlEvent, ControlLine, FrameVerdict, Gate, MirrorEffect, Mutations,
+    PeerView, RecvVerdict, SendRoute,
 };
 use crate::stats::WireStats;
 use crate::sync::{Condvar, LockRank, Mutex};
@@ -252,18 +252,12 @@ struct Mirror {
     signal: Condvar,
 }
 
-/// One-slot synchronous RPC to the hub (`BEAT` → `BEATACK`,
-/// `AWAITFAILED` → `FAILEDEPOCH`). A rank runs one app thread, so one
-/// outstanding request suffices.
-#[derive(Default)]
-struct RpcSlot {
-    beat_ack: Option<RankStatus>,
-    failed_epoch: Option<u64>,
-}
-
 struct ControlChannel {
     writer: Mutex<TcpStream>,
-    rpc: Mutex<RpcSlot>,
+    /// One-slot synchronous RPC to the hub (`BEAT` → `BEATACK`,
+    /// `AWAITFAILED` → `FAILEDEPOCH`): the reply line. A rank runs one
+    /// app thread, so one outstanding request suffices.
+    rpc: Mutex<Option<ControlLine>>,
     rpc_signal: Condvar,
 }
 
@@ -418,7 +412,7 @@ impl SocketTransport {
             },
             control: ControlChannel {
                 writer: Mutex::new(LockRank::ControlWriter, control_stream),
-                rpc: Mutex::new(LockRank::ControlRpc, RpcSlot::default()),
+                rpc: Mutex::new(LockRank::ControlRpc, None),
                 rpc_signal: Condvar::new(),
             },
             poisoned: AtomicBool::new(false),
@@ -455,12 +449,7 @@ impl SocketTransport {
             if peer == transport.cfg.rank {
                 continue;
             }
-            let dial = if transport.cfg.is_replacement() {
-                true
-            } else {
-                peer < transport.cfg.rank
-            };
-            if !dial {
+            if !transport.cfg.is_replacement() && peer > transport.cfg.rank {
                 continue;
             }
             let addr = info
@@ -501,10 +490,10 @@ impl SocketTransport {
         self.cfg.ranks
     }
 
-    /// Is this process a respawned blank replacement?
+    /// Status of `rank` in this process's mirror of the hub's detector.
     #[must_use]
-    pub fn is_replacement(&self) -> bool {
-        self.cfg.is_replacement()
+    pub fn rank_status(&self, rank: usize) -> RankStatus {
+        self.mirror.state.lock(LockRank::Mirror)[rank].status
     }
 
     fn send_data_preamble(&self, mut stream: &TcpStream) -> std::io::Result<()> {
@@ -814,11 +803,10 @@ impl SocketTransport {
         for line in reader.lines() {
             let Ok(line) = line else { break };
             match ControlLine::parse(&line) {
-                Some(ControlLine::BeatAck(status)) => {
-                    self.rpc_reply(|slot| slot.beat_ack = Some(status));
-                }
-                Some(ControlLine::FailedEpoch(epoch)) => {
-                    self.rpc_reply(|slot| slot.failed_epoch = Some(epoch));
+                Some(reply @ (ControlLine::BeatAck(_) | ControlLine::FailedEpoch(_))) => {
+                    // The hub's answer: fill the RPC slot, wake the caller.
+                    *self.control.rpc.lock(LockRank::ControlRpc) = Some(reply);
+                    self.control.rpc_signal.notify_all();
                 }
                 Some(ControlLine::Event(ev)) => self.apply_control_event(ev),
                 Some(ControlLine::Poison) => self.poison_self(),
@@ -830,12 +818,6 @@ impl SocketTransport {
         if !self.closing.load(Ordering::SeqCst) {
             self.poison_self();
         }
-    }
-
-    /// Fill the RPC slot with the hub's answer and wake the caller.
-    fn rpc_reply(&self, fill: impl FnOnce(&mut RpcSlot)) {
-        fill(&mut self.control.rpc.lock(LockRank::ControlRpc));
-        self.control.rpc_signal.notify_all();
     }
 
     /// Drive one detector broadcast through the pure mirror machine
@@ -879,18 +861,18 @@ impl SocketTransport {
     /// Send an RPC line and wait for `extract` to yield the reply.
     /// Panics on hub loss — the machine cannot continue without its
     /// detector, exactly like a poisoned in-process run.
-    fn hub_rpc<R>(&self, line: &str, extract: impl Fn(&mut RpcSlot) -> Option<R>) -> R {
+    fn hub_rpc<R>(&self, line: &str, extract: impl Fn(&ControlLine) -> Option<R>) -> R {
         // Lock order: ControlRpc → ControlWriter (control_send nests
         // inside the held slot; see module docs).
         let mut slot = self.control.rpc.lock(LockRank::ControlRpc);
-        *slot = RpcSlot::default();
+        *slot = None;
         if !self.control_send(line) {
             self.poison_self();
             panic!("hub connection lost during {line}");
         }
         let deadline = Instant::now() + self.timing.sync_timeout;
         loop {
-            if let Some(r) = extract(&mut slot) {
+            if let Some(r) = slot.as_ref().and_then(&extract) {
                 return r;
             }
             if self.poisoned.load(Ordering::SeqCst) {
@@ -900,23 +882,6 @@ impl SocketTransport {
             assert!(now < deadline, "hub did not answer {line} in time");
             let _ = self.control.rpc_signal.wait_for(&mut slot, deadline - now);
         }
-    }
-
-    /// Block until `gate` passes over the detector mirror (the wait
-    /// loop itself is the detector's own, [`health::wait_until`]).
-    fn wait_mirror<T>(
-        &self,
-        gate: impl FnMut(&Vec<PeerView>) -> Result<T, usize>,
-        what_timed_out: impl FnOnce(usize) -> String,
-    ) -> Result<T, CommError> {
-        health::wait_until(
-            self.mirror.state.lock(LockRank::Mirror),
-            &self.mirror.signal,
-            &self.poisoned,
-            self.timing.sync_timeout,
-            gate,
-            what_timed_out,
-        )
     }
 
     /// Block until the link to `peer` is up, or `deadline` passes.
@@ -1054,10 +1019,6 @@ fn read_welcome(
 }
 
 impl Transport for SocketTransport {
-    fn world_size(&self) -> usize {
-        self.cfg.ranks
-    }
-
     fn is_wire(&self) -> bool {
         true
     }
@@ -1257,98 +1218,76 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn health_enabled(&self) -> bool {
-        // The hub always runs a detector for a socket world.
-        true
-    }
-
-    fn should_kill(&self, _rank: usize, _step: u64) -> bool {
-        // Kills are real here: the hub SIGKILLs the child at its beat.
-        false
-    }
-
     fn beat(&self, me: usize, epoch: u64) -> RankStatus {
         debug_assert_eq!(me, self.cfg.rank);
         // Synchronous: a rank scheduled to die at this step is SIGKILLed
         // by the hub *instead of* an ack, so it can never proceed into
         // the step — its recorded epoch stays one behind, exactly like
         // the in-process silent kill.
-        self.hub_rpc(&ClientLine::Beat { epoch }.render(), |slot| {
-            slot.beat_ack.take()
+        self.hub_rpc(&ClientLine::Beat { epoch }.render(), |reply| match reply {
+            ControlLine::BeatAck(status) => Some(*status),
+            _ => None,
         })
     }
 
-    fn epoch_sync(&self, me: usize, epoch: u64) -> Result<EpochReport, CommError> {
-        self.wait_mirror(
-            |view| protocol::epoch_gate(view, me, epoch),
-            |rank| health::epoch_sync_stalled(rank, epoch),
-        )
-        .map(|failed| EpochReport { epoch, failed })
-    }
-
-    fn await_failed(&self, me: usize) -> Result<u64, CommError> {
+    fn wait(&self, me: usize, gate: Gate<'_>) -> Result<EpochReport, CommError> {
         debug_assert_eq!(me, self.cfg.rank);
-        // The hub acknowledges the death (`Failed → Rebuilding`),
-        // broadcasts REBUILDING to the survivors, and returns the last
-        // epoch the dead incarnation completed.
-        Ok(self.hub_rpc(&ClientLine::AwaitFailed.render(), |slot| {
-            slot.failed_epoch.take()
-        }))
-    }
-
-    fn await_rebirth(&self, _me: usize, failed: &[usize]) -> Result<(), CommError> {
-        let deadline = Instant::now() + self.timing.sync_timeout;
-        self.wait_mirror(
-            |view| protocol::rebirth_gate(view, failed),
-            health::rebirth_stalled,
-        )?;
-        // Belt and braces: the replacement dials the mesh *before* its
-        // AWAITFAILED, so by the time REBUILDING reached us its link is
-        // normally already up — but wait for it explicitly anyway, on
-        // what is left of the one deadline.
-        for &r in failed.iter().filter(|&&r| r != self.cfg.rank) {
-            self.wait_link_up(r, deadline, |r| {
-                format!("replacement for rank {r} never connected")
-            })?;
+        if gate == Gate::OwnDeath {
+            // The hub acknowledges the death (`Failed → Rebuilding`),
+            // broadcasts REBUILDING to the survivors, and returns the
+            // last epoch the dead incarnation completed.
+            let epoch = self.hub_rpc(&ClientLine::AwaitFailed.render(), |reply| match reply {
+                ControlLine::FailedEpoch(epoch) => Some(*epoch),
+                _ => None,
+            });
+            return Ok(EpochReport { epoch, failed: Vec::new() });
         }
-        Ok(())
+        let deadline = Instant::now() + self.timing.sync_timeout;
+        let report = health::wait_until(
+            self.mirror.state.lock(LockRank::Mirror),
+            &self.mirror.signal,
+            &self.poisoned,
+            self.timing.sync_timeout,
+            |view: &Vec<PeerView>| gate.poll(view, me),
+            |rank| gate.stalled(rank),
+        )?;
+        if let Gate::Rebirth(failed) = gate {
+            // Belt and braces: the replacement dials the mesh *before*
+            // its AWAITFAILED, so by the time REBUILDING reached us its
+            // link is normally already up — but wait for it explicitly
+            // anyway, on what is left of the one deadline.
+            for &r in failed.iter().filter(|&&r| r != self.cfg.rank) {
+                self.wait_link_up(r, deadline, |r| {
+                    format!("replacement for rank {r} never connected")
+                })?;
+            }
+        }
+        Ok(report)
     }
 
-    fn mark_recovered(&self, me: usize, epoch: u64) {
-        debug_assert_eq!(me, self.cfg.rank);
-        // Optimistic local apply; the hub's RECOVERED broadcast confirms
-        // it on everyone (including us — idempotent).
-        self.apply_control_event(ControlEvent::Recovered { rank: me, epoch });
-        let _ = self.control_send(&ClientLine::Recovered { epoch }.render());
+    fn apply(&self, me: usize, ev: ControlEvent) {
+        let line = match ev {
+            // Optimistic local apply of the rank's own change; the hub's
+            // broadcast confirms it on everyone (idempotent on us).
+            ControlEvent::Recovered { rank, epoch } => {
+                debug_assert_eq!(rank, me);
+                self.apply_control_event(ev);
+                ClientLine::Recovered { epoch }
+            }
+            ControlEvent::Parked { rank } => {
+                debug_assert_eq!(rank, me);
+                self.apply_control_event(ev);
+                ClientLine::Retire
+            }
+            // No optimistic apply: the admission frontier must come from
+            // the hub's detector, so wait for the ACTIVATED broadcast.
+            ControlEvent::Activated { rank, epoch } => ClientLine::Activate { rank, epoch },
+            other => unreachable!("{other:?} is the detector's verdict, not a rank's request"),
+        };
+        let _ = self.control_send(&line.render());
     }
 
-    fn dead_set(&self) -> Vec<(usize, u64)> {
-        protocol::dead_set(&self.mirror.state.lock(LockRank::Mirror))
-    }
-
-    fn rank_status(&self, rank: usize) -> RankStatus {
-        self.mirror.state.lock(LockRank::Mirror)[rank].status
-    }
-
-    fn retire(&self, me: usize) {
-        debug_assert_eq!(me, self.cfg.rank);
-        // Optimistic local apply; the hub parks us in its authoritative
-        // detector and broadcasts PARKED to everyone (idempotent on us).
-        self.apply_control_event(ControlEvent::Parked { rank: me });
-        let _ = self.control_send(&ClientLine::Retire.render());
-    }
-
-    fn activate(&self, _me: usize, rank: usize, epoch: u64) {
-        // No optimistic apply here: the admission frontier must come
-        // from the hub's detector, so wait for the ACTIVATED broadcast.
-        let _ = self.control_send(&ClientLine::Activate { rank, epoch }.render());
-    }
-
-    fn await_activation(&self, me: usize) -> Result<u64, CommError> {
-        debug_assert_eq!(me, self.cfg.rank);
-        self.wait_mirror(
-            |view| protocol::activation_gate(view, me),
-            health::never_activated,
-        )
+    fn view(&self) -> Vec<PeerView> {
+        self.mirror.state.lock(LockRank::Mirror).clone()
     }
 }

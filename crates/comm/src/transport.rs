@@ -26,6 +26,7 @@
 //!   corrupt frame), or [`CommError::Poisoned`] — never a hang and
 //!   never silently wrong data.
 
+use crate::protocol::{ControlEvent, Gate, PeerView};
 use crate::{CommError, EpochReport, RankStatus, TrafficStats};
 use std::any::Any;
 use std::time::Duration;
@@ -51,9 +52,6 @@ pub enum WirePayload {
 /// ranks; communicator-local numbering (and the collectives) live above
 /// this seam in [`crate::Comm`].
 pub trait Transport: Send + Sync {
-    /// Number of ranks in the world.
-    fn world_size(&self) -> usize;
-
     /// Does this backend move bytes (so senders must encode via
     /// [`crate::wire`]) rather than typed boxes?
     fn is_wire(&self) -> bool;
@@ -102,60 +100,32 @@ pub trait Transport: Send + Sync {
     /// can only account their own rank's sends; other slots read zero.
     fn traffic_stats(&self) -> TrafficStats;
 
-    // ---- health / failure-detector plumbing ---------------------------
+    // ---- membership seam ------------------------------------------------
+    //
+    // Everything a membership change needs from a backend: a beat, one
+    // wait over the `protocol` gates, one requested change, and one view
+    // of the record. The in-process backend answers from its own
+    // detector, the socket backend from the hub (an RPC or a control
+    // line) and its mirror of the hub's detector.
 
-    /// Is a heartbeat failure detector attached?
-    fn health_enabled(&self) -> bool;
-
-    /// Does the fault plan schedule rank `rank` to die at `step`?
-    /// Backends whose kills are external (the hub SIGKILLs the child)
-    /// always answer `false`.
-    fn should_kill(&self, rank: usize, step: u64) -> bool;
-
-    /// Record rank `me` entering epoch `epoch`; returns the detector's
-    /// verdict (a fenced rank sees `Failed`/`Rebuilding` and must not
-    /// proceed).
+    /// Rank `me` enters epoch `epoch`: its heartbeat, answered with the
+    /// detector's verdict (a fenced rank sees `Failed`/`Rebuilding` and
+    /// must not proceed). A rank the fault plan kills here never beats:
+    /// it reads `Failed` in-process, and the socket hub SIGKILLs it
+    /// instead of answering.
     fn beat(&self, me: usize, epoch: u64) -> RankStatus;
 
-    /// Block until every rank has reached `epoch` or been declared
-    /// dead; returns the failed set every survivor agrees on.
-    fn epoch_sync(&self, me: usize, epoch: u64) -> Result<EpochReport, CommError>;
+    /// Block at rank `me` until `gate` passes (errors per the module
+    /// contract). Waiting on [`Gate::OwnDeath`] also acknowledges the
+    /// death (`Failed → Rebuilding`); a passed [`Gate::Rebirth`]
+    /// guarantees the replacements are reachable.
+    fn wait(&self, me: usize, gate: Gate<'_>) -> Result<EpochReport, CommError>;
 
-    /// Dead rank's re-entry: block until the detector acknowledges this
-    /// rank's death (`Failed → Rebuilding`), returning the last epoch it
-    /// completed.
-    fn await_failed(&self, me: usize) -> Result<u64, CommError>;
+    /// Request one membership change from rank `me`: its own `Recovered`
+    /// (replacement rebuilt) or `Parked` (deliberate retire — never a
+    /// failure), or the `Activated` of a parked rank (elastic grow).
+    fn apply(&self, me: usize, ev: ControlEvent);
 
-    /// Survivor's counterpart: block until every rank in `failed`
-    /// (global ranks) has acknowledged its death and its replacement is
-    /// reachable.
-    fn await_rebirth(&self, me: usize, failed: &[usize]) -> Result<(), CommError>;
-
-    /// Replacement finished reconstruction: rejoin the healthy
-    /// population at `epoch`.
-    fn mark_recovered(&self, me: usize, epoch: u64);
-
-    /// Every rank currently `Failed` or `Rebuilding`, with its last
-    /// completed epoch, in rank order.
-    fn dead_set(&self) -> Vec<(usize, u64)>;
-
-    /// Detector status of global rank `rank`.
-    fn rank_status(&self, rank: usize) -> RankStatus;
-
-    // ---- elastic world plumbing ---------------------------------------
-
-    /// Deliberately retire rank `me` from the active world (elastic
-    /// shrink): the detector parks it — exempt from suspicion, skipped
-    /// by epoch waits, never in the dead set. Its process/thread stays
-    /// alive for a later grow. This is an administrative act, NOT a
-    /// failure declaration.
-    fn retire(&self, me: usize);
-
-    /// Admit parked global rank `rank` to the active world at `epoch`
-    /// (elastic grow), called by the rank driving the resize.
-    fn activate(&self, me: usize, rank: usize, epoch: u64);
-
-    /// Block at parked rank `me` until a grow admits it; returns the
-    /// epoch it was activated at.
-    fn await_activation(&self, me: usize) -> Result<u64, CommError>;
+    /// Every rank's membership record, in rank order.
+    fn view(&self) -> Vec<PeerView>;
 }

@@ -54,9 +54,12 @@ fn killed_mid_barrier_survivor_error_names_failed_rank() {
     let survivor_saw: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let saw = Arc::clone(&survivor_saw);
     let err = Machine::new(2)
-        .with_faults(plan)
         .try_run(move |c| {
-            c.begin_step(1); // rank 0 dies here
+            // Rank 0 dies here, the way a step-structured driver checks
+            // the plan at the top of a step.
+            if plan.should_kill(c.rank(), 1) {
+                panic!("fault injected: rank {} killed at step 1", c.rank());
+            }
             // Only rank 1 reaches the barrier; capture its diagnostic
             // before letting the panic propagate to the machine.
             if let Err(p) = catch_unwind(AssertUnwindSafe(|| c.barrier())) {

@@ -241,7 +241,7 @@ fn late_heartbeat_races_failure_declaration() {
                 declared
             })
         };
-        let verdict = h.beat(1, 1);
+        let verdict = h.beat(1, 1).0;
         let declared = monitor.join().unwrap();
         match verdict {
             RankStatus::Healthy => {
@@ -249,12 +249,12 @@ fn late_heartbeat_races_failure_declaration() {
                     declared.is_empty(),
                     "beat cleared the suspicion, yet a failure was declared: {declared:?}"
                 );
-                assert_eq!(h.status(1), RankStatus::Healthy);
+                assert_eq!(h.view(1).status, RankStatus::Healthy);
                 seen.lock().unwrap().insert("beat_won");
             }
             RankStatus::Failed => {
                 assert_eq!(declared, vec![(1, 0)], "exactly one declaration");
-                assert_eq!(h.status(1), RankStatus::Failed, "declared dead stays dead");
+                assert_eq!(h.view(1).status, RankStatus::Failed, "declared dead stays dead");
                 seen.lock().unwrap().insert("declaration_won");
             }
             other => panic!("beat returned {other:?}"),

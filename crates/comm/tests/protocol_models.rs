@@ -27,6 +27,12 @@
 //!   its peers are waiting for, never repeats or undoes a declaration
 //!   when a late beat arrives (fencing), and never touches parked
 //!   capacity.
+//! - **no-verdict-split / victim-holds-until-fence-syncs-return /
+//!   aborted-change-writes-no-commit**: through the fence machine
+//!   ([`protocol::fence_next`]) every member of a membership change —
+//!   failure recovery or resize — takes the same branch, a resize-fence
+//!   victim leaves `Rebuilding` only after every survivor's fence sync
+//!   returned, and a resize that backs out never journals a commit.
 //!
 //! Each theorem is paired with a *mutation run*: the historical bug it
 //! guards against is reintroduced via a [`Mutations`] flag and the
@@ -41,7 +47,8 @@
 
 use hacc_comm::protocol::locks::{self, LockOp};
 use hacc_comm::protocol::{
-    self, ControlEvent, FrameVerdict, LinkSession, Mutations, PeerView, RecvVerdict,
+    self, ChangeKind, ControlEvent, FenceAction, FenceAdmission, FencePoint, FenceRole,
+    FrameVerdict, Gate, LinkSession, Mutations, PeerView, RecvVerdict,
 };
 use hacc_comm::sync::LockRank;
 use hacc_comm::RankStatus;
@@ -65,6 +72,10 @@ const BUG_RETIRE_AS_DEATH: Mutations = Mutations {
 };
 const BUG_SUSPECT_AT_FRONTIER: Mutations = Mutations {
     suspect_at_frontier: true,
+    ..Mutations::NONE
+};
+const BUG_EARLY_RECOVERY: Mutations = Mutations {
+    recover_before_fence_acks: true,
     ..Mutations::NONE
 };
 
@@ -969,7 +980,7 @@ fn mutated_retire_confused_with_failure_is_caught() {
 /// The authoritative detector (`HealthState`, in-process and in the
 /// hub) as the pure functions it runs: [`protocol::beat_gate`] +
 /// [`protocol::apply_control`] for a beat, [`protocol::scan_step`] for a
-/// monitor pass, [`protocol::epoch_gate`] for the barrier that keeps a
+/// monitor pass, [`protocol::Gate::Epoch`] for the barrier that keeps a
 /// rank from beating the next epoch before its peers caught up or were
 /// declared. Ranks 0 and 1 step (either may fall silent for any
 /// stretch, or beat arbitrarily late); rank 2 is parked reserve.
@@ -1044,7 +1055,7 @@ impl Model for ScanModel {
         for r in 0..SCAN_RANKS {
             // The step protocol: a rank beats epoch e+1 only once the
             // barrier for e let it through.
-            let passed = protocol::epoch_gate(&s.view, r, s.view[r].epoch).is_ok();
+            let passed = protocol::Gate::Epoch(s.view[r].epoch).poll(&s.view, r).is_ok();
             if passed && s.view[r].epoch < SCAN_MAX_EPOCH {
                 out.push(ScanAction::Beat(r));
             }
@@ -1185,6 +1196,321 @@ fn mutated_frontier_suspicion_is_caught() {
         v.trace.render()
     );
     assert!(actions.contains(&ScanAction::Scan));
+}
+
+// =====================================================================
+// Fence model: one membership change, its victim, acks and verdict
+// =====================================================================
+
+/// One membership change through the real [`protocol::fence_next`]:
+/// a survivor (rank 0, the rank that journals the world record), an old
+/// member that may be killed at the fence (rank 1) and, for a resize, a
+/// newcomer (rank 2; a third member for a recovery). Every admission
+/// runs the real detector pieces — [`protocol::beat_gate`],
+/// [`protocol::apply_control`] and the [`protocol::Gate`] waits — over
+/// every interleaving of the kill, the declaration, the victim's
+/// rejoin, the survivors' fence syncs and fence-exit acks, and the
+/// count; the certification total is chosen either way at the start.
+struct FenceModel {
+    name: &'static str,
+    kind: ChangeKind,
+    m: Mutations,
+}
+
+const FENCE_RANKS: usize = 3;
+const FENCE_VICTIM: usize = 1;
+/// The step the fence admits.
+const FENCE_EPOCH: u64 = 1;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum FencePhase {
+    /// About to admit the fence step.
+    AtFence,
+    /// Beat accepted; blocked in the epoch barrier.
+    Syncing,
+    /// Killed at the fence: silent until its replacement rejoins.
+    Dead,
+    /// A live member of a broken fence waiting out the death's
+    /// acknowledgement before it acks and decides.
+    AwaitRebirth,
+    /// The fence victim holding in `Rebuilding` for the acks.
+    Holding,
+    /// Inside the rehome + count collective.
+    Rehoming,
+    /// Left the fence with this action.
+    Done(FenceAction),
+}
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct FenceModelState {
+    view: [PeerView; FENCE_RANKS],
+    phase: [FencePhase; FENCE_RANKS],
+    /// The count certifies (chosen at the start).
+    certifies: bool,
+    killed: bool,
+    /// `acks[r]`: rank `r` acked the victim's hold.
+    acks: [bool; FENCE_RANKS],
+    /// First fence decision per member: true = the change goes on.
+    branch: [Option<bool>; FENCE_RANKS],
+    /// The victim left `Rebuilding` while a survivor's sync was pending.
+    early_recovery: bool,
+    commit_record: bool,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FenceStep {
+    /// The victim dies silently at its fence beat.
+    Kill,
+    /// Member `r` beats the fence step.
+    Beat(usize),
+    /// The detector declares the silent victim.
+    Declare,
+    /// Member `r` polls its epoch barrier.
+    Sync(usize),
+    /// Member `r` polls the death's acknowledgement.
+    Rebirth(usize),
+    /// The victim's replacement polls its own declaration and rejoins.
+    Rejoin,
+    /// The victim polls for every survivor's ack.
+    Drain,
+    /// The rehome + certification collective completes.
+    Count,
+}
+
+impl FenceModel {
+    fn role(&self, r: usize) -> FenceRole {
+        if self.kind == ChangeKind::Resize && r == 2 {
+            FenceRole::Newcomer
+        } else {
+            FenceRole::Member
+        }
+    }
+
+    /// Member `r` consults the machine at `at` and moves on.
+    fn decide(&self, n: &mut FenceModelState, r: usize, at: FencePoint) {
+        let action = protocol::fence_next(self.kind, self.role(r), at, &self.m);
+        if n.branch[r].is_none() {
+            n.branch[r] = Some(matches!(action, FenceAction::Rehome | FenceAction::Commit));
+        }
+        n.phase[r] = match action {
+            FenceAction::Rehome => FencePhase::Rehoming,
+            FenceAction::HoldForAcks => FencePhase::Holding,
+            done => FencePhase::Done(done),
+        };
+        if action == FenceAction::Commit && r == 0 && self.kind == ChangeKind::Resize {
+            n.commit_record = true;
+        }
+        // The driver's rule: a victim rejoins the healthy world as it
+        // leaves the fence any way but into retirement.
+        if r == FENCE_VICTIM
+            && n.killed
+            && matches!(action, FenceAction::Commit | FenceAction::Abort)
+        {
+            n.early_recovery |= (0..FENCE_RANKS)
+                .any(|s| matches!(n.phase[s], FencePhase::AtFence | FencePhase::Syncing));
+            let ev = ControlEvent::Recovered { rank: r, epoch: FENCE_EPOCH };
+            let _ = protocol::apply_control(&mut n.view, ev, &self.m);
+        }
+    }
+}
+
+impl Model for FenceModel {
+    type State = FenceModelState;
+    type Action = FenceStep;
+
+    fn init_states(&self) -> Vec<FenceModelState> {
+        [true, false]
+            .into_iter()
+            .map(|certifies| FenceModelState {
+                view: [PeerView::INITIAL; FENCE_RANKS],
+                phase: [FencePhase::AtFence; FENCE_RANKS],
+                certifies,
+                killed: false,
+                acks: [false; FENCE_RANKS],
+                branch: [None; FENCE_RANKS],
+                early_recovery: false,
+                commit_record: false,
+            })
+            .collect()
+    }
+
+    fn actions(&self, s: &FenceModelState, out: &mut Vec<FenceStep>) {
+        if s.phase[FENCE_VICTIM] == FencePhase::AtFence {
+            out.push(FenceStep::Kill);
+        }
+        for r in 0..FENCE_RANKS {
+            match s.phase[r] {
+                FencePhase::AtFence => out.push(FenceStep::Beat(r)),
+                FencePhase::Syncing => out.push(FenceStep::Sync(r)),
+                FencePhase::AwaitRebirth => out.push(FenceStep::Rebirth(r)),
+                _ => {}
+            }
+        }
+        if s.phase[FENCE_VICTIM] == FencePhase::Dead {
+            if s.view[FENCE_VICTIM].status == RankStatus::Healthy {
+                out.push(FenceStep::Declare);
+            } else {
+                out.push(FenceStep::Rejoin);
+            }
+        }
+        if s.phase[FENCE_VICTIM] == FencePhase::Holding {
+            out.push(FenceStep::Drain);
+        }
+        if s.phase.iter().all(|&p| p == FencePhase::Rehoming) {
+            out.push(FenceStep::Count);
+        }
+    }
+
+    fn next_state(&self, s: &FenceModelState, a: &FenceStep) -> Option<FenceModelState> {
+        let mut n = s.clone();
+        let live = |r: usize| r != FENCE_VICTIM || !s.killed;
+        match *a {
+            FenceStep::Kill => {
+                n.killed = true;
+                n.phase[FENCE_VICTIM] = FencePhase::Dead;
+            }
+            FenceStep::Beat(r) => {
+                let (_, ev) = protocol::beat_gate(&n.view[r], r, FENCE_EPOCH);
+                let _ = protocol::apply_control(&mut n.view, ev?, &self.m);
+                n.phase[r] = FencePhase::Syncing;
+            }
+            FenceStep::Declare => {
+                let ev = ControlEvent::Declared { rank: FENCE_VICTIM, failed_epoch: 0 };
+                let _ = protocol::apply_control(&mut n.view, ev, &self.m);
+            }
+            FenceStep::Sync(r) => {
+                let report = Gate::Epoch(FENCE_EPOCH).poll(&n.view, r).ok()?;
+                if report.failed.is_empty() {
+                    self.decide(&mut n, r, FencePoint::Admitted(FenceAdmission::Proceed));
+                } else {
+                    n.phase[r] = FencePhase::AwaitRebirth;
+                }
+            }
+            FenceStep::Rebirth(r) => {
+                Gate::Rebirth(&[FENCE_VICTIM]).poll(&n.view, r).ok()?;
+                if self.kind == ChangeKind::Resize {
+                    n.acks[r] = true;
+                }
+                self.decide(&mut n, r, FencePoint::Admitted(FenceAdmission::Deaths));
+            }
+            FenceStep::Rejoin => {
+                Gate::OwnDeath.poll(&n.view, FENCE_VICTIM).ok()?;
+                let ev = ControlEvent::Rebuilding { rank: FENCE_VICTIM };
+                let _ = protocol::apply_control(&mut n.view, ev, &self.m);
+                self.decide(&mut n, FENCE_VICTIM, FencePoint::Admitted(FenceAdmission::Dead));
+            }
+            FenceStep::Drain => {
+                if !(0..FENCE_RANKS).filter(|&r| live(r)).all(|r| n.acks[r]) {
+                    return None;
+                }
+                self.decide(&mut n, FENCE_VICTIM, FencePoint::Held);
+            }
+            FenceStep::Count => {
+                for r in 0..FENCE_RANKS {
+                    self.decide(&mut n, r, FencePoint::Counted { certified: s.certifies });
+                }
+            }
+        }
+        Some(n)
+    }
+
+    fn is_terminal_ok(&self, s: &FenceModelState) -> bool {
+        s.phase.iter().all(|p| matches!(p, FencePhase::Done(_)))
+    }
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+fn fence_properties() -> Vec<Property<FenceModel>> {
+    vec![
+        // Every member that decides takes the same branch: the change
+        // goes on everywhere or backs out everywhere.
+        Property::<FenceModel>::always("no-verdict-split", |_, s| {
+            let decided: Vec<bool> = s.branch.iter().flatten().copied().collect();
+            decided.windows(2).all(|w| w[0] == w[1])
+        }),
+        Property::<FenceModel>::always("victim-holds-until-fence-syncs-return", |_, s| {
+            !s.early_recovery
+        }),
+        Property::<FenceModel>::always("aborted-change-writes-no-commit", |_, s| {
+            !s.commit_record
+                || !s.phase.iter().any(|p| {
+                    matches!(p, FencePhase::Done(FenceAction::Abort | FenceAction::Retire))
+                })
+        }),
+        Property::<FenceModel>::sometimes("fence-kill-backs-out", |_, s| {
+            s.killed && s.phase[0] == FencePhase::Done(FenceAction::Abort)
+        }),
+        Property::<FenceModel>::sometimes("victim-recovers", |_, s| {
+            s.killed && s.view[FENCE_VICTIM].status == RankStatus::Healthy
+        }),
+        Property::<FenceModel>::sometimes("change-commits", |_, s| {
+            s.phase[0] == FencePhase::Done(FenceAction::Commit)
+        }),
+        Property::<FenceModel>::sometimes("count-backs-out", |_, s| {
+            !s.killed && s.phase[0] == FencePhase::Done(FenceAction::Abort)
+        }),
+    ]
+}
+
+#[test]
+fn resize_fence_is_proven_split_free() {
+    let model = FenceModel {
+        name: "fence-resize",
+        kind: ChangeKind::Resize,
+        m: Mutations::NONE,
+    };
+    let report = check(&model, &fence_properties(), &Options::default());
+    record(&report);
+    assert_proven(&report);
+}
+
+/// A failure is the same-size change: the victim rebuilds as a blank
+/// replacement instead of holding, and the same theorems hold.
+#[test]
+fn recovery_fence_is_proven_split_free() {
+    let model = FenceModel {
+        name: "fence-recovery",
+        kind: ChangeKind::Recovery,
+        m: Mutations::NONE,
+    };
+    // A recovery's victim rebuilds rather than backing out, so the
+    // resize-only coverage point is not expected here.
+    let props: Vec<_> = fence_properties()
+        .into_iter()
+        .filter(|p| p.name != "fence-kill-backs-out")
+        .collect();
+    let report = check(&model, &props, &Options::default());
+    record(&report);
+    assert_proven(&report);
+}
+
+/// Bug #6 regression (the historical verdict-split race): a resize-fence
+/// victim that recovers as soon as it has acknowledged its death lets a
+/// survivor whose fence sync evaluates late see no death at all — it
+/// goes on with the change while the others back out. The checker must
+/// find the schedule.
+#[test]
+fn mutated_recover_before_fence_acks_is_caught() {
+    let model = FenceModel {
+        name: "fence-resize-mut-early-recovery",
+        kind: ChangeKind::Resize,
+        m: BUG_EARLY_RECOVERY,
+    };
+    let report = check(&model, &fence_properties(), &Options::default());
+    record(&report);
+    let v = report
+        .violation("no-verdict-split")
+        .expect("the checker must catch bug #6 (fence verdict split)");
+    let actions: Vec<FenceStep> = v.trace.steps.iter().map(|(a, _)| *a).collect();
+    let init = model.init_states().iter().position(|s| *s == v.trace.init).unwrap();
+    let end = replay(&model, init, &actions).pop().unwrap();
+    assert!(end.early_recovery, "{}", v.trace.render());
+    // The signature: the victim was killed and rejoined before a
+    // survivor's fence sync returned.
+    assert!(actions.contains(&FenceStep::Kill) && actions.contains(&FenceStep::Rejoin));
 }
 
 // =====================================================================

@@ -291,10 +291,10 @@ pub struct DistSimulation<'a> {
     /// coarse `ng/c` mesh of the two-level split — on a `p × 1` pencil
     /// FFT, whose real layout is exactly this rank's slab. Building it is
     /// collective (`Comm::split`), so the first long-range solve of a
-    /// view builds it and [`Self::try_reconstruct_ranks`] drops it:
-    /// constructors stay communication-free (a lone replacement rank
-    /// builds its view while survivors keep theirs), and survivors and
-    /// replacements rebuild it together with matching sub-communicators.
+    /// view builds it: constructors stay communication-free (a lone
+    /// replacement rank builds its view while survivors keep their
+    /// state), and the views a membership change builds on every rank
+    /// build it together with matching sub-communicators.
     global: OnceCell<DistRealPoisson<RealPencilFft<'a>>>,
     /// Persistent short-range tree state over the rank's overloaded
     /// particle set: built at most once per long step after the
@@ -345,6 +345,12 @@ impl<'a> DistSimulation<'a> {
     ) -> Self {
         let p = comm.size();
         assert_eq!(cfg.ng % p, 0, "ng must be divisible by rank count");
+        // The distributed step has no P³M branch: it would run the tree
+        // on a drift bound the tree never receives.
+        assert!(
+            cfg.solver != SolverKind::P3m,
+            "DistSimulation runs PmOnly or TreePm; P3m is serial-only"
+        );
         let w_cells = overload_cells(&cfg);
         let lx = cfg.ng / p;
         assert!(
@@ -377,70 +383,12 @@ impl<'a> DistSimulation<'a> {
     }
 
     /// How `ranks` ranks tile the box, overload shell included. The one
-    /// place that knows: the engine above and the resize reshard both
-    /// build from it, so a resharded world can never disagree with the
-    /// engine built on it.
+    /// place that knows: the engine above and the rehome of every
+    /// membership change both build from it, so a rehomed world can
+    /// never disagree with the engine built on it.
     pub(crate) fn decomposition(cfg: &SimConfig, ranks: usize) -> Decomposition {
         let delta = cfg.box_len / cfg.ng as f64;
         Decomposition::new([ranks, 1, 1], cfg.box_len, overload_cells(cfg) * delta)
-    }
-
-    /// A blank replacement view for a rank being rebuilt online: correct
-    /// geometry and schedule position (`a`), no particles yet. The tiered
-    /// recovery driver constructs this on the respawned thread before the
-    /// [`Self::reconstruct_ranks`] collective fills it.
-    #[must_use]
-    pub fn blank_replacement(comm: &'a Comm, cfg: SimConfig, a: f64) -> Self {
-        Self::from_checkpoint_state(comm, cfg, a, Particles::default())
-    }
-
-    /// Tier-0 online reconstruction (collective over **all** ranks —
-    /// survivors with full state, each failed rank as a blank
-    /// replacement).
-    ///
-    /// One global [`hacc_domain::salvage_refresh`] pass rebuilds the
-    /// active partition from every surviving copy: survivors' actives
-    /// are re-homed authoritatively (a particle that drifted into a
-    /// failed domain since the last refresh is handed off, never
-    /// duplicated by its replicas), survivors' passive replicas
-    /// resurrect the particles that died with the failed ranks (lowest
-    /// donor rank wins, deterministically), and a particle that drifted
-    /// *out* of a failed domain is promoted from the replica its new
-    /// owner already holds. An ordinary [`hacc_domain::refresh`] then
-    /// rebuilds every overload shell — re-establishing the failed
-    /// ranks' replicas on their neighbors and re-importing the shells
-    /// they lost.
-    ///
-    /// Returns the post-recovery global active count. The caller must
-    /// compare it against the expected particle total: a shortfall means
-    /// particles sat deeper than the overload depth and every copy died
-    /// with the failed ranks — coverage is incomplete and recovery must
-    /// escalate to checkpoint rollback.
-    pub fn reconstruct_ranks(&mut self, failed: &[usize]) -> usize {
-        self.try_reconstruct_ranks(failed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::reconstruct_ranks`], but a *second* failure striking
-    /// during the recovery collectives surfaces as
-    /// `Err(CommError::RankFailed)` (or a timeout / corruption
-    /// diagnosis) instead of a panic, so the driver can abandon Tier 0
-    /// and escalate straight to checkpoint rollback rather than burn a
-    /// whole attempt.
-    pub fn try_reconstruct_ranks(
-        &mut self,
-        failed: &[usize],
-    ) -> Result<usize, hacc_comm::CommError> {
-        debug_assert!(
-            !failed.contains(&self.comm.rank()) || self.parts.is_empty(),
-            "a failed rank must re-enter reconstruction as a blank replacement"
-        );
-        // The replacement cannot join the survivors' sub-communicators;
-        // every rank rebuilds the global transform on its next solve.
-        self.global.take();
-        hacc_domain::try_salvage_refresh(self.comm, &self.decomp, &mut self.parts)?;
-        hacc_domain::try_refresh(self.comm, &self.decomp, &mut self.parts)?;
-        Ok(self.global_count())
     }
 
     /// Overload shell depth in grid cells — the paper's replication
@@ -931,6 +879,19 @@ mod tests {
             sim.global_count()
         });
         assert_eq!(counts, vec![total; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "P3m is serial-only")]
+    fn p3m_config_is_rejected() {
+        let (_, _) = Machine::new(1).run(|comm| {
+            let _ = DistSimulation::from_checkpoint_state(
+                &comm,
+                cfg(SolverKind::P3m, 0.3),
+                0.3,
+                Particles::default(),
+            );
+        });
     }
 
     #[test]

@@ -3,42 +3,46 @@
 //! One per-rank attempt function ([`run_attempt_elastic`]) and one
 //! relaunch loop ([`run_elastic`]) drive every resilient run; a
 //! fixed-size run is the elastic run with an empty [`ScaleSchedule`]
-//! (that is all [`crate::resilient::run_resilient`] is). Planned world
-//! resizing is built from the *same* primitives failures use, so
-//! scaling inherits their correctness argument instead of growing a
-//! parallel one:
+//! (that is all [`crate::resilient::run_resilient`] is).
+//!
+//! A rank failure and a planned resize are one **membership change**
+//! (`Attempt::change`): fence → rehome particles → certify → lock in,
+//! with every decision taken by the model-checked fence machine
+//! `hacc_comm::protocol::fence_next`. A failure is the same-size change
+//! in which the dead ranks rejoin as blank replacements and are rebuilt
+//! from their neighbours' overload replicas (tier 0); a resize is the
+//! change over the union of the old and new worlds:
 //!
 //! * the world runs at a fixed **capacity**; ranks beyond the active
 //!   prefix are parked in the failure detector and cost nothing;
 //! * a resize is decided by a [`ScalePlan`] priced from measured
 //!   per-rank step cost through the [`ResizeModel`] of `hacc-machine`;
-//! * the handover is fenced by the epoch-sync admission barrier
-//!   (`admit_step`), so a rank dying mid-resize surfaces as a detector
-//!   verdict — never a hang — and the resize **aborts** back to a
-//!   checkpoint written immediately before the fence;
-//! * particles migrate by ownership routing (`try_reshard`) over the
-//!   union of the old and new worlds, and the result is **certified**
-//!   by a global count before the old decomposition retires;
+//! * the fence is the epoch-sync admission barrier (`admit_step`), so a
+//!   rank dying at it surfaces as a detector verdict — never a hang —
+//!   and a resize **aborts** back to a checkpoint written immediately
+//!   before the fence;
+//! * particles move by ownership routing (`try_rehome`), and the result
+//!   is **certified** by one NaN-poisoned global count before it is
+//!   locked in by a checkpoint;
 //! * the committed world size is journaled in a tiny write-ahead record
 //!   (`world_meta.json`) so respawned processes and relaunched attempts
 //!   orient themselves without a survivor's help.
 //!
 //! The run is a sequence of **eras**: a fixed-size stretch of steps
-//! between resizes. Within an era the driver is the online recovery
-//! loop (tier-0 overload reconstruction, tier-1 rollback, invariant
-//! vetting — the tiers of [`crate::resilient`]); at a scheduled
-//! boundary the era ends in a resize rendezvous that either commits a
-//! new era at the new size, retires this rank to the reserve pool, or
-//! aborts back into the old era.
+//! between resizes, within which a failure the change cannot certify
+//! escalates to the tier-1 rollback and tier-2 abort of
+//! [`crate::resilient`].
 
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use hacc_comm::{
-    Comm, CommError, EpochReport, FaultPlan, Machine, MachineError, StepAdmission,
+use hacc_comm::protocol::{
+    self, ChangeKind, ControlEvent, FenceAction, FenceAdmission, FencePoint, FenceRole, Gate,
+    Mutations,
 };
-use hacc_domain::{try_reshard, Particles};
+use hacc_comm::{Comm, CommError, FaultPlan, Machine, MachineError};
+use hacc_domain::{try_rehome, Particles};
 use hacc_machine::ResizeModel;
 
 use crate::checkpoint::{complete_sets, gc_checkpoints, CheckpointError};
@@ -314,7 +318,7 @@ enum EraOutcome {
     /// The schedule finished; rank 0 carries the gathered positions.
     Completed(Option<Vec<(u64, [f32; 3])>>),
     /// A resize committed; this rank is a member of the `to`-rank world
-    /// and carries its post-reshard state `(a, particles, step)`.
+    /// and carries its post-rehome state `(a, particles, step)`.
     Committed {
         to: usize,
         state: (f64, Particles, usize),
@@ -323,15 +327,66 @@ enum EraOutcome {
     Retired { to: usize },
 }
 
-/// How the fence + certification round resolved.
-enum FenceVerdict {
-    Certified,
-    Uncertified { reason: String },
-    /// Ranks declared dead at the fence, `(rank, last epoch)`.
-    FenceBroken(Vec<(usize, u64)>),
-    /// This rank itself was killed at the fence (in-process transports:
-    /// the same thread continues as its own replacement).
-    IDied,
+/// One membership change, as one rank takes part in it. A rank failure
+/// is the same-size change in which the dead ranks rejoin as blank
+/// replacements; a resize is the change over the union of the old and
+/// new worlds.
+#[derive(Clone, Copy)]
+struct Change {
+    kind: ChangeKind,
+    role: FenceRole,
+    /// Completed steps at the fence, which admits step `step + 1`.
+    step: u64,
+    /// Active world size before and after the change.
+    from: usize,
+    to: usize,
+    /// Generation of the world before the change.
+    generation: u64,
+}
+
+impl Change {
+    /// The resize a write-ahead intent record announces.
+    fn resize(m: &WorldMeta, to: usize, role: FenceRole) -> Self {
+        Change {
+            kind: ChangeKind::Resize,
+            role,
+            step: m.step,
+            from: m.active,
+            to,
+            generation: m.generation,
+        }
+    }
+
+    /// The union world a resize runs over; every member — a respawned
+    /// one from the intent record alone — derives the same context.
+    fn union(&self, world: &Comm) -> Comm {
+        world.active_world(self.from.max(self.to), union_tag(self.generation, self.step))
+    }
+
+    /// Generation of the world after the change.
+    fn next_generation(&self) -> u64 {
+        self.generation + u64::from(self.kind == ChangeKind::Resize)
+    }
+
+    /// The durable record of the world before the change.
+    fn old_world(&self) -> WorldMeta {
+        WorldMeta {
+            active: self.from,
+            generation: self.generation,
+            step: self.step,
+            resizing: None,
+        }
+    }
+}
+
+/// How a membership change ended for one rank.
+enum Fenced {
+    /// Certified and locked in: the rank runs on with `(a, particles)`.
+    Runs(f64, Particles),
+    /// The rank's seat went back to the reserve pool.
+    Retired,
+    /// The change backed out: roll back to the newest checkpoint set.
+    Aborted,
 }
 
 /// What every layer of one rank's attempt shares: the fixed inputs and
@@ -363,11 +418,10 @@ struct Attempt<'w> {
 /// launcher (`hacc-mprun`) calls it from each OS process over the socket
 /// transport — same protocol, same code. A respawned process passes
 /// `start_as_replacement = true` and orients itself from the
-/// write-ahead record alone: a dead reserve rank re-parks, a rank that
-/// died at a resize fence joins the collective abort, and an ordinary
-/// mid-era death enters through [`Comm::rejoin_as_replacement`] and is
-/// rebuilt by the tier-0 collective, exactly like the respawned thread
-/// of an in-process machine.
+/// write-ahead record alone: a rank that died at a resize fence enters
+/// that change as its victim, and an ordinary mid-era death enters the
+/// era's recovery as a blank replacement, exactly like the respawned
+/// thread of an in-process machine.
 #[must_use]
 pub fn run_attempt_elastic(
     world: &Comm,
@@ -412,82 +466,73 @@ pub fn run_attempt_elastic(
     let mut inherited_admission = false;
     let mut pending_replacement = start_as_replacement;
 
-    if let Some(m) = meta {
-        if let Some(target) = m.resizing {
-            if pending_replacement && me < m.active {
-                // This rank died at the resize fence (socket transport:
-                // a respawned process re-deriving its role from the
-                // intent record). Acknowledge the death, hold in
-                // `Rebuilding` until every union survivor has exited
-                // the fence sync, then join the survivors' collective
-                // abort: the era entered below opens with the same
-                // `resume_from` collective their tier-1 rollback runs.
-                rejoin_through_fence(world, Some(m));
-                world.mark_recovered(m.step + 1);
-                run.events.push(RecoveryEvent::ScaleAborted {
-                    step: m.step,
-                    from: m.active,
-                    to: target,
-                    reason: format!("rank {me} died at the resize fence"),
-                });
-                run.aborted.insert(m.step);
+    if let Some((m, target)) = meta.and_then(|m| Some((m, m.resizing?))) {
+        if std::mem::take(&mut pending_replacement) {
+            // This process died at the resize fence (socket transport):
+            // it enters the same change as its victim. An old member
+            // then joins the survivors' collective abort — the era
+            // entered below opens with the same `resume_from` their
+            // tier-1 rollback runs — and a newcomer goes back to the pool.
+            let role = if me < m.active { FenceRole::Member } else { FenceRole::Newcomer };
+            let c = Change::resize(&m, target, role);
+            let state = (run.edges[0], Particles::default());
+            let fenced = run.change(&c, &c.union(world), FenceAdmission::Dead, &[], state, &mut None);
+            if let Fenced::Aborted = fenced {
                 // Survivors count this rollback too; keep the tier-2
                 // budget collectively consistent.
                 run.rollbacks = 1;
                 inherited_admission = true;
-                pending_replacement = false;
-            } else if !pending_replacement {
-                // A fresh relaunch found a dangling resize intent: the
-                // whole previous attempt died mid-rendezvous. The
-                // pre-fence checkpoint at the old size is the newest
-                // valid set, so recovery is ordinary relaunch recovery —
-                // just remember not to retry the doomed resize.
-                run.events.push(RecoveryEvent::ScaleAborted {
-                    step: m.step,
-                    from: m.active,
-                    to: target,
-                    reason: "relaunch found resize in flight; rolled back".into(),
-                });
-                run.aborted.insert(m.step);
-                if me == 0 {
-                    WorldMeta {
-                        resizing: None,
-                        ..m
-                    }
-                    .write(&rc.dir)
-                    .expect("world meta: clear dangling resize intent");
+            }
+        } else {
+            // A fresh relaunch found a dangling resize intent: the
+            // whole previous attempt died mid-rendezvous. The pre-fence
+            // checkpoint at the old size is the newest valid set, so
+            // recovery is ordinary relaunch recovery — just remember not
+            // to retry the doomed resize.
+            run.events.push(RecoveryEvent::ScaleAborted {
+                step: m.step,
+                from: m.active,
+                to: target,
+                reason: "relaunch found resize in flight; rolled back".into(),
+            });
+            run.aborted.insert(m.step);
+            if me == 0 {
+                WorldMeta {
+                    resizing: None,
+                    ..m
                 }
+                .write(&rc.dir)
+                .expect("world meta: clear dangling resize intent");
             }
         }
     }
 
     loop {
         if me >= active {
-            if pending_replacement {
-                // A dead reserve (or retired) rank respawned: announce
-                // the rebirth so survivors waiting on it unblock. If it
-                // died as a newcomer at a resize fence (intent record
-                // still live), hold in `Rebuilding` through the
-                // fence-exit handshake first. Either way the seat goes
-                // straight back to the pool from `Rebuilding` — no
-                // `mark_recovered`, which would open a
-                // Healthy-but-unparked window era syncs could trip on.
-                rejoin_through_fence(world, WorldMeta::read(&rc.dir));
-                world.retire();
-                pending_replacement = false;
+            if std::mem::take(&mut pending_replacement) {
+                // A dead rank outside any fence: acknowledge the death
+                // and hand the seat straight back, from `Rebuilding`.
+                let _ = world.rejoin_as_replacement();
+                world.apply(ControlEvent::Parked { rank: me });
             }
             // Reserve pool: block until admitted to a world (or released
             // for good by the end-of-run sentinel).
-            let epoch = world.await_activation();
-            if epoch == u64::MAX {
+            if world.wait(Gate::Activation).epoch == u64::MAX {
                 return (None, run.events);
             }
-            let m = WorldMeta::read(&rc.dir)
-                .expect("activated with no world meta record");
+            let m = WorldMeta::read(&rc.dir).expect("activated with no world meta record");
             if let Some(target) = m.resizing {
-                if let Some((a, parts)) = run.join_resize_as_newcomer(&m, target) {
+                // Woken into an in-flight grow: join its fence empty
+                // and adopt whatever the rehome routes here.
+                let c = Change::resize(&m, target, FenceRole::Newcomer);
+                let ucomm = c.union(world);
+                let (admission, deaths) = ucomm.admit_step(m.step + 1);
+                let state = (run.edges[m.step as usize], Particles::default());
+                if let Fenced::Runs(a, parts) =
+                    run.change(&c, &ucomm, admission, &deaths, state, &mut None)
+                {
                     active = target;
-                    generation = m.generation + 1;
+                    generation = c.next_generation();
                     carry = Some((a, parts, m.step as usize));
                     inherited_admission = true;
                 }
@@ -529,10 +574,13 @@ pub fn run_attempt_elastic(
             EraOutcome::Completed(positions) => {
                 if me == 0 {
                     // Release the reserve pool: every parked rank wakes
-                    // from `await_activation` with the sentinel and
+                    // from its activation wait with the sentinel and
                     // exits. A no-op for ranks that are not parked.
-                    for r in 1..capacity {
-                        world.activate_rank(r, u64::MAX);
+                    for rank in 1..capacity {
+                        world.apply(ControlEvent::Activated {
+                            rank,
+                            epoch: u64::MAX,
+                        });
                     }
                 }
                 return (positions, run.events);
@@ -564,7 +612,7 @@ impl Attempt<'_> {
     /// One era: the online recovery loop over a fixed-size world, ending
     /// at schedule completion or the first committed/retiring resize.
     /// Every step is admitted through the heartbeat epoch barrier, a
-    /// detected death triggers in-run tiered recovery, and (optionally)
+    /// detected death opens a recovery change, and (optionally)
     /// invariant watchdogs vet every new state.
     #[allow(clippy::too_many_arguments)]
     fn run_era(
@@ -580,10 +628,11 @@ impl Attempt<'_> {
         let (cfg, rc) = (self.cfg, self.rc);
         let (mut sim, done) = if pending_replacement {
             // Placeholder until the rejoin learns the real epoch; the
-            // tier-0 path rebuilds it at the right schedule slot.
-            (DistSimulation::blank_replacement(acomm, cfg, self.edges[0]), 0)
+            // recovery rebuilds it at the right schedule slot.
+            let blank = Particles::default();
+            (DistSimulation::from_checkpoint_state(acomm, cfg, self.edges[0], blank), 0)
         } else if let Some((a, parts, k)) = carry {
-            // Post-resize handover: the certified resharded state.
+            // Post-resize handover: the certified rehomed state.
             (
                 DistSimulation::from_checkpoint_state(acomm, cfg, a, parts),
                 k as u64,
@@ -600,152 +649,290 @@ impl Attempt<'_> {
         let mut monitor = rc.invariants.map(InvariantMonitor::new);
         let mut k = done as usize;
         while k < cfg.steps {
-            let admission = if std::mem::take(&mut pending_replacement) {
+            let (admission, mut deaths) = if std::mem::take(&mut pending_replacement) {
                 // A respawned OS process never admits its first step: it
                 // enters exactly like a rank that just found itself
                 // fenced.
-                StepAdmission::Dead
+                (FenceAdmission::Dead, Vec::new())
             } else if std::mem::take(&mut inherited_admission) {
                 // The resize fence (or the rendezvous abort that
                 // consumed it) already admitted this step on every
                 // member; re-admitting would deadlock the epoch barrier.
-                StepAdmission::Proceed(EpochReport {
-                    epoch: (k + 1) as u64,
-                    failed: Vec::new(),
-                })
+                (FenceAdmission::Proceed, Vec::new())
             } else {
                 acomm.admit_step((k + 1) as u64)
             };
-            let (failed_now, replacement) = match admission {
-                StepAdmission::Proceed(report) if report.failed.is_empty() => (Vec::new(), false),
-                StepAdmission::Proceed(report) => (acomm.agree_failed(&report), false),
-                StepAdmission::Dead => {
-                    // This rank was killed silently; the thread (or the
-                    // respawned process) now plays the replacement. Its
-                    // pre-death state is gone as far as the protocol is
-                    // concerned. The epoch it learns is the last step it
-                    // completed, which every survivor also stands at
-                    // (they cannot pass the epoch barrier ahead of the
-                    // death declaration).
+            if admission != FenceAdmission::Proceed {
+                // Tier 0: the same-size change. A dead rank drops its
+                // state and rejoins blank; the epoch it learns is the
+                // last step it completed, which every survivor also
+                // stands at (they cannot pass the epoch barrier ahead of
+                // the death declaration).
+                let state = if admission == FenceAdmission::Dead {
                     k = acomm.rejoin_as_replacement() as usize;
-                    (acomm.dead_set(), true)
-                }
-            };
-            let step = (k + 1) as u64;
-            // Tier 0 on a death, then the step itself, each vetted; a
-            // state that cannot be certified escalates to tier 1.
-            let mut certified = failed_now.is_empty()
-                || self.tier0_recover(acomm, &mut sim, &failed_now, replacement, k, &mut monitor);
-            if certified {
-                // Survivors admitted `step` above, and a replacement
-                // inherits that admission (re-admitting here would
-                // deadlock the barrier).
-                sim.step(self.edges[k + 1]);
-                // Vet the new state before it can reach a checkpoint file.
-                if let Some(why) = breach(&mut monitor, &sim) {
-                    self.events.push(RecoveryEvent::InvariantBreach { step, detail: why });
-                    certified = false;
+                    deaths = protocol::dead_set(&acomm.view());
+                    (self.edges[k], Particles::default())
+                } else {
+                    sim.into_state()
+                };
+                let c = Change {
+                    kind: ChangeKind::Recovery,
+                    role: FenceRole::Member,
+                    step: k as u64,
+                    from: active,
+                    to: active,
+                    generation,
+                };
+                match self.change(&c, acomm, admission, &deaths, state, &mut monitor) {
+                    Fenced::Runs(a, parts) => {
+                        sim = DistSimulation::from_checkpoint_state(acomm, cfg, a, parts);
+                    }
+                    Fenced::Aborted => {
+                        (sim, k) = self.tier1_rollback(acomm, (k + 1) as u64, &mut monitor);
+                        continue;
+                    }
+                    Fenced::Retired => unreachable!("a recovery keeps every seat"),
                 }
             }
-            if !certified {
+            let step = (k + 1) as u64;
+            sim.step(self.edges[k + 1]);
+            // Vet the new state before it can reach a checkpoint file.
+            if let Some(why) = breach(&mut monitor, &sim) {
+                self.events.push(RecoveryEvent::InvariantBreach { step, detail: why });
                 (sim, k) = self.tier1_rollback(acomm, step, &mut monitor);
                 continue;
             }
             k += 1;
             if step.is_multiple_of(rc.checkpoint_every) || step == cfg.steps as u64 {
-                if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
-                    panic!("checkpoint write failed at step {step}: {e}");
-                }
-                self.maybe_gc(acomm);
+                self.checkpoint(&sim, step, None);
             }
             // Elastic fence: a scheduled resize lands after the step
             // just completed — unless that exact resize already aborted.
             let target = self.schedule.target_after(k as u64).filter(|&target| {
                 target != active && k < cfg.steps && !self.aborted.contains(&(k as u64))
             });
-            if let Some(target) = target {
-                match self.resize_rendezvous(acomm, sim, active, generation, target, k, &mut monitor)
-                {
-                    Ok(era_over) => return era_over,
-                    // Aborted: the old era goes on from the rollback,
-                    // its next step already admitted by the fence.
-                    Err(rolled_back) => {
-                        (sim, k) = rolled_back;
-                        inherited_admission = true;
+            let Some(target) = target else { continue };
+            // The resize rendezvous. Price the plan from measured cost:
+            // each rank contributes its own last step's wall time;
+            // elementwise max assembles the full vector identically
+            // everywhere, so the plan is collectively consistent.
+            let mut costs = vec![0.0_f64; active];
+            costs[acomm.rank()] = sim.stats.steps.last().map_or(0.0, |b| b.total().as_secs_f64());
+            let costs = acomm.allreduce(costs, |a, b| a.max(*b));
+            let plan = ScalePlan::decide(step, active, target, &costs, self.expected);
+            self.events.push(RecoveryEvent::ScalePlanned {
+                step,
+                from: active,
+                to: target,
+                break_even: plan.break_even,
+                rationale: plan.rationale,
+            });
+            // The abort target: a checkpoint of the old world taken right
+            // here, before anything irreversible happens, so a broken
+            // fence always has a complete old-size set at `step`.
+            self.checkpoint(&sim, step, None);
+            self.events.push(RecoveryEvent::ProactiveCheckpoint { step });
+            // Declare intent durably, *then* admit the reserve ranks
+            // (grow): a newcomer woken from its activation wait must
+            // always find the intent record that explains why it was
+            // woken.
+            let intent = WorldMeta { active, generation, step, resizing: Some(target) };
+            let c = Change::resize(&intent, target, FenceRole::Member);
+            if acomm.rank() == 0 {
+                intent.write(&rc.dir).expect("world meta: resize intent");
+                for rank in active..target {
+                    self.world.apply(ControlEvent::Activated { rank, epoch: step });
+                }
+            }
+            let ucomm = c.union(self.world);
+            let (admission, deaths) = ucomm.admit_step(step + 1);
+            match self.change(&c, &ucomm, admission, &deaths, sim.into_state(), &mut None) {
+                Fenced::Runs(a, parts) => {
+                    return EraOutcome::Committed { to: target, state: (a, parts, k) };
+                }
+                Fenced::Retired => return EraOutcome::Retired { to: target },
+                Fenced::Aborted => {
+                    // Roll the *old* world back together to the pre-fence
+                    // set (the change marked the resize never to be
+                    // retried); the next step is already admitted by the
+                    // fence.
+                    (sim, k) = self.tier1_rollback(acomm, step + 1, &mut monitor);
+                    if acomm.rank() == 0 {
+                        c.old_world().write(&rc.dir).expect("world meta: resize abort");
                     }
+                    inherited_admission = true;
                 }
             }
         }
         EraOutcome::Completed(sim.gather_positions())
     }
 
-    /// Tier 0: rebuild the domains of `failed_now` from overload shells
-    /// and certify the result — full particle count, invariants within
-    /// their gates — then lock it in with a proactive checkpoint.
-    /// `false` sends the caller to tier 1. The count compares
-    /// identically on every rank (allreduce), so the tier decision is
-    /// collective-safe; a *second* failure striking mid-recovery
-    /// surfaces as an error on every participant (the collective cannot
-    /// complete for anyone), so escalating stays collective-safe too.
-    fn tier0_recover<'a>(
+    /// One membership change through the fence machine
+    /// ([`protocol::fence_next`]): admitted fence → rehome → certify →
+    /// lock in, or back out. Recoveries and resizes, survivors, fence
+    /// victims and newcomers all take this one path. `comm` is the world
+    /// the change runs over (a recovery's active world, a resize's union
+    /// world), `deaths` the dead set this rank learned at the fence, and
+    /// `state` its `(a, particles)` going in — blank for a replacement
+    /// or a newcomer.
+    ///
+    /// Every branch is taken collectively: the inputs are the agreed
+    /// dead set and one allreduced count, and a second failure striking
+    /// mid-change surfaces as an error on every participant.
+    fn change(
         &mut self,
-        acomm: &'a Comm,
-        sim: &mut DistSimulation<'a>,
-        failed_now: &[(usize, u64)],
-        replacement: bool,
-        k: usize,
+        c: &Change,
+        comm: &Comm,
+        admission: FenceAdmission,
+        deaths: &[(usize, u64)],
+        (a, mut parts): (f64, Particles),
         monitor: &mut Option<InvariantMonitor>,
-    ) -> bool {
-        let step = (k + 1) as u64;
-        let events = &mut self.events;
-        events.extend(failed_now.iter().map(|&(rank, epoch)| {
-            RecoveryEvent::RankFailureDetected { step, rank, epoch }
+    ) -> Fenced {
+        let (world, cfg, me, step) = (self.world, self.cfg, self.world.rank(), c.step);
+        let next = |at| protocol::fence_next(c.kind, c.role, at, &Mutations::NONE);
+        self.events.extend(deaths.iter().map(|&(rank, epoch)| {
+            RecoveryEvent::RankFailureDetected { step: step + 1, rank, epoch }
         }));
-        let ranks: Vec<usize> = failed_now.iter().map(|&(r, _)| r).collect();
-        if replacement {
-            *sim = DistSimulation::blank_replacement(acomm, self.cfg, self.edges[k]);
-        } else {
-            acomm.await_rebirth(&ranks);
-        }
-        let reconstructed = sim.try_reconstruct_ranks(&ranks);
-        if replacement {
-            acomm.mark_recovered(step);
-        }
-        let count = match reconstructed {
-            Ok(count) => count,
-            Err(e) => {
-                events.push(RecoveryEvent::Tier0Disrupted {
-                    step,
-                    detail: e.to_string(),
-                });
-                return false;
+        let dead: Vec<usize> = deaths.iter().map(|&(r, _)| r).collect();
+        if admission == FenceAdmission::Deaths {
+            // Wait out each death's acknowledgement, closing the window
+            // in which a receive could misread the incoming replacement
+            // as still dead. At a broken resize fence the survivor then
+            // acks each victim's hold (now reaching a registered
+            // replacement over sockets, not a still-`Failed` peer).
+            let _ = comm.wait(Gate::Rebirth(&dead));
+            if c.kind == ChangeKind::Resize {
+                for &r in &dead {
+                    comm.send(r, FENCE_ACK_TAG, vec![1u64]);
+                }
             }
+        }
+        let home = (me < c.to).then(|| world.active_world(c.to, c.next_generation()));
+        let mut sim = None;
+        let mut total = f64::NAN;
+        let action = match next(FencePoint::Admitted(admission)) {
+            FenceAction::HoldForAcks => {
+                hold_for_acks(comm);
+                next(FencePoint::Held)
+            }
+            FenceAction::Rehome => {
+                if c.kind == ChangeKind::Resize {
+                    // Only the uniquely owned actives move.
+                    parts.drop_passives();
+                }
+                let decomp = DistSimulation::decomposition(&cfg, c.to);
+                let rehomed = try_rehome(comm, &decomp, &mut parts);
+                // Certification: one allreduce combines the global count
+                // with every member's local verdict — a failed rehome or
+                // a non-finite particle poisons the sum with NaN, which
+                // can never equal `expected`.
+                let finite = (0..parts.n_active).all(|i| {
+                    let p = parts.pack(i);
+                    [p.x, p.y, p.z, p.vx, p.vy, p.vz].iter().all(|v| v.is_finite())
+                });
+                let mine = if rehomed.is_ok() && finite { parts.n_active as f64 } else { f64::NAN };
+                total = comm.allreduce_sum(mine);
+                let mut certified = total == self.expected as f64;
+                let parts = std::mem::take(&mut parts);
+                sim = home.as_ref().map(|h| DistSimulation::from_checkpoint_state(h, cfg, a, parts));
+                if c.kind == ChangeKind::Recovery {
+                    let step = step + 1;
+                    self.events.push(match rehomed {
+                        Err(e) => RecoveryEvent::Tier0Disrupted { step, detail: e.to_string() },
+                        Ok(()) if !certified => RecoveryEvent::Tier0Incomplete {
+                            step,
+                            expected: self.expected,
+                            got: total as usize,
+                        },
+                        Ok(()) => RecoveryEvent::Tier0Reconstructed {
+                            step,
+                            ranks: dead.clone(),
+                            count: self.expected,
+                        },
+                    });
+                    // Vet the rebuild against the pre-failure baseline:
+                    // replicas track their lost originals only to
+                    // force-noise, but anything beyond the drift gate
+                    // means the rebuild is not the state that died.
+                    let why = certified.then(|| breach(monitor, sim.as_ref()?)).flatten();
+                    if let Some(detail) = why {
+                        self.events.push(RecoveryEvent::InvariantBreach { step, detail });
+                        certified = false;
+                    }
+                }
+                next(FencePoint::Counted { certified })
+            }
+            action => action,
         };
-        if count != self.expected {
-            events.push(RecoveryEvent::Tier0Incomplete {
-                step,
-                expected: self.expected,
-                got: count,
-            });
-            return false;
+        if admission == FenceAdmission::Dead && action != FenceAction::Retire {
+            // The victim rejoins the healthy world only now: its rehome
+            // collective, or its drained acks, prove every survivor's
+            // fence sync has returned.
+            world.apply(ControlEvent::Recovered { rank: me, epoch: step + 1 });
         }
-        events.push(RecoveryEvent::Tier0Reconstructed { step, ranks, count });
-        // Vet the reconstruction against the pre-failure baseline:
-        // replicas track their lost originals only to force-noise, but
-        // anything beyond the drift gate means the rebuild is not the
-        // state that died.
-        if let Some(why) = breach(monitor, sim) {
-            events.push(RecoveryEvent::InvariantBreach { step, detail: why });
-            return false;
+        match action {
+            FenceAction::Commit => {
+                if c.kind == ChangeKind::Resize {
+                    self.events.push(RecoveryEvent::ScaleCommitted {
+                        step,
+                        from: c.from,
+                        to: c.to,
+                        count: self.expected,
+                        generation: c.next_generation(),
+                    });
+                }
+                let Some(sim) = sim else {
+                    // Shrink: this rank's particles are certified
+                    // elsewhere; hand the seat back to the reserve pool.
+                    world.apply(ControlEvent::Parked { rank: me });
+                    return Fenced::Retired;
+                };
+                // Lock in: the changed world's checkpoint set at the
+                // fence step, then — a resize — its commit record. A
+                // crash between the two relaunches into the old size,
+                // whose set also exists.
+                let commit = (c.kind == ChangeKind::Resize).then(|| WorldMeta {
+                    active: c.to,
+                    generation: c.next_generation(),
+                    ..c.old_world()
+                });
+                self.checkpoint(&sim, step, commit);
+                if c.kind == ChangeKind::Recovery {
+                    self.events.push(RecoveryEvent::ProactiveCheckpoint { step });
+                }
+                let (a, parts) = sim.into_state();
+                Fenced::Runs(a, parts)
+            }
+            FenceAction::Abort | FenceAction::Retire => {
+                if c.kind == ChangeKind::Resize {
+                    let reason = if admission == FenceAdmission::Dead {
+                        format!("rank {me} died at the resize fence")
+                    } else if !dead.is_empty() {
+                        format!("fence broken by death of rank(s) {dead:?}")
+                    } else {
+                        format!(
+                            "certification failed: global count {total} != expected {}",
+                            self.expected
+                        )
+                    };
+                    self.events.push(RecoveryEvent::ScaleAborted {
+                        step,
+                        from: c.from,
+                        to: c.to,
+                        reason,
+                    });
+                    self.aborted.insert(step);
+                }
+                if action == FenceAction::Abort {
+                    return Fenced::Aborted;
+                }
+                world.apply(ControlEvent::Parked { rank: me });
+                Fenced::Retired
+            }
+            FenceAction::Rehome | FenceAction::HoldForAcks => {
+                unreachable!("the fence machine moves past its first answer")
+            }
         }
-        // Lock the recovered state in before stepping on: a second
-        // failure must not compound with this one.
-        match sim.checkpoint_to(&self.rc.dir, k as u64) {
-            Ok(_) => events.push(RecoveryEvent::ProactiveCheckpoint { step: k as u64 }),
-            Err(e) => panic!("proactive checkpoint failed at step {k}: {e}"),
-        }
-        self.maybe_gc(acomm);
-        true
     }
 
     /// Tier 1: collectively restore the newest checkpoint set every rank
@@ -786,387 +973,72 @@ impl Attempt<'_> {
         }
     }
 
-    /// Trim old checkpoint sets after a write (collective when enabled).
-    /// The barrier makes every rank's just-written file visible before
-    /// rank 0 collects, so the newest set always counts as complete and
-    /// the trim is deterministic; without it, rank 0 could scan while
-    /// peers are still writing and conservatively spare an extra old
-    /// set. Old sets themselves are dead weight, not write targets, so
-    /// rank 0 deletes them without further synchronization.
-    fn maybe_gc(&self, acomm: &Comm) {
-        let Some(keep) = self.rc.retain else {
-            return;
-        };
-        acomm.barrier();
-        if acomm.rank() == 0 {
-            let _removed = gc_checkpoints(&self.rc.dir, acomm.size(), keep);
+    /// Write this rank's file of the `step` checkpoint set; once every
+    /// member's is in, rank 0 journals `commit` (a resize's new world)
+    /// and trims old sets. The barrier makes every file visible before
+    /// rank 0 scans, so the newest set always counts as complete and
+    /// the trim is deterministic; old sets are dead weight, not write
+    /// targets, so rank 0 deletes them without further synchronization.
+    /// A commit record is durable before any member leaves, so no death
+    /// can route a respawn through a stale record.
+    fn checkpoint(&self, sim: &DistSimulation<'_>, step: u64, commit: Option<WorldMeta>) {
+        if let Err(e) = sim.checkpoint_to(&self.rc.dir, step) {
+            panic!("checkpoint write failed at step {step}: {e}");
         }
-    }
-
-    /// The resize rendezvous: price, intend, fence, reshard, certify,
-    /// commit — or abort: fence broken or certification failed, the old
-    /// world rolled back to the checkpoint written on the way in, and
-    /// `Err((restored, resume step))` hands it back to the old era.
-    // The restored simulation is moved straight back into the era loop,
-    // so boxing the `Err` would be pure overhead.
-    #[allow(clippy::too_many_arguments, clippy::result_large_err)]
-    fn resize_rendezvous<'a>(
-        &mut self,
-        acomm: &'a Comm,
-        sim: DistSimulation<'a>,
-        active: usize,
-        generation: u64,
-        target: usize,
-        k: usize,
-        monitor: &mut Option<InvariantMonitor>,
-    ) -> Result<EraOutcome, (DistSimulation<'a>, usize)> {
-        let (world, cfg, rc) = (self.world, self.cfg, self.rc);
-        let step = k as u64;
-        // Price the plan from measured cost: each rank contributes its
-        // own last step's wall time; elementwise max assembles the full
-        // vector identically everywhere, so the plan is collectively
-        // consistent.
-        let mut costs = vec![0.0_f64; active];
-        costs[acomm.rank()] = sim
-            .stats
-            .steps
-            .last()
-            .map_or(0.0, |b| b.total().as_secs_f64());
-        let costs = acomm.allreduce(costs, |a, b| a.max(*b));
-        let plan = ScalePlan::decide(step, active, target, &costs, self.expected);
-        self.events.push(RecoveryEvent::ScalePlanned {
-            step,
-            from: active,
-            to: target,
-            break_even: plan.break_even,
-            rationale: plan.rationale,
-        });
-
-        // The abort target: a checkpoint of the old world taken right
-        // here. Every member writes it before anything irreversible
-        // happens, so a broken fence always has a complete old-size set
-        // at `step`.
-        if let Err(e) = sim.checkpoint_to(&rc.dir, step) {
-            panic!("pre-resize checkpoint failed at step {step}: {e}");
-        }
-        self.events.push(RecoveryEvent::ProactiveCheckpoint { step });
-
-        // Declare intent durably, *then* admit the reserve ranks (grow):
-        // a newcomer waking from `await_activation` must always find the
-        // intent record that explains why it was woken.
-        let old_world = WorldMeta {
-            active,
-            generation,
-            step,
-            resizing: None,
-        };
-        if acomm.rank() == 0 {
-            WorldMeta {
-                resizing: Some(target),
-                ..old_world
+        let comm = sim.comm();
+        comm.barrier();
+        if comm.rank() == 0 {
+            if let Some(meta) = commit {
+                meta.write(&self.rc.dir).expect("world meta: resize commit");
             }
-            .write(&rc.dir)
-            .expect("world meta: resize intent");
-            for r in active..target {
-                world.activate_rank(r, step);
+            if let Some(keep) = self.rc.retain {
+                let _removed = gc_checkpoints(&self.rc.dir, comm.size(), keep);
             }
         }
-
-        let (a, mut parts) = sim.into_state();
-        let (reason, deaths) = match self.fence_and_certify(active, generation, target, k, &mut parts)
-        {
-            FenceVerdict::Certified => {
-                self.events.push(RecoveryEvent::ScaleCommitted {
-                    step,
-                    from: active,
-                    to: target,
-                    count: self.expected,
-                    generation: generation + 1,
-                });
-                if world.rank() >= target {
-                    // Shrink: this rank's particles are certified
-                    // elsewhere; hand the seat back to the reserve pool.
-                    world.retire();
-                    return Ok(EraOutcome::Retired { to: target });
-                }
-                let new_acomm = world.active_world(target, generation + 1);
-                let sim2 = DistSimulation::from_checkpoint_state(&new_acomm, cfg, a, parts);
-                // The new world writes its own checkpoint set at the
-                // same step before the commit record: a crash between
-                // the two relaunches into the *old* size, whose set also
-                // exists.
-                if let Err(e) = sim2.checkpoint_to(&rc.dir, step) {
-                    panic!("post-resize checkpoint failed at step {step}: {e}");
-                }
-                new_acomm.barrier();
-                if new_acomm.rank() == 0 {
-                    WorldMeta {
-                        active: target,
-                        generation: generation + 1,
-                        ..old_world
-                    }
-                    .write(&rc.dir)
-                    .expect("world meta: resize commit");
-                }
-                // The commit record must be durable before any member
-                // can reach a step where a death would route a respawn
-                // through a stale record.
-                new_acomm.barrier();
-                let (a2, parts2) = sim2.into_state();
-                return Ok(EraOutcome::Committed {
-                    to: target,
-                    state: (a2, parts2, k),
-                });
-            }
-            FenceVerdict::Uncertified { reason } => (reason, Vec::new()),
-            FenceVerdict::FenceBroken(failed) => {
-                // The fence-exit ack (sent inside `fence_and_certify`
-                // after `await_rebirth` on the union world) already
-                // closed the respawn window for every death — old member
-                // or newcomer. A respawned old rank joins the rollback
-                // below (its entry path reads the intent record and
-                // routes here); a respawned newcomer re-parks.
-                let ranks: Vec<usize> = failed.iter().map(|&(r, _)| r).collect();
-                (format!("fence broken by death of rank(s) {ranks:?}"), failed)
-            }
-            FenceVerdict::IDied => {
-                // Killed at the fence (in-process transport): this
-                // thread continues as its own replacement.
-                // `fence_and_certify` already rejoined and drained the
-                // fence-exit acks, so every survivor's fence sync has
-                // provably returned — recovering here can no longer
-                // split the verdict. The pre-fence checkpoint is on
-                // disk, so tier 1 needs no tier-0 reconstruction.
-                acomm.mark_recovered(step + 1);
-                (
-                    format!("rank {} died at the resize fence", world.rank()),
-                    Vec::new(),
-                )
-            }
-        };
-        // Abort: roll the *old* world back together to the pre-fence
-        // set, and never retry this resize.
-        self.events.push(RecoveryEvent::ScaleAborted {
-            step,
-            from: active,
-            to: target,
-            reason,
-        });
-        self.events.extend(deaths.iter().map(|&(rank, epoch)| {
-            RecoveryEvent::RankFailureDetected {
-                step: step + 1,
-                rank,
-                epoch,
-            }
-        }));
-        self.aborted.insert(step);
-        let rolled_back = self.tier1_rollback(acomm, step + 1, monitor);
-        if acomm.rank() == 0 {
-            old_world.write(&rc.dir).expect("world meta: resize abort");
-        }
-        Err(rolled_back)
-    }
-
-    /// The shared middle of the rendezvous, identical for veterans and
-    /// newcomers: reshard over the union world, fence through the epoch
-    /// barrier, certify by global count.
-    fn fence_and_certify(
-        &self,
-        old_active: usize,
-        generation: u64,
-        target: usize,
-        k: usize,
-        parts: &mut Particles,
-    ) -> FenceVerdict {
-        let step = k as u64;
-        let union = old_active.max(target);
-        let ucomm = self.world.active_world(union, union_tag(generation, step));
-        let new_decomp = DistSimulation::decomposition(&self.cfg, target);
-        // Ownership routing to the new decomposition. On error the local
-        // set is untouched; the verdict travels through certification,
-        // so the outcome stays collective.
-        let reshard_ok = try_reshard(&ucomm, &new_decomp, parts).is_ok();
-        // The fence: the same admission machinery failures use. A death
-        // lands as a detector verdict on every survivor, never a hang.
-        match ucomm.admit_step(step + 1) {
-            StepAdmission::Dead => {
-                // Killed at the fence (in-process transport: this thread
-                // continues as its own replacement). Acknowledge the
-                // death (`Failed -> Rebuilding`) but HOLD there until
-                // every union survivor has exited the fence sync.
-                // Recovering earlier would erase this failure from a
-                // late waker's report and split the fence verdict: part
-                // of the union certifies and part aborts, and the halves
-                // wedge in collectives the other never enters. The
-                // caller runs `mark_recovered` only after this returns.
-                let _fence_epoch = ucomm.rejoin_as_replacement();
-                fence_victim_sync(&ucomm);
-                return FenceVerdict::IDied;
-            }
-            StepAdmission::Proceed(report) if report.failed.is_empty() => {}
-            StepAdmission::Proceed(report) => {
-                let agreed = ucomm.agree_failed(&report);
-                let ranks: Vec<usize> = agreed.iter().map(|&(r, _)| r).collect();
-                // Fence-exit acks: each dead rank stays `Rebuilding` —
-                // still reported as failed by any in-flight sync — until
-                // every survivor has captured this verdict and said so.
-                // `await_rebirth` first, so over the socket transport
-                // the ack reaches a registered replacement instead of
-                // being dropped at a still-`Failed` peer.
-                ucomm.await_rebirth(&ranks);
-                for &r in &ranks {
-                    ucomm.send(r, FENCE_ACK_TAG, vec![1u64]);
-                }
-                return FenceVerdict::FenceBroken(agreed);
-            }
-        }
-        // Certification: one allreduce combines the global count with
-        // every member's local verdict — a failed reshard or a
-        // non-finite particle poisons the sum with NaN, which can never
-        // equal `expected` — so all members take the same branch with no
-        // extra round.
-        let finite = (0..parts.n_active).all(|i| {
-            let p = parts.pack(i);
-            [p.x, p.y, p.z, p.vx, p.vy, p.vz].iter().all(|v| v.is_finite())
-        });
-        let contrib = if reshard_ok && finite {
-            parts.n_active as f64
-        } else {
-            f64::NAN
-        };
-        let total = ucomm.allreduce_sum(contrib);
-        if total == self.expected as f64 {
-            FenceVerdict::Certified
-        } else {
-            FenceVerdict::Uncertified {
-                reason: format!(
-                    "certification failed: global count {total} != expected {}",
-                    self.expected
-                ),
-            }
-        }
-    }
-
-    /// A reserve rank woken into an in-flight grow: join the shared
-    /// reshard/fence/certify with an empty particle set and adopt
-    /// whatever ownership routing assigns. `Some((a, particles))` makes
-    /// this rank a member of the committed world; `None` means the
-    /// resize aborted (or this rank died at the fence) and it is back
-    /// in the reserve pool.
-    fn join_resize_as_newcomer(&mut self, m: &WorldMeta, target: usize) -> Option<(f64, Particles)> {
-        let (world, rc) = (self.world, self.rc);
-        let k = m.step as usize;
-        let mut parts = Particles::default();
-        match self.fence_and_certify(m.active, m.generation, target, k, &mut parts) {
-            FenceVerdict::Certified => {
-                self.events.push(RecoveryEvent::ScaleCommitted {
-                    step: m.step,
-                    from: m.active,
-                    to: target,
-                    count: self.expected,
-                    generation: m.generation + 1,
-                });
-                let new_acomm = world.active_world(target, m.generation + 1);
-                let sim =
-                    DistSimulation::from_checkpoint_state(&new_acomm, self.cfg, self.edges[k], parts);
-                if let Err(e) = sim.checkpoint_to(&rc.dir, m.step) {
-                    panic!("post-resize checkpoint failed at step {}: {e}", m.step);
-                }
-                // Mirror the veterans' barrier pair around rank 0's
-                // commit record write.
-                new_acomm.barrier();
-                new_acomm.barrier();
-                Some(sim.into_state())
-            }
-            FenceVerdict::IDied => {
-                // Killed at the very fence that admitted us (in-process
-                // transport): `fence_and_certify` already rejoined and
-                // drained the fence-exit acks. Park straight from
-                // `Rebuilding` (`park` is unconditional) — passing
-                // through `mark_recovered` would open a
-                // Healthy-but-unparked window the old world's era syncs
-                // could trip over.
-                world.retire();
-                None
-            }
-            FenceVerdict::FenceBroken(_) | FenceVerdict::Uncertified { .. } => {
-                // The grow is rolled back by the old world; this rank
-                // was never part of a certified decomposition, so it
-                // simply hands its seat back. No rebirth wait: the next
-                // thing it does is park, not talk to the dead.
-                self.events.push(RecoveryEvent::ScaleAborted {
-                    step: m.step,
-                    from: m.active,
-                    to: target,
-                    reason: "grow aborted before certification; newcomer re-parked".into(),
-                });
-                world.retire();
-                None
-            }
+        if commit.is_some() {
+            comm.barrier();
         }
     }
 }
 
-/// A respawned process's re-entry: acknowledge the death, and — if the
-/// write-ahead record shows a resize in flight whose union world
-/// includes this rank — hold in `Rebuilding` through the fence-exit
-/// handshake (the union communicator re-derives identically from the
-/// record's fields).
-fn rejoin_through_fence(world: &Comm, meta: Option<WorldMeta>) {
-    let _last_epoch = world.rejoin_as_replacement();
-    let Some((m, target)) = meta.and_then(|m| Some((m, m.resizing?))) else {
-        return;
-    };
-    let union = m.active.max(target);
-    if world.rank() < union {
-        fence_victim_sync(&world.active_world(union, union_tag(m.generation, m.step)));
-    }
-}
-
-/// The victim's half of the fence-exit handshake: after acknowledging
-/// its own death (`rejoin_as_replacement`, status now `Rebuilding`),
-/// a fence victim drains one ack frame from every union survivor
-/// before its caller may `mark_recovered` or `retire`. The acks prove
+/// The fence victim's hold: acknowledge its own death (`Failed →
+/// Rebuilding`), then drain one ack frame from every union survivor
+/// before the fence machine lets it recover or retire. The acks prove
 /// every survivor's fence sync has returned, so recovering cannot
-/// retroactively blank this failure out of a late waker's report.
+/// retroactively blank this failure out of a late waker's report and
+/// split the fence verdict.
 ///
 /// Fellow victims at the same fence owe no ack — their replacements
-/// run this same handshake on their own schedule — so the drain
-/// tolerates `RankFailed` and skips ranks already in the dead set.
-/// The victim also sends its own acks (after `await_rebirth`, so a
-/// socket send reaches a registered replacement): survivors discard
-/// the stray frame, fellow victims drain it. One residual window
-/// remains over sockets when two processes die at the same fence and
-/// one is not yet declared when the other's replacement sends — the
-/// frame is dropped with the dead link. Single-victim fences (what
-/// the chaos harness injects) have no such window.
-fn fence_victim_sync(ucomm: &Comm) {
+/// run this same hold on their own schedule — so the drain tolerates
+/// `RankFailed` and skips ranks already in the dead set. The victim
+/// also sends its own acks (after the rebirth wait, so a socket send
+/// reaches a registered replacement): survivors discard the stray
+/// frame, fellow victims drain it. One residual window remains over
+/// sockets when two processes die at the same fence and one is not yet
+/// declared when the other's replacement sends — the frame is dropped
+/// with the dead link. Single-victim fences (what the chaos harness
+/// injects) have no such window.
+fn hold_for_acks(ucomm: &Comm) {
+    let _last_epoch = ucomm.rejoin_as_replacement();
     let me = ucomm.rank();
     // Union worlds are prefix communicators: comm-local rank == global
     // rank, so the world-level dead set indexes `ucomm` directly.
-    let dead: Vec<usize> = ucomm
-        .dead_set()
+    let dead: Vec<usize> = protocol::dead_set(&ucomm.view())
         .iter()
         .map(|&(r, _)| r)
         .filter(|&r| r != me && r < ucomm.size())
         .collect();
     if !dead.is_empty() {
-        ucomm.await_rebirth(&dead);
+        let _ = ucomm.wait(Gate::Rebirth(&dead));
     }
-    for s in 0..ucomm.size() {
-        if s != me {
-            ucomm.send(s, FENCE_ACK_TAG, vec![1u64]);
-        }
+    for s in (0..ucomm.size()).filter(|&s| s != me) {
+        ucomm.send(s, FENCE_ACK_TAG, vec![1u64]);
     }
-    for s in 0..ucomm.size() {
-        if s == me || dead.contains(&s) {
-            continue;
-        }
+    for s in (0..ucomm.size()).filter(|&s| s != me && !dead.contains(&s)) {
         match ucomm.recv_result::<u64>(s, FENCE_ACK_TAG) {
-            Ok(_) => {}
             // Died at the same fence after our dead-set snapshot; its
             // replacement acks on its own schedule and owes us nothing.
-            Err(CommError::RankFailed { .. }) => {}
+            Ok(_) | Err(CommError::RankFailed { .. }) => {}
             Err(e) => panic!("fence ack from rank {s}: {e}"),
         }
     }

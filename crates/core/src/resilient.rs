@@ -8,11 +8,12 @@
 //! * **Tier 0 — online reconstruction.** A heartbeat monitor
 //!   ([`ResilienceConfig::heartbeat`]) is always attached, so a silently
 //!   killed rank is *detected* at the next epoch boundary instead of
-//!   hanging the machine. Survivors rebuild the lost domain from their particle
-//!   overload shells ([`DistSimulation::reconstruct_ranks`]) while the
-//!   fenced rank rejoins as a blank replacement — no rollback, no
-//!   checkpoint I/O, computation continues from the very step that
-//!   observed the death.
+//!   hanging the machine. Survivors rebuild the lost domain from their
+//!   particle overload shells while the fenced rank rejoins as a blank
+//!   replacement — the same-size membership change of [`crate::elastic`],
+//!   certified by count and locked in by a checkpoint — and computation
+//!   continues from the very step that observed the death, without a
+//!   rollback.
 //! * **Tier 1 — checkpoint rollback.** When Tier 0 cannot certify the
 //!   recovered state — the global count shows particles sat deeper than
 //!   the overload shell (or drifted out of it), or a physics invariant
@@ -267,201 +268,154 @@ pub enum RecoveryEvent {
     },
 }
 
-impl fmt::Display for RecoveryEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryEvent::AttemptStarted {
-                attempt,
-                resume_step: None,
-            } => write!(f, "attempt {attempt}: cold start"),
-            RecoveryEvent::AttemptStarted {
-                attempt,
-                resume_step: Some(s),
-            } => write!(f, "attempt {attempt}: restored from checkpoint at step {s}"),
-            RecoveryEvent::Failure {
-                attempt,
-                rank,
-                message,
-            } => write!(f, "attempt {attempt}: rank {rank} failed: {message}"),
-            RecoveryEvent::BackedOff { attempt, pause } => {
-                write!(f, "backing off {pause:?} before attempt {attempt}")
-            }
-            RecoveryEvent::Completed {
-                attempt,
-                final_step,
-            } => write!(f, "attempt {attempt}: completed step {final_step}"),
-            RecoveryEvent::RankFailureDetected { step, rank, epoch } => write!(
-                f,
-                "step {step}: rank {rank} declared dead (last completed epoch {epoch})"
-            ),
-            RecoveryEvent::Tier0Reconstructed { step, ranks, count } => write!(
-                f,
-                "step {step}: tier-0 rebuilt rank(s) {ranks:?} from overload shells \
-                 ({count} particles accounted for)"
-            ),
-            RecoveryEvent::Tier0Incomplete {
-                step,
-                expected,
-                got,
-            } => write!(
-                f,
-                "step {step}: tier-0 incomplete ({got} of {expected} particles recovered)"
-            ),
-            RecoveryEvent::Tier0Disrupted { step, detail } => write!(
-                f,
-                "step {step}: tier-0 recovery disrupted mid-collective: {detail}"
-            ),
-            RecoveryEvent::Tier1Rollback { step, resume_step } => write!(
-                f,
-                "step {step}: tier-1 rollback to checkpoint at step {resume_step}"
-            ),
-            RecoveryEvent::Tier2Abort { attempt, reason } => {
-                write!(f, "attempt {attempt}: tier-2 abort: {reason}")
-            }
-            RecoveryEvent::InvariantBreach { step, detail } => {
-                write!(f, "step {step}: {detail}")
-            }
-            RecoveryEvent::ProactiveCheckpoint { step } => {
-                write!(f, "proactive checkpoint at step {step}")
-            }
-            RecoveryEvent::ScalePlanned {
-                step,
-                from,
-                to,
-                break_even,
-                rationale,
-            } => match break_even {
-                Some(b) => write!(
-                    f,
-                    "step {step}: planned resize {from}→{to} ranks \
-                     (breaks even after {b} steps): {rationale}"
-                ),
-                None => write!(
-                    f,
-                    "step {step}: planned resize {from}→{to} ranks (mandated): {rationale}"
-                ),
-            },
-            RecoveryEvent::ScaleCommitted {
-                step,
-                from,
-                to,
-                count,
-                generation,
-            } => write!(
-                f,
-                "step {step}: resize {from}→{to} ranks committed \
-                 ({count} particles certified, generation {generation})"
-            ),
-            RecoveryEvent::ScaleAborted {
-                step,
-                from,
-                to,
-                reason,
-            } => write!(
-                f,
-                "step {step}: resize {from}→{to} ranks aborted, \
-                 rolled back to {from}-rank world: {reason}"
-            ),
-        }
-    }
+/// One JSON field value of a [`RecoveryEvent`].
+enum Val<'a> {
+    Num(u64),
+    Null,
+    Ranks(&'a [usize]),
+    Text(&'a str),
 }
 
 impl RecoveryEvent {
+    /// The one table behind both renderings: per variant, the JSON
+    /// event name, the human line, and the JSON fields in order.
+    fn row(&self) -> (&'static str, String, Vec<(&'static str, Val<'_>)>) {
+        use RecoveryEvent as E;
+        use Val::{Num, Ranks, Text};
+        let n = |v: usize| Num(v as u64);
+        let opt = |v: &Option<u64>| v.map_or(Val::Null, Num);
+        match self {
+            E::AttemptStarted { attempt, resume_step } => (
+                "attempt_started",
+                match resume_step {
+                    None => format!("attempt {attempt}: cold start"),
+                    Some(s) => format!("attempt {attempt}: restored from checkpoint at step {s}"),
+                },
+                vec![("attempt", Num((*attempt).into())), ("resume_step", opt(resume_step))],
+            ),
+            E::Failure { attempt, rank, message } => (
+                "attempt_failed",
+                format!("attempt {attempt}: rank {rank} failed: {message}"),
+                vec![("attempt", Num((*attempt).into())), ("rank", n(*rank)), ("message", Text(message))],
+            ),
+            E::BackedOff { attempt, pause } => (
+                "backed_off",
+                format!("backing off {pause:?} before attempt {attempt}"),
+                vec![("attempt", Num((*attempt).into())), ("pause_ms", Num(pause.as_millis() as u64))],
+            ),
+            E::Completed { attempt, final_step } => (
+                "completed",
+                format!("attempt {attempt}: completed step {final_step}"),
+                vec![("attempt", Num((*attempt).into())), ("final_step", Num(*final_step))],
+            ),
+            E::RankFailureDetected { step, rank, epoch } => (
+                "rank_failure_detected",
+                format!("step {step}: rank {rank} declared dead (last completed epoch {epoch})"),
+                vec![("step", Num(*step)), ("rank", n(*rank)), ("epoch", Num(*epoch))],
+            ),
+            E::Tier0Reconstructed { step, ranks, count } => (
+                "tier0_reconstructed",
+                format!(
+                    "step {step}: tier-0 rebuilt rank(s) {ranks:?} from overload shells \
+                     ({count} particles accounted for)"
+                ),
+                vec![("step", Num(*step)), ("ranks", Ranks(ranks)), ("count", n(*count))],
+            ),
+            E::Tier0Incomplete { step, expected, got } => (
+                "tier0_incomplete",
+                format!("step {step}: tier-0 incomplete ({got} of {expected} particles recovered)"),
+                vec![("step", Num(*step)), ("expected", n(*expected)), ("got", n(*got))],
+            ),
+            E::Tier0Disrupted { step, detail } => (
+                "tier0_disrupted",
+                format!("step {step}: tier-0 recovery disrupted mid-collective: {detail}"),
+                vec![("step", Num(*step)), ("detail", Text(detail))],
+            ),
+            E::Tier1Rollback { step, resume_step } => (
+                "tier1_rollback",
+                format!("step {step}: tier-1 rollback to checkpoint at step {resume_step}"),
+                vec![("step", Num(*step)), ("resume_step", Num(*resume_step))],
+            ),
+            E::Tier2Abort { attempt, reason } => (
+                "tier2_abort",
+                format!("attempt {attempt}: tier-2 abort: {reason}"),
+                vec![("attempt", Num((*attempt).into())), ("reason", Text(reason))],
+            ),
+            E::InvariantBreach { step, detail } => (
+                "invariant_breach",
+                format!("step {step}: {detail}"),
+                vec![("step", Num(*step)), ("detail", Text(detail))],
+            ),
+            E::ProactiveCheckpoint { step } => (
+                "proactive_checkpoint",
+                format!("proactive checkpoint at step {step}"),
+                vec![("step", Num(*step))],
+            ),
+            E::ScalePlanned { step, from, to, break_even, rationale } => (
+                "scale_planned",
+                match break_even {
+                    Some(b) => format!(
+                        "step {step}: planned resize {from}→{to} ranks \
+                         (breaks even after {b} steps): {rationale}"
+                    ),
+                    None => format!("step {step}: planned resize {from}→{to} ranks (mandated): {rationale}"),
+                },
+                vec![
+                    ("step", Num(*step)),
+                    ("from", n(*from)),
+                    ("to", n(*to)),
+                    ("break_even", opt(break_even)),
+                    ("rationale", Text(rationale)),
+                ],
+            ),
+            E::ScaleCommitted { step, from, to, count, generation } => (
+                "scale_committed",
+                format!(
+                    "step {step}: resize {from}→{to} ranks committed \
+                     ({count} particles certified, generation {generation})"
+                ),
+                vec![
+                    ("step", Num(*step)),
+                    ("from", n(*from)),
+                    ("to", n(*to)),
+                    ("count", n(*count)),
+                    ("generation", Num(*generation)),
+                ],
+            ),
+            E::ScaleAborted { step, from, to, reason } => (
+                "scale_aborted",
+                format!(
+                    "step {step}: resize {from}→{to} ranks aborted, \
+                     rolled back to {from}-rank world: {reason}"
+                ),
+                vec![("step", Num(*step)), ("from", n(*from)), ("to", n(*to)), ("reason", Text(reason))],
+            ),
+        }
+    }
+
     /// One JSON object describing this event (manual serialization, as
     /// elsewhere in the workspace — no serde dependency).
     #[must_use]
     pub fn to_json(&self) -> String {
-        match self {
-            RecoveryEvent::AttemptStarted {
-                attempt,
-                resume_step,
-            } => {
-                let resume = resume_step.map_or("null".into(), |s| s.to_string());
-                format!(r#"{{"event":"attempt_started","attempt":{attempt},"resume_step":{resume}}}"#)
-            }
-            RecoveryEvent::Failure {
-                attempt,
-                rank,
-                message,
-            } => format!(
-                r#"{{"event":"attempt_failed","attempt":{attempt},"rank":{rank},"message":"{}"}}"#,
-                json_escape(message)
-            ),
-            RecoveryEvent::BackedOff { attempt, pause } => format!(
-                r#"{{"event":"backed_off","attempt":{attempt},"pause_ms":{}}}"#,
-                pause.as_millis()
-            ),
-            RecoveryEvent::Completed {
-                attempt,
-                final_step,
-            } => format!(r#"{{"event":"completed","attempt":{attempt},"final_step":{final_step}}}"#),
-            RecoveryEvent::RankFailureDetected { step, rank, epoch } => format!(
-                r#"{{"event":"rank_failure_detected","step":{step},"rank":{rank},"epoch":{epoch}}}"#
-            ),
-            RecoveryEvent::Tier0Reconstructed { step, ranks, count } => {
-                let ranks: Vec<String> = ranks.iter().map(ToString::to_string).collect();
-                format!(
-                    r#"{{"event":"tier0_reconstructed","step":{step},"ranks":[{}],"count":{count}}}"#,
-                    ranks.join(",")
-                )
-            }
-            RecoveryEvent::Tier0Incomplete {
-                step,
-                expected,
-                got,
-            } => format!(
-                r#"{{"event":"tier0_incomplete","step":{step},"expected":{expected},"got":{got}}}"#
-            ),
-            RecoveryEvent::Tier0Disrupted { step, detail } => format!(
-                r#"{{"event":"tier0_disrupted","step":{step},"detail":"{}"}}"#,
-                json_escape(detail)
-            ),
-            RecoveryEvent::Tier1Rollback { step, resume_step } => format!(
-                r#"{{"event":"tier1_rollback","step":{step},"resume_step":{resume_step}}}"#
-            ),
-            RecoveryEvent::Tier2Abort { attempt, reason } => format!(
-                r#"{{"event":"tier2_abort","attempt":{attempt},"reason":"{}"}}"#,
-                json_escape(reason)
-            ),
-            RecoveryEvent::InvariantBreach { step, detail } => format!(
-                r#"{{"event":"invariant_breach","step":{step},"detail":"{}"}}"#,
-                json_escape(detail)
-            ),
-            RecoveryEvent::ProactiveCheckpoint { step } => {
-                format!(r#"{{"event":"proactive_checkpoint","step":{step}}}"#)
-            }
-            RecoveryEvent::ScalePlanned {
-                step,
-                from,
-                to,
-                break_even,
-                rationale,
-            } => {
-                let be = break_even.map_or("null".into(), |b| b.to_string());
-                format!(
-                    r#"{{"event":"scale_planned","step":{step},"from":{from},"to":{to},"break_even":{be},"rationale":"{}"}}"#,
-                    json_escape(rationale)
-                )
-            }
-            RecoveryEvent::ScaleCommitted {
-                step,
-                from,
-                to,
-                count,
-                generation,
-            } => format!(
-                r#"{{"event":"scale_committed","step":{step},"from":{from},"to":{to},"count":{count},"generation":{generation}}}"#
-            ),
-            RecoveryEvent::ScaleAborted {
-                step,
-                from,
-                to,
-                reason,
-            } => format!(
-                r#"{{"event":"scale_aborted","step":{step},"from":{from},"to":{to},"reason":"{}"}}"#,
-                json_escape(reason)
-            ),
+        let (name, _, fields) = self.row();
+        let mut out = format!(r#"{{"event":"{name}""#);
+        for (key, val) in fields {
+            let val = match val {
+                Val::Num(v) => v.to_string(),
+                Val::Null => "null".into(),
+                Val::Ranks(r) => format!("[{}]", r.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")),
+                Val::Text(s) => format!("\"{}\"", json_escape(s)),
+            };
+            out.push_str(&format!(r#","{key}":{val}"#));
         }
+        out.push('}');
+        out
+    }
+}
+
+impl fmt::Display for RecoveryEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.row().1)
     }
 }
 
@@ -626,34 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn events_render_readably() {
-        let e = RecoveryEvent::Failure {
-            attempt: 2,
-            rank: 1,
-            message: "fault injected: rank 1 killed at step 3".into(),
-        };
-        let s = format!("{e}");
-        assert!(s.contains("attempt 2"));
-        assert!(s.contains("rank 1"));
-        let c = RecoveryEvent::AttemptStarted {
-            attempt: 1,
-            resume_step: None,
-        };
-        assert!(format!("{c}").contains("cold start"));
-        let t0 = RecoveryEvent::Tier0Reconstructed {
-            step: 3,
-            ranks: vec![1],
-            count: 4096,
-        };
-        assert!(format!("{t0}").contains("tier-0"));
-        let t1 = RecoveryEvent::Tier1Rollback {
-            step: 3,
-            resume_step: 2,
-        };
-        assert!(format!("{t1}").contains("tier-1"));
-    }
-
-    #[test]
     fn timeline_serializes_to_json() {
         let timeline = vec![
             RecoveryEvent::AttemptStarted {
@@ -717,36 +643,5 @@ mod tests {
         assert_eq!(header.max_retries, 7);
         assert_eq!(header.backoff_base_ms, 25);
         assert!(header.to_json().contains(r#""fault_seed":null"#));
-    }
-
-    #[test]
-    fn scale_events_render_and_serialize() {
-        let planned = RecoveryEvent::ScalePlanned {
-            step: 3,
-            from: 4,
-            to: 6,
-            break_even: Some(12),
-            rationale: "hot slab at rank 2".into(),
-        };
-        assert!(format!("{planned}").contains("4→6"));
-        assert!(planned.to_json().contains(r#""event":"scale_planned""#));
-        assert!(planned.to_json().contains(r#""break_even":12"#));
-        let committed = RecoveryEvent::ScaleCommitted {
-            step: 3,
-            from: 4,
-            to: 6,
-            count: 5832,
-            generation: 1,
-        };
-        assert!(format!("{committed}").contains("certified"));
-        assert!(committed.to_json().contains(r#""count":5832"#));
-        let aborted = RecoveryEvent::ScaleAborted {
-            step: 7,
-            from: 6,
-            to: 3,
-            reason: "fence broken by rank 1 death".into(),
-        };
-        assert!(format!("{aborted}").contains("rolled back"));
-        assert!(aborted.to_json().contains(r#""event":"scale_aborted""#));
     }
 }

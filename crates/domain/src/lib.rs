@@ -62,6 +62,22 @@ impl Particles {
         self.n_active = 0;
     }
 
+    /// Drop the passive replicas, keeping the active prefix.
+    pub fn drop_passives(&mut self) {
+        let n = self.n_active;
+        for v in [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.vx,
+            &mut self.vy,
+            &mut self.vz,
+        ] {
+            v.truncate(n);
+        }
+        self.id.truncate(n);
+    }
+
     /// Total stored particles (active + passive).
     #[must_use] 
     pub fn len(&self) -> usize {
@@ -468,67 +484,44 @@ pub fn try_refresh(
     Ok(())
 }
 
-/// Scan this rank's **passive** replicas for particles whose tracked
-/// position lies inside `failed`'s domain — the surviving redundancy
-/// from which a lost rank is rebuilt online.
+/// Route every copy this rank holds to its owner under `decomp`, and
+/// adopt one copy per particle id (collective over a communicator at
+/// least `decomp.ranks()` large) — the particle half of every
+/// membership change.
 ///
-/// Replicas are stored in the local shifted frame; each hit is returned
-/// wrapped into the periodic box (the owner frame), ready to become an
-/// active particle on the replacement rank. Replicas drift with locally
-/// interpolated forces between refreshes, so a recovered particle
-/// matches the lost original to force-noise accuracy, and a particle
-/// that drifted *out* of the failed domain since the last refresh is
-/// (correctly) not claimed — the coverage check downstream detects the
-/// loss and escalates the recovery tier.
-#[must_use]
-pub fn salvage_for(decomp: &Decomposition, particles: &Particles, failed: usize) -> Vec<Packed> {
-    let mut out = Vec::new();
-    for i in particles.n_active..particles.len() {
-        let p = particles.pack_wrapped(i, decomp);
-        let pos = [f64::from(p.x), f64::from(p.y), f64::from(p.z)];
-        if decomp.owner_of(pos) == failed {
-            out.push(p);
-        }
-    }
-    out
-}
-
-/// Rebuild a globally consistent active partition from *every* surviving
-/// copy after rank failure (collective — survivors call it with their
-/// full stores, each replacement with an empty one).
+/// Active records travel as authoritative ownership transfers (exactly
+/// the migration an ordinary [`refresh`] performs), passive overload
+/// replicas as redundant candidates. A receiver adopts the authoritative
+/// record when one survives (a particle that drifted across a boundary
+/// since the last refresh is handed off once, never duplicated by its
+/// replicas), otherwise the replica donated by the lowest donor rank.
+/// Adopted records are sorted by id, so the store is identical however
+/// messages interleave; passive shells are left empty — run [`refresh`]
+/// on the owning communicator afterwards to rebuild them.
 ///
-/// Each rank routes everything it holds to the owner of the particle's
-/// current wrapped position: active records as authoritative ownership
-/// transfers (exactly the migration an ordinary [`refresh`] performs)
-/// and passive overload replicas as redundant candidates. A receiver
-/// adopts one copy per particle id — an authoritative record when one
-/// survives (so a particle that drifted across a boundary since the
-/// last refresh is handed off once, never duplicated by its replicas),
-/// otherwise the replica donated by the lowest donor rank (its active
-/// copy died with a failed rank; a neighbor's overload replica
-/// resurrects it, accurate to the force noise replicas accumulate
-/// between refreshes). Adopted records are sorted by id, so the rebuilt
-/// store is identical however messages interleave.
+/// - **Rank failure** (same decomposition, blank replacements joining
+///   empty): survivors' replicas resurrect what died with the failed
+///   ranks, accurate to the force noise replicas accumulate between
+///   refreshes. Replicas reach only overload depth, so a particle whose
+///   every copy died is absent; callers certify the global count.
+/// - **Resize** (a new decomposition, over the union of the old and new
+///   worlds): ranks at `decomp.ranks()..comm.size()` send everything and
+///   receive nothing. Callers drop their passive shells first, so only
+///   the (uniquely owned) actives move.
 ///
-/// Replicas reach only overload depth into a domain, so a particle whose
-/// every copy lived on failed ranks is simply absent from the result;
-/// callers compare the global active count against the expected total
-/// and escalate the recovery tier on a shortfall. Passive shells are
-/// left empty — run [`refresh`] afterwards to rebuild them.
-pub fn salvage_refresh(comm: &Comm, decomp: &Decomposition, particles: &mut Particles) {
-    try_salvage_refresh(comm, decomp, particles).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// [`salvage_refresh`], but a second failure *during* the recovery
-/// collective surfaces as an error instead of a panic, so the driver can
-/// abandon Tier-0 and fall back to a checkpoint. The particle store is
-/// untouched on error.
-pub fn try_salvage_refresh(
+/// A rank death mid-exchange surfaces as the collective's error; the
+/// store is untouched on error.
+pub fn try_rehome(
     comm: &Comm,
     decomp: &Decomposition,
     particles: &mut Particles,
 ) -> Result<(), hacc_comm::CommError> {
-    assert_eq!(comm.size(), decomp.ranks(), "decomposition/communicator mismatch");
+    assert!(
+        comm.size() >= decomp.ranks(),
+        "rehome over {} ranks cannot cover a {}-rank decomposition",
+        comm.size(),
+        decomp.ranks()
+    );
     let mut sends: Vec<Vec<Tagged>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for i in 0..particles.len() {
         let p = particles.pack_wrapped(i, decomp);
@@ -555,87 +548,12 @@ pub fn try_salvage_refresh(
         }
     }
     adopted.sort_by_key(|p| p.id);
-    let mut fresh = Particles::default();
+    particles.clear();
     for p in adopted {
-        fresh.push(p);
+        particles.push(p);
     }
-    fresh.n_active = fresh.len();
-    *particles = fresh;
+    particles.n_active = particles.len();
     Ok(())
-}
-
-/// Re-shard the active partition onto a *different* decomposition
-/// (collective) — the particle-migration half of an elastic world
-/// resize.
-///
-/// Unlike [`refresh`]/[`salvage_refresh`], the communicator may be
-/// **larger** than the target decomposition: the exchange always runs
-/// over the union of the old and new worlds (a grow activates the new
-/// ranks first and reshards over the bigger new communicator; a shrink
-/// reshards over the still-bigger old communicator before the surplus
-/// ranks retire). Ranks at `new_decomp.ranks()..comm.size()` send
-/// everything they own and receive nothing — a grow's fresh ranks have
-/// nothing to send, a shrink's retiring ranks end up empty and can park.
-///
-/// Only active particles move (each is owned exactly once, so the
-/// exchange cannot duplicate); passive shells are dropped and left empty
-/// — run [`refresh`] on the new world's communicator afterwards to
-/// rebuild them. Adopted records are sorted by id, so the resharded
-/// store is identical however messages interleave.
-pub fn reshard(comm: &Comm, new_decomp: &Decomposition, particles: &mut Particles) {
-    try_reshard(comm, new_decomp, particles).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// [`reshard`], but a rank death mid-exchange surfaces as an error so
-/// the resize driver can abort the resize and fall back to the
-/// pre-resize checkpoint. The particle store is untouched on error.
-pub fn try_reshard(
-    comm: &Comm,
-    new_decomp: &Decomposition,
-    particles: &mut Particles,
-) -> Result<(), hacc_comm::CommError> {
-    assert!(
-        comm.size() >= new_decomp.ranks(),
-        "reshard must run over the union communicator: {} ranks cannot cover {}",
-        comm.size(),
-        new_decomp.ranks()
-    );
-    let mut sends: Vec<Vec<Packed>> = (0..comm.size()).map(|_| Vec::new()).collect();
-    for i in 0..particles.n_active {
-        let p = particles.pack_wrapped(i, new_decomp);
-        let owner = new_decomp.owner_of([f64::from(p.x), f64::from(p.y), f64::from(p.z)]);
-        sends[owner].push(p);
-    }
-    let recvs = comm.try_alltoallv(sends)?;
-    let mut adopted: Vec<Packed> = recvs.into_iter().flatten().collect();
-    debug_assert!(
-        comm.rank() < new_decomp.ranks() || adopted.is_empty(),
-        "a rank outside the new decomposition received particles"
-    );
-    adopted.sort_by_key(|p| p.id);
-    let mut fresh = Particles::default();
-    for p in adopted {
-        fresh.push(p);
-    }
-    fresh.n_active = fresh.len();
-    *particles = fresh;
-    Ok(())
-}
-
-/// Deduplicate recovered particles by id. Callers concatenate donor
-/// contributions in rank order, so keeping the first occurrence makes
-/// the surviving copy deterministic (lowest donor rank wins); the result
-/// is sorted by id so the rebuilt rank's particle order is reproducible
-/// regardless of arrival interleaving.
-#[must_use]
-pub fn dedup_by_id(recovered: Vec<Packed>) -> Vec<Packed> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out: Vec<Packed> = recovered
-        .into_iter()
-        .filter(|p| seen.insert(p.id))
-        .collect();
-    out.sort_by_key(|p| p.id);
-    out
 }
 
 /// Slab-grid ghost machinery: plane-halo exchange and spill folding for
@@ -1061,49 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn salvage_recovers_overload_shell_of_failed_rank() {
-        // Rank 0's particles sit near the x=8 face, so rank 4 = (1,0,0)
-        // holds passive copies. Kill rank 0: rank 4's salvage must name
-        // exactly those particles, wrapped into the box frame.
-        let (res, _) = Machine::new(8).run(|comm| {
-            let d = decomp222();
-            let mut parts = Particles::default();
-            if comm.rank() == 0 {
-                for i in 0..4u64 {
-                    parts.push(Packed {
-                        x: 7.5,
-                        y: 2.0 + i as f32,
-                        z: 4.0,
-                        vx: 1.0,
-                        vy: 0.0,
-                        vz: 0.0,
-                        id: i,
-                    });
-                }
-                parts.n_active = 4;
-            }
-            refresh(&comm, &d, &mut parts);
-            let mine = salvage_for(&d, &parts, 0);
-            (comm.rank(), mine)
-        });
-        let from_rank4 = &res[4].1;
-        assert_eq!(from_rank4.len(), 4, "rank 4 salvages the whole shell");
-        let mut ids: Vec<u64> = from_rank4.iter().map(|p| p.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        for p in from_rank4 {
-            assert!((p.x - 7.5).abs() < 1e-6, "box-frame position, got {}", p.x);
-            // Own actives are never salvaged.
-        }
-        for (rank, mine) in &res {
-            if *rank == 0 {
-                assert!(mine.is_empty(), "dead rank contributes nothing");
-            }
-        }
-    }
-
-    #[test]
-    fn salvage_refresh_rebuilds_partition_without_duplicates() {
+    fn rehome_rebuilds_partition_without_duplicates() {
         // Kill rank 0 after its particles have drifted since the last
         // refresh, and check the three recovery motions at once:
         // resurrection (ids 0..2 rebuilt on the replacement from rank
@@ -1158,7 +1034,7 @@ mod tests {
             if comm.rank() == 0 {
                 parts = Particles::default();
             }
-            salvage_refresh(&comm, &d, &mut parts);
+            try_rehome(&comm, &d, &mut parts).unwrap();
             let x_of_10 = parts
                 .id
                 .iter()
@@ -1184,8 +1060,35 @@ mod tests {
         }
     }
 
+    /// A particle at `x` (mid-box in y, z of a 16- or 24-box) marked by
+    /// its velocity: +1 for an active record, -1 for a replica.
+    fn at(x: f32, id: u64, vx: f32) -> Packed {
+        Packed {
+            x,
+            y: 8.0,
+            z: 8.0,
+            vx,
+            vy: 0.0,
+            vz: 0.0,
+            id,
+        }
+    }
+
+    /// Actives then replicas, as a post-refresh store holds them.
+    fn store(actives: &[(u64, f32)], replicas: &[(u64, f32)]) -> Particles {
+        let mut parts = Particles::default();
+        for &(id, x) in actives {
+            parts.push(at(x, id, 1.0));
+        }
+        parts.n_active = actives.len();
+        for &(id, x) in replicas {
+            parts.push(at(x, id, -1.0));
+        }
+        parts
+    }
+
     #[test]
-    fn reshard_grow_spreads_partition_over_union_comm() {
+    fn rehome_grow_spreads_partition_over_union_comm() {
         // 2 slabs → 4 slabs over the union (= new, bigger) communicator:
         // the two old ranks own everything going in; afterwards each of
         // the four ranks owns exactly its quarter, actives only.
@@ -1195,30 +1098,14 @@ mod tests {
             let mut parts = Particles::default();
             if comm.rank() < 2 {
                 let (lo, _) = old.domain_of(comm.rank());
-                for i in 0..8u64 {
-                    parts.push(Packed {
-                        x: (lo[0] + i as f64) as f32,
-                        y: 8.0,
-                        z: 8.0,
-                        vx: 0.0,
-                        vy: 0.0,
-                        vz: 0.0,
-                        id: comm.rank() as u64 * 100 + i,
-                    });
-                }
-                parts.n_active = 8;
-                // Stale passives must be dropped, not resharded.
-                parts.push(Packed {
-                    x: 15.0,
-                    y: 8.0,
-                    z: 8.0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    vz: 0.0,
-                    id: 999,
-                });
+                let actives: Vec<(u64, f32)> = (0..8u64)
+                    .map(|i| (comm.rank() as u64 * 100 + i, (lo[0] + i as f64) as f32))
+                    .collect();
+                // The resize caller drops its stale shell first.
+                parts = store(&actives, &[(999, 15.0)]);
+                parts.drop_passives();
             }
-            reshard(&comm, &new, &mut parts);
+            try_rehome(&comm, &new, &mut parts).unwrap();
             (parts.n_active, parts.len(), parts.id.clone())
         });
         let total: usize = res.iter().map(|(a, _, _)| a).sum();
@@ -1227,37 +1114,23 @@ mod tests {
             assert_eq!(a, len, "rank {rank}: shells empty until refresh");
             assert_eq!(*a, 4, "rank {rank} owns its quarter: {ids:?}");
             assert!(!ids.contains(&999), "stale passive must not survive");
-            let sorted = {
-                let mut s = ids.clone();
-                s.sort_unstable();
-                s
-            };
-            assert_eq!(ids, &sorted, "deterministic id order");
+            assert!(ids.is_sorted(), "deterministic id order: {ids:?}");
         }
     }
 
     #[test]
-    fn reshard_shrink_empties_retiring_ranks() {
+    fn rehome_shrink_empties_retiring_ranks() {
         // 4 slabs → 2 slabs over the union (= old, bigger) communicator:
         // ranks 2 and 3 send everything and end empty, ready to park.
         let (res, _) = Machine::new(4).run(|comm| {
             let old = Decomposition::new([4, 1, 1], 16.0, 2.0);
             let new = Decomposition::new([2, 1, 1], 16.0, 2.0);
             let (lo, _) = old.domain_of(comm.rank());
-            let mut parts = Particles::default();
-            for i in 0..4u64 {
-                parts.push(Packed {
-                    x: (lo[0] + i as f64) as f32,
-                    y: 8.0,
-                    z: 8.0,
-                    vx: 0.0,
-                    vy: 0.0,
-                    vz: 0.0,
-                    id: comm.rank() as u64 * 100 + i,
-                });
-            }
-            parts.n_active = 4;
-            reshard(&comm, &new, &mut parts);
+            let actives: Vec<(u64, f32)> = (0..4u64)
+                .map(|i| (comm.rank() as u64 * 100 + i, (lo[0] + i as f64) as f32))
+                .collect();
+            let mut parts = store(&actives, &[]);
+            try_rehome(&comm, &new, &mut parts).unwrap();
             (parts.n_active, parts.id.clone())
         });
         assert_eq!(res[0].0 + res[1].0, 16, "survivors own everything");
@@ -1267,23 +1140,68 @@ mod tests {
         assert!(res[1].1.iter().all(|&id| id >= 200), "rank 1 owns the high half");
     }
 
+    /// A particle whose active copy died is resurrected once, from the
+    /// lowest donor rank's replica, whichever order the donors arrive in.
     #[test]
-    fn dedup_keeps_lowest_donor_and_sorts() {
-        let mk = |id: u64, x: f32| Packed {
-            x,
-            y: 0.0,
-            z: 0.0,
-            vx: 0.0,
-            vy: 0.0,
-            vz: 0.0,
-            id,
-        };
-        // Concatenated in donor-rank order: id 7 arrives twice.
-        let got = dedup_by_id(vec![mk(9, 1.0), mk(7, 2.0), mk(7, 3.0), mk(1, 4.0)]);
-        let ids: Vec<u64> = got.iter().map(|p| p.id).collect();
-        assert_eq!(ids, vec![1, 7, 9], "sorted by id");
-        let seven = got.iter().find(|p| p.id == 7).unwrap();
-        assert_eq!(seven.x, 2.0, "first (lowest-rank) copy wins");
+    fn rehome_resurrects_from_lowest_donor() {
+        let d = Decomposition::new([3, 1, 1], 24.0, 2.0);
+        let (res, _) = Machine::new(3).run(|comm| {
+            // Ranks 0 and 2 both hold a replica of id 7 (owned by the
+            // dead rank 1, now a blank replacement), marked by donor.
+            let mut parts = Particles::default();
+            if comm.rank() != 1 {
+                parts.push(Packed { vy: comm.rank() as f32, ..at(9.0, 7, -1.0) });
+            }
+            try_rehome(&comm, &d, &mut parts).unwrap();
+            parts
+        });
+        assert_eq!(res[1].id, vec![7], "resurrected once, on its owner");
+        assert_eq!(res[1].vy, vec![0.0], "the lowest donor's replica wins");
+        assert!(res[0].is_empty() && res[2].is_empty());
+    }
+
+    /// Rehome with replicas still held, over the union of a 2→3 grow and
+    /// of a 3→2 shrink: each of the twelve actives is adopted exactly
+    /// once, on its new owner, and a replica never displaces a live
+    /// active — not even one donated by a lower rank.
+    #[test]
+    fn rehome_over_union_prefers_actives_to_replicas() {
+        // (ranks before, ranks after, per-rank (actives, replicas)).
+        type Layout = [(&'static [(u64, f32)], &'static [(u64, f32)]); 3];
+        let grow: Layout = [
+            (&[(0, 1.0), (1, 3.0), (2, 5.0), (3, 7.0), (4, 9.0), (5, 11.0)], &[(6, 13.0)]),
+            (&[(6, 13.0), (7, 15.0), (8, 17.0), (9, 19.0), (10, 21.0), (11, 23.0)], &[(5, 11.0)]),
+            (&[], &[]),
+        ];
+        let shrink: Layout = [
+            (&[(0, 1.0), (1, 3.0), (2, 5.0), (3, 7.0)], &[(4, 9.0)]),
+            (&[(4, 9.0), (5, 11.0), (6, 13.0), (7, 15.0)], &[(3, 7.0), (8, 17.0)]),
+            (&[(8, 17.0), (9, 19.0), (10, 21.0), (11, 23.0)], &[(7, 15.0)]),
+        ];
+        for (to, layout) in [(3, grow), (2, shrink)] {
+            let new = Decomposition::new([to, 1, 1], 24.0, 2.0);
+            let (res, _) = Machine::new(3).run(|comm| {
+                let (actives, replicas) = layout[comm.rank()];
+                let mut parts = store(actives, replicas);
+                try_rehome(&comm, &new, &mut parts).unwrap();
+                parts
+            });
+            let mut all: Vec<u64> = Vec::new();
+            for (rank, parts) in res.iter().enumerate() {
+                assert_eq!(parts.n_active, parts.len(), "{to}: rank {rank} holds replicas");
+                assert!(parts.id.is_sorted(), "{to}: rank {rank} unsorted: {:?}", parts.id);
+                assert!(parts.vx.iter().all(|&v| v == 1.0), "{to}: a replica won on rank {rank}");
+                if rank >= to {
+                    assert!(parts.is_empty(), "{to}: rank {rank} is outside the new world");
+                }
+                for &x in &parts.x {
+                    assert_eq!(new.owner_of([f64::from(x), 8.0, 8.0]), rank, "{to}: x={x}");
+                }
+                all.extend(&parts.id);
+            }
+            all.sort_unstable();
+            assert_eq!(all, (0..12).collect::<Vec<u64>>(), "{to}: each active exactly once");
+        }
     }
 
     #[test]

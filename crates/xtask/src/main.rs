@@ -127,8 +127,9 @@ impl Report {
             .iter()
             .any(|(_, o, _)| matches!(o, Outcome::Fail(_)));
         let body = format!(
-            "{{\n  \"ok\": {ok},\n  \"diffstat\": {},\n  \"steps\": [\n{}\n  ],\n  \"models\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"ok\": {ok},\n  \"diffstat\": {},\n  \"lines\": {},\n  \"steps\": [\n{}\n  ],\n  \"models\": [\n{}\n  ]\n}}\n",
             json_string(&self.diffstat),
+            line_counts(),
             steps_json.join(",\n"),
             models.join(",\n"),
         );
@@ -164,6 +165,37 @@ impl Report {
             ExitCode::SUCCESS
         }
     }
+}
+
+/// Whole-file line count (`wc -l`: newlines) of every `.rs` file under
+/// `path`, recursively; 0 for a missing path.
+fn rs_lines(path: &Path) -> usize {
+    if path.is_dir() {
+        let entries = std::fs::read_dir(path).map(|it| it.flatten().map(|e| e.path()).collect());
+        entries.unwrap_or_else(|_| Vec::new()).iter().map(|p| rs_lines(p)).sum()
+    } else if path.extension().is_some_and(|x| x == "rs") {
+        std::fs::read_to_string(path).map_or(0, |s| s.matches('\n').count())
+    } else {
+        0
+    }
+}
+
+/// The north star's size ratio as a JSON object: comm + recovery (the
+/// comm crate, the recovery driver, its policy and checkpoint layer, and
+/// the multi-process launcher) against the force solver (fft + pm +
+/// short + domain), whole files, tests included.
+fn line_counts() -> String {
+    let root = repo_root();
+    let count = |paths: &[&str]| -> usize { paths.iter().map(|p| rs_lines(&root.join(p))).sum() };
+    let comm_recovery = count(&[
+        "crates/comm/src",
+        "crates/core/src/elastic.rs",
+        "crates/core/src/resilient.rs",
+        "crates/core/src/checkpoint.rs",
+        "src/bin/mprun.rs",
+    ]);
+    let force_solver = count(&["crates/fft/src", "crates/pm/src", "crates/short/src", "crates/domain/src"]);
+    format!("{{\"comm_recovery\":{comm_recovery},\"force_solver\":{force_solver}}}")
 }
 
 /// Minimal JSON string encoder (quotes, backslashes, control bytes).
@@ -795,6 +827,7 @@ fn main() -> ExitCode {
                 "xtask: crates/ src/ tests/ scripts/ vs merge base: {}",
                 report.diffstat
             );
+            println!("xtask: whole-file lines: {}", line_counts());
             step_lint(&mut report);
             step_test(&mut report);
             step_deny(&mut report);
@@ -820,6 +853,20 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recorded line counts cover real trees: both sides are
+    /// non-empty, and a file counts as its newlines.
+    #[test]
+    fn line_counts_cover_both_sides() {
+        let counts = line_counts();
+        for key in ["comm_recovery", "force_solver"] {
+            let n = json_int_field(&counts, key).unwrap_or(0);
+            assert!(n > 1000, "{key}: {counts}");
+        }
+        let this = repo_root().join("crates/xtask/src/main.rs");
+        let text = std::fs::read_to_string(&this).unwrap();
+        assert_eq!(rs_lines(&this), text.lines().count());
+    }
 
     /// A failing step keeps both of its streams, whole, under
     /// `out/verify/`; a passing one leaves no log.

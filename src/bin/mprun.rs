@@ -40,7 +40,8 @@
 
 use hacc::comm::hub::{self, HubOptions};
 use hacc::comm::socket::{SocketConfig, SocketTransport};
-use hacc::comm::{Comm, CommError, FaultPlan, StepAdmission};
+use hacc::comm::protocol::FenceAdmission;
+use hacc::comm::{Comm, CommError, FaultPlan};
 use hacc::core::{
     run_attempt_elastic, write_timeline_json, ResilienceConfig, ScaleSchedule, SimConfig,
     SolverKind, TimelineHeader,
@@ -201,7 +202,7 @@ fn launcher_main() {
             .collect();
         format!("[{}]", items.join(","))
     };
-    let respawned: Vec<String> = report.respawned.iter().map(ToString::to_string).collect();
+    let respawned: Vec<String> = report.events("respawned").iter().map(|&(r, _)| r.to_string()).collect();
     let failures: Vec<String> = report
         .exit_failures
         .iter()
@@ -231,8 +232,8 @@ fn launcher_main() {
         opts.scenario,
         opts.seed,
         started.elapsed().as_millis(),
-        pairs(&report.killed, "rank", "step"),
-        pairs(&report.declared, "rank", "epoch"),
+        pairs(&report.events("killed"), "rank", "step"),
+        pairs(&report.events("declared"), "rank", "epoch"),
         respawned.join(","),
         failures.join(","),
         timeline.join(","),
@@ -251,12 +252,10 @@ fn child_main() {
     let cfg = SocketConfig::from_env().expect("child env");
     let out = PathBuf::from(std::env::var("HACC_OUT").expect("HACC_OUT"));
     let scenario = std::env::var("HACC_SCENARIO").unwrap_or_else(|_| "sim".into());
-    let transport = SocketTransport::connect(cfg).expect("socket transport");
-    let replacement = transport.is_replacement();
-    let comm = Comm::over_socket(transport);
+    let replacement = cfg.is_replacement();
+    let comm = Comm::over_socket(SocketTransport::connect(cfg).expect("socket transport"));
     match scenario.as_str() {
-        "sim" => child_sim(&comm, replacement, &out),
-        "elastic" => child_elastic(&comm, replacement, &out),
+        "sim" | "elastic" => child_driver(&comm, scenario == "elastic", replacement, &out),
         "barrier" => child_barrier(&comm, &out),
         "pencil" => child_pencil(&comm, &out),
         other => panic!("unknown scenario {other}"),
@@ -268,61 +267,29 @@ fn env_seed() -> u64 {
     std::env::var("HACC_SEED").map_or(9, |s| s.parse().unwrap_or(9))
 }
 
-/// The acceptance scenario: the transport-generic recovery driver on a
-/// world that never resizes, exactly as the in-process machine runs it.
-fn child_sim(comm: &Comm, replacement: bool, out: &Path) {
-    let mut rc = ResilienceConfig::new(comm.size(), ckpt_dir());
-    rc.retain = Some(2);
-    let run = run_attempt_elastic(
-        comm,
-        sim_config(),
-        &zeldovich_ics(16),
-        &rc,
-        &ScaleSchedule::default(),
-        comm.size(),
-        replacement,
-    );
-    write_run_artifacts(comm, &rc, run, out);
-}
-
-/// The elastic chaos scenario: the same driver with a resize schedule
-/// over real sockets. `comm` is the capacity world; `HACC_ACTIVE` of it
-/// start active and `HACC_SCALE` drives the grows/shrinks, all while
-/// the hub SIGKILLs whatever the fault plan names.
-fn child_elastic(comm: &Comm, replacement: bool, out: &Path) {
+/// The driver scenarios: the transport-generic recovery driver, exactly
+/// as the in-process machine runs it. `sim` never resizes and trims its
+/// checkpoint directory to two sets; `elastic` starts `HACC_ACTIVE` of
+/// the capacity world and follows `HACC_SCALE`, keeping every set for
+/// the harness to read back — all while the hub SIGKILLs whatever the
+/// fault plan names. Every rank leaves its recovery timeline (with the
+/// policy header) and wire stats; rank 0 also its final positions.
+fn child_driver(comm: &Comm, elastic: bool, replacement: bool, out: &Path) {
     let schedule = ScaleSchedule::parse(&std::env::var("HACC_SCALE").unwrap_or_default());
     let active: usize = std::env::var("HACC_ACTIVE")
         .map_or_else(|_| comm.size(), |s| s.parse().expect("HACC_ACTIVE"));
-    // `retain` stays `None`: the harness reads both the old-size and
-    // new-size checkpoint sets back to verify the handover.
-    let rc = ResilienceConfig::new(comm.size(), ckpt_dir());
-    let run = run_attempt_elastic(
-        comm,
-        elastic_config(),
-        &zeldovich_ics(18),
-        &rc,
-        &schedule,
-        active,
-        replacement,
-    );
-    write_run_artifacts(comm, &rc, run, out);
-}
-
-fn ckpt_dir() -> PathBuf {
-    PathBuf::from(std::env::var("HACC_CKPT").expect("HACC_CKPT"))
-}
-
-/// What every rank of a driver scenario leaves behind: its recovery
-/// timeline (with the policy header) and wire stats, plus rank 0's
-/// final positions.
-fn write_run_artifacts(
-    comm: &Comm,
-    rc: &ResilienceConfig,
-    (positions, events): hacc::core::AttemptOutput,
-    out: &Path,
-) {
+    let ckpt = PathBuf::from(std::env::var("HACC_CKPT").expect("HACC_CKPT"));
+    let mut rc = ResilienceConfig::new(comm.size(), ckpt);
+    let (cfg, ics) = if elastic {
+        (elastic_config(), zeldovich_ics(18))
+    } else {
+        rc.retain = Some(2);
+        (sim_config(), zeldovich_ics(16))
+    };
+    let (positions, events) =
+        run_attempt_elastic(comm, cfg, &ics, &rc, &schedule, active, replacement);
     let rank = comm.rank();
-    let header = TimelineHeader::for_config(rc, Some(env_seed()));
+    let header = TimelineHeader::for_config(&rc, Some(env_seed()));
     write_timeline_json(
         &out.join(format!("timeline_rank{rank}.json")),
         Some(&header),
@@ -351,19 +318,18 @@ fn child_barrier(comm: &Comm, out: &Path) {
     let start = Instant::now();
     for step in 1..=1000u64 {
         match comm.admit_step(step) {
-            StepAdmission::Dead => {
+            (FenceAdmission::Dead, _) => {
                 // Only reachable if *this* rank was fenced; the SIGKILL
                 // victim never runs this line.
                 std::process::exit(0);
             }
-            StepAdmission::Proceed(report) if report.failed.is_empty() => {
+            (FenceAdmission::Proceed, _) => {
                 // A short pause keeps epochs slower than the detector's
                 // scan, so the death lands mid-schedule, not at the end.
                 std::thread::sleep(Duration::from_millis(5));
             }
-            StepAdmission::Proceed(report) => {
+            (FenceAdmission::Deaths, agreed) => {
                 let detect_ms = start.elapsed().as_millis();
-                let agreed = comm.agree_failed(&report);
                 let &(victim, epoch) = agreed.first().expect("failed set");
                 // The dead rank must answer as an error, promptly.
                 let probe = Instant::now();
@@ -384,7 +350,7 @@ fn child_barrier(comm: &Comm, out: &Path) {
                             r#""detect_ms":{},"probe_ms":{}}}"#,
                             "\n"
                         ),
-                        rank, victim, epoch, report.epoch, detect_ms, probe_ms
+                        rank, victim, epoch, step, detect_ms, probe_ms
                     ),
                 )
                 .expect("detection artifact");
