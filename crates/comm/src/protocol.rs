@@ -900,13 +900,16 @@ pub mod locks {
     use LockOp::{Acquire, Release};
 
     /// `SocketTransport::register_link`, inner part: purges the mailbox
-    /// while holding the link lock (`Link → Mail`). The whole function
-    /// is [`register_link_drain`].
+    /// while holding the link lock, then installs the link's reader
+    /// beside the mirror (`Link → Mail → Mirror`). The whole function is
+    /// [`register_link_drain`].
     #[must_use]
     pub fn register_link() -> Vec<LockOp> {
         vec![
             Acquire(LockRank::Link),
             Acquire(LockRank::Mail),
+            Acquire(LockRank::Mirror),
+            Release(LockRank::Mirror),
             Release(LockRank::Mail),
             Release(LockRank::Link),
         ]
@@ -948,8 +951,10 @@ pub mod locks {
     }
 
     /// `SocketTransport::apply_control_event` on a `DECLARED`: mirror
-    /// update, then (sequentially — never nested) the condemnation
-    /// lift under the mailbox lock.
+    /// update and the dead link's read-half shutdown, then (sequentially
+    /// — never nested) the condemnation lift under the mailbox lock. A
+    /// link reader's exit (clear its mirror slot, then wake receivers
+    /// under the mailbox lock) has the same shape.
     #[must_use]
     pub fn control_declared() -> Vec<LockOp> {
         vec![

@@ -43,7 +43,10 @@
 //!   child and mirrored here), so transient disconnects cannot
 //!   masquerade as rank failure. The hub's declaration also *outranks*
 //!   link-level condemnation: a probe of a declared-dead rank yields
-//!   [`CommError::RankFailed`], even if its death tore a frame first.
+//!   [`CommError::RankFailed`], even if its death tore a frame first —
+//!   but only after the dead link's reader has queued every frame the
+//!   kernel already held, so nothing written before the death is lost
+//!   to the race between the control and data sockets.
 //!
 //! # Lock order (machine-enforced invariant)
 //!
@@ -60,16 +63,18 @@
 //! | `links[peer].writer` | `LinkWriter` (28) | one peer link's stream write half; serializes senders |
 //! | `links[peer].state` | `Link` (30) | one peer link's up flag, sequence state and backlog |
 //! | `mail.state` | `Mail` (32) | the byte mailbox (delivery, condemnation flags) |
-//! | `mirror.state` | `Mirror` (34) | local replica of the hub's failure detector |
+//! | `mirror.state` | `Mirror` (34) | local replica of the hub's failure detector, and the link readers its declarations drain |
 //! | `control.rpc` | `ControlRpc` (36) | the one-slot hub RPC (`BEAT`, `AWAITFAILED`) |
 //! | `control.writer` | `ControlWriter` (38) | control-stream write half |
 //!
 //! Functions that hold more than one at once — the complete list:
 //!
-//! - [`SocketTransport::register_link`]: `LinkWriter → Link → Mail`
-//!   (purges the mailbox of a dead incarnation's frames while the link
-//!   lock pins the registration; the writer lock spans the whole
-//!   registration so no sender interleaves with the backlog drain).
+//! - [`SocketTransport::register_link`]: `LinkWriter → Link → Mail →
+//!   Mirror` (purges the mailbox of a dead incarnation's frames while
+//!   the link lock pins the registration, and installs the new reader
+//!   against the detector status it was registered under; the writer
+//!   lock spans the whole registration so no sender interleaves with
+//!   the backlog drain).
 //! - [`Transport::send`] / `write_frame`: `LinkWriter → Link` (the
 //!   writer lock is held across the stream write; `Link` is taken
 //!   under it only to stamp the sequence number and, after the write,
@@ -248,8 +253,58 @@ struct ByteMail {
 /// updated by control-stream broadcasts (`EPOCH`, `DECLARED`,
 /// `REBUILDING`, `RECOVERED`) through [`protocol::apply_control`].
 struct Mirror {
-    state: Mutex<Vec<PeerView>>,
+    state: Mutex<MirrorState>,
     signal: Condvar,
+}
+
+struct MirrorState {
+    view: Vec<PeerView>,
+    /// Per source, the data reader of its current link. It sits beside
+    /// the view so a declaration and the drain it starts are one step.
+    readers: Vec<Option<Reader>>,
+}
+
+/// A link's running data reader, as a declaration of its peer sees it.
+///
+/// The control and data streams are two sockets with no order between
+/// them, so frames a rank wrote before it died can still sit unread in
+/// the kernel when its `DECLARED` line is applied. The declaration shuts
+/// the read half of the dead link — the reader takes exactly what the
+/// kernel held, then sees EOF and exits — and a receive from that peer
+/// yields `RankFailed` only once it has.
+struct Reader {
+    /// Link generation the reader serves.
+    generation: u64,
+    /// A handle on the link's stream, for the read-half shutdown.
+    stream: TcpStream,
+    drain: Drain,
+}
+
+/// What the next declaration of a link's peer does to its reader.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Drain {
+    /// Shut the read half and start draining.
+    OnDeclare,
+    /// This link is a replacement that registered before this process
+    /// applied the declaration of the incarnation it replaced: that
+    /// declaration is about the old link and only arms this one.
+    SkipNext,
+    /// Declared and shut: receives hold `RankFailed` back until the
+    /// reader exits.
+    Draining,
+}
+
+impl Reader {
+    /// Apply a declaration of this reader's peer.
+    fn declared(&mut self) {
+        self.drain = match self.drain {
+            Drain::SkipNext => Drain::OnDeclare,
+            Drain::OnDeclare | Drain::Draining => {
+                let _ = self.stream.shutdown(Shutdown::Read);
+                Drain::Draining
+            }
+        };
+    }
 }
 
 struct ControlChannel {
@@ -407,7 +462,13 @@ impl SocketTransport {
                 signal: Condvar::new(),
             },
             mirror: Mirror {
-                state: Mutex::new(LockRank::Mirror, mirror_seed),
+                state: Mutex::new(
+                    LockRank::Mirror,
+                    MirrorState {
+                        view: mirror_seed,
+                        readers: (0..cfg.ranks).map(|_| None).collect(),
+                    },
+                ),
                 signal: Condvar::new(),
             },
             control: ControlChannel {
@@ -493,7 +554,7 @@ impl SocketTransport {
     /// Status of `rank` in this process's mirror of the hub's detector.
     #[must_use]
     pub fn rank_status(&self, rank: usize) -> RankStatus {
-        self.mirror.state.lock(LockRank::Mirror)[rank].status
+        self.mirror.state.lock(LockRank::Mirror).view[rank].status
     }
 
     fn send_data_preamble(&self, mut stream: &TcpStream) -> std::io::Result<()> {
@@ -515,8 +576,9 @@ impl SocketTransport {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(READ_POLL))?;
         let reader_stream = stream.try_clone()?;
+        let drain_stream = stream.try_clone()?;
         let link = &self.links[peer];
-        // Lock order: LinkWriter → Link → Mail (see module docs).
+        // Lock order: LinkWriter → Link → Mail → Mirror (see module docs).
         let mut writer = link.writer.lock(LockRank::LinkWriter);
         let generation;
         let backlog: Vec<PendingMsg>;
@@ -542,6 +604,25 @@ impl SocketTransport {
                 // is actually intact.
                 mail.corrupt[peer] = None;
             }
+            let mut mirror = self.mirror.state.lock(LockRank::Mirror);
+            let declared = matches!(
+                mirror.view[peer].status,
+                RankStatus::Failed | RankStatus::Rebuilding
+            );
+            // The hub declares a rank before it spawns the replacement,
+            // so a replacement seen here ahead of that declaration has
+            // it still in flight on the control stream.
+            let early = plan.replacement && st.ever_up && !declared;
+            mirror.readers[peer] = Some(Reader {
+                generation,
+                stream: drain_stream,
+                drain: if early {
+                    Drain::SkipNext
+                } else {
+                    Drain::OnDeclare
+                },
+            });
+            drop(mirror);
             drop(mail);
             st.up = true;
             st.ever_up = true;
@@ -649,6 +730,19 @@ impl SocketTransport {
     fn reader_loop(self: &Arc<Self>, mut stream: TcpStream, src: usize, generation: u64) {
         self.pump_frames(&mut stream, src, generation);
         let _ = stream.shutdown(Shutdown::Both);
+        // Everything this reader will queue is queued: a declaration of
+        // `src` may now take effect.
+        {
+            let mut mirror = self.mirror.state.lock(LockRank::Mirror);
+            if mirror.readers[src]
+                .as_ref()
+                .is_some_and(|r| r.generation == generation)
+            {
+                mirror.readers[src] = None;
+            }
+        }
+        let _guard = self.mail.state.lock(LockRank::Mail);
+        self.mail.signal.notify_all();
     }
 
     /// Validate every inbound frame, deliver it to the byte mailbox,
@@ -827,7 +921,12 @@ impl SocketTransport {
         let effect;
         {
             let mut st = self.mirror.state.lock(LockRank::Mirror);
-            effect = protocol::apply_control(&mut st, ev, LIVE);
+            effect = protocol::apply_control(&mut st.view, ev, LIVE);
+            if let ControlEvent::Declared { rank, .. } = ev {
+                if let Some(Some(reader)) = st.readers.get_mut(rank) {
+                    reader.declared();
+                }
+            }
         }
         self.mirror.signal.notify_all();
         if let MirrorEffect::LiftCondemnation { rank } = effect {
@@ -1044,7 +1143,7 @@ impl Transport for SocketTransport {
         self.payload_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.class.count(tag, bytes);
-        let dst_status = { self.mirror.state.lock(LockRank::Mirror)[dst].status };
+        let dst_status = { self.mirror.state.lock(LockRank::Mirror).view[dst].status };
         match protocol::send_route(src, dst, dst_status) {
             SendRoute::SelfDeliver => {
                 // Self-sends skip the wire entirely (as MPI does).
@@ -1112,16 +1211,23 @@ impl Transport for SocketTransport {
             // the precedence order (queued → poison → declaration →
             // condemnation → wait); this loop only executes it.
             let queued = mail.ready.get(&key).is_some_and(|q| !q.is_empty());
-            let (status, failed_epoch) = if src == me {
-                (RankStatus::Healthy, 0)
+            let (status, failed_epoch, draining) = if src == me {
+                (RankStatus::Healthy, 0, false)
             } else {
                 // Lock order: Mail → Mirror (see module docs). Only the
                 // hub's declaration — never a socket error — turns a
                 // silent peer into `RankFailed`.
                 let mirror = self.mirror.state.lock(LockRank::Mirror);
-                (mirror[src].status, mirror[src].failed_epoch)
+                let draining = mirror.readers[src]
+                    .as_ref()
+                    .is_some_and(|r| r.drain == Drain::Draining);
+                (
+                    mirror.view[src].status,
+                    mirror.view[src].failed_epoch,
+                    draining,
+                )
             };
-            let verdict = protocol::recv_gate(
+            let verdict = match protocol::recv_gate(
                 queued,
                 self.poisoned.load(Ordering::SeqCst),
                 src == me,
@@ -1129,7 +1235,12 @@ impl Transport for SocketTransport {
                 failed_epoch,
                 mail.corrupt[src].is_some(),
                 LIVE,
-            );
+            ) {
+                // The declaration waits until the dead link's reader has
+                // queued what the kernel held (see `Reader`).
+                RecvVerdict::RankFailed { .. } if draining => RecvVerdict::Wait,
+                verdict => verdict,
+            };
             match verdict {
                 RecvVerdict::Deliver => {
                     let (type_hash, data) = mail
@@ -1248,7 +1359,7 @@ impl Transport for SocketTransport {
             &self.mirror.signal,
             &self.poisoned,
             self.timing.sync_timeout,
-            |view: &Vec<PeerView>| gate.poll(view, me),
+            |st: &MirrorState| gate.poll(&st.view, me),
             |rank| gate.stalled(rank),
         )?;
         if let Gate::Rebirth(failed) = gate {
@@ -1288,6 +1399,6 @@ impl Transport for SocketTransport {
     }
 
     fn view(&self) -> Vec<PeerView> {
-        self.mirror.state.lock(LockRank::Mirror).clone()
+        self.mirror.state.lock(LockRank::Mirror).view.clone()
     }
 }

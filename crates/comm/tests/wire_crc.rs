@@ -1,12 +1,14 @@
-//! Pins the slicing-by-8 streaming CRC and the borrowed-payload frame
-//! writer to the codec they replaced: the fast [`crc32`] must equal the
-//! bit-serial routine it superseded (kept here as the oracle), any
-//! partition of the input must stream to the one-shot value, and the
-//! frame a stream sender emits piecewise must be `encode_frame`'s
-//! bytes exactly — the wire format did not change.
+//! Pins the streaming CRC (carry-less folding from 128 bytes on where
+//! the CPU has PCLMULQDQ, slicing-by-8 below that and elsewhere) and the
+//! borrowed-payload frame writer to the codec they replaced: the fast
+//! [`crc32`] must equal the bit-serial routine it superseded (kept here
+//! as the oracle), any partition of the input must stream to the
+//! one-shot value, and the frame a stream sender emits piecewise must be
+//! `encode_frame`'s bytes exactly — the wire format did not change.
 
 use hacc_comm::wire::{
-    crc32, encode_frame, encode_header, frame_crc, write_frame, Crc32, FrameHeader, FRAME_HEADER,
+    crc32, decode_frame, encode_frame, encode_header, frame_crc, write_frame, Crc32, FrameHeader,
+    FRAME_HEADER,
 };
 use proptest::prelude::*;
 use std::io::{IoSlice, Write};
@@ -83,29 +85,75 @@ fn known_answer() {
     assert_eq!(crc32(b""), 0);
 }
 
-/// Every short length at every start alignment, exhaustively: the word
-/// loop's entry, its exit and the byte tail all sit below 64 bytes.
+/// Longest exhaustively checked slice (shrunk under Miri, still past the
+/// carry-less entry at 128 bytes and one turn of its 64-byte loop).
+const EXHAUSTIVE_LEN: usize = if cfg!(miri) { 200 } else { 1024 };
+/// Longest proptest-drawn input.
+const MAX_LEN: usize = if cfg!(miri) { 1024 } else { 64 << 10 };
+/// Cases per property.
+const CASES: u32 = if cfg!(miri) { 4 } else { 256 };
+
+/// Every length 0..=1024 at every 16-byte start alignment,
+/// exhaustively: the slicing word loop and its byte tail below 128
+/// bytes, the carry-less entry at 128, its 64-byte four-lane loop, the
+/// 16-byte single-block folds after it and every sub-16-byte tail.
 #[test]
-fn fast_crc_matches_oracle_on_every_short_slice() {
-    let data = noise(7, 8 + 64);
-    for align in 0..8 {
-        for len in 0..=64 {
+fn fast_crc_matches_oracle_on_every_slice_to_1024() {
+    let data = noise(7, 16 + EXHAUSTIVE_LEN);
+    let align_step = if cfg!(miri) { 5 } else { 1 };
+    for align in (0..16).step_by(align_step) {
+        for len in 0..=EXHAUSTIVE_LEN {
             let s = &data[align..align + len];
             assert_eq!(crc32(s), crc32_bitwise(s), "align {align} len {len}");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// A single-bit flip anywhere in a frame past the carry-less threshold
+/// — header, payload or trailer — is rejected.
+#[test]
+fn frame_past_the_fold_threshold_rejects_every_bit_flip() {
+    let len = if cfg!(miri) { 140 } else { 300 };
+    let payload = noise(11, len);
+    let frame = encode_frame(&header(len), &payload);
+    assert!(decode_frame(&frame).is_ok());
+    for bit in 0..frame.len() * 8 {
+        let mut bad = frame.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert!(decode_frame(&bad).is_err(), "bit {bit} accepted silently");
+    }
+}
 
-    /// Fast CRC ≡ bit-serial oracle for lengths 0..=4103 (one past a
-    /// page plus a ragged tail) at all 8 start alignments.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Fast CRC ≡ bit-serial oracle for lengths up to 64 KiB at all 16
+    /// start alignments.
     #[test]
-    fn fast_crc_matches_oracle(len in 0usize..4104, align in 0usize..8, seed in any::<u64>()) {
+    fn fast_crc_matches_oracle(len in 0usize..MAX_LEN + 1, align in 0usize..16, seed in any::<u64>()) {
         let data = noise(seed, align + len);
         let s = &data[align..];
         prop_assert_eq!(crc32(s), crc32_bitwise(s));
+    }
+
+    /// Streaming cuts that land inside fold blocks: each piece is long
+    /// enough for the carry-less path and starts mid-block, so the
+    /// register crosses from one call's reduction into the next call's
+    /// first lane.
+    #[test]
+    fn streaming_cuts_inside_fold_blocks(
+        pieces in prop::collection::vec((128usize..700, 1usize..64), 1..5),
+        seed in any::<u64>(),
+    ) {
+        let lens: Vec<usize> = pieces.iter().map(|&(n, skew)| n + skew).collect();
+        let data = noise(seed, lens.iter().sum());
+        let mut crc = Crc32::new();
+        let mut from = 0;
+        for n in lens {
+            crc.update(&data[from..from + n]);
+            from += n;
+        }
+        prop_assert_eq!(crc.finish(), crc32_bitwise(&data));
     }
 
     /// Split-invariance: any partition of the input streams to the

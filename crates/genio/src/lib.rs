@@ -22,6 +22,10 @@
 //! overflow-checked and every failure is a [`GenioError`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+/// CRC-32 (IEEE 802.3, reflected) of every block and the metadata
+/// section: the transport's frame CRC, so file and wire checksums are one
+/// implementation with one value.
+pub use hacc_comm::wire::crc32;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -368,35 +372,6 @@ fn get_block<'a>(data: &mut &'a [u8]) -> Result<(String, u8, &'a [u8]), GenioErr
         return Err(GenioError::Corrupt { field: name });
     }
     Ok((name, dtype, payload))
-}
-
-/// Byte-at-a-time table for the reflected IEEE 802.3 polynomial, built
-/// at compile time.
-const CRC_TABLE: [u32; 256] = {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3 polynomial), bytewise table-driven.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 #[cfg(test)]

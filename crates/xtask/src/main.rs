@@ -555,6 +555,24 @@ fn step_miri(report: &mut Report) {
             .env("MIRIFLAGS", "-Zmiri-disable-isolation"),
     );
     report.record("miri (hacc-pm, hacc-short, hacc-fft)", outcome);
+    // hacc-comm's only unsafe is the carry-less CRC; its wire tests run
+    // with PCLMULQDQ enabled at compile time, because Miri reports no
+    // CPU feature at run time that the build did not enable.
+    let comm = |target: &[&str]| {
+        run(
+            "miri-comm",
+            Command::new("cargo")
+                .args(["miri", "test", "-p", "hacc-comm"])
+                .args(target)
+                .env("MIRIFLAGS", "-Zmiri-disable-isolation")
+                .env("RUSTFLAGS", "-C target-feature=+pclmulqdq"),
+        )
+    };
+    let outcome = match comm(&["--lib", "--", "wire::"]) {
+        Outcome::Pass => comm(&["--test", "wire_crc"]),
+        failed => failed,
+    };
+    report.record("miri (hacc-comm wire)", outcome);
 }
 
 /// Host triple, for `-Zbuild-std --target` (sanitizers require a
@@ -807,7 +825,8 @@ fn usage() -> ExitCode {
          lockorder source pass: every `.lock(` in crates/comm/src names its LockRank\n\
          protocol  exhaustive protocol model suite + runtime lock-order tests\n\
          loom      vendored-loom self-tests + the hacc-comm model suite (--cfg loom)\n\
-         miri      cargo miri test -p hacc-pm -p hacc-short -p hacc-fft (tiny sizes)\n\
+         miri      cargo miri test -p hacc-pm -p hacc-short -p hacc-fft (tiny sizes),\n\
+                   then hacc-comm's wire tests with PCLMULQDQ enabled\n\
          tsan      ThreadSanitizer: rayon kernels + socket wall-clock suites\n\
          test      cargo test -q --workspace"
     );
