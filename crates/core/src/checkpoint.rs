@@ -24,9 +24,11 @@
 //! * the serial stepper's long-range force cache is a pure function of
 //!   the (unchanged) positions, so dropping it across a restart changes
 //!   nothing ([`Simulation::from_state`]);
-//! * the distributed stepper begins every step with a domain refresh
-//!   that reads only the active-particle prefix, so restoring that
-//!   prefix — order and bits — restores the trajectory
+//! * the distributed stepper's held force slabs are a pure function of
+//!   the active-particle prefix the closing solve deposited, and a
+//!   restored view without them solves cold on that prefix before its
+//!   first refresh — which also reads only the prefix — so restoring
+//!   the prefix, order and bits, restores the trajectory
 //!   ([`DistSimulation::from_checkpoint_state`]).
 
 use std::fmt;
@@ -303,6 +305,9 @@ impl<'a> DistSimulation<'a> {
     ///
     /// Returns the rebuilt simulation and the number of completed steps,
     /// or [`CheckpointError::NoCheckpoint`] if nothing usable exists.
+    /// The rebuilt view holds no force slabs: its first `step()` solves
+    /// on the restored actives, then refreshes, which reproduces the
+    /// uninterrupted run bit for bit.
     pub fn resume_from(
         comm: &'a Comm,
         cfg: SimConfig,

@@ -26,7 +26,7 @@ use hacc_short::ForceKernel;
 
 use crate::config::{SimConfig, SolverKind};
 use crate::short::TreeShortRange;
-use crate::sim::{apply_kick, fill_scaled};
+use crate::sim::{apply_kick, fill_scaled, subcycle_edges};
 use crate::stats::{RunStats, StepBreakdown};
 
 /// Point-to-point tag pairs for the slab-grid exchanges; each call site
@@ -96,6 +96,12 @@ struct PmState {
     /// folded in place into the owned density contrast (the source),
     /// and the solve leaves the three force slabs here.
     grids: [Vec<f64>; 3],
+    /// Single-level mesh only: `grids` holds the force slabs of this
+    /// view's last solve — the closing one of the last step, on the
+    /// actives' positions as they still stand — so the next opening
+    /// kick gathers them instead of solving again. Never cleared: a
+    /// view that has solved once stays warm for as long as it lives.
+    held: bool,
     /// Two-level mesh only: the fine deposit, extended in place by the
     /// local solve's ghost planes, and the one fine force component the
     /// local solve hands out at a time.
@@ -333,10 +339,12 @@ impl<'a> DistSimulation<'a> {
 
     /// Rebuild one rank's view from checkpointed state: the active
     /// particles exactly as they were (order and bits), scale factor
-    /// restored. No refresh is performed here — `step()` refreshes
-    /// first, exactly as it would have in the uninterrupted run, so the
-    /// resumed trajectory is bit-identical. Communication-free; every
-    /// rank must call it with consistent `cfg`.
+    /// restored. Neither a solve nor a refresh is performed here, and
+    /// the view holds no force slabs: `step()` solves on the restored
+    /// actives, then refreshes — the closing solve and the refresh of
+    /// the uninterrupted run, on the same inputs — so the resumed
+    /// trajectory is bit-identical. Communication-free; every rank must
+    /// call it with consistent `cfg`.
     pub(crate) fn from_checkpoint_state(
         comm: &'a Comm,
         cfg: SimConfig,
@@ -476,8 +484,8 @@ impl<'a> DistSimulation<'a> {
     }
 
     /// Global particle count (collective: one allreduce). The count is
-    /// conserved, so a step takes it once, right after its refresh, and
-    /// hands it to the force calls.
+    /// conserved, so a step takes it once, before its refresh, and hands
+    /// it to the force calls.
     #[must_use] 
     pub fn global_count(&self) -> usize {
         self.comm.allreduce_sum(self.parts.n_active as f64) as usize
@@ -510,22 +518,37 @@ impl<'a> DistSimulation<'a> {
         })
     }
 
-    /// Long-range acceleration for every local particle into
-    /// `self.pm.accel`; `count` is the global particle count.
-    fn pm_accel(&mut self, count: usize, brk: &mut StepBreakdown) {
+    /// Run `f` on the held long-range buffers, lent out of `self` so
+    /// it can read the rest of the view.
+    fn with_pm(&mut self, f: impl FnOnce(&Self, &mut PmState)) {
         let mut pm = std::mem::take(&mut self.pm);
-        match &self.tl {
-            Some(tl) => self.pm_accel_two_level(tl, &mut pm, count, brk),
-            None => self.pm_accel_single(&mut pm, count, brk),
-        }
+        f(self, &mut pm);
         self.pm = pm;
+    }
+
+    /// Long-range acceleration for every local particle into
+    /// `self.pm.accel`; `count` is the global particle count. With
+    /// `solve` false the single-level mesh gathers its held slabs
+    /// instead of solving; the two-level mesh always solves.
+    fn pm_accel(&mut self, count: usize, solve: bool, brk: &mut StepBreakdown) {
+        self.with_pm(|sim, pm| match &sim.tl {
+            Some(tl) => sim.pm_accel_two_level(tl, pm, count, brk),
+            None => {
+                if solve {
+                    sim.pm_solve_single(pm, count, brk);
+                }
+                sim.pm_gather_single(pm, brk);
+            }
+        });
     }
 
     fn particle_positions(&self) -> [&[f32]; 3] {
         [&self.parts.x, &self.parts.y, &self.parts.z]
     }
 
-    fn pm_accel_single(&self, pm: &mut PmState, count: usize, brk: &mut StepBreakdown) {
+    /// The single-level solve: deposit the actives, fold, and solve,
+    /// leaving the three force slabs held in `pm.grids`.
+    fn pm_solve_single(&self, pm: &mut PmState, count: usize, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let grid = self.slab_grid(ng);
         let nbar = count as f64 / (ng * ng * ng) as f64;
@@ -541,14 +564,23 @@ impl<'a> DistSimulation<'a> {
 
         let t1 = Instant::now();
         self.global_solve().solve_forces_in_place(&mut pm.grids);
+        pm.held = true;
         brk.fft += t1.elapsed();
+    }
 
-        let t2 = Instant::now();
+    /// The single-level gather: the held force slabs' halos, then the
+    /// fused CIC gather at every local particle, replicas included.
+    fn pm_gather_single(&self, pm: &mut PmState, brk: &mut StepBreakdown) {
+        debug_assert!(pm.held, "gather before any solve");
+        let ng = self.cfg.ng;
+        let t0 = Instant::now();
         let h = (self.w_cells.ceil() as usize) + 1;
         let halos = exchange_halos(self.comm, &pm.grids, ng * ng, h, TAGS_FORCE_HALO);
         let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
-        grid.gather(fields, h, self.particle_positions(), &mut pm.accel, false);
-        brk.cic += t2.elapsed();
+        let pos = self.particle_positions();
+        self.slab_grid(ng)
+            .gather(fields, h, pos, &mut pm.accel, false);
+        brk.cic += t0.elapsed();
     }
 
     /// Two-level long-range acceleration: the only *global* transform is
@@ -680,6 +712,16 @@ impl<'a> DistSimulation<'a> {
     }
 
     /// One full long-range step to `a1` (collective).
+    ///
+    /// One long-range solve per step on the single-level mesh: the
+    /// closing solve's force slabs stay held, and the next opening kick
+    /// only gathers them at the refreshed particles (the field is the
+    /// same — a kick moves no particle). A view that holds none — fresh
+    /// from [`Self::new`], a checkpoint or a membership change — solves
+    /// cold first, on its actives exactly as stored and *before* the
+    /// refresh: the same actives, order and positions as the closing
+    /// solve of the uninterrupted run, so a resumed trajectory is
+    /// bit-identical without any held state in the checkpoint.
     pub fn step(&mut self, a1: f64) {
         assert!(a1 > self.a);
         let mut brk = StepBreakdown::default();
@@ -687,11 +729,17 @@ impl<'a> DistSimulation<'a> {
         let a0 = self.a;
         let am = (a0 * a1).sqrt();
 
+        let t0 = Instant::now();
+        let count = self.global_count();
+        brk.other += t0.elapsed();
+        if self.tl.is_none() && !self.pm.held {
+            self.with_pm(|sim, pm| sim.pm_solve_single(pm, count, &mut brk));
+        }
+
         // Re-synchronize domains and overload shells.
         let t0 = Instant::now();
         refresh(self.comm, &self.decomp, &mut self.parts);
         self.short.invalidate();
-        let count = self.global_count();
         brk.other += t0.elapsed();
 
         let kick = |p: &mut Particles, accel: &[Vec<f32>; 3], factor: f64| {
@@ -699,16 +747,10 @@ impl<'a> DistSimulation<'a> {
             let [ax, ay, az] = accel;
             apply_kick(&mut p.vx, &mut p.vy, &mut p.vz, ax, ay, az, k);
         };
-        self.pm_accel(count, &mut brk);
+        self.pm_accel(count, false, &mut brk);
         kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(a0, am));
 
-        let nc = self.cfg.subcycles.max(1);
-        let l0 = a0.ln();
-        let l1 = a1.ln();
-        for s in 0..nc {
-            let b0 = (l0 + (l1 - l0) * s as f64 / nc as f64).exp();
-            let b1 = (l0 + (l1 - l0) * (s + 1) as f64 / nc as f64).exp();
-            let bm = (b0 * b1).sqrt();
+        for (b0, bm, b1) in subcycle_edges(a0, a1, self.cfg.subcycles) {
             self.drift(cosmo.drift_factor(b0, bm));
             if self.cfg.solver != SolverKind::PmOnly {
                 self.short_accel(count, &mut brk);
@@ -717,7 +759,7 @@ impl<'a> DistSimulation<'a> {
             self.drift(cosmo.drift_factor(bm, b1));
         }
 
-        self.pm_accel(count, &mut brk);
+        self.pm_accel(count, true, &mut brk);
         kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(am, a1));
 
         self.a = a1;
@@ -858,6 +900,38 @@ mod tests {
         });
         for c in counts {
             assert_eq!(c, total);
+        }
+    }
+
+    /// A view rebuilt from its own state (`into_state` →
+    /// `from_checkpoint_state`, as every membership change does) holds
+    /// no force slabs; its cold solve must reproduce the held path's
+    /// next step bit for bit: ids, positions and momenta in order.
+    #[test]
+    fn rebuilt_view_steps_like_the_held_one() {
+        let a0 = 0.3;
+        let realization = ics(a0);
+        let config = cfg(SolverKind::TreePm, a0);
+        let (runs, _) = Machine::new(2).run(move |comm| {
+            let run = |rebuild: bool| {
+                let mut sim = DistSimulation::new(&comm, config, &realization);
+                sim.step(0.33);
+                if rebuild {
+                    let (a, parts) = sim.into_state();
+                    sim = DistSimulation::from_checkpoint_state(&comm, config, a, parts);
+                }
+                sim.step(0.36);
+                let p = sim.particles();
+                let n = p.n_active;
+                let bits = [&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz]
+                    .map(|c| c[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                (p.id[..n].to_vec(), bits)
+            };
+            (run(false), run(true))
+        });
+        for (held, rebuilt) in runs {
+            assert!(!held.0.is_empty());
+            assert!(held == rebuilt, "the rebuilt view's step diverged");
         }
     }
 

@@ -452,13 +452,7 @@ impl Simulation {
         let mut lr2 = std::mem::replace(&mut self.lr_spare, lr);
 
         // Short-range SKS sub-cycles with the long-range force frozen.
-        let nc = self.cfg.subcycles.max(1);
-        let l0 = a0.ln();
-        let l1 = a1.ln();
-        for s in 0..nc {
-            let b0 = (l0 + (l1 - l0) * s as f64 / nc as f64).exp();
-            let b1 = (l0 + (l1 - l0) * (s + 1) as f64 / nc as f64).exp();
-            let bm = (b0 * b1).sqrt();
+        for (b0, bm, b1) in subcycle_edges(a0, a1, self.cfg.subcycles) {
             let t0 = Instant::now();
             self.drift(cosmo.drift_factor(b0, bm));
             brk.other += t0.elapsed();
@@ -573,6 +567,24 @@ impl Simulation {
         }
         out
     }
+}
+
+/// The short-range sub-cycle schedule of one long step `a0 → a1`, for
+/// both engines: `subcycles` (at least one) equal steps in `ln a`, each
+/// as `(b0, bm, b1)` — its edges and their geometric midpoint, where
+/// the two drifts meet around the short-range kick.
+pub(crate) fn subcycle_edges(
+    a0: f64,
+    a1: f64,
+    subcycles: usize,
+) -> impl Iterator<Item = (f64, f64, f64)> {
+    let nc = subcycles.max(1);
+    let (l0, l1) = (a0.ln(), a1.ln());
+    (0..nc).map(move |s| {
+        let b0 = (l0 + (l1 - l0) * s as f64 / nc as f64).exp();
+        let b1 = (l0 + (l1 - l0) * (s + 1) as f64 / nc as f64).exp();
+        (b0, (b0 * b1).sqrt(), b1)
+    })
 }
 
 /// `p += k·a` over three SoA components. A free function (rather than a

@@ -122,6 +122,95 @@ fn distributed_resume_is_bit_exact() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// Steps `from..to` of `config` on a fresh machine, checkpointing every
+/// step into `dir`: from the initial conditions when `from == 0`, else
+/// resumed from the step-`from` set in `dir`. Returns rank 0's gathered
+/// `(id, position)` list.
+fn run_span(
+    config: SimConfig,
+    realization: &hacc::ics::IcsRealization,
+    dir: &Path,
+    (from, to): (usize, usize),
+) -> Vec<(u64, [f32; 3])> {
+    let (mut res, _) = Machine::new(RANKS).run(|comm| {
+        let mut sim = if from == 0 {
+            DistSimulation::new(&comm, config, realization)
+        } else {
+            let (sim, done) =
+                DistSimulation::resume_from(&comm, config, dir).expect("resume from disk");
+            assert_eq!(done, from as u64);
+            sim
+        };
+        let edges = config.step_edges();
+        for k in from..to {
+            sim.step(edges[k + 1]);
+            sim.checkpoint_to(dir, (k + 1) as u64).expect("checkpoint");
+        }
+        sim.gather_positions()
+    });
+    res.iter_mut().find_map(Option::take).expect("rank 0")
+}
+
+/// Resume across a migration: on `cfg32` particles change rank between
+/// the step-2 set and step 3, so the refresh reorders and re-wraps the
+/// actives. A resumed view must take its first long-range solve on the
+/// actives exactly as checkpointed — before that refresh, as the
+/// uninterrupted run's closing solve did — or the deposit order, and
+/// with it every later bit, differs. Positions and the final checkpoint
+/// files (positions, momenta, ids) must match bit for bit.
+#[test]
+fn resume_across_migration_is_bit_exact() {
+    let dir_a = scratch("whole32");
+    let dir_b = scratch("split32");
+    let (config, realization) = (cfg32(), ics32());
+    let want = run_span(config, &realization, &dir_a, (0, config.steps));
+    run_span(config, &realization, &dir_b, (0, 2));
+    let got = run_span(config, &realization, &dir_b, (2, config.steps));
+
+    // The test only sees the solve's ordering if some particle migrates
+    // at step 3's refresh.
+    let ids = |step, rank| {
+        let snap = Snapshot::read_file(&checkpoint_path(&dir_a, step, rank, RANKS)).unwrap();
+        let mut ids = snap.u64_fields["id"].clone();
+        ids.sort_unstable();
+        ids
+    };
+    assert_ne!(ids(2, 0), ids(3, 0), "no particle migrated at step 3");
+
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.0, w.0, "particle ids diverged");
+        for c in 0..3 {
+            assert_eq!(
+                g.1[c].to_bits(),
+                w.1[c].to_bits(),
+                "position bits diverged for id {}",
+                g.0
+            );
+        }
+    }
+    for rank in 0..RANKS {
+        let a = Snapshot::read_file(&checkpoint_path(&dir_a, 4, rank, RANKS)).unwrap();
+        let b = Snapshot::read_file(&checkpoint_path(&dir_b, 4, rank, RANKS)).unwrap();
+        for col in ["vx", "vy", "vz"] {
+            let bits = |s: &Snapshot| {
+                s.f32_fields[col]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(&a),
+                bits(&b),
+                "momentum column {col} differs on rank {rank}"
+            );
+        }
+        assert_eq!(a, b, "final checkpoint differs on rank {rank}");
+    }
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
 /// The relaunch guarantee: what the in-run tiers cannot recover fails
 /// the attempt, and the driver's relaunch still finishes with a final
 /// state bit-identical to a failure-free run. At 2 ranks the 16-cell
