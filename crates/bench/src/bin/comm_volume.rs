@@ -15,8 +15,9 @@
 //! the per-solve ratio nor the warm-step one; `a2a_ratio_warm_step`
 //! (ungated) is the last step's alone.
 //!
-//! Run with `--json PATH` to emit the fragment `scripts/bench.sh` folds
-//! into `BENCH_pr9.json`; the gate asserts `a2a_ratio >= 4` at c = 2.
+//! Run with `--json PATH` to write the result as JSON (the committed
+//! record is `out/bench/comm_volume.json`); CI's gate asserts
+//! `a2a_ratio >= 4` at c = 2.
 
 use hacc_bench::reference_power;
 use hacc_comm::{Machine, TagClassVolumes};

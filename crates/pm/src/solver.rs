@@ -11,13 +11,13 @@
 //! complex solve at roughly half the flops and memory traffic. The
 //! influence×filter and gradient kernels are precomputed into tables at
 //! construction, and a single shared spectrum feeds all three gradient
-//! components — no per-component clone of ρ(k). The complex-to-complex
-//! path is retained as [`PmSolver::solve_forces_c2c`] as a bit-level
-//! reference for regression tests.
+//! components — no per-component clone of ρ(k). Its tests check it
+//! mode by mode against the kernels' closed form, with no FFT in the
+//! oracle.
 
 use std::sync::Mutex;
 
-use hacc_fft::{Complex64, Fft3, RealFft3};
+use hacc_fft::{Complex64, RealFft3};
 use rayon::prelude::*;
 
 use crate::spectral::SpectralParams;
@@ -36,9 +36,7 @@ pub struct PmSolver {
     nzh: usize,
     box_len: f64,
     params: SpectralParams,
-    /// Complex reference path (kept for regression checks).
-    fft: Fft3,
-    /// Production half-spectrum path.
+    /// Half-spectrum transforms.
     rfft: RealFft3,
     /// Influence×filter table over the half-spectrum, `n·n·nzh` entries
     /// in the same row-major layout as the spectrum itself.
@@ -69,7 +67,7 @@ impl PmSolver {
         let mut grad: Vec<f64> = (0..n).map(|i| params.gradient(i, n, d)).collect();
         if n.is_multiple_of(2) {
             // A Hermitian-consistent odd multiplier must vanish at the
-            // Nyquist index (k ≡ -k there). The c2c reference reaches the
+            // Nyquist index (k ≡ -k there). A complex solve reaches the
             // same answer implicitly: a nonzero D(n/2) makes the Nyquist
             // plane of -i·D·φ purely anti-Hermitian, and truncating the
             // inverse transform to `.re` discards exactly that plane.
@@ -80,7 +78,6 @@ impl PmSolver {
             nzh,
             box_len,
             params,
-            fft: Fft3::new_cubic(n),
             rfft: RealFft3::new_cubic(n),
             gs,
             grad,
@@ -111,7 +108,6 @@ impl PmSolver {
             nzh,
             box_len,
             params,
-            fft: Fft3::new_cubic(n),
             rfft: RealFft3::new_cubic(n),
             gs,
             grad,
@@ -239,55 +235,6 @@ impl PmSolver {
         self.solve_forces_into(source, &mut out);
         out
     }
-
-    /// Complex-to-complex reference force solve (the original
-    /// implementation). Kept to pin the half-spectrum path: both must
-    /// agree to ≲1e-10 on any real source.
-    pub fn solve_forces_c2c(&self, source: &[f64]) -> [Vec<f64>; 3] {
-        let mut rho = self.to_complex(source);
-        self.fft.forward(&mut rho);
-        let (n, d) = (self.n, self.delta());
-        let p = self.params;
-        // Common factor: φ(k) = G·S·ρ(k).
-        self.apply_kernel(&mut rho, |idx| {
-            Complex64::new(p.influence(idx, n, d) * p.filter(idx, n, d), 0.0)
-        });
-        let mut out: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (c, slot) in out.iter_mut().enumerate() {
-            let mut comp = rho.clone();
-            // F_c(k) = -i·D_c(k)·φ(k).
-            self.apply_kernel(&mut comp, |idx| {
-                Complex64::new(0.0, -p.gradient(idx[c], n, d))
-            });
-            self.fft.backward(&mut comp);
-            *slot = comp.par_iter().map(|v| v.re).collect();
-        }
-        out
-    }
-
-    fn to_complex(&self, source: &[f64]) -> Vec<Complex64> {
-        assert_eq!(source.len(), self.n * self.n * self.n);
-        source.par_iter().map(|&v| Complex64::new(v, 0.0)).collect()
-    }
-
-    /// Apply a complex-valued k-space kernel element-wise on the full
-    /// spectrum; `f` receives the global grid indices of each mode.
-    fn apply_kernel<F>(&self, data: &mut [Complex64], f: F)
-    where
-        F: Fn([usize; 3]) -> Complex64 + Sync,
-    {
-        let n = self.n;
-        data.par_chunks_mut(n * n)
-            .enumerate()
-            .for_each(|(ix, plane)| {
-                for iy in 0..n {
-                    for iz in 0..n {
-                        let k = f([ix, iy, iz]);
-                        plane[iy * n + iz] *= k;
-                    }
-                }
-            });
-    }
 }
 
 #[cfg(test)]
@@ -408,44 +355,73 @@ mod tests {
         }
     }
 
-    /// The half-spectrum production path must reproduce the complex
-    /// reference solve on a random density field (tentpole regression).
+    /// The solve against its closed form, one Fourier mode at a time,
+    /// with no FFT in the oracle. For δ(x) = cos(2π k·x/n) the forward
+    /// transform puts n³/2 at k and at −k; G·S is even and D odd in k,
+    /// so the two halves are complex conjugates and component c is
+    ///
+    /// F_c(x) = Re[−i·D_c(k)·G(k)S(k)·e^{2πi k·x/n}],
+    ///
+    /// with D_c zeroed at the Nyquist index as `new` documents. Modes:
+    /// DC, single and mixed axes, negative frequencies, the odd grid's
+    /// highest frequency and, on the even grid, each axis's Nyquist index
+    /// alone and beside other axes.
     #[test]
     #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
-    fn r2c_forces_match_c2c_reference_64() {
-        let n = 64;
-        let src = rand_density(n, 20120931);
-        for (params, tag) in [
-            (SpectralParams::default(), "default"),
-            (exact_params(), "exact"),
-        ] {
-            let solver = PmSolver::new(n, 130.0, params);
-            let fast = solver.solve_forces(&src);
-            let reference = solver.solve_forces_c2c(&src);
-            let mut max = 0.0f64;
-            for c in 0..3 {
-                for (a, b) in fast[c].iter().zip(&reference[c]) {
-                    max = max.max((a - b).abs());
-                }
-            }
-            assert!(max <= 1e-10, "{tag}: max abs diff {max:e}");
-        }
-    }
-
-    /// Same agreement requirement for odd grids, where no Nyquist plane
-    /// exists and the self-conjugate set is just the DC bin.
-    #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
-    fn r2c_forces_match_c2c_reference_odd_grid() {
-        let n = 9;
-        let src = rand_density(n, 77);
-        for params in [SpectralParams::default(), exact_params()] {
-            let solver = PmSolver::new(n, 9.0, params);
-            let fast = solver.solve_forces(&src);
-            let reference = solver.solve_forces_c2c(&src);
-            for c in 0..3 {
-                for (a, b) in fast[c].iter().zip(&reference[c]) {
-                    assert!((a - b).abs() <= 1e-10);
+    fn r2c_forces_match_single_mode_oracle() {
+        let cases: [(usize, &[[i64; 3]]); 2] = [
+            (
+                12,
+                &[
+                    [0, 0, 0],
+                    [1, 0, 0],
+                    [0, 0, 3],
+                    [2, -1, 3],
+                    [-3, 5, -2],
+                    [6, 0, 0],
+                    [0, 6, 0],
+                    [0, 0, 6],
+                    [6, 0, 1],
+                    [1, 6, 2],
+                    [2, 1, 6],
+                    [6, 6, 6],
+                ],
+            ),
+            (9, &[[0, 0, 0], [0, 1, 0], [2, -3, 1], [-4, 4, 4], [1, 0, -2]]),
+        ];
+        for (n, modes) in cases {
+            let l = 1.3 * n as f64;
+            let d = l / n as f64;
+            let idx = |k: i64| k.rem_euclid(n as i64) as usize;
+            for params in [SpectralParams::default(), exact_params()] {
+                let solver = PmSolver::new(n, l, params);
+                for &k in modes {
+                    let kidx = k.map(idx);
+                    let gs = params.influence(kidx, n, d) * params.filter(kidx, n, d);
+                    let dk = kidx.map(|i| {
+                        if 2 * i == n {
+                            0.0
+                        } else {
+                            params.gradient(i, n, d)
+                        }
+                    });
+                    let phase = |x: [usize; 3]| {
+                        let dot: i64 = (0..3).map(|a| k[a] * x[a] as i64).sum();
+                        2.0 * std::f64::consts::PI * dot as f64 / n as f64
+                    };
+                    let at = |i: usize| phase([i / (n * n), i / n % n, i % n]);
+                    let src: Vec<f64> = (0..n * n * n).map(|i| at(i).cos()).collect();
+                    let f = solver.solve_forces(&src);
+                    for (c, comp) in f.iter().enumerate() {
+                        let mult = Complex64::new(0.0, -dk[c] * gs);
+                        for (i, &got) in comp.iter().enumerate() {
+                            let want = (mult * Complex64::cis(at(i))).re;
+                            assert!(
+                                (got - want).abs() <= 1e-10,
+                                "n={n} k={k:?} c={c} i={i}: {got} vs {want}"
+                            );
+                        }
+                    }
                 }
             }
         }

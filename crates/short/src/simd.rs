@@ -18,8 +18,8 @@
 //! Two kernel shapes are exposed:
 //!
 //! * [`force_on_best`] — one-sided: force on a single target from a
-//!   pre-gathered source list (the shared-interaction-list shape; P³M
-//!   and the tree's one-sided oracle);
+//!   pre-gathered source list (the shared-interaction-list shape P³M
+//!   uses);
 //! * `leaf_pair` — symmetric: a listed leaf pair is evaluated chunk ×
 //!   chunk ([`CHUNK`] = 8 particles). A vectorised box test discards
 //!   chunk pairs farther apart than `r_cut`; each survivor is one 8 × 8

@@ -28,18 +28,15 @@
 //! [`CHUNK`](crate::simd::CHUNK) = 8 consecutive particles and keeps one
 //! bounding box per chunk. Leaf storage is padded to whole chunks.
 //!
-//! * [`RcbTree::forces_symmetric_into`] — what the engines run: the
-//!   symmetric dual-tree walk emits each interacting *leaf pair* once;
-//!   each listed pair is evaluated chunk × chunk, a box test discarding
-//!   chunk pairs beyond `r_cut` and an 8 × 8 tile kernel accumulating
-//!   `+f` on targets and the Newton-3 reaction `−f` on sources.
-//!   Accumulation uses a fixed set of chunk-owned force buffers reduced
-//!   in a fixed order, so results are race-free and bit-reproducible
-//!   regardless of how rayon schedules them.
-//! * [`RcbTree::forces_into`] — the one-sided walk (every leaf gathers
-//!   its shared interaction list; each of its particles is evaluated
-//!   against the full list). No engine runs it; it stays as the test
-//!   oracle for the symmetric path.
+//! [`RcbTree::forces_symmetric_into`] is the force pass: a symmetric
+//! dual-tree walk emits each interacting *leaf pair* once; each listed
+//! pair is evaluated chunk × chunk, a box test discarding chunk pairs
+//! beyond `r_cut` and an 8 × 8 tile kernel accumulating `+f` on targets
+//! and the Newton-3 reaction `−f` on sources. Accumulation uses a fixed
+//! set of chunk-owned force buffers reduced in a fixed order, so results
+//! are race-free and bit-reproducible regardless of how rayon schedules
+//! them. Its tests check it against O(N²) brute-force sums that share
+//! no code with it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -64,16 +61,6 @@ const PAD: u32 = u32::MAX;
 /// beyond any cutoff (so the kernel's select always zeroes the pair).
 const PAD_COORD: f32 = 1.0e10;
 
-/// Gather buffers for one interaction-list walk of the one-sided oracle.
-#[derive(Default)]
-struct Gather {
-    nx: Vec<f32>,
-    ny: Vec<f32>,
-    nz: Vec<f32>,
-    nm: Vec<f32>,
-    stack: Vec<usize>,
-}
-
 /// One contiguous range of the leaf-pair list and the tree-order slots
 /// its pairs can write — all of its accumulator that is ever zeroed,
 /// written or reduced.
@@ -83,10 +70,10 @@ struct PairChunk {
     slots: (u32, u32),
 }
 
-/// Reusable scratch for [`RcbTree::rebuild`] and the force passes:
-/// partition swap records, in-leaf ordering columns, and the tree-order
-/// force accumulators. Steady-state rebuild + force evaluation performs
-/// no heap allocation.
+/// Reusable scratch for [`RcbTree::rebuild`] and
+/// [`RcbTree::forces_symmetric_into`]: partition swap records, in-leaf
+/// ordering columns, the leaf-pair list and the force accumulators.
+/// Steady-state rebuild + force evaluation performs no heap allocation.
 #[derive(Default)]
 pub struct TreeScratch {
     /// Swap pairs recorded by the three-phase partition.
@@ -96,20 +83,18 @@ pub struct TreeScratch {
     order: Vec<u32>,
     tmp_f32: Vec<f32>,
     tmp_u32: Vec<u32>,
-    /// One-sided oracle: the current leaf's interaction list.
-    gather: Gather,
     /// Forces in tree (slot) order, scattered to input order at the
     /// end of a pass.
     ftree: [Vec<f32>; 3],
-    /// Symmetric walk: interacting leaf-pair list (node indices, first ≤
-    /// second in tree order).
+    /// Interacting leaf-pair list (node indices, first ≤ second in tree
+    /// order).
     pairs: Vec<(u32, u32)>,
-    /// Symmetric walk: the pair list cut into at most [`PAIR_CHUNKS`].
+    /// The pair list cut into at most [`PAIR_CHUNKS`].
     chunks: Vec<PairChunk>,
-    /// Symmetric walk: chunk-owned force accumulators (slot order). Only
-    /// a chunk's `slots` span holds meaningful data.
+    /// Chunk-owned force accumulators (slot order). Only a chunk's
+    /// `slots` span holds meaningful data.
     chunk_bufs: Vec<[Vec<f32>; 3]>,
-    /// Symmetric walk: node stack for pair generation.
+    /// Node stack for pair generation.
     stack: Vec<usize>,
 }
 
@@ -568,112 +553,6 @@ impl RcbTree {
         d2
     }
 
-    /// Gather the shared interaction list for a leaf: every particle in a
-    /// leaf whose box is within `r_cut` of this leaf's box.
-    fn gather_neighbors(&self, leaf: usize, rcut2: f32, g: &mut Gather) {
-        let Gather {
-            nx,
-            ny,
-            nz,
-            nm,
-            stack,
-        } = g;
-        nx.clear();
-        ny.clear();
-        nz.clear();
-        nm.clear();
-        let (tlo, thi) = (self.nodes[leaf].lo, self.nodes[leaf].hi);
-        // Iterative walk with an explicit stack ("walk minimization": the
-        // walk only prunes boxes; all fine-grained work happens in the
-        // kernel afterwards).
-        stack.clear();
-        stack.push(0);
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            if Self::box_dist2(&tlo, &thi, &node.lo, &node.hi) > rcut2 {
-                continue;
-            }
-            if node.is_leaf() {
-                nx.extend_from_slice(&self.xs[node.slots()]);
-                ny.extend_from_slice(&self.ys[node.slots()]);
-                nz.extend_from_slice(&self.zs[node.slots()]);
-                nm.extend_from_slice(&self.mass[node.slots()]);
-            } else {
-                stack.push(node.left);
-                stack.push(node.right);
-            }
-        }
-    }
-
-    /// One-sided evaluation of the short-range force on every particle —
-    /// the test oracle for [`RcbTree::forces_symmetric_into`]; no engine
-    /// calls it.
-    ///
-    /// Returns forces *in the original input ordering* plus the total
-    /// interaction count (for the flops accounting of Figs. 5/7).
-    #[must_use]
-    pub fn forces(&self, kernel: &ForceKernel) -> ([Vec<f32>; 3], u64) {
-        let (f, inter, _, _) = self.forces_timed(kernel);
-        (f, inter)
-    }
-
-    /// Like [`RcbTree::forces`] (test oracle only) but also reports
-    /// aggregate walk (interaction-list gathering) and kernel time across
-    /// workers.
-    #[must_use]
-    pub fn forces_timed(
-        &self,
-        kernel: &ForceKernel,
-    ) -> ([Vec<f32>; 3], u64, Duration, Duration) {
-        let mut scratch = TreeScratch::default();
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        let (inter, walk, kern) = self.forces_into(kernel, &mut scratch, &mut out);
-        (out, inter, walk, kern)
-    }
-
-    /// The one-sided walk into caller-owned buffers (test oracle only):
-    /// every leaf gathers its shared interaction list and each of its
-    /// particles is evaluated against the full list. Forces land in the
-    /// original input ordering; returns (interaction count, walk time,
-    /// kernel time).
-    pub fn forces_into(
-        &self,
-        kernel: &ForceKernel,
-        scratch: &mut TreeScratch,
-        out: &mut [Vec<f32>; 3],
-    ) -> (u64, Duration, Duration) {
-        let TreeScratch { gather: g, ftree, .. } = scratch;
-        for f in ftree.iter_mut() {
-            f.resize(self.xs.len(), 0.0);
-        }
-        let (mut inter, mut walk, mut kern) = (0u64, Duration::ZERO, Duration::ZERO);
-        for &leaf in &self.leaves {
-            let t0 = Instant::now();
-            self.gather_neighbors(leaf, kernel.rcut2, g);
-            walk += t0.elapsed();
-            let t1 = Instant::now();
-            for t in self.nodes[leaf].slots() {
-                let f = simd::force_on_best(
-                    kernel,
-                    self.xs[t],
-                    self.ys[t],
-                    self.zs[t],
-                    &g.nx,
-                    &g.ny,
-                    &g.nz,
-                    &g.nm,
-                );
-                for (acc, v) in ftree.iter_mut().zip(f) {
-                    acc[t] = v;
-                }
-                inter += g.nx.len() as u64;
-            }
-            kern += t1.elapsed();
-        }
-        self.scatter(ftree, out);
-        (inter, walk, kern)
-    }
-
     /// Scatter slot-order forces back to the original input ordering.
     fn scatter(&self, ftree: &[Vec<f32>; 3], out: &mut [Vec<f32>; 3]) {
         for (o, f) in out.iter_mut().zip(ftree) {
@@ -704,20 +583,21 @@ impl RcbTree {
     /// box test on the chunks' current bounding boxes keeps the chunk
     /// pairs within `r_cut`, and each of those runs one 8 × 8 tile that
     /// accumulates `+f` on the targets and the Newton-3 reaction `−f` on
-    /// the sources — one kernel evaluation per particle pair instead of
-    /// the one-sided walk's two. Within a leaf only the upper triangle of
+    /// the sources — one kernel evaluation per particle pair, where a
+    /// per-target sum pays two. Within a leaf only the upper triangle of
     /// chunk pairs is evaluated.
     ///
     /// `slack` widens the leaf-pair acceptance test to
     /// `(r_cut + slack)²` at *build-time* bounding boxes. With `slack =
-    /// 0` and unmoved particles this selects exactly the one-sided walk's
-    /// leaf coverage; a positive slack makes the pair list a valid
-    /// superset for any particle configuration in which no particle has
-    /// drifted more than `slack / 2` from its build-time position (see
-    /// [`RcbTree::refresh_positions`]). Only the leaf list needs the
-    /// skin: chunk boxes follow the particles, so the chunk test uses
-    /// `r_cut` itself, and the kernel's own cutoff select zeroes the
-    /// remaining pairs beyond `r_cut`, so forces stay exact.
+    /// 0` it lists exactly the leaf pairs whose boxes lie within `r_cut`
+    /// of each other, which holds every particle pair in range while
+    /// the particles have not moved; a positive slack makes the pair list
+    /// a valid superset for any particle configuration in which no
+    /// particle has drifted more than `slack / 2` from its build-time
+    /// position (see [`RcbTree::refresh_positions`]). Only the leaf list
+    /// needs the skin: chunk boxes follow the particles, so the chunk
+    /// test uses `r_cut` itself, and the kernel's own cutoff select
+    /// zeroes the remaining pairs beyond `r_cut`, so forces stay exact.
     ///
     /// Race-freedom and reproducibility: the pair list is split into at
     /// most [`PAIR_CHUNKS`] contiguous cost-balanced ranges; range `i`
@@ -751,8 +631,8 @@ impl RcbTree {
         // the pair (earlier, later) is therefore emitted exactly once,
         // from the earlier side.
         let t0 = Instant::now();
-        // With no slack, use the kernel's rcut² verbatim so the pair set
-        // is bit-for-bit the one-sided walk's coverage.
+        // With no slack, use the kernel's rcut² verbatim: the pair set is
+        // then exactly the leaf pairs whose boxes lie within r_cut.
         let reach2 = if slack > 0.0 {
             let reach = kernel.rcut2.sqrt() + slack;
             reach * reach
@@ -1074,8 +954,18 @@ mod tests {
         let np = if cfg!(miri) { 64 } else { 400 };
         let (xs, ys, zs, m) = rand_particles(np, 10.0, 11);
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 24 });
-        let (f, inter) = tree.forces(&kernel);
-        assert!(inter > 0);
+        let (f, directed) = tree.forces_symmetric(&kernel);
+        // The box tests may pass pairs beyond the cutoff to the kernel,
+        // but never drop one inside it.
+        let in_range = (0..np)
+            .flat_map(|i| (i + 1..np).map(move |j| (i, j)))
+            .filter(|&(i, j)| {
+                let d = [xs[j] - xs[i], ys[j] - ys[i], zs[j] - zs[i]];
+                d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < kernel.rcut2
+            })
+            .count() as u64;
+        assert!(in_range > 0);
+        assert!(directed >= 2 * in_range, "{directed} directed < 2 × {in_range} in range");
         let want = brute(&kernel, &xs, &ys, &zs, &m);
         for c in 0..3 {
             for p in 0..xs.len() {
@@ -1107,21 +997,9 @@ mod tests {
         let tree = RcbTree::build(&xs, &xs, &xs, &vec![1.0; np], TreeParams { leaf_size: 8 });
         assert!(tree.leaf_count() >= np / 8);
         let kernel = ForceKernel::newtonian(1.0, 1e-4);
-        let (f, _) = tree.forces(&kernel);
-        // All self-interactions masked: zero forces.
+        let (f, _) = tree.forces_symmetric(&kernel);
+        // Every pair has s = 0, which the kernel masks: zero forces.
         assert!(f[0].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn empty_and_single_particle() {
-        let kernel = ForceKernel::newtonian(1.0, 1e-4);
-        let empty = RcbTree::build(&[], &[], &[], &[], TreeParams::default());
-        let (f, i) = empty.forces(&kernel);
-        assert_eq!(i, 0);
-        assert!(f[0].is_empty());
-        let one = RcbTree::build(&[1.0], &[2.0], &[3.0], &[1.0], TreeParams::default());
-        let (f1, _) = one.forces(&kernel);
-        assert_eq!(f1[0][0], 0.0);
     }
 
     #[test]
@@ -1139,9 +1017,9 @@ mod tests {
         }
         let tree = RcbTree::build(&xs2, &ys, &zs, &m, TreeParams { leaf_size: 16 });
         let kernel = ForceKernel::newtonian(2.0, 1e-5);
-        let (_, inter) = tree.forces(&kernel);
+        let (_, directed) = tree.forces_symmetric(&kernel);
         // Each cluster of 50 interacts only internally: ≤ 50·50 each.
-        assert!(inter <= 2 * 50 * 50, "interactions {inter}");
+        assert!(directed <= 2 * 50 * 50, "interactions {directed}");
     }
 
     #[test]
@@ -1151,7 +1029,7 @@ mod tests {
         let mut tree = RcbTree::new_empty(TreeParams { leaf_size: 24 });
         let mut out = [Vec::new(), Vec::new(), Vec::new()];
         // Rebuild across particle sets of varying size; each pass must
-        // match a from-scratch build + forces exactly (miri: smaller
+        // match a from-scratch build + forces bit for bit (miri: smaller
         // sets, same grow/shrink/grow capacity sequence).
         let sweep: &[(usize, u64)] = if cfg!(miri) {
             &[(90, 11), (150, 21), (60, 31)]
@@ -1161,46 +1039,12 @@ mod tests {
         for &(np, seed) in sweep {
             let (xs, ys, zs, m) = rand_particles(np, 10.0, seed);
             tree.rebuild(&xs, &ys, &zs, &m, &mut scratch);
-            let (inter, _, _) = tree.forces_into(&kernel, &mut scratch, &mut out);
+            let rep = tree.forces_symmetric_into(&kernel, 0.0, &mut scratch, &mut out);
             let fresh = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 24 });
-            let (want, winter) = fresh.forces(&kernel);
-            assert_eq!(inter, winter, "np={np}");
+            let (want, directed) = fresh.forces_symmetric(&kernel);
+            assert_eq!(rep.directed, directed, "np={np}");
             for c in 0..3 {
                 assert_eq!(out[c], want[c], "np={np} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn symmetric_matches_per_leaf_walk() {
-        let kernel = ForceKernel::newtonian(2.0, 1e-4);
-        let np = if cfg!(miri) { 80 } else { 600 };
-        let (xs, ys, zs, m) = rand_particles(np, 10.0, 17);
-        let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 24 });
-        let (want, one_sided) = tree.forces(&kernel);
-        let (got, directed) = tree.forces_symmetric(&kernel);
-        // Directed counts: the one-sided walk charges every target its
-        // leaf's full list, np masked self terms included. The symmetric
-        // path skips those and every chunk pair the box test discards,
-        // but can never drop a pair inside the cutoff.
-        let in_range = (0..np)
-            .flat_map(|i| (i + 1..np).map(move |j| (i, j)))
-            .filter(|&(i, j)| {
-                let d = [xs[j] - xs[i], ys[j] - ys[i], zs[j] - zs[i]];
-                d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < kernel.rcut2
-            })
-            .count() as u64;
-        assert!(directed + np as u64 <= one_sided);
-        assert!(directed >= 2 * in_range, "{directed} directed < 2 × {in_range} in range");
-        for c in 0..3 {
-            for p in 0..np {
-                let scale = want[c][p].abs().max(1e-2);
-                assert!(
-                    (got[c][p] - want[c][p]).abs() < 2e-3 * scale,
-                    "c={c} p={p}: {} vs {}",
-                    got[c][p],
-                    want[c][p]
-                );
             }
         }
     }
@@ -1209,7 +1053,7 @@ mod tests {
     fn symmetric_total_momentum_vanishes() {
         // Newton-3 pairing: every kernel evaluation applies equal and
         // opposite contributions, so ΣF over all particles must vanish to
-        // f32 accumulation rounding — the one-sided walk only achieves
+        // f32 accumulation rounding — a per-target sum only achieves
         // this to kernel-symmetry tolerance.
         let kernel = ForceKernel::newtonian(3.0, 1e-5);
         let np = if cfg!(miri) { 80 } else { 2000 };

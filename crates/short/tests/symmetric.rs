@@ -1,10 +1,13 @@
 //! Property-based tests of the symmetric dual-tree walk: for arbitrary
 //! particle distributions the Newton-3 chunk-pair evaluation must
-//! reproduce the per-leaf (one-sided) walk to f32 tolerance, conserve total momentum,
-//! and the Verlet-skin reuse path (stale tree + refreshed coordinates)
-//! must match a fresh build as long as no particle drifted farther than
-//! half the skin.
+//! reproduce the f64 brute-force oracle to f32 tolerance, conserve total
+//! momentum, and the Verlet-skin reuse path (stale tree + refreshed
+//! coordinates) must match a fresh build as long as no particle drifted
+//! farther than half the skin.
 
+mod common;
+
+use common::{max_rel_err, oracle};
 use hacc_short::{ForceKernel, RcbTree, TreeParams, TreeScratch};
 use proptest::prelude::*;
 
@@ -23,31 +26,13 @@ fn particles(np: usize, side: f32, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>, 
     (xs, ys, zs, vec![1.0; np])
 }
 
-/// Max relative force error between two force sets, normalized by the
-/// largest force magnitude (pointwise relative error explodes where the
-/// true force passes through zero).
-fn max_rel_err(a: &[Vec<f32>; 3], b: &[Vec<f32>; 3]) -> f64 {
-    let scale = a
-        .iter()
-        .flat_map(|c| c.iter())
-        .map(|&v| f64::from(v.abs()))
-        .fold(1e-12, f64::max);
-    let mut worst = 0.0f64;
-    for c in 0..3 {
-        for (&x, &y) in a[c].iter().zip(&b[c]) {
-            worst = worst.max(f64::from((x - y).abs()) / scale);
-        }
-    }
-    worst
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Symmetric walk ≡ one-sided walk for random particle counts, box
+    /// Symmetric walk ≡ f64 brute force for random particle counts, box
     /// sides, cutoffs and leaf sizes.
     #[test]
-    fn symmetric_matches_one_sided(
+    fn symmetric_matches_brute_force(
         np in 2usize..400,
         seed in any::<u64>(),
         side in 4.0f32..20.0,
@@ -57,18 +42,13 @@ proptest! {
         let (xs, ys, zs, m) = particles(np, side, seed);
         let kernel = ForceKernel::newtonian(rcut, 1e-4);
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: leaf });
-        let (want, one_sided) = tree.forces(&kernel);
+        let (want, in_range) = oracle(&kernel, &[xs.clone(), ys.clone(), zs.clone()]);
         let (got, directed) = tree.forces_symmetric(&kernel);
-        // The symmetric path evaluates a subset of the one-sided walk's
-        // leaf coverage: it skips the np self terms and every chunk pair
-        // the box test puts beyond the cutoff (`tile_oracle.rs` pins the
-        // lower bound: no pair in range is ever dropped).
-        prop_assert!(directed + np as u64 <= one_sided);
-        prop_assert!(
-            max_rel_err(&want, &got) < 2e-3,
-            "symmetric vs one-sided forces diverge: {}",
-            max_rel_err(&want, &got)
-        );
+        // The box tests may pass pairs beyond the cutoff to the kernel,
+        // but never drop one inside it.
+        prop_assert!(directed >= 2 * in_range, "{} directed < 2 × {} in range", directed, in_range);
+        let err = max_rel_err(&want, &got);
+        prop_assert!(err < 2e-3, "symmetric vs brute-force forces diverge: {}", err);
     }
 
     /// Total momentum (ΣF, accumulated in f64) vanishes under the

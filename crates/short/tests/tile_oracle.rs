@@ -4,6 +4,9 @@
 //! clustered and degenerate inputs, leaf sizes on both sides of the
 //! chunk width, with and without a Verlet-skin refresh round.
 
+mod common;
+
+use common::{max_rel_err, oracle, Cloud};
 use hacc_short::{ForceKernel, RcbTree, TreeParams, TreeScratch};
 
 const LEAVES: [usize; 3] = [8, 24, 128];
@@ -17,8 +20,6 @@ fn xorshift(seed: u64) -> impl FnMut() -> f32 {
         (s as f64 / u64::MAX as f64) as f32
     }
 }
-
-type Cloud = [Vec<f32>; 3];
 
 fn uniform(np: usize, side: f32, seed: u64) -> Cloud {
     let mut u = xorshift(seed);
@@ -52,49 +53,6 @@ fn clustered(np: usize, side: f32, seed: u64) -> Cloud {
 /// A kernel with every Horner coefficient live.
 fn kernel(rcut: f32) -> ForceKernel {
     ForceKernel::new([0.1, -0.02, 0.003, -0.0004, 0.00005, -0.000006], rcut, 1e-4)
-}
-
-/// f64 brute force over all pairs with `0 < s < r_cut²`; also returns the
-/// number of unordered pairs inside the cutoff.
-fn oracle(k: &ForceKernel, c: &Cloud) -> ([Vec<f64>; 3], u64) {
-    let np = c[0].len();
-    let mut f = [vec![0.0f64; np], vec![0.0f64; np], vec![0.0f64; np]];
-    let mut in_range = 0u64;
-    for t in 0..np {
-        for q in t + 1..np {
-            let d: [f64; 3] = std::array::from_fn(|a| f64::from(c[a][q]) - f64::from(c[a][t]));
-            let s = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            if s <= 0.0 || s >= f64::from(k.rcut2) {
-                continue;
-            }
-            in_range += 1;
-            let poly = k
-                .coeffs
-                .iter()
-                .rev()
-                .fold(0.0, |p, &co| p * s + f64::from(co));
-            let g = (s + f64::from(k.eps)).powf(-1.5) - poly;
-            for a in 0..3 {
-                f[a][t] += d[a] * g;
-                f[a][q] -= d[a] * g;
-            }
-        }
-    }
-    (f, in_range)
-}
-
-/// Largest force error relative to the largest force component.
-fn max_rel_err(want: &[Vec<f64>; 3], got: &[Vec<f32>; 3]) -> f64 {
-    let scale = want
-        .iter()
-        .flatten()
-        .fold(1e-12, |m: f64, v| m.max(v.abs()));
-    want.iter()
-        .flatten()
-        .zip(got.iter().flatten())
-        .fold(0.0, |m: f64, (w, g)| {
-            m.max((w - f64::from(*g)).abs() / scale)
-        })
 }
 
 fn masses(c: &Cloud) -> Vec<f32> {

@@ -14,8 +14,8 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> cargo bench --workspace --no-run"
+cargo bench --workspace --no-run
 
 echo "==> cargo xtask verify  (lint wall, deny, loom; miri/tsan when installed)"
 cargo xtask verify

@@ -135,7 +135,7 @@ proptest! {
         let m = vec![1.0f32; xs.len()];
         let tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: 16 });
         let kernel = ForceKernel::newtonian(3.0, 1e-4);
-        let (f, _) = tree.forces(&kernel);
+        let (f, _) = tree.forces_symmetric(&kernel);
         for (c, comp) in f.iter().enumerate() {
             let sum: f64 = comp.iter().map(|&v| f64::from(v)).sum();
             let mag: f64 = comp.iter().map(|&v| f64::from(v.abs())).sum::<f64>().max(1e-6);
