@@ -1536,7 +1536,7 @@ const TAG_A2A: u64 = u64::MAX - 6_000_000;
 /// Coarse class of a message tag, for communication-volume accounting.
 ///
 /// The reserved tag bands above carve the tag space into three regimes:
-/// everything below [`TAG_A2A`] is a user-issued point-to-point tag,
+/// everything below `TAG_A2A` is a user-issued point-to-point tag,
 /// the `[TAG_A2A, TAG_AGATHER)` window carries alltoallv payloads, and
 /// the remaining reserved bands are control-plane collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

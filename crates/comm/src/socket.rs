@@ -3,7 +3,7 @@
 //!
 //! # Topology
 //!
-//! A [`crate::hub::Hub`] (the launcher process) binds a control
+//! A [hub](crate::hub) (the launcher process) binds a control
 //! listener and spawns one child process per rank. Each child:
 //!
 //! 1. binds its own **data listener** on `127.0.0.1:0`,
@@ -69,7 +69,7 @@
 //!
 //! Functions that hold more than one at once — the complete list:
 //!
-//! - [`SocketTransport::register_link`]: `LinkWriter → Link → Mail →
+//! - `SocketTransport::register_link`: `LinkWriter → Link → Mail →
 //!   Mirror` (purges the mailbox of a dead incarnation's frames while
 //!   the link lock pins the registration, and installs the new reader
 //!   against the detector status it was registered under; the writer
@@ -82,7 +82,7 @@
 //! - [`SocketTransport::recv`]: `Mail → Mirror` (the precedence check
 //!   consults the detector mirror while the mailbox lock pins the
 //!   verdict to a consistent queue snapshot).
-//! - [`SocketTransport::hub_rpc`]: `ControlRpc → ControlWriter` (the
+//! - `SocketTransport::hub_rpc`: `ControlRpc → ControlWriter` (the
 //!   request line goes out while the RPC slot is held so a reply can
 //!   never race the reset).
 //!

@@ -21,15 +21,15 @@
 //! checkpoint reaches a **bit-exact** final state relative to an
 //! uninterrupted run. Two properties make that possible:
 //!
-//! * the serial stepper's long-range force cache is a pure function of
+//! * the serial engine's held long-range field is a pure function of
 //!   the (unchanged) positions, so dropping it across a restart changes
-//!   nothing ([`Simulation::from_state`]);
-//! * the distributed stepper's held force slabs are a pure function of
+//!   nothing (`Simulation::from_state`);
+//! * the distributed engine's held force slabs are a pure function of
 //!   the active-particle prefix the closing solve deposited, and a
 //!   restored view without them solves cold on that prefix before its
 //!   first refresh — which also reads only the prefix — so restoring
 //!   the prefix, order and bits, restores the trajectory
-//!   ([`DistSimulation::from_checkpoint_state`]).
+//!   (`DistSimulation::from_checkpoint_state`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -8,11 +8,11 @@
 //!
 //! One deliberate deviation from the paper is documented here: HACC
 //! obtains boundary-cell density from the overloaded replicas with no
-//! communication; we instead deposit *active* particles into a one-plane
-//! halo and fold the two spill planes onto the x-neighbors (one small
-//! message per solve). The resulting grid is numerically identical; the
-//! fold keeps the deposit free of replica double-counting without
-//! tracking canonical copies.
+//! communication; we instead deposit *active* particles into a two-plane
+//! halo on each side and fold the spill planes onto the x-neighbors (one
+//! small message per solve). The resulting grid is numerically
+//! identical; the fold keeps the deposit free of replica double-counting
+//! without tracking canonical copies.
 
 use std::cell::OnceCell;
 use std::time::{Duration, Instant};
@@ -26,8 +26,9 @@ use hacc_short::ForceKernel;
 
 use crate::config::{SimConfig, SolverKind};
 use crate::short::TreeShortRange;
-use crate::sim::{apply_kick, fill_scaled, subcycle_edges};
+use crate::sim::{fill_scaled, fitted_kernel, wrap_into_box};
 use crate::stats::{RunStats, StepBreakdown};
+use crate::stepper::{self, ForceField};
 
 /// Point-to-point tag pairs for the slab-grid exchanges; each call site
 /// gets its own pair so concurrent halos never cross.
@@ -308,6 +309,9 @@ pub struct DistSimulation<'a> {
     short: TreeShortRange,
     /// Held long-range buffers.
     pm: PmState,
+    /// The global particle count. It is conserved, so each step's
+    /// opening takes it once and that step's force calls use it.
+    count: usize,
 }
 
 impl<'a> DistSimulation<'a> {
@@ -366,12 +370,7 @@ impl<'a> DistSimulation<'a> {
             "slab too thin: {lx} cells vs overload {w_cells}"
         );
         let decomp = Self::decomposition(&cfg, p);
-        let fit = crate::sim::cached_grid_fit(cfg.spectral, cfg.rcut_cells);
-        let kernel = ForceKernel::new(
-            fit.coeffs_f32(),
-            cfg.rcut_cells as f32,
-            fit.epsilon as f32,
-        );
+        let (fit, kernel) = fitted_kernel(&cfg);
         let tl = TwoLevelDist::new(&cfg, p, w_cells);
         DistSimulation {
             comm,
@@ -385,8 +384,9 @@ impl<'a> DistSimulation<'a> {
             w_cells,
             tl,
             global: OnceCell::new(),
-            short: TreeShortRange::new(cfg.tree),
+            short: TreeShortRange::new(&cfg),
             pm: PmState::default(),
+            count: 0,
         }
     }
 
@@ -483,9 +483,7 @@ impl<'a> DistSimulation<'a> {
         self.comm
     }
 
-    /// Global particle count (collective: one allreduce). The count is
-    /// conserved, so a step takes it once, before its refresh, and hands
-    /// it to the force calls.
+    /// Global particle count (collective: one allreduce).
     #[must_use] 
     pub fn global_count(&self) -> usize {
         self.comm.allreduce_sum(self.parts.n_active as f64) as usize
@@ -524,22 +522,6 @@ impl<'a> DistSimulation<'a> {
         let mut pm = std::mem::take(&mut self.pm);
         f(self, &mut pm);
         self.pm = pm;
-    }
-
-    /// Long-range acceleration for every local particle into
-    /// `self.pm.accel`; `count` is the global particle count. With
-    /// `solve` false the single-level mesh gathers its held slabs
-    /// instead of solving; the two-level mesh always solves.
-    fn pm_accel(&mut self, count: usize, solve: bool, brk: &mut StepBreakdown) {
-        self.with_pm(|sim, pm| match &sim.tl {
-            Some(tl) => sim.pm_accel_two_level(tl, pm, count, brk),
-            None => {
-                if solve {
-                    sim.pm_solve_single(pm, count, brk);
-                }
-                sim.pm_gather_single(pm, brk);
-            }
-        });
     }
 
     fn particle_positions(&self) -> [&[f32]; 3] {
@@ -669,48 +651,6 @@ impl<'a> DistSimulation<'a> {
         brk.cic += t3.elapsed();
     }
 
-    /// Short-range acceleration via the rank-local RCB tree, left in
-    /// `self.pm.accel` — no communication, exactly the overloading
-    /// payoff, and no allocation once warm.
-    fn short_accel(&mut self, count: usize, brk: &mut StepBreakdown) {
-        let ng = self.cfg.ng;
-        let to_grid = (ng as f64 / self.cfg.box_len) as f32;
-        let t0 = Instant::now();
-        for (g, p) in self
-            .short
-            .pos
-            .iter_mut()
-            .zip([&self.parts.x, &self.parts.y, &self.parts.z])
-        {
-            fill_scaled(p, to_grid, g);
-        }
-        brk.build += t0.elapsed();
-        let nbar = count as f64 / (ng * ng * ng) as f64;
-        let scale = (self.cfg.box_len / ng as f64 / nbar * self.fit.norm) as f32;
-        let skin = self.cfg.skin_cells as f32;
-        self.short
-            .evaluate(&self.kernel, skin, scale, brk, &mut self.pm.accel);
-    }
-
-    fn drift(&mut self, factor: f64) {
-        let f = factor as f32;
-        let p = &mut self.parts;
-        for i in 0..p.len() {
-            p.x[i] += f * p.vx[i];
-            p.y[i] += f * p.vy[i];
-            p.z[i] += f * p.vz[i];
-        }
-        if self.cfg.solver == SolverKind::TreePm {
-            // Rank-local displacement bound for the tree's rebuild
-            // criterion: this rank's own momenta, no collective.
-            self.short.add_drift(
-                factor,
-                [&p.vx, &p.vy, &p.vz],
-                self.cfg.ng as f64 / self.cfg.box_len,
-            );
-        }
-    }
-
     /// One full long-range step to `a1` (collective).
     ///
     /// One long-range solve per step on the single-level mesh: the
@@ -724,44 +664,8 @@ impl<'a> DistSimulation<'a> {
     /// bit-identical without any held state in the checkpoint.
     pub fn step(&mut self, a1: f64) {
         assert!(a1 > self.a);
-        let mut brk = StepBreakdown::default();
-        let cosmo = self.cfg.cosmology;
-        let a0 = self.a;
-        let am = (a0 * a1).sqrt();
-
-        let t0 = Instant::now();
-        let count = self.global_count();
-        brk.other += t0.elapsed();
-        if self.tl.is_none() && !self.pm.held {
-            self.with_pm(|sim, pm| sim.pm_solve_single(pm, count, &mut brk));
-        }
-
-        // Re-synchronize domains and overload shells.
-        let t0 = Instant::now();
-        refresh(self.comm, &self.decomp, &mut self.parts);
-        self.short.invalidate();
-        brk.other += t0.elapsed();
-
-        let kick = |p: &mut Particles, accel: &[Vec<f32>; 3], factor: f64| {
-            let k = (1.5 * cosmo.omega_m * factor) as f32;
-            let [ax, ay, az] = accel;
-            apply_kick(&mut p.vx, &mut p.vy, &mut p.vz, ax, ay, az, k);
-        };
-        self.pm_accel(count, false, &mut brk);
-        kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(a0, am));
-
-        for (b0, bm, b1) in subcycle_edges(a0, a1, self.cfg.subcycles) {
-            self.drift(cosmo.drift_factor(b0, bm));
-            if self.cfg.solver != SolverKind::PmOnly {
-                self.short_accel(count, &mut brk);
-                kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(b0, b1));
-            }
-            self.drift(cosmo.drift_factor(bm, b1));
-        }
-
-        self.pm_accel(count, true, &mut brk);
-        kick(&mut self.parts, &self.pm.accel, cosmo.kick_factor(am, a1));
-
+        let (cfg, a0) = (self.cfg, self.a);
+        let brk = stepper::step(self, &cfg, a0, a1);
         self.a = a1;
         self.stats.steps.push(brk);
     }
@@ -785,18 +689,7 @@ impl<'a> DistSimulation<'a> {
     /// Gather `(id, position)` of all *active* particles to rank 0.
     #[must_use] 
     pub fn gather_positions(&self) -> Option<Vec<(u64, [f32; 3])>> {
-        let wrap = |v: f32| -> f32 {
-            let l = self.cfg.box_len as f32;
-            let mut w = v % l;
-            if w < 0.0 {
-                w += l;
-            }
-            if w >= l {
-                0.0
-            } else {
-                w
-            }
-        };
+        let wrap = |v: f32| wrap_into_box(v, self.cfg.box_len as f32);
         let mine: Vec<(u64, [f32; 3])> = (0..self.parts.n_active)
             .map(|i| {
                 (
@@ -814,6 +707,89 @@ impl<'a> DistSimulation<'a> {
             flat.sort_by_key(|&(id, _)| id);
             flat
         })
+    }
+}
+
+impl ForceField for DistSimulation<'_> {
+    /// The global count, the cold solve of a view that holds no force
+    /// slabs (see [`DistSimulation::step`]), then the refresh of domains
+    /// and overload shells.
+    fn open(&mut self, brk: &mut StepBreakdown) {
+        let t0 = Instant::now();
+        self.count = self.global_count();
+        brk.other += t0.elapsed();
+        if self.tl.is_none() && !self.pm.held {
+            let count = self.count;
+            self.with_pm(|sim, pm| sim.pm_solve_single(pm, count, brk));
+        }
+        let t0 = Instant::now();
+        refresh(self.comm, &self.decomp, &mut self.parts);
+        self.short.invalidate();
+        brk.other += t0.elapsed();
+    }
+
+    /// With `solve` false the single-level mesh gathers its held slabs
+    /// instead of solving; the two-level mesh always solves.
+    fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
+        let count = self.count;
+        self.with_pm(|sim, pm| match &sim.tl {
+            Some(tl) => sim.pm_accel_two_level(tl, pm, count, brk),
+            None => {
+                if solve {
+                    sim.pm_solve_single(pm, count, brk);
+                }
+                sim.pm_gather_single(pm, brk);
+            }
+        });
+    }
+
+    /// The rank-local RCB tree over the overloaded slab: no
+    /// communication, exactly the overloading payoff, and no allocation
+    /// once warm.
+    fn short_range(&mut self, brk: &mut StepBreakdown) {
+        let ng = self.cfg.ng;
+        let to_grid = (ng as f64 / self.cfg.box_len) as f32;
+        let t0 = Instant::now();
+        for (g, p) in self
+            .short
+            .pos
+            .iter_mut()
+            .zip([&self.parts.x, &self.parts.y, &self.parts.z])
+        {
+            fill_scaled(p, to_grid, g);
+        }
+        brk.build += t0.elapsed();
+        let nbar = self.count as f64 / (ng * ng * ng) as f64;
+        let scale = (self.cfg.box_len / ng as f64 / nbar * self.fit.norm) as f32;
+        self.short
+            .evaluate(&self.kernel, scale, brk, &mut self.pm.accel);
+    }
+
+    fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
+        let p = &mut self.parts;
+        let [ax, ay, az] = &self.pm.accel;
+        ([&mut p.vx, &mut p.vy, &mut p.vz], [ax, ay, az])
+    }
+
+    /// Stream without wrapping: the next refresh re-homes whatever
+    /// crossed the box.
+    fn drift(&mut self, factor: f64) {
+        let f = factor as f32;
+        let p = &mut self.parts;
+        for i in 0..p.len() {
+            p.x[i] += f * p.vx[i];
+            p.y[i] += f * p.vy[i];
+            p.z[i] += f * p.vz[i];
+        }
+        if self.cfg.solver == SolverKind::TreePm {
+            // Rank-local displacement bound for the tree's rebuild
+            // criterion: this rank's own momenta, no collective.
+            self.short.add_drift(
+                factor,
+                [&p.vx, &p.vy, &p.vz],
+                self.cfg.ng as f64 / self.cfg.box_len,
+            );
+        }
     }
 }
 
@@ -977,7 +953,7 @@ mod tests {
             sim.particles().overload_fraction()
         });
         for f in fracs {
-            // 4.5-cell overload on an 8-cell slab (plus y/z self-ghosts):
+            // 4.5-cell overload on a 16-plane slab (plus y/z self-ghosts):
             // sizable but bounded replication.
             assert!(f > 0.0 && f < 6.0, "overload fraction {f}");
         }

@@ -11,7 +11,10 @@
 //! * the 2nd-order split-operator symplectic stepper of paper Eq. 6,
 //!   `M_full = M_lr(t/2) (M_sr(t/nc))^nc M_lr(t/2)`, sub-cycling the
 //!   short-range SKS (stream–kick–stream) maps inside long-range kicks
-//!   while the slowly varying long-range force stays frozen;
+//!   while the slowly varying long-range force stays frozen — one
+//!   integrator for the serial and the distributed engine, each of
+//!   which supplies its forces, kick operands and drift through one
+//!   small seam;
 //! * mixed precision exactly as in the paper: particles and short-range
 //!   arithmetic in f32, the spectral path in f64.
 //!
@@ -37,6 +40,7 @@ pub mod resilient;
 mod short;
 pub mod sim;
 pub mod stats;
+mod stepper;
 
 pub use checkpoint::{config_fingerprint, CheckpointError};
 pub use config::{SimConfig, SolverKind};

@@ -9,8 +9,9 @@
 
 use std::time::Instant;
 
-use hacc_short::{ForceKernel, RcbTree, TreeParams, TreeScratch};
+use hacc_short::{ForceKernel, RcbTree, TreeScratch};
 
+use crate::config::SimConfig;
 use crate::stats::StepBreakdown;
 
 pub(crate) struct TreeShortRange {
@@ -21,18 +22,22 @@ pub(crate) struct TreeShortRange {
     pub(crate) pos: [Vec<f32>; 3],
     /// Unit masses, one per tree particle.
     mass: Vec<f32>,
+    /// Verlet skin in grid cells (never negative): the pair list's
+    /// reach beyond `r_cut`, and the serial engine's ghost band margin.
+    pub(crate) skin: f32,
     /// Upper bound on any particle's displacement since the last build,
     /// in grid cells; infinite while there is no build to reuse.
     drift_since_build: f64,
 }
 
 impl TreeShortRange {
-    pub(crate) fn new(params: TreeParams) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         TreeShortRange {
-            tree: RcbTree::new_empty(params),
+            tree: RcbTree::new_empty(cfg.tree),
             scratch: TreeScratch::default(),
             pos: Default::default(),
             mass: Vec::new(),
+            skin: cfg.skin_cells.max(0.0) as f32,
             drift_since_build: f64::INFINITY,
         }
     }
@@ -54,8 +59,8 @@ impl TreeShortRange {
     /// The rebuild criterion: the skin pair list stays valid while twice
     /// the displacement bound (each of two particles may drift toward
     /// the other) is within the skin.
-    pub(crate) fn must_rebuild(&self, skin: f32) -> bool {
-        skin <= 0.0 || 2.0 * self.drift_since_build > f64::from(skin)
+    pub(crate) fn must_rebuild(&self) -> bool {
+        self.skin <= 0.0 || 2.0 * self.drift_since_build > f64::from(self.skin)
     }
 
     /// Short-range acceleration at `self.pos`, times `scale`, into
@@ -65,14 +70,13 @@ impl TreeShortRange {
     pub(crate) fn evaluate(
         &mut self,
         kernel: &ForceKernel,
-        skin: f32,
         scale: f32,
         brk: &mut StepBreakdown,
         force: &mut [Vec<f32>; 3],
     ) {
         let t0 = Instant::now();
         let [x, y, z] = &self.pos;
-        if self.must_rebuild(skin) || self.tree.particle_count() != x.len() {
+        if self.must_rebuild() || self.tree.particle_count() != x.len() {
             self.mass.clear();
             self.mass.resize(x.len(), 1.0);
             self.tree.rebuild(x, y, z, &self.mass, &mut self.scratch);
@@ -83,7 +87,7 @@ impl TreeShortRange {
         brk.build += t0.elapsed();
         let rep = self
             .tree
-            .forces_symmetric_into(kernel, skin, &mut self.scratch, force);
+            .forces_symmetric_into(kernel, self.skin, &mut self.scratch, force);
         brk.walk += rep.walk;
         brk.kernel += rep.kernel;
         brk.interactions += rep.directed;

@@ -12,16 +12,14 @@ use rayon::prelude::*;
 use crate::config::{SimConfig, SolverKind};
 use crate::short::TreeShortRange;
 use crate::stats::{RunStats, StepBreakdown};
+use crate::stepper::{self, ForceField};
 
 /// Process-wide cache of grid-force fits, keyed by the spectral
 /// configuration. The fit is deterministic (fixed seed) and costs ~24
 /// Poisson solves, so drivers constructed repeatedly — every rank of a
 /// simulated machine, every benchmark iteration — share one measurement,
 /// just as production HACC computes the force-matching polynomial once.
-pub(crate) fn cached_grid_fit(
-    spectral: hacc_pm::SpectralParams,
-    rcut_cells: f64,
-) -> GridForceFit {
+fn cached_grid_fit(spectral: hacc_pm::SpectralParams, rcut_cells: f64) -> GridForceFit {
     use std::sync::{Mutex, OnceLock};
     static CACHE: OnceLock<Mutex<Vec<(String, GridForceFit)>>> = OnceLock::new();
     let key = format!("{spectral:?}|{rcut_cells}");
@@ -40,6 +38,14 @@ pub(crate) fn cached_grid_fit(
         guard.push((key, fit.clone()));
     }
     fit
+}
+
+/// The grid-force fit for `cfg` and the short-range kernel matched to it
+/// (paper Eq. 7): both engines build their force pair here.
+pub(crate) fn fitted_kernel(cfg: &SimConfig) -> (GridForceFit, ForceKernel) {
+    let fit = cached_grid_fit(cfg.spectral, cfg.rcut_cells);
+    let kernel = ForceKernel::new(fit.coeffs_f32(), cfg.rcut_cells as f32, fit.epsilon as f32);
+    (fit, kernel)
 }
 
 /// Reusable per-step working memory. Every buffer a timestep needs lives
@@ -71,9 +77,6 @@ struct StepScratch {
     cbuf: Vec<f32>,
     /// Unit masses of the P3m path.
     mass: Vec<f32>,
-    /// Short-range acceleration of either path (the TreePm one includes
-    /// the ghost images after the real particles).
-    sr: [Vec<f32>; 3],
     /// TreePm path: source particle index of each ghost image appended
     /// to the tree's coordinates at build time.
     ghost_src: Vec<u32>,
@@ -98,12 +101,14 @@ pub struct Simulation {
     vx: Vec<f32>,
     vy: Vec<f32>,
     vz: Vec<f32>,
-    /// Cached long-range acceleration from the end of the previous step
-    /// (positions unchanged since, so it is exact for the next half-kick).
-    lr_cache: Option<[Vec<f32>; 3]>,
-    /// The second set of long-range buffers: `lr_cache` and `lr_spare`
-    /// alternate (A/B) so the end-of-step solve never allocates.
-    lr_spare: [Vec<f32>; 3],
+    /// The acceleration the next kick applies: the long-range solve's,
+    /// or between sub-cycle kicks the short-range solver's (the TreePm
+    /// one with the ghost images after the real particles). The two are
+    /// never live together, so they share one buffer.
+    accel: [Vec<f32>; 3],
+    /// `accel` holds the closing solve's long-range field at the current
+    /// positions, so the next opening kick applies it without solving.
+    held: bool,
     /// Reusable per-step working memory.
     scratch: StepScratch,
     /// Persistent short-range tree state (TreePm path).
@@ -133,10 +138,9 @@ impl Simulation {
     }
 
     /// Rebuild a simulation from checkpointed state (positions, momenta,
-    /// scale factor). The long-range cache is left empty: the next step
-    /// recomputes it from bit-identical positions, producing a
-    /// bit-identical force, so a resumed run matches an uninterrupted
-    /// one exactly.
+    /// scale factor). No long-range field is held: the next step solves
+    /// it from bit-identical positions, producing a bit-identical force,
+    /// so a resumed run matches an uninterrupted one exactly.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_state(
         cfg: SimConfig,
@@ -157,12 +161,7 @@ impl Simulation {
         let pm2 = cfg
             .two_level
             .map(|lv| TwoLevelPmSolver::new(cfg.ng, cfg.box_len, cfg.spectral, lv));
-        let fit = crate::sim::cached_grid_fit(cfg.spectral, cfg.rcut_cells);
-        let kernel = ForceKernel::new(
-            fit.coeffs_f32(),
-            cfg.rcut_cells as f32,
-            fit.epsilon as f32,
-        );
+        let (fit, kernel) = fitted_kernel(&cfg);
         Simulation {
             cfg,
             pm,
@@ -176,10 +175,10 @@ impl Simulation {
             vx,
             vy,
             vz,
-            lr_cache: None,
-            lr_spare: Default::default(),
+            accel: Default::default(),
+            held: false,
             scratch: StepScratch::default(),
-            tree_sr: TreeShortRange::new(cfg.tree),
+            tree_sr: TreeShortRange::new(&cfg),
             stats: RunStats::default(),
         }
     }
@@ -219,15 +218,14 @@ impl Simulation {
         self.len() as f64 / (self.cfg.ng * self.cfg.ng * self.cfg.ng) as f64
     }
 
-    /// Long/medium-range acceleration per particle (physical units).
-    /// Allocation-free once warm: grids, CIC bins and spectra come from
-    /// `self.scratch` / the solver workspace, the per-particle result
-    /// lands in `out` (resized once, then reused).
-    fn pm_accel_into(&mut self, brk: &mut StepBreakdown, out: &mut [Vec<f32>; 3]) {
+    /// Long/medium-range acceleration per particle (physical units),
+    /// left in `self.accel`. Allocation-free once warm: grids, CIC bins
+    /// and spectra come from `self.scratch` / the solver workspace.
+    fn pm_accel_into(&mut self, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let nbar = self.nbar();
         let s = (ng as f64 / self.cfg.box_len) as f32;
-        let sc = &mut self.scratch;
+        let (sc, out) = (&mut self.scratch, &mut self.accel);
         fill_scaled(&self.x, s, &mut sc.gx);
         fill_scaled(&self.y, s, &mut sc.gy);
         fill_scaled(&self.z, s, &mut sc.gz);
@@ -298,203 +296,12 @@ impl Simulation {
         brk.cic += t2.elapsed();
     }
 
-    /// Short-range acceleration per particle (physical units), left in
-    /// `self.scratch.sr` (first `self.len()`
-    /// entries are the real particles). Allocation-free once warm: the
-    /// tree is rebuilt in place and ghost/mass/force buffers persist.
-    fn short_accel_into(&mut self, brk: &mut StepBreakdown) {
-        let ng = self.cfg.ng;
-        let np = self.len();
-        let scale = (self.cfg.box_len / ng as f64 / self.nbar() * self.fit.norm) as f32;
-        let s = (ng as f64 / self.cfg.box_len) as f32;
-        let StepScratch {
-            gx,
-            gy,
-            gz,
-            mass,
-            sr,
-            ghost_src,
-            p3m,
-            ..
-        } = &mut self.scratch;
-        fill_scaled(&self.x, s, gx);
-        fill_scaled(&self.y, s, gy);
-        fill_scaled(&self.z, s, gz);
-        match self.cfg.solver {
-            SolverKind::PmOnly => unreachable!("short_accel_into with PmOnly"),
-            SolverKind::P3m => {
-                let t0 = Instant::now();
-                mass.clear();
-                mass.resize(np, 1.0);
-                let solver = P3mSolver::new(self.kernel, ng as f32);
-                let inter = solver.forces_into(gx, gy, gz, mass, p3m, sr);
-                brk.kernel += t0.elapsed();
-                brk.interactions += inter;
-                brk.pair_interactions += inter;
-                for v in sr.iter_mut().flatten() {
-                    *v *= scale;
-                }
-            }
-            SolverKind::TreePm => {
-                let t0 = Instant::now();
-                let rcut = self.cfg.rcut_cells as f32;
-                let skin = self.cfg.skin_cells.max(0.0) as f32;
-                let lg = ng as f32;
-                let rebuild = self.tree_sr.must_rebuild(skin);
-                let [ax, ay, az] = &mut self.tree_sr.pos;
-                if rebuild {
-                    // Ghost images for periodicity (the serial stand-in
-                    // for overloading), in a band widened by the skin so
-                    // every partner a particle can meet while drifting up
-                    // to skin/2 is already present.
-                    with_ghosts_into(gx, gy, gz, lg, rcut + skin, ax, ay, az, ghost_src);
-                } else {
-                    // Move the tree's coordinates along with the
-                    // particles. Positions may have wrapped through the
-                    // periodic boundary since the last sub-cycle, so take
-                    // the minimum image of each displacement; a ghost
-                    // moves with its source (read before the source
-                    // itself is updated).
-                    let mi = move |d: f32| -> f32 {
-                        if d > 0.5 * lg {
-                            d - lg
-                        } else if d < -0.5 * lg {
-                            d + lg
-                        } else {
-                            d
-                        }
-                    };
-                    for (g, &src) in ghost_src.iter().enumerate() {
-                        let (j, sp) = (np + g, src as usize);
-                        ax[j] += mi(gx[sp] - ax[sp]);
-                        ay[j] += mi(gy[sp] - ay[sp]);
-                        az[j] += mi(gz[sp] - az[sp]);
-                    }
-                    for i in 0..np {
-                        ax[i] += mi(gx[i] - ax[i]);
-                        ay[i] += mi(gy[i] - ay[i]);
-                        az[i] += mi(gz[i] - az[i]);
-                    }
-                }
-                brk.build += t0.elapsed();
-                self.tree_sr
-                    .evaluate(&self.kernel, skin, scale, brk, &mut self.scratch.sr);
-            }
-        }
-    }
-
-    fn drift(&mut self, factor: f64) {
-        let l = self.cfg.box_len as f32;
-        let f = factor as f32;
-        let wrap = move |v: f32| -> f32 {
-            let mut w = v % l;
-            if w < 0.0 {
-                w += l;
-            }
-            if w >= l {
-                w = 0.0;
-            }
-            w
-        };
-        self.x
-            .par_iter_mut()
-            .zip(self.vx.par_iter())
-            .for_each(|(p, &v)| *p = wrap(*p + f * v));
-        self.y
-            .par_iter_mut()
-            .zip(self.vy.par_iter())
-            .for_each(|(p, &v)| *p = wrap(*p + f * v));
-        self.z
-            .par_iter_mut()
-            .zip(self.vz.par_iter())
-            .for_each(|(p, &v)| *p = wrap(*p + f * v));
-        // Displacement bound for the Verlet-skin rebuild criterion.
-        self.tree_sr.add_drift(
-            factor,
-            [&self.vx, &self.vy, &self.vz],
-            self.cfg.ng as f64 / self.cfg.box_len,
-        );
-    }
-
     /// Advance one full long-range step to scale factor `a1`
     /// (paper Eq. 6: `M_lr(t/2)(M_sr(t/nc))^nc M_lr(t/2)`).
     pub fn step(&mut self, a1: f64) {
         assert!(a1 > self.a, "steps must move forward in a");
-        let mut brk = StepBreakdown::default();
-        let cosmo = self.cfg.cosmology;
-        let a0 = self.a;
-        let am = (a0 * a1).sqrt();
-
-        // First long-range half kick (reuses the cached end-of-step
-        // evaluation when available — positions have not changed).
-        let lr = match self.lr_cache.take() {
-            Some(f) => f,
-            None => {
-                let mut f = std::mem::take(&mut self.lr_spare);
-                self.pm_accel_into(&mut brk, &mut f);
-                f
-            }
-        };
-        let t_other = Instant::now();
-        let k = (1.5 * cosmo.omega_m * cosmo.kick_factor(a0, am)) as f32;
-        apply_kick(
-            &mut self.vx,
-            &mut self.vy,
-            &mut self.vz,
-            &lr[0],
-            &lr[1],
-            &lr[2],
-            k,
-        );
-        brk.other += t_other.elapsed();
-        // `lr` is done; park its buffers so the end-of-step solve below can
-        // reuse them next step (A/B alternation with `lr_cache`).
-        let mut lr2 = std::mem::replace(&mut self.lr_spare, lr);
-
-        // Short-range SKS sub-cycles with the long-range force frozen.
-        for (b0, bm, b1) in subcycle_edges(a0, a1, self.cfg.subcycles) {
-            let t0 = Instant::now();
-            self.drift(cosmo.drift_factor(b0, bm));
-            brk.other += t0.elapsed();
-            if self.cfg.solver != SolverKind::PmOnly {
-                self.short_accel_into(&mut brk);
-                let t1 = Instant::now();
-                let np = self.x.len();
-                let k = (1.5 * cosmo.omega_m * cosmo.kick_factor(b0, b1)) as f32;
-                let sr = &self.scratch.sr;
-                apply_kick(
-                    &mut self.vx,
-                    &mut self.vy,
-                    &mut self.vz,
-                    &sr[0][..np],
-                    &sr[1][..np],
-                    &sr[2][..np],
-                    k,
-                );
-                brk.other += t1.elapsed();
-            }
-            let t2 = Instant::now();
-            self.drift(cosmo.drift_factor(bm, b1));
-            brk.other += t2.elapsed();
-        }
-
-        // Second long-range half kick at the new positions; cache it for
-        // the next step.
-        self.pm_accel_into(&mut brk, &mut lr2);
-        let t3 = Instant::now();
-        let k = (1.5 * cosmo.omega_m * cosmo.kick_factor(am, a1)) as f32;
-        apply_kick(
-            &mut self.vx,
-            &mut self.vy,
-            &mut self.vz,
-            &lr2[0],
-            &lr2[1],
-            &lr2[2],
-            k,
-        );
-        brk.other += t3.elapsed();
-        self.lr_cache = Some(lr2);
-
+        let (cfg, a0) = (self.cfg, self.a);
+        let brk = stepper::step(self, &cfg, a0, a1);
         self.a = a1;
         self.stats.steps.push(brk);
     }
@@ -551,15 +358,17 @@ impl Simulation {
 
     /// Total acceleration (PM + short-range) at the current positions —
     /// exposed for force-accuracy studies and tests. Runs the step's own
-    /// force paths, so it takes the step's scratch (`&mut self`).
+    /// force paths into the held buffer, so it takes `&mut self`.
     pub fn total_accel(&mut self) -> [Vec<f32>; 3] {
         let mut brk = StepBreakdown::default();
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        self.pm_accel_into(&mut brk, &mut out);
+        self.long_range(true, &mut brk);
+        let mut out = self.accel.clone();
         if self.cfg.solver != SolverKind::PmOnly {
-            self.short_accel_into(&mut brk);
-            let sr = &self.scratch.sr;
-            for (o, s) in out.iter_mut().zip(sr) {
+            self.short_range(&mut brk);
+            // The held buffer now carries the short-range force: the
+            // next step must solve its opening field.
+            self.held = false;
+            for (o, s) in out.iter_mut().zip(&self.accel) {
                 for (o, s) in o.iter_mut().zip(s) {
                     *o += s;
                 }
@@ -569,42 +378,137 @@ impl Simulation {
     }
 }
 
-/// The short-range sub-cycle schedule of one long step `a0 → a1`, for
-/// both engines: `subcycles` (at least one) equal steps in `ln a`, each
-/// as `(b0, bm, b1)` — its edges and their geometric midpoint, where
-/// the two drifts meet around the short-range kick.
-pub(crate) fn subcycle_edges(
-    a0: f64,
-    a1: f64,
-    subcycles: usize,
-) -> impl Iterator<Item = (f64, f64, f64)> {
-    let nc = subcycles.max(1);
-    let (l0, l1) = (a0.ln(), a1.ln());
-    (0..nc).map(move |s| {
-        let b0 = (l0 + (l1 - l0) * s as f64 / nc as f64).exp();
-        let b1 = (l0 + (l1 - l0) * (s + 1) as f64 / nc as f64).exp();
-        (b0, (b0 * b1).sqrt(), b1)
-    })
+impl ForceField for Simulation {
+    fn open(&mut self, _: &mut StepBreakdown) {}
+
+    fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
+        if solve || !self.held {
+            self.pm_accel_into(brk);
+        }
+        // The closing solve's field is held for the next opening kick,
+        // which consumes it.
+        self.held = solve;
+    }
+
+    /// Short-range acceleration per particle (physical units), left in
+    /// `self.accel` (first `self.len()` entries are the real particles).
+    /// Allocation-free once warm: the tree is rebuilt in place and
+    /// ghost/mass buffers persist.
+    fn short_range(&mut self, brk: &mut StepBreakdown) {
+        let ng = self.cfg.ng;
+        let np = self.len();
+        let scale = (self.cfg.box_len / ng as f64 / self.nbar() * self.fit.norm) as f32;
+        let s = (ng as f64 / self.cfg.box_len) as f32;
+        let StepScratch {
+            gx,
+            gy,
+            gz,
+            mass,
+            ghost_src,
+            p3m,
+            ..
+        } = &mut self.scratch;
+        fill_scaled(&self.x, s, gx);
+        fill_scaled(&self.y, s, gy);
+        fill_scaled(&self.z, s, gz);
+        match self.cfg.solver {
+            SolverKind::PmOnly => unreachable!("short-range force with PmOnly"),
+            SolverKind::P3m => {
+                let t0 = Instant::now();
+                mass.clear();
+                mass.resize(np, 1.0);
+                let solver = P3mSolver::new(self.kernel, ng as f32);
+                let inter = solver.forces_into(gx, gy, gz, mass, p3m, &mut self.accel);
+                brk.kernel += t0.elapsed();
+                brk.interactions += inter;
+                brk.pair_interactions += inter;
+                for v in self.accel.iter_mut().flatten() {
+                    *v *= scale;
+                }
+            }
+            SolverKind::TreePm => {
+                let t0 = Instant::now();
+                let rcut = self.cfg.rcut_cells as f32;
+                let skin = self.tree_sr.skin;
+                let lg = ng as f32;
+                let rebuild = self.tree_sr.must_rebuild();
+                let [ax, ay, az] = &mut self.tree_sr.pos;
+                if rebuild {
+                    // Ghost images for periodicity (the serial stand-in
+                    // for overloading), in a band widened by the skin so
+                    // every partner a particle can meet while drifting up
+                    // to skin/2 is already present.
+                    with_ghosts_into(gx, gy, gz, lg, rcut + skin, ax, ay, az, ghost_src);
+                } else {
+                    // Move the tree's coordinates along with the
+                    // particles. Positions may have wrapped through the
+                    // periodic boundary since the last sub-cycle, so take
+                    // the minimum image of each displacement; a ghost
+                    // moves with its source (read before the source
+                    // itself is updated).
+                    let mi = move |d: f32| -> f32 {
+                        if d > 0.5 * lg {
+                            d - lg
+                        } else if d < -0.5 * lg {
+                            d + lg
+                        } else {
+                            d
+                        }
+                    };
+                    for (g, &src) in ghost_src.iter().enumerate() {
+                        let (j, sp) = (np + g, src as usize);
+                        ax[j] += mi(gx[sp] - ax[sp]);
+                        ay[j] += mi(gy[sp] - ay[sp]);
+                        az[j] += mi(gz[sp] - az[sp]);
+                    }
+                    for i in 0..np {
+                        ax[i] += mi(gx[i] - ax[i]);
+                        ay[i] += mi(gy[i] - ay[i]);
+                        az[i] += mi(gz[i] - az[i]);
+                    }
+                }
+                brk.build += t0.elapsed();
+                self.tree_sr
+                    .evaluate(&self.kernel, scale, brk, &mut self.accel);
+            }
+        }
+    }
+
+    fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
+        let np = self.x.len();
+        let [ax, ay, az] = &self.accel;
+        (
+            [&mut self.vx, &mut self.vy, &mut self.vz],
+            [&ax[..np], &ay[..np], &az[..np]],
+        )
+    }
+
+    /// Stream, wrapping every position back into the box.
+    fn drift(&mut self, factor: f64) {
+        let (l, f) = (self.cfg.box_len as f32, factor as f32);
+        let xs = [&mut self.x, &mut self.y, &mut self.z];
+        for (x, v) in xs.into_iter().zip([&self.vx, &self.vy, &self.vz]) {
+            x.par_iter_mut()
+                .zip(v.par_iter())
+                .for_each(|(p, &v)| *p = wrap_into_box(*p + f * v, l));
+        }
+        // Displacement bound for the Verlet-skin rebuild criterion.
+        self.tree_sr.add_drift(
+            factor,
+            [&self.vx, &self.vy, &self.vz],
+            self.cfg.ng as f64 / self.cfg.box_len,
+        );
+    }
 }
 
-/// `p += k·a` over three SoA components. A free function (rather than a
-/// method) so the caller can borrow the acceleration out of the step
-/// scratch while mutating the momenta — disjoint field borrows.
-#[allow(clippy::too_many_arguments)] // six parallel SoA arrays + factor
-pub(crate) fn apply_kick(
-    vx: &mut [f32],
-    vy: &mut [f32],
-    vz: &mut [f32],
-    ax: &[f32],
-    ay: &[f32],
-    az: &[f32],
-    k: f32,
-) {
-    #[allow(clippy::needless_range_loop)] // six parallel SoA arrays
-    for i in 0..vx.len() {
-        vx[i] += k * ax[i];
-        vy[i] += k * ay[i];
-        vz[i] += k * az[i];
+/// `v` wrapped into the periodic box `[0, l)`.
+pub(crate) fn wrap_into_box(v: f32, l: f32) -> f32 {
+    let w = v % l;
+    let w = if w < 0.0 { w + l } else { w };
+    if w >= l {
+        0.0
+    } else {
+        w
     }
 }
 
@@ -743,6 +647,30 @@ mod tests {
             "Δp = {}",
             p1 - p0
         );
+    }
+
+    /// `total_accel` runs the step's force paths into the held buffer and
+    /// `energies` solves beside it: called between two steps, neither may
+    /// move the trajectory by a bit.
+    #[test]
+    fn probes_between_steps_leave_the_trajectory_alone() {
+        for solver in [SolverKind::TreePm, SolverKind::PmOnly] {
+            let run = |probe: bool| {
+                let mut sim = make_sim(solver, 0.2);
+                sim.step(0.22);
+                if probe {
+                    let _ = sim.total_accel();
+                    let _ = sim.energies();
+                }
+                sim.step(0.24);
+                [&sim.x, &sim.y, &sim.z, &sim.vx, &sim.vy, &sim.vz]
+                    .map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            assert!(
+                run(false) == run(true),
+                "{solver:?}: probing moved the trajectory"
+            );
+        }
     }
 
     #[test]

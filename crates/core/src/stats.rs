@@ -24,7 +24,8 @@ pub struct StepBreakdown {
     pub coarse_fft: Duration,
     /// CIC deposit + interpolation time.
     pub cic: Duration,
-    /// Stream/kick updates and bookkeeping.
+    /// Kicks and drifts (both engines), and on the distributed engine
+    /// the step's global particle count and domain refresh.
     pub other: Duration,
     /// Effective *directed* particle–particle interactions: the number of
     /// (target, source) force contributions applied. A symmetric pair

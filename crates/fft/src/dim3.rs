@@ -1,7 +1,7 @@
 //! Serial (shared-memory) 3-D complex FFT.
 //!
 //! Row-major `[nx][ny][nz]` layout (`z` fastest). Lines along each axis
-//! are transformed in **batched bundles** of up to [`BATCH`] lines: each
+//! are transformed in **batched bundles** of up to `BATCH` lines: each
 //! pass tiles an L1-sized panel (`[n][BATCH]`, batch-major) out of the
 //! grid with contiguous small copies, runs one batched kernel call over
 //! the whole bundle, and writes the panel back. For the strided y and x

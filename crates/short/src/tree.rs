@@ -25,7 +25,7 @@
 //! the cutoff), so there is one level *below* the leaf that costs no
 //! walk: [`RcbTree::rebuild`] continues the bisection inside each leaf
 //! for ordering only, cuts the leaf into **chunks** of
-//! [`CHUNK`](crate::simd::CHUNK) = 8 consecutive particles and keeps one
+//! [`CHUNK`] = 8 consecutive particles and keeps one
 //! bounding box per chunk. Leaf storage is padded to whole chunks.
 //!
 //! [`RcbTree::forces_symmetric_into`] is the force pass: a symmetric
@@ -600,7 +600,7 @@ impl RcbTree {
     /// zeroes the remaining pairs beyond `r_cut`, so forces stay exact.
     ///
     /// Race-freedom and reproducibility: the pair list is split into at
-    /// most [`PAIR_CHUNKS`] contiguous cost-balanced ranges; range `i`
+    /// most `PAIR_CHUNKS` contiguous cost-balanced ranges; range `i`
     /// always accumulates into scratch buffer `i` (zeroed and reduced
     /// only over the slots its pairs can touch), and the final reduction
     /// sums buffers in index order. The result is bit-identical for a

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full CI gate: release build, the complete workspace test suite, and
-# lint-clean clippy, then the benchmark's toy-size smoke run. Run locally
-# before pushing; .github/workflows/ci.yml runs the same steps.
+# Full CI gate: release build, the complete workspace test suite,
+# lint-clean clippy and docs, then the benchmark's toy-size smoke run.
+# Run locally before pushing; .github/workflows/ci.yml runs the same
+# steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo xtask verify  (lint wall, deny, loom; miri/tsan when installed)"
 cargo xtask verify
