@@ -38,20 +38,24 @@ const TAGS_COARSE_FOLD: (u64, u64) = (111, 112);
 const TAGS_COARSE_FORCE_HALO: (u64, u64) = (211, 212);
 const TAGS_FINE_DENSITY_HALO: (u64, u64) = (221, 222);
 
-/// Rank-local machinery of the two-level PM mesh: the force split and
-/// the local complement solver on the ghost-padded slab.
+/// Rank-local machinery of the two-level PM mesh: the force split, the
+/// local complement solver on the ghost-padded slab, and the halo
+/// depths its solve uses.
 struct TwoLevelDist {
     split: ForceSplit,
     local: LocalComplementSolver,
     /// Fine-complement kernel support in fine cells.
     h_kernel: usize,
+    /// Coarse force-halo depth in coarse cells.
+    h_c: usize,
 }
 
 impl TwoLevelDist {
     /// Build the per-rank two-level machinery for `p` slabs, validating
     /// that the slab geometry can host the ghost depths the split
-    /// requires. Communication-free.
-    fn new(cfg: &SimConfig, p: usize, w_cells: f64) -> Option<Self> {
+    /// requires on top of the `h_int`-plane fine force halo.
+    /// Communication-free.
+    fn new(cfg: &SimConfig, p: usize, w_cells: f64, h_int: usize) -> Option<Self> {
         let lv = cfg.two_level?;
         let split = ForceSplit::new(cfg.ng, cfg.box_len, cfg.spectral, lv);
         let nc = split.nc();
@@ -61,7 +65,6 @@ impl TwoLevelDist {
             "coarse grid side {nc} must be divisible by the rank count {p}"
         );
         let lx = cfg.ng / p;
-        let h_int = (w_cells.ceil() as usize) + 1;
         let h_kernel = split.ghost_width();
         let hh = h_kernel + h_int;
         assert!(
@@ -80,6 +83,7 @@ impl TwoLevelDist {
             local: LocalComplementSolver::new(&split, lx + 2 * hh),
             split,
             h_kernel,
+            h_c,
         })
     }
 }
@@ -103,11 +107,10 @@ struct PmState {
     /// kick gathers them instead of solving again. Never cleared: a
     /// view that has solved once stays warm for as long as it lives.
     held: bool,
-    /// Two-level mesh only: the fine deposit, extended in place by the
-    /// local solve's ghost planes, and the one fine force component the
-    /// local solve hands out at a time.
+    /// Two-level mesh only: the local solve's lattice. The fine deposit
+    /// is extended in place by its ghost planes and zero planes, and the
+    /// solve then leaves each fine force component here in turn.
     fine_source: Vec<f64>,
-    fine_force: Vec<f64>,
     /// The acceleration the next kick applies to every local particle:
     /// the long-range gather's, or between sub-cycle kicks the
     /// short-range tree's. The two are never live together, so they
@@ -292,6 +295,10 @@ pub struct DistSimulation<'a> {
     pub stats: RunStats,
     /// Overload width in grid cells.
     w_cells: f64,
+    /// Fine force-halo depth, `⌈w⌉ + 1` planes: every plane beyond the
+    /// slab that the CIC gather at a local particle, replicas included,
+    /// can read.
+    h_int: usize,
     /// Two-level PM machinery when `cfg.two_level` is set.
     tl: Option<TwoLevelDist>,
     /// The global long-range solve of this view — the `ng` mesh, or the
@@ -369,9 +376,10 @@ impl<'a> DistSimulation<'a> {
             (lx as f64) > w_cells + 1.0,
             "slab too thin: {lx} cells vs overload {w_cells}"
         );
+        let h_int = (w_cells.ceil() as usize) + 1;
         let decomp = Self::decomposition(&cfg, p);
         let (fit, kernel) = fitted_kernel(&cfg);
-        let tl = TwoLevelDist::new(&cfg, p, w_cells);
+        let tl = TwoLevelDist::new(&cfg, p, w_cells, h_int);
         DistSimulation {
             comm,
             cfg,
@@ -382,6 +390,7 @@ impl<'a> DistSimulation<'a> {
             a,
             stats: RunStats::default(),
             w_cells,
+            h_int,
             tl,
             global: OnceCell::new(),
             short: TreeShortRange::new(&cfg),
@@ -556,7 +565,7 @@ impl<'a> DistSimulation<'a> {
         debug_assert!(pm.held, "gather before any solve");
         let ng = self.cfg.ng;
         let t0 = Instant::now();
-        let h = (self.w_cells.ceil() as usize) + 1;
+        let h = self.h_int;
         let halos = exchange_halos(self.comm, &pm.grids, ng * ng, h, TAGS_FORCE_HALO);
         let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
         let pos = self.particle_positions();
@@ -569,11 +578,13 @@ impl<'a> DistSimulation<'a> {
     /// the coarse `(ng/c)³` pencil FFT — its alltoallv volume is `~c³`
     /// smaller than the single-level solve's. The fine complement is a
     /// rank-local serial FFT over the slab padded with
-    /// `h_kernel + h_int` ghost density planes from the ring neighbors;
-    /// output planes within `h_int` of the slab (everything force
+    /// `h_kernel + h_int` ghost density planes from the ring neighbors,
+    /// then zero planes up to the local solver's fast lattice length.
+    /// Output planes within `h_int` of the slab (everything force
     /// interpolation touches) sit at least `h_kernel` from the padded
-    /// boundary, so slab periodization never contaminates them beyond
-    /// the matching tolerance.
+    /// slab's edges, so neither the zero planes nor the lattice
+    /// periodization moves them beyond the matching tolerance. The solve
+    /// runs in place in `pm.fine_source`.
     fn pm_accel_two_level(
         &self,
         tl: &TwoLevelDist,
@@ -585,10 +596,12 @@ impl<'a> DistSimulation<'a> {
         let np = count as f64;
         let nc = tl.split.nc();
         let (fine, coarse) = (self.slab_grid(ng), self.slab_grid(nc));
+        let (h_int, h_kernel, h_c) = (self.h_int, tl.h_kernel, tl.h_c);
+        let plane = ng * ng;
 
         // Both deposits (fine for the complement, coarse for the global
         // solve) sample the same density-contrast field at their own
-        // resolution.
+        // resolution; the fine one then takes its ghost and zero planes.
         let t0 = Instant::now();
         let nbar_f = np / (ng * ng * ng) as f64;
         fine.deposit(
@@ -606,6 +619,16 @@ impl<'a> DistSimulation<'a> {
             TAGS_COARSE_FOLD,
             &mut pm.grids[0],
         );
+        let density = std::slice::from_ref(&pm.fine_source);
+        exchange_halos(
+            self.comm,
+            density,
+            plane,
+            h_kernel + h_int,
+            TAGS_FINE_DENSITY_HALO,
+        )
+        .extend(0, &mut pm.fine_source);
+        pm.fine_source.resize(tl.local.nx() * plane, 0.0);
         brk.cic += t0.elapsed();
 
         // Coarse global solve: 1 r2c + 3 c2r on the (ng/c)³ grid.
@@ -613,22 +636,16 @@ impl<'a> DistSimulation<'a> {
         self.global_solve().solve_forces_in_place(&mut pm.grids);
         brk.coarse_fft += t1.elapsed();
 
-        // Fine complement: ghost-padded local solve, no global comm,
-        // each component gathered as it lands. Valid fine planes
+        // Fine complement: the local solve, no global comm, each
+        // component gathered as it lands. Valid fine planes
         // [x0-h_int, x0+lx+h_int) are the contiguous slice starting
-        // h_kernel planes into the padded output.
-        let h_int = (self.w_cells.ceil() as usize) + 1;
-        let hh = tl.h_kernel + h_int;
-        let plane = ng * ng;
-        let valid = tl.h_kernel * plane..(tl.h_kernel + fine.lx + 2 * h_int) * plane;
+        // h_kernel planes into the lattice.
+        let valid = h_kernel * plane..(h_kernel + fine.lx + 2 * h_int) * plane;
         let pos = self.particle_positions();
         let t2 = Instant::now();
-        let density = std::slice::from_ref(&pm.fine_source);
-        exchange_halos(self.comm, density, plane, hh, TAGS_FINE_DENSITY_HALO)
-            .extend(0, &mut pm.fine_source);
         let mut gather_time = Duration::ZERO;
         tl.local
-            .solve_each_axis(&pm.fine_source, &mut pm.fine_force, |axis, force| {
+            .solve_each_axis(&mut pm.fine_source, |axis, force| {
                 let t = Instant::now();
                 let field = [HaloSlab([&[], &force[valid.clone()], &[]])];
                 fine.gather(
@@ -644,7 +661,6 @@ impl<'a> DistSimulation<'a> {
         brk.cic += gather_time;
 
         let t3 = Instant::now();
-        let h_c = ((self.w_cells / (ng / nc) as f64).ceil() as usize) + 1;
         let halos = exchange_halos(self.comm, &pm.grids, nc * nc, h_c, TAGS_COARSE_FORCE_HALO);
         let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
         coarse.gather(fields, h_c, pos, &mut pm.accel, true);

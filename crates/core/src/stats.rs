@@ -16,8 +16,9 @@ pub struct StepBreakdown {
     pub walk: Duration,
     /// Tree build (partitioning) time.
     pub build: Duration,
-    /// Spectral solver time (FFTs + k-space kernels). With the
-    /// two-level mesh this is the *fine* (rank-local) complement solve.
+    /// Spectral solver time: the transforms and k-space kernels only
+    /// (halo exchanges and folds are `cic`). With the two-level mesh
+    /// this is the *fine* (rank-local) complement solve.
     pub fft: Duration,
     /// Coarse-level spectral solve of the two-level mesh (the globally
     /// communicated `(ng/c)³` transform). Zero on single-level runs.

@@ -179,6 +179,12 @@ impl StockhamPlan {
         Some(StockhamPlan { n, stages })
     }
 
+    /// The stage radices in execution order.
+    #[cfg(test)]
+    pub(crate) fn radices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.stages.iter().map(|st| st.radix)
+    }
+
     /// Transform `batch` interleaved lines (batch-major layout) in place.
     /// `inverse` computes the unnormalized inverse via conjugation.
     /// `scratch` needs at least `n·batch` elements.

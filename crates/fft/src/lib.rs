@@ -32,7 +32,7 @@ pub use complex::Complex64;
 pub use dim3::Fft3;
 pub use kernels::FftSimdLevel;
 pub use pencil::{PencilFft, RealPencilFft};
-pub use plan::Fft1d;
+pub use plan::{fast_len, Fft1d};
 pub use real::RealFft3;
 pub use scratch::BufPool;
 pub use slab::SlabFft;

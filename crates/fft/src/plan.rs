@@ -311,6 +311,23 @@ impl Bluestein {
     }
 }
 
+/// The transform length for a zero-padded axis of at least `min` points:
+/// the smallest `2^a` or `3·2^a` that is `≥ min`. Their Stockham schedule
+/// is SIMD radix-2/4 stages plus at most one scalar radix-3 stage, while
+/// an arbitrary `min` can carry a factor such as 11 that drops the axis
+/// onto the recursive reference path.
+#[must_use]
+pub fn fast_len(min: usize) -> usize {
+    let pow2 = min.max(1).next_power_of_two();
+    // 3·2^(a-2) is the only candidate between 2^(a-1) and 2^a.
+    let three = pow2 / 4 * 3;
+    if three >= min {
+        three
+    } else {
+        pow2
+    }
+}
+
 /// Prime factorization, smallest factors first, preferring radix-4 splits
 /// (pairs of 2s) for fewer recursion levels.
 fn factorize(mut n: usize) -> Vec<usize> {
@@ -479,5 +496,32 @@ mod tests {
         assert_eq!(factorize(60), vec![4, 3, 5]);
         assert_eq!(factorize(1), vec![1]);
         assert_eq!(factorize(37), vec![37]);
+    }
+
+    #[test]
+    fn fast_len_is_the_smallest_stockham_length_with_one_radix3_at_most() {
+        let one_radix3_at_most = |n: usize| matches!(n >> n.trailing_zeros(), 1 | 3);
+        for min in 1..=1024 {
+            let n = fast_len(min);
+            assert!(n >= min, "min {min}: {n} too short");
+            assert!(one_radix3_at_most(n), "min {min}: {n} is not 2^a or 3·2^a");
+            assert!(
+                (min..n).all(|m| !one_radix3_at_most(m)),
+                "min {min}: a shorter length than {n} qualifies"
+            );
+            if n == 1 {
+                continue; // the identity plan: no stages at all
+            }
+            let plan = Fft1d::new(n);
+            let st = plan
+                .stockham
+                .as_ref()
+                .unwrap_or_else(|| panic!("length {n} misses the Stockham path"));
+            let scalar: Vec<usize> = st.radices().filter(|&r| r != 2 && r != 4).collect();
+            assert!(
+                scalar.is_empty() || scalar == [3],
+                "length {n} schedules scalar stages {scalar:?}"
+            );
+        }
     }
 }

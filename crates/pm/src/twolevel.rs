@@ -505,12 +505,15 @@ impl TwoLevelPmSolver {
 }
 
 /// Fine-complement solver on a rank-local slab padded with ghost
-/// planes: an `nx × n × n` grid (`nx = lx + 2·ghost`) that is periodic
-/// in y/z with the *true* box length and periodic in x with the slab
-/// extent `nx·Δ`. Because the complement kernel's support is below the
-/// ghost width, forces on the interior `lx` planes match the global
-/// fine solve to the matching tolerance — the slab periodization's
-/// spurious images all sit beyond the truncation radius.
+/// planes: an `nx × n × n` grid that is periodic in y/z with the *true*
+/// box length and periodic in x with the lattice extent `nx·Δ`. The
+/// caller lays the slab and its ghost planes (`lx + 2·ghost` planes) at
+/// the bottom of the lattice and zeros above them; `nx` is the smallest
+/// fast FFT length ([`hacc_fft::fast_len`]) that holds them. Because the
+/// complement kernel's support is below the ghost width, forces on the
+/// interior `lx` planes match the global fine solve to the matching
+/// tolerance: the zero planes carry no mass, and the slab
+/// periodization's spurious images all sit beyond the truncation radius.
 pub struct LocalComplementSolver {
     nx: usize,
     n: usize,
@@ -526,10 +529,17 @@ pub struct LocalComplementSolver {
 }
 
 impl LocalComplementSolver {
-    /// Build the local solver for `nx` x-planes of the split's fine
-    /// grid (`nx = lx + 2·ghost`, any `nx ≥ 2`).
+    /// Build the local solver for a slab and its ghost planes spanning
+    /// `min_nx` x-planes of the split's fine grid (`lx + 2·ghost`). The
+    /// lattice is [`hacc_fft::fast_len`]`(min_nx)` planes long; read it
+    /// back with [`Self::nx`].
     #[must_use]
-    pub fn new(split: &ForceSplit, nx: usize) -> Self {
+    pub fn new(split: &ForceSplit, min_nx: usize) -> Self {
+        Self::with_len(split, hacc_fft::fast_len(min_nx))
+    }
+
+    /// The local solver on exactly `nx ≥ 2` x-planes.
+    fn with_len(split: &ForceSplit, nx: usize) -> Self {
         assert!(nx >= 2, "local slab too thin");
         let n = split.n();
         let nzh = n / 2 + 1;
@@ -579,33 +589,27 @@ impl LocalComplementSolver {
         }
     }
 
-    /// Number of x-planes of the local grid.
+    /// Number of x-planes of the local lattice.
     #[must_use]
     pub fn nx(&self) -> usize {
         self.nx
     }
 
-    /// Solve the fine complement on the ghost-padded local grid
-    /// (`nx·n·n` source): each force component in turn lands in `out`
-    /// (`nx·n·n`; only the interior planes — those ≥ ghost width from
-    /// either edge — are valid) and is handed to `each(axis, out)`, so
-    /// one force grid is live rather than three. Allocation-free once
-    /// the buffers are warm.
-    pub fn solve_each_axis(
-        &self,
-        source: &[f64],
-        out: &mut Vec<f64>,
-        mut each: impl FnMut(usize, &[f64]),
-    ) {
+    /// Solve the fine complement in place on the ghost-padded local
+    /// lattice: `grid` (`nx·n·n`) enters as the source, the forward
+    /// transform consumes it, and each force component in turn lands in
+    /// it (only the interior planes, those ≥ ghost width from the padded
+    /// slab's edges, are valid) and is handed to `each(axis, grid)`.
+    /// Allocation-free once the spectra are warm.
+    pub fn solve_each_axis(&self, grid: &mut [f64], mut each: impl FnMut(usize, &[f64])) {
         let (nx, n, nzh) = (self.nx, self.n, self.nzh);
-        assert_eq!(source.len(), nx * n * n);
+        assert_eq!(grid.len(), nx * n * n);
         let mut ws = self.ws.lock().expect("local complement workspace poisoned");
         let TlWorkspace { base, comp } = &mut *ws;
         let slen = self.rfft.spectrum_len();
         base.resize(slen, Complex64::ZERO);
         comp.resize(slen, Complex64::ZERO);
-        self.rfft.forward(source, base);
-        out.resize(nx * n * n, 0.0);
+        self.rfft.forward(grid, base);
         for axis in 0..3 {
             comp.par_chunks_mut(n * nzh)
                 .enumerate()
@@ -628,8 +632,8 @@ impl LocalComplementSolver {
                         }
                     }
                 });
-            self.rfft.backward(comp, out);
-            each(axis, out);
+            self.rfft.backward(comp, grid);
+            each(axis, grid);
         }
     }
 }
@@ -846,31 +850,37 @@ mod tests {
             .flat_map(|g| g.iter())
             .fold(0.0f64, |m, v| m.max(v.abs()));
 
+        // On the bare `lx + 2h` lattice and on the solver's own fast
+        // length, with the zero planes above the upper ghost planes
+        // where the engine puts them.
         let (x0, lx) = (7usize, 14usize);
-        let nx = lx + 2 * h;
-        let local = LocalComplementSolver::new(&split, nx);
-        let mut ext = vec![0.0f64; nx * n * n];
-        for (pl, dst) in ext.chunks_mut(n * n).enumerate() {
-            let gx = (x0 + n + pl - h) % n;
-            dst.copy_from_slice(&src[gx * n * n..(gx + 1) * n * n]);
-        }
-        let mut out: [Vec<f64>; 3] = Default::default();
-        local.solve_each_axis(&ext, &mut Vec::new(), |axis, f| out[axis] = f.to_vec());
-        let mut max_err = 0.0f64;
-        for axis in 0..3 {
-            for pl in 0..lx {
-                let gx = (x0 + pl) % n;
-                for yz in 0..n * n {
-                    let want = global[axis][gx * n * n + yz];
-                    let got = out[axis][(pl + h) * n * n + yz];
-                    max_err = max_err.max((want - got).abs());
-                }
+        let bare = lx + 2 * h;
+        let padded = LocalComplementSolver::new(&split, bare);
+        assert!(padded.nx() > bare, "the case must exercise zero padding");
+        for local in [LocalComplementSolver::with_len(&split, bare), padded] {
+            let nx = local.nx();
+            let mut grid = vec![0.0f64; nx * n * n];
+            for (pl, dst) in grid.chunks_mut(n * n).take(bare).enumerate() {
+                let gx = (x0 + n + pl - h) % n;
+                dst.copy_from_slice(&src[gx * n * n..(gx + 1) * n * n]);
             }
+            let mut max_err = 0.0f64;
+            local.solve_each_axis(&mut grid, |axis, f| {
+                for pl in 0..lx {
+                    let gx = (x0 + pl) % n;
+                    for yz in 0..n * n {
+                        let want = global[axis][gx * n * n + yz];
+                        let got = f[(pl + h) * n * n + yz];
+                        max_err = max_err.max((want - got).abs());
+                    }
+                }
+            });
+            eprintln!("nx {nx}: interior max error {max_err:e}, scale {scale:e}");
+            assert!(
+                max_err <= 8.0 * cfg.matching_tol * scale,
+                "nx {nx}: interior mismatch {max_err:e} vs scale {scale:e}"
+            );
         }
-        assert!(
-            max_err <= 8.0 * cfg.matching_tol * scale,
-            "interior mismatch {max_err:e} vs scale {scale:e}"
-        );
     }
 
     /// Tentpole accuracy gate: the two-level pipeline (fine deposit +

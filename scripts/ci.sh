@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate: release build, the complete workspace test suite,
-# lint-clean clippy and docs, then the benchmark's toy-size smoke run.
+# lint-clean clippy and docs, then the benchmark's unit tests and its
+# toy-size smoke run.
 # Run locally before pushing; .github/workflows/ci.yml runs the same
 # steps.
 set -euo pipefail
@@ -23,6 +24,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo xtask verify  (lint wall, deny, loom; miri/tsan when installed)"
 cargo xtask verify
+
+echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> bash benchmark/run.sh --smoke  (pm.inproc2 == pm.socket2 digest, 0 CRC rejects, 0 retries)"
 bash benchmark/run.sh --smoke
