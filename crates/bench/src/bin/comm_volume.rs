@@ -7,17 +7,17 @@
 //! directly from the transport counters instead of inferring it from
 //! grid sizes.
 //!
-//! The two meshes do not solve equally often: the single-level step
-//! keeps its closing solve's force slabs for the next opening kick (one
-//! solve per warm step), while the two-level step solves twice, and a
-//! fresh view's first single-level step also solves cold. So
-//! `a2a_ratio`, over all `--steps` steps from a fresh view, is neither
-//! the per-solve ratio nor the warm-step one; `a2a_ratio_warm_step`
-//! (ungated) is the last step's alone.
+//! Both meshes solve once per warm step — the closing solve's
+//! per-particle acceleration is the next opening kick's — and twice in
+//! a fresh view's first step, and every step adds one particle refresh
+//! that moves the same alltoallv bytes on either mesh. So `a2a_ratio`,
+//! over all `--steps` steps from a fresh view, and
+//! `a2a_ratio_warm_step`, the last step's alone, both sit just under the
+//! per-solve ratio.
 //!
 //! Run with `--json PATH` to write the result as JSON (the committed
-//! record is `out/bench/comm_volume.json`); CI's gate asserts
-//! `a2a_ratio >= 4` at c = 2.
+//! record is `out/bench/comm_volume.json`); CI's gate asserts both
+//! ratios `>= 6.5` at c = 2.
 
 use hacc_bench::reference_power;
 use hacc_comm::{Machine, TagClassVolumes};

@@ -24,12 +24,12 @@
 //! * the serial engine's held long-range field is a pure function of
 //!   the (unchanged) positions, so dropping it across a restart changes
 //!   nothing (`Simulation::from_state`);
-//! * the distributed engine's held force slabs are a pure function of
-//!   the active-particle prefix the closing solve deposited, and a
-//!   restored view without them solves cold on that prefix before its
-//!   first refresh — which also reads only the prefix — so restoring
-//!   the prefix, order and bits, restores the trajectory
-//!   (`DistSimulation::from_checkpoint_state`).
+//! * the distributed engine's held long-range acceleration, on either
+//!   mesh, is a pure function of the active-particle prefix the closing
+//!   solve deposited, and a restored view without it solves cold on
+//!   that prefix, then kicks and refreshes — and the refresh, too,
+//!   reads only the prefix — so restoring the prefix, order and bits,
+//!   restores the trajectory (`DistSimulation::from_checkpoint_state`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -305,9 +305,9 @@ impl<'a> DistSimulation<'a> {
     ///
     /// Returns the rebuilt simulation and the number of completed steps,
     /// or [`CheckpointError::NoCheckpoint`] if nothing usable exists.
-    /// The rebuilt view holds no force slabs: its first `step()` solves
-    /// on the restored actives, then refreshes, which reproduces the
-    /// uninterrupted run bit for bit.
+    /// The rebuilt view holds no long-range field: its first `step()`
+    /// solves on the restored actives, kicks, then refreshes, which
+    /// reproduces the uninterrupted run bit for bit.
     pub fn resume_from(
         comm: &'a Comm,
         cfg: SimConfig,

@@ -101,11 +101,10 @@ struct PmState {
     /// folded in place into the owned density contrast (the source),
     /// and the solve leaves the three force slabs here.
     grids: [Vec<f64>; 3],
-    /// Single-level mesh only: `grids` holds the force slabs of this
-    /// view's last solve — the closing one of the last step, on the
-    /// actives' positions as they still stand — so the next opening
-    /// kick gathers them instead of solving again. Never cleared: a
-    /// view that has solved once stays warm for as long as it lives.
+    /// `accel` holds the closing solve's long-range acceleration at
+    /// every local particle, which the closing kick did not move and no
+    /// refresh has replaced since, so the next opening kick applies it
+    /// without solving. Either mesh; the opening call clears it.
     held: bool,
     /// Two-level mesh only: the local solve's lattice. The fine deposit
     /// is extended in place by its ghost planes and zero planes, and the
@@ -351,11 +350,11 @@ impl<'a> DistSimulation<'a> {
     /// Rebuild one rank's view from checkpointed state: the active
     /// particles exactly as they were (order and bits), scale factor
     /// restored. Neither a solve nor a refresh is performed here, and
-    /// the view holds no force slabs: `step()` solves on the restored
-    /// actives, then refreshes — the closing solve and the refresh of
-    /// the uninterrupted run, on the same inputs — so the resumed
-    /// trajectory is bit-identical. Communication-free; every rank must
-    /// call it with consistent `cfg`.
+    /// the view holds no long-range field: `step()` solves on the
+    /// restored actives, kicks, then refreshes — the closing solve, the
+    /// opening kick and the refresh of the uninterrupted run, on the
+    /// same inputs — so the resumed trajectory is bit-identical.
+    /// Communication-free; every rank must call it with consistent `cfg`.
     pub(crate) fn from_checkpoint_state(
         comm: &'a Comm,
         cfg: SimConfig,
@@ -525,24 +524,17 @@ impl<'a> DistSimulation<'a> {
         })
     }
 
-    /// Run `f` on the held long-range buffers, lent out of `self` so
-    /// it can read the rest of the view.
-    fn with_pm(&mut self, f: impl FnOnce(&Self, &mut PmState)) {
-        let mut pm = std::mem::take(&mut self.pm);
-        f(self, &mut pm);
-        self.pm = pm;
-    }
-
     fn particle_positions(&self) -> [&[f32]; 3] {
         [&self.parts.x, &self.parts.y, &self.parts.z]
     }
 
-    /// The single-level solve: deposit the actives, fold, and solve,
-    /// leaving the three force slabs held in `pm.grids`.
-    fn pm_solve_single(&self, pm: &mut PmState, count: usize, brk: &mut StepBreakdown) {
+    /// The single-level long-range acceleration: deposit the actives,
+    /// fold and solve, then the force slabs' halos and the fused CIC
+    /// gather at every local particle, replicas included.
+    fn pm_accel_single(&self, pm: &mut PmState, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let grid = self.slab_grid(ng);
-        let nbar = count as f64 / (ng * ng * ng) as f64;
+        let nbar = self.count as f64 / (ng * ng * ng) as f64;
         let t0 = Instant::now();
         grid.deposit(
             self.comm,
@@ -555,23 +547,14 @@ impl<'a> DistSimulation<'a> {
 
         let t1 = Instant::now();
         self.global_solve().solve_forces_in_place(&mut pm.grids);
-        pm.held = true;
         brk.fft += t1.elapsed();
-    }
 
-    /// The single-level gather: the held force slabs' halos, then the
-    /// fused CIC gather at every local particle, replicas included.
-    fn pm_gather_single(&self, pm: &mut PmState, brk: &mut StepBreakdown) {
-        debug_assert!(pm.held, "gather before any solve");
-        let ng = self.cfg.ng;
-        let t0 = Instant::now();
+        let t2 = Instant::now();
         let h = self.h_int;
         let halos = exchange_halos(self.comm, &pm.grids, ng * ng, h, TAGS_FORCE_HALO);
         let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
-        let pos = self.particle_positions();
-        self.slab_grid(ng)
-            .gather(fields, h, pos, &mut pm.accel, false);
-        brk.cic += t0.elapsed();
+        grid.gather(fields, h, self.particle_positions(), &mut pm.accel, false);
+        brk.cic += t2.elapsed();
     }
 
     /// Two-level long-range acceleration: the only *global* transform is
@@ -585,15 +568,9 @@ impl<'a> DistSimulation<'a> {
     /// slab's edges, so neither the zero planes nor the lattice
     /// periodization moves them beyond the matching tolerance. The solve
     /// runs in place in `pm.fine_source`.
-    fn pm_accel_two_level(
-        &self,
-        tl: &TwoLevelDist,
-        pm: &mut PmState,
-        count: usize,
-        brk: &mut StepBreakdown,
-    ) {
+    fn pm_accel_two_level(&self, tl: &TwoLevelDist, pm: &mut PmState, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
-        let np = count as f64;
+        let np = self.count as f64;
         let nc = tl.split.nc();
         let (fine, coarse) = (self.slab_grid(ng), self.slab_grid(nc));
         let (h_int, h_kernel, h_c) = (self.h_int, tl.h_kernel, tl.h_c);
@@ -669,15 +646,16 @@ impl<'a> DistSimulation<'a> {
 
     /// One full long-range step to `a1` (collective).
     ///
-    /// One long-range solve per step on the single-level mesh: the
-    /// closing solve's force slabs stay held, and the next opening kick
-    /// only gathers them at the refreshed particles (the field is the
-    /// same — a kick moves no particle). A view that holds none — fresh
-    /// from [`Self::new`], a checkpoint or a membership change — solves
-    /// cold first, on its actives exactly as stored and *before* the
-    /// refresh: the same actives, order and positions as the closing
-    /// solve of the uninterrupted run, so a resumed trajectory is
-    /// bit-identical without any held state in the checkpoint.
+    /// One long-range solve per step on either mesh: the closing solve
+    /// leaves its per-particle acceleration held, and the next opening
+    /// kick applies it before the refresh changes the particle set (the
+    /// field is the same — a kick moves no particle). A view that holds
+    /// none — fresh from [`Self::new`], a checkpoint or a membership
+    /// change — solves cold, on its actives exactly as stored and
+    /// *before* the refresh: the same actives, order and positions as
+    /// the closing solve of the uninterrupted run, so a resumed
+    /// trajectory is bit-identical without any held state in the
+    /// checkpoint.
     pub fn step(&mut self, a1: f64) {
         assert!(a1 > self.a);
         let (cfg, a0) = (self.cfg, self.a);
@@ -727,36 +705,37 @@ impl<'a> DistSimulation<'a> {
 }
 
 impl ForceField for DistSimulation<'_> {
-    /// The global count, the cold solve of a view that holds no force
-    /// slabs (see [`DistSimulation::step`]), then the refresh of domains
-    /// and overload shells.
+    /// The global count, which every force call of the step uses.
     fn open(&mut self, brk: &mut StepBreakdown) {
         let t0 = Instant::now();
         self.count = self.global_count();
         brk.other += t0.elapsed();
-        if self.tl.is_none() && !self.pm.held {
-            let count = self.count;
-            self.with_pm(|sim, pm| sim.pm_solve_single(pm, count, brk));
-        }
+    }
+
+    /// The refresh of domains and overload shells, after the opening
+    /// kick has applied the held field to the particles it was gathered
+    /// at (see [`DistSimulation::step`]).
+    fn refresh(&mut self, brk: &mut StepBreakdown) {
         let t0 = Instant::now();
         refresh(self.comm, &self.decomp, &mut self.parts);
         self.short.invalidate();
         brk.other += t0.elapsed();
     }
 
-    /// With `solve` false the single-level mesh gathers its held slabs
-    /// instead of solving; the two-level mesh always solves.
+    /// Solves unless `solve` is false and the closing solve's field is
+    /// held, as the serial engine's `long_range` does.
     fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
-        let count = self.count;
-        self.with_pm(|sim, pm| match &sim.tl {
-            Some(tl) => sim.pm_accel_two_level(tl, pm, count, brk),
-            None => {
-                if solve {
-                    sim.pm_solve_single(pm, count, brk);
-                }
-                sim.pm_gather_single(pm, brk);
+        if solve || !self.pm.held {
+            // The held buffers are lent out of `self` so the solve can
+            // read the rest of the view.
+            let mut pm = std::mem::take(&mut self.pm);
+            match &self.tl {
+                Some(tl) => self.pm_accel_two_level(tl, &mut pm, brk),
+                None => self.pm_accel_single(&mut pm, brk),
             }
-        });
+            self.pm = pm;
+        }
+        self.pm.held = solve;
     }
 
     /// The rank-local RCB tree over the overloaded slab: no
@@ -897,33 +876,49 @@ mod tests {
 
     /// A view rebuilt from its own state (`into_state` →
     /// `from_checkpoint_state`, as every membership change does) holds
-    /// no force slabs; its cold solve must reproduce the held path's
-    /// next step bit for bit: ids, positions and momenta in order.
+    /// no long-range field; its cold solve must reproduce the held
+    /// path's next step bit for bit: ids, positions and momenta in
+    /// order. On TreePm over the single-level mesh, and on PmOnly over
+    /// the two-level mesh at a slab that hosts its 14 + 6 ghost planes.
     #[test]
     fn rebuilt_view_steps_like_the_held_one() {
         let a0 = 0.3;
-        let realization = ics(a0);
-        let config = cfg(SolverKind::TreePm, a0);
-        let (runs, _) = Machine::new(2).run(move |comm| {
-            let run = |rebuild: bool| {
-                let mut sim = DistSimulation::new(&comm, config, &realization);
-                sim.step(0.33);
-                if rebuild {
-                    let (a, parts) = sim.into_state();
-                    sim = DistSimulation::from_checkpoint_state(&comm, config, a, parts);
-                }
-                sim.step(0.36);
-                let p = sim.particles();
-                let n = p.n_active;
-                let bits = [&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz]
-                    .map(|c| c[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-                (p.id[..n].to_vec(), bits)
-            };
-            (run(false), run(true))
-        });
-        for (held, rebuilt) in runs {
-            assert!(!held.0.is_empty());
-            assert!(held == rebuilt, "the rebuilt view's step diverged");
+        let two_level = SimConfig {
+            ng: 48,
+            two_level: Some(hacc_pm::PmLevelConfig {
+                coarsening: 2,
+                ..hacc_pm::PmLevelConfig::default()
+            }),
+            ..cfg(SolverKind::PmOnly, a0)
+        };
+        for config in [cfg(SolverKind::TreePm, a0), two_level] {
+            let realization = ics(a0);
+            let (runs, _) = Machine::new(2).run(move |comm| {
+                let run = |rebuild: bool| {
+                    let mut sim = DistSimulation::new(&comm, config, &realization);
+                    sim.step(0.33);
+                    if rebuild {
+                        let (a, parts) = sim.into_state();
+                        sim = DistSimulation::from_checkpoint_state(&comm, config, a, parts);
+                    }
+                    sim.step(0.36);
+                    let p = sim.particles();
+                    let n = p.n_active;
+                    let bits = [&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz]
+                        .map(|c| c[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                    (p.id[..n].to_vec(), bits)
+                };
+                (run(false), run(true))
+            });
+            for (held, rebuilt) in runs {
+                assert!(!held.0.is_empty());
+                assert!(
+                    held == rebuilt,
+                    "{:?} two_level={}: the rebuilt view's step diverged",
+                    config.solver,
+                    config.two_level.is_some()
+                );
+            }
         }
     }
 

@@ -381,6 +381,8 @@ impl Simulation {
 impl ForceField for Simulation {
     fn open(&mut self, _: &mut StepBreakdown) {}
 
+    fn refresh(&mut self, _: &mut StepBreakdown) {}
+
     fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
         if solve || !self.held {
             self.pm_accel_into(brk);

@@ -4,8 +4,8 @@
 //! half kick, `nc` short-range stream–kick–stream sub-cycles with the
 //! long-range force frozen, and a closing long-range half kick. The
 //! engines differ only beneath it, in the [`ForceField`] they hand in:
-//! how a step opens, how each force lands in the engine's one held
-//! acceleration buffer, and how particles drift.
+//! how a step opens and refreshes, how each force lands in the engine's
+//! one held acceleration buffer, and how particles drift.
 
 use std::time::Instant;
 
@@ -18,12 +18,17 @@ use crate::stats::StepBreakdown;
 /// accelerations are never live together.
 pub(crate) trait ForceField {
     /// Work before the opening kick (the distributed engine's global
-    /// count, cold solve and refresh; nothing for the serial one).
+    /// count; nothing for the serial engine).
     fn open(&mut self, brk: &mut StepBreakdown);
 
+    /// Work between the opening kick and the first drift (the
+    /// distributed engine's refresh of domains and overload shells;
+    /// nothing for the serial engine).
+    fn refresh(&mut self, brk: &mut StepBreakdown);
+
     /// Long-range acceleration of every particle into the held buffer.
-    /// With `solve` false the engine may reuse the field of its last
-    /// closing solve: no particle has moved since.
+    /// With `solve` false the engine may reuse the acceleration its last
+    /// closing solve left there: no particle has moved or changed since.
     fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown);
 
     /// Short-range acceleration of every particle into the held buffer.
@@ -64,6 +69,7 @@ pub(crate) fn step<F: ForceField>(
     field.open(&mut brk);
     field.long_range(false, &mut brk);
     kick(field, cosmo.kick_factor(a0, am), &mut brk);
+    field.refresh(&mut brk);
     for (b0, bm, b1) in subcycle_edges(a0, a1, cfg.subcycles) {
         drift(field, cosmo.drift_factor(b0, bm), &mut brk);
         if cfg.solver != SolverKind::PmOnly {
@@ -108,6 +114,7 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Call {
         Open,
+        Refresh,
         LongRange { solve: bool },
         ShortRange,
         Kick,
@@ -129,6 +136,10 @@ mod tests {
     impl ForceField for Recorder {
         fn open(&mut self, _: &mut StepBreakdown) {
             self.calls.push(Call::Open);
+        }
+
+        fn refresh(&mut self, _: &mut StepBreakdown) {
+            self.calls.push(Call::Refresh);
         }
 
         fn long_range(&mut self, solve: bool, _: &mut StepBreakdown) {
@@ -159,11 +170,11 @@ mod tests {
     }
 
     /// Eq. 6 through the seam: the call order open → long-range (held)
-    /// → kick → [drift, short-range, kick, drift] × nc → long-range
-    /// (solve) → kick, each kick's coefficient that of its interval, the
-    /// long-range and the short-range kick factors each summing to the
-    /// step's, the drift factors summing to the step's, and no
-    /// short-range call on a PM-only run.
+    /// → kick → refresh → [drift, short-range, kick, drift] × nc →
+    /// long-range (solve) → kick, each kick's coefficient that of its
+    /// interval, the long-range and the short-range kick factors each
+    /// summing to the step's, the drift factors summing to the step's,
+    /// and no short-range call on a PM-only run.
     #[test]
     fn eq6_runs_once_through_the_seam() {
         let (a0, a1, nc) = (0.25, 0.3, 3);
@@ -178,7 +189,12 @@ mod tests {
             let mut rec = Recorder::default();
             step(&mut rec, &cfg, a0, a1);
 
-            let mut want = vec![Call::Open, Call::LongRange { solve: false }, Call::Kick];
+            let mut want = vec![
+                Call::Open,
+                Call::LongRange { solve: false },
+                Call::Kick,
+                Call::Refresh,
+            ];
             for _ in 0..nc {
                 want.push(Call::Drift);
                 if short {

@@ -25,6 +25,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo xtask verify  (lint wall, deny, loom; miri/tsan when installed)"
 cargo xtask verify
 
+echo "==> comm_volume  (two-level gate: a2a_ratio and a2a_ratio_warm_step >= 6.5)"
+cargo build --release -p hacc-bench --bin comm_volume
+./target/release/comm_volume --json out/bench/comm_volume.json
+for key in a2a_ratio a2a_ratio_warm_step; do
+  ratio=$(sed -n "s/.*\"$key\": \([0-9.]*\).*/\1/p" out/bench/comm_volume.json)
+  echo "$key = $ratio"
+  awk -v s="$ratio" 'BEGIN { exit !(s >= 6.5) }'
+done
+
 echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 

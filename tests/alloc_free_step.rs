@@ -254,15 +254,9 @@ fn distributed_subcycle_loop_allocates_nothing() {
     );
 }
 
-/// The distributed long-range pipeline holds its grids: after warm-up
-/// a PM-only step allocates nothing as large as one rank's real slab
-/// (`lx·n²·8` B) — the deposit slab, force grids, halo slabs, spectra
-/// and particle accelerations are all held, and the elided z↔y
-/// transpose of the `p × 1` pencil grid allocates no spectrum. What
-/// still allocates is message traffic and the refresh lists: the
-/// transpose payloads (`1/p` of a spectrum each) and message envelopes.
-#[test]
-fn distributed_pm_step_holds_its_grids() {
+/// After warm-up, a distributed PM-only step (ng 48 on 2 ranks) allocates
+/// nothing as large as one rank's real slab (`lx·n²·8` B).
+fn assert_distributed_pm_step_holds_its_grids(two_level: Option<hacc::pm::PmLevelConfig>) {
     use hacc::comm::Machine;
     use hacc::core::{DistSimulation, SimConfig, SolverKind};
     use hacc::cosmo::{Cosmology, LinearPower, Transfer};
@@ -277,6 +271,7 @@ fn distributed_pm_step_holds_its_grids() {
         a_init: a0,
         subcycles: 1,
         solver: SolverKind::PmOnly,
+        two_level,
         ..SimConfig::small_lcdm()
     };
     let (per_rank, _) = Machine::new(ranks).run(|comm| {
@@ -300,6 +295,30 @@ fn distributed_pm_step_holds_its_grids() {
             "rank {rank}: a warm PM step allocated {big} B at once, a real slab is {slab} B"
         );
     }
+}
+
+/// The distributed long-range pipeline holds its grids: after warm-up
+/// a PM-only step allocates nothing as large as one rank's real slab —
+/// the deposit slab, force grids, halo slabs, spectra and particle
+/// accelerations are all held, and the elided z↔y transpose of the
+/// `p × 1` pencil grid allocates no spectrum. What still allocates is
+/// message traffic and the refresh lists: the transpose payloads (`1/p`
+/// of a spectrum each) and message envelopes.
+#[test]
+fn distributed_pm_step_holds_its_grids() {
+    assert_distributed_pm_step_holds_its_grids(None);
+}
+
+/// The two-level twin: the fine deposit and its ghost-padded lattice,
+/// the coarse slabs and the local solver's workspaces are held too, so
+/// a warm step's largest allocation is a message — the fine density
+/// halo's `h_kernel + h_int` = 20 planes, under a slab's 24.
+#[test]
+fn distributed_two_level_step_holds_its_grids() {
+    assert_distributed_pm_step_holds_its_grids(Some(hacc::pm::PmLevelConfig {
+        coarsening: 2,
+        ..hacc::pm::PmLevelConfig::default()
+    }));
 }
 
 /// The two-level PM path: both levels' density/force grids, the coarse

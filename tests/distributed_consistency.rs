@@ -149,57 +149,89 @@ fn distributed_particle_conservation() {
     }
 }
 
-/// One long-range solve per warm step, read off the transport counters.
-/// A step's alltoallv bytes are its refresh's plus its solves'
-/// transposes; the refresh's share varies with the replica count, so
-/// it is measured by replaying the same refresh on a copy of the
-/// particles and subtracted. Two consecutive warm steps then move
-/// equal solve bytes, and the first step of a fresh view, which also
-/// solves cold, exactly one solve's more.
+/// One long-range solve per warm step on both meshes, read off the
+/// per-tag-class transport counters. A step's alltoallv traffic is its
+/// refresh's plus its solves' transposes; the refresh's share varies
+/// with the replica count, so it is measured by replaying the same
+/// refresh on a copy of the particles and subtracted. Two consecutive
+/// warm steps then move equal solve bytes and messages, and the first
+/// step of a fresh view, which also solves cold, exactly one solve's
+/// more. A solve's messages are its pencil transposes, as many on the
+/// two-level coarse `(ng/c)³` grid as on the single-level `ng³` one, so
+/// a warm step — one solve plus one refresh — sends as many alltoallv
+/// messages on either mesh.
 #[test]
 fn one_solve_per_warm_step() {
     use hacc::domain::{refresh, Decomposition};
 
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
-    let cfg = SimConfig {
-        cosmology: Cosmology::lcdm(),
-        box_len: 64.0,
-        ng: 32,
-        a_init: 0.3,
-        a_final: 0.36,
-        steps: 3,
-        subcycles: 2,
-        solver: SolverKind::PmOnly,
-        ..SimConfig::small_lcdm()
-    };
     let ranks = 2;
-    let ics = hacc::ics::zeldovich(16, 64.0, &power, cfg.a_init, 5);
-    let (res, _) = Machine::new(ranks).run(move |comm| {
-        let mut sim = DistSimulation::new(&comm, cfg, &ics);
-        let shell = sim.overload_depth_cells() * (cfg.box_len / cfg.ng as f64);
-        let decomp = Decomposition::new([ranks, 1, 1], cfg.box_len, shell);
-        // Machine-wide alltoallv bytes, exact between two barriers.
-        let a2a = || {
-            comm.barrier();
-            let bytes = comm.traffic_stats().by_class.a2a.bytes;
-            comm.barrier();
-            bytes
-        };
-        let mut solve_bytes = Vec::new();
-        for &a in &cfg.step_edges()[1..] {
-            let t0 = a2a();
-            refresh(&comm, &decomp, &mut sim.particles().clone());
-            let t1 = a2a();
-            sim.step(a);
-            let t2 = a2a();
-            solve_bytes.push((t2 - t1) - (t1 - t0));
-        }
-        solve_bytes
-    });
-    let [cold, warm, warm_again] = res[0][..] else {
-        panic!("three steps: {:?}", res[0])
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, 0.3, 5);
+    let coarse = hacc::pm::PmLevelConfig {
+        coarsening: 2,
+        ..hacc::pm::PmLevelConfig::default()
     };
-    assert!(warm > 0, "a warm step must solve once");
-    assert_eq!(warm_again, warm, "two warm steps' solve bytes differ");
-    assert_eq!(cold, 2 * warm, "the cold step must add exactly one solve");
+    let mut warm_msgs = Vec::new();
+    for (mesh, two_level) in [("single-level", None), ("two-level", Some(coarse))] {
+        // ng = 48 gives each of 2 slabs the 20 planes the default
+        // two-level split needs.
+        let cfg = SimConfig {
+            cosmology: Cosmology::lcdm(),
+            box_len: 64.0,
+            ng: 48,
+            a_init: 0.3,
+            a_final: 0.36,
+            steps: 3,
+            subcycles: 2,
+            solver: SolverKind::PmOnly,
+            two_level,
+            ..SimConfig::small_lcdm()
+        };
+        let ics = ics.clone();
+        let (res, _) = Machine::new(ranks).run(move |comm| {
+            let mut sim = DistSimulation::new(&comm, cfg, &ics);
+            let shell = sim.overload_depth_cells() * (cfg.box_len / cfg.ng as f64);
+            let decomp = Decomposition::new([ranks, 1, 1], cfg.box_len, shell);
+            // Machine-wide alltoallv [bytes, messages], exact between
+            // two barriers.
+            let a2a = || {
+                comm.barrier();
+                let c = comm.traffic_stats().by_class.a2a;
+                comm.barrier();
+                [c.bytes, c.msgs]
+            };
+            // Per step: the step's [bytes, messages] and its solves'.
+            let mut steps = Vec::new();
+            for &a in &cfg.step_edges()[1..] {
+                let t0 = a2a();
+                refresh(&comm, &decomp, &mut sim.particles().clone());
+                let t1 = a2a();
+                sim.step(a);
+                let t2 = a2a();
+                let step = [0, 1].map(|k| t2[k] - t1[k]);
+                steps.push((step, [0, 1].map(|k| step[k] - (t1[k] - t0[k]))));
+            }
+            steps
+        });
+        let [(_, cold), (warm_step, warm), (_, warm_again)] = res[0][..] else {
+            panic!("{mesh}: three steps: {:?}", res[0])
+        };
+        for (k, unit) in ["bytes", "messages"].into_iter().enumerate() {
+            assert!(warm[k] > 0, "{mesh}: a warm step must solve once");
+            assert_eq!(
+                warm_again[k], warm[k],
+                "{mesh}: two warm steps' solve {unit} differ"
+            );
+            assert_eq!(
+                cold[k],
+                2 * warm[k],
+                "{mesh}: the cold step must add exactly one solve's {unit}"
+            );
+        }
+        warm_msgs.push(warm_step[1]);
+    }
+    assert_eq!(
+        warm_msgs[0], warm_msgs[1],
+        "alltoallv messages of a warm step, single-level vs two-level"
+    );
 }
