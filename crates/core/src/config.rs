@@ -47,11 +47,11 @@ pub struct SimConfig {
     /// Short/long force matching radius in grid cells (paper: 3).
     pub rcut_cells: f64,
     /// Verlet-style skin radius in grid cells for cross-subcycle tree
-    /// reuse (TreePm only). The tree and ghost set are built once with
+    /// reuse (TreePm only). The tree's leaf-pair list is built with
     /// `r_cut` inflated by this margin and reused — positions refreshed
-    /// in place — until the accumulated drift bound exceeds half the
-    /// skin, at which point the tree is rebuilt. `0` disables reuse
-    /// (rebuild every sub-cycle).
+    /// in place — until some particle has moved more than half the skin
+    /// from its build position, and rebuilt at the first sub-cycle of
+    /// every step. `0` disables reuse (rebuild every sub-cycle).
     pub skin_cells: f64,
     /// Retry budget for the resilience ladder: how many times a step may
     /// be re-attempted (tier-0 reconstruction / tier-1 rollback) before

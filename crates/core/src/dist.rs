@@ -310,8 +310,10 @@ pub struct DistSimulation<'a> {
     /// build it together with matching sub-communicators.
     global: OnceCell<DistRealPoisson<RealPencilFft<'a>>>,
     /// Persistent short-range tree state over the rank's overloaded
-    /// particle set: built at most once per long step after the
-    /// refresh, positions refreshed in place on the other sub-cycles.
+    /// particle set, periodic along the axes the rank spans whole:
+    /// rebuilt at the first sub-cycle after each refresh and whenever a
+    /// particle has moved half the skin since, positions refreshed in
+    /// place on the other sub-cycles.
     short: TreeShortRange,
     /// Held long-range buffers.
     pm: PmState,
@@ -377,6 +379,9 @@ impl<'a> DistSimulation<'a> {
         );
         let h_int = (w_cells.ceil() as usize) + 1;
         let decomp = Self::decomposition(&cfg, p);
+        // An axis this rank spans whole gets no replicas from the
+        // decomposition: the tree sees its images through shifts.
+        let periods = decomp.dims.map(|d| if d == 1 { cfg.ng as f32 } else { 0.0 });
         let (fit, kernel) = fitted_kernel(&cfg);
         let tl = TwoLevelDist::new(&cfg, p, w_cells, h_int);
         DistSimulation {
@@ -392,7 +397,7 @@ impl<'a> DistSimulation<'a> {
             h_int,
             tl,
             global: OnceCell::new(),
-            short: TreeShortRange::new(&cfg),
+            short: TreeShortRange::new(&cfg, periods),
             pm: PmState::default(),
             count: 0,
         }
@@ -767,7 +772,8 @@ impl ForceField for DistSimulation<'_> {
     }
 
     /// Stream without wrapping: the next refresh re-homes whatever
-    /// crossed the box.
+    /// crossed the box, and until then the tree's coordinates stay
+    /// continuous.
     fn drift(&mut self, factor: f64) {
         let f = factor as f32;
         let p = &mut self.parts;
@@ -775,15 +781,6 @@ impl ForceField for DistSimulation<'_> {
             p.x[i] += f * p.vx[i];
             p.y[i] += f * p.vy[i];
             p.z[i] += f * p.vz[i];
-        }
-        if self.cfg.solver == SolverKind::TreePm {
-            // Rank-local displacement bound for the tree's rebuild
-            // criterion: this rank's own momenta, no collective.
-            self.short.add_drift(
-                factor,
-                [&p.vx, &p.vy, &p.vz],
-                self.cfg.ng as f64 / self.cfg.box_len,
-            );
         }
     }
 }
@@ -964,9 +961,9 @@ mod tests {
             sim.particles().overload_fraction()
         });
         for f in fracs {
-            // 4.5-cell overload on a 16-plane slab (plus y/z self-ghosts):
-            // sizable but bounded replication.
-            assert!(f > 0.0 && f < 6.0, "overload fraction {f}");
+            // A 4.5-cell shell on each face of a 16-plane slab, and no
+            // replicas along y and z, which each rank spans whole.
+            assert!(f > 0.0 && f <= 2.0 * 4.5 / 16.0 * 1.2, "overload fraction {f}");
         }
     }
 

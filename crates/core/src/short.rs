@@ -1,11 +1,14 @@
 //! The persistent TreePM short-range state both engines own.
 //!
-//! One RCB tree and its scratch live across sub-cycles and steps: the
-//! tree is rebuilt only when the particle set changed or the accumulated
-//! drift bound can have carried a pair across the Verlet skin, and is
-//! refreshed in place otherwise. The engines differ only in how they
-//! produce the coordinates: the serial driver appends periodic ghost
-//! images, the distributed driver hands over its overloaded slab.
+//! One RCB tree and its scratch live across sub-cycles: the tree is
+//! rebuilt only when the particle set changed or some particle has moved
+//! far enough from its build position to carry a pair across the Verlet
+//! skin, and is refreshed in place otherwise. The tree indexes only the
+//! particles whose forces the engine uses plus, in the distributed
+//! engine, the cross-rank replicas; periodicity along an axis the engine
+//! covers whole is the tree's own image shift. The serial engine hands
+//! over all N particles with every axis periodic, the distributed engine
+//! its overloaded slab with the axes it spans whole periodic.
 
 use std::time::Instant;
 
@@ -17,50 +20,62 @@ use crate::stats::StepBreakdown;
 pub(crate) struct TreeShortRange {
     tree: RcbTree,
     scratch: TreeScratch,
-    /// Grid-unit coordinates of everything the tree indexes. The owning
-    /// engine fills them before [`Self::evaluate`].
+    /// Grid-unit coordinates of everything the tree indexes, continuous
+    /// (never wrapped) since the last build. The owning engine fills
+    /// them before [`Self::evaluate`].
     pub(crate) pos: [Vec<f32>; 3],
+    /// `pos` as the last build saw it: the rebuild criterion measures
+    /// every particle's displacement from here.
+    built: [Vec<f32>; 3],
     /// Unit masses, one per tree particle.
     mass: Vec<f32>,
     /// Verlet skin in grid cells (never negative): the pair list's
-    /// reach beyond `r_cut`, and the serial engine's ghost band margin.
+    /// reach beyond `r_cut`.
     pub(crate) skin: f32,
-    /// Upper bound on any particle's displacement since the last build,
-    /// in grid cells; infinite while there is no build to reuse.
-    drift_since_build: f64,
+    /// The particle set changed since the last build, or there is none.
+    stale: bool,
 }
 
 impl TreeShortRange {
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
+    /// Short-range state over coordinates with per-axis `periods` in
+    /// grid cells (`0` for an open axis), set by the owning engine from
+    /// its geometry.
+    pub(crate) fn new(cfg: &SimConfig, periods: [f32; 3]) -> Self {
+        let mut tree = RcbTree::new_empty(cfg.tree);
+        tree.set_periods(periods);
         TreeShortRange {
-            tree: RcbTree::new_empty(cfg.tree),
+            tree,
             scratch: TreeScratch::default(),
             pos: Default::default(),
+            built: Default::default(),
             mass: Vec::new(),
             skin: cfg.skin_cells.max(0.0) as f32,
-            drift_since_build: f64::INFINITY,
+            stale: true,
         }
     }
 
-    /// The particle set changed (migration, recovery): the next
+    /// The particle set changed (refresh, migration, recovery): the next
     /// evaluation rebuilds.
     pub(crate) fn invalidate(&mut self) {
-        self.drift_since_build = f64::INFINITY;
+        self.stale = true;
     }
 
-    /// Record a drift `x += factor · v` over momenta `v`: no particle
-    /// moved farther than `|factor|·√(max|vx|² + max|vy|² + max|vz|²)`,
-    /// taken to grid cells by `to_grid`.
-    pub(crate) fn add_drift(&mut self, factor: f64, v: [&[f32]; 3], to_grid: f64) {
-        let speed2: f64 = v.iter().map(|c| f64::from(max_abs(c)).powi(2)).sum();
-        self.drift_since_build += factor.abs() * speed2.sqrt() * to_grid;
-    }
-
-    /// The rebuild criterion: the skin pair list stays valid while twice
-    /// the displacement bound (each of two particles may drift toward
-    /// the other) is within the skin.
+    /// The rebuild criterion: the pair list built with the skin stays
+    /// valid while twice the largest displacement from the build
+    /// positions (each of two particles may have moved toward the other)
+    /// is within the skin. Measured at `self.pos`.
     pub(crate) fn must_rebuild(&self) -> bool {
-        self.skin <= 0.0 || 2.0 * self.drift_since_build > f64::from(self.skin)
+        if self.stale || self.skin <= 0.0 || self.tree.particle_count() != self.pos[0].len() {
+            return true;
+        }
+        let [x, y, z] = &self.pos;
+        let [bx, by, bz] = &self.built;
+        let mut max2 = 0.0f32;
+        for i in 0..x.len() {
+            let d = [x[i] - bx[i], y[i] - by[i], z[i] - bz[i]];
+            max2 = max2.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+        }
+        4.0 * max2 > self.skin * self.skin
     }
 
     /// Short-range acceleration at `self.pos`, times `scale`, into
@@ -76,11 +91,14 @@ impl TreeShortRange {
     ) {
         let t0 = Instant::now();
         let [x, y, z] = &self.pos;
-        if self.must_rebuild() || self.tree.particle_count() != x.len() {
+        if self.must_rebuild() {
             self.mass.clear();
             self.mass.resize(x.len(), 1.0);
             self.tree.rebuild(x, y, z, &self.mass, &mut self.scratch);
-            self.drift_since_build = 0.0;
+            for (b, p) in self.built.iter_mut().zip(&self.pos) {
+                b.clone_from(p);
+            }
+            self.stale = false;
         } else {
             self.tree.refresh_positions(x, y, z);
         }
@@ -96,20 +114,4 @@ impl TreeShortRange {
             *v *= scale;
         }
     }
-}
-
-/// Largest `|v|`, in eight independent lanes so the pass runs at vector
-/// throughput rather than along one scalar max chain.
-fn max_abs(v: &[f32]) -> f32 {
-    let mut hi = [0.0f32; 8];
-    let blocks = v.chunks_exact(8);
-    for (h, &x) in hi.iter_mut().zip(blocks.remainder()) {
-        *h = x.abs();
-    }
-    for b in blocks {
-        for (h, &x) in hi.iter_mut().zip(b) {
-            *h = h.max(x.abs());
-        }
-    }
-    hi.into_iter().fold(0.0, f32::max)
 }

@@ -77,9 +77,6 @@ struct StepScratch {
     cbuf: Vec<f32>,
     /// Unit masses of the P3m path.
     mass: Vec<f32>,
-    /// TreePm path: source particle index of each ghost image appended
-    /// to the tree's coordinates at build time.
-    ghost_src: Vec<u32>,
     /// Chaining-mesh scratch (P3m path).
     p3m: P3mScratch,
 }
@@ -102,8 +99,7 @@ pub struct Simulation {
     vy: Vec<f32>,
     vz: Vec<f32>,
     /// The acceleration the next kick applies: the long-range solve's,
-    /// or between sub-cycle kicks the short-range solver's (the TreePm
-    /// one with the ghost images after the real particles). The two are
+    /// or between sub-cycle kicks the short-range solver's. The two are
     /// never live together, so they share one buffer.
     accel: [Vec<f32>; 3],
     /// `accel` holds the closing solve's long-range field at the current
@@ -178,7 +174,8 @@ impl Simulation {
             accel: Default::default(),
             held: false,
             scratch: StepScratch::default(),
-            tree_sr: TreeShortRange::new(&cfg),
+            // The tree sees the whole periodic box through image shifts.
+            tree_sr: TreeShortRange::new(&cfg, [cfg.ng as f32; 3]),
             stats: RunStats::default(),
         }
     }
@@ -381,7 +378,13 @@ impl Simulation {
 impl ForceField for Simulation {
     fn open(&mut self, _: &mut StepBreakdown) {}
 
-    fn refresh(&mut self, _: &mut StepBreakdown) {}
+    /// No domains to refresh; the tree is only marked stale, so it is
+    /// rebuilt at the first sub-cycle of every step as a resumed run's
+    /// fresh tree is. The same topology sums the same pairs in the same
+    /// order, which keeps resume bit-exact at any step boundary.
+    fn refresh(&mut self, _: &mut StepBreakdown) {
+        self.tree_sr.invalidate();
+    }
 
     fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
         if solve || !self.held {
@@ -393,9 +396,8 @@ impl ForceField for Simulation {
     }
 
     /// Short-range acceleration per particle (physical units), left in
-    /// `self.accel` (first `self.len()` entries are the real particles).
-    /// Allocation-free once warm: the tree is rebuilt in place and
-    /// ghost/mass buffers persist.
+    /// `self.accel`. Allocation-free once warm: the tree is rebuilt in
+    /// place and its coordinate and mass buffers persist.
     fn short_range(&mut self, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let np = self.len();
@@ -406,7 +408,6 @@ impl ForceField for Simulation {
             gy,
             gz,
             mass,
-            ghost_src,
             p3m,
             ..
         } = &mut self.scratch;
@@ -430,24 +431,14 @@ impl ForceField for Simulation {
             }
             SolverKind::TreePm => {
                 let t0 = Instant::now();
-                let rcut = self.cfg.rcut_cells as f32;
-                let skin = self.tree_sr.skin;
                 let lg = ng as f32;
-                let rebuild = self.tree_sr.must_rebuild();
-                let [ax, ay, az] = &mut self.tree_sr.pos;
-                if rebuild {
-                    // Ghost images for periodicity (the serial stand-in
-                    // for overloading), in a band widened by the skin so
-                    // every partner a particle can meet while drifting up
-                    // to skin/2 is already present.
-                    with_ghosts_into(gx, gy, gz, lg, rcut + skin, ax, ay, az, ghost_src);
-                } else {
+                let tree = &mut self.tree_sr;
+                if tree.pos[0].len() == np {
                     // Move the tree's coordinates along with the
                     // particles. Positions may have wrapped through the
                     // periodic boundary since the last sub-cycle, so take
-                    // the minimum image of each displacement; a ghost
-                    // moves with its source (read before the source
-                    // itself is updated).
+                    // the minimum image of each displacement: between
+                    // builds the coordinates stay continuous.
                     let mi = move |d: f32| -> f32 {
                         if d > 0.5 * lg {
                             d - lg
@@ -457,32 +448,28 @@ impl ForceField for Simulation {
                             d
                         }
                     };
-                    for (g, &src) in ghost_src.iter().enumerate() {
-                        let (j, sp) = (np + g, src as usize);
-                        ax[j] += mi(gx[sp] - ax[sp]);
-                        ay[j] += mi(gy[sp] - ay[sp]);
-                        az[j] += mi(gz[sp] - az[sp]);
+                    for (t, g) in tree.pos.iter_mut().zip([&*gx, &*gy, &*gz]) {
+                        for (t, &g) in t.iter_mut().zip(g) {
+                            *t += mi(g - *t);
+                        }
                     }
-                    for i in 0..np {
-                        ax[i] += mi(gx[i] - ax[i]);
-                        ay[i] += mi(gy[i] - ay[i]);
-                        az[i] += mi(gz[i] - az[i]);
+                }
+                if tree.must_rebuild() {
+                    // A build starts from the wrapped positions.
+                    tree.invalidate();
+                    for (t, g) in tree.pos.iter_mut().zip([&*gx, &*gy, &*gz]) {
+                        t.clone_from(g);
                     }
                 }
                 brk.build += t0.elapsed();
-                self.tree_sr
-                    .evaluate(&self.kernel, scale, brk, &mut self.accel);
+                tree.evaluate(&self.kernel, scale, brk, &mut self.accel);
             }
         }
     }
 
     fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
-        let np = self.x.len();
         let [ax, ay, az] = &self.accel;
-        (
-            [&mut self.vx, &mut self.vy, &mut self.vz],
-            [&ax[..np], &ay[..np], &az[..np]],
-        )
+        ([&mut self.vx, &mut self.vy, &mut self.vz], [ax, ay, az])
     }
 
     /// Stream, wrapping every position back into the box.
@@ -494,12 +481,6 @@ impl ForceField for Simulation {
                 .zip(v.par_iter())
                 .for_each(|(p, &v)| *p = wrap_into_box(*p + f * v, l));
         }
-        // Displacement bound for the Verlet-skin rebuild criterion.
-        self.tree_sr.add_drift(
-            factor,
-            [&self.vx, &self.vy, &self.vz],
-            self.cfg.ng as f64 / self.cfg.box_len,
-        );
     }
 }
 
@@ -518,69 +499,6 @@ pub(crate) fn wrap_into_box(v: f32, l: f32) -> f32 {
 pub(crate) fn fill_scaled(src: &[f32], s: f32, out: &mut Vec<f32>) {
     out.clear();
     out.extend(src.iter().map(|&v| v * s));
-}
-
-/// Append periodic ghost images of particles within `rcut` of the box
-/// faces (grid units, box side `l`) into the caller's reused buffers;
-/// returns the count of real particles (the prefix).
-///
-/// `ghost_src[g]` records the real-particle index each appended ghost is
-/// an image of, so a Verlet-skin refresh can re-derive ghost coordinates
-/// from the drifted real positions without regenerating the ghost set.
-#[allow(clippy::too_many_arguments)] // three input + four output SoA arrays
-fn with_ghosts_into(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    l: f32,
-    rcut: f32,
-    ax: &mut Vec<f32>,
-    ay: &mut Vec<f32>,
-    az: &mut Vec<f32>,
-    ghost_src: &mut Vec<u32>,
-) -> usize {
-    let n = xs.len();
-    ax.clear();
-    ay.clear();
-    az.clear();
-    ghost_src.clear();
-    ax.extend_from_slice(xs);
-    ay.extend_from_slice(ys);
-    az.extend_from_slice(zs);
-    // Slot 0 is always the zero shift; slots 1.. are the ±l wraps.
-    let shifts = |v: f32, out: &mut [f32; 3]| -> usize {
-        out[0] = 0.0;
-        let mut c = 1;
-        if v < rcut {
-            out[c] = l;
-            c += 1;
-        }
-        if v > l - rcut {
-            out[c] = -l;
-            c += 1;
-        }
-        c
-    };
-    let (mut sx, mut sy, mut sz) = ([0.0f32; 3], [0.0f32; 3], [0.0f32; 3]);
-    for i in 0..n {
-        let cx = shifts(xs[i], &mut sx);
-        let cy = shifts(ys[i], &mut sy);
-        let cz = shifts(zs[i], &mut sz);
-        for (a, &dx) in sx[..cx].iter().enumerate() {
-            for (b, &dy) in sy[..cy].iter().enumerate() {
-                for (c, &dz) in sz[..cz].iter().enumerate() {
-                    if a == 0 && b == 0 && c == 0 {
-                        continue;
-                    }
-                    ax.push(xs[i] + dx);
-                    ay.push(ys[i] + dy);
-                    az.push(zs[i] + dz);
-                    ghost_src.push(i as u32);
-                }
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]
@@ -607,34 +525,6 @@ mod tests {
             ..small_cfg(solver)
         };
         Simulation::from_ics(cfg, &ics)
-    }
-
-    /// `with_ghosts_into` through fresh buffers: augmented x/y/z, the
-    /// ghost → source map and the real-particle count.
-    fn ghosts(xs: &[f32], ys: &[f32], zs: &[f32]) -> ([Vec<f32>; 3], Vec<u32>, usize) {
-        let (mut ax, mut ay, mut az, mut gs) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let n = with_ghosts_into(xs, ys, zs, 10.0, 1.0, &mut ax, &mut ay, &mut az, &mut gs);
-        ([ax, ay, az], gs, n)
-    }
-
-    #[test]
-    fn ghosts_replicate_faces_only() {
-        let ([ax, _, _], gs, n) = ghosts(&[5.0, 0.5], &[5.0, 5.0], &[5.0, 5.0]);
-        assert_eq!(n, 2);
-        // Interior particle adds nothing; the face particle adds one image.
-        assert_eq!(ax.len(), 3);
-        assert_eq!(ax[2], 10.5);
-        assert_eq!(gs, vec![1]);
-    }
-
-    #[test]
-    fn corner_ghosts_complete() {
-        let ([ax, ay, az], gs, _) = ghosts(&[0.2], &[0.3], &[9.9]);
-        // 2×2×2 images minus the original = 7 ghosts.
-        assert_eq!(ax.len(), 8);
-        assert_eq!(ay.len(), 8);
-        assert_eq!(az.len(), 8);
-        assert_eq!(gs, vec![0; 7]);
     }
 
     #[test]
@@ -671,6 +561,165 @@ mod tests {
             assert!(
                 run(false) == run(true),
                 "{solver:?}: probing moved the trajectory"
+            );
+        }
+    }
+
+    /// The serial engine's force field, checked after every short-range
+    /// evaluation: the held acceleration must be the f64 minimum-image
+    /// brute-force sum over all particles at their current positions.
+    struct Checked<'s> {
+        sim: &'s mut Simulation,
+        /// Indices of two clusters whose pairs the check also counts.
+        a: std::ops::Range<usize>,
+        b: std::ops::Range<usize>,
+        /// Per evaluation: the largest error relative to the largest
+        /// force component, the smallest a–b minimum-image distance
+        /// (cells) and the a–b pairs inside the cutoff.
+        evals: Vec<(f64, f64, usize)>,
+    }
+
+    impl Checked<'_> {
+        fn check(&mut self) {
+            let sim = &*self.sim;
+            let (ng, np) = (sim.cfg.ng as f64, sim.len());
+            let to_grid = ng / sim.cfg.box_len;
+            let scale = sim.cfg.box_len / ng / sim.nbar() * sim.fit.norm;
+            let k = sim.kernel;
+            let g: [Vec<f64>; 3] = [&sim.x, &sim.y, &sim.z]
+                .map(|c| c.iter().map(|&v| f64::from(v) * to_grid).collect());
+            let sep = |i: usize, j: usize| -> [f64; 3] {
+                std::array::from_fn(|c| {
+                    let d = g[c][j] - g[c][i];
+                    d - ng * (d / ng).round()
+                })
+            };
+            let want: Vec<[f64; 3]> = (0..np)
+                .map(|i| {
+                    let mut f = [0.0f64; 3];
+                    for j in 0..np {
+                        let d = sep(i, j);
+                        let s = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                        if s <= 0.0 || s >= f64::from(k.rcut2) {
+                            continue;
+                        }
+                        let poly = k.coeffs.iter().rev().fold(0.0, |p, &c| p * s + f64::from(c));
+                        let g = (s + f64::from(k.eps)).powf(-1.5) - poly;
+                        for (f, d) in f.iter_mut().zip(d) {
+                            *f += scale * d * g;
+                        }
+                    }
+                    f
+                })
+                .collect();
+            let big = want.iter().flatten().fold(1e-30, |m: f64, v| m.max(v.abs()));
+            let err = want
+                .iter()
+                .enumerate()
+                .flat_map(|(i, f)| (0..3).map(move |c| (f[c] - f64::from(sim.accel[c][i])).abs()))
+                .fold(0.0, f64::max);
+            let (mut closest, mut cross) = (f64::INFINITY, 0);
+            for i in self.a.clone() {
+                for j in self.b.clone() {
+                    let d = sep(i, j);
+                    let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                    closest = closest.min(r);
+                    cross += usize::from(r * r < f64::from(k.rcut2));
+                }
+            }
+            self.evals.push((err / big, closest, cross));
+        }
+    }
+
+    impl ForceField for Checked<'_> {
+        fn open(&mut self, brk: &mut StepBreakdown) {
+            self.sim.open(brk);
+        }
+        fn refresh(&mut self, brk: &mut StepBreakdown) {
+            self.sim.refresh(brk);
+        }
+        fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
+            self.sim.long_range(solve, brk);
+        }
+        fn short_range(&mut self, brk: &mut StepBreakdown) {
+            self.sim.short_range(brk);
+            self.check();
+        }
+        fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
+            self.sim.kick_operands()
+        }
+        fn drift(&mut self, factor: f64) {
+            self.sim.drift(factor);
+        }
+    }
+
+    /// The Verlet-skin rebuild criterion, after every sub-cycle. Two
+    /// 8-particle clusters (one leaf each) close in on each other across
+    /// the periodic x face, each moving 0.8 skin per sub-cycle: at the
+    /// build their gap is 1.3 skins beyond `r_cut` — outside the pair
+    /// list — and one sub-cycle later they are 0.3 skins inside it. Only
+    /// a rebuild catches that, and only the two-particle bound (twice
+    /// the largest displacement against the skin) asks for one; a lone
+    /// fast particle never outruns the list, so it takes two.
+    #[test]
+    fn subcycle_forces_match_brute_force_with_fast_clusters() {
+        let (ng, cell, skin, rcut) = (12usize, 4.0f64, 0.5f64, 3.0f64);
+        let (a0, a1) = (0.5f64, 0.5 * 1.004);
+        let cfg = SimConfig {
+            ng,
+            box_len: ng as f64 * cell,
+            a_init: a0,
+            subcycles: 4,
+            skin_cells: skin,
+            rcut_cells: rcut,
+            tree: hacc_short::TreeParams { leaf_size: 8 },
+            ..small_cfg(SolverKind::TreePm)
+        };
+        // Sub-cycle edges, equal in ln a: the first evaluation follows a
+        // half sub-cycle drift, the next one a whole sub-cycle.
+        let b = |s: f64| a0 * (a1 / a0).powf(s / 4.0);
+        let c = cfg.cosmology;
+        let half = c.drift_factor(b(0.0), (b(0.0) * b(1.0)).sqrt());
+        let whole = c.drift_factor((b(0.0) * b(1.0)).sqrt(), (b(1.0) * b(2.0)).sqrt());
+        let v = 0.8 * skin * cell / whole;
+        let gap0 = rcut + 1.3 * skin + 2.0 * v * half / cell;
+        let (p, w) = (ng as f64, 0.2);
+        let mut ics = hacc_ics::uniform_grid(2, cfg.box_len);
+        let (mut x, mut y, mut z, mut vx) = (vec![], vec![], vec![], vec![]);
+        for (edge, side, vel) in [(p - 0.5 * gap0, -1.0, v), (0.5 * gap0, 1.0, -v)] {
+            for l in 0..8 {
+                let o = [l & 1, (l >> 1) & 1, l >> 2].map(|b| f64::from(b) * w);
+                x.push(((edge + side * o[0]) * cell) as f32);
+                y.push(((6.0 + o[1]) * cell) as f32);
+                z.push(((6.0 + o[2]) * cell) as f32);
+                vx.push(vel as f32);
+            }
+        }
+        (ics.x, ics.y, ics.z) = (x, y, z);
+        ics.vx = vx;
+        (ics.vy, ics.vz) = (vec![0.0; 16], vec![0.0; 16]);
+        ics.a_init = a0;
+        let mut sim = Simulation::from_ics(cfg, &ics);
+        let mut run = Checked {
+            sim: &mut sim,
+            a: 0..8,
+            b: 8..16,
+            evals: Vec::new(),
+        };
+        stepper::step(&mut run, &cfg, a0, a1);
+        let evals = run.evals;
+        assert_eq!(evals.len(), 4);
+        let (_, built, _) = evals[0];
+        assert!(
+            built > rcut + skin,
+            "at the build the clusters must lie beyond the list: {built:.3}"
+        );
+        assert!(evals.iter().any(|e| e.2 > 0), "the clusters must come into range: {evals:?}");
+        for (sub, &(err, closest, cross)) in evals.iter().enumerate() {
+            assert!(
+                err < 1e-5,
+                "sub-cycle {sub}: short-range force off by {err:.2e} of the largest \
+                 (closest cluster pair {closest:.3} cells, {cross} pairs in range)"
             );
         }
     }

@@ -15,9 +15,12 @@
 //! plugged in with guaranteed scalability".
 //!
 //! Periodic boundaries are folded into the same mechanism: a replica sent
-//! across the periodic seam carries shifted coordinates (and a rank can
-//! send *itself* shifted copies when an axis has only one block), so the
-//! rank-local force solver never needs to know the box is periodic.
+//! across the periodic seam carries shifted coordinates, so along an axis
+//! split into several blocks the rank-local force solver never needs to
+//! know the box is periodic. A rank never sends itself copies: along an
+//! axis with one block it holds the whole box side, and the force solver
+//! treats that axis as periodic itself (`hacc-short`'s tree image
+//! shifts), so no replica exists whose force would be thrown away.
 
 use hacc_comm::Comm;
 
@@ -282,6 +285,9 @@ impl Decomposition {
     /// and fills it with the (rank, shift) images of `pos`. The buffer is
     /// inline (capacity 26 = 3³−1, the geometric maximum), so a refresh
     /// loop reuses one buffer for every particle.
+    ///
+    /// An axis with one block adds no face candidates, so the owner is
+    /// never a target: no rank receives an image of its own particle.
     pub fn overload_targets_into(&self, pos: [f64; 3], out: &mut OverloadTargets) {
         out.clear();
         let w = self.overload;
@@ -296,6 +302,9 @@ impl Decomposition {
             let b = ((x / bw) as usize).min(d - 1);
             cand[a][0] = (b, 0.0);
             cand_n[a] = 1;
+            if d == 1 {
+                continue;
+            }
             if x - b as f64 * bw < w {
                 // Within w of the lower face: the block below keeps a copy.
                 let (nb, shift) = if b == 0 {
@@ -320,17 +329,13 @@ impl Decomposition {
         for &(bx, sx) in &cand[0][..cand_n[0]] {
             for &(by, sy) in &cand[1][..cand_n[1]] {
                 for &(bz, sz) in &cand[2][..cand_n[2]] {
+                    // Every face candidate is another block, so only
+                    // the all-home combination reaches the owner. Two
+                    // combinations differ in a block or a shift, so no
+                    // (rank, shift) repeats.
                     let r = self.rank_of([bx, by, bz]);
-                    let shift = [sx, sy, sz];
-                    if r == owner && shift == [0.0, 0.0, 0.0] {
-                        continue;
-                    }
-                    // Deduplicate (possible when dims == 1 on an axis and
-                    // both faces produce the same wrapped block with the
-                    // same shift — cannot happen since shifts differ, but
-                    // keep the check for safety).
-                    if !out.as_slice().contains(&(r, shift)) {
-                        out.push(r, shift);
+                    if r != owner {
+                        out.push(r, [sx, sy, sz]);
                     }
                 }
             }
@@ -807,16 +812,18 @@ mod tests {
     }
 
     #[test]
-    fn single_block_axis_self_ghosts() {
-        // dims = [1,1,1]: every boundary particle ghosts back to rank 0
-        // with a shift.
+    fn single_block_axis_sends_no_self_images() {
+        // dims = [1,1,1]: the one rank spans every axis whole, so even a
+        // corner particle has no overload target.
         let d = Decomposition::new([1, 1, 1], 10.0, 1.0);
-        let t = d.overload_targets([0.5, 5.0, 5.0]);
-        assert_eq!(t, vec![(0, [10.0, 0.0, 0.0])]);
-        // A corner particle gets shifts in all boundary axes (and their
-        // combinations): 0.5,0.5,0.5 → 7 ghost images.
-        let t7 = d.overload_targets([0.5, 0.5, 0.5]);
-        assert_eq!(t7.len(), 7);
+        assert!(d.overload_targets([0.5, 5.0, 5.0]).is_empty());
+        assert!(d.overload_targets([0.5, 0.5, 9.5]).is_empty());
+        // Slabs: a corner particle is replicated along x only — to the
+        // x-neighbor below across the seam, never back to itself along
+        // y or z.
+        let slabs = Decomposition::new([2, 1, 1], 10.0, 1.0);
+        let t = slabs.overload_targets([0.5, 0.5, 9.5]);
+        assert_eq!(t, vec![(1, [10.0, 0.0, 0.0])]);
     }
 
     #[test]
@@ -971,11 +978,17 @@ mod tests {
                 }
             }
         }
-        // dims=1 axes exercise self-ghost shifts through the same path.
+        // dims=1 axes add no candidates: a [2,1,1] corner particle keeps
+        // its one x image, a [1,1,1] one none — and the buffer is
+        // cleared, not appended to.
+        let slabs = Decomposition::new([2, 1, 1], 10.0, 1.0);
+        slabs.overload_targets_into([0.5, 0.5, 0.5], &mut buf);
+        assert_eq!(buf.as_slice(), &[(1, [10.0, 0.0, 0.0])]);
+        assert_eq!(buf.as_slice(), slabs.overload_targets([0.5, 0.5, 0.5]).as_slice());
         let d1 = Decomposition::new([1, 1, 1], 10.0, 1.0);
         d1.overload_targets_into([0.5, 0.5, 0.5], &mut buf);
-        assert_eq!(buf.len(), 7);
-        assert_eq!(buf.as_slice(), d1.overload_targets([0.5, 0.5, 0.5]).as_slice());
+        assert!(buf.is_empty());
+        assert!(d1.overload_targets([0.5, 0.5, 0.5]).is_empty());
     }
 
     #[test]

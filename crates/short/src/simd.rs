@@ -126,10 +126,13 @@ pub(crate) struct Chunks<'a> {
 /// Symmetric evaluation of one listed leaf pair, chunk × chunk.
 ///
 /// `a` and `b` are the two leaves' chunk ranges (`a` before `b` in tree
-/// order, or `a == b` for a leaf's self pair). A box-distance test picks
-/// the chunk pairs within `r_cut`; each survivor runs one 8 × 8
-/// lane-rotation tile that adds `+f` to the target chunk's slots of
-/// `force` and the Newton-3 reaction `−f` to the source chunk's.
+/// order, or `a == b` for a leaf's self pair), and `shift` the image
+/// offset added to every coordinate and chunk box of `b`. A box-distance
+/// test picks the chunk pairs within `r_cut`; each survivor runs one
+/// 8 × 8 lane-rotation tile that adds `+f` to the target chunk's slots
+/// of `force` and the Newton-3 reaction `−f` to the source chunk's. An
+/// unshifted self pair evaluates the upper triangle of its chunk pairs,
+/// a shifted one (a leaf against its own image) the full square.
 /// Returns the kernel evaluations sent through the tiles, counted over
 /// real particles only.
 pub(crate) fn leaf_pair(
@@ -137,15 +140,16 @@ pub(crate) fn leaf_pair(
     c: &Chunks,
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
+    shift: [f32; 3],
     force: &mut [Vec<f32>; 3],
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if detect() == SimdLevel::Avx2Fma {
         // SAFETY: `detect()` confirmed AVX2 and FMA are available on this
         // CPU, which is exactly the target-feature set the callee enables.
-        return unsafe { avx2::leaf_pair(k, c, a, b, force) };
+        return unsafe { avx2::leaf_pair(k, c, a, b, shift, force) };
     }
-    leaf_pair_on::<[f32; CHUNK]>(k, c, a, b, force)
+    leaf_pair_on::<[f32; CHUNK]>(k, c, a, b, shift, force)
 }
 
 /// Eight `f32` lanes — the one vocabulary the tile kernel and the chunk
@@ -320,6 +324,7 @@ fn leaf_pair_on<V: Lanes>(
     c: &Chunks,
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
+    shift: [f32; 3],
     force: &mut [Vec<f32>; 3],
 ) -> u64 {
     let consts = Consts {
@@ -337,7 +342,16 @@ fn leaf_pair_on<V: Lanes>(
             V::load(at8(c.mass, CHUNK * i)),
         ]
     };
-    let same_leaf = a.start == b.start;
+    // Source coordinates and boxes take the image shift (`+0` leaves
+    // them bit-unchanged); targets never do.
+    let sv = shift.map(V::splat);
+    let shifted = |mut src: [V; 4]| -> [V; 4] {
+        for (p, s) in src.iter_mut().zip(sv) {
+            *p = p.add(s);
+        }
+        src
+    };
+    let same_leaf = a.start == b.start && shift == [0.0; 3];
     let mut evals = 0u64;
     for i in a {
         let t = chunk(i);
@@ -359,8 +373,8 @@ fn leaf_pair_on<V: Lanes>(
             // kernel's own `s` summation order so rounding can never put a
             // box farther than a pair inside it.
             let gap = [0, 1, 2].map(|ax| {
-                let lo = V::load(at8(c.lo[ax], j0));
-                let hi = V::load(at8(c.hi[ax], j0));
+                let lo = V::load(at8(c.lo[ax], j0)).add(sv[ax]);
+                let hi = V::load(at8(c.hi[ax], j0)).add(sv[ax]);
                 lo.sub(thi[ax]).max(tlo[ax].sub(hi)).max(consts.zero)
             });
             let d2 = gap[2].fma(gap[2], gap[1].fma(gap[1], gap[0].mul(gap[0])));
@@ -369,7 +383,7 @@ fn leaf_pair_on<V: Lanes>(
             while near != 0 {
                 let j = j0 + near.trailing_zeros() as usize;
                 near &= near - 1;
-                let react = cross_tile(&consts, &t, chunk(j), &mut acc);
+                let react = cross_tile(&consts, &t, shifted(chunk(j)), &mut acc);
                 for (f, r) in force.iter_mut().zip(react) {
                     accumulate(f, j, r);
                 }
@@ -588,9 +602,10 @@ mod avx2 {
         c: &Chunks,
         a: std::ops::Range<usize>,
         b: std::ops::Range<usize>,
+        shift: [f32; 3],
         force: &mut [Vec<f32>; 3],
     ) -> u64 {
-        leaf_pair_on::<Avx>(k, c, a, b, force)
+        leaf_pair_on::<Avx>(k, c, a, b, shift, force)
     }
 
     /// Horizontal sum of 8 lanes in a fixed (lane-index) order, so the
@@ -714,9 +729,10 @@ mod tests {
             let p = Packed::new(&[na, nb], 7 + na as u64);
             let (ca, cb) = (na.div_ceil(CHUNK), nb.div_ceil(CHUNK));
             let mut f = p.zeros();
-            let cross = leaf_pair(&k, &p.view(), 0..ca, ca..ca + cb, &mut f);
-            let own = leaf_pair(&k, &p.view(), 0..ca, 0..ca, &mut f)
-                + leaf_pair(&k, &p.view(), ca..ca + cb, ca..ca + cb, &mut f);
+            let none = [0.0; 3];
+            let cross = leaf_pair(&k, &p.view(), 0..ca, ca..ca + cb, none, &mut f);
+            let own = leaf_pair(&k, &p.view(), 0..ca, 0..ca, none, &mut f)
+                + leaf_pair(&k, &p.view(), ca..ca + cb, ca..ca + cb, none, &mut f);
             // rcut = 3 covers most of the [-2, 2]³ cloud, so the cull
             // passes (nearly) everything; it can only ever drop pairs.
             assert!(cross <= (na * nb) as u64);
@@ -751,10 +767,17 @@ mod tests {
         let p = Packed::new(&[37, 52], 91);
         let (ca, cb) = (5, 7);
         let (mut fa, mut fp) = (p.zeros(), p.zeros());
-        for (a, b) in [(0..ca, ca..ca + cb), (0..ca, 0..ca), (ca..ca + cb, ca..ca + cb)] {
+        let cases = [
+            (0..ca, ca..ca + cb, [0.0; 3]),
+            (0..ca, 0..ca, [0.0; 3]),
+            (ca..ca + cb, ca..ca + cb, [0.0; 3]),
+            (0..ca, 0..ca, [2.5, 0.0, -2.5]),
+        ];
+        for (a, b, shift) in cases {
             // SAFETY: AVX2+FMA confirmed by `detect()` just above.
-            let ea = unsafe { avx2::leaf_pair(&k, &p.view(), a.clone(), b.clone(), &mut fa) };
-            let ep = leaf_pair_on::<[f32; CHUNK]>(&k, &p.view(), a, b, &mut fp);
+            let ea =
+                unsafe { avx2::leaf_pair(&k, &p.view(), a.clone(), b.clone(), shift, &mut fa) };
+            let ep = leaf_pair_on::<[f32; CHUNK]>(&k, &p.view(), a, b, shift, &mut fp);
             assert_eq!(ea, ep, "both lowerings cull the same chunk pairs");
         }
         for (a, b) in fa.iter().flatten().zip(fp.iter().flatten()) {

@@ -20,6 +20,12 @@
 //! the PM solver), so interaction lists are exact: all particles in leaves
 //! intersecting the target leaf's bounding box inflated by `r_cut`.
 //!
+//! Periodicity is a property of the walk, not of the particle set: an
+//! axis given a period `P` ([`RcbTree::set_periods`]) pairs leaves by
+//! their minimum-image box gap, and each listed leaf pair carries the
+//! image shift (`0` or `±P` per periodic axis) that the kernel adds to
+//! the source leaf's coordinates. No image particle is ever stored.
+//!
 //! A fat leaf pair is mostly out of range (at one particle per cell and
 //! `r_cut = 3` a 128-particle leaf pair holds ~27 pairs per pair inside
 //! the cutoff), so there is one level *below* the leaf that costs no
@@ -86,9 +92,8 @@ pub struct TreeScratch {
     /// Forces in tree (slot) order, scattered to input order at the
     /// end of a pass.
     ftree: [Vec<f32>; 3],
-    /// Interacting leaf-pair list (node indices, first ≤ second in tree
-    /// order).
-    pairs: Vec<(u32, u32)>,
+    /// Interacting leaf-pair list (first ≤ second in tree order).
+    pairs: Vec<LeafPair>,
     /// The pair list cut into at most [`PAIR_CHUNKS`].
     chunks: Vec<PairChunk>,
     /// Chunk-owned force accumulators (slot order). Only a chunk's
@@ -96,6 +101,15 @@ pub struct TreeScratch {
     chunk_bufs: Vec<[Vec<f32>; 3]>,
     /// Node stack for pair generation.
     stack: Vec<usize>,
+}
+
+/// One listed leaf pair: node indices `a ≤ b` in tree order and the
+/// image shift of `b` (an index into the pass's shift table, 0 for none).
+#[derive(Clone, Copy)]
+struct LeafPair {
+    a: u32,
+    b: u32,
+    shift: u8,
 }
 
 /// Tree tuning parameters.
@@ -153,9 +167,12 @@ impl Node {
     }
 }
 
-/// An RCB tree over a rank-local particle set (no periodic wrapping — the
-/// overloading scheme guarantees all interaction partners are present
-/// locally; for serial full-box use, callers append ghost images).
+/// An RCB tree over a rank-local particle set. An axis is open unless
+/// [`RcbTree::set_periods`] gives it a period, in which case the force
+/// pass sees every particle's images along it through leaf-pair shifts
+/// (a full periodic box, or the axes along which a rank owns the whole
+/// box side); interaction partners along open axes must be present
+/// locally, as the overloading scheme guarantees.
 pub struct RcbTree {
     nodes: Vec<Node>,
     /// Permuted SoA particle data in storage slots: each leaf's
@@ -174,6 +191,8 @@ pub struct RcbTree {
     chunk_hi: [Vec<f32>; 3],
     chunk_len: Vec<u8>,
     params: TreeParams,
+    /// Per-axis period in coordinate units, `0` for an open axis.
+    periods: [f32; 3],
     /// Incremented by every [`RcbTree::rebuild`] (not by position
     /// refreshes), so callers can tell whether a cached companion
     /// structure still matches this tree's topology.
@@ -211,8 +230,21 @@ impl RcbTree {
             chunk_hi: Default::default(),
             chunk_len: Vec::new(),
             params,
+            periods: [0.0; 3],
             generation: 0,
         }
+    }
+
+    /// Make axis `a` periodic with period `periods[a]` (coordinate
+    /// units), or open where it is `0`. Only the force pass reads the
+    /// periods, so they may be set before or after a build. Coordinates
+    /// need not be wrapped: the pass takes the minimum image of every
+    /// pair, which needs each periodic axis to be longer than twice the
+    /// interaction reach and no particle to have left `[0, P)` by more
+    /// than the skin since the build.
+    pub fn set_periods(&mut self, periods: [f32; 3]) {
+        assert!(periods.iter().all(|&p| p >= 0.0), "periods must be non-negative");
+        self.periods = periods;
     }
 
     /// Rebuild the tree over a new particle set, reusing every internal
@@ -537,20 +569,10 @@ impl RcbTree {
         }
     }
 
-    /// Squared distance between a point's box and a node's bounding box.
-    fn box_dist2(lo_a: &[f32; 3], hi_a: &[f32; 3], lo_b: &[f32; 3], hi_b: &[f32; 3]) -> f32 {
-        let mut d2 = 0.0f32;
-        for c in 0..3 {
-            let d = if hi_a[c] < lo_b[c] {
-                lo_b[c] - hi_a[c]
-            } else if hi_b[c] < lo_a[c] {
-                lo_a[c] - hi_b[c]
-            } else {
-                0.0
-            };
-            d2 += d * d;
-        }
-        d2
+    /// Gap between intervals `[lo_a, hi_a]` and `[lo_b + s, hi_b + s]`
+    /// (0 where they overlap).
+    fn gap(lo_a: f32, hi_a: f32, lo_b: f32, hi_b: f32, s: f32) -> f32 {
+        (lo_b + s - hi_a).max(lo_a - (hi_b + s)).max(0.0)
     }
 
     /// Scatter slot-order forces back to the original input ordering.
@@ -586,6 +608,16 @@ impl RcbTree {
     /// the sources — one kernel evaluation per particle pair, where a
     /// per-target sum pays two. Within a leaf only the upper triangle of
     /// chunk pairs is evaluated.
+    ///
+    /// Along a periodic axis (see [`RcbTree::set_periods`]) leaves pair by
+    /// their minimum-image box gap, and a leaf pair is listed once per
+    /// image shift of the later leaf whose box lies within reach; the
+    /// kernel adds the shift to that leaf's coordinates and chunk boxes.
+    /// A leaf meets its own image under `s` and `−s` through the same
+    /// particle pairs, so only one of the two is listed, and evaluated
+    /// over the full chunk square instead of the triangle. Since the
+    /// period exceeds twice the reach, at most one image of any pair is
+    /// within `r_cut`, and the kernel's cutoff select zeroes the others.
     ///
     /// `slack` widens the leaf-pair acceptance test to
     /// `(r_cut + slack)²` at *build-time* bounding boxes. With `slack =
@@ -633,12 +665,20 @@ impl RcbTree {
         let t0 = Instant::now();
         // With no slack, use the kernel's rcut² verbatim: the pair set is
         // then exactly the leaf pairs whose boxes lie within r_cut.
-        let reach2 = if slack > 0.0 {
-            let reach = kernel.rcut2.sqrt() + slack;
-            reach * reach
-        } else {
-            kernel.rcut2
-        };
+        let reach = kernel.rcut2.sqrt() + slack.max(0.0);
+        let reach2 = if slack > 0.0 { reach * reach } else { kernel.rcut2 };
+        // Image offsets per axis: 0 first, then +P and −P on a periodic
+        // axis, so an open axis tries one image and pays nothing. A pair's
+        // shift code is `kx + 3·ky + 9·kz` over the offsets it takes.
+        for (ax, &p) in self.periods.iter().enumerate() {
+            assert!(
+                p == 0.0 || 2.0 * reach < p,
+                "axis {ax}: period {p} must exceed twice the reach {reach}, \
+                 so that at most one image of a particle is in range"
+            );
+        }
+        let offs = self.periods.map(|p| [0.0, p, -p]);
+        let images = self.periods.map(|p| if p > 0.0 { 3 } else { 1 });
         pairs.clear();
         for &leaf in &self.leaves {
             let la = &self.nodes[leaf];
@@ -646,28 +686,67 @@ impl RcbTree {
             stack.push(0);
             while let Some(n) = stack.pop() {
                 let node = &self.nodes[n];
-                if node.end <= la.start
-                    || Self::box_dist2(&la.lo, &la.hi, &node.lo, &node.hi) > reach2
-                {
+                if node.end <= la.start {
                     continue;
                 }
-                if node.is_leaf() {
-                    pairs.push((leaf as u32, n as u32));
-                } else {
+                // Per-axis gap to each image of the node's box; the
+                // nearest images bound every combination.
+                let mut gap2 = [[0.0f32; 3]; 3];
+                let mut d2 = 0.0f32;
+                for ax in 0..3 {
+                    let (lo, hi) = (node.lo[ax], node.hi[ax]);
+                    let mut near = f32::INFINITY;
+                    for k in 0..images[ax] {
+                        let g = Self::gap(la.lo[ax], la.hi[ax], lo, hi, offs[ax][k]);
+                        gap2[ax][k] = g * g;
+                        near = near.min(g);
+                    }
+                    d2 += near * near;
+                }
+                if d2 > reach2 {
+                    continue;
+                }
+                if !node.is_leaf() {
                     stack.push(node.left);
                     stack.push(node.right);
+                    continue;
+                }
+                for kz in 0..images[2] {
+                    for ky in 0..images[1] {
+                        for kx in 0..images[0] {
+                            if 0.0 + gap2[0][kx] + gap2[1][ky] + gap2[2][kz] > reach2 {
+                                continue;
+                            }
+                            // A leaf meets its own image under `s` and
+                            // `−s` through the same particle pairs: keep
+                            // the shift whose first nonzero step is +P.
+                            let first = if kx != 0 { kx } else if ky != 0 { ky } else { kz };
+                            if n == leaf && first == 2 {
+                                continue;
+                            }
+                            pairs.push(LeafPair {
+                                a: leaf as u32,
+                                b: n as u32,
+                                shift: (kx + 3 * ky + 9 * kz) as u8,
+                            });
+                        }
+                    }
                 }
             }
         }
+        let shift_of = |code: u8| -> [f32; 3] {
+            let k = usize::from(code);
+            [offs[0][k % 3], offs[1][k / 3 % 3], offs[2][k / 9]]
+        };
 
         // Cost-balanced contiguous cut of the pair list. Pair cost = the
         // particle pairs it holds, an upper bound on its evaluations.
-        let cost = |&(a, b): &(u32, u32)| -> u64 {
-            let na = self.nodes[a as usize].len() as u64;
-            if a == b {
+        let cost = |p: &LeafPair| -> u64 {
+            let na = self.nodes[p.a as usize].len() as u64;
+            if p.a == p.b && p.shift == 0 {
                 na * na.saturating_sub(1) / 2
             } else {
-                na * self.nodes[b as usize].len() as u64
+                na * self.nodes[p.b as usize].len() as u64
             }
         };
         let total: u64 = pairs.iter().map(cost).sum();
@@ -684,8 +763,8 @@ impl RcbTree {
             acc += cost(p);
             // The earlier leaf starts the pair's slot span, the later
             // leaf's last chunk ends it.
-            let first = self.nodes[p.0 as usize].slot as u32;
-            let last = (self.nodes[p.1 as usize].chunks().end * CHUNK) as u32;
+            let first = self.nodes[p.a as usize].slot as u32;
+            let last = (self.nodes[p.b as usize].chunks().end * CHUNK) as u32;
             open.slots = (open.slots.0.min(first), open.slots.1.max(last));
             open.pairs.1 = (i + 1) as u32;
             if acc >= target && chunks.len() + 1 < nchunks {
@@ -730,10 +809,11 @@ impl RcbTree {
                     c[span.clone()].fill(0.0);
                 }
                 let mut n = 0;
-                for &(la, lb) in &pairs[chunk.pairs.0 as usize..chunk.pairs.1 as usize] {
-                    let (a, b) = (&self.nodes[la as usize], &self.nodes[lb as usize]);
-                    debug_assert!(la == lb || a.end <= b.start, "pairs must be tree-ordered");
-                    n += simd::leaf_pair(kernel, &view, a.chunks(), b.chunks(), buf);
+                for p in &pairs[chunk.pairs.0 as usize..chunk.pairs.1 as usize] {
+                    let (a, b) = (&self.nodes[p.a as usize], &self.nodes[p.b as usize]);
+                    debug_assert!(p.a == p.b || a.end <= b.start, "pairs must be tree-ordered");
+                    let shift = shift_of(p.shift);
+                    n += simd::leaf_pair(kernel, &view, a.chunks(), b.chunks(), shift, buf);
                 }
                 evals.fetch_add(n, Ordering::Relaxed);
                 kernel_ns.fetch_add(tk.elapsed().as_nanos() as u64, Ordering::Relaxed);

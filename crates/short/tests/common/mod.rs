@@ -1,7 +1,10 @@
 //! The independent force oracle the short-range tests share: an f64
-//! O(N²) sum over every pair inside the cutoff, written from the kernel's
-//! definition (`ForceKernel::{coeffs, eps, rcut2}`) with no tree, chunk
-//! or SIMD code. Unit masses.
+//! O(N²) sum over every pair inside the cutoff, minimum image on periodic
+//! axes, written from the kernel's definition (`ForceKernel::{coeffs,
+//! eps, rcut2}`) with no tree, chunk or SIMD code. Unit masses.
+
+// Each test file compiles its own copy and uses a subset.
+#![allow(dead_code)]
 
 use hacc_short::ForceKernel;
 
@@ -11,12 +14,35 @@ pub type Cloud = [Vec<f32>; 3];
 /// f64 brute force over all pairs with `0 < s < r_cut²`; also returns the
 /// number of unordered pairs inside the cutoff.
 pub fn oracle(k: &ForceKernel, c: &Cloud) -> ([Vec<f64>; 3], u64) {
-    let np = c[0].len();
-    let mut f = [vec![0.0f64; np], vec![0.0f64; np], vec![0.0f64; np]];
+    let all: Vec<usize> = (0..c[0].len()).collect();
+    let (f, directed) = oracle_at(k, c, [0.0; 3], &all);
+    (f, directed / 2)
+}
+
+/// f64 brute force on each particle of `targets` from every particle
+/// with `0 < s < r_cut²`, taking the minimum image along every axis with
+/// a nonzero period; also returns the number of (target, source) pairs
+/// inside the cutoff. Forces are indexed like `targets`.
+pub fn oracle_at(
+    k: &ForceKernel,
+    c: &Cloud,
+    periods: [f64; 3],
+    targets: &[usize],
+) -> ([Vec<f64>; 3], u64) {
+    let nt = targets.len();
+    let mut f = [vec![0.0f64; nt], vec![0.0f64; nt], vec![0.0f64; nt]];
     let mut in_range = 0u64;
-    for t in 0..np {
-        for q in t + 1..np {
-            let d: [f64; 3] = std::array::from_fn(|a| f64::from(c[a][q]) - f64::from(c[a][t]));
+    for (i, &t) in targets.iter().enumerate() {
+        for q in 0..c[0].len() {
+            let d: [f64; 3] = std::array::from_fn(|a| {
+                let d = f64::from(c[a][q]) - f64::from(c[a][t]);
+                let p = periods[a];
+                if p > 0.0 {
+                    d - p * (d / p).round()
+                } else {
+                    d
+                }
+            });
             let s = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
             if s <= 0.0 || s >= f64::from(k.rcut2) {
                 continue;
@@ -29,8 +55,7 @@ pub fn oracle(k: &ForceKernel, c: &Cloud) -> ([Vec<f64>; 3], u64) {
                 .fold(0.0, |p, &co| p * s + f64::from(co));
             let g = (s + f64::from(k.eps)).powf(-1.5) - poly;
             for a in 0..3 {
-                f[a][t] += d[a] * g;
-                f[a][q] -= d[a] * g;
+                f[a][i] += d[a] * g;
             }
         }
     }

@@ -13,6 +13,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release -p hacc-short --test periodic -- --include-ignored  (48³ periodic tree oracle)"
+cargo test --release -q -p hacc-short --test periodic -- --include-ignored
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

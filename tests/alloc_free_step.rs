@@ -197,10 +197,11 @@ fn steady_state_p3m_step_allocates_nothing() {
 }
 
 /// The RCB-tree (TreePM) short-range path: the persistent tree, its
-/// chunk boxes and in-leaf ordering scratch, the ghost-augmented
-/// coordinates and the span-zeroed pair accumulators all live in the
-/// shared short-range state / `TreeScratch`. Extra warm steps let the
-/// ghost set reach its high-water size before the counter arms.
+/// chunk boxes and in-leaf ordering scratch, the tree coordinates with
+/// their build-time copy, the shifted leaf-pair list and the
+/// span-zeroed pair accumulators all live in the shared short-range
+/// state / `TreeScratch`. Extra warm steps let the leaf-pair list reach
+/// its high-water size before the counter arms.
 #[test]
 fn steady_state_treepm_step_allocates_nothing() {
     assert_steady_state_alloc_free("treepm", 3);

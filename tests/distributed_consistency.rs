@@ -235,3 +235,45 @@ fn one_solve_per_warm_step() {
         "alltoallv messages of a warm step, single-level vs two-level"
     );
 }
+
+/// One overload model for both engines: a 1-rank distributed run spans
+/// every axis whole, so it holds no passive replica — the tree sees the
+/// periodic box through image shifts, as the serial engine's does — and
+/// its short-range layer does the serial engine's work: directed
+/// interactions within 1% of `Simulation`'s on the same problem.
+#[test]
+fn one_rank_engine_does_the_serial_work() {
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let cfg = SimConfig {
+        cosmology: Cosmology::lcdm(),
+        box_len: 64.0,
+        ng: 16,
+        a_init: 0.25,
+        a_final: 0.3,
+        steps: 2,
+        subcycles: 2,
+        solver: SolverKind::TreePm,
+        ..SimConfig::small_lcdm()
+    };
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, cfg.a_init, 2024);
+    let mut serial = Simulation::from_ics(cfg, &ics);
+    serial.run(|_, _| {});
+    let want = serial.stats.total().interactions;
+    let (res, _) = Machine::new(1).run(move |comm| {
+        let mut sim = DistSimulation::new(&comm, cfg, &ics);
+        let mut fractions = vec![sim.particles().overload_fraction()];
+        for &a in &cfg.step_edges()[1..] {
+            sim.step(a);
+            fractions.push(sim.particles().overload_fraction());
+        }
+        (fractions, sim.stats.total().interactions)
+    });
+    let (fractions, got) = &res[0];
+    assert!(fractions.iter().all(|&f| f == 0.0), "1-rank passives: {fractions:?}");
+    assert!(want > 0);
+    let rel = (*got as f64 / want as f64 - 1.0).abs();
+    assert!(
+        rel < 0.01,
+        "1-rank distributed {got} vs serial {want} directed interactions ({rel:.4})"
+    );
+}
