@@ -7,7 +7,7 @@
 //! `P(k) = ⟨|δ(k)|²⟩ · V / N⁶` with `k` in h/Mpc and `P` in (Mpc/h)³.
 
 use hacc_fft::{k_of_index, Complex64, Fft3};
-use hacc_pm::deposit_cic_par;
+use hacc_pm::deposit_cic;
 use hacc_pm::spectral::sinc;
 
 /// A binned power spectrum measurement.
@@ -46,7 +46,7 @@ impl PowerSpectrum {
         let gy: Vec<f32> = ys.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
         let gz: Vec<f32> = zs.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
         let mut grid = vec![0.0f64; n3];
-        deposit_cic_par(&mut grid, mesh, &gx, &gy, &gz, 1.0);
+        deposit_cic(&mut grid, mesh, &gx, &gy, &gz, 1.0);
         let mean = np as f64 / n3 as f64;
         let mut field: Vec<Complex64> = grid
             .iter()

@@ -5,7 +5,7 @@
 //! statistics of the density contrast (whose growth by ~five orders of
 //! magnitude over the run is quoted in Section V).
 
-use hacc_pm::deposit_cic_par;
+use hacc_pm::deposit_cic;
 
 /// A 2-D projected density map.
 #[derive(Debug, Clone)]
@@ -161,7 +161,7 @@ pub fn density_contrast_stats(
     let gy: Vec<f32> = ys.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
     let gz: Vec<f32> = zs.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
     let mut grid = vec![0.0f64; mesh * mesh * mesh];
-    deposit_cic_par(&mut grid, mesh, &gx, &gy, &gz, 1.0);
+    deposit_cic(&mut grid, mesh, &gx, &gy, &gz, 1.0);
     let mean = xs.len() as f64 / grid.len() as f64;
     let mut max_delta: f64 = 0.0;
     let mut sum2 = 0.0;

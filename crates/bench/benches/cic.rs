@@ -1,8 +1,7 @@
-//! Criterion benchmarks of CIC deposit (serial vs colored-parallel) and
-//! interpolation.
+//! Criterion benchmarks of the reference CIC deposit and interpolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hacc_pm::{deposit_cic, deposit_cic_par, interpolate_cic};
+use hacc_pm::{deposit_cic, interpolate_cic};
 
 fn particles(np: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut s = 99u64;
@@ -24,17 +23,10 @@ fn bench_cic(c: &mut Criterion) {
     let (xs, ys, zs) = particles(np, n);
     let mut group = c.benchmark_group("cic");
     group.throughput(Throughput::Elements(np as u64));
-    group.bench_function(BenchmarkId::new("deposit_serial", np), |b| {
+    group.bench_function(BenchmarkId::new("deposit", np), |b| {
         b.iter(|| {
             let mut grid = vec![0.0f64; n * n * n];
             deposit_cic(&mut grid, n, &xs, &ys, &zs, 1.0);
-            std::hint::black_box(grid)
-        });
-    });
-    group.bench_function(BenchmarkId::new("deposit_parallel", np), |b| {
-        b.iter(|| {
-            let mut grid = vec![0.0f64; n * n * n];
-            deposit_cic_par(&mut grid, n, &xs, &ys, &zs, 1.0);
             std::hint::black_box(grid)
         });
     });

@@ -9,7 +9,8 @@
 //! leaf only sets the walk length, the number of chunk pairs the box
 //! test has to look at, and the share of pad lanes. The sweep runs at
 //! the benchmark's density (one particle per PM cell, `r_cut` = 3
-//! cells, mildly evolved Zel'dovich state) and prints, per leaf size,
+//! cells, mildly evolved Zel'dovich state) on a periodic box, as both
+//! engines build their trees, and prints, per leaf size,
 //! kernel evaluations per particle, list efficiency (pairs inside the
 //! cutoff ÷ evaluations), build / walk / kernel time and ns per
 //! evaluation. `TreeParams::default().leaf_size` is set from this table
@@ -20,11 +21,14 @@ use std::time::Instant;
 use hacc_bench::{fmt_time, print_table, reference_power};
 use hacc_short::{ForceKernel, RcbTree, TreeParams, TreeScratch};
 
-/// Pairs closer than `rcut` (open box, no periodic images): one pass
-/// over a cell list with `rcut`-sized cells.
+/// Pairs closer than `rcut` in the periodic box of side `side` (minimum
+/// image): one pass over a periodic cell list with `rcut`-sized cells.
 fn pairs_in_range(xs: &[f32], ys: &[f32], zs: &[f32], side: f32, rcut: f32) -> u64 {
-    let nc = (side / rcut).floor().max(1.0) as usize;
+    let nc = (side / rcut).floor() as usize;
+    assert!(nc >= 3, "box too small for a one-cell neighborhood");
     let cell = |v: f32| ((v / side * nc as f32) as usize).min(nc - 1);
+    let wrap = |c: usize, o: usize| (c + nc + o - 1) % nc;
+    let image = |d: f32| d - side * (d / side).round();
     let mut cells = vec![Vec::new(); nc * nc * nc];
     for i in 0..xs.len() {
         cells[(cell(xs[i]) * nc + cell(ys[i])) * nc + cell(zs[i])].push(i);
@@ -33,11 +37,11 @@ fn pairs_in_range(xs: &[f32], ys: &[f32], zs: &[f32], side: f32, rcut: f32) -> u
     let mut count = 0u64;
     for i in 0..xs.len() {
         let (cx, cy, cz) = (cell(xs[i]), cell(ys[i]), cell(zs[i]));
-        for x in cx.saturating_sub(1)..(cx + 2).min(nc) {
-            for y in cy.saturating_sub(1)..(cy + 2).min(nc) {
-                for z in cz.saturating_sub(1)..(cz + 2).min(nc) {
+        for x in (0..3).map(|o| wrap(cx, o)) {
+            for y in (0..3).map(|o| wrap(cy, o)) {
+                for z in (0..3).map(|o| wrap(cz, o)) {
                     for &j in &cells[(x * nc + y) * nc + z] {
-                        let d = [xs[j] - xs[i], ys[j] - ys[i], zs[j] - zs[i]];
+                        let d = [xs[j] - xs[i], ys[j] - ys[i], zs[j] - zs[i]].map(image);
                         count += u64::from(j > i && d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < rc2);
                     }
                 }
@@ -71,6 +75,7 @@ fn main() {
     let mut rows = Vec::new();
     for &leaf in &[8usize, 16, 32, 64, 128, 256, 512, 1024] {
         let mut tree = RcbTree::new_empty(TreeParams { leaf_size: leaf });
+        tree.set_periods([np as f32; 3]);
         let mut scratch = TreeScratch::default();
         let mut out = [Vec::new(), Vec::new(), Vec::new()];
         // Best of `reps`, after one warm pass sizes the scratch.

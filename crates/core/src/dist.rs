@@ -18,7 +18,7 @@ use std::cell::OnceCell;
 use std::time::{Duration, Instant};
 
 use hacc_comm::Comm;
-use hacc_domain::gridhalo::{exchange_halos, fold_spill_into, Halos};
+use hacc_domain::gridhalo::{exchange_halos, fold_spill_into};
 use hacc_domain::{refresh, Decomposition, Packed, Particles};
 use hacc_fft::{DistRealFft3, RealPencilFft};
 use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
@@ -27,6 +27,7 @@ use hacc_short::ForceKernel;
 use crate::config::{SimConfig, SolverKind};
 use crate::short::TreeShortRange;
 use crate::sim::{fill_scaled, fitted_kernel, wrap_into_box};
+use crate::slab::{contrast, HaloSlab, SlabGrid, DEPOSIT_HALO};
 use crate::stats::{RunStats, StepBreakdown};
 use crate::stepper::{self, ForceField};
 
@@ -115,169 +116,6 @@ struct PmState {
     /// short-range tree's. The two are never live together, so they
     /// share one buffer.
     accel: [Vec<f32>; 3],
-}
-
-/// A slab field with its halo, planes `[x0-h, x0+lx+h)`, as three runs
-/// of whole planes: the halo received from below, the owned planes and
-/// the halo received from above (or one run and two empty ones).
-#[derive(Clone, Copy)]
-struct HaloSlab<'a>([&'a [f64]; 3]);
-
-impl<'a> HaloSlab<'a> {
-    /// Field `k` of a halo exchange, its halos read in place from the
-    /// received messages.
-    fn received(halos: &'a Halos, k: usize, owned: &'a [f64]) -> Self {
-        HaloSlab([halos.below(k), owned, halos.above(k)])
-    }
-}
-
-/// This rank's slab of an `n`-per-side mesh (the fine grid or the
-/// coarse `ng/c` grid; slab boundaries coincide because both are
-/// divisible by the rank count).
-#[derive(Clone, Copy)]
-struct SlabGrid {
-    n: usize,
-    lx: usize,
-    x0: usize,
-    /// Box units → grid units.
-    to_grid: f64,
-}
-
-impl SlabGrid {
-    fn new(comm: &Comm, n: usize, box_len: f64) -> Self {
-        let lx = n / comm.size();
-        SlabGrid {
-            n,
-            lx,
-            x0: comm.rank() * lx,
-            to_grid: n as f64 / box_len,
-        }
-    }
-
-    /// Deposit the active particles into `ext` with a two-plane halo on
-    /// each side, fold the spill planes onto the neighbors, and leave
-    /// the owned `lx`-plane density contrast in `ext`. Two planes cover
-    /// the CIC cloud (one cell), the sub-cycle drift of active particles
-    /// between refreshes (well under one cell per step at any sane time
-    /// step), and the fine-to-coarse rounding of the slab boundary.
-    fn deposit(
-        &self,
-        comm: &Comm,
-        parts: &Particles,
-        nbar: f64,
-        tags: (u64, u64),
-        ext: &mut Vec<f64>,
-    ) {
-        const HD: usize = 2;
-        let (n, lx) = (self.n, self.lx);
-        assert!(lx >= HD, "slab thinner than the deposit halo");
-        let plane = n * n;
-        // Extended grid: planes [x0-HD, x0+lx+HD).
-        ext.clear();
-        ext.resize((lx + 2 * HD) * plane, 0.0);
-        for i in 0..parts.n_active {
-            let gx = f64::from(parts.x[i]) * self.to_grid;
-            let gy = f64::from(parts.y[i]) * self.to_grid;
-            let gz = f64::from(parts.z[i]) * self.to_grid;
-            let fx = gx.floor();
-            let (iy, dy) = wrap_cell_near(gy, n);
-            let (iz, dz) = wrap_cell_near(gz, n);
-            let dx = gx - fx;
-            let ix_ext = fx as i64 - (self.x0 as i64 - HD as i64);
-            assert!(
-                ix_ext >= 0 && ix_ext + 1 < (lx + 2 * HD) as i64,
-                "active particle drifted outside the deposit halo"
-            );
-            let iy1 = next_cell(iy, n);
-            let iz1 = next_cell(iz, n);
-            let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
-            for (pofs, wx) in [(ix_ext as usize, tx), (ix_ext as usize + 1, dx)] {
-                let base = pofs * plane;
-                ext[base + iy * n + iz] += wx * ty * tz;
-                ext[base + iy * n + iz1] += wx * ty * dz;
-                ext[base + iy1 * n + iz] += wx * dy * tz;
-                ext[base + iy1 * n + iz1] += wx * dy * dz;
-            }
-        }
-        // Fold spill planes onto the owning neighbors (periodic ring).
-        fold_spill_into(comm, ext, plane, HD, tags);
-        // Density contrast.
-        for v in ext.iter_mut() {
-            *v = *v / nbar - 1.0;
-        }
-    }
-
-    /// Fused CIC gather of `K` force slabs (the three components) at
-    /// every particle in `pos` (local-frame coordinates, possibly outside
-    /// the box): the eight cells and their offsets are found once per
-    /// particle, and each component is read with the single-component
-    /// interpolation's exact expression, so the result is bitwise that
-    /// of `K` separate gathers. The slabs cover planes `[x0-h, x0+lx+h)`
-    /// in the same runs. Writes `out`, or adds to it when `add`.
-    fn gather<const K: usize>(
-        &self,
-        fields: [HaloSlab<'_>; K],
-        h: usize,
-        pos: [&[f32]; 3],
-        out: &mut [Vec<f32>; K],
-        add: bool,
-    ) {
-        let n = self.n;
-        let plane = n * n;
-        let [below, owned, _] = fields[0].0.map(|r| r.len() / plane);
-        debug_assert_eq!(
-            below + owned + fields[0].0[2].len() / plane,
-            self.lx + 2 * h
-        );
-        // (run, offset of the plane in it) for extended plane `ix`.
-        let locate = |ix: usize| {
-            if ix < below {
-                (0, ix * plane)
-            } else if ix < below + owned {
-                (1, (ix - below) * plane)
-            } else {
-                (2, (ix - below - owned) * plane)
-            }
-        };
-        let [xs, ys, zs] = pos;
-        for o in out.iter_mut() {
-            o.resize(xs.len(), 0.0);
-        }
-        for i in 0..xs.len() {
-            let gx = f64::from(xs[i]) * self.to_grid;
-            let gy = f64::from(ys[i]) * self.to_grid;
-            let gz = f64::from(zs[i]) * self.to_grid;
-            let fx = gx.floor();
-            let dx = gx - fx;
-            let ixe = fx as i64 - (self.x0 as i64 - h as i64);
-            debug_assert!(
-                ixe >= 0 && (ixe as usize) < self.lx + 2 * h - 1,
-                "particle outside halo: ixe={ixe}"
-            );
-            let planes = [
-                (locate(ixe as usize), 1.0 - dx),
-                (locate(ixe as usize + 1), dx),
-            ];
-            let (iy, dy) = wrap_cell_near(gy, n);
-            let (iz, dz) = wrap_cell_near(gz, n);
-            let iy1 = next_cell(iy, n);
-            let iz1 = next_cell(iz, n);
-            let cells = [iy * n + iz, iy * n + iz1, iy1 * n + iz, iy1 * n + iz1];
-            let (ty, tz) = (1.0 - dy, 1.0 - dz);
-            for (f, o) in fields.iter().zip(out.iter_mut()) {
-                let mut acc = 0.0;
-                for ((run, base), wx) in planes {
-                    let c = cells.map(|c| f.0[run][base + c]);
-                    acc += wx * (c[0] * ty * tz + c[1] * ty * dz + c[2] * dy * tz + c[3] * dy * dz);
-                }
-                if add {
-                    o[i] += acc as f32;
-                } else {
-                    o[i] = acc as f32;
-                }
-            }
-        }
-    }
 }
 
 /// One rank's view of a distributed simulation.
@@ -503,7 +341,16 @@ impl<'a> DistSimulation<'a> {
     }
 
     fn slab_grid(&self, n: usize) -> SlabGrid {
-        SlabGrid::new(self.comm, n, self.cfg.box_len)
+        SlabGrid::new(n, self.comm.rank(), self.comm.size(), self.cfg.box_len)
+    }
+
+    /// This rank's slab of the density contrast on `grid`'s mesh, left
+    /// in `ext`: the actives deposited with their spill planes, which
+    /// are folded onto the ring neighbors.
+    fn density(&self, grid: &SlabGrid, tags: (u64, u64), ext: &mut Vec<f64>) {
+        grid.deposit(self.particle_positions(), self.parts.n_active, ext);
+        fold_spill_into(self.comm, ext, grid.plane(), DEPOSIT_HALO, tags);
+        contrast(ext, self.count as f64 / (grid.n * grid.n * grid.n) as f64);
     }
 
     /// The global long-range solve of this view, built collectively on
@@ -539,15 +386,8 @@ impl<'a> DistSimulation<'a> {
     fn pm_accel_single(&self, pm: &mut PmState, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let grid = self.slab_grid(ng);
-        let nbar = self.count as f64 / (ng * ng * ng) as f64;
         let t0 = Instant::now();
-        grid.deposit(
-            self.comm,
-            &self.parts,
-            nbar,
-            TAGS_FINE_FOLD,
-            &mut pm.grids[0],
-        );
+        self.density(&grid, TAGS_FINE_FOLD, &mut pm.grids[0]);
         brk.cic += t0.elapsed();
 
         let t1 = Instant::now();
@@ -575,7 +415,6 @@ impl<'a> DistSimulation<'a> {
     /// runs in place in `pm.fine_source`.
     fn pm_accel_two_level(&self, tl: &TwoLevelDist, pm: &mut PmState, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
-        let np = self.count as f64;
         let nc = tl.split.nc();
         let (fine, coarse) = (self.slab_grid(ng), self.slab_grid(nc));
         let (h_int, h_kernel, h_c) = (self.h_int, tl.h_kernel, tl.h_c);
@@ -585,22 +424,8 @@ impl<'a> DistSimulation<'a> {
         // solve) sample the same density-contrast field at their own
         // resolution; the fine one then takes its ghost and zero planes.
         let t0 = Instant::now();
-        let nbar_f = np / (ng * ng * ng) as f64;
-        fine.deposit(
-            self.comm,
-            &self.parts,
-            nbar_f,
-            TAGS_FINE_FOLD,
-            &mut pm.fine_source,
-        );
-        let nbar_c = np / (nc * nc * nc) as f64;
-        coarse.deposit(
-            self.comm,
-            &self.parts,
-            nbar_c,
-            TAGS_COARSE_FOLD,
-            &mut pm.grids[0],
-        );
+        self.density(&fine, TAGS_FINE_FOLD, &mut pm.fine_source);
+        self.density(&coarse, TAGS_COARSE_FOLD, &mut pm.grids[0]);
         let density = std::slice::from_ref(&pm.fine_source);
         exchange_halos(
             self.comm,
@@ -785,53 +610,6 @@ impl ForceField for DistSimulation<'_> {
     }
 }
 
-/// [`wrap_cell`] with its `%` replaced by one compare-and-add. On
-/// `-n < g < 2n` — every coordinate a slab particle or its replica holds
-/// — `g % n` is `g`, or `g - n` exactly (Sterbenz), so the cell and
-/// offset are bit-identical; anything else, and a `g + n` that rounds to
-/// `n`, takes the `%` path.
-#[inline]
-fn wrap_cell_near(g: f64, n: usize) -> (usize, f64) {
-    let nf = n as f64;
-    let w = if g < 0.0 {
-        g + nf
-    } else if g >= nf {
-        g - nf
-    } else {
-        g
-    };
-    if !(g > -nf && g < 2.0 * nf && w < nf) {
-        return wrap_cell(g, n);
-    }
-    let i = w.floor() as usize;
-    (i.min(n - 1), w - i as f64)
-}
-
-/// The periodic successor of cell `i` on an `n` grid.
-#[inline]
-fn next_cell(i: usize, n: usize) -> usize {
-    if i + 1 == n {
-        0
-    } else {
-        i + 1
-    }
-}
-
-/// Periodic cell index + offset for coordinate `g` on an `n` grid.
-#[inline]
-fn wrap_cell(g: f64, n: usize) -> (usize, f64) {
-    let nf = n as f64;
-    let mut w = g % nf;
-    if w < 0.0 {
-        w += nf;
-    }
-    if w >= nf {
-        w = 0.0;
-    }
-    let i = w.floor() as usize;
-    (i.min(n - 1), w - i as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,15 +745,49 @@ mod tests {
         }
     }
 
-    /// The fused three-component gather on one rank — the periodic grid
-    /// padded by a one-rank force halo exchange, which wraps the ring
-    /// onto itself — is bitwise three serial `interpolate_cic_into`
-    /// calls, and `add` accumulates onto what is there. Grid values are
-    /// small integers and cell offsets multiples of 1/8, so both
-    /// summation orders are exact and any index, weight, wrap or
-    /// component slip shows as a bit difference. Positions cover the
-    /// x halo on both sides, y/z on the compare-and-add path (−n, 2n)
-    /// and beyond it on the `%` fallback.
+    /// The two engines' PM pipelines at the ICs: a 1-rank view and the
+    /// serial engine run the same deposit, fold arithmetic, gather and
+    /// spectral tables, so their long-range accelerations differ only by
+    /// the FFT's rounding (pencil against serial real transform).
+    #[test]
+    fn one_rank_long_range_matches_serial() {
+        let a0 = 0.3;
+        let config = cfg(SolverKind::PmOnly, a0);
+        let realization = ics(a0);
+        let serial = crate::Simulation::from_ics(config, &realization).total_accel();
+        let (dist, _) = Machine::new(1).run(|comm| {
+            let mut sim = DistSimulation::new(&comm, config, &realization);
+            let mut brk = StepBreakdown::default();
+            sim.open(&mut brk);
+            sim.long_range(true, &mut brk);
+            (sim.parts.id.clone(), sim.pm.accel)
+        });
+        let (ids, accel) = &dist[0];
+        assert_eq!(ids.len(), realization.len());
+        let big = serial.iter().flatten().fold(0.0f32, |m, v| m.max(v.abs()));
+        let mut worst = 0.0f32;
+        for c in 0..3 {
+            for (i, &id) in ids.iter().enumerate() {
+                worst = worst.max((accel[c][i] - serial[c][id as usize]).abs());
+            }
+        }
+        assert!(big > 0.0);
+        assert!(
+            worst <= 1e-6 * big,
+            "long-range acceleration differs by {worst:.3e} of the largest {big:.3e}"
+        );
+    }
+
+    /// The fused three-component gather on one rank is bitwise three
+    /// serial `interpolate_cic_into` calls, and `add` accumulates onto
+    /// what is there — with the periodic grid padded by a one-rank force
+    /// halo exchange, which wraps the ring onto itself, and by the
+    /// one-slab box's self-halo, read in place. Grid values are small
+    /// integers and cell offsets multiples of 1/8, so both summation
+    /// orders are exact and any index, weight, wrap or component slip
+    /// shows as a bit difference. Positions cover the x halo on both
+    /// sides, y/z on the compare-and-add path (−n, 2n) and beyond it on
+    /// the `%` fallback.
     #[test]
     fn fused_gather_is_bitwise_serial_interpolation() {
         let n = 8usize;
@@ -999,40 +811,34 @@ mod tests {
             hacc_pm::cic::interpolate_cic_into(g, n, &xs, &ys, &zs, &mut out);
             out
         });
-        let (got, _) = Machine::new(1).run(|comm| {
-            let halos = exchange_halos(&comm, &grids, n * n, 1, (991, 992));
-            let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &grids[k]));
-            let grid = SlabGrid::new(&comm, n, n as f64);
+        let grid = SlabGrid::whole(n, n as f64);
+        let gather_twice = |fields: [HaloSlab<'_>; 3]| {
             let mut once = Default::default();
             grid.gather(fields, 1, [&xs, &ys, &zs], &mut once, false);
             let mut twice = once.clone();
             grid.gather(fields, 1, [&xs, &ys, &zs], &mut twice, true);
             (once, twice)
+        };
+        let (received, _) = Machine::new(1).run(|comm| {
+            let halos = exchange_halos(&comm, &grids, n * n, 1, (991, 992));
+            gather_twice([0, 1, 2].map(|k| HaloSlab::received(&halos, k, &grids[k])))
         });
-        let (once, twice) = &got[0];
-        for c in 0..3 {
-            for i in 0..count {
-                assert_eq!(
-                    once[c][i].to_bits(),
-                    want[c][i].to_bits(),
-                    "component {c} particle {i}"
-                );
-                assert_eq!(
-                    twice[c][i].to_bits(),
-                    (2.0 * want[c][i]).to_bits(),
-                    "add, component {c} particle {i}"
-                );
+        let own = gather_twice([0, 1, 2].map(|k| HaloSlab::periodic(&grids[k], n * n, 1)));
+        for (halo, (once, twice)) in [("received", &received[0]), ("self", &own)] {
+            for c in 0..3 {
+                for i in 0..count {
+                    assert_eq!(
+                        once[c][i].to_bits(),
+                        want[c][i].to_bits(),
+                        "{halo} halo, component {c} particle {i}"
+                    );
+                    assert_eq!(
+                        twice[c][i].to_bits(),
+                        (2.0 * want[c][i]).to_bits(),
+                        "{halo} halo, add, component {c} particle {i}"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn wrap_cell_behaviour() {
-        assert_eq!(wrap_cell(3.25, 8), (3, 0.25));
-        assert_eq!(wrap_cell(-0.5, 8), (7, 0.5));
-        assert_eq!(wrap_cell(8.0, 8), (0, 0.0));
-        let (i, d) = wrap_cell(7.999, 8);
-        assert_eq!(i, 7);
-        assert!(d > 0.99);
     }
 }

@@ -39,6 +39,7 @@ pub mod invariant;
 pub mod resilient;
 mod short;
 pub mod sim;
+mod slab;
 pub mod stats;
 mod stepper;
 

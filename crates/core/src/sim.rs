@@ -2,15 +2,13 @@
 
 use std::time::Instant;
 
-use hacc_pm::{
-    deposit_cic_par, deposit_cic_par_with, interpolate_cic, interpolate_cic_into, CicScratch,
-    GridForceFit, PmSolver, TwoLevelPmSolver,
-};
+use hacc_pm::{GridForceFit, PmSolver, TwoLevelPmSolver};
 use hacc_short::{ForceKernel, P3mScratch, P3mSolver};
 use rayon::prelude::*;
 
 use crate::config::{SimConfig, SolverKind};
 use crate::short::TreeShortRange;
+use crate::slab::{contrast, HaloSlab, SlabGrid, DEPOSIT_HALO};
 use crate::stats::{RunStats, StepBreakdown};
 use crate::stepper::{self, ForceField};
 
@@ -54,27 +52,18 @@ pub(crate) fn fitted_kernel(cfg: &SimConfig) -> (GridForceFit, ForceKernel) {
 /// steps only overwrite.
 #[derive(Default)]
 struct StepScratch {
-    /// Positions in PM grid units.
+    /// Positions in PM grid units (short-range paths).
     gx: Vec<f32>,
     gy: Vec<f32>,
     gz: Vec<f32>,
     /// Density / per-component force grids for the PM solve. On the
-    /// two-level path these carry the fine level.
+    /// two-level path these carry the fine level. The deposit fills
+    /// `grid` with its spill planes and folds it to the box in place.
     grid: Vec<f64>,
     fgrids: [Vec<f64>; 3],
-    /// CIC counting-sort bins.
-    cic: CicScratch,
-    /// Two-level coarse path: positions in coarse-grid units, coarse
-    /// density/force grids, their own CIC bins (sized `ng/c`, kept
-    /// separate so the bins never resize between levels), and the
-    /// per-particle coarse-force staging buffer.
-    cgx: Vec<f32>,
-    cgy: Vec<f32>,
-    cgz: Vec<f32>,
+    /// Two-level coarse path: the coarse density and force grids.
     cgrid: Vec<f64>,
     cfgrids: [Vec<f64>; 3],
-    ccic: CicScratch,
-    cbuf: Vec<f32>,
     /// Unit masses of the P3m path.
     mass: Vec<f32>,
     /// Chaining-mesh scratch (P3m path).
@@ -216,51 +205,26 @@ impl Simulation {
     }
 
     /// Long/medium-range acceleration per particle (physical units),
-    /// left in `self.accel`. Allocation-free once warm: grids, CIC bins
+    /// left in `self.accel`: the slab kernels the distributed engine
+    /// runs, on a box that is one slab. Allocation-free once warm: grids
     /// and spectra come from `self.scratch` / the solver workspace.
     fn pm_accel_into(&mut self, brk: &mut StepBreakdown) {
-        let ng = self.cfg.ng;
-        let nbar = self.nbar();
-        let s = (ng as f64 / self.cfg.box_len) as f32;
+        let (ng, box_len) = (self.cfg.ng, self.cfg.box_len);
+        let pos = [&self.x[..], &self.y[..], &self.z[..]];
         let (sc, out) = (&mut self.scratch, &mut self.accel);
-        fill_scaled(&self.x, s, &mut sc.gx);
-        fill_scaled(&self.y, s, &mut sc.gy);
-        fill_scaled(&self.z, s, &mut sc.gz);
+        let fine = SlabGrid::whole(ng, box_len);
+        // Gather halo depth: a position that rounded to the box edge in
+        // f32 sits at grid coordinate n and reads plane n + 1.
+        let h = DEPOSIT_HALO;
 
         let t0 = Instant::now();
-        sc.grid.clear();
-        sc.grid.resize(ng * ng * ng, 0.0);
-        deposit_cic_par_with(&mut sc.grid, ng, &sc.gx, &sc.gy, &sc.gz, 1.0, &mut sc.cic);
-        for v in sc.grid.iter_mut() {
-            *v = *v / nbar - 1.0;
-        }
+        box_density(&fine, pos, &mut sc.grid);
         brk.cic += t0.elapsed();
 
         if let Some(tl) = &self.pm2 {
-            // Two-level path, same buffer discipline: every grid and
-            // staging vector lives in the scratch, so steady-state steps
-            // stay allocation-free.
-            let nc = tl.nc();
-            let inv_c = (nc as f64 / ng as f64) as f32;
+            let coarse = SlabGrid::whole(tl.nc(), box_len);
             let tc = Instant::now();
-            fill_scaled(&sc.gx, inv_c, &mut sc.cgx);
-            fill_scaled(&sc.gy, inv_c, &mut sc.cgy);
-            fill_scaled(&sc.gz, inv_c, &mut sc.cgz);
-            sc.cgrid.clear();
-            sc.cgrid.resize(nc * nc * nc, 0.0);
-            deposit_cic_par_with(
-                &mut sc.cgrid,
-                nc,
-                &sc.cgx,
-                &sc.cgy,
-                &sc.cgz,
-                1.0,
-                &mut sc.ccic,
-            );
-            let nbar_c = nbar * (ng as f64 / nc as f64).powi(3);
-            for v in sc.cgrid.iter_mut() {
-                *v = *v / nbar_c - 1.0;
-            }
+            box_density(&coarse, pos, &mut sc.cgrid);
             brk.cic += tc.elapsed();
 
             let t1 = Instant::now();
@@ -271,13 +235,8 @@ impl Simulation {
             brk.coarse_fft += t1c.elapsed();
 
             let t2 = Instant::now();
-            for (c, slot) in out.iter_mut().enumerate() {
-                interpolate_cic_into(&sc.fgrids[c], ng, &sc.gx, &sc.gy, &sc.gz, slot);
-                interpolate_cic_into(&sc.cfgrids[c], nc, &sc.cgx, &sc.cgy, &sc.cgz, &mut sc.cbuf);
-                for (o, v) in slot.iter_mut().zip(&sc.cbuf) {
-                    *o += v;
-                }
-            }
+            fine.gather(periodic(&sc.fgrids, fine.plane(), h), h, pos, out, false);
+            coarse.gather(periodic(&sc.cfgrids, coarse.plane(), h), h, pos, out, true);
             brk.cic += t2.elapsed();
             return;
         }
@@ -287,9 +246,7 @@ impl Simulation {
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
-        for (slot, fg) in out.iter_mut().zip(sc.fgrids.iter()) {
-            interpolate_cic_into(fg, ng, &sc.gx, &sc.gy, &sc.gz, slot);
-        }
+        fine.gather(periodic(&sc.fgrids, fine.plane(), h), h, pos, out, false);
         brk.cic += t2.elapsed();
     }
 
@@ -333,21 +290,15 @@ impl Simulation {
         // Potential from the spectral solve (unfiltered influence only
         // would double-count softening; using the production kernel keeps
         // consistency with the forces actually applied).
-        let ng = self.cfg.ng;
-        let to_grid = (ng as f64 / self.cfg.box_len) as f32;
-        let [gx, gy, gz] = [&self.x, &self.y, &self.z].map(|c| {
-            let mut g = Vec::new();
-            fill_scaled(c, to_grid, &mut g);
-            g
-        });
-        let mut grid = vec![0.0f64; ng * ng * ng];
-        deposit_cic_par(&mut grid, ng, &gx, &gy, &gz, 1.0);
-        let nbar = self.nbar();
-        for v in grid.iter_mut() {
-            *v = *v / nbar - 1.0;
-        }
-        let phi_hat = self.pm.solve_potential(&grid);
-        let phi_i = interpolate_cic(&phi_hat, ng, &gx, &gy, &gz);
+        let grid = SlabGrid::whole(self.cfg.ng, self.cfg.box_len);
+        let pos = [&self.x[..], &self.y[..], &self.z[..]];
+        let mut rho = Vec::new();
+        box_density(&grid, pos, &mut rho);
+        let phi_hat = self.pm.solve_potential(&rho);
+        let h = DEPOSIT_HALO;
+        let mut phi_i = [Vec::new()];
+        grid.gather([HaloSlab::periodic(&phi_hat, grid.plane(), h)], h, pos, &mut phi_i, false);
+        let [phi_i] = phi_i;
         let prefactor = 1.5 * self.cfg.cosmology.omega_m / self.a;
         let u = 0.5 * prefactor * phi_i.iter().map(|&v| f64::from(v)).sum::<f64>();
         (k, u)
@@ -493,6 +444,20 @@ pub(crate) fn wrap_into_box(v: f32, l: f32) -> f32 {
     } else {
         w
     }
+}
+
+/// The density contrast of every particle on a box that is one slab,
+/// left in `ext`: the slab deposit, its spill folded onto the box.
+fn box_density(grid: &SlabGrid, pos: [&[f32]; 3], ext: &mut Vec<f64>) {
+    let count = pos[0].len();
+    grid.deposit(pos, count, ext);
+    grid.fold_self(ext);
+    contrast(ext, count as f64 / (grid.n * grid.n * grid.n) as f64);
+}
+
+/// The three force grids of a one-slab box with their periodic halos.
+fn periodic(grids: &[Vec<f64>; 3], plane: usize, h: usize) -> [HaloSlab<'_>; 3] {
+    grids.each_ref().map(|g| HaloSlab::periodic(g, plane, h))
 }
 
 /// `out = s·src` into a reused buffer (positions → grid units).

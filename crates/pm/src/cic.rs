@@ -4,6 +4,10 @@
 //! particles in f32, spectral arithmetic in f64); the density grid is f64.
 //! Positions are in *grid units* — `[0, n)` per axis — callers convert from
 //! physical coordinates by `n/L`.
+//!
+//! These are the periodic references: both engines run the slab deposit
+//! and fused gather of `hacc-core`, which the references pin in tests,
+//! and the benchmark probes and analysis tools call these directly.
 
 use rayon::prelude::*;
 
@@ -47,143 +51,6 @@ pub fn deposit_cic(grid: &mut [f64], n: usize, xs: &[f32], ys: &[f32], zs: &[f32
         grid[(i1 * n + j) * n + k1] += mass * dx * ty * dz;
         grid[(i1 * n + j1) * n + k] += mass * dx * dy * tz;
         grid[(i1 * n + j1) * n + k1] += mass * dx * dy * dz;
-    }
-}
-
-/// Reusable scratch for [`deposit_cic_par_with`]: the counting-sort
-/// arrays that group particle indices by x-bin, plus gather buffers for
-/// the odd-`n` wrap-around bin. Grown on first use, reused thereafter —
-/// a steady-state deposit performs no heap allocation.
-#[derive(Default)]
-pub struct CicScratch {
-    /// Bin start offsets (`n + 1` entries after prefix summation).
-    starts: Vec<u32>,
-    /// Per-bin write cursor during the scatter pass.
-    cursor: Vec<u32>,
-    /// Particle indices grouped by base x-cell (flat, `np` entries).
-    order: Vec<u32>,
-    wrap_x: Vec<f32>,
-    wrap_y: Vec<f32>,
-    wrap_z: Vec<f32>,
-}
-
-/// Parallel CIC deposit.
-///
-/// Particles are grouped by base x-cell with a counting sort into a flat
-/// index array; bins are then processed in two colored passes (even x,
-/// odd x) so concurrently processed bins write disjoint pairs of
-/// x-planes. A special serial path handles `n < 4`, where the coloring
-/// argument breaks down.
-pub fn deposit_cic_par(grid: &mut [f64], n: usize, xs: &[f32], ys: &[f32], zs: &[f32], mass: f64) {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<CicScratch> =
-            std::cell::RefCell::new(CicScratch::default());
-    }
-    SCRATCH.with(|s| deposit_cic_par_with(grid, n, xs, ys, zs, mass, &mut s.borrow_mut()));
-}
-
-/// [`deposit_cic_par`] with caller-owned scratch (allocation-free once
-/// the scratch buffers are warm).
-pub fn deposit_cic_par_with(
-    grid: &mut [f64],
-    n: usize,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    mass: f64,
-    scratch: &mut CicScratch,
-) {
-    assert_eq!(grid.len(), n * n * n);
-    assert!(xs.len() == ys.len() && ys.len() == zs.len());
-    if n < 4 || xs.len() < 4096 {
-        deposit_cic(grid, n, xs, ys, zs, mass);
-        return;
-    }
-    let np = xs.len();
-    // Counting sort by base x-cell: starts/cursor/order replace the old
-    // per-call `Vec<Vec<u32>>` bin-of-vectors.
-    let CicScratch {
-        starts,
-        cursor,
-        order,
-        wrap_x,
-        wrap_y,
-        wrap_z,
-    } = scratch;
-    starts.clear();
-    starts.resize(n + 1, 0);
-    for &x in xs {
-        let (i, _) = cic_cell(x, n);
-        starts[i + 1] += 1;
-    }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&starts[..n]);
-    order.resize(np, 0);
-    for (p, &x) in xs.iter().enumerate() {
-        let (i, _) = cic_cell(x, n);
-        order[cursor[i] as usize] = p as u32;
-        cursor[i] += 1;
-    }
-    let starts = &starts[..];
-    let order = &order[..];
-    let ptr = SyncF64Ptr(grid.as_mut_ptr());
-    for parity in 0..2 {
-        (0..n).into_par_iter().for_each(|ix| {
-            if ix % 2 != parity || (n % 2 == 1 && ix == n - 1) {
-                // Odd n: the wrap-around bin (writes planes n-1 and 0)
-                // aliases both colors; it is handled serially afterwards.
-                return;
-            }
-            let g = ptr;
-            let bin = &order[starts[ix] as usize..starts[ix + 1] as usize];
-            for &p in bin {
-                let p = p as usize;
-                let (i, dx) = cic_cell(xs[p], n);
-                debug_assert_eq!(i, ix);
-                let (j, dy) = cic_cell(ys[p], n);
-                let (k, dz) = cic_cell(zs[p], n);
-                let i1 = (i + 1) % n;
-                let j1 = (j + 1) % n;
-                let k1 = (k + 1) % n;
-                let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
-                // SAFETY: bins of equal parity write x-planes {ix, ix+1}
-                // which are disjoint between bins (and the wrap ix = n-1
-                // writing plane 0 only occurs for odd parity when n is
-                // even — plane 0 belongs to an even bin not active in this
-                // pass; for odd n the wrap bin n-1 is even-parity and
-                // plane 0's bin is also even: they could collide, so odd n
-                // falls back to serial below).
-                unsafe {
-                    *g.0.add((i * n + j) * n + k) += mass * tx * ty * tz;
-                    *g.0.add((i * n + j) * n + k1) += mass * tx * ty * dz;
-                    *g.0.add((i * n + j1) * n + k) += mass * tx * dy * tz;
-                    *g.0.add((i * n + j1) * n + k1) += mass * tx * dy * dz;
-                    *g.0.add((i1 * n + j) * n + k) += mass * dx * ty * tz;
-                    *g.0.add((i1 * n + j) * n + k1) += mass * dx * ty * dz;
-                    *g.0.add((i1 * n + j1) * n + k) += mass * dx * dy * tz;
-                    *g.0.add((i1 * n + j1) * n + k1) += mass * dx * dy * dz;
-                }
-            }
-        });
-        if n % 2 == 1 && parity == 1 {
-            // Odd n: the wrap-around bin aliases the first plane; deposit
-            // it serially, gathering into persistent scratch instead of
-            // allocating fresh per-call vectors.
-            let bin = &order[starts[n - 1] as usize..starts[n] as usize];
-            wrap_x.clear();
-            wrap_y.clear();
-            wrap_z.clear();
-            for &p in bin {
-                let p = p as usize;
-                wrap_x.push(xs[p]);
-                wrap_y.push(ys[p]);
-                wrap_z.push(zs[p]);
-            }
-            deposit_cic(grid, n, wrap_x, wrap_y, wrap_z, mass);
-        }
     }
 }
 
@@ -278,17 +145,6 @@ pub fn interpolate_cic_into(
         });
 }
 
-#[derive(Clone, Copy)]
-struct SyncF64Ptr(*mut f64);
-// SAFETY: the pointer names a grid allocation that outlives the scoped
-// parallel deposit, and the parity-colored sweep guarantees two threads
-// never write the same x-slab concurrently (see deposit_cic_parallel).
-// The wrapper only exists to move the raw pointer into rayon closures.
-unsafe impl Send for SyncF64Ptr {}
-// SAFETY: shared references to the wrapper only copy the pointer; all
-// dereferences happen inside the unsafe block that proves disjointness.
-unsafe impl Sync for SyncF64Ptr {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,72 +211,6 @@ mod tests {
         deposit_cic(&mut g2, n, &[-0.5], &[0.0], &[0.0], 1.0);
         assert!((g2[3 * n * n] - 0.5).abs() < 1e-12, "{}", g2[3 * n * n]);
         assert!((g2[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        // Miri runs a reduced particle count — still above the 4096
-        // threshold, so the colored unsafe deposit path is what's
-        // checked.
-        let np = if cfg!(miri) { 4200 } else { 10_000 };
-        for n in [8usize, 9] {
-            let (xs, ys, zs) = rand_positions(np, n, 17);
-            let mut serial = vec![0.0; n * n * n];
-            deposit_cic(&mut serial, n, &xs, &ys, &zs, 1.0);
-            let mut par = vec![0.0; n * n * n];
-            deposit_cic_par(&mut par, n, &xs, &ys, &zs, 1.0);
-            let err = serial
-                .iter()
-                .zip(&par)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-9, "n = {n}, err = {err}");
-        }
-    }
-
-    // Satellite: the parallel deposit must agree with the serial one per
-    // cell on odd grid sizes, where the wrap-around x-bin takes the
-    // serial fallback path (and must reuse scratch rather than allocate).
-    // Skipped under miri (8 cases at up to 33³ — the single-case tests
-    // above cover the same unsafe path).
-    #[cfg(not(miri))]
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
-        #[test]
-        fn par_matches_serial_on_odd_grids(seed in proptest::prelude::any::<u64>(), pick in 0usize..3) {
-            let n = [5usize, 7, 33][pick];
-            // Above the 4096-particle threshold so the parallel path runs.
-            let (xs, ys, zs) = rand_positions(6000, n, seed);
-            let mut serial = vec![0.0; n * n * n];
-            deposit_cic(&mut serial, n, &xs, &ys, &zs, 1.0);
-            let mut scratch = CicScratch::default();
-            let mut par = vec![0.0; n * n * n];
-            deposit_cic_par_with(&mut par, n, &xs, &ys, &zs, 1.0, &mut scratch);
-            for (c, (a, b)) in serial.iter().zip(&par).enumerate() {
-                proptest::prop_assert!((a - b).abs() < 1e-12, "n={} cell {}: {} vs {}", n, c, a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh() {
-        // Same scratch across grids of different size and particle count:
-        // results must be identical to fresh-scratch runs. Miri runs a
-        // trimmed sweep (drops the 33³ grid).
-        let sweep: &[(usize, usize, u64)] = if cfg!(miri) {
-            &[(8, 4500, 1), (5, 4500, 3), (8, 4200, 4)]
-        } else {
-            &[(8, 5000, 1), (33, 6000, 2), (5, 4500, 3), (8, 4200, 4)]
-        };
-        let mut scratch = CicScratch::default();
-        for &(n, np, seed) in sweep {
-            let (xs, ys, zs) = rand_positions(np, n, seed);
-            let mut reused = vec![0.0; n * n * n];
-            deposit_cic_par_with(&mut reused, n, &xs, &ys, &zs, 1.0, &mut scratch);
-            let mut fresh = vec![0.0; n * n * n];
-            deposit_cic_par_with(&mut fresh, n, &xs, &ys, &zs, 1.0, &mut CicScratch::default());
-            assert_eq!(reused, fresh, "n={n} np={np}");
-        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! response* measured from this solver (fitted to a 5th-order polynomial
 //! in `s = r·r`, paper Eq. 7) so that short + long = Newtonian.
 
+#![forbid(unsafe_code)]
+
 pub mod cic;
 pub mod dist;
 pub mod response;
@@ -18,10 +20,7 @@ pub mod solver;
 pub mod spectral;
 pub mod twolevel;
 
-pub use cic::{
-    deposit_cic, deposit_cic_par, deposit_cic_par_with, deposit_tsc, interpolate_cic,
-    interpolate_cic_into, CicScratch,
-};
+pub use cic::{deposit_cic, deposit_tsc, interpolate_cic, interpolate_cic_into};
 pub use dist::{DistPoisson, DistRealPoisson};
 pub use response::GridForceFit;
 pub use solver::PmSolver;

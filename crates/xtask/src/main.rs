@@ -545,7 +545,9 @@ fn step_miri(report: &mut Report) {
     // -Zmiri-disable-isolation: the comm/machine layers read Instant for
     // timeout diagnostics. The crates under test shrink their problem
     // sizes via cfg(miri) while still crossing every parallel-path
-    // threshold (see e.g. crates/pm/src/cic.rs).
+    // threshold (see e.g. crates/fft/src/pencil.rs). hacc-pm itself is
+    // `forbid(unsafe_code)`; it stays in the run because its solver
+    // tests drive hacc-fft's unsafe transform passes.
     let outcome = run(
         "miri",
         Command::new("cargo")
@@ -626,8 +628,9 @@ fn step_tsan(report: &mut Report) {
         );
         return;
     }
-    // The rayon-parallel kernels (CIC deposit, tree walk) are the data
-    // races TSan would see; their crates' test suites drive them.
+    // The rayon-parallel kernels (CIC interpolation, P³M cells, tree
+    // walk) are the data races TSan would see; their crates' test
+    // suites drive them.
     let outcome = run(
         "tsan",
         Command::new("cargo")

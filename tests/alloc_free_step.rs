@@ -1,8 +1,8 @@
 //! Proof that a steady-state `Simulation::step` performs zero heap
-//! allocations: every buffer a timestep needs — density and force grids,
-//! CIC counting-sort bins, FFT line scratch and half-spectrum workspaces,
-//! per-particle force arrays — is sized during warm-up and reused
-//! thereafter.
+//! allocations: every buffer a timestep needs — the extended deposit
+//! and force grids the slab CIC kernels fold and gather in place, FFT
+//! line scratch and half-spectrum workspaces, per-particle force arrays —
+//! is sized during warm-up and reused thereafter.
 //!
 //! This lives in its own integration-test binary because it installs a
 //! process-wide `#[global_allocator]`.
@@ -322,10 +322,10 @@ fn distributed_two_level_step_holds_its_grids() {
     }));
 }
 
-/// The two-level PM path: both levels' density/force grids, the coarse
-/// CIC scratch and the coarse-position staging buffers all live in
-/// `StepScratch` / `PmWorkspace`, so a steady-state two-level step is
-/// as alloc-free as the single-level one.
+/// The two-level PM path: both levels' density/force grids live in
+/// `StepScratch` / `PmWorkspace`, and the coarse gather adds straight
+/// onto the fine one in the acceleration buffer, so a steady-state
+/// two-level step is as alloc-free as the single-level one.
 #[test]
 fn steady_state_two_level_step_allocates_nothing() {
     assert_steady_state_alloc_free("pm2", 1);
