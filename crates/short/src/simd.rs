@@ -27,7 +27,10 @@
 //!   the target lane and the Newton-3 reaction `−f` on the source lane.
 //!   The tile is one generic body over the private `Lanes` vocabulary,
 //!   compiled once per lowering — there is no row kernel, no horizontal
-//!   sum and no scalar tail on this path.
+//!   sum and no scalar tail on this path. A leaf pair's partials sum in
+//!   an f32 block of its own chunks and are flushed once, as integers,
+//!   into a fixed-point accumulator (`FixedForce`), so the order in
+//!   which leaf pairs are flushed cannot change a bit of the result.
 
 use crate::kernel::ForceKernel;
 
@@ -129,19 +132,20 @@ pub(crate) struct Chunks<'a> {
 /// order, or `a == b` for a leaf's self pair), and `shift` the image
 /// offset added to every coordinate and chunk box of `b`. A box-distance
 /// test picks the chunk pairs within `r_cut`; each survivor runs one
-/// 8 × 8 lane-rotation tile that adds `+f` to the target chunk's slots
-/// of `force` and the Newton-3 reaction `−f` to the source chunk's. An
-/// unshifted self pair evaluates the upper triangle of its chunk pairs,
-/// a shifted one (a leaf against its own image) the full square.
-/// Returns the kernel evaluations sent through the tiles, counted over
-/// real particles only.
+/// 8 × 8 lane-rotation tile that adds `+f` to the target chunk's partial
+/// and the Newton-3 reaction `−f` to the source chunk's. An unshifted
+/// self pair evaluates the upper triangle of its chunk pairs, a shifted
+/// one (a leaf against its own image) the full square. The partials sum
+/// in `force`'s f32 block and are flushed into its fixed-point slots
+/// once, at the end. Returns the kernel evaluations sent through the
+/// tiles, counted over real particles only.
 pub(crate) fn leaf_pair(
     k: &ForceKernel,
     c: &Chunks,
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
     shift: [f32; 3],
-    force: &mut [Vec<f32>; 3],
+    force: &mut FixedForce,
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if detect() == SimdLevel::Avx2Fma {
@@ -150,6 +154,124 @@ pub(crate) fn leaf_pair(
         return unsafe { avx2::leaf_pair(k, c, a, b, shift, force) };
     }
     leaf_pair_on::<[f32; CHUNK]>(k, c, a, b, shift, force)
+}
+
+/// Bits of headroom the fixed-point scale leaves below `i64::MAX`: a
+/// slot's largest possible sum is held to `2^(63 − SLOT_HEADROOM_BITS)`.
+const SLOT_HEADROOM_BITS: i32 = 2;
+
+/// The coarsest fixed-point unit a pass accepts, `2^−MIN_SCALE_BITS`:
+/// finer than f32's round-off of any per-particle force of magnitude
+/// ≥ 1 (the engines' unit masses in grid units).
+const MIN_SCALE_BITS: i32 = 24;
+
+/// Forces in slot order as i64 fixed point, one per pool worker, and
+/// the f32 block the open leaf pair sums into.
+///
+/// A slot holds `Σ round(v · 2^k)` over the flushes into it, `v` one
+/// leaf pair's f32 partial. Integer adds are exact, so the sum — and the
+/// `i64 · 2^−k → f32` conversion of it — is the same whatever order the
+/// leaf pairs are flushed in and however they are shared among
+/// accumulators.
+#[derive(Default)]
+pub(crate) struct FixedForce {
+    /// Per axis, one entry per storage slot.
+    pub(crate) acc: [Vec<i64>; 3],
+    /// `2^k` and `2^−k`.
+    scale: f64,
+    unit: f64,
+    /// The open leaf pair's partials per local chunk — the `a` leaf's
+    /// chunks, then the `b` leaf's unless it is the same leaf — as x, y
+    /// and z lanes. All zero between leaf pairs.
+    block: Vec<[[f32; CHUNK]; 3]>,
+    /// Local chunks the open leaf pair has written.
+    touched: Vec<bool>,
+}
+
+impl FixedForce {
+    /// Zero `slots` slots and set the flush scale to `2^k`. Grows with
+    /// headroom, so a rebuild that shifts the padding does not allocate.
+    pub(crate) fn reset(&mut self, slots: usize, k: i32) {
+        for v in &mut self.acc {
+            if v.capacity() < slots {
+                *v = Vec::with_capacity(slots + slots / 8);
+            }
+            v.clear();
+            v.resize(slots, 0);
+        }
+        self.scale = 2f64.powi(k);
+        self.unit = 2f64.powi(-k);
+    }
+
+    /// Slot `slot`'s force along `axis`: `i64 · 2^−k`, rounded to f32.
+    #[inline]
+    pub(crate) fn value(&self, axis: usize, slot: usize) -> f32 {
+        (self.acc[axis][slot] as f64 * self.unit) as f32
+    }
+
+    /// Add `other`'s slots into these (exact integer adds).
+    pub(crate) fn absorb(&mut self, other: &FixedForce) {
+        for (a, o) in self.acc.iter_mut().zip(&other.acc) {
+            for (x, &y) in a.iter_mut().zip(o) {
+                *x += y;
+            }
+        }
+    }
+}
+
+/// The fixed-point exponent `k` of a pass over `n` particles of largest
+/// mass `m_max`: the largest integer with `n · m_max · F · 2^k ≤
+/// 2^(63 − SLOT_HEADROOM_BITS)`, where `F` bounds one pair's `|d · f_SR|`
+/// (`pair_bound`). A slot receives at most one nonzero term per other
+/// particle (the period exceeds twice the reach), each at most
+/// `m_max · F`, so no slot can overflow; the headroom absorbs the f32
+/// round-off of the partials and the flushes' half-unit roundings.
+/// Capped at 127, past which a unit is finer than any f32 force needs.
+///
+/// # Panics
+/// If `k < MIN_SCALE_BITS`: masses, particle count or softening whose
+/// bound leaves no room for the minimum resolution are refused here,
+/// never wrapped.
+pub(crate) fn fixed_point_exponent(k: &ForceKernel, n: usize, m_max: f32) -> i32 {
+    let f = pair_bound(k);
+    let room = f64::from(63 - SLOT_HEADROOM_BITS) - (n as f64 * f64::from(m_max) * f).log2();
+    assert!(
+        room >= f64::from(MIN_SCALE_BITS),
+        "short-range fixed point: N · m_max · max|d·f_SR| = {n} · {m_max:e} · {f:e} leaves \
+         2^{room:.1} for the scale, below the 2^{MIN_SCALE_BITS} minimum"
+    );
+    room.min(127.0) as i32
+}
+
+/// An upper bound on `|d · f_SR(s)| = √s · |(s + ε)^−3/2 − poly5(s)|`
+/// over the kernel's live range `0 < s < r_cut²`: the softened inverse
+/// square peaks at `s = ε/2` (or at `r_cut²` when that is nearer), and
+/// `√s · |poly5(s)| ≤ r_cut · Σ |c_i| r_cut^(2i)`. Infinite for `ε = 0`.
+fn pair_bound(k: &ForceKernel) -> f64 {
+    let (eps, rc2) = (f64::from(k.eps), f64::from(k.rcut2));
+    let s = (eps / 2.0).min(rc2);
+    let newton = if eps > 0.0 { s.sqrt() * (s + eps).powf(-1.5) } else { f64::INFINITY };
+    let poly: f64 = k.coeffs.iter().rev().fold(0.0, |p, &c| p * rc2 + f64::from(c).abs());
+    newton + rc2.sqrt() * poly
+}
+
+/// `round(v · scale)` to the nearest integer (ties to even), exact for
+/// `|v · scale| < 2^62` with `scale` a power of two. Two limbs of the
+/// `1.5 · 2^52` trick: adding the magic puts an integer-valued f64 of
+/// magnitude below `2^51` into the low mantissa bits, so the round and
+/// the conversion are plain f64 adds and i64 subtracts that vectorise
+/// in both lowerings (there is no packed f64 → i64 convert in AVX2).
+#[inline(always)]
+fn fix(v: f32, scale: f64) -> i64 {
+    const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    const LIMB: f64 = 4_294_967_296.0; // 2^32
+    let bits = |x: f64| (x + MAGIC).to_bits() as i64 - MAGIC.to_bits() as i64;
+    // `y` is exact (an f32 times a power of two); `hi` is `y / 2^32`
+    // rounded, and `lo = y − hi · 2^32` is exact with `|lo| ≤ 2^31`.
+    let y = f64::from(v) * scale;
+    let hi = (y * (1.0 / LIMB) + MAGIC) - MAGIC;
+    let lo = y - hi * LIMB;
+    (bits(hi) << 32) + bits(lo)
 }
 
 /// Eight `f32` lanes — the one vocabulary the tile kernel and the chunk
@@ -243,14 +365,13 @@ fn at8(s: &[f32], i: usize) -> &[f32; CHUNK] {
     s[i..i + CHUNK].try_into().expect("eight lanes")
 }
 
-/// `s[8·chunk..][..8] += v` — the one read-modify-write a chunk's
-/// accumulator sees per tile (source) or per partner sweep (target).
+/// `block[l] += v` — the one read-modify-write a local chunk's partial
+/// sees per tile (source) or per partner sweep (target).
 #[inline(always)]
-fn accumulate<V: Lanes>(s: &mut [f32], chunk: usize, v: V) {
-    let slot: &mut [f32; CHUNK] = (&mut s[CHUNK * chunk..CHUNK * (chunk + 1)])
-        .try_into()
-        .expect("eight lanes");
-    V::load(slot).add(v).store(slot);
+fn accumulate<V: Lanes>(block: &mut [[f32; CHUNK]; 3], v: [V; 3]) {
+    for (slot, v) in block.iter_mut().zip(v) {
+        V::load(slot).add(v).store(slot);
+    }
 }
 
 /// The kernel's constants, splat once per leaf pair.
@@ -325,7 +446,7 @@ fn leaf_pair_on<V: Lanes>(
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
     shift: [f32; 3],
-    force: &mut [Vec<f32>; 3],
+    force: &mut FixedForce,
 ) -> u64 {
     let consts = Consts {
         eps: V::splat(k.eps),
@@ -352,15 +473,31 @@ fn leaf_pair_on<V: Lanes>(
         src
     };
     let same_leaf = a.start == b.start && shift == [0.0; 3];
+    // The block's local chunks: `a`'s, then `b`'s unless `b` is `a`
+    // (a self pair, shifted or not, writes one leaf's slots).
+    let b_off = if a.start == b.start { 0 } else { a.len() };
+    let local = b_off + b.len();
+    let FixedForce {
+        acc,
+        scale,
+        block,
+        touched,
+        ..
+    } = force;
+    if block.len() < local {
+        block.resize(local, [[0.0; CHUNK]; 3]);
+        touched.resize(local, false);
+    }
     let mut evals = 0u64;
-    for i in a {
+    for i in a.clone() {
         let t = chunk(i);
         let ni = u64::from(c.len[i]);
-        let mut acc = [consts.zero; 3];
+        let mut acc_t = [consts.zero; 3];
+        let mut hit = same_leaf && ni > 1;
         let first = if same_leaf {
             // Upper triangle of the leaf's chunk pairs: the diagonal
             // tile here, partners `j > i` below.
-            self_tile(&consts, &t, &mut acc);
+            self_tile(&consts, &t, &mut acc_t);
             evals += ni * ni.saturating_sub(1) / 2;
             i + 1
         } else {
@@ -383,15 +520,37 @@ fn leaf_pair_on<V: Lanes>(
             while near != 0 {
                 let j = j0 + near.trailing_zeros() as usize;
                 near &= near - 1;
-                let react = cross_tile(&consts, &t, shifted(chunk(j)), &mut acc);
-                for (f, r) in force.iter_mut().zip(react) {
-                    accumulate(f, j, r);
-                }
+                let react = cross_tile(&consts, &t, shifted(chunk(j)), &mut acc_t);
+                let l = b_off + j - b.start;
+                accumulate(&mut block[l], react);
+                touched[l] = true;
+                hit = true;
                 evals += ni * u64::from(c.len[j]);
             }
         }
-        for (f, v) in force.iter_mut().zip(acc) {
-            accumulate(f, i, v);
+        if hit {
+            let l = i - a.start;
+            accumulate(&mut block[l], acc_t);
+            touched[l] = true;
+        }
+    }
+    // Flush: every written local chunk into its slots, once, and the
+    // block back to zero for the next leaf pair.
+    for l in 0..local {
+        if !std::mem::take(&mut touched[l]) {
+            continue;
+        }
+        let g = if l < b_off { a.start + l } else { b.start + l - b_off };
+        for (dst, part) in acc.iter_mut().zip(&mut block[l]) {
+            // Convert all eight lanes before touching `dst`: in this form
+            // both lowerings vectorise the flush.
+            let q = std::mem::take(part).map(|v| fix(v, *scale));
+            let dst: &mut [i64; CHUNK] = (&mut dst[CHUNK * g..CHUNK * (g + 1)])
+                .try_into()
+                .expect("eight lanes");
+            for (d, q) in dst.iter_mut().zip(q) {
+                *d += q;
+            }
         }
     }
     evals
@@ -412,7 +571,7 @@ mod avx2 {
         _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ,
     };
 
-    use super::{leaf_pair_on, Chunks, Lanes};
+    use super::{leaf_pair_on, Chunks, FixedForce, Lanes};
     use crate::kernel::ForceKernel;
 
     const LANES: usize = 8;
@@ -603,7 +762,7 @@ mod avx2 {
         a: std::ops::Range<usize>,
         b: std::ops::Range<usize>,
         shift: [f32; 3],
-        force: &mut [Vec<f32>; 3],
+        force: &mut FixedForce,
     ) -> u64 {
         leaf_pair_on::<Avx>(k, c, a, b, shift, force)
     }
@@ -715,8 +874,12 @@ mod tests {
             }
         }
 
-        fn zeros(&self) -> [Vec<f32>; 3] {
-            std::array::from_fn(|_| vec![0.0; self.mass.len()])
+        /// A zeroed accumulator over these slots, scaled for `k`.
+        fn zeros(&self, k: &ForceKernel) -> FixedForce {
+            let m_max = self.mass.iter().copied().fold(0.0, f32::max);
+            let mut f = FixedForce::default();
+            f.reset(self.mass.len(), fixed_point_exponent(k, self.mass.len(), m_max));
+            f
         }
     }
 
@@ -728,7 +891,7 @@ mod tests {
         for (na, nb) in [(1usize, 1usize), (3, 17), (24, 24), (40, 9), (8, 15)] {
             let p = Packed::new(&[na, nb], 7 + na as u64);
             let (ca, cb) = (na.div_ceil(CHUNK), nb.div_ceil(CHUNK));
-            let mut f = p.zeros();
+            let mut f = p.zeros(&k);
             let none = [0.0; 3];
             let cross = leaf_pair(&k, &p.view(), 0..ca, ca..ca + cb, none, &mut f);
             let own = leaf_pair(&k, &p.view(), 0..ca, 0..ca, none, &mut f)
@@ -738,7 +901,7 @@ mod tests {
             assert!(cross <= (na * nb) as u64);
             assert!(own <= (na * (na - 1) / 2 + nb * (nb - 1) / 2) as u64);
             for (slot, &m) in p.mass.iter().enumerate() {
-                let got = [f[0][slot], f[1][slot], f[2][slot]];
+                let got = [0, 1, 2].map(|ax| f.value(ax, slot));
                 if m == 0.0 {
                     assert_eq!(got, [0.0; 3], "pad slot {slot} received force");
                     continue;
@@ -766,7 +929,7 @@ mod tests {
         let k = kernel();
         let p = Packed::new(&[37, 52], 91);
         let (ca, cb) = (5, 7);
-        let (mut fa, mut fp) = (p.zeros(), p.zeros());
+        let (mut fa, mut fp) = (p.zeros(&k), p.zeros(&k));
         let cases = [
             (0..ca, ca..ca + cb, [0.0; 3]),
             (0..ca, 0..ca, [0.0; 3]),
@@ -780,8 +943,11 @@ mod tests {
             let ep = leaf_pair_on::<[f32; CHUNK]>(&k, &p.view(), a, b, shift, &mut fp);
             assert_eq!(ea, ep, "both lowerings cull the same chunk pairs");
         }
-        for (a, b) in fa.iter().flatten().zip(fp.iter().flatten()) {
-            assert!((a - b).abs() <= 1e-5 * (a.abs() + 1.0), "{a} vs {b}");
+        for slot in 0..p.mass.len() {
+            for ax in 0..3 {
+                let (a, b) = (fa.value(ax, slot), fp.value(ax, slot));
+                assert!((a - b).abs() <= 1e-5 * (a.abs() + 1.0), "{a} vs {b}");
+            }
         }
     }
 }

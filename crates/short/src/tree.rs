@@ -38,10 +38,11 @@
 //! dual-tree walk emits each interacting *leaf pair* once; each listed
 //! pair is evaluated chunk × chunk, a box test discarding chunk pairs
 //! beyond `r_cut` and an 8 × 8 tile kernel accumulating `+f` on targets
-//! and the Newton-3 reaction `−f` on sources. Accumulation uses a fixed
-//! set of chunk-owned force buffers reduced in a fixed order, so results
-//! are race-free and bit-reproducible regardless of how rayon schedules
-//! them. Its tests check it against O(N²) brute-force sums that share
+//! and the Newton-3 reaction `−f` on sources. Each pool worker owns one
+//! i64 fixed-point force accumulator; a leaf pair's f32 partials are
+//! flushed into it once, as integers, so the forces are race-free and
+//! the same bits however the pair list is cut and whatever the thread
+//! count. Its tests check it against O(N²) brute-force sums that share
 //! no code with it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,15 +51,7 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 
 use crate::kernel::ForceKernel;
-use crate::simd::{self, CHUNK};
-
-/// Fixed number of pair-list chunks for the symmetric walk. Each chunk
-/// owns its own force accumulator and processes a contiguous,
-/// cost-balanced range of the pair list; the serial reduction over chunks
-/// runs in index order. Chunk→buffer assignment is positional (not
-/// per-thread), which is what makes the result independent of rayon's
-/// work-stealing schedule.
-const PAIR_CHUNKS: usize = 16;
+use crate::simd::{self, FixedForce, CHUNK};
 
 /// `perm` entry of a pad slot.
 const PAD: u32 = u32::MAX;
@@ -66,15 +59,6 @@ const PAD: u32 = u32::MAX;
 /// Coordinate of pad slots: finite (so `d · 0` is `0`, not NaN) and far
 /// beyond any cutoff (so the kernel's select always zeroes the pair).
 const PAD_COORD: f32 = 1.0e10;
-
-/// One contiguous range of the leaf-pair list and the tree-order slots
-/// its pairs can write — all of its accumulator that is ever zeroed,
-/// written or reduced.
-#[derive(Clone, Copy)]
-struct PairChunk {
-    pairs: (u32, u32),
-    slots: (u32, u32),
-}
 
 /// Reusable scratch for [`RcbTree::rebuild`] and
 /// [`RcbTree::forces_symmetric_into`]: partition swap records, in-leaf
@@ -89,16 +73,15 @@ pub struct TreeScratch {
     order: Vec<u32>,
     tmp_f32: Vec<f32>,
     tmp_u32: Vec<u32>,
-    /// Forces in tree (slot) order, scattered to input order at the
-    /// end of a pass.
-    ftree: [Vec<f32>; 3],
     /// Interacting leaf-pair list (first ≤ second in tree order).
     pairs: Vec<LeafPair>,
-    /// The pair list cut into at most [`PAIR_CHUNKS`].
-    chunks: Vec<PairChunk>,
-    /// Chunk-owned force accumulators (slot order). Only a chunk's
-    /// `slots` span holds meaningful data.
-    chunk_bufs: Vec<[Vec<f32>; 3]>,
+    /// The pair list cut into contiguous cost-balanced ranges
+    /// (`start..end` indices), one per pool worker.
+    ranges: Vec<(u32, u32)>,
+    /// One fixed-point force accumulator per range, in slot order, each
+    /// zeroed over every slot at the start of a pass; the first ends
+    /// the pass holding their sum, which the scatter converts to f32.
+    accs: Vec<FixedForce>,
     /// Node stack for pair generation.
     stack: Vec<usize>,
 }
@@ -193,6 +176,8 @@ pub struct RcbTree {
     params: TreeParams,
     /// Per-axis period in coordinate units, `0` for an open axis.
     periods: [f32; 3],
+    /// Largest particle mass magnitude, for the fixed-point scale.
+    mass_max: f32,
     /// Incremented by every [`RcbTree::rebuild`] (not by position
     /// refreshes), so callers can tell whether a cached companion
     /// structure still matches this tree's topology.
@@ -231,6 +216,7 @@ impl RcbTree {
             chunk_len: Vec::new(),
             params,
             periods: [0.0; 3],
+            mass_max: 0.0,
             generation: 0,
         }
     }
@@ -271,6 +257,7 @@ impl RcbTree {
         self.zs.extend_from_slice(zs);
         self.mass.clear();
         self.mass.extend_from_slice(mass);
+        self.mass_max = mass.iter().fold(0.0, |m, &v| m.max(v.abs()));
         self.perm.clear();
         self.perm.extend(0..np as u32);
         self.generation += 1;
@@ -575,13 +562,14 @@ impl RcbTree {
         (lo_b + s - hi_a).max(lo_a - (hi_b + s)).max(0.0)
     }
 
-    /// Scatter slot-order forces back to the original input ordering.
-    fn scatter(&self, ftree: &[Vec<f32>; 3], out: &mut [Vec<f32>; 3]) {
-        for (o, f) in out.iter_mut().zip(ftree) {
+    /// Convert slot-order fixed-point forces to f32 in the original
+    /// input ordering.
+    fn scatter(&self, force: &FixedForce, out: &mut [Vec<f32>; 3]) {
+        for (ax, o) in out.iter_mut().enumerate() {
             o.resize(self.particle_count(), 0.0);
-            for (&orig, &v) in self.perm.iter().zip(f) {
+            for (slot, &orig) in self.perm.iter().enumerate() {
                 if orig != PAD {
-                    o[orig as usize] = v;
+                    o[orig as usize] = force.value(ax, slot);
                 }
             }
         }
@@ -631,15 +619,22 @@ impl RcbTree {
     /// test uses `r_cut` itself, and the kernel's own cutoff select
     /// zeroes the remaining pairs beyond `r_cut`, so forces stay exact.
     ///
-    /// Race-freedom and reproducibility: the pair list is split into at
-    /// most `PAIR_CHUNKS` contiguous cost-balanced ranges; range `i`
-    /// always accumulates into scratch buffer `i` (zeroed and reduced
-    /// only over the slots its pairs can touch), and the final reduction
-    /// sums buffers in index order. The result is bit-identical for a
-    /// given tree no matter how rayon schedules the ranges or what the
-    /// scratch held before.
+    /// Race-freedom and reproducibility: the pair list is cut into one
+    /// contiguous cost-balanced range per pool worker
+    /// (`rayon::current_num_threads()`), never inside a leaf pair, and
+    /// each range accumulates into its own i64 fixed-point buffer. A leaf
+    /// pair's partials sum in f32 in a fixed order and are flushed once,
+    /// as `round(v · 2^k)` integers; integer sums do not depend on order,
+    /// so the result is bit-identical for any cut, any thread count, any
+    /// schedule and whatever the scratch held before. The scale `2^k` is
+    /// derived at pass start from the kernel, the particle count and the
+    /// largest mass so that no slot can overflow.
     ///
     /// Forces land in `out` in the original input ordering.
+    ///
+    /// # Panics
+    /// If the particle count, masses and softening leave the fixed-point
+    /// scale no room for its minimum resolution (see DESIGN §10).
     pub fn forces_symmetric_into(
         &self,
         kernel: &ForceKernel,
@@ -647,12 +642,26 @@ impl RcbTree {
         scratch: &mut TreeScratch,
         out: &mut [Vec<f32>; 3],
     ) -> SymmetricReport {
+        self.forces_cut(kernel, slack, rayon::current_num_threads(), scratch, out)
+    }
+
+    /// [`RcbTree::forces_symmetric_into`] with the pair list cut into
+    /// (at most) `workers` ranges, each with its own accumulator — the
+    /// pass as `workers` pool threads would run it.
+    fn forces_cut(
+        &self,
+        kernel: &ForceKernel,
+        slack: f32,
+        workers: usize,
+        scratch: &mut TreeScratch,
+        out: &mut [Vec<f32>; 3],
+    ) -> SymmetricReport {
         let slots = self.xs.len();
+        let scale_bits = simd::fixed_point_exponent(kernel, self.particle_count(), self.mass_max);
         let TreeScratch {
-            ftree,
             pairs,
-            chunks,
-            chunk_bufs,
+            ranges,
+            accs,
             stack,
             ..
         } = scratch;
@@ -750,39 +759,28 @@ impl RcbTree {
             }
         };
         let total: u64 = pairs.iter().map(cost).sum();
-        let nchunks = PAIR_CHUNKS.min(pairs.len()).max(1);
-        let target = total / nchunks as u64 + 1;
-        chunks.clear();
-        let mut acc = 0u64;
-        let empty_from = |at: u32| PairChunk {
-            pairs: (at, at),
-            slots: (u32::MAX, 0),
-        };
-        let mut open = empty_from(0);
+        let nranges = workers.min(pairs.len()).max(1);
+        let target = total / nranges as u64 + 1;
+        ranges.clear();
+        let (mut acc, mut start) = (0u64, 0u32);
         for (i, p) in pairs.iter().enumerate() {
             acc += cost(p);
-            // The earlier leaf starts the pair's slot span, the later
-            // leaf's last chunk ends it.
-            let first = self.nodes[p.a as usize].slot as u32;
-            let last = (self.nodes[p.b as usize].chunks().end * CHUNK) as u32;
-            open.slots = (open.slots.0.min(first), open.slots.1.max(last));
-            open.pairs.1 = (i + 1) as u32;
-            if acc >= target && chunks.len() + 1 < nchunks {
-                chunks.push(open);
-                open = empty_from(open.pairs.1);
-                acc = 0;
+            if acc >= target && ranges.len() + 1 < nranges {
+                ranges.push((start, i as u32 + 1));
+                (acc, start) = (0, i as u32 + 1);
             }
         }
-        if open.pairs.0 < open.pairs.1 {
-            chunks.push(open);
+        if (start as usize) < pairs.len() || ranges.is_empty() {
+            ranges.push((start, pairs.len() as u32));
         }
         let walk = t0.elapsed();
 
-        // Phase 2 (kernel, chunk culling included): each range
-        // accumulates into its own buffer; disjoint buffers make the
-        // writes race-free.
-        if chunk_bufs.len() < chunks.len() {
-            chunk_bufs.resize_with(chunks.len(), Default::default);
+        // Phase 2 (kernel): zero each range's accumulator, cull and run
+        // the tiles, flushing once per leaf pair; disjoint accumulators
+        // make the writes race-free. Then sum them exactly and convert.
+        let tk = Instant::now();
+        if accs.len() < ranges.len() {
+            accs.resize_with(ranges.len(), Default::default);
         }
         let view = simd::Chunks {
             pos: [&self.xs, &self.ys, &self.zs],
@@ -791,55 +789,32 @@ impl RcbTree {
             hi: [&self.chunk_hi[0], &self.chunk_hi[1], &self.chunk_hi[2]],
             len: &self.chunk_len,
         };
-        let kernel_ns = AtomicU64::new(0);
         let evals = AtomicU64::new(0);
-        chunk_bufs
+        accs[..ranges.len()]
             .par_iter_mut()
-            .zip(chunks.par_iter())
-            .for_each(|(buf, chunk)| {
-                let tk = Instant::now();
-                let span = chunk.slots.0 as usize..chunk.slots.1 as usize;
-                for c in buf.iter_mut() {
-                    if c.len() < slots {
-                        // Fresh zeroed pages, with headroom so a rebuild
-                        // that shifts the padding does not come back here;
-                        // pages outside the spans are never touched.
-                        *c = vec![0.0; slots + slots / 8];
-                    }
-                    c[span.clone()].fill(0.0);
-                }
+            .zip(ranges.par_iter())
+            .for_each(|(force, &(start, end))| {
+                force.reset(slots, scale_bits);
                 let mut n = 0;
-                for p in &pairs[chunk.pairs.0 as usize..chunk.pairs.1 as usize] {
+                for p in &pairs[start as usize..end as usize] {
                     let (a, b) = (&self.nodes[p.a as usize], &self.nodes[p.b as usize]);
                     debug_assert!(p.a == p.b || a.end <= b.start, "pairs must be tree-ordered");
                     let shift = shift_of(p.shift);
-                    n += simd::leaf_pair(kernel, &view, a.chunks(), b.chunks(), shift, buf);
+                    n += simd::leaf_pair(kernel, &view, a.chunks(), b.chunks(), shift, force);
                 }
                 evals.fetch_add(n, Ordering::Relaxed);
-                kernel_ns.fetch_add(tk.elapsed().as_nanos() as u64, Ordering::Relaxed);
             });
-
-        // Deterministic reduction in fixed chunk order, then scatter from
-        // slot order back to the original input ordering.
-        for f in ftree.iter_mut() {
-            f.clear();
-            f.resize(slots, 0.0);
+        let (sum, rest) = accs.split_first_mut().expect("at least one range");
+        for other in &rest[..ranges.len() - 1] {
+            sum.absorb(other);
         }
-        for (buf, chunk) in chunk_bufs.iter().zip(chunks.iter()) {
-            let span = chunk.slots.0 as usize..chunk.slots.1 as usize;
-            for (acc, part) in ftree.iter_mut().zip(buf.iter()) {
-                for (a, &p) in acc[span.clone()].iter_mut().zip(&part[span.clone()]) {
-                    *a += p;
-                }
-            }
-        }
-        self.scatter(ftree, out);
+        self.scatter(sum, out);
         let evals = evals.load(Ordering::Relaxed);
         SymmetricReport {
             evals,
             directed: 2 * evals,
             walk,
-            kernel: Duration::from_nanos(kernel_ns.load(Ordering::Relaxed)),
+            kernel: tk.elapsed(),
         }
     }
 }
@@ -888,7 +863,9 @@ pub struct SymmetricReport {
     pub directed: u64,
     /// Leaf-pair list generation time.
     pub walk: Duration,
-    /// Chunk culling plus force evaluation time (summed across workers).
+    /// Everything after the walk, wall time: the accumulators'
+    /// zero-fill, chunk culling, tiles, per-leaf-pair fixed-point
+    /// flushes and the fixed-point → f32 scatter into input order.
     pub kernel: Duration,
 }
 
@@ -1160,11 +1137,85 @@ mod tests {
         tree.forces_symmetric_into(&kernel, 0.2, &mut scratch, &mut out);
         let pads = tree.perm.iter().filter(|&&p| p == PAD).count();
         assert!(pads > 0, "the case must have pad slots");
-        for f in &scratch.ftree {
-            for (&p, &v) in tree.perm.iter().zip(f) {
-                assert!(p != PAD || v == 0.0, "pad slot accumulated {v}");
+        let acc = &scratch.accs[0].acc;
+        assert!(acc[0].iter().any(|&q| q != 0), "real slots must hold forces");
+        for f in acc {
+            for (&p, &q) in tree.perm.iter().zip(f) {
+                assert!(p != PAD || q == 0, "pad slot accumulated {q}");
             }
         }
+    }
+
+    /// `np` particles in a periodic box of side `p`, with varied masses.
+    fn periodic_state(np: usize, p: f32, leaf_size: usize) -> RcbTree {
+        let (xs, ys, zs, _) = rand_particles(np, p * (1.0 - f32::EPSILON), 71);
+        let m: Vec<f32> = (0..np).map(|i| 0.5 + (i % 7) as f32 * 0.25).collect();
+        let mut tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size });
+        tree.set_periods([p; 3]);
+        tree
+    }
+
+    /// Forces and evaluations of `tree` with the pair list cut for each
+    /// worker count in `cuts`; all must equal the one-worker pass bit
+    /// for bit. Returns the one-worker pass's leaf-pair list.
+    fn assert_cut_invariant(
+        tree: &RcbTree,
+        kernel: &ForceKernel,
+        slack: f32,
+        cuts: &[usize],
+    ) -> Vec<LeafPair> {
+        let pass = |workers: usize| {
+            let mut scratch = TreeScratch::default();
+            let mut out = [Vec::new(), Vec::new(), Vec::new()];
+            let rep = tree.forces_cut(kernel, slack, workers, &mut scratch, &mut out);
+            let ranges = scratch.ranges.len();
+            let cut = ranges <= workers && (ranges > 1) == (workers > 1);
+            assert!(cut, "{workers} workers: {ranges} ranges");
+            (out, rep.evals, scratch.pairs)
+        };
+        let (want, evals, pairs) = pass(1);
+        assert!(evals > 0);
+        for &w in cuts {
+            let (got, e, _) = pass(w);
+            assert_eq!(e, evals, "{w} workers: evaluations");
+            for c in 0..3 {
+                let same = got[c].iter().zip(&want[c]).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{w} workers: component {c} differs from one worker");
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn forces_do_not_depend_on_the_cut() {
+        // Six leaves, some wider than `P − reach`: 78 listed leaf pairs,
+        // two of them a leaf against its own image.
+        let kernel = ForceKernel::newtonian(2.0, 1e-4);
+        let tree = periodic_state(600, 5.0, 150);
+        let pairs = assert_cut_invariant(&tree, &kernel, 0.2, &[2, 16, 64]);
+        assert!(pairs.iter().any(|p| p.a == p.b && p.shift != 0), "shifted self pairs");
+    }
+
+    /// The benchmark's scale: 48³ particles in a 48-cell periodic box,
+    /// `r_cut = 3`, 128-particle leaves, a 0.25-cell skin.
+    #[test]
+    #[ignore = "benchmark scale: run with --release -- --include-ignored"]
+    fn forces_do_not_depend_on_the_cut_at_benchmark_scale() {
+        let kernel = ForceKernel::newtonian(3.0, 1e-5);
+        let tree = periodic_state(48 * 48 * 48, 48.0, 128);
+        let pairs = assert_cut_invariant(&tree, &kernel, 0.25, &[2, 16, 64]);
+        assert!(pairs.iter().any(|p| p.shift != 0), "image pairs across the faces");
+    }
+
+    #[test]
+    #[should_panic(expected = "below the 2^24 minimum")]
+    fn masses_beyond_the_fixed_point_headroom_are_refused() {
+        // N · m_max · max|d·f_SR| = 100 · 1e9 · ~3.8e4 ≈ 2^51.8 leaves
+        // 2^9 of the 2^61 budget for the scale: refused at pass start.
+        let kernel = ForceKernel::newtonian(2.0, 1e-5);
+        let (xs, ys, zs, _) = rand_particles(100, 4.0, 83);
+        let tree = RcbTree::build(&xs, &ys, &zs, &vec![1e9; 100], TreeParams::default());
+        let _ = tree.forces_symmetric(&kernel);
     }
 
     #[test]

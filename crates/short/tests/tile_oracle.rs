@@ -203,7 +203,7 @@ fn skin_refresh_round_matches_f64_brute_force() {
 
 /// Same tree, same bits — across repeated calls, and whether the scratch
 /// is fresh or was last used by a different, larger problem (stale
-/// accumulator contents outside the zeroed spans must never be read).
+/// accumulator or leaf-pair block contents must never be read).
 #[test]
 fn bit_identical_across_calls_and_scratch_reuse() {
     let k = kernel(2.0);

@@ -13,8 +13,8 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo test --release -p hacc-short --test periodic -- --include-ignored  (48³ periodic tree oracle)"
-cargo test --release -q -p hacc-short --test periodic -- --include-ignored
+echo "==> cargo test --release -p hacc-short --lib --test periodic -- --include-ignored  (48³ periodic tree oracle, 48³ cut invariance)"
+cargo test --release -q -p hacc-short --lib --test periodic -- --include-ignored
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

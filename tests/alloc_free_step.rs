@@ -199,7 +199,7 @@ fn steady_state_p3m_step_allocates_nothing() {
 /// The RCB-tree (TreePM) short-range path: the persistent tree, its
 /// chunk boxes and in-leaf ordering scratch, the tree coordinates with
 /// their build-time copy, the shifted leaf-pair list and the
-/// span-zeroed pair accumulators all live in the shared short-range
+/// fixed-point force accumulator all live in the shared short-range
 /// state / `TreeScratch`. Extra warm steps let the leaf-pair list reach
 /// its high-water size before the counter arms.
 #[test]
