@@ -42,7 +42,7 @@ impl CorrelationFunction {
         let cell_of = |x: f32, y: f32, z: f32| -> usize {
             let w = |v: f32| -> usize {
                 let m = nc as f64;
-                let c = ((f64::from(v) / box_len) * m).floor();
+                let c = ((crate::in_box(f64::from(v), box_len) / box_len) * m).floor();
                 let c = if c < 0.0 { c + m } else { c };
                 (c as usize).min(nc - 1)
             };

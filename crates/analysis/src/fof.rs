@@ -82,7 +82,7 @@ impl FofFinder {
         let cell_of = |x: f32, y: f32, z: f32| -> (usize, usize, usize) {
             let w = |v: f32| -> usize {
                 let m = nc as f64;
-                let c = ((f64::from(v) / l) * m).floor();
+                let c = ((crate::in_box(f64::from(v), l) / l) * m).floor();
                 let c = if c < 0.0 { c + m } else { c };
                 (c as usize).min(nc - 1)
             };
@@ -384,6 +384,25 @@ mod tests {
         // Center should sit near the seam (x ≈ 0 or ≈ 64).
         let cx = halos[0].center[0];
         assert!(!(1.5..=62.5).contains(&cx), "center x = {cx}");
+    }
+
+    /// Engines hand out positions up to one step's drift outside the
+    /// box: a chain across the x = 0 seam, its first links given as
+    /// `x + L`, still links into one group.
+    #[test]
+    fn unwrapped_coordinates_link_across_the_seam() {
+        let xs: Vec<f32> = (0..20)
+            .map(|i| 0.1 + i as f32 * 0.45)
+            .map(|x| if x < 0.6 { x + 64.0 } else { x })
+            .collect();
+        let f = FofFinder {
+            box_len: 64.0,
+            linking_length: 0.5,
+            min_members: 2,
+        };
+        let halos = f.find(&xs, &[10.0; 20], &[10.0; 20]);
+        assert_eq!(halos.len(), 1, "chain split at the seam");
+        assert_eq!(halos[0].count(), 20);
     }
 
     #[test]

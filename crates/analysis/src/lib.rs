@@ -22,3 +22,16 @@ pub use massfn::MassFunctionEstimate;
 pub use power::PowerSpectrum;
 pub use profile::HaloProfile;
 pub use slices::{density_contrast_stats, zoom_series, DensitySlice};
+
+/// Coordinate `v` of a periodic box of side `l`, given up to one box
+/// outside `[0, l)`, brought into it: the engines hand out positions up
+/// to one step's drift outside the box. In-box values pass unchanged.
+pub(crate) fn in_box(v: f64, l: f64) -> f64 {
+    if v < 0.0 {
+        v + l
+    } else if v >= l {
+        v - l
+    } else {
+        v
+    }
+}

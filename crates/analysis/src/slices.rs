@@ -37,7 +37,7 @@ impl DensitySlice {
         let mut pixels = vec![0.0f64; res * res];
         let scale = res as f64 / ext;
         for i in 0..xs.len() {
-            let z = f64::from(zs[i]);
+            let z = crate::in_box(f64::from(zs[i]), box_len);
             if z < z_range.0 || z >= z_range.1 {
                 continue;
             }

@@ -10,7 +10,8 @@ pub enum SolverKind {
     /// Long/medium-range only (pure particle-mesh).
     PmOnly,
     /// Direct particle–particle short range (chaining mesh) — the
-    /// Roadrunner / accelerated-cluster configuration.
+    /// Roadrunner / accelerated-cluster configuration. Its chaining mesh
+    /// spans every axis whole: serial, or one distributed rank.
     P3m,
     /// RCB-tree short range — the BG/Q "PPTreePM" configuration.
     TreePm,

@@ -12,7 +12,9 @@
 //! halo on each side and fold the spill planes onto the x-neighbors (one
 //! small message per solve). The resulting grid is numerically
 //! identical; the fold keeps the deposit free of replica double-counting
-//! without tracking canonical copies.
+//! without tracking canonical copies. A 1-rank view spans x whole: its
+//! CIC wraps x as it wraps y and z, with no fold and no force halo, and
+//! it runs the serial engine's arithmetic bit for bit.
 
 use std::cell::OnceCell;
 use std::time::{Duration, Instant};
@@ -21,15 +23,14 @@ use hacc_comm::Comm;
 use hacc_domain::gridhalo::{exchange_halos, fold_spill_into};
 use hacc_domain::{refresh, Decomposition, Packed, Particles};
 use hacc_fft::{DistRealFft3, RealPencilFft};
-use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
-use hacc_short::ForceKernel;
+use hacc_pm::{DistRealPoisson, ForceSplit, LocalComplementSolver};
 
-use crate::config::{SimConfig, SolverKind};
-use crate::short::TreeShortRange;
-use crate::sim::{fill_scaled, fitted_kernel, wrap_into_box};
+use crate::config::SimConfig;
+use crate::short::ShortRange;
+use crate::sim::cached_grid_fit;
 use crate::slab::{contrast, HaloSlab, SlabGrid, DEPOSIT_HALO};
 use crate::stats::{RunStats, StepBreakdown};
-use crate::stepper::{self, ForceField};
+use crate::stepper::{self, ForceField, PhaseSpace};
 
 /// Point-to-point tag pairs for the slab-grid exchanges; each call site
 /// gets its own pair so concurrent halos never cross.
@@ -123,8 +124,6 @@ pub struct DistSimulation<'a> {
     comm: &'a Comm,
     cfg: SimConfig,
     decomp: Decomposition,
-    fit: GridForceFit,
-    kernel: ForceKernel,
     parts: Particles,
     /// Current scale factor.
     pub a: f64,
@@ -132,9 +131,9 @@ pub struct DistSimulation<'a> {
     pub stats: RunStats,
     /// Overload width in grid cells.
     w_cells: f64,
-    /// Fine force-halo depth, `⌈w⌉ + 1` planes: every plane beyond the
-    /// slab that the CIC gather at a local particle, replicas included,
-    /// can read.
+    /// Fine force-halo depth across a split x axis, `⌈w⌉ + 1` planes:
+    /// every plane beyond the slab that the CIC gather at a local
+    /// particle, replicas included, can read.
     h_int: usize,
     /// Two-level PM machinery when `cfg.two_level` is set.
     tl: Option<TwoLevelDist>,
@@ -147,12 +146,9 @@ pub struct DistSimulation<'a> {
     /// state), and the views a membership change builds on every rank
     /// build it together with matching sub-communicators.
     global: OnceCell<DistRealPoisson<RealPencilFft<'a>>>,
-    /// Persistent short-range tree state over the rank's overloaded
-    /// particle set, periodic along the axes the rank spans whole:
-    /// rebuilt at the first sub-cycle after each refresh and whenever a
-    /// particle has moved half the skin since, positions refreshed in
-    /// place on the other sub-cycles.
-    short: TreeShortRange,
+    /// The short-range layer over the rank's overloaded particle set,
+    /// periodic along the axes the rank spans whole.
+    short: ShortRange,
     /// Held long-range buffers.
     pm: PmState,
     /// The global particle count. It is conserved, so each step's
@@ -203,12 +199,6 @@ impl<'a> DistSimulation<'a> {
     ) -> Self {
         let p = comm.size();
         assert_eq!(cfg.ng % p, 0, "ng must be divisible by rank count");
-        // The distributed step has no P³M branch: it would run the tree
-        // on a drift bound the tree never receives.
-        assert!(
-            cfg.solver != SolverKind::P3m,
-            "DistSimulation runs PmOnly or TreePm; P3m is serial-only"
-        );
         let w_cells = overload_cells(&cfg);
         let lx = cfg.ng / p;
         assert!(
@@ -218,16 +208,14 @@ impl<'a> DistSimulation<'a> {
         let h_int = (w_cells.ceil() as usize) + 1;
         let decomp = Self::decomposition(&cfg, p);
         // An axis this rank spans whole gets no replicas from the
-        // decomposition: the tree sees its images through shifts.
+        // decomposition: the short range sees its images through shifts.
         let periods = decomp.dims.map(|d| if d == 1 { cfg.ng as f32 } else { 0.0 });
-        let (fit, kernel) = fitted_kernel(&cfg);
         let tl = TwoLevelDist::new(&cfg, p, w_cells, h_int);
         DistSimulation {
             comm,
+            short: ShortRange::new(&cfg, &cached_grid_fit(&cfg), periods),
             cfg,
             decomp,
-            fit,
-            kernel,
             parts,
             a,
             stats: RunStats::default(),
@@ -235,7 +223,6 @@ impl<'a> DistSimulation<'a> {
             h_int,
             tl,
             global: OnceCell::new(),
-            short: TreeShortRange::new(&cfg, periods),
             pm: PmState::default(),
             count: 0,
         }
@@ -345,12 +332,28 @@ impl<'a> DistSimulation<'a> {
     }
 
     /// This rank's slab of the density contrast on `grid`'s mesh, left
-    /// in `ext`: the actives deposited with their spill planes, which
-    /// are folded onto the ring neighbors.
+    /// in `ext`: the actives deposited, across a split axis with their
+    /// spill planes, which are folded onto the ring neighbors.
     fn density(&self, grid: &SlabGrid, tags: (u64, u64), ext: &mut Vec<f64>) {
         grid.deposit(self.particle_positions(), self.parts.n_active, ext);
-        fold_spill_into(self.comm, ext, grid.plane(), DEPOSIT_HALO, tags);
+        if !grid.is_whole() {
+            fold_spill_into(self.comm, ext, grid.plane(), DEPOSIT_HALO, tags);
+        }
         contrast(ext, self.count as f64 / (grid.n * grid.n * grid.n) as f64);
+    }
+
+    /// Gather the force slabs `grids` of `grid`'s mesh at every local
+    /// particle into `pm.accel` (or add to it): across a split axis with
+    /// `h` halo planes exchanged with the ring neighbors, on a whole
+    /// slab with none.
+    fn gather_forces(&self, grid: &SlabGrid, h: usize, tags: (u64, u64), pm: &mut PmState, add: bool) {
+        let (grids, pos) = (&pm.grids, self.particle_positions());
+        if grid.is_whole() {
+            return grid.gather(HaloSlab::whole(grids), 0, pos, &mut pm.accel, add);
+        }
+        let halos = exchange_halos(self.comm, grids, grid.plane(), h, tags);
+        let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &grids[k]));
+        grid.gather(fields, h, pos, &mut pm.accel, add);
     }
 
     /// The global long-range solve of this view, built collectively on
@@ -395,10 +398,7 @@ impl<'a> DistSimulation<'a> {
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
-        let h = self.h_int;
-        let halos = exchange_halos(self.comm, &pm.grids, ng * ng, h, TAGS_FORCE_HALO);
-        let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
-        grid.gather(fields, h, self.particle_positions(), &mut pm.accel, false);
+        self.gather_forces(&grid, self.h_int, TAGS_FORCE_HALO, pm, false);
         brk.cic += t2.elapsed();
     }
 
@@ -445,32 +445,27 @@ impl<'a> DistSimulation<'a> {
 
         // Fine complement: the local solve, no global comm, each
         // component gathered as it lands. Valid fine planes
-        // [x0-h_int, x0+lx+h_int) are the contiguous slice starting
-        // h_kernel planes into the lattice.
-        let valid = h_kernel * plane..(h_kernel + fine.lx + 2 * h_int) * plane;
+        // [x0-h, x0+lx+h) are the contiguous slice starting
+        // h_kernel + h_int - h planes into the lattice: h = h_int across
+        // a split axis, 0 on a whole slab, whose gather wraps x.
+        let h = if fine.is_whole() { 0 } else { h_int };
+        let valid = (h_kernel + h_int - h) * plane..(h_kernel + h_int + fine.lx + h) * plane;
         let pos = self.particle_positions();
         let t2 = Instant::now();
         let mut gather_time = Duration::ZERO;
         tl.local
             .solve_each_axis(&mut pm.fine_source, |axis, force| {
                 let t = Instant::now();
-                let field = [HaloSlab([&[], &force[valid.clone()], &[]])];
-                fine.gather(
-                    field,
-                    h_int,
-                    pos,
-                    std::array::from_mut(&mut pm.accel[axis]),
-                    false,
-                );
+                let field = [HaloSlab::contiguous(&force[valid.clone()])];
+                let out = std::array::from_mut(&mut pm.accel[axis]);
+                fine.gather(field, h, pos, out, false);
                 gather_time += t.elapsed();
             });
         brk.fft += t2.elapsed() - gather_time;
         brk.cic += gather_time;
 
         let t3 = Instant::now();
-        let halos = exchange_halos(self.comm, &pm.grids, nc * nc, h_c, TAGS_COARSE_FORCE_HALO);
-        let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &pm.grids[k]));
-        coarse.gather(fields, h_c, pos, &mut pm.accel, true);
+        self.gather_forces(&coarse, h_c, TAGS_COARSE_FORCE_HALO, pm, true);
         brk.cic += t3.elapsed();
     }
 
@@ -513,18 +508,9 @@ impl<'a> DistSimulation<'a> {
     /// Gather `(id, position)` of all *active* particles to rank 0.
     #[must_use] 
     pub fn gather_positions(&self) -> Option<Vec<(u64, [f32; 3])>> {
-        let wrap = |v: f32| wrap_into_box(v, self.cfg.box_len as f32);
-        let mine: Vec<(u64, [f32; 3])> = (0..self.parts.n_active)
-            .map(|i| {
-                (
-                    self.parts.id[i],
-                    [
-                        wrap(self.parts.x[i]),
-                        wrap(self.parts.y[i]),
-                        wrap(self.parts.z[i]),
-                    ],
-                )
-            })
+        let (p, wrap) = (&self.parts, |v: f32| self.decomp.wrap_f32(v));
+        let mine: Vec<(u64, [f32; 3])> = (0..p.n_active)
+            .map(|i| (p.id[i], [wrap(p.x[i]), wrap(p.y[i]), wrap(p.z[i])]))
             .collect();
         self.comm.gather(0, mine).map(|all| {
             let mut flat: Vec<(u64, [f32; 3])> = all.into_iter().flatten().collect();
@@ -568,44 +554,23 @@ impl ForceField for DistSimulation<'_> {
         self.pm.held = solve;
     }
 
-    /// The rank-local RCB tree over the overloaded slab: no
+    /// The short-range layer over the overloaded slab: no
     /// communication, exactly the overloading payoff, and no allocation
     /// once warm.
     fn short_range(&mut self, brk: &mut StepBreakdown) {
-        let ng = self.cfg.ng;
-        let to_grid = (ng as f64 / self.cfg.box_len) as f32;
-        let t0 = Instant::now();
-        for (g, p) in self
-            .short
-            .pos
-            .iter_mut()
-            .zip([&self.parts.x, &self.parts.y, &self.parts.z])
-        {
-            fill_scaled(p, to_grid, g);
-        }
-        brk.build += t0.elapsed();
-        let nbar = self.count as f64 / (ng * ng * ng) as f64;
-        let scale = (self.cfg.box_len / ng as f64 / nbar * self.fit.norm) as f32;
-        self.short
-            .evaluate(&self.kernel, scale, brk, &mut self.pm.accel);
+        let pos = [&self.parts.x[..], &self.parts.y[..], &self.parts.z[..]];
+        self.short.evaluate(pos, self.count, brk, &mut self.pm.accel);
     }
 
-    fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
+    /// Every local particle, replicas included: the next refresh
+    /// re-homes whatever crossed a domain face.
+    fn phase_space(&mut self) -> PhaseSpace<'_> {
         let p = &mut self.parts;
         let [ax, ay, az] = &self.pm.accel;
-        ([&mut p.vx, &mut p.vy, &mut p.vz], [ax, ay, az])
-    }
-
-    /// Stream without wrapping: the next refresh re-homes whatever
-    /// crossed the box, and until then the tree's coordinates stay
-    /// continuous.
-    fn drift(&mut self, factor: f64) {
-        let f = factor as f32;
-        let p = &mut self.parts;
-        for i in 0..p.len() {
-            p.x[i] += f * p.vx[i];
-            p.y[i] += f * p.vy[i];
-            p.z[i] += f * p.vz[i];
+        PhaseSpace {
+            x: [&mut p.x, &mut p.y, &mut p.z],
+            p: [&mut p.vx, &mut p.vy, &mut p.vz],
+            a: [ax, ay, az],
         }
     }
 }
@@ -613,6 +578,7 @@ impl ForceField for DistSimulation<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SolverKind;
     use hacc_comm::Machine;
     use hacc_cosmo::{Cosmology, LinearPower, Transfer};
 
@@ -717,10 +683,12 @@ mod tests {
         assert_eq!(counts, vec![total; 2]);
     }
 
+    /// P³M's chaining mesh needs every axis whole: a split x axis is
+    /// refused by the short-range layer.
     #[test]
-    #[should_panic(expected = "P3m is serial-only")]
+    #[should_panic(expected = "P³M needs a one-block decomposition")]
     fn p3m_config_is_rejected() {
-        let (_, _) = Machine::new(1).run(|comm| {
+        let (_, _) = Machine::new(2).run(|comm| {
             let _ = DistSimulation::from_checkpoint_state(
                 &comm,
                 cfg(SolverKind::P3m, 0.3),
@@ -745,49 +713,16 @@ mod tests {
         }
     }
 
-    /// The two engines' PM pipelines at the ICs: a 1-rank view and the
-    /// serial engine run the same deposit, fold arithmetic, gather and
-    /// spectral tables, so their long-range accelerations differ only by
-    /// the FFT's rounding (pencil against serial real transform).
-    #[test]
-    fn one_rank_long_range_matches_serial() {
-        let a0 = 0.3;
-        let config = cfg(SolverKind::PmOnly, a0);
-        let realization = ics(a0);
-        let serial = crate::Simulation::from_ics(config, &realization).total_accel();
-        let (dist, _) = Machine::new(1).run(|comm| {
-            let mut sim = DistSimulation::new(&comm, config, &realization);
-            let mut brk = StepBreakdown::default();
-            sim.open(&mut brk);
-            sim.long_range(true, &mut brk);
-            (sim.parts.id.clone(), sim.pm.accel)
-        });
-        let (ids, accel) = &dist[0];
-        assert_eq!(ids.len(), realization.len());
-        let big = serial.iter().flatten().fold(0.0f32, |m, v| m.max(v.abs()));
-        let mut worst = 0.0f32;
-        for c in 0..3 {
-            for (i, &id) in ids.iter().enumerate() {
-                worst = worst.max((accel[c][i] - serial[c][id as usize]).abs());
-            }
-        }
-        assert!(big > 0.0);
-        assert!(
-            worst <= 1e-6 * big,
-            "long-range acceleration differs by {worst:.3e} of the largest {big:.3e}"
-        );
-    }
-
-    /// The fused three-component gather on one rank is bitwise three
-    /// serial `interpolate_cic_into` calls, and `add` accumulates onto
-    /// what is there — with the periodic grid padded by a one-rank force
-    /// halo exchange, which wraps the ring onto itself, and by the
-    /// one-slab box's self-halo, read in place. Grid values are small
-    /// integers and cell offsets multiples of 1/8, so both summation
-    /// orders are exact and any index, weight, wrap or component slip
-    /// shows as a bit difference. Positions cover the x halo on both
-    /// sides, y/z on the compare-and-add path (−n, 2n) and beyond it on
-    /// the `%` fallback.
+    /// The fused three-component gather is bitwise three serial
+    /// `interpolate_cic_into` calls, and `add` accumulates onto what is
+    /// there — on a one-slab box, which wraps x, and on two slabs padded
+    /// by a force halo exchange, each gathering the particles whose
+    /// cloud starts in its slab or the plane below. Grid values are
+    /// small integers and cell offsets multiples of 1/8, so both
+    /// summation orders are exact and any index, weight, wrap or
+    /// component slip shows as a bit difference. Positions reach a
+    /// plane below the box in x, and y/z cover the compare-and-add path
+    /// (−n, 2n) and beyond it the `%` fallback.
     #[test]
     fn fused_gather_is_bitwise_serial_interpolation() {
         let n = 8usize;
@@ -811,34 +746,47 @@ mod tests {
             hacc_pm::cic::interpolate_cic_into(g, n, &xs, &ys, &zs, &mut out);
             out
         });
-        let grid = SlabGrid::whole(n, n as f64);
-        let gather_twice = |fields: [HaloSlab<'_>; 3]| {
-            let mut once = Default::default();
-            grid.gather(fields, 1, [&xs, &ys, &zs], &mut once, false);
+        // (particle indices, gathered, gathered then added) on `grid`.
+        let gather_twice = |grid: SlabGrid, fields: [HaloSlab<'_>; 3], h: usize, mine: Vec<usize>| {
+            let pick = |c: &[f32]| mine.iter().map(|&i| c[i]).collect::<Vec<f32>>();
+            let pos = [pick(&xs), pick(&ys), pick(&zs)];
+            let pos = [&pos[0][..], &pos[1][..], &pos[2][..]];
+            let mut once: [Vec<f32>; 3] = Default::default();
+            grid.gather(fields, h, pos, &mut once, false);
             let mut twice = once.clone();
-            grid.gather(fields, 1, [&xs, &ys, &zs], &mut twice, true);
-            (once, twice)
+            grid.gather(fields, h, pos, &mut twice, true);
+            (mine, once, twice)
         };
-        let (received, _) = Machine::new(1).run(|comm| {
-            let halos = exchange_halos(&comm, &grids, n * n, 1, (991, 992));
-            gather_twice([0, 1, 2].map(|k| HaloSlab::received(&halos, k, &grids[k])))
+        let whole = SlabGrid::whole(n, n as f64);
+        let fields = grids.each_ref().map(|g| HaloSlab::contiguous(g));
+        let own = gather_twice(whole, fields, 0, (0..count).collect());
+        let lx = n / 2;
+        let (received, _) = Machine::new(2).run(|comm| {
+            let r = comm.rank();
+            let owned = grids.each_ref().map(|g| g[r * lx * n * n..(r + 1) * lx * n * n].to_vec());
+            let halos = exchange_halos(&comm, &owned, n * n, 1, (991, 992));
+            let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &owned[k]));
+            let mine = (0..count).filter(|&i| (xs[i] >= lx as f32) == (r == 1)).collect();
+            gather_twice(SlabGrid::new(n, r, 2, n as f64), fields, 1, mine)
         });
-        let own = gather_twice([0, 1, 2].map(|k| HaloSlab::periodic(&grids[k], n * n, 1)));
-        for (halo, (once, twice)) in [("received", &received[0]), ("self", &own)] {
+        let mut seen = 0;
+        for (case, (mine, once, twice)) in [("whole", &own), ("rank 0", &received[0]), ("rank 1", &received[1])] {
+            seen += usize::from(case != "whole") * mine.len();
             for c in 0..3 {
-                for i in 0..count {
+                for (j, &i) in mine.iter().enumerate() {
                     assert_eq!(
-                        once[c][i].to_bits(),
+                        once[c][j].to_bits(),
                         want[c][i].to_bits(),
-                        "{halo} halo, component {c} particle {i}"
+                        "{case}, component {c} particle {i}"
                     );
                     assert_eq!(
-                        twice[c][i].to_bits(),
+                        twice[c][j].to_bits(),
                         (2.0 * want[c][i]).to_bits(),
-                        "{halo} halo, add, component {c} particle {i}"
+                        "{case}, add, component {c} particle {i}"
                     );
                 }
             }
         }
+        assert_eq!(seen, count, "the two slabs gather every particle once");
     }
 }

@@ -13,8 +13,9 @@
 //!   short-range SKS (stream–kick–stream) maps inside long-range kicks
 //!   while the slowly varying long-range force stays frozen — one
 //!   integrator for the serial and the distributed engine, each of
-//!   which supplies its forces, kick operands and drift through one
-//!   small seam;
+//!   which supplies its forces and phase space through one small seam,
+//!   with one drift convention and one short-range layer (the serial
+//!   engine is the 1-rank case);
 //! * mixed precision exactly as in the paper: particles and short-range
 //!   arithmetic in f32, the spectral path in f64.
 //!

@@ -1,54 +1,76 @@
-//! The persistent TreePM short-range state both engines own.
+//! The short-range layer both engines own (paper §1 item 2): an engine
+//! hands over its positions (box units, continuous within a step; the
+//! refresh wraps them and invalidates the layer) and the global count,
+//! and the layer fills its own grid coordinates, scales the kernel by
+//! `n̄` and runs the RCB tree or P³M into the engine's held buffer.
 //!
-//! One RCB tree and its scratch live across sub-cycles: the tree is
-//! rebuilt only when the particle set changed or some particle has moved
-//! far enough from its build position to carry a pair across the Verlet
-//! skin, and is refreshed in place otherwise. The tree indexes only the
-//! particles whose forces the engine uses plus, in the distributed
-//! engine, the cross-rank replicas; periodicity along an axis the engine
-//! covers whole is the tree's own image shift. The serial engine hands
-//! over all N particles with every axis periodic, the distributed engine
-//! its overloaded slab with the axes it spans whole periodic.
+//! The tree persists across sub-cycles: it is rebuilt only when the
+//! particle set changed or some particle has moved far enough from its
+//! build position to carry a pair across the Verlet skin. It indexes
+//! the engine's particles plus, across a split axis, the cross-rank
+//! replicas; an axis the engine spans whole is periodic through the
+//! tree's own image shifts. P³M's chaining mesh shifts neighbours by
+//! whole boxes, so it needs every axis whole — a one-block
+//! decomposition — and coordinates wrapped into `[0, ng)`.
 
 use std::time::Instant;
 
-use hacc_short::{ForceKernel, RcbTree, TreeScratch};
+use hacc_pm::GridForceFit;
+use hacc_short::{ForceKernel, P3mScratch, P3mSolver, RcbTree, TreeScratch};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, SolverKind};
 use crate::stats::StepBreakdown;
 
-pub(crate) struct TreeShortRange {
+pub(crate) struct ShortRange {
+    kernel: ForceKernel,
+    ng: usize,
+    /// Box units → grid units.
+    to_grid: f32,
+    /// Cell side (box units) and the fit's normalisation: the kernel
+    /// scale is `delta / n̄ · norm`.
+    delta: f64,
+    norm: f64,
+    /// Grid-unit coordinates of every particle handed over, and unit
+    /// masses.
+    pos: [Vec<f32>; 3],
+    mass: Vec<f32>,
+    /// The chaining-mesh scratch of a P³M run, which uses no tree.
+    p3m: Option<P3mScratch>,
     tree: RcbTree,
     scratch: TreeScratch,
-    /// Grid-unit coordinates of everything the tree indexes, continuous
-    /// (never wrapped) since the last build. The owning engine fills
-    /// them before [`Self::evaluate`].
-    pub(crate) pos: [Vec<f32>; 3],
     /// `pos` as the last build saw it: the rebuild criterion measures
     /// every particle's displacement from here.
     built: [Vec<f32>; 3],
-    /// Unit masses, one per tree particle.
-    mass: Vec<f32>,
-    /// Verlet skin in grid cells (never negative): the pair list's
-    /// reach beyond `r_cut`.
-    pub(crate) skin: f32,
-    /// The particle set changed since the last build, or there is none.
+    /// Verlet skin in grid cells (never negative).
+    skin: f32,
+    /// The particle set changed since the last build.
     stale: bool,
 }
 
-impl TreeShortRange {
-    /// Short-range state over coordinates with per-axis `periods` in
-    /// grid cells (`0` for an open axis), set by the owning engine from
-    /// its geometry.
-    pub(crate) fn new(cfg: &SimConfig, periods: [f32; 3]) -> Self {
+impl ShortRange {
+    /// The layer for `cfg` with the kernel matched to `fit` (paper
+    /// Eq. 7), over per-axis `periods` in grid cells (`0` for a split
+    /// axis).
+    pub(crate) fn new(cfg: &SimConfig, fit: &GridForceFit, periods: [f32; 3]) -> Self {
+        let p3m = cfg.solver == SolverKind::P3m;
+        assert!(
+            !p3m || periods.iter().all(|&p| p > 0.0),
+            "P³M needs a one-block decomposition: its chaining mesh spans every axis whole"
+        );
         let mut tree = RcbTree::new_empty(cfg.tree);
         tree.set_periods(periods);
-        TreeShortRange {
+        ShortRange {
+            kernel: ForceKernel::new(fit.coeffs_f32(), cfg.rcut_cells as f32, fit.epsilon as f32),
+            ng: cfg.ng,
+            to_grid: (cfg.ng as f64 / cfg.box_len) as f32,
+            delta: cfg.box_len / cfg.ng as f64,
+            norm: fit.norm,
+            pos: Default::default(),
+            mass: Vec::new(),
+            p3m: p3m.then(P3mScratch::default),
             tree,
             scratch: TreeScratch::default(),
-            pos: Default::default(),
             built: Default::default(),
-            mass: Vec::new(),
             skin: cfg.skin_cells.max(0.0) as f32,
             stale: true,
         }
@@ -60,15 +82,68 @@ impl TreeShortRange {
         self.stale = true;
     }
 
-    /// The rebuild criterion: the pair list built with the skin stays
-    /// valid while twice the largest displacement from the build
-    /// positions (each of two particles may have moved toward the other)
-    /// is within the skin. Measured at `self.pos`.
-    pub(crate) fn must_rebuild(&self) -> bool {
-        if self.stale || self.skin <= 0.0 || self.tree.particle_count() != self.pos[0].len() {
-            return true;
+    /// Short-range acceleration at every particle of `pos` (box units),
+    /// `count` particles in the whole box, into `force`, the engine's
+    /// held buffer. Allocation-free once warm.
+    pub(crate) fn evaluate(
+        &mut self,
+        pos: [&[f32]; 3],
+        count: usize,
+        brk: &mut StepBreakdown,
+        force: &mut [Vec<f32>; 3],
+    ) {
+        let nbar = count as f64 / (self.ng * self.ng * self.ng) as f64;
+        let scale = (self.delta / nbar * self.norm) as f32;
+        let (s, n) = (self.to_grid, self.ng as f32);
+        let t0 = Instant::now();
+        self.mass.resize(pos[0].len(), 1.0);
+        for (g, p) in self.pos.iter_mut().zip(pos) {
+            g.clear();
+            if self.p3m.is_some() {
+                g.extend(p.iter().map(|&v| wrap_grid(v * s, n)));
+            } else {
+                g.extend(p.iter().map(|&v| v * s));
+            }
         }
         let [x, y, z] = &self.pos;
+        if let Some(scratch) = &mut self.p3m {
+            let solver = P3mSolver::new(self.kernel, n);
+            let inter = solver.forces_into(x, y, z, &self.mass, scratch, force);
+            brk.kernel += t0.elapsed();
+            brk.interactions += inter;
+            brk.pair_interactions += inter;
+        } else {
+            if self.must_rebuild() {
+                self.tree.rebuild(x, y, z, &self.mass, &mut self.scratch);
+                for (b, p) in self.built.iter_mut().zip(&self.pos) {
+                    b.clone_from(p);
+                }
+                self.stale = false;
+            } else {
+                self.tree.refresh_positions(x, y, z);
+            }
+            brk.build += t0.elapsed();
+            let rep = self.tree.forces_symmetric_into(&self.kernel, self.skin, &mut self.scratch, force);
+            brk.walk += rep.walk;
+            brk.kernel += rep.kernel;
+            brk.interactions += rep.directed;
+            brk.pair_interactions += rep.evals;
+        }
+        let t1 = Instant::now();
+        for v in force.iter_mut().flatten() {
+            *v *= scale;
+        }
+        brk.kernel += t1.elapsed();
+    }
+
+    /// The Verlet-list criterion: the pair list built with the skin
+    /// stays valid while twice the largest displacement from the build
+    /// positions (two particles may approach each other) is within it.
+    fn must_rebuild(&self) -> bool {
+        let [x, y, z] = &self.pos;
+        if self.stale || self.skin <= 0.0 || self.tree.particle_count() != x.len() {
+            return true;
+        }
         let [bx, by, bz] = &self.built;
         let mut max2 = 0.0f32;
         for i in 0..x.len() {
@@ -77,41 +152,14 @@ impl TreeShortRange {
         }
         4.0 * max2 > self.skin * self.skin
     }
+}
 
-    /// Short-range acceleration at `self.pos`, times `scale`, into
-    /// `force` (one entry per tree particle): rebuild or refresh the
-    /// tree, then one symmetric pass. Allocation-free once warm. The
-    /// buffer is the engine's — the acceleration its next kick applies.
-    pub(crate) fn evaluate(
-        &mut self,
-        kernel: &ForceKernel,
-        scale: f32,
-        brk: &mut StepBreakdown,
-        force: &mut [Vec<f32>; 3],
-    ) {
-        let t0 = Instant::now();
-        let [x, y, z] = &self.pos;
-        if self.must_rebuild() {
-            self.mass.resize(x.len(), 1.0);
-            self.tree.rebuild(x, y, z, &self.mass, &mut self.scratch);
-            for (b, p) in self.built.iter_mut().zip(&self.pos) {
-                b.clone_from(p);
-            }
-            self.stale = false;
-        } else {
-            self.tree.refresh_positions(x, y, z);
-        }
-        brk.build += t0.elapsed();
-        let rep = self
-            .tree
-            .forces_symmetric_into(kernel, self.skin, &mut self.scratch, force);
-        brk.walk += rep.walk;
-        brk.interactions += rep.directed;
-        brk.pair_interactions += rep.evals;
-        let t1 = Instant::now();
-        for v in force.iter_mut().flatten() {
-            *v *= scale;
-        }
-        brk.kernel += rep.kernel + t1.elapsed();
+/// Grid coordinate `g` wrapped into `[0, n)`.
+fn wrap_grid(g: f32, n: f32) -> f32 {
+    let w = g.rem_euclid(n);
+    if w < n {
+        w
+    } else {
+        0.0
     }
 }

@@ -1,24 +1,29 @@
-//! Serial (shared-memory) simulation driver.
+//! Serial (shared-memory) simulation driver: the 1-rank case of the
+//! distributed engine. It drifts, wraps at the refresh, deposits,
+//! gathers and evaluates the short range as a 1-rank
+//! [`DistSimulation`] does, so a serial run is
+//! bitwise a 1-rank distributed run on a single-level mesh.
 
 use std::time::Instant;
 
+use hacc_domain::Decomposition;
 use hacc_pm::{GridForceFit, PmSolver, TwoLevelPmSolver};
-use hacc_short::{ForceKernel, P3mScratch, P3mSolver};
-use rayon::prelude::*;
 
 use crate::config::{SimConfig, SolverKind};
-use crate::short::TreeShortRange;
-use crate::slab::{contrast, HaloSlab, SlabGrid, DEPOSIT_HALO};
+use crate::dist::DistSimulation;
+use crate::short::ShortRange;
+use crate::slab::{contrast, HaloSlab, SlabGrid};
 use crate::stats::{RunStats, StepBreakdown};
-use crate::stepper::{self, ForceField};
+use crate::stepper::{self, ForceField, PhaseSpace};
 
 /// Process-wide cache of grid-force fits, keyed by the spectral
 /// configuration. The fit is deterministic (fixed seed) and costs ~24
 /// Poisson solves, so drivers constructed repeatedly — every rank of a
 /// simulated machine, every benchmark iteration — share one measurement,
 /// just as production HACC computes the force-matching polynomial once.
-fn cached_grid_fit(spectral: hacc_pm::SpectralParams, rcut_cells: f64) -> GridForceFit {
+pub(crate) fn cached_grid_fit(cfg: &SimConfig) -> GridForceFit {
     use std::sync::{Mutex, OnceLock};
+    let SimConfig { spectral, rcut_cells, .. } = *cfg;
     static CACHE: OnceLock<Mutex<Vec<(String, GridForceFit)>>> = OnceLock::new();
     let key = format!("{spectral:?}|{rcut_cells}");
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
@@ -38,36 +43,19 @@ fn cached_grid_fit(spectral: hacc_pm::SpectralParams, rcut_cells: f64) -> GridFo
     fit
 }
 
-/// The grid-force fit for `cfg` and the short-range kernel matched to it
-/// (paper Eq. 7): both engines build their force pair here.
-pub(crate) fn fitted_kernel(cfg: &SimConfig) -> (GridForceFit, ForceKernel) {
-    let fit = cached_grid_fit(cfg.spectral, cfg.rcut_cells);
-    let kernel = ForceKernel::new(fit.coeffs_f32(), cfg.rcut_cells as f32, fit.epsilon as f32);
-    (fit, kernel)
-}
-
 /// Reusable per-step working memory. Every buffer a timestep needs lives
 /// here (or in the solver-owned pools), so a steady-state [`Simulation::step`]
 /// performs zero heap allocations: the first step sizes everything, later
 /// steps only overwrite.
 #[derive(Default)]
 struct StepScratch {
-    /// Positions in PM grid units (short-range paths).
-    gx: Vec<f32>,
-    gy: Vec<f32>,
-    gz: Vec<f32>,
     /// Density / per-component force grids for the PM solve. On the
-    /// two-level path these carry the fine level. The deposit fills
-    /// `grid` with its spill planes and folds it to the box in place.
+    /// two-level path these carry the fine level.
     grid: Vec<f64>,
     fgrids: [Vec<f64>; 3],
     /// Two-level coarse path: the coarse density and force grids.
     cgrid: Vec<f64>,
     cfgrids: [Vec<f64>; 3],
-    /// Unit masses of the P3m path.
-    mass: Vec<f32>,
-    /// Chaining-mesh scratch (P3m path).
-    p3m: P3mScratch,
 }
 
 /// A running N-body simulation.
@@ -77,7 +65,8 @@ pub struct Simulation {
     /// Two-level mesh (coarse global + fine complement) when enabled.
     pm2: Option<TwoLevelPmSolver>,
     fit: GridForceFit,
-    kernel: ForceKernel,
+    /// The box as one block: its wrap is the refresh's.
+    decomp: Decomposition,
     /// Current scale factor.
     pub a: f64,
     /// Positions (Mpc/h) and momenta (`p = a²ẋ`, Mpc/h·H0), SoA f32.
@@ -96,8 +85,8 @@ pub struct Simulation {
     held: bool,
     /// Reusable per-step working memory.
     scratch: StepScratch,
-    /// Persistent short-range tree state (TreePm path).
-    tree_sr: TreeShortRange,
+    /// The short-range layer, every axis periodic.
+    short: ShortRange,
     /// Statistics.
     pub stats: RunStats,
 }
@@ -107,10 +96,12 @@ impl Simulation {
     ///
     /// The grid-force response is measured and fitted at construction
     /// (paper Eq. 7); this is a one-time cost per spectral configuration.
+    /// Positions are wrapped as the distributed engine's constructing
+    /// refresh wraps them.
     #[must_use] 
     pub fn from_ics(cfg: SimConfig, ics: &hacc_ics::IcsRealization) -> Self {
         assert!((ics.box_len - cfg.box_len).abs() < 1e-9, "box mismatch");
-        Self::from_state(
+        let mut sim = Self::from_state(
             cfg,
             ics.a_init,
             ics.x.clone(),
@@ -119,7 +110,9 @@ impl Simulation {
             ics.vx.clone(),
             ics.vy.clone(),
             ics.vz.clone(),
-        )
+        );
+        sim.wrap();
+        sim
     }
 
     /// Rebuild a simulation from checkpointed state (positions, momenta,
@@ -146,13 +139,14 @@ impl Simulation {
         let pm2 = cfg
             .two_level
             .map(|lv| TwoLevelPmSolver::new(cfg.ng, cfg.box_len, cfg.spectral, lv));
-        let (fit, kernel) = fitted_kernel(&cfg);
+        let fit = cached_grid_fit(&cfg);
         Simulation {
+            short: ShortRange::new(&cfg, &fit, [cfg.ng as f32; 3]),
+            decomp: DistSimulation::decomposition(&cfg, 1),
             cfg,
             pm,
             pm2,
             fit,
-            kernel,
             a,
             x,
             y,
@@ -163,8 +157,6 @@ impl Simulation {
             accel: Default::default(),
             held: false,
             scratch: StepScratch::default(),
-            // The tree sees the whole periodic box through image shifts.
-            tree_sr: TreeShortRange::new(&cfg, [cfg.ng as f32; 3]),
             stats: RunStats::default(),
         }
     }
@@ -179,7 +171,10 @@ impl Simulation {
         self.x.is_empty()
     }
 
-    /// Position accessors (Mpc/h).
+    /// Position accessors (Mpc/h). Positions stream unwrapped within a
+    /// step and are wrapped at the next step's refresh, so a coordinate
+    /// may lie up to one step's drift outside `[0, box_len)`: wrap it,
+    /// or use minimum-image separations.
     pub fn positions(&self) -> (&[f32], &[f32], &[f32]) {
         (&self.x, &self.y, &self.z)
     }
@@ -199,23 +194,16 @@ impl Simulation {
         &self.fit
     }
 
-    /// Mean particles per PM cell.
-    fn nbar(&self) -> f64 {
-        self.len() as f64 / (self.cfg.ng * self.cfg.ng * self.cfg.ng) as f64
-    }
-
     /// Long/medium-range acceleration per particle (physical units),
     /// left in `self.accel`: the slab kernels the distributed engine
-    /// runs, on a box that is one slab. Allocation-free once warm: grids
-    /// and spectra come from `self.scratch` / the solver workspace.
+    /// runs, on a box that is one slab and so wraps every axis.
+    /// Allocation-free once warm: grids and spectra come from
+    /// `self.scratch` / the solver workspace.
     fn pm_accel_into(&mut self, brk: &mut StepBreakdown) {
         let (ng, box_len) = (self.cfg.ng, self.cfg.box_len);
         let pos = [&self.x[..], &self.y[..], &self.z[..]];
         let (sc, out) = (&mut self.scratch, &mut self.accel);
         let fine = SlabGrid::whole(ng, box_len);
-        // Gather halo depth: a position that rounded to the box edge in
-        // f32 sits at grid coordinate n and reads plane n + 1.
-        let h = DEPOSIT_HALO;
 
         let t0 = Instant::now();
         box_density(&fine, pos, &mut sc.grid);
@@ -235,8 +223,8 @@ impl Simulation {
             brk.coarse_fft += t1c.elapsed();
 
             let t2 = Instant::now();
-            fine.gather(periodic(&sc.fgrids, fine.plane(), h), h, pos, out, false);
-            coarse.gather(periodic(&sc.cfgrids, coarse.plane(), h), h, pos, out, true);
+            fine.gather(HaloSlab::whole(&sc.fgrids), 0, pos, out, false);
+            coarse.gather(HaloSlab::whole(&sc.cfgrids), 0, pos, out, true);
             brk.cic += t2.elapsed();
             return;
         }
@@ -246,7 +234,7 @@ impl Simulation {
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
-        fine.gather(periodic(&sc.fgrids, fine.plane(), h), h, pos, out, false);
+        fine.gather(HaloSlab::whole(&sc.fgrids), 0, pos, out, false);
         brk.cic += t2.elapsed();
     }
 
@@ -295,9 +283,8 @@ impl Simulation {
         let mut rho = Vec::new();
         box_density(&grid, pos, &mut rho);
         let phi_hat = self.pm.solve_potential(&rho);
-        let h = DEPOSIT_HALO;
         let mut phi_i = [Vec::new()];
-        grid.gather([HaloSlab::periodic(&phi_hat, grid.plane(), h)], h, pos, &mut phi_i, false);
+        grid.gather([HaloSlab::contiguous(&phi_hat)], 0, pos, &mut phi_i, false);
         let [phi_i] = phi_i;
         let prefactor = 1.5 * self.cfg.cosmology.omega_m / self.a;
         let u = 0.5 * prefactor * phi_i.iter().map(|&v| f64::from(v)).sum::<f64>();
@@ -324,17 +311,29 @@ impl Simulation {
         }
         out
     }
+
+    /// Every position wrapped into the box by the 1-rank domain's wrap,
+    /// as the distributed refresh wraps its actives.
+    fn wrap(&mut self) {
+        for c in [&mut self.x, &mut self.y, &mut self.z] {
+            for v in c.iter_mut() {
+                *v = self.decomp.wrap_f32(*v);
+            }
+        }
+    }
 }
 
 impl ForceField for Simulation {
     fn open(&mut self, _: &mut StepBreakdown) {}
 
-    /// No domains to refresh; the tree is only marked stale, so it is
-    /// rebuilt at the first sub-cycle of every step as a resumed run's
-    /// fresh tree is. The same topology sums the same pairs in the same
-    /// order, which keeps resume bit-exact at any step boundary.
-    fn refresh(&mut self, _: &mut StepBreakdown) {
-        self.tree_sr.invalidate();
+    /// The 1-rank refresh: every position wrapped by the domain's wrap,
+    /// the short-range layer invalidated, so its tree is rebuilt at the
+    /// first sub-cycle of every step as a resumed run's fresh tree is.
+    fn refresh(&mut self, brk: &mut StepBreakdown) {
+        let t0 = Instant::now();
+        self.wrap();
+        self.short.invalidate();
+        brk.other += t0.elapsed();
     }
 
     fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
@@ -346,124 +345,29 @@ impl ForceField for Simulation {
         self.held = solve;
     }
 
-    /// Short-range acceleration per particle (physical units), left in
-    /// `self.accel`. Allocation-free once warm: the tree is rebuilt in
-    /// place and its coordinate and mass buffers persist.
+    /// The short-range layer over all N particles, left in
+    /// `self.accel`. Allocation-free once warm.
     fn short_range(&mut self, brk: &mut StepBreakdown) {
-        let ng = self.cfg.ng;
-        let np = self.len();
-        let scale = (self.cfg.box_len / ng as f64 / self.nbar() * self.fit.norm) as f32;
-        let s = (ng as f64 / self.cfg.box_len) as f32;
-        let StepScratch {
-            gx,
-            gy,
-            gz,
-            mass,
-            p3m,
-            ..
-        } = &mut self.scratch;
-        fill_scaled(&self.x, s, gx);
-        fill_scaled(&self.y, s, gy);
-        fill_scaled(&self.z, s, gz);
-        match self.cfg.solver {
-            SolverKind::PmOnly => unreachable!("short-range force with PmOnly"),
-            SolverKind::P3m => {
-                let t0 = Instant::now();
-                mass.clear();
-                mass.resize(np, 1.0);
-                let solver = P3mSolver::new(self.kernel, ng as f32);
-                let inter = solver.forces_into(gx, gy, gz, mass, p3m, &mut self.accel);
-                brk.kernel += t0.elapsed();
-                brk.interactions += inter;
-                brk.pair_interactions += inter;
-                for v in self.accel.iter_mut().flatten() {
-                    *v *= scale;
-                }
-            }
-            SolverKind::TreePm => {
-                let t0 = Instant::now();
-                let lg = ng as f32;
-                let tree = &mut self.tree_sr;
-                if tree.pos[0].len() == np {
-                    // Move the tree's coordinates along with the
-                    // particles. Positions may have wrapped through the
-                    // periodic boundary since the last sub-cycle, so take
-                    // the minimum image of each displacement: between
-                    // builds the coordinates stay continuous.
-                    let mi = move |d: f32| -> f32 {
-                        if d > 0.5 * lg {
-                            d - lg
-                        } else if d < -0.5 * lg {
-                            d + lg
-                        } else {
-                            d
-                        }
-                    };
-                    for (t, g) in tree.pos.iter_mut().zip([&*gx, &*gy, &*gz]) {
-                        for (t, &g) in t.iter_mut().zip(g) {
-                            *t += mi(g - *t);
-                        }
-                    }
-                }
-                if tree.must_rebuild() {
-                    // A build starts from the wrapped positions.
-                    tree.invalidate();
-                    for (t, g) in tree.pos.iter_mut().zip([&*gx, &*gy, &*gz]) {
-                        t.clone_from(g);
-                    }
-                }
-                brk.build += t0.elapsed();
-                tree.evaluate(&self.kernel, scale, brk, &mut self.accel);
-            }
-        }
+        let pos = [&self.x[..], &self.y[..], &self.z[..]];
+        self.short.evaluate(pos, self.x.len(), brk, &mut self.accel);
     }
 
-    fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
+    fn phase_space(&mut self) -> PhaseSpace<'_> {
         let [ax, ay, az] = &self.accel;
-        ([&mut self.vx, &mut self.vy, &mut self.vz], [ax, ay, az])
-    }
-
-    /// Stream, wrapping every position back into the box.
-    fn drift(&mut self, factor: f64) {
-        let (l, f) = (self.cfg.box_len as f32, factor as f32);
-        let xs = [&mut self.x, &mut self.y, &mut self.z];
-        for (x, v) in xs.into_iter().zip([&self.vx, &self.vy, &self.vz]) {
-            x.par_iter_mut()
-                .zip(v.par_iter())
-                .for_each(|(p, &v)| *p = wrap_into_box(*p + f * v, l));
+        PhaseSpace {
+            x: [&mut self.x, &mut self.y, &mut self.z],
+            p: [&mut self.vx, &mut self.vy, &mut self.vz],
+            a: [ax, ay, az],
         }
-    }
-}
-
-/// `v` wrapped into the periodic box `[0, l)`.
-pub(crate) fn wrap_into_box(v: f32, l: f32) -> f32 {
-    let w = v % l;
-    let w = if w < 0.0 { w + l } else { w };
-    if w >= l {
-        0.0
-    } else {
-        w
     }
 }
 
 /// The density contrast of every particle on a box that is one slab,
-/// left in `ext`: the slab deposit, its spill folded onto the box.
+/// left in `ext`.
 fn box_density(grid: &SlabGrid, pos: [&[f32]; 3], ext: &mut Vec<f64>) {
     let count = pos[0].len();
     grid.deposit(pos, count, ext);
-    grid.fold_self(ext);
     contrast(ext, count as f64 / (grid.n * grid.n * grid.n) as f64);
-}
-
-/// The three force grids of a one-slab box with their periodic halos.
-fn periodic(grids: &[Vec<f64>; 3], plane: usize, h: usize) -> [HaloSlab<'_>; 3] {
-    grids.each_ref().map(|g| HaloSlab::periodic(g, plane, h))
-}
-
-/// `out = s·src` into a reused buffer (positions → grid units).
-pub(crate) fn fill_scaled(src: &[f32], s: f32, out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(src.iter().map(|&v| v * s));
 }
 
 #[cfg(test)]
@@ -549,8 +453,13 @@ mod tests {
             let sim = &*self.sim;
             let (ng, np) = (sim.cfg.ng as f64, sim.len());
             let to_grid = ng / sim.cfg.box_len;
-            let scale = sim.cfg.box_len / ng / sim.nbar() * sim.fit.norm;
-            let k = sim.kernel;
+            let nbar = np as f64 / (ng * ng * ng);
+            let scale = sim.cfg.box_len / ng / nbar * sim.fit.norm;
+            let k = hacc_short::ForceKernel::new(
+                sim.fit.coeffs_f32(),
+                sim.cfg.rcut_cells as f32,
+                sim.fit.epsilon as f32,
+            );
             let g: [Vec<f64>; 3] = [&sim.x, &sim.y, &sim.z]
                 .map(|c| c.iter().map(|&v| f64::from(v) * to_grid).collect());
             let sep = |i: usize, j: usize| -> [f64; 3] {
@@ -610,11 +519,8 @@ mod tests {
             self.sim.short_range(brk);
             self.check();
         }
-        fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
-            self.sim.kick_operands()
-        }
-        fn drift(&mut self, factor: f64) {
-            self.sim.drift(factor);
+        fn phase_space(&mut self) -> PhaseSpace<'_> {
+            self.sim.phase_space()
         }
     }
 
@@ -689,15 +595,78 @@ mod tests {
         }
     }
 
+    /// The serial engine's force field, its positions checked after
+    /// every refresh.
+    struct Refreshed<'s> {
+        sim: &'s mut Simulation,
+        refreshes: usize,
+    }
+
+    impl ForceField for Refreshed<'_> {
+        fn open(&mut self, brk: &mut StepBreakdown) {
+            self.sim.open(brk);
+        }
+        fn refresh(&mut self, brk: &mut StepBreakdown) {
+            self.sim.refresh(brk);
+            self.refreshes += 1;
+            let l = self.sim.cfg.box_len as f32;
+            let (x, y, z) = self.sim.positions();
+            for v in x.iter().chain(y).chain(z) {
+                assert!(*v >= 0.0 && *v < l, "position {v} after refresh {}", self.refreshes);
+            }
+        }
+        fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
+            self.sim.long_range(solve, brk);
+        }
+        fn short_range(&mut self, brk: &mut StepBreakdown) {
+            self.sim.short_range(brk);
+        }
+        fn phase_space(&mut self) -> PhaseSpace<'_> {
+            self.sim.phase_space()
+        }
+    }
+
+    /// Positions stream unwrapped within a step; every refresh wraps
+    /// them all into `[0, L)`. Steps large enough that some particle
+    /// leaves the box within each.
     #[test]
-    fn positions_stay_in_box() {
+    fn refresh_wraps_every_position_into_the_box() {
+        for solver in [SolverKind::P3m, SolverKind::TreePm] {
+            let mut sim = make_sim(solver, 0.2);
+            let cfg = sim.cfg;
+            let mut field = Refreshed {
+                sim: &mut sim,
+                refreshes: 0,
+            };
+            let mut outside = 0;
+            for (a0, a1) in [(0.2, 0.25), (0.25, 0.3)] {
+                stepper::step(&mut field, &cfg, a0, a1);
+                let l = cfg.box_len as f32;
+                let (x, y, z) = field.sim.positions();
+                outside += x.iter().chain(y).chain(z).filter(|&&v| !(0.0..l).contains(&v)).count();
+            }
+            assert_eq!(field.refreshes, 2, "{solver:?}");
+            assert!(outside > 0, "{solver:?}: no particle left the box within a step");
+        }
+    }
+
+    /// P³M's chaining mesh bins coordinates wrapped into the mesh: at
+    /// positions up to a step's drift outside the box, the forces are
+    /// those at the wrapped positions, to rounding.
+    #[test]
+    fn p3m_forces_do_not_depend_on_the_wrap() {
         let mut sim = make_sim(SolverKind::P3m, 0.2);
         sim.step(0.25);
-        sim.step(0.3);
         let l = sim.cfg.box_len as f32;
-        for v in sim.x.iter().chain(&sim.y).chain(&sim.z) {
-            assert!(*v >= 0.0 && *v < l, "position {v}");
-        }
+        let outside = sim.x.iter().chain(&sim.y).chain(&sim.z).filter(|v| !(0.0..l).contains(*v));
+        assert!(outside.count() > 0, "no particle outside the box");
+        let unwrapped = sim.total_accel();
+        sim.wrap();
+        let wrapped = sim.total_accel();
+        let big = wrapped.iter().flatten().fold(0.0f32, |m, v| m.max(v.abs()));
+        let (u, w) = (unwrapped.iter().flatten(), wrapped.iter().flatten());
+        let worst = u.zip(w).fold(0.0f32, |m, (u, w)| m.max((u - w).abs()));
+        assert!(worst <= 1e-4 * big, "forces differ by {worst:.3e} of the largest {big:.3e}");
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The CIC kernels of the long-range pipeline, shared by both engines.
 //!
-//! A mesh is cut into x slabs, one per rank; the serial engine's box is
-//! a single slab. The deposit fills a slab extended by
-//! [`DEPOSIT_HALO`] planes on each side and the gather reads a slab
-//! padded by force halos, so neither wraps x: the caller folds the
-//! spill back onto the owned planes — over the ring
-//! (`fold_spill_into`), or in place on a one-slab box
-//! ([`SlabGrid::fold_self`]) — and supplies the halo planes, received
-//! from the neighbors or, on a one-slab box, taken from the grid's own
-//! far end ([`HaloSlab::periodic`]). No communication happens here.
+//! A mesh is cut into x slabs, one per rank; the serial engine's box and
+//! a 1-rank view's are a single slab. Every axis a slab spans whole
+//! wraps inside the kernels: y and z always, x on a one-slab box, which
+//! therefore deposits no spill and gathers with no halo. Across a split
+//! x axis the deposit fills a slab extended by [`DEPOSIT_HALO`] planes
+//! on each side and the gather reads a slab padded by force halos: the
+//! caller folds the spill onto the ring neighbours (`fold_spill_into`)
+//! and supplies the halo planes it received from them. No communication
+//! happens here.
 
 use hacc_domain::gridhalo::Halos;
 
@@ -31,11 +31,15 @@ impl<'a> HaloSlab<'a> {
         HaloSlab([halos.below(k), owned, halos.above(k)])
     }
 
-    /// The one-slab box's halo of depth `h`: the periodic grid read in
-    /// place, its last `h` planes below it and its first `h` above.
-    pub(crate) fn periodic(grid: &'a [f64], plane: usize, h: usize) -> Self {
-        let n = grid.len() / plane;
-        HaloSlab([&grid[(n - h) * plane..], grid, &grid[..h * plane]])
+    /// Planes `[x0-h, x0+lx+h)` held as one run (with `h = 0`, a
+    /// one-slab box's whole grid).
+    pub(crate) fn contiguous(planes: &'a [f64]) -> Self {
+        HaloSlab([&[], planes, &[]])
+    }
+
+    /// Three whole-slab grids, which a gather reads with no halo.
+    pub(crate) fn whole(grids: &'a [Vec<f64>; 3]) -> [Self; 3] {
+        grids.each_ref().map(|g| Self::contiguous(g))
     }
 }
 
@@ -73,33 +77,50 @@ impl SlabGrid {
         self.n * self.n
     }
 
+    /// The slab spans the whole x axis, which then wraps in the kernels.
+    pub(crate) fn is_whole(&self) -> bool {
+        self.lx == self.n
+    }
+
+    /// The two x planes of a CIC cloud at grid coordinate `gx` and the
+    /// offset into the first: wrapped on a whole slab, otherwise counted
+    /// from plane `x0 - h` of the slab extended by `h` planes, if it
+    /// holds both.
+    fn x_planes(&self, gx: f64, h: usize) -> Option<(usize, usize, f64)> {
+        if self.is_whole() {
+            let (ix, dx) = wrap_cell_near(gx, self.n);
+            return Some((ix, next_cell(ix, self.n), dx));
+        }
+        let fx = gx.floor();
+        let ix = fx as i64 - (self.x0 as i64 - h as i64);
+        let inside = ix >= 0 && ix + 1 < (self.lx + 2 * h) as i64;
+        inside.then(|| (ix as usize, ix as usize + 1, gx - fx))
+    }
+
     /// Deposit the first `count` particles of `pos` (box units) into
-    /// `ext`, planes `[x0-DEPOSIT_HALO, x0+lx+DEPOSIT_HALO)`, leaving the
-    /// spill planes for the caller to fold.
+    /// `ext`: the owned planes of a whole slab, or across a split axis
+    /// planes `[x0-DEPOSIT_HALO, x0+lx+DEPOSIT_HALO)`, leaving the spill
+    /// planes for the caller to fold.
     pub(crate) fn deposit(&self, pos: [&[f32]; 3], count: usize, ext: &mut Vec<f64>) {
-        const HD: usize = DEPOSIT_HALO;
         let (n, lx, plane) = (self.n, self.lx, self.plane());
-        assert!(lx >= HD, "slab thinner than the deposit halo");
+        let hd = if self.is_whole() { 0 } else { DEPOSIT_HALO };
+        assert!(lx >= hd, "slab thinner than the deposit halo");
         ext.clear();
-        ext.resize((lx + 2 * HD) * plane, 0.0);
+        ext.resize((lx + 2 * hd) * plane, 0.0);
         let [xs, ys, zs] = pos;
         for i in 0..count {
             let gx = f64::from(xs[i]) * self.to_grid;
             let gy = f64::from(ys[i]) * self.to_grid;
             let gz = f64::from(zs[i]) * self.to_grid;
-            let fx = gx.floor();
+            let (ix, ix1, dx) = self
+                .x_planes(gx, hd)
+                .expect("active particle drifted outside the deposit halo");
             let (iy, dy) = wrap_cell_near(gy, n);
             let (iz, dz) = wrap_cell_near(gz, n);
-            let dx = gx - fx;
-            let ix_ext = fx as i64 - (self.x0 as i64 - HD as i64);
-            assert!(
-                ix_ext >= 0 && ix_ext + 1 < (lx + 2 * HD) as i64,
-                "active particle drifted outside the deposit halo"
-            );
             let iy1 = next_cell(iy, n);
             let iz1 = next_cell(iz, n);
             let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
-            for (pofs, wx) in [(ix_ext as usize, tx), (ix_ext as usize + 1, dx)] {
+            for (pofs, wx) in [(ix, tx), (ix1, dx)] {
                 let base = pofs * plane;
                 ext[base + iy * n + iz] += wx * ty * tz;
                 ext[base + iy * n + iz1] += wx * ty * dz;
@@ -109,34 +130,14 @@ impl SlabGrid {
         }
     }
 
-    /// Fold a one-slab box's deposit spill onto its own far planes and
-    /// cut `ext` to the owned grid, in place: the 1-rank ring's
-    /// `fold_spill_into`, the same additions in the same order, with no
-    /// message.
-    pub(crate) fn fold_self(&self, ext: &mut Vec<f64>) {
-        const HD: usize = DEPOSIT_HALO;
-        let (lx, plane) = (self.lx, self.plane());
-        debug_assert_eq!(lx, self.n, "only a one-slab box folds onto itself");
-        let spill = HD * plane;
-        // The spill above lands on the first owned planes, the spill
-        // below on the last; neither spill run is an owned plane.
-        for j in 0..spill {
-            ext[spill + j] += ext[(lx + HD) * plane + j];
-        }
-        for j in 0..spill {
-            ext[lx * plane + j] += ext[j];
-        }
-        ext.copy_within(spill..(lx + HD) * plane, 0);
-        ext.truncate(lx * plane);
-    }
-
     /// Fused CIC gather of `K` force slabs (the three components) at
     /// every particle in `pos` (box units, possibly outside the box):
     /// the eight cells and their offsets are found once per particle,
     /// and each component is read with the single-component gather's
     /// exact expression, so the result is bitwise that of `K` separate
     /// gathers. The slabs cover planes `[x0-h, x0+lx+h)` in the same
-    /// runs. Writes `out`, or adds to it when `add`.
+    /// runs; a whole slab wraps x and takes `h = 0`. Writes `out`, or
+    /// adds to it when `add`.
     pub(crate) fn gather<const K: usize>(
         &self,
         fields: [HaloSlab<'_>; K],
@@ -147,6 +148,7 @@ impl SlabGrid {
     ) {
         let n = self.n;
         let plane = self.plane();
+        debug_assert!(!self.is_whole() || h == 0, "a whole slab wraps x and reads no halo");
         let [below, owned, _] = fields[0].0.map(|r| r.len() / plane);
         debug_assert_eq!(
             below + owned + fields[0].0[2].len() / plane,
@@ -170,17 +172,8 @@ impl SlabGrid {
             let gx = f64::from(xs[i]) * self.to_grid;
             let gy = f64::from(ys[i]) * self.to_grid;
             let gz = f64::from(zs[i]) * self.to_grid;
-            let fx = gx.floor();
-            let dx = gx - fx;
-            let ixe = fx as i64 - (self.x0 as i64 - h as i64);
-            debug_assert!(
-                ixe >= 0 && (ixe as usize) < self.lx + 2 * h - 1,
-                "particle outside halo: ixe={ixe}"
-            );
-            let planes = [
-                (locate(ixe as usize), 1.0 - dx),
-                (locate(ixe as usize + 1), dx),
-            ];
+            let (ix, ix1, dx) = self.x_planes(gx, h).expect("particle outside the force halo");
+            let planes = [(locate(ix), 1.0 - dx), (locate(ix1), dx)];
             let (iy, dy) = wrap_cell_near(gy, n);
             let (iz, dz) = wrap_cell_near(gz, n);
             let iy1 = next_cell(iy, n);
@@ -211,10 +204,10 @@ pub(crate) fn contrast(grid: &mut [f64], nbar: f64) {
 }
 
 /// [`wrap_cell`] with its `%` replaced by one compare-and-add. On
-/// `-n < g < 2n` — every coordinate a slab particle or its replica holds
-/// — `g % n` is `g`, or `g - n` exactly (Sterbenz), so the cell and
-/// offset are bit-identical; anything else, and a `g + n` that rounds to
-/// `n`, takes the `%` path.
+/// `-n < g < 2n` — every coordinate a particle or its replica holds
+/// within a step — `g % n` is `g`, or `g - n` exactly (Sterbenz), so the
+/// cell and offset are bit-identical; anything else, and a `g + n` that
+/// rounds to `n`, takes the `%` path.
 #[inline]
 fn wrap_cell_near(g: f64, n: usize) -> (usize, f64) {
     let nf = n as f64;
@@ -260,8 +253,6 @@ fn wrap_cell(g: f64, n: usize) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hacc_comm::Machine;
-    use hacc_domain::gridhalo::fold_spill_into;
 
     /// Positions in grid units on an `n = 8` box, every offset a
     /// multiple of 1/8 so each CIC weight product and every sum of them
@@ -275,59 +266,23 @@ mod tests {
         pos
     }
 
-    /// The one-slab deposit folded onto itself is bitwise the periodic
-    /// reference deposit.
+    /// The one-slab deposit, wrapping x as it wraps y and z, is bitwise
+    /// the periodic reference deposit — also for positions a drift
+    /// outside the box.
     #[test]
     fn one_slab_deposit_is_bitwise_the_reference() {
         let n = 8;
-        let [xs, ys, zs] = dyadic(700, n);
+        let [mut xs, ys, zs] = dyadic(700, n);
+        xs[6..8].copy_from_slice(&[-0.375, n as f32 + 0.25]);
         let mut want = vec![0.0; n * n * n];
         hacc_pm::deposit_cic(&mut want, n, &xs, &ys, &zs, 1.0);
         let grid = SlabGrid::whole(n, n as f64);
         let mut got = Vec::new();
         grid.deposit([&xs, &ys, &zs], xs.len(), &mut got);
-        grid.fold_self(&mut got);
         assert_eq!(got.len(), want.len());
         for (c, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "cell {c}: {g} vs {w}");
         }
-    }
-
-    /// The in-place fold is bitwise the 1-rank ring's `fold_spill_into`
-    /// on a deposit whose sums are not all exact (random offsets), so
-    /// the two must add the same values in the same order.
-    #[test]
-    fn self_fold_is_bitwise_the_one_rank_ring() {
-        let n = 8;
-        let mut s = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s as f64 / u64::MAX as f64 * n as f64) as f32
-        };
-        let mut pos: [Vec<f32>; 3] = Default::default();
-        for _ in 0..900 {
-            for c in &mut pos {
-                c.push(next());
-            }
-        }
-        let [xs, ys, zs] = &pos;
-        let grid = SlabGrid::whole(n, n as f64);
-        let mut ext = Vec::new();
-        // Only the first 800 are deposited: the count bounds the loop.
-        grid.deposit([xs, ys, zs], 800, &mut ext);
-        let (ring, _) = Machine::new(1).run(|comm| {
-            let mut ext = ext.clone();
-            fold_spill_into(&comm, &mut ext, n * n, DEPOSIT_HALO, (991, 992));
-            ext
-        });
-        grid.fold_self(&mut ext);
-        assert_eq!(ext.len(), n * n * n);
-        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert!(bits(&ext) == bits(&ring[0]), "self fold differs from the 1-rank ring");
-        let mass: f64 = ext.iter().sum();
-        assert!((mass - 800.0).abs() < 1e-9, "mass {mass}");
     }
 
     #[test]

@@ -2,28 +2,45 @@
 //!
 //! One long step is `M_lr(t/2) (M_sr(t/nc))^nc M_lr(t/2)`: a long-range
 //! half kick, `nc` short-range stream–kick–stream sub-cycles with the
-//! long-range force frozen, and a closing long-range half kick. The
-//! engines differ only beneath it, in the [`ForceField`] they hand in:
-//! how a step opens and refreshes, how each force lands in the engine's
-//! one held acceleration buffer, and how particles drift.
+//! long-range force frozen, and a closing long-range half kick. Kicks
+//! and drifts are applied here, on the phase space the engine lends out;
+//! the engines differ only beneath it, in the [`ForceField`] they hand
+//! in: how a step opens and refreshes, and how each force lands in the
+//! engine's one held acceleration buffer.
+//!
+//! One drift convention: positions stream unwrapped, so they stay
+//! continuous within a step, and the refresh wraps them once, with the
+//! domain's wrap. A position may therefore lie up to one step's drift
+//! outside the box.
 
 use std::time::Instant;
 
 use crate::config::{SimConfig, SolverKind};
 use crate::stats::StepBreakdown;
 
+/// An engine's particles as the integrator updates them, as disjoint
+/// borrows, one entry per local particle in every column: positions
+/// (box units), momenta, and the held acceleration the next kick
+/// applies.
+pub(crate) struct PhaseSpace<'a> {
+    pub(crate) x: [&'a mut [f32]; 3],
+    pub(crate) p: [&'a mut [f32]; 3],
+    pub(crate) a: [&'a [f32]; 3],
+}
+
 /// What an engine supplies to the integrator. Every force call leaves
 /// its acceleration in the engine's one held buffer, which the next
-/// [`Self::kick_operands`] lends out: the long-range and short-range
+/// [`Self::phase_space`] lends out: the long-range and short-range
 /// accelerations are never live together.
 pub(crate) trait ForceField {
     /// Work before the opening kick (the distributed engine's global
     /// count; nothing for the serial engine).
     fn open(&mut self, brk: &mut StepBreakdown);
 
-    /// Work between the opening kick and the first drift (the
-    /// distributed engine's refresh of domains and overload shells;
-    /// nothing for the serial engine).
+    /// Work between the opening kick and the first drift: every
+    /// position wrapped into the box by the domain's wrap (and, across
+    /// ranks, domains and overload shells rebuilt), the short-range
+    /// layer invalidated.
     fn refresh(&mut self, brk: &mut StepBreakdown);
 
     /// Long-range acceleration of every particle into the held buffer.
@@ -34,12 +51,8 @@ pub(crate) trait ForceField {
     /// Short-range acceleration of every particle into the held buffer.
     fn short_range(&mut self, brk: &mut StepBreakdown);
 
-    /// The momenta a kick updates and the held acceleration it applies,
-    /// as disjoint borrows, one entry per particle in both.
-    fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]);
-
-    /// Stream every particle by `x += factor · p`.
-    fn drift(&mut self, factor: f64);
+    /// Positions, momenta and the held acceleration.
+    fn phase_space(&mut self) -> PhaseSpace<'_>;
 }
 
 /// Advance `field` one long step `a0 → a1` by paper Eq. 6 under `cfg`'s
@@ -56,13 +69,14 @@ pub(crate) fn step<F: ForceField>(
     let am = (a0 * a1).sqrt();
     let kick = |field: &mut F, factor: f64, brk: &mut StepBreakdown| {
         let t = Instant::now();
-        let (p, a) = field.kick_operands();
-        apply_kick(p, a, (1.5 * cosmo.omega_m * factor) as f32);
+        let ps = field.phase_space();
+        axpy(ps.p, ps.a, (1.5 * cosmo.omega_m * factor) as f32);
         brk.other += t.elapsed();
     };
     let drift = |field: &mut F, factor: f64, brk: &mut StepBreakdown| {
         let t = Instant::now();
-        field.drift(factor);
+        let ps = field.phase_space();
+        axpy(ps.x, ps.p.map(|p| &*p), factor as f32);
         brk.other += t.elapsed();
     };
 
@@ -97,12 +111,13 @@ fn subcycle_edges(a0: f64, a1: f64, subcycles: usize) -> impl Iterator<Item = (f
     })
 }
 
-/// `p += k·a` over the three SoA components.
-fn apply_kick(p: [&mut [f32]; 3], a: [&[f32]; 3], k: f32) {
-    for (p, a) in p.into_iter().zip(a) {
-        assert_eq!(p.len(), a.len(), "one acceleration per momentum");
-        for (p, a) in p.iter_mut().zip(a) {
-            *p += k * a;
+/// `y += k·x` over the three SoA components: a kick (`p += k·a`) or
+/// an unwrapped drift (`x += f·p`).
+fn axpy(y: [&mut [f32]; 3], x: [&[f32]; 3], k: f32) {
+    for (y, x) in y.into_iter().zip(x) {
+        assert_eq!(y.len(), x.len(), "one entry per particle in every column");
+        for (y, x) in y.iter_mut().zip(x) {
+            *y += k * x;
         }
     }
 }
@@ -121,60 +136,98 @@ mod tests {
         Drift,
     }
 
-    static UNIT: [f32; 1] = [1.0];
+    /// Each lent slot's acceleration: a unit one on its first particle.
+    static SLOT_ACCEL: [f32; 2] = [1.0, 0.0];
 
     /// A force field that records what the integrator asks of it. Each
-    /// kick gets a fresh one-particle momentum slot at zero against a
-    /// unit acceleration, so the slot ends holding the kick's coefficient.
+    /// `phase_space` call lends a fresh two-particle slot: positions at
+    /// zero, momenta `[0, 1]`, acceleration `[1, 0]`. A kick leaves its
+    /// coefficient in the first momentum and the positions at zero; a
+    /// drift leaves its factor in the second position and the momenta
+    /// as they were.
     #[derive(Default)]
     struct Recorder {
-        calls: Vec<Call>,
-        drifts: Vec<f64>,
-        kicks: [Vec<f32>; 3],
+        calls: Vec<Option<Call>>,
+        x: [Vec<f32>; 3],
+        p: [Vec<f32>; 3],
+    }
+
+    impl Recorder {
+        /// The calls in order, each lent slot classified as a kick or a
+        /// drift, with every kick's coefficient and every drift's factor
+        /// per component, as bits.
+        fn replay(&self) -> (Vec<Call>, [Vec<u32>; 3], [Vec<u32>; 3]) {
+            let (mut kicks, mut drifts) = <([Vec<u32>; 3], [Vec<u32>; 3])>::default();
+            let mut slot = 0;
+            let calls = self
+                .calls
+                .iter()
+                .map(|call| {
+                    call.unwrap_or_else(|| {
+                        let j = 2 * slot;
+                        slot += 1;
+                        let kicked = (0..3).all(|c| self.p[c][j] != 0.0 && self.x[c][j + 1] == 0.0);
+                        let drifted = (0..3).all(|c| self.x[c][j + 1] != 0.0 && self.p[c][j] == 0.0);
+                        for c in 0..3 {
+                            assert_eq!(self.x[c][j], 0.0, "no position moves without momentum");
+                            assert_eq!(self.p[c][j + 1], 1.0, "no momentum moves without acceleration");
+                            kicks[c].extend(kicked.then(|| self.p[c][j].to_bits()));
+                            drifts[c].extend(drifted.then(|| self.x[c][j + 1].to_bits()));
+                        }
+                        assert!(kicked != drifted, "slot {slot}: one kick or one drift");
+                        if kicked {
+                            Call::Kick
+                        } else {
+                            Call::Drift
+                        }
+                    })
+                })
+                .collect();
+            (calls, kicks, drifts)
+        }
     }
 
     impl ForceField for Recorder {
         fn open(&mut self, _: &mut StepBreakdown) {
-            self.calls.push(Call::Open);
+            self.calls.push(Some(Call::Open));
         }
 
         fn refresh(&mut self, _: &mut StepBreakdown) {
-            self.calls.push(Call::Refresh);
+            self.calls.push(Some(Call::Refresh));
         }
 
         fn long_range(&mut self, solve: bool, _: &mut StepBreakdown) {
-            self.calls.push(Call::LongRange { solve });
+            self.calls.push(Some(Call::LongRange { solve }));
         }
 
         fn short_range(&mut self, _: &mut StepBreakdown) {
-            self.calls.push(Call::ShortRange);
+            self.calls.push(Some(Call::ShortRange));
         }
 
-        fn kick_operands(&mut self) -> ([&mut [f32]; 3], [&[f32]; 3]) {
-            self.calls.push(Call::Kick);
-            let [x, y, z] = &mut self.kicks;
-            for c in [&mut *x, &mut *y, &mut *z] {
-                c.push(0.0);
+        fn phase_space(&mut self) -> PhaseSpace<'_> {
+            self.calls.push(None);
+            for (x, p) in self.x.iter_mut().zip(&mut self.p) {
+                x.extend([0.0, 0.0]);
+                p.extend([0.0, 1.0]);
             }
-            let last = x.len() - 1;
-            (
-                [&mut x[last..], &mut y[last..], &mut z[last..]],
-                [&UNIT[..]; 3],
-            )
-        }
-
-        fn drift(&mut self, factor: f64) {
-            self.calls.push(Call::Drift);
-            self.drifts.push(factor);
+            let last = self.x[0].len() - 2;
+            let [x0, x1, x2] = &mut self.x;
+            let [p0, p1, p2] = &mut self.p;
+            PhaseSpace {
+                x: [&mut x0[last..], &mut x1[last..], &mut x2[last..]],
+                p: [&mut p0[last..], &mut p1[last..], &mut p2[last..]],
+                a: [&SLOT_ACCEL[..]; 3],
+            }
         }
     }
 
     /// Eq. 6 through the seam: the call order open → long-range (held)
     /// → kick → refresh → [drift, short-range, kick, drift] × nc →
-    /// long-range (solve) → kick, each kick's coefficient that of its
-    /// interval, the long-range and the short-range kick factors each
-    /// summing to the step's, the drift factors summing to the step's,
-    /// and no short-range call on a PM-only run.
+    /// long-range (solve) → kick, each kick's coefficient and each
+    /// drift's factor that of its interval, the long-range and the
+    /// short-range kick factors each summing to the step's, the drift
+    /// factors summing to the step's, and no short-range call on a
+    /// PM-only run.
     #[test]
     fn eq6_runs_once_through_the_seam() {
         let (a0, a1, nc) = (0.25, 0.3, 3);
@@ -188,6 +241,7 @@ mod tests {
             let short = solver != SolverKind::PmOnly;
             let mut rec = Recorder::default();
             step(&mut rec, &cfg, a0, a1);
+            let (calls, kicks, drifts) = rec.replay();
 
             let mut want = vec![
                 Call::Open,
@@ -203,7 +257,7 @@ mod tests {
                 want.push(Call::Drift);
             }
             want.extend([Call::LongRange { solve: true }, Call::Kick]);
-            assert_eq!(rec.calls, want, "{solver:?}");
+            assert_eq!(calls, want, "{solver:?}");
 
             let cosmo = cfg.cosmology;
             let (kick, drift) = (cosmo.kick_factor(a0, a1), cosmo.drift_factor(a0, a1));
@@ -225,20 +279,22 @@ mod tests {
             } else {
                 long.to_vec()
             };
-            for (c, got) in rec.kicks.iter().enumerate() {
-                let got: Vec<u32> = got.iter().map(|k| k.to_bits()).collect();
+            let streams: Vec<f64> = subcycle_edges(a0, a1, nc)
+                .flat_map(|(b0, bm, b1)| [cosmo.drift_factor(b0, bm), cosmo.drift_factor(bm, b1)])
+                .collect();
+            assert!(
+                close(streams.iter().sum(), drift),
+                "drifts {streams:?} vs {drift}"
+            );
+            for c in 0..3 {
                 let want: Vec<u32> = factors
                     .iter()
                     .map(|f| ((1.5 * cosmo.omega_m * f) as f32).to_bits())
                     .collect();
-                assert_eq!(got, want, "{solver:?} kick coefficients, component {c}");
+                assert_eq!(kicks[c], want, "{solver:?} kick coefficients, component {c}");
+                let want: Vec<u32> = streams.iter().map(|&f| (f as f32).to_bits()).collect();
+                assert_eq!(drifts[c], want, "{solver:?} drift factors, component {c}");
             }
-            let drifted: f64 = rec.drifts.iter().sum();
-            assert!(
-                close(drifted, drift),
-                "{solver:?} drifts {:?} vs {drift}",
-                rec.drifts
-            );
         }
     }
 }

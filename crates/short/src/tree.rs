@@ -748,8 +748,11 @@ impl RcbTree {
             [offs[0][k % 3], offs[1][k / 3 % 3], offs[2][k / 9]]
         };
 
-        // Cost-balanced contiguous cut of the pair list. Pair cost = the
+        // Cost-balanced contiguous cut of the pair list into exactly
+        // `min(workers, pairs)` non-empty ranges. Pair cost = the
         // particle pairs it holds, an upper bound on its evaluations.
+        // Range `k` closes once the cumulative cost reaches `k/n` of the
+        // total, or when only as many pairs remain as ranges to fill.
         let cost = |p: &LeafPair| -> u64 {
             let na = self.nodes[p.a as usize].len() as u64;
             if p.a == p.b && p.shift == 0 {
@@ -760,14 +763,19 @@ impl RcbTree {
         };
         let total: u64 = pairs.iter().map(cost).sum();
         let nranges = workers.min(pairs.len()).max(1);
-        let target = total / nranges as u64 + 1;
         ranges.clear();
         let (mut acc, mut start) = (0u64, 0u32);
         for (i, p) in pairs.iter().enumerate() {
             acc += cost(p);
-            if acc >= target && ranges.len() + 1 < nranges {
+            let closed = ranges.len() + 1;
+            if closed == nranges {
+                break;
+            }
+            let (left, to_fill) = (pairs.len() - i - 1, nranges - closed);
+            let due = acc * nranges as u64 >= total * closed as u64;
+            if (due && left >= to_fill) || left == to_fill {
                 ranges.push((start, i as u32 + 1));
-                (acc, start) = (0, i as u32 + 1);
+                start = i as u32 + 1;
             }
         }
         if (start as usize) < pairs.len() || ranges.is_empty() {
@@ -1168,9 +1176,10 @@ mod tests {
             let mut scratch = TreeScratch::default();
             let mut out = [Vec::new(), Vec::new(), Vec::new()];
             let rep = tree.forces_cut(kernel, slack, workers, &mut scratch, &mut out);
-            let ranges = scratch.ranges.len();
-            let cut = ranges <= workers && (ranges > 1) == (workers > 1);
-            assert!(cut, "{workers} workers: {ranges} ranges");
+            let want = workers.min(scratch.pairs.len());
+            assert_eq!(scratch.ranges.len(), want, "{workers} workers: ranges");
+            let empty = scratch.ranges.iter().filter(|(a, b)| a == b).count();
+            assert_eq!(empty, 0, "{workers} workers: empty ranges");
             (out, rep.evals, scratch.pairs)
         };
         let (want, evals, pairs) = pass(1);

@@ -167,23 +167,40 @@ impl Report {
     }
 }
 
-/// Whole-file line count (`wc -l`: newlines) of every `.rs` file under
-/// `path`, recursively; 0 for a missing path.
-fn rs_lines(path: &Path) -> usize {
+/// `count` summed over every `.rs` file under `path`, recursively; 0
+/// for a missing path.
+fn rs_sum(path: &Path, count: &dyn Fn(&str) -> usize) -> usize {
     if path.is_dir() {
         let entries = std::fs::read_dir(path).map(|it| it.flatten().map(|e| e.path()).collect());
-        entries.unwrap_or_else(|_| Vec::new()).iter().map(|p| rs_lines(p)).sum()
+        entries.unwrap_or_else(|_| Vec::new()).iter().map(|p| rs_sum(p, count)).sum()
     } else if path.extension().is_some_and(|x| x == "rs") {
-        std::fs::read_to_string(path).map_or(0, |s| s.matches('\n').count())
+        std::fs::read_to_string(path).map_or(0, |s| count(&s))
     } else {
         0
     }
 }
 
-/// The north star's size ratio as a JSON object: comm + recovery (the
+/// Whole-file line count (`wc -l`: newlines) of every `.rs` file under
+/// `path`, recursively.
+fn rs_lines(path: &Path) -> usize {
+    rs_sum(path, &|s| s.matches('\n').count())
+}
+
+/// Non-test lines of one file: the lines before its first
+/// `#[cfg(test)]` that is followed by a `mod` item, or all of them.
+fn non_test_prefix(text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().collect();
+    lines
+        .windows(2)
+        .position(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim_start().starts_with("mod "))
+        .unwrap_or(lines.len())
+}
+
+/// The north star's size ratio as a JSON object — comm + recovery (the
 /// comm crate, the recovery driver, its policy and checkpoint layer, and
 /// the multi-process launcher) against the force solver (fft + pm +
-/// short + domain), whole files, tests included.
+/// short + domain), whole files, tests included — and the engine crate
+/// (`crates/core/src`) in non-test lines.
 fn line_counts() -> String {
     let root = repo_root();
     let count = |paths: &[&str]| -> usize { paths.iter().map(|p| rs_lines(&root.join(p))).sum() };
@@ -195,7 +212,8 @@ fn line_counts() -> String {
         "src/bin/mprun.rs",
     ]);
     let force_solver = count(&["crates/fft/src", "crates/pm/src", "crates/short/src", "crates/domain/src"]);
-    format!("{{\"comm_recovery\":{comm_recovery},\"force_solver\":{force_solver}}}")
+    let core = rs_sum(&root.join("crates/core/src"), &non_test_prefix);
+    format!("{{\"comm_recovery\":{comm_recovery},\"force_solver\":{force_solver},\"core\":{core}}}")
 }
 
 /// Minimal JSON string encoder (quotes, backslashes, control bytes).
@@ -849,7 +867,7 @@ fn main() -> ExitCode {
                 "xtask: crates/ src/ tests/ scripts/ vs merge base: {}",
                 report.diffstat
             );
-            println!("xtask: whole-file lines: {}", line_counts());
+            println!("xtask: line counts: {}", line_counts());
             step_lint(&mut report);
             step_test(&mut report);
             step_deny(&mut report);
@@ -881,13 +899,19 @@ mod tests {
     #[test]
     fn line_counts_cover_both_sides() {
         let counts = line_counts();
-        for key in ["comm_recovery", "force_solver"] {
+        for key in ["comm_recovery", "force_solver", "core"] {
             let n = json_int_field(&counts, key).unwrap_or(0);
             assert!(n > 1000, "{key}: {counts}");
         }
         let this = repo_root().join("crates/xtask/src/main.rs");
         let text = std::fs::read_to_string(&this).unwrap();
         assert_eq!(rs_lines(&this), text.lines().count());
+        // The core figure stops at each file's test module.
+        let core = json_int_field(&counts, "core").unwrap_or(0);
+        assert!(core < rs_lines(&repo_root().join("crates/core/src")) as u64, "{counts}");
+        assert_eq!(non_test_prefix("a\nb\n#[cfg(test)]\nmod tests {}\n"), 2);
+        assert_eq!(non_test_prefix("#[cfg(test)]\nfn f() {}\n#[cfg(test)]\nmod t;\n"), 2);
+        assert_eq!(non_test_prefix("a\nb\n"), 2);
     }
 
     /// A failing step keeps both of its streams, whole, under

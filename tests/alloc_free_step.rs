@@ -216,6 +216,7 @@ fn steady_state_treepm_step_allocates_nothing() {
 /// are tiny so both runs see the same particles on the same ranks: the
 /// per-step allocations (migration lists, message payloads) depend on
 /// those counts, and a real trajectory would differ between the two.
+/// TreePm on 2 ranks, and P³M on the one rank that runs it.
 #[test]
 fn distributed_subcycle_loop_allocates_nothing() {
     use hacc::comm::Machine;
@@ -225,17 +226,17 @@ fn distributed_subcycle_loop_allocates_nothing() {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
     let a0 = 0.2;
     let ics = hacc::ics::zeldovich(16, 64.0, &power, a0, 11);
-    let armed_step_allocs = |subcycles: usize| -> Vec<u64> {
+    let armed_step_allocs = |ranks: usize, solver: SolverKind, subcycles: usize| -> Vec<u64> {
         let cfg = SimConfig {
             ng: 32,
             box_len: 64.0,
             a_init: a0,
             subcycles,
-            solver: SolverKind::TreePm,
+            solver,
             ..SimConfig::small_lcdm()
         };
         let ics = ics.clone();
-        let (counts, _) = Machine::new(2).run(move |comm| {
+        let (counts, _) = Machine::new(ranks).run(move |comm| {
             let mut sim = DistSimulation::new(&comm, cfg, &ics);
             sim.stats.steps.reserve(8);
             // Warm-up sizes the tree, its scratch and the force buffers.
@@ -247,12 +248,19 @@ fn distributed_subcycle_loop_allocates_nothing() {
         });
         counts
     };
-    let (one, four) = (armed_step_allocs(1), armed_step_allocs(4));
-    assert!(one.iter().all(|&n| n > 0), "a step's communication allocates; the counter appears dead");
-    assert_eq!(
-        one, four,
-        "per-rank allocations of a warm distributed step differ between 1 and 4 sub-cycles"
-    );
+    for (ranks, solver) in [(2, SolverKind::TreePm), (1, SolverKind::P3m)] {
+        let one = armed_step_allocs(ranks, solver, 1);
+        let four = armed_step_allocs(ranks, solver, 4);
+        assert!(
+            one.iter().all(|&n| n > 0),
+            "{solver:?} on {ranks}: a step's communication allocates; the counter appears dead"
+        );
+        assert_eq!(
+            one, four,
+            "{solver:?} on {ranks}: per-rank allocations of a warm distributed step differ \
+             between 1 and 4 sub-cycles"
+        );
+    }
 }
 
 /// After warm-up, a distributed PM-only step (ng 48 on 2 ranks) allocates

@@ -239,8 +239,9 @@ fn one_solve_per_warm_step() {
 /// One overload model for both engines: a 1-rank distributed run spans
 /// every axis whole, so it holds no passive replica — the tree sees the
 /// periodic box through image shifts, as the serial engine's does — and
-/// its short-range layer does the serial engine's work: directed
-/// interactions within 1% of `Simulation`'s on the same problem.
+/// its short-range layer does exactly the serial engine's work: the same
+/// directed interactions and pair evaluations as `Simulation`'s on the
+/// same problem.
 #[test]
 fn one_rank_engine_does_the_serial_work() {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
@@ -258,7 +259,8 @@ fn one_rank_engine_does_the_serial_work() {
     let ics = hacc::ics::zeldovich(16, 64.0, &power, cfg.a_init, 2024);
     let mut serial = Simulation::from_ics(cfg, &ics);
     serial.run(|_, _| {});
-    let want = serial.stats.total().interactions;
+    let total = serial.stats.total();
+    let want = [total.interactions, total.pair_interactions];
     let (res, _) = Machine::new(1).run(move |comm| {
         let mut sim = DistSimulation::new(&comm, cfg, &ics);
         let mut fractions = vec![sim.particles().overload_fraction()];
@@ -266,14 +268,76 @@ fn one_rank_engine_does_the_serial_work() {
             sim.step(a);
             fractions.push(sim.particles().overload_fraction());
         }
-        (fractions, sim.stats.total().interactions)
+        let total = sim.stats.total();
+        (fractions, [total.interactions, total.pair_interactions])
     });
     let (fractions, got) = &res[0];
     assert!(fractions.iter().all(|&f| f == 0.0), "1-rank passives: {fractions:?}");
-    assert!(want > 0);
-    let rel = (*got as f64 / want as f64 - 1.0).abs();
-    assert!(
-        rel < 0.01,
-        "1-rank distributed {got} vs serial {want} directed interactions ({rel:.4})"
+    assert!(want[0] > 0 && want[1] > 0);
+    assert_eq!(
+        *got, want,
+        "1-rank distributed vs serial [directed interactions, pair evaluations]"
     );
+}
+
+/// The serial engine is the 1-rank distributed engine, bit for bit: one
+/// drift convention (unwrapped within a step, wrapped by the domain's
+/// wrap at the refresh), one CIC that wraps every whole axis, one
+/// short-range layer. After every step of a run whose particles cross
+/// the box faces, ids, positions and momenta agree bitwise, on PmOnly,
+/// TreePm and P3m over a single-level mesh.
+#[test]
+fn one_rank_engine_is_the_serial_engine() {
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let a0 = 0.25;
+    let ics = hacc::ics::zeldovich(24, 96.0, &power, a0, 2024);
+    let n = ics.len();
+    for solver in [SolverKind::PmOnly, SolverKind::TreePm, SolverKind::P3m] {
+        let cfg = SimConfig {
+            cosmology: Cosmology::lcdm(),
+            box_len: 96.0,
+            ng: 48,
+            a_init: a0,
+            subcycles: 2,
+            solver,
+            ..SimConfig::small_lcdm()
+        };
+        let edges: Vec<f64> = (1..=3).map(|k| a0 * 1.03f64.powi(k)).collect();
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut serial = Simulation::from_ics(cfg, &ics);
+        let mut want = Vec::new();
+        for &a in &edges {
+            serial.step(a);
+            let (x, y, z) = serial.positions();
+            let (vx, vy, vz) = serial.momenta();
+            want.push([x, y, z, vx, vy, vz].map(bits));
+        }
+        let ics = ics.clone();
+        let (res, _) = Machine::new(1).run(move |comm| {
+            let mut sim = DistSimulation::new(&comm, cfg, &ics);
+            let mut got = Vec::new();
+            for &a in &edges {
+                sim.step(a);
+                let p = sim.particles();
+                let m = p.n_active;
+                got.push((p.id[..m].to_vec(), [&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz].map(|c| bits(&c[..m]))));
+            }
+            got
+        });
+        let ids: Vec<u64> = (0..n as u64).collect();
+        let crossed = res[0]
+            .iter()
+            .flat_map(|(_, cols)| &cols[..3])
+            .flatten()
+            .filter(|&&b| !(0.0..96.0).contains(&f32::from_bits(b)))
+            .count();
+        assert!(crossed > 0, "{solver:?}: no particle crossed a face within a step");
+        for (step, ((got_ids, got), want)) in res[0].iter().zip(&want).enumerate() {
+            assert!(*got_ids == ids, "{solver:?} step {step}: ids or their order differ");
+            for (c, name) in ["x", "y", "z", "px", "py", "pz"].into_iter().enumerate() {
+                let diff = got[c].iter().zip(&want[c]).filter(|(g, w)| g != w).count();
+                assert_eq!(diff, 0, "{solver:?} step {step}: {diff} {name} values differ");
+            }
+        }
+    }
 }
