@@ -1359,15 +1359,23 @@ impl Comm {
         self.broadcast(0, reduced)
     }
 
-    /// Allreduce a single f64 sum.
+    /// Allreduce a single f64 sum. On one rank it is `x`, with no
+    /// message and no allocation.
     #[must_use] 
     pub fn allreduce_sum(&self, x: f64) -> f64 {
+        if self.size() == 1 {
+            return x;
+        }
         self.allreduce(vec![x], |a, b| a + b)[0]
     }
 
-    /// Allreduce a single f64 max.
+    /// Allreduce a single f64 max. On one rank it is `x`, with no
+    /// message and no allocation.
     #[must_use] 
     pub fn allreduce_max(&self, x: f64) -> f64 {
+        if self.size() == 1 {
+            return x;
+        }
         self.allreduce(vec![x], |a, b| a.max(*b))[0]
     }
 

@@ -19,17 +19,14 @@
 //! The headline guarantee (exercised in `tests/resilience.rs` at the
 //! workspace root): a run killed mid-stream and resumed from its last
 //! checkpoint reaches a **bit-exact** final state relative to an
-//! uninterrupted run. Two properties make that possible:
-//!
-//! * the serial engine's held long-range field is a pure function of
-//!   the (unchanged) positions, so dropping it across a restart changes
-//!   nothing (`Simulation::from_state`);
-//! * the distributed engine's held long-range acceleration, on either
-//!   mesh, is a pure function of the active-particle prefix the closing
-//!   solve deposited, and a restored view without it solves cold on
-//!   that prefix, then kicks and refreshes — and the refresh, too,
-//!   reads only the prefix — so restoring the prefix, order and bits,
-//!   restores the trajectory (`DistSimulation::from_checkpoint_state`).
+//! uninterrupted run, on one rank ([`crate::Simulation::resume`]) as on
+//! many ([`DistSimulation::resume_from`]). One property makes that
+//! possible: the engine's held long-range acceleration, on either mesh,
+//! is a pure function of the active-particle prefix the closing solve
+//! deposited, and a restored view without it solves cold on that
+//! prefix, then kicks and refreshes — and the refresh, too, reads only
+//! the prefix — so restoring the prefix, order and bits, restores the
+//! trajectory (`DistSimulation::from_checkpoint_state`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -40,7 +37,7 @@ use hacc_genio::{crc32, GenioError, Snapshot};
 
 use crate::config::SimConfig;
 use crate::dist::DistSimulation;
-use crate::sim::Simulation;
+use crate::sim::one_rank;
 
 /// Metadata key: number of completed long-range steps.
 pub const META_STEP: &str = "step";
@@ -218,34 +215,32 @@ fn stamp(snap: &mut Snapshot, cfg: &SimConfig, step: u64, rank: usize, nranks: u
     snap.meta_u64.insert(META_NRANKS.into(), nranks as u64);
 }
 
-impl Simulation {
-    /// Capture the full restart state after `step_index` completed steps
-    /// as a CRC-protected snapshot record.
-    pub fn checkpoint(&self, step_index: u64) -> Snapshot {
-        let (x, y, z) = self.positions();
-        let (vx, vy, vz) = self.momenta();
-        let mut snap =
-            Snapshot::from_particles(self.config().box_len, self.a, x, y, z, vx, vy, vz, None);
-        stamp(&mut snap, self.config(), step_index, 0, 1);
-        snap
-    }
+/// The active particles a snapshot records, order and bits.
+fn particles(snap: &Snapshot) -> Result<Particles, CheckpointError> {
+    Ok(Particles {
+        x: column(snap, "x")?,
+        y: column(snap, "y")?,
+        z: column(snap, "z")?,
+        vx: column(snap, "vx")?,
+        vy: column(snap, "vy")?,
+        vz: column(snap, "vz")?,
+        id: snap
+            .u64_fields
+            .get("id")
+            .cloned()
+            .ok_or_else(|| CheckpointError::Missing("column 'id'".into()))?,
+        n_active: snap.len(),
+    })
+}
 
-    /// Rebuild a simulation from a checkpoint record, returning it with
-    /// the number of steps already completed. Validates the config
-    /// fingerprint and geometry; the per-block CRCs were already checked
-    /// when `snap` was parsed.
-    pub fn resume(cfg: SimConfig, snap: &Snapshot) -> Result<(Simulation, u64), CheckpointError> {
+impl DistSimulation<'static> {
+    /// Rebuild a one-rank simulation from its checkpoint record,
+    /// returning it with the number of steps already completed.
+    /// Validates the config fingerprint and geometry; the per-block CRCs
+    /// were already checked when `snap` was parsed.
+    pub fn resume(cfg: SimConfig, snap: &Snapshot) -> Result<(Self, u64), CheckpointError> {
         let step = validate(snap, &cfg, 0, 1)?;
-        let sim = Simulation::from_state(
-            cfg,
-            snap.a,
-            column(snap, "x")?,
-            column(snap, "y")?,
-            column(snap, "z")?,
-            column(snap, "vx")?,
-            column(snap, "vy")?,
-            column(snap, "vz")?,
-        );
+        let sim = DistSimulation::from_checkpoint_state(one_rank(), cfg, snap.a, particles(snap)?);
         Ok((sim, step))
     }
 }
@@ -332,21 +327,7 @@ impl<'a> DistSimulation<'a> {
                 0 => {
                     let (snap, file_step) = attempt.expect("verdict 0 implies readable");
                     debug_assert_eq!(file_step, step);
-                    let parts = Particles {
-                        x: column(&snap, "x")?,
-                        y: column(&snap, "y")?,
-                        z: column(&snap, "z")?,
-                        vx: column(&snap, "vx")?,
-                        vy: column(&snap, "vy")?,
-                        vz: column(&snap, "vz")?,
-                        id: snap
-                            .u64_fields
-                            .get("id")
-                            .cloned()
-                            .ok_or_else(|| CheckpointError::Missing("column 'id'".into()))?,
-                        n_active: snap.len(),
-                    };
-                    let sim = DistSimulation::from_checkpoint_state(comm, cfg, snap.a, parts);
+                    let sim = DistSimulation::from_checkpoint_state(comm, cfg, snap.a, particles(&snap)?);
                     return Ok((sim, file_step));
                 }
                 1 => continue,
@@ -370,6 +351,7 @@ impl<'a> DistSimulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulation;
     use hacc_cosmo::{Cosmology, LinearPower, Transfer};
 
     fn cfg() -> SimConfig {

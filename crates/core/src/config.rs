@@ -11,7 +11,7 @@ pub enum SolverKind {
     PmOnly,
     /// Direct particle–particle short range (chaining mesh) — the
     /// Roadrunner / accelerated-cluster configuration. Its chaining mesh
-    /// spans every axis whole: serial, or one distributed rank.
+    /// spans every axis whole: one rank (`Simulation`).
     P3m,
     /// RCB-tree short range — the BG/Q "PPTreePM" configuration.
     TreePm,

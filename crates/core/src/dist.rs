@@ -12,9 +12,11 @@
 //! halo on each side and fold the spill planes onto the x-neighbors (one
 //! small message per solve). The resulting grid is numerically
 //! identical; the fold keeps the deposit free of replica double-counting
-//! without tracking canonical copies. A 1-rank view spans x whole: its
-//! CIC wraps x as it wraps y and z, with no fold and no force halo, and
-//! it runs the serial engine's arithmetic bit for bit.
+//! without tracking canonical copies.
+//!
+//! A 1-rank view spans every axis whole, and it is the serial engine:
+//! [`crate::Simulation`] is this engine on a process-wide one-rank
+//! world, whose steps send no message (see `sim.rs` for why).
 
 use std::cell::OnceCell;
 use std::time::{Duration, Instant};
@@ -23,11 +25,10 @@ use hacc_comm::Comm;
 use hacc_domain::gridhalo::{exchange_halos, fold_spill_into};
 use hacc_domain::{refresh, Decomposition, Packed, Particles};
 use hacc_fft::{DistRealFft3, RealPencilFft};
-use hacc_pm::{DistRealPoisson, ForceSplit, LocalComplementSolver};
+use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, SolverKind};
 use crate::short::ShortRange;
-use crate::sim::cached_grid_fit;
 use crate::slab::{contrast, HaloSlab, SlabGrid, DEPOSIT_HALO};
 use crate::stats::{RunStats, StepBreakdown};
 use crate::stepper::{self, ForceField, PhaseSpace};
@@ -39,24 +40,52 @@ const TAGS_FORCE_HALO: (u64, u64) = (201, 202);
 const TAGS_COARSE_FOLD: (u64, u64) = (111, 112);
 const TAGS_COARSE_FORCE_HALO: (u64, u64) = (211, 212);
 const TAGS_FINE_DENSITY_HALO: (u64, u64) = (221, 222);
+const TAGS_POTENTIAL_HALO: (u64, u64) = (231, 232);
+
+/// Process-wide cache of grid-force fits, keyed by the spectral
+/// configuration. The fit is deterministic (fixed seed) and costs ~24
+/// Poisson solves, so drivers constructed repeatedly — every rank of a
+/// simulated machine, every benchmark iteration — share one measurement,
+/// just as production HACC computes the force-matching polynomial once.
+fn cached_grid_fit(cfg: &SimConfig) -> GridForceFit {
+    static CACHE: std::sync::Mutex<Vec<(String, GridForceFit)>> = std::sync::Mutex::new(Vec::new());
+    let SimConfig { spectral, rcut_cells, .. } = *cfg;
+    let key = format!("{spectral:?}|{rcut_cells}");
+    let cached = |key: &str| {
+        let cache = CACHE.lock().expect("fit cache");
+        cache.iter().find(|(k, _)| k == key).map(|(_, fit)| fit.clone())
+    };
+    if let Some(fit) = cached(&key) {
+        return fit;
+    }
+    // Measure outside the lock (rayon-parallel inside); racing threads may
+    // duplicate work but converge to identical results.
+    let fit = GridForceFit::measure(32, spectral, rcut_cells, 0x4841_4343);
+    CACHE.lock().expect("fit cache").push((key, fit.clone()));
+    fit
+}
 
 /// Rank-local machinery of the two-level PM mesh: the force split, the
-/// local complement solver on the ghost-padded slab, and the halo
-/// depths its solve uses.
+/// local complement solver, and the halo depths its solve uses. Across
+/// a split x axis the local solve runs on the slab padded with ghost
+/// planes; a whole slab is the periodic fine grid itself.
 struct TwoLevelDist {
     split: ForceSplit,
     local: LocalComplementSolver,
-    /// Fine-complement kernel support in fine cells.
-    h_kernel: usize,
+    /// Ghost density planes on each side of the fine slab in the local
+    /// lattice: the complement kernel's support plus the fine force
+    /// halo across a split axis, none on a whole slab.
+    ghost: usize,
     /// Coarse force-halo depth in coarse cells.
     h_c: usize,
 }
 
 impl TwoLevelDist {
-    /// Build the per-rank two-level machinery for `p` slabs, validating
-    /// that the slab geometry can host the ghost depths the split
-    /// requires on top of the `h_int`-plane fine force halo.
-    /// Communication-free.
+    /// Build the per-rank two-level machinery for `p` slabs. Across a
+    /// split axis it validates that the slab geometry can host the ghost
+    /// depths the split requires on top of the `h_int`-plane fine force
+    /// halo; one slab solves on the periodic `ng` lattice and needs no
+    /// ghost and no halo. Communication-free.
     fn new(cfg: &SimConfig, p: usize, w_cells: f64, h_int: usize) -> Option<Self> {
         let lv = cfg.two_level?;
         let split = ForceSplit::new(cfg.ng, cfg.box_len, cfg.spectral, lv);
@@ -66,25 +95,33 @@ impl TwoLevelDist {
             0,
             "coarse grid side {nc} must be divisible by the rank count {p}"
         );
+        let h_c = ((w_cells / lv.coarsening as f64).ceil() as usize) + 1;
+        if p == 1 {
+            return Some(TwoLevelDist {
+                local: LocalComplementSolver::periodic(&split),
+                split,
+                ghost: 0,
+                h_c,
+            });
+        }
         let lx = cfg.ng / p;
         let h_kernel = split.ghost_width();
-        let hh = h_kernel + h_int;
+        let ghost = h_kernel + h_int;
         assert!(
-            hh <= lx,
+            ghost <= lx,
             "slab too thin for the two-level ghost depth: \
              kernel {h_kernel} + interpolation {h_int} planes vs {lx}-plane slab \
              (use more grid per rank or a looser matching_tol)"
         );
         let lc = nc / p;
-        let h_c = ((w_cells / lv.coarsening as f64).ceil() as usize) + 1;
         assert!(
             h_c <= lc && lc >= 2,
             "coarse slab too thin: {lc} planes vs halo {h_c}"
         );
         Some(TwoLevelDist {
-            local: LocalComplementSolver::new(&split, lx + 2 * hh),
+            local: LocalComplementSolver::new(&split, lx + 2 * ghost),
             split,
-            h_kernel,
+            ghost,
             h_c,
         })
     }
@@ -109,8 +146,9 @@ struct PmState {
     /// without solving. Either mesh; the opening call clears it.
     held: bool,
     /// Two-level mesh only: the local solve's lattice. The fine deposit
-    /// is extended in place by its ghost planes and zero planes, and the
-    /// solve then leaves each fine force component here in turn.
+    /// is extended in place by its ghost planes and zero planes (none on
+    /// a whole slab), and the solve then leaves each fine force
+    /// component here in turn.
     fine_source: Vec<f64>,
     /// The acceleration the next kick applies to every local particle:
     /// the long-range gather's, or between sub-cycle kicks the
@@ -137,6 +175,8 @@ pub struct DistSimulation<'a> {
     h_int: usize,
     /// Two-level PM machinery when `cfg.two_level` is set.
     tl: Option<TwoLevelDist>,
+    /// The fitted grid-force response the short-range kernel matches.
+    fit: GridForceFit,
     /// The global long-range solve of this view — the `ng` mesh, or the
     /// coarse `ng/c` mesh of the two-level split — on a `p × 1` pencil
     /// FFT, whose real layout is exactly this rank's slab. Building it is
@@ -211,9 +251,11 @@ impl<'a> DistSimulation<'a> {
         // decomposition: the short range sees its images through shifts.
         let periods = decomp.dims.map(|d| if d == 1 { cfg.ng as f32 } else { 0.0 });
         let tl = TwoLevelDist::new(&cfg, p, w_cells, h_int);
+        let fit = cached_grid_fit(&cfg);
         DistSimulation {
             comm,
-            short: ShortRange::new(&cfg, &cached_grid_fit(&cfg), periods),
+            short: ShortRange::new(&cfg, &fit, periods),
+            fit,
             cfg,
             decomp,
             parts,
@@ -256,24 +298,18 @@ impl<'a> DistSimulation<'a> {
         let mut non_finite = 0u64;
         let mut p = [0.0f64; 3];
         let mut ke = 0.0f64;
-        for i in 0..self.parts.n_active {
-            let v = [
-                self.parts.x[i],
-                self.parts.y[i],
-                self.parts.z[i],
-                self.parts.vx[i],
-                self.parts.vy[i],
-                self.parts.vz[i],
-            ];
+        let ((x, y, z), (vx, vy, vz)) = (self.positions(), self.momenta());
+        for i in 0..x.len() {
+            let v = [x[i], y[i], z[i], vx[i], vy[i], vz[i]];
             if v.iter().any(|c| !c.is_finite()) {
                 non_finite += 1;
                 continue;
             }
-            let (vx, vy, vz) = (f64::from(v[3]), f64::from(v[4]), f64::from(v[5]));
-            p[0] += vx;
-            p[1] += vy;
-            p[2] += vz;
-            ke += 0.5 * (vx * vx + vy * vy + vz * vz);
+            let u = [v[3], v[4], v[5]].map(f64::from);
+            for (p, u) in p.iter_mut().zip(u) {
+                *p += u;
+            }
+            ke += 0.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
         }
         let g = self.comm.allreduce(
             vec![
@@ -331,51 +367,63 @@ impl<'a> DistSimulation<'a> {
         SlabGrid::new(n, self.comm.rank(), self.comm.size(), self.cfg.box_len)
     }
 
-    /// This rank's slab of the density contrast on `grid`'s mesh, left
-    /// in `ext`: the actives deposited, across a split axis with their
-    /// spill planes, which are folded onto the ring neighbors.
-    fn density(&self, grid: &SlabGrid, tags: (u64, u64), ext: &mut Vec<f64>) {
+    /// This rank's slab of the density contrast of `count` particles on
+    /// `grid`'s mesh, left in `ext`: the actives deposited, across a
+    /// split axis with their spill planes, which are folded onto the
+    /// ring neighbors.
+    fn density(&self, grid: &SlabGrid, count: usize, tags: (u64, u64), ext: &mut Vec<f64>) {
         grid.deposit(self.particle_positions(), self.parts.n_active, ext);
         if !grid.is_whole() {
             fold_spill_into(self.comm, ext, grid.plane(), DEPOSIT_HALO, tags);
         }
-        contrast(ext, self.count as f64 / (grid.n * grid.n * grid.n) as f64);
+        contrast(ext, count as f64 / (grid.n * grid.n * grid.n) as f64);
     }
 
-    /// Gather the force slabs `grids` of `grid`'s mesh at every local
-    /// particle into `pm.accel` (or add to it): across a split axis with
-    /// `h` halo planes exchanged with the ring neighbors, on a whole
-    /// slab with none.
-    fn gather_forces(&self, grid: &SlabGrid, h: usize, tags: (u64, u64), pm: &mut PmState, add: bool) {
-        let (grids, pos) = (&pm.grids, self.particle_positions());
+    /// Gather the slabs `grids` of `grid`'s mesh at every local particle
+    /// into `out` (or add to it): across a split axis with `h` halo
+    /// planes exchanged with the ring neighbors, on a whole slab with
+    /// none.
+    fn gather<const K: usize>(
+        &self,
+        grid: &SlabGrid,
+        (h, tags): (usize, (u64, u64)),
+        grids: &[Vec<f64>; K],
+        out: &mut [Vec<f32>; K],
+        add: bool,
+    ) {
+        let pos = self.particle_positions();
         if grid.is_whole() {
-            return grid.gather(HaloSlab::whole(grids), 0, pos, &mut pm.accel, add);
+            return grid.gather(HaloSlab::whole(grids), 0, pos, out, add);
         }
         let halos = exchange_halos(self.comm, grids, grid.plane(), h, tags);
-        let fields = [0, 1, 2].map(|k| HaloSlab::received(&halos, k, &grids[k]));
-        grid.gather(fields, h, pos, &mut pm.accel, add);
+        let fields = std::array::from_fn(|k| HaloSlab::received(&halos, k, &grids[k]));
+        grid.gather(fields, h, pos, out, add);
+    }
+
+    /// A Poisson solve on this view's slabs of the `n`-per-side mesh, on
+    /// a `p × 1` pencil FFT whose real layout is exactly this rank's
+    /// slab: the reference response, or with `split` the two-level
+    /// coarse tables. Collective (`Comm::split`).
+    fn poisson(&self, n: usize, split: Option<&ForceSplit>) -> DistRealPoisson<RealPencilFft<'a>> {
+        let p = self.comm.size();
+        let fft = RealPencilFft::with_grid(self.comm, n, p, 1);
+        // The p×1 pencil grid must hand this rank exactly its slab,
+        // aligned with the particle decomposition.
+        let rl = fft.real_layout();
+        assert_eq!(rl.origin, [self.comm.rank() * (n / p), 0, 0], "slab misaligned");
+        assert_eq!(rl.size, [n / p, n, n], "slab shape mismatch");
+        match split {
+            Some(s) => DistRealPoisson::with_kernels(fft, |g| s.coarse_scalar(g), |j| s.coarse_grad(j)),
+            None => DistRealPoisson::new(fft, self.cfg.box_len, self.cfg.spectral),
+        }
     }
 
     /// The global long-range solve of this view, built collectively on
     /// first use (see the `global` field).
     fn global_solve(&self) -> &DistRealPoisson<RealPencilFft<'a>> {
-        self.global.get_or_init(|| {
-            let p = self.comm.size();
-            let n = self.tl.as_ref().map_or(self.cfg.ng, |tl| tl.split.nc());
-            let fft = RealPencilFft::with_grid(self.comm, n, p, 1);
-            // The p×1 pencil grid must hand this rank exactly its slab,
-            // aligned with the particle decomposition.
-            let rl = fft.real_layout();
-            assert_eq!(rl.origin, [self.comm.rank() * (n / p), 0, 0], "slab misaligned");
-            assert_eq!(rl.size, [n / p, n, n], "slab shape mismatch");
-            match &self.tl {
-                Some(tl) => DistRealPoisson::with_kernels(
-                    fft,
-                    |g| tl.split.coarse_scalar(g),
-                    |j| tl.split.coarse_grad(j),
-                ),
-                None => DistRealPoisson::new(fft, self.cfg.box_len, self.cfg.spectral),
-            }
+        self.global.get_or_init(|| match &self.tl {
+            Some(tl) => self.poisson(tl.split.nc(), Some(&tl.split)),
+            None => self.poisson(self.cfg.ng, None),
         })
     }
 
@@ -390,7 +438,7 @@ impl<'a> DistSimulation<'a> {
         let ng = self.cfg.ng;
         let grid = self.slab_grid(ng);
         let t0 = Instant::now();
-        self.density(&grid, TAGS_FINE_FOLD, &mut pm.grids[0]);
+        self.density(&grid, self.count, TAGS_FINE_FOLD, &mut pm.grids[0]);
         brk.cic += t0.elapsed();
 
         let t1 = Instant::now();
@@ -398,44 +446,42 @@ impl<'a> DistSimulation<'a> {
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
-        self.gather_forces(&grid, self.h_int, TAGS_FORCE_HALO, pm, false);
+        self.gather(&grid, (self.h_int, TAGS_FORCE_HALO), &pm.grids, &mut pm.accel, false);
         brk.cic += t2.elapsed();
     }
 
     /// Two-level long-range acceleration: the only *global* transform is
     /// the coarse `(ng/c)³` pencil FFT — its alltoallv volume is `~c³`
-    /// smaller than the single-level solve's. The fine complement is a
-    /// rank-local serial FFT over the slab padded with
-    /// `h_kernel + h_int` ghost density planes from the ring neighbors,
-    /// then zero planes up to the local solver's fast lattice length.
-    /// Output planes within `h_int` of the slab (everything force
-    /// interpolation touches) sit at least `h_kernel` from the padded
-    /// slab's edges, so neither the zero planes nor the lattice
-    /// periodization moves them beyond the matching tolerance. The solve
-    /// runs in place in `pm.fine_source`.
+    /// smaller than the single-level solve's. Across a split x axis the
+    /// fine complement is a rank-local serial FFT over the slab padded
+    /// with `h_kernel + h_int` ghost density planes from the ring
+    /// neighbors, then zero planes up to the local solver's fast lattice
+    /// length. Output planes within `h_int` of the slab (everything
+    /// force interpolation touches) sit at least `h_kernel` from the
+    /// padded slab's edges, so neither the zero planes nor the lattice
+    /// periodization moves them beyond the matching tolerance. A whole
+    /// slab is the periodic fine grid: its complement is exact, with no
+    /// ghost, no zero plane and no message. The solve runs in place in
+    /// `pm.fine_source`.
     fn pm_accel_two_level(&self, tl: &TwoLevelDist, pm: &mut PmState, brk: &mut StepBreakdown) {
         let ng = self.cfg.ng;
         let nc = tl.split.nc();
         let (fine, coarse) = (self.slab_grid(ng), self.slab_grid(nc));
-        let (h_int, h_kernel, h_c) = (self.h_int, tl.h_kernel, tl.h_c);
+        let (h_int, ghost, h_c) = (self.h_int, tl.ghost, tl.h_c);
         let plane = ng * ng;
 
         // Both deposits (fine for the complement, coarse for the global
         // solve) sample the same density-contrast field at their own
         // resolution; the fine one then takes its ghost and zero planes.
         let t0 = Instant::now();
-        self.density(&fine, TAGS_FINE_FOLD, &mut pm.fine_source);
-        self.density(&coarse, TAGS_COARSE_FOLD, &mut pm.grids[0]);
-        let density = std::slice::from_ref(&pm.fine_source);
-        exchange_halos(
-            self.comm,
-            density,
-            plane,
-            h_kernel + h_int,
-            TAGS_FINE_DENSITY_HALO,
-        )
-        .extend(0, &mut pm.fine_source);
-        pm.fine_source.resize(tl.local.nx() * plane, 0.0);
+        self.density(&fine, self.count, TAGS_FINE_FOLD, &mut pm.fine_source);
+        self.density(&coarse, self.count, TAGS_COARSE_FOLD, &mut pm.grids[0]);
+        if ghost > 0 {
+            let density = std::slice::from_ref(&pm.fine_source);
+            exchange_halos(self.comm, density, plane, ghost, TAGS_FINE_DENSITY_HALO)
+                .extend(0, &mut pm.fine_source);
+            pm.fine_source.resize(tl.local.nx() * plane, 0.0);
+        }
         brk.cic += t0.elapsed();
 
         // Coarse global solve: 1 r2c + 3 c2r on the (ng/c)³ grid.
@@ -445,11 +491,11 @@ impl<'a> DistSimulation<'a> {
 
         // Fine complement: the local solve, no global comm, each
         // component gathered as it lands. Valid fine planes
-        // [x0-h, x0+lx+h) are the contiguous slice starting
-        // h_kernel + h_int - h planes into the lattice: h = h_int across
-        // a split axis, 0 on a whole slab, whose gather wraps x.
+        // [x0-h, x0+lx+h) are the contiguous slice starting ghost - h
+        // planes into the lattice: h = h_int across a split axis, 0 on a
+        // whole slab, whose gather wraps x.
         let h = if fine.is_whole() { 0 } else { h_int };
-        let valid = (h_kernel + h_int - h) * plane..(h_kernel + h_int + fine.lx + h) * plane;
+        let valid = (ghost - h) * plane..(ghost + fine.lx + h) * plane;
         let pos = self.particle_positions();
         let t2 = Instant::now();
         let mut gather_time = Duration::ZERO;
@@ -465,7 +511,7 @@ impl<'a> DistSimulation<'a> {
         brk.cic += gather_time;
 
         let t3 = Instant::now();
-        self.gather_forces(&coarse, h_c, TAGS_COARSE_FORCE_HALO, pm, true);
+        self.gather(&coarse, (h_c, TAGS_COARSE_FORCE_HALO), &pm.grids, &mut pm.accel, true);
         brk.cic += t3.elapsed();
     }
 
@@ -487,6 +533,109 @@ impl<'a> DistSimulation<'a> {
         let brk = stepper::step(self, &cfg, a0, a1);
         self.a = a1;
         self.stats.steps.push(brk);
+    }
+
+    /// Run the configured schedule to `a_final` (collective); calls
+    /// `on_step(a, self)` after each step for snapshotting.
+    pub fn run<F: FnMut(f64, &Self)>(&mut self, mut on_step: F) {
+        for &a1 in &self.cfg.step_edges()[1..] {
+            if a1 > self.a {
+                self.step(a1);
+                on_step(self.a, self);
+            }
+        }
+    }
+
+    /// Number of this rank's active particles.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.parts.n_active
+    }
+
+    /// True when this rank holds no active particle.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Positions (Mpc/h) of this rank's actives. Positions stream
+    /// unwrapped within a step and are wrapped at the next step's
+    /// refresh, so a coordinate may lie up to one step's drift outside
+    /// `[0, box_len)`: wrap it, or use minimum-image separations.
+    #[must_use]
+    pub fn positions(&self) -> (&[f32], &[f32], &[f32]) {
+        let (p, n) = (&self.parts, self.parts.n_active);
+        (&p.x[..n], &p.y[..n], &p.z[..n])
+    }
+
+    /// Momenta (`p = a²ẋ`, Mpc/h·H0) of this rank's actives.
+    #[must_use]
+    pub fn momenta(&self) -> (&[f32], &[f32], &[f32]) {
+        let (p, n) = (&self.parts, self.parts.n_active);
+        (&p.vx[..n], &p.vy[..n], &p.vz[..n])
+    }
+
+    /// The fitted grid-force response in use (paper Eq. 7).
+    #[must_use]
+    pub fn grid_fit(&self) -> &GridForceFit {
+        &self.fit
+    }
+
+    /// Total acceleration (PM + short-range) of this rank's actives at
+    /// their current positions, for force-accuracy studies and tests
+    /// (collective). Runs the step's own force paths into the held
+    /// buffer, so it takes `&mut self`; the trajectory is unchanged.
+    pub fn total_accel(&mut self) -> [Vec<f32>; 3] {
+        let mut brk = StepBreakdown::default();
+        self.open(&mut brk);
+        self.long_range(true, &mut brk);
+        let n = self.parts.n_active;
+        let mut out = self.pm.accel.each_ref().map(|a| a[..n].to_vec());
+        if self.cfg.solver != SolverKind::PmOnly {
+            self.short_range(&mut brk);
+            // The held buffer now carries the short-range force: the
+            // next step must solve its opening field.
+            self.pm.held = false;
+            for (o, s) in out.iter_mut().zip(&self.pm.accel) {
+                for (o, s) in o.iter_mut().zip(s) {
+                    *o += s;
+                }
+            }
+        }
+        out
+    }
+
+    /// Specific kinetic and potential energy of the particle system at
+    /// the current epoch (per unit particle mass, `H0 = 1` units), over
+    /// every rank's actives (collective): `K = Σ p²/2a²`,
+    /// `U = ½·(3/2)Ωm/a·Σ φ̂(x_i)` with `∇²φ̂ = δ` solved with the
+    /// single-level mesh's filtered kernel, the one the forces match.
+    ///
+    /// Together these satisfy the Layzer–Irvine cosmic energy equation
+    /// `d(K+U)/dt = -H(2K+U)`, the standard global accuracy check for
+    /// cosmological N-body integrators.
+    #[must_use]
+    pub fn energies(&self) -> (f64, f64) {
+        let (vx, vy, vz) = self.momenta();
+        let a2 = (self.a * self.a) as f32;
+        let mut k = 0.0f64;
+        for i in 0..vx.len() {
+            let p2 = vx[i] * vx[i] + vy[i] * vy[i] + vz[i] * vz[i];
+            k += f64::from(p2 / (2.0 * a2));
+        }
+        let ng = self.cfg.ng;
+        let grid = self.slab_grid(ng);
+        let mut phi = [Vec::new()];
+        self.density(&grid, self.global_count(), TAGS_FINE_FOLD, &mut phi[0]);
+        // The two-level view's global solve is the coarse level's.
+        let single = self.tl.as_ref().map(|_| self.poisson(ng, None));
+        let poisson = single.as_ref().unwrap_or_else(|| self.global_solve());
+        poisson.solve_potential_in_place(&mut phi[0]);
+        let mut at = [Vec::new()];
+        self.gather(&grid, (self.h_int, TAGS_POTENTIAL_HALO), &phi, &mut at, false);
+        let prefactor = 1.5 * self.cfg.cosmology.omega_m / self.a;
+        let u = 0.5 * prefactor * at[0][..vx.len()].iter().map(|&v| f64::from(v)).sum::<f64>();
+        (self.comm.allreduce_sum(k), self.comm.allreduce_sum(u))
     }
 
     /// Particle load imbalance across ranks: `max/mean` active particles
@@ -530,7 +679,8 @@ impl ForceField for DistSimulation<'_> {
 
     /// The refresh of domains and overload shells, after the opening
     /// kick has applied the held field to the particles it was gathered
-    /// at (see [`DistSimulation::step`]).
+    /// at (see [`DistSimulation::step`]). On one rank it wraps every
+    /// position in place.
     fn refresh(&mut self, brk: &mut StepBreakdown) {
         let t0 = Instant::now();
         refresh(self.comm, &self.decomp, &mut self.parts);
@@ -539,7 +689,7 @@ impl ForceField for DistSimulation<'_> {
     }
 
     /// Solves unless `solve` is false and the closing solve's field is
-    /// held, as the serial engine's `long_range` does.
+    /// held.
     fn long_range(&mut self, solve: bool, brk: &mut StepBreakdown) {
         if solve || !self.pm.held {
             // The held buffers are lent out of `self` so the solve can
@@ -683,6 +833,67 @@ mod tests {
         assert_eq!(counts, vec![total; 2]);
     }
 
+    /// The Layzer–Irvine cosmic energy equation `d(K+U)/da = -(2K+U)/a`
+    /// along a PM-only trajectory, on one rank and on two: the actual
+    /// change of `K+U` against the right-hand side integrated by the
+    /// trapezoid rule over the per-step states. Both ranks see the same
+    /// reduced energies, and the 2-rank `(K, U)` after every step are
+    /// the 1-rank values to round-off (relative 1e-12).
+    #[test]
+    fn layzer_irvine_energy_budget() {
+        let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+        let (a0, a1) = (0.2, 0.3);
+        let ics = hacc_ics::zeldovich(16, 100.0, &power, a0, 77);
+        let cfg = SimConfig {
+            ng: 16,
+            box_len: 100.0,
+            a_init: a0,
+            a_final: a1,
+            steps: 10,
+            subcycles: 2,
+            solver: SolverKind::PmOnly,
+            ..SimConfig::small_lcdm()
+        };
+        let states = |sim: &mut DistSimulation<'_>| {
+            let mut out = vec![(sim.a, sim.energies())];
+            sim.run(|a, s| out.push((a, s.energies())));
+            out
+        };
+        let one = states(&mut crate::Simulation::from_ics(cfg, &ics));
+        let (two, _) = Machine::new(2).run(|comm| states(&mut DistSimulation::new(&comm, cfg, &ics)));
+        assert!(two[0] == two[1], "the ranks disagree on the reduced energies");
+        for (ranks, states) in [(1, &one), (2, &two[0])] {
+            let (_, (k0, u0)) = states[0];
+            let (_, (k1, u1)) = *states.last().expect("states");
+            let lhs = (k1 + u1) - (k0 + u0);
+            // d(K+U)/dt = -H(2K+U) with dt = da/(aE) ⇒ d(K+U)/da = -(2K+U)/a.
+            let rhs: f64 = states
+                .windows(2)
+                .map(|w| {
+                    let ((aa, (ka, ua)), (ab, (kb, ub))) = (w[0], w[1]);
+                    0.5 * (-(2.0 * ka + ua) / aa - (2.0 * kb + ub) / ab) * (ab - aa)
+                })
+                .sum();
+            let scale = (k0 + k1 + u0.abs() + u1.abs()).max(1e-12);
+            assert!(
+                (lhs - rhs).abs() < 0.05 * scale,
+                "{ranks} rank(s): Layzer-Irvine violated: ΔE = {lhs:.4e}, \
+                 -∫H(2K+U)dt = {rhs:.4e}, scale {scale:.3e}"
+            );
+            // Sanity: potential negative (bound structure), kinetic positive.
+            assert!(k1 > 0.0 && u1 < 0.0, "{ranks} rank(s): K = {k1}, U = {u1}");
+        }
+        let mut worst = [0.0f64; 2];
+        for (&(a, (k1, u1)), &(b, (k2, u2))) in one.iter().zip(&two[0]) {
+            assert_eq!(a, b);
+            worst[0] = worst[0].max((k2 - k1).abs() / k1.abs());
+            worst[1] = worst[1].max((u2 - u1).abs() / u1.abs());
+        }
+        // Measured: K equal, U within 3e-16 — summation order and the
+        // 2-rank transform's rounding.
+        assert!(worst[0] < 1e-12 && worst[1] < 1e-12, "2-rank vs 1-rank relative (K, U) error {worst:?}");
+    }
+
     /// P³M's chaining mesh needs every axis whole: a split x axis is
     /// refused by the short-range layer.
     #[test]
@@ -757,7 +968,7 @@ mod tests {
             grid.gather(fields, h, pos, &mut twice, true);
             (mine, once, twice)
         };
-        let whole = SlabGrid::whole(n, n as f64);
+        let whole = SlabGrid::new(n, 0, 1, n as f64);
         let fields = grids.each_ref().map(|g| HaloSlab::contiguous(g));
         let own = gather_twice(whole, fields, 0, (0..count).collect());
         let lx = n / 2;

@@ -11,11 +11,10 @@
 //! * the 2nd-order split-operator symplectic stepper of paper Eq. 6,
 //!   `M_full = M_lr(t/2) (M_sr(t/nc))^nc M_lr(t/2)`, sub-cycling the
 //!   short-range SKS (stream–kick–stream) maps inside long-range kicks
-//!   while the slowly varying long-range force stays frozen — one
-//!   integrator for the serial and the distributed engine, each of
-//!   which supplies its forces and phase space through one small seam,
-//!   with one drift convention and one short-range layer (the serial
-//!   engine is the 1-rank case);
+//!   while the slowly varying long-range force stays frozen;
+//! * one engine at every rank count: [`DistSimulation`] on a
+//!   communicator, and [`Simulation`], the serial API, is that engine
+//!   on a process-wide one-rank world, whose steps send no message;
 //! * mixed precision exactly as in the paper: particles and short-range
 //!   arithmetic in f32, the spectral path in f64.
 //!

@@ -1,4 +1,4 @@
-//! The short-range layer both engines own (paper §1 item 2): an engine
+//! The short-range layer of the engine (paper §1 item 2): a view
 //! hands over its positions (box units, continuous within a step; the
 //! refresh wraps them and invalidates the layer) and the global count,
 //! and the layer fills its own grid coordinates, scales the kernel by

@@ -1,7 +1,7 @@
-//! The CIC kernels of the long-range pipeline, shared by both engines.
+//! The CIC kernels of the long-range pipeline.
 //!
-//! A mesh is cut into x slabs, one per rank; the serial engine's box and
-//! a 1-rank view's are a single slab. Every axis a slab spans whole
+//! A mesh is cut into x slabs, one per rank; a 1-rank view's (the
+//! serial engine's) is a single slab. Every axis a slab spans whole
 //! wraps inside the kernels: y and z always, x on a one-slab box, which
 //! therefore deposits no spill and gathers with no halo. Across a split
 //! x axis the deposit fills a slab extended by [`DEPOSIT_HALO`] planes
@@ -37,8 +37,8 @@ impl<'a> HaloSlab<'a> {
         HaloSlab([&[], planes, &[]])
     }
 
-    /// Three whole-slab grids, which a gather reads with no halo.
-    pub(crate) fn whole(grids: &'a [Vec<f64>; 3]) -> [Self; 3] {
+    /// Whole-slab grids, which a gather reads with no halo.
+    pub(crate) fn whole<const K: usize>(grids: &'a [Vec<f64>; K]) -> [Self; K] {
         grids.each_ref().map(|g| Self::contiguous(g))
     }
 }
@@ -65,11 +65,6 @@ impl SlabGrid {
             x0: rank * lx,
             to_grid: n as f64 / box_len,
         }
-    }
-
-    /// The whole box as one slab.
-    pub(crate) fn whole(n: usize, box_len: f64) -> Self {
-        Self::new(n, 0, 1, box_len)
     }
 
     /// Values in one x plane.
@@ -276,7 +271,7 @@ mod tests {
         xs[6..8].copy_from_slice(&[-0.375, n as f32 + 0.25]);
         let mut want = vec![0.0; n * n * n];
         hacc_pm::deposit_cic(&mut want, n, &xs, &ys, &zs, 1.0);
-        let grid = SlabGrid::whole(n, n as f64);
+        let grid = SlabGrid::new(n, 0, 1, n as f64);
         let mut got = Vec::new();
         grid.deposit([&xs, &ys, &zs], xs.len(), &mut got);
         assert_eq!(got.len(), want.len());

@@ -1,12 +1,11 @@
-//! The time integrator of paper Eq. 6, written once for both engines.
+//! The time integrator of paper Eq. 6.
 //!
 //! One long step is `M_lr(t/2) (M_sr(t/nc))^nc M_lr(t/2)`: a long-range
 //! half kick, `nc` short-range stream–kick–stream sub-cycles with the
 //! long-range force frozen, and a closing long-range half kick. Kicks
-//! and drifts are applied here, on the phase space the engine lends out;
-//! the engines differ only beneath it, in the [`ForceField`] they hand
-//! in: how a step opens and refreshes, and how each force lands in the
-//! engine's one held acceleration buffer.
+//! and drifts are applied here, on the phase space the engine lends out
+//! through the [`ForceField`] seam: how a step opens and refreshes, and
+//! how each force lands in the engine's one held acceleration buffer.
 //!
 //! One drift convention: positions stream unwrapped, so they stay
 //! continuous within a step, and the refresh wraps them once, with the
@@ -33,8 +32,7 @@ pub(crate) struct PhaseSpace<'a> {
 /// [`Self::phase_space`] lends out: the long-range and short-range
 /// accelerations are never live together.
 pub(crate) trait ForceField {
-    /// Work before the opening kick (the distributed engine's global
-    /// count; nothing for the serial engine).
+    /// Work before the opening kick (the global count).
     fn open(&mut self, brk: &mut StepBreakdown);
 
     /// Work between the opening kick and the first drift: every

@@ -431,7 +431,9 @@ hacc_comm::impl_wire_msg!(Tagged {
 /// domain boundaries to their new owners, and rebuilds every rank's
 /// overload shell. On return, each rank's [`Particles`] holds its active
 /// particles (wrapped into the box) followed by fresh passive replicas
-/// (in the local shifted frame).
+/// (in the local shifted frame). A one-block decomposition has no
+/// migration and no replica: its refresh wraps the actives in place,
+/// in order, with no message and no allocation.
 pub fn refresh(comm: &Comm, decomp: &Decomposition, particles: &mut Particles) {
     try_refresh(comm, decomp, particles).unwrap_or_else(|e| panic!("{e}"));
 }
@@ -446,6 +448,15 @@ pub fn try_refresh(
     particles: &mut Particles,
 ) -> Result<(), hacc_comm::CommError> {
     assert_eq!(comm.size(), decomp.ranks(), "decomposition/communicator mismatch");
+    if decomp.ranks() == 1 {
+        particles.drop_passives();
+        for c in [&mut particles.x, &mut particles.y, &mut particles.z] {
+            for v in c.iter_mut() {
+                *v = decomp.wrap_f32(*v);
+            }
+        }
+        return Ok(());
+    }
     let mut sends: Vec<Vec<Tagged>> = (0..comm.size()).map(|_| Vec::new()).collect();
     let mut targets = OverloadTargets::default();
     for i in 0..particles.n_active {
@@ -830,6 +841,41 @@ mod tests {
     #[should_panic(expected = "exceeds block width")]
     fn oversized_overload_rejected() {
         let _ = Decomposition::new([4, 1, 1], 16.0, 5.0);
+    }
+
+    /// A one-block refresh wraps the actives in place and in order —
+    /// as the general path would route them all to the one rank — drops
+    /// stale replicas, and sends nothing.
+    #[test]
+    fn one_block_refresh_wraps_in_place() {
+        let d = Decomposition::new([1, 1, 1], 16.0, 2.0);
+        let xs = [-1e-6f32, 3.5, 16.0, 31.25, -4.0];
+        let (res, stats) = Machine::new(1).run(|comm| {
+            let mut parts = Particles::default();
+            for (i, &x) in xs.iter().enumerate() {
+                parts.push(Packed {
+                    x,
+                    y: 17.0 - x,
+                    z: x * 2.0,
+                    vx: i as f32,
+                    vy: 0.0,
+                    vz: 0.0,
+                    id: 10 + i as u64,
+                });
+            }
+            parts.n_active = 4;
+            refresh(&comm, &d, &mut parts);
+            parts
+        });
+        let parts = &res[0];
+        assert_eq!((parts.n_active, parts.len()), (4, 4), "the stale replica is dropped");
+        assert_eq!(parts.id, [10, 11, 12, 13]);
+        for (i, &x) in xs[..4].iter().enumerate() {
+            let want = [x, 17.0 - x, x * 2.0].map(|v| d.wrap_f32(v).to_bits());
+            let got = [parts.x[i], parts.y[i], parts.z[i]].map(f32::to_bits);
+            assert_eq!(got, want, "particle {i}");
+        }
+        assert_eq!(stats.msgs_sent.iter().sum::<u64>(), 0, "a one-block refresh sends nothing");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Positions are in *grid units* — `[0, n)` per axis — callers convert from
 //! physical coordinates by `n/L`.
 //!
-//! These are the periodic references: both engines run the slab deposit
+//! These are the periodic references: the engine runs the slab deposit
 //! and fused gather of `hacc-core`, which the references pin in tests,
 //! and the benchmark probes and analysis tools call these directly.
 

@@ -514,6 +514,10 @@ impl TwoLevelPmSolver {
 /// interior `lx` planes match the global fine solve to the matching
 /// tolerance: the zero planes carry no mass, and the slab
 /// periodization's spurious images all sit beyond the truncation radius.
+///
+/// A slab that spans x whole needs neither: [`Self::periodic`] solves on
+/// exactly the `n` planes of the box, whose x period is the box's, so
+/// the lattice *is* the periodic fine grid and no plane is truncated.
 pub struct LocalComplementSolver {
     nx: usize,
     n: usize,
@@ -536,6 +540,14 @@ impl LocalComplementSolver {
     #[must_use]
     pub fn new(split: &ForceSplit, min_nx: usize) -> Self {
         Self::with_len(split, hacc_fft::fast_len(min_nx))
+    }
+
+    /// The solver on the whole periodic fine grid: exactly the split's
+    /// `n` x-planes, for a slab that spans x whole — no ghost plane, no
+    /// zero plane.
+    #[must_use]
+    pub fn periodic(split: &ForceSplit) -> Self {
+        Self::with_len(split, split.n())
     }
 
     /// The local solver on exactly `nx ≥ 2` x-planes.

@@ -86,14 +86,13 @@ impl P3mSolver {
         self.cells
     }
 
+    /// The chaining-mesh cell of a position in `[0, box_len)`; the
+    /// clamp catches a coordinate a hair below `box_len` whose scaled
+    /// value rounds up to the mesh side.
     fn cell_of(&self, x: f32, y: f32, z: f32) -> usize {
         let m = self.cells as f32;
-        let wrap = |v: f32| -> usize {
-            let c = (v / self.box_len * m).floor();
-            let c = if c < 0.0 { c + m } else { c };
-            (c as usize).min(self.cells - 1)
-        };
-        (wrap(x) * self.cells + wrap(y)) * self.cells + wrap(z)
+        let cell = |v: f32| ((v / self.box_len * m).floor() as usize).min(self.cells - 1);
+        (cell(x) * self.cells + cell(y)) * self.cells + cell(z)
     }
 
     /// Compute short-range forces for all particles. Returns
@@ -114,7 +113,9 @@ impl P3mSolver {
     }
 
     /// Compute short-range forces into caller-owned buffers, reusing
-    /// `scratch` — allocation-free once everything is warm.
+    /// `scratch` — allocation-free once everything is warm. Every
+    /// coordinate must lie in `[0, box_len)`: the periodic shifts
+    /// assume it, so one outside is refused, not binned.
     ///
     /// Particles are binned with a counting sort (histogram → prefix →
     /// scatter) instead of per-cell `Vec`s; each cell task leases a
@@ -134,9 +135,14 @@ impl P3mSolver {
     ) -> u64 {
         let np = xs.len();
         assert!(ys.len() == np && zs.len() == np && mass.len() == np);
+        let l = self.box_len;
+        for (axis, c) in [("x", xs), ("y", ys), ("z", zs)] {
+            if let Some(i) = c.iter().position(|v| !(0.0..l).contains(v)) {
+                panic!("P³M: particle {i} has {axis} = {} outside the box [0, {l})", c[i]);
+            }
+        }
         let nc = self.cells;
         let ncells = nc * nc * nc;
-        let l = self.box_len;
 
         // Counting-sort binning.
         scratch.counts.clear();
@@ -420,6 +426,16 @@ mod tests {
         let expect = 2000.0 * 27.0 * 2000.0 / (nc * nc * nc);
         let ratio = inter as f64 / expect;
         assert!(ratio > 0.5 && ratio < 2.0, "ratio {ratio}");
+    }
+
+    /// A coordinate outside `[0, box_len)` is refused: a negative one
+    /// would be binned into the last cell with its unshifted value, and
+    /// its pairs across the face lost.
+    #[test]
+    #[should_panic(expected = "particle 1 has y = -0.25 outside the box")]
+    fn out_of_box_coordinate_is_refused() {
+        let solver = P3mSolver::new(ForceKernel::newtonian(3.0, 0.0), 16.0);
+        let _ = solver.forces(&[0.2, 15.8], &[8.0, -0.25], &[8.0, 8.0], &[1.0, 1.0]);
     }
 
     #[test]

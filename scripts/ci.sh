@@ -13,6 +13,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo run --release --example quickstart  (the public serial API end to end, 16³)"
+cargo run --release --example quickstart
+
 echo "==> cargo test --release -p hacc-short --lib --test periodic -- --include-ignored  (48³ periodic tree oracle, 48³ cut invariance)"
 cargo test --release -q -p hacc-short --lib --test periodic -- --include-ignored
 

@@ -61,8 +61,11 @@ fn distributed_ffts_match_serial() {
 /// The distributed overloaded driver reproduces the serial driver's
 /// trajectory (the Table II/III workhorse) on every axis the long-range
 /// layer has: PM-only and TreePM, single-level and two-level mesh, and 1,
-/// 2 and 4 ranks — the 1-rank case pins "serial is the 1-rank case" for
-/// the one distributed pipeline both mesh levels run.
+/// 2 and 4 ranks. `Simulation` is the engine on the process-wide
+/// one-rank world, so the 1-rank row pins a view on a fresh world to
+/// it; the two-level mesh's ties to an oracle outside the engine are
+/// `one_rank_two_level_mesh_is_the_serial_two_level_solver` and
+/// `padded_two_level_mesh_tracks_the_periodic_one`.
 #[test]
 fn distributed_driver_tracks_serial() {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
@@ -236,12 +239,12 @@ fn one_solve_per_warm_step() {
     );
 }
 
-/// One overload model for both engines: a 1-rank distributed run spans
-/// every axis whole, so it holds no passive replica — the tree sees the
-/// periodic box through image shifts, as the serial engine's does — and
-/// its short-range layer does exactly the serial engine's work: the same
-/// directed interactions and pair evaluations as `Simulation`'s on the
-/// same problem.
+/// One overload model at one rank: a 1-rank view on a fresh machine
+/// spans every axis whole, so it holds no passive replica — the tree
+/// sees the periodic box through image shifts — and its short-range
+/// layer does exactly `Simulation`'s work on the shared one-rank world:
+/// the same directed interactions and pair evaluations on the same
+/// problem.
 #[test]
 fn one_rank_engine_does_the_serial_work() {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
@@ -280,12 +283,13 @@ fn one_rank_engine_does_the_serial_work() {
     );
 }
 
-/// The serial engine is the 1-rank distributed engine, bit for bit: one
-/// drift convention (unwrapped within a step, wrapped by the domain's
-/// wrap at the refresh), one CIC that wraps every whole axis, one
-/// short-range layer. After every step of a run whose particles cross
-/// the box faces, ids, positions and momenta agree bitwise, on PmOnly,
-/// TreePm and P3m over a single-level mesh.
+/// `Simulation` is the 1-rank distributed engine, bit for bit: its run
+/// on the process-wide one-rank world (one drift convention, one CIC
+/// that wraps every whole axis, one short-range layer, the one-block
+/// refresh in place) matches a view on a fresh 1-rank machine. After
+/// every step of a run whose particles cross the box faces, ids,
+/// positions and momenta agree bitwise, on PmOnly, TreePm and P3m over
+/// a single-level mesh.
 #[test]
 fn one_rank_engine_is_the_serial_engine() {
     let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
@@ -340,4 +344,208 @@ fn one_rank_engine_is_the_serial_engine() {
             }
         }
     }
+}
+
+/// One engine, no messages: `Simulation` is the one-rank engine on a
+/// process-wide world, and a one-rank step — refresh, global count,
+/// deposits, transforms, gathers, short range — puts nothing on it, on
+/// PmOnly, TreePm and P³M over the single-level mesh and on the
+/// two-level mesh. Every `Simulation` in the process shares the world's
+/// counters, so any message any of them sent would show.
+#[test]
+fn one_rank_steps_send_no_message() {
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let a0 = 0.25;
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, a0, 7);
+    let two_level = Some(hacc::pm::PmLevelConfig::default());
+    let cases = [
+        (SolverKind::PmOnly, None),
+        (SolverKind::TreePm, None),
+        (SolverKind::P3m, None),
+        (SolverKind::PmOnly, two_level),
+    ];
+    for (solver, two_level) in cases {
+        let cfg = SimConfig {
+            box_len: 64.0,
+            ng: 32,
+            a_init: a0,
+            subcycles: 2,
+            solver,
+            two_level,
+            ..SimConfig::small_lcdm()
+        };
+        let mut sim = Simulation::from_ics(cfg, &ics);
+        for k in 1..=3 {
+            sim.step(a0 * 1.02f64.powi(k));
+        }
+        assert_eq!(sim.comm().size(), 1);
+        let t = sim.comm().traffic_stats();
+        let msgs: u64 = t.msgs_sent.iter().sum();
+        assert_eq!(
+            (msgs, t.total_bytes()),
+            (0, 0),
+            "{solver:?} two_level={}: the one-rank world carried traffic",
+            two_level.is_some()
+        );
+    }
+}
+
+/// Simulations on several threads share the one-rank world: two runs,
+/// one TreePm over the single-level mesh and one PmOnly over the
+/// two-level mesh, built and stepped in lockstep on two threads (a
+/// barrier before each step), each end bitwise where it ends alone.
+#[test]
+fn simulations_on_two_threads_match_their_sequential_runs() {
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let a0 = 0.25;
+    let ics = hacc::ics::zeldovich(16, 64.0, &power, a0, 11);
+    let base = SimConfig {
+        box_len: 64.0,
+        ng: 32,
+        a_init: a0,
+        subcycles: 2,
+        ..SimConfig::small_lcdm()
+    };
+    let configs = [
+        SimConfig {
+            solver: SolverKind::TreePm,
+            ..base
+        },
+        SimConfig {
+            solver: SolverKind::PmOnly,
+            two_level: Some(hacc::pm::PmLevelConfig::default()),
+            ..base
+        },
+    ];
+    let run = |cfg: SimConfig, lockstep: Option<&std::sync::Barrier>| {
+        let wait = || lockstep.map(std::sync::Barrier::wait);
+        wait();
+        let mut sim = Simulation::from_ics(cfg, &ics);
+        for k in 1..=4 {
+            wait();
+            sim.step(a0 * 1.02f64.powi(k));
+        }
+        let ((x, y, z), (vx, vy, vz)) = (sim.positions(), sim.momenta());
+        [x, y, z, vx, vy, vz].map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
+    };
+    let alone = configs.map(|cfg| run(cfg, None));
+    let (run, barrier) = (&run, &std::sync::Barrier::new(2));
+    let together = std::thread::scope(|s| {
+        configs
+            .map(|cfg| s.spawn(move || run(cfg, Some(barrier))))
+            .map(|h| h.join().expect("simulation thread"))
+    });
+    for (k, (alone, together)) in alone.iter().zip(&together).enumerate() {
+        assert!(alone == together, "run {k}: stepping beside another simulation moved it");
+    }
+}
+
+/// Largest component difference of `got` from `want`, relative to the
+/// largest component of `want`.
+fn rel_max_diff(got: &[Vec<f32>; 3], want: &[Vec<f32>; 3]) -> f64 {
+    let big = want.iter().flatten().fold(0.0f64, |m, &v| m.max(f64::from(v).abs()));
+    let diff = got
+        .iter()
+        .zip(want)
+        .flat_map(|(g, w)| g.iter().zip(w))
+        .fold(0.0f64, |m, (&g, &w)| m.max(f64::from(g - w).abs()));
+    diff / big
+}
+
+/// A PmOnly configuration over the two-level mesh, and the state of its
+/// run a step into the evolution as initial conditions: positions
+/// wrapped into the box, so every engine built from it starts from the
+/// same bits.
+fn evolved_two_level(ng: usize, box_len: f64) -> (SimConfig, hacc::ics::IcsRealization) {
+    let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+    let a0 = 0.3;
+    let mut ics = hacc::ics::zeldovich(16, box_len, &power, a0, 31);
+    let cfg = SimConfig {
+        box_len,
+        ng,
+        a_init: a0,
+        subcycles: 1,
+        solver: SolverKind::PmOnly,
+        two_level: Some(hacc::pm::PmLevelConfig::default()),
+        ..SimConfig::small_lcdm()
+    };
+    let mut sim = Simulation::from_ics(cfg, &ics);
+    sim.step(0.33);
+    let l = box_len as f32;
+    let wrap = |c: &[f32]| c.iter().map(|&v| v.rem_euclid(l) % l).collect::<Vec<f32>>();
+    let ((x, y, z), (vx, vy, vz)) = (sim.positions(), sim.momenta());
+    (ics.x, ics.y, ics.z) = (wrap(x), wrap(y), wrap(z));
+    (ics.vx, ics.vy, ics.vz) = (vx.to_vec(), vy.to_vec(), vz.to_vec());
+    ics.a_init = sim.a;
+    (SimConfig { a_init: sim.a, ..cfg }, ics)
+}
+
+/// The one-rank two-level mesh against an oracle outside the engine:
+/// the whole-slab complement on the periodic `ng` lattice plus the
+/// coarse level, gathered at every particle, equals `TwoLevelPmSolver`'s
+/// global complement and coarse solve with the reference CIC deposit and
+/// interpolation on the same state, bit for bit. The box is `ng` long,
+/// so box units are grid units and both deposits see the same
+/// coordinates.
+#[test]
+fn one_rank_two_level_mesh_is_the_serial_two_level_solver() {
+    use hacc::pm::{cic, TwoLevelPmSolver};
+
+    let ng = 32;
+    let (cfg, state) = evolved_two_level(ng, ng as f64);
+    let mut sim = Simulation::from_ics(cfg, &state);
+    let got = sim.total_accel();
+
+    let solver = TwoLevelPmSolver::new(ng, cfg.box_len, cfg.spectral, cfg.two_level.expect("two-level"));
+    let nc = solver.nc();
+    let (x, y, z) = sim.positions();
+    let coarse_pos = [x, y, z].map(|c| c.iter().map(|&v| v * (nc as f32 / ng as f32)).collect::<Vec<f32>>());
+    let cp = [&coarse_pos[0][..], &coarse_pos[1][..], &coarse_pos[2][..]];
+    let density = |n: usize, pos: [&[f32]; 3]| {
+        let mut grid = vec![0.0; n * n * n];
+        cic::deposit_cic(&mut grid, n, pos[0], pos[1], pos[2], 1.0);
+        let nbar = x.len() as f64 / (n * n * n) as f64;
+        grid.iter_mut().for_each(|v| *v = *v / nbar - 1.0);
+        grid
+    };
+    let (mut fine, mut coarse) = <([Vec<f64>; 3], [Vec<f64>; 3])>::default();
+    solver.solve_forces_into(&density(ng, [x, y, z]), &density(nc, cp), &mut fine, &mut coarse);
+    let want: [Vec<f32>; 3] = std::array::from_fn(|c| {
+        let f = cic::interpolate_cic(&fine[c], ng, x, y, z);
+        let k = cic::interpolate_cic(&coarse[c], nc, cp[0], cp[1], cp[2]);
+        f.iter().zip(&k).map(|(f, k)| f + k).collect()
+    });
+    for c in 0..3 {
+        let diff = got[c].iter().zip(&want[c]).filter(|(g, w)| g.to_bits() != w.to_bits()).count();
+        assert_eq!(diff, 0, "component {c}: {diff} accelerations differ from TwoLevelPmSolver's");
+    }
+}
+
+/// The ghost-padded two-level path against the periodic one: on two
+/// ranks each slab solves the complement on its own lattice, padded by
+/// the kernel's support plus the force halo and truncated beyond it;
+/// on one rank the lattice is the periodic fine grid. Their
+/// accelerations at every particle agree within the split's matching
+/// tolerance (measured: 1.1e-5 of the largest component).
+#[test]
+fn padded_two_level_mesh_tracks_the_periodic_one() {
+    let (cfg, state) = evolved_two_level(48, 64.0);
+    let want = Simulation::from_ics(cfg, &state).total_accel();
+    let (per_rank, _) = Machine::new(2).run(|comm| {
+        let mut sim = DistSimulation::new(&comm, cfg, &state);
+        let accel = sim.total_accel();
+        (sim.particles().id[..sim.len()].to_vec(), accel)
+    });
+    let mut got: [Vec<f32>; 3] = std::array::from_fn(|_| vec![f32::NAN; state.len()]);
+    for (ids, accel) in &per_rank {
+        for (j, &id) in ids.iter().enumerate() {
+            for c in 0..3 {
+                got[c][id as usize] = accel[c][j];
+            }
+        }
+    }
+    assert!(got.iter().flatten().all(|v| v.is_finite()), "a particle has no 2-rank acceleration");
+    let err = rel_max_diff(&got, &want);
+    let tol = cfg.two_level.expect("two-level").matching_tol;
+    assert!(err < tol, "2-rank padded vs 1-rank periodic two-level mesh: {err:.3e} of the largest");
 }
