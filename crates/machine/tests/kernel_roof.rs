@@ -58,8 +58,9 @@ fn kernel_rate_is_a_fraction_of_the_fma_roof() {
     assert!(frac > 0.0, "kernel rate {kernel_rate}, roof {roof}");
     // Where the kernel falls back to the portable path the probe's
     // `mul_add` may be a software FMA, so only the dispatched pair is a
-    // like-for-like bound.
-    if detect() == SimdLevel::Avx2Fma {
+    // like-for-like bound: on any AVX2-or-wider host, where this row is
+    // the AVX2 kernel and the roof at least as wide.
+    if detect() >= SimdLevel::Avx2Fma {
         assert!(
             frac <= 1.0,
             "kernel {kernel_rate} flop/s exceeds the roof {roof} flop/s"

@@ -1,46 +1,55 @@
-//! Explicit 8-lane SIMD force kernels with runtime dispatch.
+//! Explicit SIMD force kernels with runtime dispatch.
 //!
-//! The paper's BG/Q kernel is hand-written QPX: 4-wide vectors, 2-fold
-//! unrolled, with the cutoff and self-interaction tests folded into the
-//! arithmetic as `fsel` selects so the inner loop is branch-free. This
-//! module is the x86 analogue:
+//! The paper's BG/Q kernel is hand-written QPX at the machine's full
+//! vector width: 4-wide vectors, 2-fold unrolled, with the cutoff and
+//! self-interaction tests folded into the arithmetic as `fsel` selects so
+//! the inner loop is branch-free. This module is the x86 analogue, one
+//! tile body in three lowerings:
 //!
-//! * an AVX2+FMA lowering written against `core::arch::x86_64` — 8 lanes
-//!   of `f32`, FMA Horner chain for the poly5, and the `fsel` idiom
-//!   realized as a compare → lane-mask → bitwise-AND (zero the force
-//!   factor outside `0 < s < r_cut²` without branching);
+//! * AVX-512F: a 16-lane tile — one target chunk against *two* source
+//!   chunks, `1/√x` as `rsqrt14` plus one Newton step, and the `fsel`
+//!   idiom as a compare into a lane mask and a zero-masking move;
+//! * AVX2+FMA, written against `core::arch::x86_64` — 8 lanes of `f32`,
+//!   FMA Horner chain for the poly5, and the `fsel` idiom realized as a
+//!   compare → lane-mask → bitwise-AND (zero the force factor outside
+//!   `0 < s < r_cut²` without branching);
 //! * a portable lowering on `[f32; 8]` in plain Rust.
 //!
 //! The path is chosen once per process by runtime feature detection
-//! ([`detect`]); both produce results equal to the scalar
+//! ([`detect`]); all produce results equal to the scalar
 //! [`ForceKernel::force_on`] reference to f32 rounding.
 //!
 //! Two kernel shapes are exposed:
 //!
 //! * [`force_on_best`] — one-sided: force on a single target from a
 //!   pre-gathered source list (the shared-interaction-list shape P³M
-//!   uses);
+//!   uses), the AVX2 row on any AVX2-or-wider host;
 //! * `leaf_pair` — symmetric: a listed leaf pair is evaluated chunk ×
 //!   chunk ([`CHUNK`] = 8 particles). A vectorised box test discards
-//!   chunk pairs farther apart than `r_cut`; each survivor is one 8 × 8
+//!   chunk pairs farther apart than `r_cut`; the survivors run through a
 //!   *lane-rotation tile* that evaluates every pair **once**, `+f` on
-//!   the target lane and the Newton-3 reaction `−f` on the source lane.
-//!   The tile is one generic body over the private `Lanes` vocabulary,
-//!   compiled once per lowering — there is no row kernel, no horizontal
-//!   sum and no scalar tail on this path. A leaf pair's partials sum in
-//!   an f32 block of its own chunks and are flushed once, as integers,
-//!   into a fixed-point accumulator (`FixedForce`), so the order in
-//!   which leaf pairs are flushed cannot change a bit of the result.
+//!   the target lane and the Newton-3 reaction `−f` on the source lane —
+//!   8 × 8 per source chunk, or 8 × 16 over two source chunks of one cull
+//!   mask on AVX-512. The tile is one generic body over the private
+//!   `Lanes` vocabulary, compiled once per lowering — there is no row
+//!   kernel, no horizontal sum and no scalar tail on this path. A leaf
+//!   pair's partials sum in an f32 block of its own chunks and are
+//!   flushed as integers into a fixed-point accumulator (`FixedForce`),
+//!   the first leaf's once per run of pairs that share it, so the order
+//!   in which runs are flushed cannot change a bit of the result.
 
 use crate::kernel::ForceKernel;
 
-/// Which kernel implementation runtime detection selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which kernel implementation runtime detection selected, narrowest
+/// first, so `level >= SimdLevel::Avx2Fma` reads "AVX2 or wider".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// `core::arch::x86_64` AVX2 + FMA intrinsics.
-    Avx2Fma,
     /// 8-lane blocked portable Rust (auto-vectorized).
     Portable,
+    /// `core::arch::x86_64` AVX2 + FMA intrinsics.
+    Avx2Fma,
+    /// AVX2 + FMA, with the symmetric tile at 16 lanes on AVX-512F.
+    Avx512,
 }
 
 /// Detect the best available kernel path (cached after the first call).
@@ -49,24 +58,22 @@ pub fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::atomic::{AtomicU8, Ordering};
+        const LEVELS: [SimdLevel; 3] = [SimdLevel::Portable, SimdLevel::Avx2Fma, SimdLevel::Avx512];
+        // 0 until the first probe, then 1 + the level's index.
         static CACHED: AtomicU8 = AtomicU8::new(0);
         match CACHED.load(Ordering::Relaxed) {
-            1 => SimdLevel::Avx2Fma,
-            2 => SimdLevel::Portable,
-            _ => {
-                let level = if std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-                {
-                    SimdLevel::Avx2Fma
-                } else {
-                    SimdLevel::Portable
+            0 => {
+                let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma");
+                let level = match (avx2, std::arch::is_x86_feature_detected!("avx512f")) {
+                    (true, true) => SimdLevel::Avx512,
+                    (true, false) => SimdLevel::Avx2Fma,
+                    (false, _) => SimdLevel::Portable,
                 };
-                CACHED.store(
-                    if level == SimdLevel::Avx2Fma { 1 } else { 2 },
-                    Ordering::Relaxed,
-                );
+                CACHED.store(level as u8 + 1, Ordering::Relaxed);
                 level
             }
+            cached => LEVELS[usize::from(cached - 1)],
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -92,7 +99,7 @@ pub fn force_on_best(
 ) -> [f32; 3] {
     debug_assert!(nx.len() == ny.len() && ny.len() == nz.len() && nz.len() == nm.len());
     #[cfg(target_arch = "x86_64")]
-    if detect() == SimdLevel::Avx2Fma {
+    if detect() >= SimdLevel::Avx2Fma {
         // SAFETY: `detect()` confirmed AVX2 and FMA are available on this
         // CPU, which is exactly the target-feature set the callee enables.
         return unsafe { avx2::row_one_sided(k, tx, ty, tz, nx, ny, nz, nm) };
@@ -131,29 +138,42 @@ pub(crate) struct Chunks<'a> {
 /// `a` and `b` are the two leaves' chunk ranges (`a` before `b` in tree
 /// order, or `a == b` for a leaf's self pair), and `shift` the image
 /// offset added to every coordinate and chunk box of `b`. A box-distance
-/// test picks the chunk pairs within `r_cut`; each survivor runs one
-/// 8 × 8 lane-rotation tile that adds `+f` to the target chunk's partial
+/// test picks the chunk pairs within `r_cut`; the survivors run through
+/// the lane-rotation tile, which adds `+f` to the target chunk's partial
 /// and the Newton-3 reaction `−f` to the source chunk's. An unshifted
 /// self pair evaluates the upper triangle of its chunk pairs, a shifted
-/// one (a leaf against its own image) the full square. The partials sum
-/// in `force`'s f32 block and are flushed into its fixed-point slots
-/// once, at the end. Returns the kernel evaluations sent through the
-/// tiles, counted over real particles only.
+/// one (a leaf against its own image) the full square.
+///
+/// The partials sum in `force`'s f32 block. `b`'s chunks are flushed into
+/// their fixed-point slots at the end of the call; `a`'s stay open across
+/// the consecutive calls that share `a` — a *run* — and are flushed by
+/// the one that passes `close`, so a run converts its first leaf once.
+/// Every run must end with `close`. Returns the kernel evaluations sent
+/// through the tiles, counted over real particles only.
 pub(crate) fn leaf_pair(
     k: &ForceKernel,
     c: &Chunks,
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
     shift: [f32; 3],
+    close: bool,
     force: &mut FixedForce,
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if detect() == SimdLevel::Avx2Fma {
-        // SAFETY: `detect()` confirmed AVX2 and FMA are available on this
-        // CPU, which is exactly the target-feature set the callee enables.
-        return unsafe { avx2::leaf_pair(k, c, a, b, shift, force) };
+    match detect() {
+        SimdLevel::Avx512 => {
+            // SAFETY: `detect()` confirmed AVX-512F, AVX2 and FMA on this
+            // CPU, which is exactly the target-feature set the callee enables.
+            return unsafe { avx512::leaf_pair(k, c, a, b, shift, close, force) };
+        }
+        SimdLevel::Avx2Fma => {
+            // SAFETY: `detect()` confirmed AVX2 and FMA are available on this
+            // CPU, which is exactly the target-feature set the callee enables.
+            return unsafe { avx2::leaf_pair(k, c, a, b, shift, close, force) };
+        }
+        SimdLevel::Portable => {}
     }
-    leaf_pair_on::<[f32; CHUNK]>(k, c, a, b, shift, force)
+    leaf_pair_on::<[f32; CHUNK], [f32; CHUNK]>(k, c, a, b, shift, close, force)
 }
 
 /// Bits of headroom the fixed-point scale leaves below `i64::MAX`: a
@@ -166,13 +186,13 @@ const SLOT_HEADROOM_BITS: i32 = 2;
 const MIN_SCALE_BITS: i32 = 24;
 
 /// Forces in slot order as i64 fixed point, one per pool worker, and
-/// the f32 block the open leaf pair sums into.
+/// the f32 block the open run of leaf pairs sums into.
 ///
-/// A slot holds `Σ round(v · 2^k)` over the flushes into it, `v` one
-/// leaf pair's f32 partial. Integer adds are exact, so the sum — and the
-/// `i64 · 2^−k → f32` conversion of it — is the same whatever order the
-/// leaf pairs are flushed in and however they are shared among
-/// accumulators.
+/// A slot holds `Σ round(v · 2^k)` over the flushes into it, `v` the
+/// f32 partial of one leaf pair's second leaf or of one run's first
+/// leaf. Integer adds are exact, so the sum — and the `i64 · 2^−k → f32`
+/// conversion of it — is the same whatever order the runs are flushed in
+/// and however they are shared among accumulators.
 #[derive(Default)]
 pub(crate) struct FixedForce {
     /// Per axis, one entry per storage slot.
@@ -180,12 +200,14 @@ pub(crate) struct FixedForce {
     /// `2^k` and `2^−k`.
     scale: f64,
     unit: f64,
-    /// The open leaf pair's partials per local chunk — the `a` leaf's
-    /// chunks, then the `b` leaf's unless it is the same leaf — as x, y
-    /// and z lanes. All zero between leaf pairs.
+    /// The open run's partials per local chunk — its first leaf's chunks,
+    /// then the current pair's second leaf's unless it is the same leaf —
+    /// as x, y and z lanes. All zero outside an open run.
     block: Vec<[[f32; CHUNK]; 3]>,
-    /// Local chunks the open leaf pair has written.
+    /// Local chunks the open run has written.
     touched: Vec<bool>,
+    /// First chunk of the open run's `a` leaf, `None` between runs.
+    open: Option<usize>,
 }
 
 impl FixedForce {
@@ -201,6 +223,7 @@ impl FixedForce {
         }
         self.scale = 2f64.powi(k);
         self.unit = 2f64.powi(-k);
+        debug_assert!(self.open.is_none(), "a run was left open");
     }
 
     /// Slot `slot`'s force along `axis`: `i64 · 2^−k`, rounded to f32.
@@ -274,44 +297,78 @@ fn fix(v: f32, scale: f64) -> i64 {
     (bits(hi) << 32) + bits(lo)
 }
 
-/// Eight `f32` lanes — the one vocabulary the tile kernel and the chunk
-/// cull are written in. Implemented by `__m256` behind AVX2+FMA and by
-/// `[f32; 8]` everywhere else, so there is one kernel body compiled twice.
+/// Lane arithmetic — the one vocabulary the tile kernel is written in,
+/// at either width. A 16-lane value is two chunks of eight lanes side by
+/// side: [`Lanes::rot1`] rotates each chunk on its own, every other
+/// operation is lane by lane.
 trait Lanes: Copy {
     fn splat(v: f32) -> Self;
-    fn load(s: &[f32; CHUNK]) -> Self;
-    fn store(self, s: &mut [f32; CHUNK]);
     fn add(self, o: Self) -> Self;
     fn sub(self, o: Self) -> Self;
     fn mul(self, o: Self) -> Self;
-    fn div(self, o: Self) -> Self;
-    fn max(self, o: Self) -> Self;
-    fn sqrt(self) -> Self;
     /// `self·b + c`, fused.
     fn fma(self, b: Self, c: Self) -> Self;
     /// `c − self·b`, fused.
     fn fnma(self, b: Self, c: Self) -> Self;
+    /// `1/√self`.
+    fn rsqrt(self) -> Self;
     /// The `fsel` select: `self` in lanes where `lo < s < hi`, `+0.0`
     /// elsewhere (including unordered `s`).
     fn keep_where_inside(self, s: Self, lo: Self, hi: Self) -> Self;
+    /// Rotate each chunk by one lane: lane `l` takes lane `l + 1 (mod 8)`
+    /// of the same chunk.
+    fn rot1(self) -> Self;
+}
+
+/// One chunk's eight lanes — what the chunk cull, the partial blocks, the
+/// self tile and the 8-lane cross tile work in. Implemented by `__m256`
+/// behind AVX2+FMA and by `[f32; 8]` everywhere else.
+trait ChunkLanes: Lanes {
+    fn load(s: &[f32; CHUNK]) -> Self;
+    fn store(self, s: &mut [f32; CHUNK]);
+    fn max(self, o: Self) -> Self;
     /// Bit `l` set where lane `l` of `self` is `≤` lane `l` of `o`.
     fn le_bits(self, o: Self) -> u32;
-    /// Rotate by one lane: lane `l` takes lane `l + 1 (mod 8)`.
-    fn rot1(self) -> Self;
+}
+
+/// The cross tile's lane type: [`Tile::SOURCES`] chunks of eight lanes,
+/// each holding one source chunk against the same target chunk. Every
+/// [`ChunkLanes`] type is a one-source tile; `__m512` behind AVX-512F is
+/// the two-source one.
+trait Tile: Lanes {
+    type Chunk: ChunkLanes;
+    /// Source chunks per tile: 1 or 2.
+    const SOURCES: usize;
+    /// `c` in every chunk of lanes.
+    fn widen(c: Self::Chunk) -> Self;
+    /// `lo` in the first chunk of lanes and `hi` in the second; a
+    /// one-source tile keeps `lo`.
+    fn join(lo: Self::Chunk, hi: Self::Chunk) -> Self;
+    /// The first and the second chunk of lanes (zero if there is none).
+    fn split(self) -> [Self::Chunk; 2];
+}
+
+impl<V: ChunkLanes> Tile for V {
+    type Chunk = V;
+    const SOURCES: usize = 1;
+    #[inline(always)]
+    fn widen(c: V) -> V {
+        c
+    }
+    #[inline(always)]
+    fn join(lo: V, _: V) -> V {
+        lo
+    }
+    #[inline(always)]
+    fn split(self) -> [V; 2] {
+        [self, V::splat(0.0)]
+    }
 }
 
 impl Lanes for [f32; CHUNK] {
     #[inline(always)]
     fn splat(v: f32) -> Self {
         [v; CHUNK]
-    }
-    #[inline(always)]
-    fn load(s: &[f32; CHUNK]) -> Self {
-        *s
-    }
-    #[inline(always)]
-    fn store(self, s: &mut [f32; CHUNK]) {
-        *s = self;
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -326,18 +383,6 @@ impl Lanes for [f32; CHUNK] {
         std::array::from_fn(|l| self[l] * o[l])
     }
     #[inline(always)]
-    fn div(self, o: Self) -> Self {
-        std::array::from_fn(|l| self[l] / o[l])
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        std::array::from_fn(|l| self[l].max(o[l]))
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        self.map(f32::sqrt)
-    }
-    #[inline(always)]
     fn fma(self, b: Self, c: Self) -> Self {
         std::array::from_fn(|l| self[l].mul_add(b[l], c[l]))
     }
@@ -346,16 +391,35 @@ impl Lanes for [f32; CHUNK] {
         std::array::from_fn(|l| (-self[l]).mul_add(b[l], c[l]))
     }
     #[inline(always)]
+    fn rsqrt(self) -> Self {
+        self.map(|x| 1.0 / x.sqrt())
+    }
+    #[inline(always)]
     fn keep_where_inside(self, s: Self, lo: Self, hi: Self) -> Self {
         std::array::from_fn(|l| if s[l] > lo[l] && s[l] < hi[l] { self[l] } else { 0.0 })
     }
     #[inline(always)]
-    fn le_bits(self, o: Self) -> u32 {
-        (0..CHUNK).fold(0, |bits, l| bits | (u32::from(self[l] <= o[l]) << l))
-    }
-    #[inline(always)]
     fn rot1(self) -> Self {
         std::array::from_fn(|l| self[(l + 1) % CHUNK])
+    }
+}
+
+impl ChunkLanes for [f32; CHUNK] {
+    #[inline(always)]
+    fn load(s: &[f32; CHUNK]) -> Self {
+        *s
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f32; CHUNK]) {
+        *s = self;
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l].max(o[l]))
+    }
+    #[inline(always)]
+    fn le_bits(self, o: Self) -> u32 {
+        (0..CHUNK).fold(0, |bits, l| bits | (u32::from(self[l] <= o[l]) << l))
     }
 }
 
@@ -365,13 +429,35 @@ fn at8(s: &[f32], i: usize) -> &[f32; CHUNK] {
     s[i..i + CHUNK].try_into().expect("eight lanes")
 }
 
-/// `block[l] += v` — the one read-modify-write a local chunk's partial
-/// sees per tile (source) or per partner sweep (target).
+/// `block[l] += v`, and local chunk `l` marked written — the one
+/// read-modify-write a local chunk's partial sees per tile (source) or
+/// per partner sweep (target).
 #[inline(always)]
-fn accumulate<V: Lanes>(block: &mut [[f32; CHUNK]; 3], v: [V; 3]) {
-    for (slot, v) in block.iter_mut().zip(v) {
+fn accumulate<V: ChunkLanes>(
+    block: &mut [[[f32; CHUNK]; 3]],
+    touched: &mut [bool],
+    l: usize,
+    v: [V; 3],
+) {
+    for (slot, v) in block[l].iter_mut().zip(v) {
         V::load(slot).add(v).store(slot);
     }
+    touched[l] = true;
+}
+
+/// Per-axis tile lanes as their first and second chunk of lanes.
+#[inline(always)]
+fn halves<W: Tile>(v: [W; 3]) -> [[W::Chunk; 3]; 2] {
+    let [x, y, z] = v.map(W::split);
+    [[x[0], y[0], z[0]], [x[1], y[1], z[1]]]
+}
+
+/// Index of the lowest set bit of `bits`, which is cleared.
+#[inline(always)]
+fn pop_low(bits: &mut u32) -> usize {
+    let l = bits.trailing_zeros() as usize;
+    *bits &= *bits - 1;
+    l
 }
 
 /// The kernel's constants, splat once per leaf pair.
@@ -379,19 +465,31 @@ struct Consts<V> {
     eps: V,
     rcut2: V,
     zero: V,
-    one: V,
     coeffs: [V; 6],
 }
 
+impl<V: Lanes> Consts<V> {
+    #[inline(always)]
+    fn new(k: &ForceKernel) -> Self {
+        Consts {
+            eps: V::splat(k.eps),
+            rcut2: V::splat(k.rcut2),
+            zero: V::splat(0.0),
+            coeffs: k.coeffs.map(V::splat),
+        }
+    }
+}
+
 /// Pair displacement, `s = d·d` and the masked force factor
-/// `f_SR(s)` for eight (target, source) pairs: `1/sqrt`, cube, FMA
+/// `f_SR(s)` for one lane per (target, source) pair: `1/sqrt`, cube, FMA
 /// Horner chain and the combined `0 < s < r_cut²` select — the same
-/// arithmetic per lane as the scalar [`ForceKernel::factor`].
+/// arithmetic per lane as the scalar [`ForceKernel::factor`] (with
+/// `rsqrt14` + Newton for `1/sqrt` on the 16-lane tile).
 #[inline(always)]
 fn pair_factor<V: Lanes>(k: &Consts<V>, t: &[V; 4], src: &[V; 4]) -> ([V; 3], V) {
     let d = [src[0].sub(t[0]), src[1].sub(t[1]), src[2].sub(t[2])];
     let s = d[2].fma(d[2], d[1].fma(d[1], d[0].mul(d[0])));
-    let inv = k.one.div(s.add(k.eps).sqrt());
+    let inv = s.add(k.eps).rsqrt();
     let inv3 = inv.mul(inv).mul(inv);
     let mut p = k.coeffs[5];
     for c in k.coeffs[..5].iter().rev() {
@@ -400,12 +498,13 @@ fn pair_factor<V: Lanes>(k: &Consts<V>, t: &[V; 4], src: &[V; 4]) -> ([V; 3], V)
     (d, inv3.sub(p).keep_where_inside(s, k.zero, k.rcut2))
 }
 
-/// One 8 × 8 cross tile. Targets stay in their lanes; the source chunk
-/// and its reaction accumulators rotate one lane per step, so after
-/// eight steps every target lane has met every source lane (64 pairs)
-/// and the reactions are back in source order. `+f` accumulates into
-/// `acc` (kept in registers by the caller across partner chunks); the
-/// returned `−f` is the source chunk's reaction.
+/// One cross tile: 8 × 8 per source chunk in the lanes. Targets stay in
+/// their lanes; each source chunk and its reaction accumulators rotate
+/// one lane per step within their chunk of lanes, so after eight steps
+/// every target lane has met every lane of every source chunk and the
+/// reactions are back in source order. `+f` accumulates into `acc`
+/// (kept in registers by the caller across partner chunks); the
+/// returned `−f` is the source chunks' reaction.
 #[inline(always)]
 fn cross_tile<V: Lanes>(k: &Consts<V>, t: &[V; 4], mut src: [V; 4], acc: &mut [V; 3]) -> [V; 3] {
     let mut react = [k.zero; 3];
@@ -438,23 +537,22 @@ fn self_tile<V: Lanes>(k: &Consts<V>, t: &[V; 4], acc: &mut [V; 3]) {
     }
 }
 
-/// The body of [`leaf_pair`], generic over the lane type.
+/// The body of [`leaf_pair`], generic over the chunk lane type `V` and
+/// the cross tile's lane type `W`: `W = V` runs every near partner chunk
+/// through its own 8 × 8 tile; a two-source `W` takes the near partners
+/// of one cull mask two at a time, and an odd leftover runs 8 × 8.
 #[inline(always)]
-fn leaf_pair_on<V: Lanes>(
+fn leaf_pair_on<V: ChunkLanes, W: Tile<Chunk = V>>(
     k: &ForceKernel,
     c: &Chunks,
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
     shift: [f32; 3],
+    close: bool,
     force: &mut FixedForce,
 ) -> u64 {
-    let consts = Consts {
-        eps: V::splat(k.eps),
-        rcut2: V::splat(k.rcut2),
-        zero: V::splat(0.0),
-        one: V::splat(1.0),
-        coeffs: k.coeffs.map(V::splat),
-    };
+    let narrow = Consts::<V>::new(k);
+    let wide = Consts::<W>::new(k);
     let chunk = |i: usize| -> [V; 4] {
         [
             V::load(at8(c.pos[0], CHUNK * i)),
@@ -482,8 +580,10 @@ fn leaf_pair_on<V: Lanes>(
         scale,
         block,
         touched,
+        open,
         ..
     } = force;
+    debug_assert!(open.is_none_or(|s| s == a.start), "a run was left open");
     if block.len() < local {
         block.resize(local, [[0.0; CHUNK]; 3]);
         touched.resize(local, false);
@@ -491,13 +591,16 @@ fn leaf_pair_on<V: Lanes>(
     let mut evals = 0u64;
     for i in a.clone() {
         let t = chunk(i);
+        let tw = t.map(W::widen);
         let ni = u64::from(c.len[i]);
-        let mut acc_t = [consts.zero; 3];
+        let mut acc_t = [narrow.zero; 3];
+        let mut acc_w = [wide.zero; 3];
+        let mut paired = false;
         let mut hit = same_leaf && ni > 1;
         let first = if same_leaf {
             // Upper triangle of the leaf's chunk pairs: the diagonal
             // tile here, partners `j > i` below.
-            self_tile(&consts, &t, &mut acc_t);
+            self_tile(&narrow, &t, &mut acc_t);
             evals += ni * ni.saturating_sub(1) / 2;
             i + 1
         } else {
@@ -512,38 +615,52 @@ fn leaf_pair_on<V: Lanes>(
             let gap = [0, 1, 2].map(|ax| {
                 let lo = V::load(at8(c.lo[ax], j0)).add(sv[ax]);
                 let hi = V::load(at8(c.hi[ax], j0)).add(sv[ax]);
-                lo.sub(thi[ax]).max(tlo[ax].sub(hi)).max(consts.zero)
+                lo.sub(thi[ax]).max(tlo[ax].sub(hi)).max(narrow.zero)
             });
             let d2 = gap[2].fma(gap[2], gap[1].fma(gap[1], gap[0].mul(gap[0])));
             let live = (1u32 << (b.end - j0).min(CHUNK)) - 1;
-            let mut near = d2.le_bits(consts.rcut2) & live;
+            let mut near = d2.le_bits(narrow.rcut2) & live;
             while near != 0 {
-                let j = j0 + near.trailing_zeros() as usize;
-                near &= near - 1;
-                let react = cross_tile(&consts, &t, shifted(chunk(j)), &mut acc_t);
+                let j = j0 + pop_low(&mut near);
                 let l = b_off + j - b.start;
-                accumulate(&mut block[l], react);
-                touched[l] = true;
+                if W::SOURCES == 2 && near != 0 {
+                    let j2 = j0 + pop_low(&mut near);
+                    let (s1, s2) = (shifted(chunk(j)), shifted(chunk(j2)));
+                    let src = [0, 1, 2, 3].map(|q| W::join(s1[q], s2[q]));
+                    let [r1, r2] = halves(cross_tile(&wide, &tw, src, &mut acc_w));
+                    accumulate(block, touched, l, r1);
+                    accumulate(block, touched, b_off + j2 - b.start, r2);
+                    evals += ni * (u64::from(c.len[j]) + u64::from(c.len[j2]));
+                    paired = true;
+                } else {
+                    let react = cross_tile(&narrow, &t, shifted(chunk(j)), &mut acc_t);
+                    accumulate(block, touched, l, react);
+                    evals += ni * u64::from(c.len[j]);
+                }
                 hit = true;
-                evals += ni * u64::from(c.len[j]);
             }
         }
+        if paired {
+            // The target's sums over both halves of the 16-lane tiles, once.
+            let [lo, hi] = halves(acc_w);
+            acc_t = [0, 1, 2].map(|ax| acc_t[ax].add(lo[ax].add(hi[ax])));
+        }
         if hit {
-            let l = i - a.start;
-            accumulate(&mut block[l], acc_t);
-            touched[l] = true;
+            accumulate(block, touched, i - a.start, acc_t);
         }
     }
-    // Flush: every written local chunk into its slots, once, and the
-    // block back to zero for the next leaf pair.
-    for l in 0..local {
+    // Flush every written local chunk of `b` into its slots, and of `a`
+    // when its run closes; the flushed chunks go back to zero.
+    *open = (!close).then_some(a.start);
+    let flush_from = if close { 0 } else { a.len() };
+    for l in flush_from..local {
         if !std::mem::take(&mut touched[l]) {
             continue;
         }
         let g = if l < b_off { a.start + l } else { b.start + l - b_off };
         for (dst, part) in acc.iter_mut().zip(&mut block[l]) {
             // Convert all eight lanes before touching `dst`: in this form
-            // both lowerings vectorise the flush.
+            // every lowering vectorises the flush.
             let q = std::mem::take(part).map(|v| fix(v, *scale));
             let dst: &mut [i64; CHUNK] = (&mut dst[CHUNK * g..CHUNK * (g + 1)])
                 .try_into()
@@ -571,7 +688,7 @@ mod avx2 {
         _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ,
     };
 
-    use super::{leaf_pair_on, Chunks, FixedForce, Lanes};
+    use super::{leaf_pair_on, ChunkLanes, Chunks, FixedForce, Lanes};
     use crate::kernel::ForceKernel;
 
     const LANES: usize = 8;
@@ -660,34 +777,26 @@ mod avx2 {
         out
     }
 
-    /// `__m256` as the tile kernel's lane type.
+    /// `__m256` as the tile kernel's chunk lane type.
     ///
     /// Invariant: values of this type are created and used only beneath
-    /// [`leaf_pair`], whose `#[target_feature]` gate the dispatcher opens
-    /// after [`super::detect`] confirmed AVX2+FMA. The methods are
-    /// `#[inline(always)]`, so they become part of that function's body
+    /// [`leaf_pair`] and `avx512::leaf_pair`, whose `#[target_feature]`
+    /// gates (AVX2+FMA, and AVX-512F on top) the dispatcher opens after
+    /// [`super::detect`] confirmed them. The methods are
+    /// `#[inline(always)]`, so they become part of those functions' bodies
     /// and the intrinsics run with the features statically enabled.
     #[derive(Clone, Copy)]
-    struct Avx(__m256);
+    pub(super) struct Avx(pub(super) __m256);
 
     impl Lanes for Avx {
         #[inline(always)]
         fn splat(v: f32) -> Self {
-            // SAFETY: (this and every block in this impl) AVX2+FMA are
-            // available, per the type's invariant; the intrinsics have no
-            // other precondition. Loads and stores go through `&[f32; 8]`
-            // references, which are exactly the 32 bytes accessed.
+            // SAFETY: (this and every block in this impl and the
+            // `ChunkLanes` one) AVX2+FMA are available, per the type's
+            // invariant; the intrinsics have no other precondition. Loads
+            // and stores go through `&[f32; 8]` references, which are
+            // exactly the 32 bytes accessed.
             Avx(unsafe { _mm256_set1_ps(v) })
-        }
-        #[inline(always)]
-        fn load(s: &[f32; LANES]) -> Self {
-            // SAFETY: see `splat`.
-            Avx(unsafe { _mm256_loadu_ps(s.as_ptr()) })
-        }
-        #[inline(always)]
-        fn store(self, s: &mut [f32; LANES]) {
-            // SAFETY: see `splat`.
-            unsafe { _mm256_storeu_ps(s.as_mut_ptr(), self.0) }
         }
         #[inline(always)]
         fn add(self, o: Self) -> Self {
@@ -705,21 +814,6 @@ mod avx2 {
             Avx(unsafe { _mm256_mul_ps(self.0, o.0) })
         }
         #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            // SAFETY: see `splat`.
-            Avx(unsafe { _mm256_div_ps(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn max(self, o: Self) -> Self {
-            // SAFETY: see `splat`.
-            Avx(unsafe { _mm256_max_ps(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn sqrt(self) -> Self {
-            // SAFETY: see `splat`.
-            Avx(unsafe { _mm256_sqrt_ps(self.0) })
-        }
-        #[inline(always)]
         fn fma(self, b: Self, c: Self) -> Self {
             // SAFETY: see `splat`.
             Avx(unsafe { _mm256_fmadd_ps(self.0, b.0, c.0) })
@@ -728,6 +822,11 @@ mod avx2 {
         fn fnma(self, b: Self, c: Self) -> Self {
             // SAFETY: see `splat`.
             Avx(unsafe { _mm256_fnmadd_ps(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
+        fn rsqrt(self) -> Self {
+            // SAFETY: see `splat`.
+            Avx(unsafe { _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(self.0)) })
         }
         #[inline(always)]
         fn keep_where_inside(self, s: Self, lo: Self, hi: Self) -> Self {
@@ -741,16 +840,34 @@ mod avx2 {
             })
         }
         #[inline(always)]
-        fn le_bits(self, o: Self) -> u32 {
-            // SAFETY: see `splat`.
-            unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(self.0, o.0)) as u32 }
-        }
-        #[inline(always)]
         fn rot1(self) -> Self {
             // SAFETY: see `splat`.
             Avx(unsafe {
                 _mm256_permutevar8x32_ps(self.0, _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0))
             })
+        }
+    }
+
+    impl ChunkLanes for Avx {
+        #[inline(always)]
+        fn load(s: &[f32; LANES]) -> Self {
+            // SAFETY: see `Lanes::splat` above.
+            Avx(unsafe { _mm256_loadu_ps(s.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, s: &mut [f32; LANES]) {
+            // SAFETY: see `Lanes::splat` above.
+            unsafe { _mm256_storeu_ps(s.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            // SAFETY: see `Lanes::splat` above.
+            Avx(unsafe { _mm256_max_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn le_bits(self, o: Self) -> u32 {
+            // SAFETY: see `Lanes::splat` above.
+            unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(self.0, o.0)) as u32 }
         }
     }
 
@@ -762,9 +879,10 @@ mod avx2 {
         a: std::ops::Range<usize>,
         b: std::ops::Range<usize>,
         shift: [f32; 3],
+        close: bool,
         force: &mut FixedForce,
     ) -> u64 {
-        leaf_pair_on::<Avx>(k, c, a, b, shift, force)
+        leaf_pair_on::<Avx, Avx>(k, c, a, b, shift, close, force)
     }
 
     /// Horizontal sum of 8 lanes in a fixed (lane-index) order, so the
@@ -776,6 +894,151 @@ mod avx2 {
         // SAFETY: `lanes` is exactly 8 f32s, matching the 256-bit store.
         unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
         lanes.iter().sum()
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! The 16-lane tile. Its entry point is `#[target_feature(enable =
+    //! "avx512f,avx2,fma")]`: calling it is unsafe unless the caller
+    //! proves the CPU support, which [`super::detect`] does once per
+    //! process. The chunk lane type stays `avx2::Avx`: the cull, the
+    //! blocks, the self tile and an odd leftover partner run 8 lanes wide.
+
+    use core::arch::x86_64::{
+        __m512, _mm256_castpd_ps, _mm256_castps_pd, _mm512_add_ps, _mm512_castpd256_pd512,
+        _mm512_castpd_ps, _mm512_castps256_ps512, _mm512_castps512_ps256, _mm512_castps_pd,
+        _mm512_cmp_ps_mask, _mm512_extractf64x4_pd, _mm512_fmadd_ps, _mm512_fnmadd_ps,
+        _mm512_insertf64x4, _mm512_maskz_mov_ps, _mm512_mul_ps, _mm512_permutexvar_ps,
+        _mm512_rsqrt14_ps, _mm512_set1_ps, _mm512_setr_epi32, _mm512_shuffle_f32x4, _mm512_sub_ps,
+        _CMP_GT_OQ, _CMP_LT_OQ,
+    };
+
+    use super::avx2::Avx;
+    use super::{leaf_pair_on, Chunks, FixedForce, Lanes, Tile};
+    use crate::kernel::ForceKernel;
+
+    /// `__m512` as the two-source cross tile's lane type: lanes 0..8 hold
+    /// one source chunk, lanes 8..16 another, both against one target
+    /// chunk broadcast to both halves.
+    ///
+    /// Invariant: values of this type are created and used only beneath
+    /// [`leaf_pair`], whose `#[target_feature]` gate the dispatcher opens
+    /// after [`super::detect`] confirmed AVX-512F, AVX2 and FMA. The
+    /// methods are `#[inline(always)]`, so they become part of that
+    /// function's body and the intrinsics run with the features
+    /// statically enabled.
+    #[derive(Clone, Copy)]
+    struct Wide(__m512);
+
+    impl Lanes for Wide {
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            // SAFETY: (this and every block in this impl and the `Tile`
+            // one) AVX-512F is available, per the type's invariant; the
+            // intrinsics have no other precondition and touch no memory.
+            Wide(unsafe { _mm512_set1_ps(v) })
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe { _mm512_add_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe { _mm512_sub_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe { _mm512_mul_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn fma(self, b: Self, c: Self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe { _mm512_fmadd_ps(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
+        fn fnma(self, b: Self, c: Self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe { _mm512_fnmadd_ps(self.0, b.0, c.0) })
+        }
+        /// The 14-bit estimate and one Newton step, `y · (1.5 − x/2 · y²)`:
+        /// the 512-bit divider and square root would set the tile's pace.
+        #[inline(always)]
+        fn rsqrt(self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe {
+                let y = _mm512_rsqrt14_ps(self.0);
+                let half_x = _mm512_mul_ps(self.0, _mm512_set1_ps(0.5));
+                let t = _mm512_fnmadd_ps(_mm512_mul_ps(half_x, y), y, _mm512_set1_ps(1.5));
+                _mm512_mul_ps(y, t)
+            })
+        }
+        #[inline(always)]
+        fn keep_where_inside(self, s: Self, lo: Self, hi: Self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe {
+                let inside = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(s.0, lo.0)
+                    & _mm512_cmp_ps_mask::<_CMP_LT_OQ>(s.0, hi.0);
+                _mm512_maskz_mov_ps(inside, self.0)
+            })
+        }
+        #[inline(always)]
+        fn rot1(self) -> Self {
+            // SAFETY: see `splat`.
+            Wide(unsafe {
+                let idx = _mm512_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0, 9, 10, 11, 12, 13, 14, 15, 8);
+                _mm512_permutexvar_ps(idx, self.0)
+            })
+        }
+    }
+
+    impl Tile for Wide {
+        type Chunk = Avx;
+        const SOURCES: usize = 2;
+        #[inline(always)]
+        fn widen(c: Avx) -> Self {
+            // SAFETY: see `Lanes::splat` above. The cast leaves the upper
+            // half undefined; the shuffle reads only the lower one.
+            Wide(unsafe {
+                let z = _mm512_castps256_ps512(c.0);
+                _mm512_shuffle_f32x4::<0x44>(z, z)
+            })
+        }
+        #[inline(always)]
+        fn join(lo: Avx, hi: Avx) -> Self {
+            // SAFETY: see `widen`; the insert overwrites the upper half.
+            Wide(unsafe {
+                let lo = _mm512_castpd256_pd512(_mm256_castps_pd(lo.0));
+                _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi.0)))
+            })
+        }
+        #[inline(always)]
+        fn split(self) -> [Avx; 2] {
+            // SAFETY: see `Lanes::splat` above.
+            unsafe {
+                let lo = _mm512_castps512_ps256(self.0);
+                let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(self.0));
+                [Avx(lo), Avx(_mm256_castpd_ps(hi))]
+            }
+        }
+    }
+
+    /// [`super::leaf_pair`] with near partner chunks taken two at a time
+    /// through the 16-lane tile.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub fn leaf_pair(
+        k: &ForceKernel,
+        c: &Chunks,
+        a: std::ops::Range<usize>,
+        b: std::ops::Range<usize>,
+        shift: [f32; 3],
+        close: bool,
+        force: &mut FixedForce,
+    ) -> u64 {
+        leaf_pair_on::<Avx, Wide>(k, c, a, b, shift, close, force)
     }
 }
 
@@ -804,7 +1067,28 @@ mod tests {
 
     #[test]
     fn detection_is_stable() {
-        assert_eq!(detect(), detect());
+        let level = detect();
+        println!("simd::detect: {level:?}");
+        assert_eq!(level, detect());
+    }
+
+    /// P³M's one-sided row takes the AVX2 kernel on every AVX2-or-wider
+    /// host, the AVX-512 one included.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn force_on_best_is_the_avx2_row_on_avx2_or_wider_hosts() {
+        if detect() < SimdLevel::Avx2Fma {
+            println!("skipped: no AVX2+FMA on this host");
+            return;
+        }
+        let k = kernel();
+        for n in [0usize, 9, 100, 129] {
+            let (xs, ys, zs, ms) = rand_sources(n, 60 + n as u64);
+            let best = force_on_best(&k, 0.1, -0.2, 0.3, &xs, &ys, &zs, &ms);
+            // SAFETY: AVX2+FMA confirmed by `detect()` just above.
+            let row = unsafe { avx2::row_one_sided(&k, 0.1, -0.2, 0.3, &xs, &ys, &zs, &ms) };
+            assert_eq!(best.map(f32::to_bits), row.map(f32::to_bits), "n={n}");
+        }
     }
 
     #[test]
@@ -874,6 +1158,15 @@ mod tests {
             }
         }
 
+        /// Move chunk `ch`'s real lanes and box by `dx` along x.
+        fn move_chunk(&mut self, ch: usize, dx: f32) {
+            for x in &mut self.pos[0][CHUNK * ch..CHUNK * ch + usize::from(self.len[ch])] {
+                *x += dx;
+            }
+            self.lo[0][ch] += dx;
+            self.hi[0][ch] += dx;
+        }
+
         /// A zeroed accumulator over these slots, scaled for `k`.
         fn zeros(&self, k: &ForceKernel) -> FixedForce {
             let m_max = self.mass.iter().copied().fold(0.0, f32::max);
@@ -893,9 +1186,9 @@ mod tests {
             let (ca, cb) = (na.div_ceil(CHUNK), nb.div_ceil(CHUNK));
             let mut f = p.zeros(&k);
             let none = [0.0; 3];
-            let cross = leaf_pair(&k, &p.view(), 0..ca, ca..ca + cb, none, &mut f);
-            let own = leaf_pair(&k, &p.view(), 0..ca, 0..ca, none, &mut f)
-                + leaf_pair(&k, &p.view(), ca..ca + cb, ca..ca + cb, none, &mut f);
+            let cross = leaf_pair(&k, &p.view(), 0..ca, ca..ca + cb, none, false, &mut f);
+            let own = leaf_pair(&k, &p.view(), 0..ca, 0..ca, none, true, &mut f)
+                + leaf_pair(&k, &p.view(), ca..ca + cb, ca..ca + cb, none, true, &mut f);
             // rcut = 3 covers most of the [-2, 2]³ cloud, so the cull
             // passes (nearly) everything; it can only ever drop pairs.
             assert!(cross <= (na * nb) as u64);
@@ -918,36 +1211,102 @@ mod tests {
         }
     }
 
-    /// The two lowerings of the one generic body agree to f32 rounding
-    /// (bit for bit where the host's `mul_add` is a true FMA).
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_tile_matches_portable_tile() {
-        if detect() != SimdLevel::Avx2Fma {
-            return;
-        }
-        let k = kernel();
-        let p = Packed::new(&[37, 52], 91);
-        let (ca, cb) = (5, 7);
-        let (mut fa, mut fp) = (p.zeros(&k), p.zeros(&k));
-        let cases = [
-            (0..ca, ca..ca + cb, [0.0; 3]),
-            (0..ca, 0..ca, [0.0; 3]),
-            (ca..ca + cb, ca..ca + cb, [0.0; 3]),
-            (0..ca, 0..ca, [2.5, 0.0, -2.5]),
-        ];
-        for (a, b, shift) in cases {
-            // SAFETY: AVX2+FMA confirmed by `detect()` just above.
-            let ea =
-                unsafe { avx2::leaf_pair(&k, &p.view(), a.clone(), b.clone(), shift, &mut fa) };
-            let ep = leaf_pair_on::<[f32; CHUNK]>(&k, &p.view(), a, b, shift, &mut fp);
-            assert_eq!(ea, ep, "both lowerings cull the same chunk pairs");
+    /// A lowering of the one generic body against the portable one: equal
+    /// evaluations, forces equal to f32 rounding. Returns the evaluations.
+    fn assert_matches_portable(
+        k: &ForceKernel,
+        p: &Packed,
+        cases: &[Case],
+        lowering: impl Fn(&ForceKernel, &Chunks, Range, Range, [f32; 3], bool, &mut FixedForce) -> u64,
+    ) -> u64 {
+        let (mut fl, mut fp) = (p.zeros(k), p.zeros(k));
+        let mut evals = 0;
+        for (a, b, shift, close) in cases.iter().cloned() {
+            let el = lowering(k, &p.view(), a.clone(), b.clone(), shift, close, &mut fl);
+            let ep = leaf_pair_on::<[f32; CHUNK], [f32; CHUNK]>(
+                k,
+                &p.view(),
+                a,
+                b,
+                shift,
+                close,
+                &mut fp,
+            );
+            assert_eq!(el, ep, "both lowerings cull the same chunk pairs");
+            evals += ep;
         }
         for slot in 0..p.mass.len() {
             for ax in 0..3 {
-                let (a, b) = (fa.value(ax, slot), fp.value(ax, slot));
-                assert!((a - b).abs() <= 1e-5 * (a.abs() + 1.0), "{a} vs {b}");
+                let (l, q) = (fl.value(ax, slot), fp.value(ax, slot));
+                assert!((l - q).abs() <= 1e-5 * (l.abs() + 1.0), "{l} vs {q}");
             }
         }
+        evals
+    }
+
+    type Range = std::ops::Range<usize>;
+
+    /// One `leaf_pair` call: chunk ranges `a` and `b`, `b`'s shift, and
+    /// whether it closes `a`'s run.
+    type Case = (Range, Range, [f32; 3], bool);
+
+    /// Two leaves of 5 and 7 chunks, nearly all in range: one run of
+    /// leaf `a` (cross pair, self pair, shifted self pair), then `b`'s
+    /// self pair.
+    fn run_cases() -> [Case; 4] {
+        let (ca, cb) = (5, 7);
+        [
+            (0..ca, ca..ca + cb, [0.0; 3], false),
+            (0..ca, 0..ca, [0.0; 3], false),
+            (0..ca, 0..ca, [2.5, 0.0, -2.5], true),
+            (ca..ca + cb, ca..ca + cb, [0.0; 3], true),
+        ]
+    }
+
+    /// The AVX2 and portable lowerings of the one generic body agree to
+    /// f32 rounding (bit for bit where the host's `mul_add` is a true
+    /// FMA). Calls the 8-lane lowering directly, so AVX-512 hosts run it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_tile_matches_portable_tile() {
+        if detect() < SimdLevel::Avx2Fma {
+            println!("skipped: no AVX2+FMA on this host");
+            return;
+        }
+        let avx2 = |k: &ForceKernel, c: &Chunks, a, b, shift, close, f: &mut FixedForce| {
+            // SAFETY: AVX2+FMA confirmed by `detect()` above.
+            unsafe { avx2::leaf_pair(k, c, a, b, shift, close, f) }
+        };
+        assert_matches_portable(&kernel(), &Packed::new(&[37, 52], 91), &run_cases(), avx2);
+    }
+
+    /// The 16-lane lowering against the portable one: a cross pair with
+    /// 0, 1, 2 and 3 near partner chunks (no tile, an 8-lane leftover, one
+    /// 16-lane tile, one of each), then [`run_cases`], whose partners run
+    /// two at a time with odd leftovers and whose self pairs, shifted or
+    /// not, run the 8-lane self tile.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tile_matches_portable_tile() {
+        if detect() < SimdLevel::Avx512 {
+            println!("skipped: no AVX-512F on this host");
+            return;
+        }
+        let avx512 = |k: &ForceKernel, c: &Chunks, a, b, shift, close, f: &mut FixedForce| {
+            // SAFETY: AVX-512F, AVX2 and FMA confirmed by `detect()` above.
+            unsafe { avx512::leaf_pair(k, c, a, b, shift, close, f) }
+        };
+        let k = kernel();
+        for near in 0..=3 {
+            // One target chunk, three partner chunks; the last `3 − near`
+            // moved far out of range.
+            let mut p = Packed::new(&[8, 24], 17 + near as u64);
+            for ch in 1 + near..4 {
+                p.move_chunk(ch, 100.0);
+            }
+            let evals = assert_matches_portable(&k, &p, &[(0..1, 1..4, [0.0; 3], true)], avx512);
+            assert_eq!(evals, 64 * near as u64, "{near} near partners");
+        }
+        assert_matches_portable(&k, &Packed::new(&[37, 52], 91), &run_cases(), avx512);
     }
 }

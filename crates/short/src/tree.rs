@@ -37,13 +37,15 @@
 //! [`RcbTree::forces_symmetric_into`] is the force pass: a symmetric
 //! dual-tree walk emits each interacting *leaf pair* once; each listed
 //! pair is evaluated chunk × chunk, a box test discarding chunk pairs
-//! beyond `r_cut` and an 8 × 8 tile kernel accumulating `+f` on targets
-//! and the Newton-3 reaction `−f` on sources. Each pool worker owns one
-//! i64 fixed-point force accumulator; a leaf pair's f32 partials are
-//! flushed into it once, as integers, so the forces are race-free and
-//! the same bits however the pair list is cut and whatever the thread
-//! count. Its tests check it against O(N²) brute-force sums that share
-//! no code with it.
+//! beyond `r_cut` and a lane-rotation tile kernel (8 × 8, or 8 × 16 over
+//! two source chunks on AVX-512) accumulating `+f` on targets and the
+//! Newton-3 reaction `−f` on sources. Each pool worker owns one i64
+//! fixed-point force accumulator; a leaf pair's f32 partials are flushed
+//! into it as integers — the second leaf's once per pair, the first
+//! leaf's once per run of pairs that share it — so the forces are
+//! race-free and the same bits however the pair list is cut and whatever
+//! the thread count. Its tests check it against O(N²) brute-force sums
+//! that share no code with it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -76,7 +78,8 @@ pub struct TreeScratch {
     /// Interacting leaf-pair list (first ≤ second in tree order).
     pairs: Vec<LeafPair>,
     /// The pair list cut into contiguous cost-balanced ranges
-    /// (`start..end` indices), one per pool worker.
+    /// (`start..end` indices) of whole first-leaf runs, one per pool
+    /// worker.
     ranges: Vec<(u32, u32)>,
     /// One fixed-point force accumulator per range, in slot order, each
     /// zeroed over every slot at the start of a pass; the first ends
@@ -591,7 +594,7 @@ impl RcbTree {
     /// Emits each interacting leaf pair **once** (including each leaf's
     /// self pair), then evaluates every listed pair chunk × chunk: a
     /// box test on the chunks' current bounding boxes keeps the chunk
-    /// pairs within `r_cut`, and each of those runs one 8 × 8 tile that
+    /// pairs within `r_cut`, and those run through the rotation tile that
     /// accumulates `+f` on the targets and the Newton-3 reaction `−f` on
     /// the sources — one kernel evaluation per particle pair, where a
     /// per-target sum pays two. Within a leaf only the upper triangle of
@@ -621,14 +624,16 @@ impl RcbTree {
     ///
     /// Race-freedom and reproducibility: the pair list is cut into one
     /// contiguous cost-balanced range per pool worker
-    /// (`rayon::current_num_threads()`), never inside a leaf pair, and
-    /// each range accumulates into its own i64 fixed-point buffer. A leaf
-    /// pair's partials sum in f32 in a fixed order and are flushed once,
-    /// as `round(v · 2^k)` integers; integer sums do not depend on order,
-    /// so the result is bit-identical for any cut, any thread count, any
-    /// schedule and whatever the scratch held before. The scale `2^k` is
-    /// derived at pass start from the kernel, the particle count and the
-    /// largest mass so that no slot can overflow.
+    /// (`rayon::current_num_threads()`), never inside a run of pairs that
+    /// share their first leaf, and each range accumulates into its own
+    /// i64 fixed-point buffer. A run's partials sum in f32 in a fixed
+    /// order and are flushed as `round(v · 2^k)` integers — each pair's
+    /// second leaf after the pair, the first leaf once at the run's end;
+    /// integer sums do not depend on order, so the result is
+    /// bit-identical for any cut, any thread count, any schedule and
+    /// whatever the scratch held before. The scale `2^k` is derived at
+    /// pass start from the kernel, the particle count and the largest
+    /// mass so that no slot can overflow.
     ///
     /// Forces land in `out` in the original input ordering.
     ///
@@ -749,10 +754,13 @@ impl RcbTree {
         };
 
         // Cost-balanced contiguous cut of the pair list into exactly
-        // `min(workers, pairs)` non-empty ranges. Pair cost = the
-        // particle pairs it holds, an upper bound on its evaluations.
-        // Range `k` closes once the cumulative cost reaches `k/n` of the
-        // total, or when only as many pairs remain as ranges to fill.
+        // `min(workers, runs)` non-empty ranges, where a run is the pairs
+        // that share their first leaf: the kernel flushes a run's first
+        // leaf once, so a range holds whole runs. Pair cost = the particle
+        // pairs it holds, an upper bound on its evaluations. Range `k`
+        // closes at the end of a run once the cumulative cost reaches
+        // `k/n` of the total, or when only as many runs remain as ranges
+        // to fill.
         let cost = |p: &LeafPair| -> u64 {
             let na = self.nodes[p.a as usize].len() as u64;
             if p.a == p.b && p.shift == 0 {
@@ -761,19 +769,25 @@ impl RcbTree {
                 na * self.nodes[p.b as usize].len() as u64
             }
         };
+        let run_ends = |i: usize| pairs.get(i + 1).is_none_or(|q| q.a != pairs[i].a);
         let total: u64 = pairs.iter().map(cost).sum();
-        let nranges = workers.min(pairs.len()).max(1);
+        let mut runs_left = (0..pairs.len()).filter(|&i| run_ends(i)).count();
+        let nranges = workers.min(runs_left).max(1);
         ranges.clear();
         let (mut acc, mut start) = (0u64, 0u32);
         for (i, p) in pairs.iter().enumerate() {
             acc += cost(p);
+            if !run_ends(i) {
+                continue;
+            }
+            runs_left -= 1;
             let closed = ranges.len() + 1;
             if closed == nranges {
                 break;
             }
-            let (left, to_fill) = (pairs.len() - i - 1, nranges - closed);
+            let to_fill = nranges - closed;
             let due = acc * nranges as u64 >= total * closed as u64;
-            if (due && left >= to_fill) || left == to_fill {
+            if (due && runs_left >= to_fill) || runs_left == to_fill {
                 ranges.push((start, i as u32 + 1));
                 start = i as u32 + 1;
             }
@@ -784,8 +798,9 @@ impl RcbTree {
         let walk = t0.elapsed();
 
         // Phase 2 (kernel): zero each range's accumulator, cull and run
-        // the tiles, flushing once per leaf pair; disjoint accumulators
-        // make the writes race-free. Then sum them exactly and convert.
+        // the tiles, flushing each pair's second leaf and each run's first
+        // leaf once; disjoint accumulators make the writes race-free.
+        // Then sum them exactly and convert.
         let tk = Instant::now();
         if accs.len() < ranges.len() {
             accs.resize_with(ranges.len(), Default::default);
@@ -804,11 +819,14 @@ impl RcbTree {
             .for_each(|(force, &(start, end))| {
                 force.reset(slots, scale_bits);
                 let mut n = 0;
-                for p in &pairs[start as usize..end as usize] {
+                let range = &pairs[start as usize..end as usize];
+                for (i, p) in range.iter().enumerate() {
                     let (a, b) = (&self.nodes[p.a as usize], &self.nodes[p.b as usize]);
                     debug_assert!(p.a == p.b || a.end <= b.start, "pairs must be tree-ordered");
                     let shift = shift_of(p.shift);
-                    n += simd::leaf_pair(kernel, &view, a.chunks(), b.chunks(), shift, force);
+                    let close = range.get(i + 1).is_none_or(|q| q.a != p.a);
+                    let (a, b) = (a.chunks(), b.chunks());
+                    n += simd::leaf_pair(kernel, &view, a, b, shift, close, force);
                 }
                 evals.fetch_add(n, Ordering::Relaxed);
             });
@@ -1176,8 +1194,14 @@ mod tests {
             let mut scratch = TreeScratch::default();
             let mut out = [Vec::new(), Vec::new(), Vec::new()];
             let rep = tree.forces_cut(kernel, slack, workers, &mut scratch, &mut out);
-            let want = workers.min(scratch.pairs.len());
+            let pairs = &scratch.pairs;
+            let runs = 1 + pairs.windows(2).filter(|w| w[0].a != w[1].a).count();
+            let want = workers.min(runs);
             assert_eq!(scratch.ranges.len(), want, "{workers} workers: ranges");
+            for &(_, end) in &scratch.ranges[..scratch.ranges.len() - 1] {
+                let (last, next) = (&pairs[end as usize - 1], &pairs[end as usize]);
+                assert_ne!(last.a, next.a, "{workers} workers: a range splits a run");
+            }
             let empty = scratch.ranges.iter().filter(|(a, b)| a == b).count();
             assert_eq!(empty, 0, "{workers} workers: empty ranges");
             (out, rep.evals, scratch.pairs)

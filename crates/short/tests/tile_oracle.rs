@@ -1,8 +1,9 @@
-//! The symmetric chunk path (leaf-pair walk → chunk-box cull → 8 × 8
-//! rotation tile) against an oracle that shares no code with it: an f64
-//! O(N²) sum over every pair inside the cutoff. Uniform, strongly
-//! clustered and degenerate inputs, leaf sizes on both sides of the
-//! chunk width, with and without a Verlet-skin refresh round.
+//! The symmetric chunk path (leaf-pair walk → chunk-box cull → rotation
+//! tile, on the lowering `simd::detect` picks: 16 lanes on AVX-512F) against
+//! an oracle that shares no code with it: an f64 O(N²) sum over every pair
+//! inside the cutoff. Uniform, strongly clustered and degenerate inputs,
+//! leaf sizes on both sides of the chunk width, with and without a
+//! Verlet-skin refresh round.
 
 mod common;
 

@@ -16,8 +16,11 @@ cargo test --workspace -q
 echo "==> cargo run --release --example quickstart  (the public serial API end to end, 16³)"
 cargo run --release --example quickstart
 
-echo "==> cargo test --release -p hacc-short --lib --test periodic -- --include-ignored  (48³ periodic tree oracle, 48³ cut invariance)"
-cargo test --release -q -p hacc-short --lib --test periodic -- --include-ignored
+echo "==> cargo test --release -p hacc-short --lib detection_is_stable -- --nocapture  (the SIMD level verified below)"
+cargo test --release -q -p hacc-short --lib detection_is_stable -- --nocapture
+
+echo "==> cargo test --release -p hacc-short --lib --test periodic --test tile_oracle -- --include-ignored  (48³ periodic tree oracle, 48³ cut invariance, tile oracle)"
+cargo test --release -q -p hacc-short --lib --test periodic --test tile_oracle -- --include-ignored
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
