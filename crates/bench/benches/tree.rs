@@ -4,7 +4,7 @@
 //! of Section III (walk minimization vs kernel work).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hacc_short::{ForceKernel, P3mSolver, RcbTree, TreeParams, TreeScratch};
+use hacc_short::{ForceKernel, RcbTree, TreeParams, TreeScratch};
 
 fn particles(np: usize, side: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut s = 7u64;
@@ -42,10 +42,16 @@ fn bench_tree(c: &mut Criterion) {
             });
         });
     }
-    // P3M comparison point.
-    let p3m = P3mSolver::new(kernel, side);
+    // P3M comparison point: the chaining-mesh tree (cells of side 3.2,
+    // ten to the periodic box side), built once.
+    let mut p3m = RcbTree::chaining_mesh(side / (side / 3.0).floor());
+    p3m.set_periods([side; 3]);
+    p3m.rebuild(&xs, &ys, &zs, &m, &mut TreeScratch::default());
+    let (mut scratch, mut out) = (TreeScratch::default(), [Vec::new(), Vec::new(), Vec::new()]);
     group.bench_function("p3m_forces", |b| {
-        b.iter(|| std::hint::black_box(p3m.forces(&xs, &ys, &zs, &m)));
+        b.iter(|| {
+            std::hint::black_box(p3m.forces_symmetric_into(&kernel, 0.0, &mut scratch, &mut out))
+        });
     });
     group.finish();
 }

@@ -478,7 +478,7 @@ mod tests {
     fn parked_rank_is_never_suspected_and_never_in_dead_set() {
         let h = HealthState::new(3, Some(cfg(1, 1)));
         let poisoned = AtomicBool::new(false);
-        h.apply(ControlEvent::Parked { rank: 2 });
+        h.apply(ControlEvent::Parked { rank: 2, step: 0 });
         h.beat(0, 5);
         h.beat(1, 5);
         // Parked rank is arbitrarily far behind the frontier and silent:
@@ -499,7 +499,7 @@ mod tests {
     fn activation_readmits_parked_rank_at_frontier() {
         let h = HealthState::new(2, Some(cfg(1, 1)));
         let poisoned = AtomicBool::new(false);
-        h.apply(ControlEvent::Parked { rank: 1 });
+        h.apply(ControlEvent::Parked { rank: 1, step: 0 });
         h.beat(0, 7);
         h.apply(ControlEvent::Activated { rank: 1, epoch: 7 });
         assert_eq!(h.view(1).status, RankStatus::Healthy);
@@ -513,7 +513,7 @@ mod tests {
         // a failed rank).
         h.scan();
         h.beat(0, 8);
-        h.apply(ControlEvent::Parked { rank: 1 });
+        h.apply(ControlEvent::Parked { rank: 1, step: 0 });
         h.apply(ControlEvent::Activated { rank: 0, epoch: 8 }); // healthy: no-op
         assert_eq!(h.view(0).status, RankStatus::Healthy);
     }
@@ -522,7 +522,7 @@ mod tests {
     fn release_sentinel_wakes_parked_rank_without_unparking() {
         let h = HealthState::new(2, Some(cfg(1, 1)));
         let poisoned = AtomicBool::new(false);
-        h.apply(ControlEvent::Parked { rank: 1 });
+        h.apply(ControlEvent::Parked { rank: 1, step: 0 });
         // End of run: the driver releases reserve capacity with the
         // `u64::MAX` sentinel. The waiter wakes with the sentinel, but
         // the rank stays parked — still invisible to the scan and the

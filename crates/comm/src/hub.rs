@@ -20,7 +20,7 @@
 //!   recovery stack uses.
 
 use crate::fault::FaultPlan;
-use crate::health::{HealthState, HeartbeatConfig};
+use crate::health::{HealthState, HeartbeatConfig, RankStatus};
 use crate::protocol::{status_name, ClientLine, ControlEvent, ControlLine, Gate};
 use crate::sync::{LockRank, Mutex};
 use std::io::{BufRead, BufReader, Write};
@@ -75,8 +75,10 @@ pub struct HubEvent {
     pub kind: &'static str,
     /// The rank the event happened to.
     pub rank: usize,
-    /// Step/epoch the event is tied to (last completed epoch for
-    /// `declared`; 0 where not applicable).
+    /// Step/epoch the event is tied to: the last completed epoch for
+    /// `declared`, the retiring rank's step for `parked`, the admission
+    /// epoch for `activated` (only a parked rank turning active; the
+    /// end-of-run release is not an event); 0 where not applicable.
     pub step: u64,
     /// Wall-clock milliseconds since the hub started.
     pub wall_ms: u64,
@@ -281,17 +283,22 @@ impl HubState {
                     // in-process machine does.
                     self.broadcast(&ControlLine::Poison.render());
                 }
-                Some(ClientLine::Retire) => {
+                Some(ClientLine::Retire { step }) => {
                     // Deliberate shrink: park, never declare — parking
                     // is not a failure (protocol bug #4).
-                    self.stamp("parked", rank, 0);
-                    self.commit(ControlEvent::Parked { rank });
+                    self.stamp("parked", rank, step);
+                    self.commit(ControlEvent::Parked { rank, step });
                 }
                 Some(ClientLine::Activate { rank: target, epoch }) => {
                     // Grow: readmit a parked rank at the current epoch
                     // frontier. `ACTIVATED` is a no-op on a non-parked
-                    // record, so a failed rank cannot be resurrected.
-                    self.stamp("activated", target, epoch);
+                    // record, so a failed rank cannot be resurrected, and
+                    // the end-of-run release (`u64::MAX`) wakes a parked
+                    // rank without admitting it: only a parked record
+                    // turning active is stamped.
+                    if epoch != u64::MAX && self.health.view(target).status == RankStatus::Parked {
+                        self.stamp("activated", target, epoch);
+                    }
                     self.commit(ControlEvent::Activated { rank: target, epoch });
                 }
                 Some(ClientLine::Goodbye) => return,
@@ -416,7 +423,7 @@ pub fn run(
             "active world must be within [1, {ranks}]"
         );
         for rank in active..ranks {
-            state.health.apply(ControlEvent::Parked { rank });
+            state.health.apply(ControlEvent::Parked { rank, step: 0 });
         }
     }
 

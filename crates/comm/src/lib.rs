@@ -891,7 +891,7 @@ impl Machine {
         });
         if let Some(active) = self.active {
             for rank in active..self.ranks {
-                shared.health.apply(ControlEvent::Parked { rank });
+                shared.health.apply(ControlEvent::Parked { rank, step: 0 });
             }
         }
         shared

@@ -344,9 +344,10 @@ pub enum ControlEvent {
     Rebuilding { rank: usize },
     /// `RECOVERED r e`: `r` rejoined at epoch `e`.
     Recovered { rank: usize, epoch: u64 },
-    /// `PARKED r`: `r` was deliberately retired from the active world
-    /// (elastic shrink, or held-in-reserve capacity). NOT a failure.
-    Parked { rank: usize },
+    /// `PARKED r s`: `r` was deliberately retired from the active world
+    /// at step `s` (elastic shrink, or held-in-reserve capacity from the
+    /// start, `s = 0`). NOT a failure; the step is for the record only.
+    Parked { rank: usize, step: u64 },
     /// `ACTIVATED r e`: parked rank `r` was admitted to the active
     /// world at epoch `e` (elastic grow).
     Activated { rank: usize, epoch: u64 },
@@ -361,7 +362,7 @@ impl ControlEvent {
             ControlEvent::Declared { rank, failed_epoch } => ("DECLARED", rank, Some(failed_epoch)),
             ControlEvent::Rebuilding { rank } => ("REBUILDING", rank, None),
             ControlEvent::Recovered { rank, epoch } => ("RECOVERED", rank, Some(epoch)),
-            ControlEvent::Parked { rank } => ("PARKED", rank, None),
+            ControlEvent::Parked { rank, step } => ("PARKED", rank, Some(step)),
             ControlEvent::Activated { rank, epoch } => ("ACTIVATED", rank, Some(epoch)),
         }
     }
@@ -435,7 +436,7 @@ pub fn apply_control(view: &mut [PeerView], ev: ControlEvent, m: &Mutations) -> 
             }
             MirrorEffect::None
         }
-        ControlEvent::Parked { rank } => {
+        ControlEvent::Parked { rank, .. } => {
             if let Some(p) = view.get_mut(rank) {
                 if m.retire_marks_failed {
                     // Mutated: bug #4 — a deliberate retire lands in
@@ -796,7 +797,7 @@ impl ControlLine {
             "DECLARED" => ControlEvent::Declared { rank: arg()? as usize, failed_epoch: arg()? },
             "REBUILDING" => ControlEvent::Rebuilding { rank: arg()? as usize },
             "RECOVERED" => ControlEvent::Recovered { rank: arg()? as usize, epoch: arg()? },
-            "PARKED" => ControlEvent::Parked { rank: arg()? as usize },
+            "PARKED" => ControlEvent::Parked { rank: arg()? as usize, step: arg()? },
             "ACTIVATED" => ControlEvent::Activated { rank: arg()? as usize, epoch: arg()? },
             _ => return None,
         };
@@ -819,10 +820,10 @@ pub enum ClientLine {
     Poisoned,
     /// Clean shutdown.
     Goodbye,
-    /// `RETIRE`: this rank is deliberately leaving the active world
-    /// (elastic shrink). The hub must *park* it — never declare it
-    /// failed — and keep its process alive for a later grow.
-    Retire,
+    /// `RETIRE s`: this rank is deliberately leaving the active world
+    /// at step `s` (elastic shrink). The hub must *park* it — never
+    /// declare it failed — and keep its process alive for a later grow.
+    Retire { step: u64 },
     /// `ACTIVATE r e`: admit parked rank `r` to the active world at
     /// epoch `e` (sent by the rank driving an elastic grow).
     Activate { rank: usize, epoch: u64 },
@@ -839,7 +840,7 @@ impl ClientLine {
             ClientLine::Recovered { epoch } => format!("RECOVERED {epoch}"),
             ClientLine::Poisoned => "POISONED".to_string(),
             ClientLine::Goodbye => "GOODBYE".to_string(),
-            ClientLine::Retire => "RETIRE".to_string(),
+            ClientLine::Retire { step } => format!("RETIRE {step}"),
             ClientLine::Activate { rank, epoch } => format!("ACTIVATE {rank} {epoch}"),
         }
     }
@@ -859,7 +860,9 @@ impl ClientLine {
             }),
             "POISONED" => Some(ClientLine::Poisoned),
             "GOODBYE" => Some(ClientLine::Goodbye),
-            "RETIRE" => Some(ClientLine::Retire),
+            "RETIRE" => Some(ClientLine::Retire {
+                step: parse_arg(it.next()).unwrap_or(0),
+            }),
             "ACTIVATE" => {
                 let (rank, epoch) = (parse_arg(it.next())?, parse_arg(it.next())?);
                 Some(ClientLine::Activate {
@@ -1162,7 +1165,7 @@ mod tests {
             }),
             ControlLine::Event(ControlEvent::Rebuilding { rank: 1 }),
             ControlLine::Event(ControlEvent::Recovered { rank: 1, epoch: 6 }),
-            ControlLine::Event(ControlEvent::Parked { rank: 4 }),
+            ControlLine::Event(ControlEvent::Parked { rank: 4, step: 7 }),
             ControlLine::Event(ControlEvent::Activated { rank: 4, epoch: 8 }),
             ControlLine::BeatAck(RankStatus::Parked),
             ControlLine::Poison,
@@ -1181,7 +1184,7 @@ mod tests {
             ClientLine::Recovered { epoch: 12 },
             ClientLine::Poisoned,
             ClientLine::Goodbye,
-            ClientLine::Retire,
+            ClientLine::Retire { step: 7 },
             ClientLine::Activate { rank: 5, epoch: 3 },
         ];
         for line in lines {
@@ -1193,7 +1196,11 @@ mod tests {
     fn retire_is_never_confused_with_failure() {
         let mut view = [PeerView::INITIAL; 3];
         view[2].epoch = 6;
-        apply_control(&mut view, ControlEvent::Parked { rank: 2 }, &Mutations::NONE);
+        apply_control(
+            &mut view,
+            ControlEvent::Parked { rank: 2, step: 6 },
+            &Mutations::NONE,
+        );
         assert_eq!(view[2].status, RankStatus::Parked);
         assert!(dead_set(&view).is_empty(), "retired is not dead");
         // Nobody waits on a parked rank at an epoch barrier, and it is
@@ -1201,7 +1208,11 @@ mod tests {
         let mut active = [PeerView::INITIAL; 3];
         active[0].epoch = 9;
         active[1].epoch = 9;
-        apply_control(&mut active, ControlEvent::Parked { rank: 2 }, &Mutations::NONE);
+        apply_control(
+            &mut active,
+            ControlEvent::Parked { rank: 2, step: 6 },
+            &Mutations::NONE,
+        );
         assert_eq!(Gate::Epoch(9).poll(&active, 0).map(|r| r.failed), Ok(vec![]));
         // The mutated protocol (bug #4) turns the retire into a death:
         // the model run's counterexample.
@@ -1211,7 +1222,7 @@ mod tests {
         };
         let mut bad = [PeerView::INITIAL; 3];
         bad[2].epoch = 6;
-        apply_control(&mut bad, ControlEvent::Parked { rank: 2 }, &m);
+        apply_control(&mut bad, ControlEvent::Parked { rank: 2, step: 6 }, &m);
         assert_eq!(bad[2].status, RankStatus::Failed);
         assert_eq!(dead_set(&bad), vec![(2, 6)], "bug #4: retiree in the dead set");
     }
@@ -1219,7 +1230,11 @@ mod tests {
     #[test]
     fn activation_admits_only_parked_ranks() {
         let mut view = [PeerView::INITIAL; 2];
-        apply_control(&mut view, ControlEvent::Parked { rank: 1 }, &Mutations::NONE);
+        apply_control(
+            &mut view,
+            ControlEvent::Parked { rank: 1, step: 0 },
+            &Mutations::NONE,
+        );
         assert_eq!(Gate::Activation.poll(&view, 1).map(|r| r.epoch), Err(1), "parked: keep waiting");
         apply_control(
             &mut view,

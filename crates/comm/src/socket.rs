@@ -1385,10 +1385,10 @@ impl Transport for SocketTransport {
                 self.apply_control_event(ev);
                 ClientLine::Recovered { epoch }
             }
-            ControlEvent::Parked { rank } => {
+            ControlEvent::Parked { rank, step } => {
                 debug_assert_eq!(rank, me);
                 self.apply_control_event(ev);
-                ClientLine::Retire
+                ClientLine::Retire { step }
             }
             // No optimistic apply: the admission frontier must come from
             // the hub's detector, so wait for the ACTIVATED broadcast.

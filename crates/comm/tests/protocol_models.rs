@@ -868,7 +868,7 @@ impl Model for DeadSetModel {
             }
             DeadSetAction::Retire(r) => {
                 n.hub[r] = 4;
-                n.log.push(ControlEvent::Parked { rank: r });
+                n.log.push(ControlEvent::Parked { rank: r, step: 6 });
             }
             DeadSetAction::Activate(r) => {
                 n.hub[r] = 5;
@@ -1037,7 +1037,10 @@ impl Model for ScanModel {
         let mut view = [PeerView::INITIAL; SCAN_RANKS];
         let _ = protocol::apply_control(
             &mut view,
-            ControlEvent::Parked { rank: SCAN_PARKED },
+            ControlEvent::Parked {
+                rank: SCAN_PARKED,
+                step: 0,
+            },
             &self.m,
         );
         vec![ScanState {

@@ -10,8 +10,9 @@ pub enum SolverKind {
     /// Long/medium-range only (pure particle-mesh).
     PmOnly,
     /// Direct particle–particle short range (chaining mesh) — the
-    /// Roadrunner / accelerated-cluster configuration. Its chaining mesh
-    /// spans every axis whole: one rank (`Simulation`).
+    /// Roadrunner / accelerated-cluster configuration: the tree cut at
+    /// chaining-mesh planes, one non-empty cell per leaf, at any rank
+    /// count.
     P3m,
     /// RCB-tree short range — the BG/Q "PPTreePM" configuration.
     TreePm,
@@ -48,7 +49,7 @@ pub struct SimConfig {
     /// Short/long force matching radius in grid cells (paper: 3).
     pub rcut_cells: f64,
     /// Verlet-style skin radius in grid cells for cross-subcycle tree
-    /// reuse (TreePm only). The tree's leaf-pair list is built with
+    /// reuse (TreePm and P³M). The tree's leaf-pair list is built with
     /// `r_cut` inflated by this margin and reused — positions refreshed
     /// in place — until some particle has moved more than half the skin
     /// from its build position, and rebuilt at the first sub-cycle of

@@ -894,19 +894,38 @@ mod tests {
         assert!(worst[0] < 1e-12 && worst[1] < 1e-12, "2-rank vs 1-rank relative (K, U) error {worst:?}");
     }
 
-    /// P³M's chaining mesh needs every axis whole: a split x axis is
-    /// refused by the short-range layer.
+    /// P³M on the production decomposition: its chaining mesh is the
+    /// tree's, whose open x axis takes the overload shell as its ghost
+    /// cells, so a 2-rank P³M run tracks the 1-rank one within TreePm's
+    /// budget (0.05 Mpc/h, as in `distributed_driver_tracks_serial`).
     #[test]
-    #[should_panic(expected = "P³M needs a one-block decomposition")]
-    fn p3m_config_is_rejected() {
-        let (_, _) = Machine::new(2).run(|comm| {
-            let _ = DistSimulation::from_checkpoint_state(
-                &comm,
-                cfg(SolverKind::P3m, 0.3),
-                0.3,
-                Particles::default(),
-            );
+    fn p3m_on_two_ranks_tracks_one_rank() {
+        let a0 = 0.3;
+        let config = cfg(SolverKind::P3m, a0);
+        let realization = ics(a0);
+        let mut one = crate::Simulation::from_ics(config, &realization);
+        one.step(0.33);
+        one.step(0.36);
+        let (gathered, _) = Machine::new(2).run(|comm| {
+            let mut sim = DistSimulation::new(&comm, config, &realization);
+            sim.step(0.33);
+            sim.step(0.36);
+            sim.gather_positions()
         });
+        let gathered = gathered[0].as_ref().expect("rank 0 gathers");
+        assert_eq!(gathered.len(), realization.len(), "particles lost");
+        let (x, y, z) = one.positions();
+        let l = config.box_len as f32;
+        for &(id, p) in gathered {
+            let i = id as usize;
+            for (got, want) in p.into_iter().zip([x[i], y[i], z[i]]) {
+                let d = (got - want).abs();
+                assert!(
+                    d.min(l - d) < 0.05,
+                    "id {id}: {got} on 2 ranks vs {want} on 1"
+                );
+            }
+        }
     }
 
     #[test]

@@ -512,8 +512,8 @@ pub fn run_attempt_elastic(
             if std::mem::take(&mut pending_replacement) {
                 // A dead rank outside any fence: acknowledge the death
                 // and hand the seat straight back, from `Rebuilding`.
-                let _ = world.rejoin_as_replacement();
-                world.apply(ControlEvent::Parked { rank: me });
+                let step = world.rejoin_as_replacement();
+                world.apply(ControlEvent::Parked { rank: me, step });
             }
             // Reserve pool: block until admitted to a world (or released
             // for good by the end-of-run sentinel).
@@ -884,7 +884,7 @@ impl Attempt<'_> {
                 let Some(sim) = sim else {
                     // Shrink: this rank's particles are certified
                     // elsewhere; hand the seat back to the reserve pool.
-                    world.apply(ControlEvent::Parked { rank: me });
+                    world.apply(ControlEvent::Parked { rank: me, step });
                     return Fenced::Retired;
                 };
                 // Lock in: the changed world's checkpoint set at the
@@ -926,7 +926,7 @@ impl Attempt<'_> {
                 if action == FenceAction::Abort {
                     return Fenced::Aborted;
                 }
-                world.apply(ControlEvent::Parked { rank: me });
+                world.apply(ControlEvent::Parked { rank: me, step });
                 Fenced::Retired
             }
             FenceAction::Rehome | FenceAction::HoldForAcks => {

@@ -5,9 +5,10 @@
 //! * long/medium-range forces from the spectrally filtered PM solver
 //!   (`hacc-pm`), common to all "architectures";
 //! * short/close-range forces from an architecture-tunable local solver
-//!   (`hacc-short`): RCB tree ("PPTreePM", the BG/Q path) or direct
-//!   particle–particle ("P3M", the Roadrunner path) — or PM-only for
-//!   smooth-field tests;
+//!   (`hacc-short`): an RCB tree with fat leaves ("PPTreePM", the BG/Q
+//!   path) or cut into chaining-mesh cells for direct particle–particle
+//!   sums ("P3M", the Roadrunner path) — or PM-only for smooth-field
+//!   tests;
 //! * the 2nd-order split-operator symplectic stepper of paper Eq. 6,
 //!   `M_full = M_lr(t/2) (M_sr(t/nc))^nc M_lr(t/2)`, sub-cycling the
 //!   short-range SKS (stream–kick–stream) maps inside long-range kicks

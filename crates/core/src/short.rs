@@ -2,21 +2,22 @@
 //! hands over its positions (box units, continuous within a step; the
 //! refresh wraps them and invalidates the layer) and the global count,
 //! and the layer fills its own grid coordinates, scales the kernel by
-//! `n̄` and runs the RCB tree or P³M into the engine's held buffer.
+//! `n̄` and runs the tree into the engine's held buffer.
 //!
-//! The tree persists across sub-cycles: it is rebuilt only when the
-//! particle set changed or some particle has moved far enough from its
-//! build position to carry a pair across the Verlet skin. It indexes
-//! the engine's particles plus, across a split axis, the cross-rank
-//! replicas; an axis the engine spans whole is periodic through the
-//! tree's own image shifts. P³M's chaining mesh shifts neighbours by
-//! whole boxes, so it needs every axis whole — a one-block
-//! decomposition — and coordinates wrapped into `[0, ng)`.
+//! TreePM and P³M differ only in how the tree is cut: bisection down to
+//! fat leaves, or the cells of a chaining mesh of side ≥ `r_cut`
+//! ([`RcbTree::chaining_mesh`]). Either tree persists across sub-cycles:
+//! it is rebuilt only when the particle set changed or some particle has
+//! moved far enough from its build position to carry a pair across the
+//! Verlet skin. It indexes the engine's particles plus, across a split
+//! axis, the cross-rank replicas (the overload shell is P³M's ghost
+//! layer too); an axis the engine spans whole is periodic through the
+//! tree's own image shifts, so both solvers run at any rank count.
 
 use std::time::Instant;
 
 use hacc_pm::GridForceFit;
-use hacc_short::{ForceKernel, P3mScratch, P3mSolver, RcbTree, TreeScratch};
+use hacc_short::{ForceKernel, RcbTree, TreeScratch};
 
 use crate::config::{SimConfig, SolverKind};
 use crate::stats::StepBreakdown;
@@ -34,8 +35,6 @@ pub(crate) struct ShortRange {
     /// masses.
     pos: [Vec<f32>; 3],
     mass: Vec<f32>,
-    /// The chaining-mesh scratch of a P³M run, which uses no tree.
-    p3m: Option<P3mScratch>,
     tree: RcbTree,
     scratch: TreeScratch,
     /// `pos` as the last build saw it: the rebuild criterion measures
@@ -52,12 +51,14 @@ impl ShortRange {
     /// Eq. 7), over per-axis `periods` in grid cells (`0` for a split
     /// axis).
     pub(crate) fn new(cfg: &SimConfig, fit: &GridForceFit, periods: [f32; 3]) -> Self {
-        let p3m = cfg.solver == SolverKind::P3m;
-        assert!(
-            !p3m || periods.iter().all(|&p| p > 0.0),
-            "P³M needs a one-block decomposition: its chaining mesh spans every axis whole"
-        );
-        let mut tree = RcbTree::new_empty(cfg.tree);
+        let mut tree = if cfg.solver == SolverKind::P3m {
+            // The chaining mesh divides the box evenly into as many
+            // cells as fit with none narrower than `r_cut`.
+            let (n, rcut) = (cfg.ng as f32, cfg.rcut_cells as f32);
+            RcbTree::chaining_mesh(n / (n / rcut).floor().max(1.0))
+        } else {
+            RcbTree::new_empty(cfg.tree)
+        };
         tree.set_periods(periods);
         ShortRange {
             kernel: ForceKernel::new(fit.coeffs_f32(), cfg.rcut_cells as f32, fit.epsilon as f32),
@@ -67,7 +68,6 @@ impl ShortRange {
             norm: fit.norm,
             pos: Default::default(),
             mass: Vec::new(),
-            p3m: p3m.then(P3mScratch::default),
             tree,
             scratch: TreeScratch::default(),
             built: Default::default(),
@@ -94,41 +94,31 @@ impl ShortRange {
     ) {
         let nbar = count as f64 / (self.ng * self.ng * self.ng) as f64;
         let scale = (self.delta / nbar * self.norm) as f32;
-        let (s, n) = (self.to_grid, self.ng as f32);
+        let s = self.to_grid;
         let t0 = Instant::now();
         self.mass.resize(pos[0].len(), 1.0);
         for (g, p) in self.pos.iter_mut().zip(pos) {
             g.clear();
-            if self.p3m.is_some() {
-                g.extend(p.iter().map(|&v| wrap_grid(v * s, n)));
-            } else {
-                g.extend(p.iter().map(|&v| v * s));
-            }
+            g.extend(p.iter().map(|&v| v * s));
         }
         let [x, y, z] = &self.pos;
-        if let Some(scratch) = &mut self.p3m {
-            let solver = P3mSolver::new(self.kernel, n);
-            let inter = solver.forces_into(x, y, z, &self.mass, scratch, force);
-            brk.kernel += t0.elapsed();
-            brk.interactions += inter;
-            brk.pair_interactions += inter;
-        } else {
-            if self.must_rebuild() {
-                self.tree.rebuild(x, y, z, &self.mass, &mut self.scratch);
-                for (b, p) in self.built.iter_mut().zip(&self.pos) {
-                    b.clone_from(p);
-                }
-                self.stale = false;
-            } else {
-                self.tree.refresh_positions(x, y, z);
+        if self.must_rebuild() {
+            self.tree.rebuild(x, y, z, &self.mass, &mut self.scratch);
+            for (b, p) in self.built.iter_mut().zip(&self.pos) {
+                b.clone_from(p);
             }
-            brk.build += t0.elapsed();
-            let rep = self.tree.forces_symmetric_into(&self.kernel, self.skin, &mut self.scratch, force);
-            brk.walk += rep.walk;
-            brk.kernel += rep.kernel;
-            brk.interactions += rep.directed;
-            brk.pair_interactions += rep.evals;
+            self.stale = false;
+        } else {
+            self.tree.refresh_positions(x, y, z);
         }
+        brk.build += t0.elapsed();
+        let rep =
+            self.tree
+                .forces_symmetric_into(&self.kernel, self.skin, &mut self.scratch, force);
+        brk.walk += rep.walk;
+        brk.kernel += rep.kernel;
+        brk.interactions += rep.directed;
+        brk.pair_interactions += rep.evals;
         let t1 = Instant::now();
         for v in force.iter_mut().flatten() {
             *v *= scale;
@@ -154,12 +144,3 @@ impl ShortRange {
     }
 }
 
-/// Grid coordinate `g` wrapped into `[0, n)`.
-fn wrap_grid(g: f32, n: f32) -> f32 {
-    let w = g.rem_euclid(n);
-    if w < n {
-        w
-    } else {
-        0.0
-    }
-}

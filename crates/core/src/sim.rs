@@ -324,9 +324,9 @@ mod tests {
         }
     }
 
-    /// P³M's chaining mesh bins coordinates wrapped into the mesh: at
-    /// positions up to a step's drift outside the box, the forces are
-    /// those at the wrapped positions, to rounding.
+    /// P³M's chaining-mesh tree takes the minimum image on every whole
+    /// axis: at positions up to a step's drift outside the box, the
+    /// forces are those at the wrapped positions, to rounding.
     #[test]
     fn p3m_forces_do_not_depend_on_the_wrap() {
         let mut sim = make_sim(SolverKind::P3m, 0.2);

@@ -13,7 +13,10 @@
 //!   branches;
 //! * the polynomial is evaluated by an FMA Horner chain (`mul_add`);
 //!
-//! — and lets LLVM auto-vectorize the loop over neighbors.
+//! — here in scalar form: [`ForceKernel::factor`] defines the pair force
+//! and [`ForceKernel::force_on`] is the one-sided reference the tests and
+//! `fig5_kernel_threading` measure against. The solvers run the
+//! vectorised lane-rotation tile of [`crate::simd`].
 
 /// Flops charged per particle–particle interaction, matching the paper's
 /// accounting (168 flops per 4-wide QPX iteration = 42 per interaction,
@@ -118,62 +121,6 @@ impl ForceKernel {
         [fx, fy, fz]
     }
 
-    /// Explicitly 8-lane-blocked variant of [`ForceKernel::force_on`] —
-    /// the Rust stand-in for the paper's hand-unrolled QPX kernel (§III:
-    /// 2-fold unrolling over 4-wide vectors = 8 interactions in flight to
-    /// hide the 6-cycle FMA latency). Processes neighbors in blocks of 8
-    /// with independent accumulator lanes; the scalar tail handles the
-    /// remainder. Bit-identical accumulation order is *not* guaranteed
-    /// versus `force_on`, but results agree to f32 rounding.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    #[must_use] 
-    pub fn force_on_blocked(
-        &self,
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        nx: &[f32],
-        ny: &[f32],
-        nz: &[f32],
-        nm: &[f32],
-    ) -> [f32; 3] {
-        const LANES: usize = 8;
-        let mut ax = [0.0f32; LANES];
-        let mut ay = [0.0f32; LANES];
-        let mut az = [0.0f32; LANES];
-        let n = nx.len();
-        let blocks = n / LANES;
-        for b in 0..blocks {
-            let base = b * LANES;
-            for l in 0..LANES {
-                let i = base + l;
-                let dx = nx[i] - tx;
-                let dy = ny[i] - ty;
-                let dz = nz[i] - tz;
-                let s = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-                let w = nm[i] * self.factor(s);
-                ax[l] = dx.mul_add(w, ax[l]);
-                ay[l] = dy.mul_add(w, ay[l]);
-                az[l] = dz.mul_add(w, az[l]);
-            }
-        }
-        let mut fx: f32 = ax.iter().sum();
-        let mut fy: f32 = ay.iter().sum();
-        let mut fz: f32 = az.iter().sum();
-        for i in blocks * LANES..n {
-            let dx = nx[i] - tx;
-            let dy = ny[i] - ty;
-            let dz = nz[i] - tz;
-            let s = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-            let w = nm[i] * self.factor(s);
-            fx = dx.mul_add(w, fx);
-            fy = dy.mul_add(w, fy);
-            fz = dz.mul_add(w, fz);
-        }
-        [fx, fy, fz]
-    }
-
     /// Reference scalar implementation with explicit branches, for
     /// validating the branch-free kernel.
     #[must_use] 
@@ -261,31 +208,6 @@ mod tests {
         let f1 = k.force_on(0.0, 0.0, 0.0, &[1.0], &[0.0], &[0.0], &[1.0])[0];
         let f2 = k.force_on(0.0, 0.0, 0.0, &[2.0], &[0.0], &[0.0], &[1.0])[0];
         assert!((f1 / f2 - 4.0).abs() < 1e-4, "ratio {}", f1 / f2);
-    }
-
-    #[test]
-    fn blocked_matches_straight_kernel() {
-        let k = kernel();
-        // Sizes exercising full blocks, tails, and tiny lists.
-        for m in [0usize, 1, 7, 8, 9, 64, 100] {
-            let mut s = 31u64 + m as u64;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s as f64 / u64::MAX as f64) as f32 * 4.0 - 2.0
-            };
-            let nx: Vec<f32> = (0..m).map(|_| next()).collect();
-            let ny: Vec<f32> = (0..m).map(|_| next()).collect();
-            let nz: Vec<f32> = (0..m).map(|_| next()).collect();
-            let nm = vec![1.0f32; m];
-            let a = k.force_on(0.1, -0.2, 0.3, &nx, &ny, &nz, &nm);
-            let b = k.force_on_blocked(0.1, -0.2, 0.3, &nx, &ny, &nz, &nm);
-            for c in 0..3 {
-                let tol = 1e-4 * (a[c].abs() + 1.0);
-                assert!((a[c] - b[c]).abs() < tol, "m={m} c={c}: {} vs {}", a[c], b[c]);
-            }
-        }
     }
 
     #[test]

@@ -19,24 +19,21 @@
 //! ([`detect`]); all produce results equal to the scalar
 //! [`ForceKernel::force_on`] reference to f32 rounding.
 //!
-//! Two kernel shapes are exposed:
-//!
-//! * [`force_on_best`] — one-sided: force on a single target from a
-//!   pre-gathered source list (the shared-interaction-list shape P³M
-//!   uses), the AVX2 row on any AVX2-or-wider host;
-//! * `leaf_pair` — symmetric: a listed leaf pair is evaluated chunk ×
-//!   chunk ([`CHUNK`] = 8 particles). A vectorised box test discards
-//!   chunk pairs farther apart than `r_cut`; the survivors run through a
-//!   *lane-rotation tile* that evaluates every pair **once**, `+f` on
-//!   the target lane and the Newton-3 reaction `−f` on the source lane —
-//!   8 × 8 per source chunk, or 8 × 16 over two source chunks of one cull
-//!   mask on AVX-512. The tile is one generic body over the private
-//!   `Lanes` vocabulary, compiled once per lowering — there is no row
-//!   kernel, no horizontal sum and no scalar tail on this path. A leaf
-//!   pair's partials sum in an f32 block of its own chunks and are
-//!   flushed as integers into a fixed-point accumulator (`FixedForce`),
-//!   the first leaf's once per run of pairs that share it, so the order
-//!   in which runs are flushed cannot change a bit of the result.
+//! There is one kernel shape, `leaf_pair`, and both short-range solvers
+//! (the bisection tree and the chaining-mesh tree of P³M) run it: a
+//! listed leaf pair is evaluated chunk × chunk ([`CHUNK`] = 8
+//! particles). A vectorised box test discards chunk pairs farther apart
+//! than `r_cut`; the survivors run through a *lane-rotation tile* that
+//! evaluates every pair **once**, `+f` on the target lane and the
+//! Newton-3 reaction `−f` on the source lane — 8 × 8 per source chunk, or
+//! 8 × 16 over two source chunks of one cull mask on AVX-512. The tile is
+//! one generic body over the private `Lanes` vocabulary, compiled once
+//! per lowering — there is no row kernel, no horizontal sum and no scalar
+//! tail. A leaf pair's partials sum in an f32 block of its own chunks and
+//! are flushed as integers into a fixed-point accumulator
+//! (`FixedForce`), the first leaf's once per run of pairs that share it,
+//! so the order in which runs are flushed cannot change a bit of the
+//! result.
 
 use crate::kernel::ForceKernel;
 
@@ -80,31 +77,6 @@ pub fn detect() -> SimdLevel {
     {
         SimdLevel::Portable
     }
-}
-
-/// One-sided force on a target from a gathered source list, via the
-/// fastest available kernel. Drop-in for [`ForceKernel::force_on`].
-#[inline]
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn force_on_best(
-    k: &ForceKernel,
-    tx: f32,
-    ty: f32,
-    tz: f32,
-    nx: &[f32],
-    ny: &[f32],
-    nz: &[f32],
-    nm: &[f32],
-) -> [f32; 3] {
-    debug_assert!(nx.len() == ny.len() && ny.len() == nz.len() && nz.len() == nm.len());
-    #[cfg(target_arch = "x86_64")]
-    if detect() >= SimdLevel::Avx2Fma {
-        // SAFETY: `detect()` confirmed AVX2 and FMA are available on this
-        // CPU, which is exactly the target-feature set the callee enables.
-        return unsafe { avx2::row_one_sided(k, tx, ty, tz, nx, ny, nz, nm) };
-    }
-    k.force_on_blocked(tx, ty, tz, nx, ny, nz, nm)
 }
 
 /// Particles per cluster chunk of the symmetric path — the SIMD width.
@@ -204,22 +176,30 @@ pub(crate) struct FixedForce {
     /// then the current pair's second leaf's unless it is the same leaf —
     /// as x, y and z lanes. All zero outside an open run.
     block: Vec<[[f32; CHUNK]; 3]>,
-    /// Local chunks the open run has written.
+    /// Local chunks the open run has written. `block` and `touched` hold
+    /// two of the tree's largest leaves, sized at pass start.
     touched: Vec<bool>,
     /// First chunk of the open run's `a` leaf, `None` between runs.
     open: Option<usize>,
 }
 
 impl FixedForce {
-    /// Zero `slots` slots and set the flush scale to `2^k`. Grows with
-    /// headroom, so a rebuild that shifts the padding does not allocate.
-    pub(crate) fn reset(&mut self, slots: usize, k: i32) {
+    /// Zero `slots` slots, set the flush scale to `2^k` and make the run
+    /// block hold `local` chunks (two of the largest leaf's). Both grow
+    /// with headroom, so a rebuild that shifts the padding or grows the
+    /// largest leaf a little does not allocate.
+    pub(crate) fn reset(&mut self, slots: usize, k: i32, local: usize) {
         for v in &mut self.acc {
             if v.capacity() < slots {
                 *v = Vec::with_capacity(slots + slots / 8);
             }
             v.clear();
             v.resize(slots, 0);
+        }
+        if self.block.len() < local {
+            let room = local + local / 2;
+            self.block.resize(room, [[0.0; CHUNK]; 3]);
+            self.touched.resize(room, false);
         }
         self.scale = 2f64.powi(k);
         self.unit = 2f64.powi(-k);
@@ -242,26 +222,28 @@ impl FixedForce {
     }
 }
 
-/// The fixed-point exponent `k` of a pass over `n` particles of largest
-/// mass `m_max`: the largest integer with `n · m_max · F · 2^k ≤
-/// 2^(63 − SLOT_HEADROOM_BITS)`, where `F` bounds one pair's `|d · f_SR|`
-/// (`pair_bound`). A slot receives at most one nonzero term per other
-/// particle (the period exceeds twice the reach), each at most
-/// `m_max · F`, so no slot can overflow; the headroom absorbs the f32
-/// round-off of the partials and the flushes' half-unit roundings.
-/// Capped at 127, past which a unit is finer than any f32 force needs.
+/// The fixed-point exponent `k` of a pass whose slots each receive at
+/// most `s_max` terms, with largest mass `m_max`: the largest integer
+/// with `s_max · m_max · F · 2^k ≤ 2^(63 − SLOT_HEADROOM_BITS)`, where
+/// `F` bounds one pair's `|d · f_SR|` (`pair_bound`). The tree passes
+/// `S_max`, the most partner-leaf particles any leaf meets across the
+/// listed pairs: a slot receives at most one term per listed partner
+/// particle, each at most `m_max · F`, so no slot can overflow; the
+/// headroom absorbs the f32 round-off of the partials and the flushes'
+/// half-unit roundings. Capped at 127, past which a unit is finer than
+/// any f32 force needs.
 ///
 /// # Panics
-/// If `k < MIN_SCALE_BITS`: masses, particle count or softening whose
+/// If `k < MIN_SCALE_BITS`: masses, neighbour counts or softening whose
 /// bound leaves no room for the minimum resolution are refused here,
 /// never wrapped.
-pub(crate) fn fixed_point_exponent(k: &ForceKernel, n: usize, m_max: f32) -> i32 {
+pub(crate) fn fixed_point_exponent(k: &ForceKernel, s_max: usize, m_max: f32) -> i32 {
     let f = pair_bound(k);
-    let room = f64::from(63 - SLOT_HEADROOM_BITS) - (n as f64 * f64::from(m_max) * f).log2();
+    let room = f64::from(63 - SLOT_HEADROOM_BITS) - (s_max as f64 * f64::from(m_max) * f).log2();
     assert!(
         room >= f64::from(MIN_SCALE_BITS),
-        "short-range fixed point: N · m_max · max|d·f_SR| = {n} · {m_max:e} · {f:e} leaves \
-         2^{room:.1} for the scale, below the 2^{MIN_SCALE_BITS} minimum"
+        "short-range fixed point: S_max · m_max · max|d·f_SR| = {s_max} · {m_max:e} · {f:e} \
+         leaves 2^{room:.1} for the scale, below the 2^{MIN_SCALE_BITS} minimum"
     );
     room.min(127.0) as i32
 }
@@ -584,10 +566,7 @@ fn leaf_pair_on<V: ChunkLanes, W: Tile<Chunk = V>>(
         ..
     } = force;
     debug_assert!(open.is_none_or(|s| s == a.start), "a run was left open");
-    if block.len() < local {
-        block.resize(local, [[0.0; CHUNK]; 3]);
-        touched.resize(local, false);
-    }
+    debug_assert!(block.len() >= local, "the run block is sized at pass start");
     let mut evals = 0u64;
     for i in a.clone() {
         let t = chunk(i);
@@ -675,7 +654,7 @@ fn leaf_pair_on<V: ChunkLanes, W: Tile<Chunk = V>>(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2+FMA kernels. Every function here is `#[target_feature(enable
+    //! The AVX2+FMA tile. Every function here is `#[target_feature(enable
     //! = "avx2,fma")]`: intrinsic calls inside are safe (the feature is
     //! statically enabled for the function body), while *calling* these
     //! functions is unsafe unless the caller proves the CPU support —
@@ -684,98 +663,14 @@ mod avx2 {
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_and_ps, _mm256_cmp_ps, _mm256_div_ps, _mm256_fmadd_ps,
         _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_movemask_ps, _mm256_mul_ps,
-        _mm256_permutevar8x32_ps, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
-        _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ,
+        _mm256_permutevar8x32_ps, _mm256_set1_ps, _mm256_setr_epi32, _mm256_sqrt_ps,
+        _mm256_storeu_ps, _mm256_sub_ps, _CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ,
     };
 
     use super::{leaf_pair_on, ChunkLanes, Chunks, FixedForce, Lanes};
     use crate::kernel::ForceKernel;
 
     const LANES: usize = 8;
-
-    /// One-sided AVX2 row: force on one target from `n` sources.
-    ///
-    /// The cutoff/self-interaction select is the `fsel` idiom: two
-    /// ordered compares produce lane masks, the AND of which zeroes the
-    /// force factor lanes outside `0 < s < r_cut²` with no branch.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn row_one_sided(
-        k: &ForceKernel,
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        sx: &[f32],
-        sy: &[f32],
-        sz: &[f32],
-        sm: &[f32],
-    ) -> [f32; 3] {
-        let n = sx.len();
-        debug_assert!(sy.len() == n && sz.len() == n && sm.len() == n);
-        let txv = _mm256_set1_ps(tx);
-        let tyv = _mm256_set1_ps(ty);
-        let tzv = _mm256_set1_ps(tz);
-        let epsv = _mm256_set1_ps(k.eps);
-        let rc2v = _mm256_set1_ps(k.rcut2);
-        let zero = _mm256_setzero_ps();
-        let one = _mm256_set1_ps(1.0);
-        let c = k.coeffs;
-        let (c0, c1, c2) = (_mm256_set1_ps(c[0]), _mm256_set1_ps(c[1]), _mm256_set1_ps(c[2]));
-        let (c3, c4, c5) = (_mm256_set1_ps(c[3]), _mm256_set1_ps(c[4]), _mm256_set1_ps(c[5]));
-        let mut accx = zero;
-        let mut accy = zero;
-        let mut accz = zero;
-        let blocks = n / LANES;
-        for b in 0..blocks {
-            let j = b * LANES;
-            // SAFETY: `j + 8 <= n` and all four slices have length `n`
-            // (asserted above), so each unaligned 8-float load reads
-            // in-bounds memory.
-            let (sxv, syv, szv, smv) = unsafe {
-                (
-                    _mm256_loadu_ps(sx.as_ptr().add(j)),
-                    _mm256_loadu_ps(sy.as_ptr().add(j)),
-                    _mm256_loadu_ps(sz.as_ptr().add(j)),
-                    _mm256_loadu_ps(sm.as_ptr().add(j)),
-                )
-            };
-            let dx = _mm256_sub_ps(sxv, txv);
-            let dy = _mm256_sub_ps(syv, tyv);
-            let dz = _mm256_sub_ps(szv, tzv);
-            let s = _mm256_fmadd_ps(dz, dz, _mm256_fmadd_ps(dy, dy, _mm256_mul_ps(dx, dx)));
-            let inv = _mm256_div_ps(one, _mm256_sqrt_ps(_mm256_add_ps(s, epsv)));
-            let inv3 = _mm256_mul_ps(_mm256_mul_ps(inv, inv), inv);
-            let mut p = c5;
-            p = _mm256_fmadd_ps(p, s, c4);
-            p = _mm256_fmadd_ps(p, s, c3);
-            p = _mm256_fmadd_ps(p, s, c2);
-            p = _mm256_fmadd_ps(p, s, c1);
-            p = _mm256_fmadd_ps(p, s, c0);
-            let g = _mm256_sub_ps(inv3, p);
-            // Branch-free `fsel`: mask lanes with s ∉ (0, rcut²) to zero.
-            let mask = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GT_OQ>(s, zero),
-                _mm256_cmp_ps::<_CMP_LT_OQ>(s, rc2v),
-            );
-            let g = _mm256_and_ps(g, mask);
-            let wt = _mm256_mul_ps(smv, g);
-            accx = _mm256_fmadd_ps(dx, wt, accx);
-            accy = _mm256_fmadd_ps(dy, wt, accy);
-            accz = _mm256_fmadd_ps(dz, wt, accz);
-        }
-        let mut out = [hsum(accx), hsum(accy), hsum(accz)];
-        for j in blocks * LANES..n {
-            let dx = sx[j] - tx;
-            let dy = sy[j] - ty;
-            let dz = sz[j] - tz;
-            let s = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-            let w = sm[j] * k.factor(s);
-            out[0] = dx.mul_add(w, out[0]);
-            out[1] = dy.mul_add(w, out[1]);
-            out[2] = dz.mul_add(w, out[2]);
-        }
-        out
-    }
 
     /// `__m256` as the tile kernel's chunk lane type.
     ///
@@ -883,17 +778,6 @@ mod avx2 {
         force: &mut FixedForce,
     ) -> u64 {
         leaf_pair_on::<Avx, Avx>(k, c, a, b, shift, close, force)
-    }
-
-    /// Horizontal sum of 8 lanes in a fixed (lane-index) order, so the
-    /// result is deterministic and matches the portable path's block
-    /// reduction structure.
-    #[target_feature(enable = "avx2,fma")]
-    fn hsum(v: __m256) -> f32 {
-        let mut lanes = [0.0f32; LANES];
-        // SAFETY: `lanes` is exactly 8 f32s, matching the 256-bit store.
-        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
-        lanes.iter().sum()
     }
 }
 
@@ -1072,39 +956,6 @@ mod tests {
         assert_eq!(level, detect());
     }
 
-    /// P³M's one-sided row takes the AVX2 kernel on every AVX2-or-wider
-    /// host, the AVX-512 one included.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn force_on_best_is_the_avx2_row_on_avx2_or_wider_hosts() {
-        if detect() < SimdLevel::Avx2Fma {
-            println!("skipped: no AVX2+FMA on this host");
-            return;
-        }
-        let k = kernel();
-        for n in [0usize, 9, 100, 129] {
-            let (xs, ys, zs, ms) = rand_sources(n, 60 + n as u64);
-            let best = force_on_best(&k, 0.1, -0.2, 0.3, &xs, &ys, &zs, &ms);
-            // SAFETY: AVX2+FMA confirmed by `detect()` just above.
-            let row = unsafe { avx2::row_one_sided(&k, 0.1, -0.2, 0.3, &xs, &ys, &zs, &ms) };
-            assert_eq!(best.map(f32::to_bits), row.map(f32::to_bits), "n={n}");
-        }
-    }
-
-    #[test]
-    fn simd_matches_scalar_one_sided() {
-        let k = kernel();
-        for n in [0usize, 1, 7, 8, 9, 16, 100, 129] {
-            let (xs, ys, zs, ms) = rand_sources(n, 40 + n as u64);
-            let a = k.force_on(0.1, -0.2, 0.3, &xs, &ys, &zs, &ms);
-            let b = force_on_best(&k, 0.1, -0.2, 0.3, &xs, &ys, &zs, &ms);
-            for c in 0..3 {
-                let tol = 2e-4 * (a[c].abs() + 1.0);
-                assert!((a[c] - b[c]).abs() < tol, "n={n} c={c}: {} vs {}", a[c], b[c]);
-            }
-        }
-    }
-
     /// Two leaves' worth of chunked storage for the tile tests: `na` and
     /// `nb` real particles, each padded to whole chunks the way the tree
     /// lays them out, with exact chunk boxes.
@@ -1171,7 +1022,8 @@ mod tests {
         fn zeros(&self, k: &ForceKernel) -> FixedForce {
             let m_max = self.mass.iter().copied().fold(0.0, f32::max);
             let mut f = FixedForce::default();
-            f.reset(self.mass.len(), fixed_point_exponent(k, self.mass.len(), m_max));
+            let n = self.mass.len();
+            f.reset(n, fixed_point_exponent(k, n, m_max), n / CHUNK);
             f
         }
     }

@@ -20,6 +20,12 @@
 //! the PM solver), so interaction lists are exact: all particles in leaves
 //! intersecting the target leaf's bounding box inflated by `r_cut`.
 //!
+//! [`RcbTree::chaining_mesh`] swaps the split rule: a node is cut at a
+//! plane of a chaining mesh of cells of side ≥ `r_cut`, down to one
+//! non-empty cell per leaf. That tree *is* the P³M solver — the paper's
+//! second short-range path, the Roadrunner one — run through the same
+//! walk, cull, tile and accumulator as the bisection tree.
+//!
 //! Periodicity is a property of the walk, not of the particle set: an
 //! axis given a period `P` ([`RcbTree::set_periods`]) pairs leaves by
 //! their minimum-image box gap, and each listed leaf pair carries the
@@ -87,6 +93,9 @@ pub struct TreeScratch {
     accs: Vec<FixedForce>,
     /// Node stack for pair generation.
     stack: Vec<usize>,
+    /// Per node: the particles of its listed partners, summed over the
+    /// pass's leaf pairs — the bound on the terms one slot can receive.
+    partners: Vec<usize>,
 }
 
 /// One listed leaf pair: node indices `a ≤ b` in tree order and the
@@ -114,6 +123,18 @@ impl Default for TreeParams {
     fn default() -> Self {
         TreeParams { leaf_size: 128 }
     }
+}
+
+/// How [`RcbTree::rebuild`] cuts a node in two, and when it stops.
+#[derive(Debug, Clone, Copy)]
+enum SplitRule {
+    /// At the centre of mass along the longest side, down to leaves of
+    /// at most `leaf_size` particles (the BG/Q path).
+    Bisect { leaf_size: usize },
+    /// At the chaining-mesh plane nearest the middle of the widest
+    /// cell-index span, down to leaves of one non-empty cell of side
+    /// `cell` (P³M).
+    Mesh { cell: f32 },
 }
 
 #[derive(Debug, Clone)]
@@ -170,13 +191,15 @@ pub struct RcbTree {
     /// `perm[i]` = original index of slot `i`, [`PAD`] for pad slots.
     perm: Vec<u32>,
     leaves: Vec<usize>,
+    /// Chunks of the largest leaf, which sizes the kernel's run block.
+    widest: usize,
     /// Per chunk: bounding box over its real lanes at the *current*
     /// coordinates (SoA, 7 far entries appended so 8-wide loads stay in
     /// bounds) and the count of real lanes.
     chunk_lo: [Vec<f32>; 3],
     chunk_hi: [Vec<f32>; 3],
     chunk_len: Vec<u8>,
-    params: TreeParams,
+    rule: SplitRule,
     /// Per-axis period in coordinate units, `0` for an open axis.
     periods: [f32; 3],
     /// Largest particle mass magnitude, for the fixed-point scale.
@@ -206,6 +229,30 @@ impl RcbTree {
     /// An empty tree ready for [`RcbTree::rebuild`].
     #[must_use]
     pub fn new_empty(params: TreeParams) -> Self {
+        Self::with_rule(SplitRule::Bisect {
+            leaf_size: params.leaf_size,
+        })
+    }
+
+    /// An empty tree whose leaves are the non-empty cells of a chaining
+    /// mesh of side `cell` (coordinate units), aligned at the origin: the
+    /// P³M short-range solver. A node is cut at the mesh plane `k · cell`
+    /// nearest the middle of its cell-index span, along the axis where
+    /// that span is widest, until it holds one cell. Everything past the
+    /// build — chunks, walk, cull, tile and accumulator — is the tree's.
+    ///
+    /// # Panics
+    /// If `cell` is not positive and finite.
+    #[must_use]
+    pub fn chaining_mesh(cell: f32) -> Self {
+        assert!(
+            cell > 0.0 && cell.is_finite(),
+            "chaining-mesh cell {cell} must be positive"
+        );
+        Self::with_rule(SplitRule::Mesh { cell })
+    }
+
+    fn with_rule(rule: SplitRule) -> Self {
         RcbTree {
             nodes: Vec::new(),
             xs: Vec::new(),
@@ -214,10 +261,11 @@ impl RcbTree {
             mass: Vec::new(),
             perm: Vec::new(),
             leaves: Vec::new(),
+            widest: 0,
             chunk_lo: Default::default(),
             chunk_hi: Default::default(),
             chunk_len: Vec::new(),
-            params,
+            rule,
             periods: [0.0; 3],
             mass_max: 0.0,
             generation: 0,
@@ -364,30 +412,11 @@ impl RcbTree {
     }
 
     fn split(&mut self, node: usize, swaps: &mut Vec<(u32, u32)>) {
-        let (start, end) = (self.nodes[node].start, self.nodes[node].end);
-        if end - start <= self.params.leaf_size {
+        let Some(mid) = self.cut(node, swaps) else {
             self.leaves.push(node);
             return;
-        }
-        let axis = Self::longest_axis(&self.nodes[node].lo, &self.nodes[node].hi);
-        // Center-of-mass coordinate along the split axis.
-        let coord = self.coord(axis);
-        let mut msum = 0.0f64;
-        let mut wsum = 0.0f64;
-        for (m, x) in self.mass[start..end].iter().zip(&coord[start..end]) {
-            msum += f64::from(*m);
-            wsum += f64::from(m * x);
-        }
-        let pivot = (wsum / msum) as f32;
-
-        let mid = self.partition(start, end, axis, pivot, swaps);
-        // Degenerate split (all particles on one side — e.g. identical
-        // coordinates): fall back to a median split by index.
-        let mid = if mid == start || mid == end {
-            (start + end) / 2
-        } else {
-            mid
         };
+        let (start, end) = (self.nodes[node].start, self.nodes[node].end);
         let left = self.make_node(start, mid);
         let right = self.make_node(mid, end);
         self.nodes[node].left = left;
@@ -396,15 +425,64 @@ impl RcbTree {
         self.split(right, swaps);
     }
 
-    /// Three-phase SoA partition around `pivot` on `axis`; returns the
-    /// split point. Phase 1 records swaps scanning only the split
-    /// coordinate; phases 2 and 3 replay them over the other arrays.
+    /// Partition `node`'s particles in two by the split rule and return
+    /// the split point, or `None` for a leaf.
+    fn cut(&mut self, node: usize, swaps: &mut Vec<(u32, u32)>) -> Option<usize> {
+        let (start, end) = (self.nodes[node].start, self.nodes[node].end);
+        let (lo, hi) = (self.nodes[node].lo, self.nodes[node].hi);
+        match self.rule {
+            SplitRule::Bisect { leaf_size } => {
+                if end - start <= leaf_size {
+                    return None;
+                }
+                let axis = Self::longest_axis(&lo, &hi);
+                // Center-of-mass coordinate along the split axis.
+                let coord = self.coord(axis);
+                let mut msum = 0.0f64;
+                let mut wsum = 0.0f64;
+                for (m, x) in self.mass[start..end].iter().zip(&coord[start..end]) {
+                    msum += f64::from(*m);
+                    wsum += f64::from(m * x);
+                }
+                let pivot = (wsum / msum) as f32;
+                let mid = self.partition(start, end, axis, |v| v < pivot, swaps);
+                // Degenerate split (all particles on one side — e.g.
+                // identical coordinates): fall back to a median split by
+                // index.
+                Some(if mid == start || mid == end {
+                    (start + end) / 2
+                } else {
+                    mid
+                })
+            }
+            SplitRule::Mesh { cell } => {
+                // The box corners are the extreme coordinates and the
+                // cell index is monotonic, so the corners' cells are the
+                // span; both sides of a plane inside it are non-empty.
+                let span = [0, 1, 2].map(|ax| (cell_index(lo[ax], cell), cell_index(hi[ax], cell)));
+                let axis = (0..3)
+                    .max_by_key(|&ax| span[ax].1 - span[ax].0)
+                    .expect("three axes");
+                let (first, last) = span[axis];
+                if first == last {
+                    return None;
+                }
+                let k = first + (last - first + 1) / 2;
+                Some(self.partition(start, end, axis, |v| cell_index(v, cell) < k, swaps))
+            }
+        }
+    }
+
+    /// Three-phase SoA partition of `start..end` on `axis`, the slots
+    /// whose coordinate satisfies `left` first; returns the split point.
+    /// Phase 1 records swaps scanning only the split coordinate; phases 2
+    /// and 3 replay them over the other arrays.
     fn partition(
         &mut self,
         start: usize,
         end: usize,
         axis: usize,
-        pivot: f32,
+        left: impl Fn(f32) -> bool,
         swaps: &mut Vec<(u32, u32)>,
     ) -> usize {
         let coord: &mut Vec<f32> = match axis {
@@ -418,10 +496,10 @@ impl RcbTree {
         let mut i = start;
         let mut j = end;
         loop {
-            while i < j && coord[i] < pivot {
+            while i < j && left(coord[i]) {
                 i += 1;
             }
-            while i < j && coord[j - 1] >= pivot {
+            while i < j && !left(coord[j - 1]) {
                 j -= 1;
             }
             if i + 1 >= j {
@@ -460,12 +538,14 @@ impl RcbTree {
     /// after each leaf's particles) and bounds every chunk.
     fn cut_chunks(&mut self, scratch: &mut TreeScratch) {
         let mut slots = 0;
+        self.widest = 0;
         for l in 0..self.leaves.len() {
             let leaf = self.leaves[l];
             let (start, end) = (self.nodes[leaf].start, self.nodes[leaf].end);
             self.order_chunks(start, end, scratch);
             self.nodes[leaf].slot = slots;
             slots += (end - start).next_multiple_of(CHUNK);
+            self.widest = self.widest.max((end - start).div_ceil(CHUNK));
         }
         // Spread from the last leaf back: a leaf's slots never start
         // before its packed range, so each move only overwrites data that
@@ -631,14 +711,16 @@ impl RcbTree {
     /// second leaf after the pair, the first leaf once at the run's end;
     /// integer sums do not depend on order, so the result is
     /// bit-identical for any cut, any thread count, any schedule and
-    /// whatever the scratch held before. The scale `2^k` is derived at
-    /// pass start from the kernel, the particle count and the largest
-    /// mass so that no slot can overflow.
+    /// whatever the scratch held before. The scale `2^k` is derived after
+    /// the walk from the kernel, the largest mass and `S_max`, the most
+    /// partner-leaf particles any leaf meets across the listed pairs, so
+    /// that no slot can overflow; every cut sees the same list, hence the
+    /// same `k`.
     ///
     /// Forces land in `out` in the original input ordering.
     ///
     /// # Panics
-    /// If the particle count, masses and softening leave the fixed-point
+    /// If `S_max`, the masses and the softening leave the fixed-point
     /// scale no room for its minimum resolution (see DESIGN §10).
     pub fn forces_symmetric_into(
         &self,
@@ -662,12 +744,12 @@ impl RcbTree {
         out: &mut [Vec<f32>; 3],
     ) -> SymmetricReport {
         let slots = self.xs.len();
-        let scale_bits = simd::fixed_point_exponent(kernel, self.particle_count(), self.mass_max);
         let TreeScratch {
             pairs,
             ranges,
             accs,
             stack,
+            partners,
             ..
         } = scratch;
 
@@ -748,6 +830,21 @@ impl RcbTree {
                 }
             }
         }
+        // The fixed-point bound: a slot receives at most one term per
+        // particle of each listed partner leaf — `b`'s as a target of the
+        // pair, `a`'s as a source of its reaction (an unshifted self
+        // pair delivers both through the same terms).
+        partners.clear();
+        partners.resize(self.nodes.len(), 0);
+        for p in pairs.iter() {
+            let (a, b) = (p.a as usize, p.b as usize);
+            partners[a] += self.nodes[b].len();
+            if a != b || p.shift != 0 {
+                partners[b] += self.nodes[a].len();
+            }
+        }
+        let s_max = partners.iter().copied().max().unwrap_or(0);
+        let scale_bits = simd::fixed_point_exponent(kernel, s_max, self.mass_max);
         let shift_of = |code: u8| -> [f32; 3] {
             let k = usize::from(code);
             [offs[0][k % 3], offs[1][k / 3 % 3], offs[2][k / 9]]
@@ -817,7 +914,7 @@ impl RcbTree {
             .par_iter_mut()
             .zip(ranges.par_iter())
             .for_each(|(force, &(start, end))| {
-                force.reset(slots, scale_bits);
+                force.reset(slots, scale_bits, 2 * self.widest);
                 let mut n = 0;
                 let range = &pairs[start as usize..end as usize];
                 for (i, p) in range.iter().enumerate() {
@@ -843,6 +940,12 @@ impl RcbTree {
             kernel: tk.elapsed(),
         }
     }
+}
+
+/// The chaining-mesh cell of coordinate `v` along one axis — the one
+/// index both the mesh split's stop test and its partition read.
+fn cell_index(v: f32, cell: f32) -> i64 {
+    (v / cell).floor() as i64
 }
 
 /// Move `arr[order[i]]` to `arr[start + i]` (`order` permutes the slots
@@ -1240,11 +1343,70 @@ mod tests {
         assert!(pairs.iter().any(|p| p.shift != 0), "image pairs across the faces");
     }
 
+    /// The chaining-mesh rule: one leaf per non-empty cell, and each
+    /// leaf's particles in one cell — with coordinates below zero, past
+    /// the box, on cell planes and one ulp below them among them. The
+    /// planes are why the partition reads the cell index: at a cell of
+    /// 2.4, `36 / 2.4` rounds below 15, so a split that compares `x`
+    /// with the plane `15 · 2.4 = 36` puts that particle in cell 15's
+    /// leaf.
+    #[test]
+    fn mesh_leaves_are_the_non_empty_cells() {
+        let (mut xs, mut ys, mut zs, m) = rand_particles(3000, 12.0, 89);
+        let cell = 2.4f32;
+        // Per plane `k · cell` (x up to 120 on an open axis), one
+        // particle an ulp below it, one on it and one inside cell `k`,
+        // all in one (y, z) cell so that only an x cut separates them.
+        for k in 1..=50 {
+            let plane = k as f32 * cell;
+            let below = f32::from_bits(plane.to_bits() - 1);
+            for (j, x) in [below, plane, plane + 0.5 * cell].into_iter().enumerate() {
+                let i = 3 * k + j;
+                (xs[i], ys[i], zs[i]) = (x, 1.0, 1.0);
+            }
+        }
+        xs[..2].copy_from_slice(&[-0.1, 12.05]);
+        let mut tree = RcbTree::chaining_mesh(cell);
+        tree.rebuild(&xs, &ys, &zs, &m, &mut TreeScratch::default());
+        let key = |i: usize| [xs[i], ys[i], zs[i]].map(|v| cell_index(v, cell));
+        let cells: std::collections::HashSet<[i64; 3]> = (0..xs.len()).map(key).collect();
+        assert_eq!(tree.leaf_count(), cells.len());
+        for &l in &tree.leaves {
+            let node = &tree.nodes[l];
+            let first = key(tree.perm[node.slot] as usize);
+            assert!(node.slots().all(|s| key(tree.perm[s] as usize) == first));
+        }
+    }
+
+    /// The fixed-point bound reads the pair list, not the particle
+    /// count: on a periodic box many cutoffs wide a leaf meets only its
+    /// neighbours, so `S_max` is a small fraction of N, and masses that
+    /// an N-based bound refuses (4,000 · 2·10⁴ · ~3.8·10³ ≈ 2^38.2 leaves
+    /// 2^22.8 for the scale) take a pass.
+    #[test]
+    fn fixed_point_bound_counts_partner_particles() {
+        let kernel = ForceKernel::newtonian(2.0, 1e-4);
+        let (np, p) = (4000, 20.0);
+        let (xs, ys, zs, _) = rand_particles(np, p * (1.0 - f32::EPSILON), 71);
+        let mass = vec![2e4; np];
+        let mut tree = RcbTree::build(&xs, &ys, &zs, &mass, TreeParams { leaf_size: 32 });
+        tree.set_periods([p; 3]);
+        let mut scratch = TreeScratch::default();
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        let rep = tree.forces_symmetric_into(&kernel, 0.0, &mut scratch, &mut out);
+        assert!(rep.evals > 0);
+        let s_max = scratch.partners.iter().copied().max().expect("nodes");
+        let widest = tree.leaves.iter().map(|&l| tree.nodes[l].len());
+        let widest = widest.max().expect("leaves");
+        assert!(widest < s_max && s_max < np / 4, "S_max {s_max} of {np}");
+    }
+
     #[test]
     #[should_panic(expected = "below the 2^24 minimum")]
     fn masses_beyond_the_fixed_point_headroom_are_refused() {
-        // N · m_max · max|d·f_SR| = 100 · 1e9 · ~3.8e4 ≈ 2^51.8 leaves
-        // 2^9 of the 2^61 budget for the scale: refused at pass start.
+        // One leaf of 100, so S_max = 100: S_max · m_max · max|d·f_SR| =
+        // 100 · 1e9 · ~3.8e4 ≈ 2^51.8 leaves 2^9 of the 2^61 budget for
+        // the scale: refused once the walk has listed the pairs.
         let kernel = ForceKernel::newtonian(2.0, 1e-5);
         let (xs, ys, zs, _) = rand_particles(100, 4.0, 83);
         let tree = RcbTree::build(&xs, &ys, &zs, &vec![1e9; 100], TreeParams::default());

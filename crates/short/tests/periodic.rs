@@ -1,13 +1,18 @@
-//! Periodic axes of the RCB tree against the f64 minimum-image oracle.
+//! Periodic axes of the RCB tree against the f64 minimum-image oracle,
+//! under both split rules: bisection down to fat leaves (TreePM) and the
+//! chaining mesh, one non-empty cell per leaf (P³M).
 //!
 //! The tree stores no image particles: a periodic axis pairs leaves by
 //! their minimum-image box gap and hands the kernel a per-leaf-pair
 //! shift. These cases pin each part of that: all three axes periodic, a
 //! slab with x open, a box so small that one leaf spans more than
 //! `P − reach` (a leaf meets its own images, under mixed-sign shifts
-//! too), and a refreshed tree whose particles crossed a periodic face
-//! since the build. The last test runs the benchmark's scale (48³
-//! particles, one per cell) in release mode only.
+//! too; a chaining mesh of one or two cells a side), two particles
+//! paired only through a face, and a refreshed tree whose particles
+//! crossed a periodic face since the build. The last two tests run the
+//! benchmark's scale (48³ particles, one per cell) and 160³ particles
+//! on one rank (more than a fixed-point scale bounded by N allows) in
+//! release mode only.
 
 mod common;
 
@@ -33,17 +38,40 @@ fn particles(np: usize, side: [f32; 3], seed: u64) -> Cloud {
     c
 }
 
-fn build(c: &Cloud, leaf_size: usize, periods: [f32; 3]) -> RcbTree {
+/// A split rule: bisection to leaves of at most this many particles, or
+/// a chaining mesh of cells of this side.
+#[derive(Clone, Copy, Debug)]
+enum Rule {
+    Bisect(usize),
+    Mesh(f32),
+}
+
+/// Both rules a case runs under: bisection to `leaf_size`, and the
+/// chaining mesh that divides `side` evenly into as many cells as fit
+/// with none narrower than `rcut` (the engine's P³M rule).
+fn rules(leaf_size: usize, rcut: f32, side: f32) -> [Rule; 2] {
+    [
+        Rule::Bisect(leaf_size),
+        Rule::Mesh(side / (side / rcut).floor().max(1.0)),
+    ]
+}
+
+fn build(c: &Cloud, rule: Rule, periods: [f32; 3]) -> RcbTree {
     let mass = vec![1.0; c[0].len()];
-    let mut tree = RcbTree::build(&c[0], &c[1], &c[2], &mass, TreeParams { leaf_size });
+    let mut tree = match rule {
+        Rule::Bisect(leaf_size) => RcbTree::new_empty(TreeParams { leaf_size }),
+        Rule::Mesh(cell) => RcbTree::chaining_mesh(cell),
+    };
+    tree.rebuild(&c[0], &c[1], &c[2], &mass, &mut TreeScratch::default());
     tree.set_periods(periods);
     tree
 }
 
 /// The tree's forces (pair list widened by `slack`) on `targets` match
 /// the minimum-image oracle over `periods` at the tree's current
-/// coordinates `c`, and the kernel saw every directed pair inside the
-/// cutoff.
+/// coordinates `c`; with every particle a target, the kernel saw every
+/// directed pair inside the cutoff and the forces sum to zero (Newton-3
+/// pairing holds through image shifts too).
 fn assert_matches(
     tree: &RcbTree,
     k: &ForceKernel,
@@ -66,6 +94,11 @@ fn assert_matches(
             "{what}: {} directed < {in_range} in range",
             rep.directed
         );
+        for comp in &got {
+            let sum: f64 = comp.iter().map(|&v| f64::from(v)).sum();
+            let mag: f64 = comp.iter().map(|&v| f64::from(v.abs())).sum();
+            assert!(sum.abs() <= 1e-5 * mag.max(1.0), "{what}: ΣF = {sum:e}");
+        }
     }
 }
 
@@ -78,8 +111,18 @@ fn fully_periodic_box_matches_minimum_image_oracle() {
     let k = ForceKernel::newtonian(2.5, 1e-4);
     let p = 12.0;
     let c = particles(700, [p; 3], 3);
-    let tree = build(&c, 24, [p; 3]);
-    assert_matches(&tree, &k, 0.0, [p; 3], &c, &all(700), "periodic box");
+    for rule in rules(24, 2.5, p) {
+        let tree = build(&c, rule, [p; 3]);
+        assert_matches(
+            &tree,
+            &k,
+            0.0,
+            [p; 3],
+            &c,
+            &all(700),
+            &format!("periodic box, {rule:?}"),
+        );
+    }
 }
 
 #[test]
@@ -88,8 +131,18 @@ fn slab_with_open_x_matches_minimum_image_oracle() {
     let k = ForceKernel::newtonian(2.5, 1e-4);
     let c = particles(500, [10.0, 9.0, 9.0], 7);
     let periods = [0.0, 9.0, 9.0];
-    let tree = build(&c, 24, periods);
-    assert_matches(&tree, &k, 0.0, periods, &c, &all(500), "slab");
+    for rule in rules(24, 2.5, 9.0) {
+        let tree = build(&c, rule, periods);
+        assert_matches(
+            &tree,
+            &k,
+            0.0,
+            periods,
+            &c,
+            &all(500),
+            &format!("slab, {rule:?}"),
+        );
+    }
 }
 
 #[test]
@@ -97,16 +150,67 @@ fn leaf_wider_than_period_minus_reach_meets_its_own_images() {
     // P = 5.5 > 2·r_cut, and a leaf of the whole box spans more than
     // P − r_cut = 3 on every axis: the leaf pairs with itself under every
     // image shift, mixed signs included. Several leaves as well, so
-    // shifted pairs of distinct leaves mix with shifted self pairs.
+    // shifted pairs of distinct leaves mix with shifted self pairs: fat
+    // leaves of 16, and a chaining mesh of two cells a side, where every
+    // cell meets every other under several shifts.
     let k = ForceKernel::newtonian(2.5, 1e-4);
     let p = 5.5;
     let c = particles(60, [p; 3], 11);
-    let one = build(&c, 64, [p; 3]);
-    assert_eq!(one.leaf_count(), 1);
-    assert_matches(&one, &k, 0.0, [p; 3], &c, &all(60), "one leaf");
-    let several = build(&c, 16, [p; 3]);
-    assert!(several.leaf_count() > 1);
-    assert_matches(&several, &k, 0.0, [p; 3], &c, &all(60), "several leaves");
+    for one in [Rule::Bisect(64), Rule::Mesh(p)] {
+        let tree = build(&c, one, [p; 3]);
+        assert_eq!(tree.leaf_count(), 1, "{one:?}");
+        assert_matches(
+            &tree,
+            &k,
+            0.0,
+            [p; 3],
+            &c,
+            &all(60),
+            &format!("one leaf, {one:?}"),
+        );
+    }
+    for several in rules(16, 2.5, p) {
+        let tree = build(&c, several, [p; 3]);
+        assert!(tree.leaf_count() > 1, "{several:?}");
+        assert_matches(
+            &tree,
+            &k,
+            0.0,
+            [p; 3],
+            &c,
+            &all(60),
+            &format!("several leaves, {several:?}"),
+        );
+    }
+}
+
+#[test]
+fn two_particles_pair_only_through_a_face() {
+    // x = 0.2 and 15.8 in a 16-cell box: 0.4 apart through the face,
+    // 15.6 apart inside it. The pull on the first points to −x.
+    let k = ForceKernel::newtonian(3.0, 1e-5);
+    let p = 16.0;
+    let c: Cloud = [vec![0.2, 15.8], vec![8.0, 8.0], vec![8.0, 8.0]];
+    for rule in rules(8, 3.0, p) {
+        let tree = build(&c, rule, [p; 3]);
+        assert_matches(
+            &tree,
+            &k,
+            0.0,
+            [p; 3],
+            &c,
+            &all(2),
+            &format!("face pair, {rule:?}"),
+        );
+        let mut f = [Vec::new(), Vec::new(), Vec::new()];
+        tree.forces_symmetric_into(&k, 0.0, &mut TreeScratch::default(), &mut f);
+        let want = 1.0 / (0.4f32 * 0.4);
+        assert!(
+            f[0][0] < 0.0 && (f[0][0].abs() / want - 1.0).abs() < 1e-3,
+            "{rule:?}: fx = {}",
+            f[0][0]
+        );
+    }
 }
 
 #[test]
@@ -118,7 +222,6 @@ fn refresh_across_a_periodic_face_matches_oracle() {
     let k = ForceKernel::newtonian(2.0, 1e-4);
     let (p, skin) = (10.0f32, 0.6f32);
     let c0 = particles(600, [p; 3], 17);
-    let mut tree = build(&c0, 24, [p; 3]);
     let step = 0.9 * skin / 2.0;
     let amp = step / 3.0f32.sqrt();
     let moved: Vec<[f32; 3]> = (0..600)
@@ -138,8 +241,19 @@ fn refresh_across_a_periodic_face_matches_oracle() {
     let c: Cloud = [0, 1, 2].map(|a| moved.iter().map(|m| m[a]).collect());
     let crossed = moved.iter().filter(|m| m[0] < 0.0 || m[1] >= p).count();
     assert!(crossed > 0, "some particle must cross a face");
-    tree.refresh_positions(&c[0], &c[1], &c[2]);
-    assert_matches(&tree, &k, skin, [p; 3], &c, &all(600), "refreshed across a face");
+    for rule in rules(24, 2.0, p) {
+        let mut tree = build(&c0, rule, [p; 3]);
+        tree.refresh_positions(&c[0], &c[1], &c[2]);
+        assert_matches(
+            &tree,
+            &k,
+            skin,
+            [p; 3],
+            &c,
+            &all(600),
+            &format!("refreshed across a face, {rule:?}"),
+        );
+    }
 }
 
 /// The benchmark's scale and density: 48³ particles in a 48-cell
@@ -152,15 +266,53 @@ fn benchmark_scale_periodic_box_matches_sampled_oracle() {
     let k = ForceKernel::newtonian(3.0, 1e-4);
     let (p, skin) = (48.0f32, 0.25f32);
     let n = 48 * 48 * 48;
-    let mut c = particles(n, [p; 3], 48);
-    let mut tree = build(&c, 128, [p; 3]);
+    let c0 = particles(n, [p; 3], 48);
+    let mut c = c0.clone();
     let amp = 0.9 * skin / (2.0 * 3.0f32.sqrt());
     for (a, col) in c.iter_mut().enumerate() {
         for (i, v) in col.iter_mut().enumerate() {
             *v += amp * ((i * 7 + a * 3) as f32 * 0.618).fract().mul_add(2.0, -1.0);
         }
     }
-    tree.refresh_positions(&c[0], &c[1], &c[2]);
     let targets: Vec<usize> = (0..2000).map(|i| i * n / 2000).collect();
-    assert_matches(&tree, &k, skin, [p; 3], &c, &targets, "48³ sampled");
+    for rule in rules(128, 3.0, p) {
+        let mut tree = build(&c0, rule, [p; 3]);
+        tree.refresh_positions(&c[0], &c[1], &c[2]);
+        assert_matches(
+            &tree,
+            &k,
+            skin,
+            [p; 3],
+            &c,
+            &targets,
+            &format!("48³ sampled, {rule:?}"),
+        );
+    }
+}
+
+/// 160³ particles (4.1M) on one rank, in a 160-cell periodic box,
+/// `r_cut = 3`, ε = 1e-5: a fixed-point scale bounded by the particle
+/// count would leave 2^23.8 of room, below the 2^24 minimum; bounded by
+/// the partners a leaf meets, the pass runs. 100 targets spread over
+/// the index range against all sources.
+#[test]
+#[ignore = "paper-load scale: run with --release -- --include-ignored"]
+fn paper_load_periodic_box_matches_sampled_oracle() {
+    let k = ForceKernel::newtonian(3.0, 1e-5);
+    let p = 160.0f32;
+    let n = 160 * 160 * 160;
+    let c = particles(n, [p; 3], 160);
+    let targets: Vec<usize> = (0..100).map(|i| i * n / 100).collect();
+    for rule in rules(128, 3.0, p) {
+        let tree = build(&c, rule, [p; 3]);
+        assert_matches(
+            &tree,
+            &k,
+            0.0,
+            [p; 3],
+            &c,
+            &targets,
+            &format!("160³ sampled, {rule:?}"),
+        );
+    }
 }

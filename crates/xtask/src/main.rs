@@ -646,8 +646,8 @@ fn step_tsan(report: &mut Report) {
         );
         return;
     }
-    // The rayon-parallel kernels (CIC interpolation, P³M cells, tree
-    // walk) are the data races TSan would see; their crates' test
+    // The rayon-parallel kernels (CIC interpolation, the tree's force
+    // pass) are the data races TSan would see; their crates' test
     // suites drive them.
     let outcome = run(
         "tsan",

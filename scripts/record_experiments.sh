@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# Re-run every paper-reproduction binary and capture its output under
-# out/experiments/, then append the recorded results to EXPERIMENTS.md.
-# Usage: scripts/record_experiments.sh [--skip-run]
+# Run paper-reproduction binaries, capture each one's output under
+# out/experiments/<name>.txt, and replace that experiment's recorded
+# block in EXPERIMENTS.md. Only the named experiments' blocks change;
+# every other block stays byte-identical.
+# Usage: scripts/record_experiments.sh [--skip-run] [name ...]
+#   name ...    the experiments to record (default: all of them)
+#   --skip-run  record from the existing out/experiments/<name>.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,24 +17,52 @@ BINS=(
   ablation_leaf_size ablation_deposit_order ablation_subcycles
 )
 
+skip_run=0
+names=()
+for arg in "$@"; do
+  case "$arg" in
+    --skip-run) skip_run=1 ;;
+    -*) echo "unknown option: $arg" >&2; exit 2 ;;
+    *)
+      if [[ " ${BINS[*]} " != *" $arg "* ]]; then
+        echo "unknown experiment: $arg (one of: ${BINS[*]})" >&2
+        exit 2
+      fi
+      names+=("$arg")
+      ;;
+  esac
+done
+if ((${#names[@]} == 0)); then
+  names=("${BINS[@]}")
+fi
+
 mkdir -p out/experiments
-if [[ "${1:-}" != "--skip-run" ]]; then
+if ((skip_run == 0)); then
   cargo build --release -p hacc-bench --bins
-  for b in "${BINS[@]}"; do
+  for b in "${names[@]}"; do
     echo "== $b"
     ./target/release/"$b" | tee "out/experiments/$b.txt"
   done
 fi
 
-# Append/update the recorded block in EXPERIMENTS.md.
-python3 - <<'EOF'
-import re, pathlib
-doc = pathlib.Path("EXPERIMENTS.md").read_text()
-marker = "<!-- recorded-output -->"
-head, _, _ = doc.partition(marker)
-parts = [head.rstrip() + "\n\n" + marker + "\n"]
-for f in sorted(pathlib.Path("out/experiments").glob("*.txt")):
-    parts.append(f"\n### `{f.stem}`\n\n```text\n{f.read_text().rstrip()}\n```\n")
-pathlib.Path("EXPERIMENTS.md").write_text("".join(parts))
-print("EXPERIMENTS.md updated")
+# Replace (or insert, in name order) each named experiment's block.
+python3 - "${names[@]}" <<'EOF'
+import pathlib, re, sys
+path = pathlib.Path("EXPERIMENTS.md")
+marker = "<!-- recorded-output -->\n"
+head, found, tail = path.read_text().partition(marker)
+if not found:
+    sys.exit("EXPERIMENTS.md has no recorded-output marker")
+# The recorded section is one blank line, then `### \`name\`` blocks
+# separated by blank lines.
+parts = re.split(r"(?m)^(?=### `)", tail)
+blocks = {}
+for part in parts[1:]:
+    blocks[re.match(r"### `([^`]+)`", part).group(1)] = part.rstrip("\n")
+for name in sys.argv[1:]:
+    text = pathlib.Path(f"out/experiments/{name}.txt").read_text().rstrip()
+    blocks[name] = f"### `{name}`\n\n```text\n{text}\n```"
+body = "\n\n".join(blocks[n] for n in sorted(blocks))
+path.write_text(head + marker + "\n" + body + "\n")
+print(f"EXPERIMENTS.md: recorded {', '.join(sys.argv[1:])}")
 EOF

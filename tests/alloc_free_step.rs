@@ -187,12 +187,12 @@ fn steady_state_serial_fft_allocates_nothing() {
     }
 }
 
-/// The chaining-mesh (P³M) short-range path: counting-sort bins, leased
-/// gather buffers and the force accumulators all live in the
-/// short-range layer's `P3mScratch`, so sub-cycled short-range steps are
-/// also free.
-/// Extra warm steps let the per-cell gather buffers reach their
-/// high-water capacity before the counter arms.
+/// The chaining-mesh (P³M) short-range path: the tree cut at mesh
+/// planes runs through the same persistent tree, `TreeScratch` and
+/// fixed-point accumulator as TreePM, whose run block is sized from the
+/// largest leaf at pass start — mesh leaves have no size bound. Extra
+/// warm steps let the leaf-pair list reach its high-water size before
+/// the counter arms.
 #[test]
 fn steady_state_p3m_step_allocates_nothing() {
     assert_steady_state_alloc_free("p3m", 3);
@@ -218,8 +218,8 @@ fn steady_state_treepm_step_allocates_nothing() {
 /// are tiny so both runs see the same particles on the same ranks: the
 /// per-step allocations (migration lists, message payloads) depend on
 /// those counts, and a real trajectory would differ between the two.
-/// TreePm on 2 ranks, and P³M on the one rank that runs it — where a
-/// warm step sends no message, so it allocates nothing at either count.
+/// TreePm and P³M on 2 ranks, and P³M on one rank — where a warm step
+/// sends no message, so it allocates nothing at either count.
 #[test]
 fn distributed_subcycle_loop_allocates_nothing() {
     use hacc::comm::Machine;
@@ -251,7 +251,11 @@ fn distributed_subcycle_loop_allocates_nothing() {
         });
         counts
     };
-    for (ranks, solver) in [(2, SolverKind::TreePm), (1, SolverKind::P3m)] {
+    for (ranks, solver) in [
+        (2, SolverKind::TreePm),
+        (2, SolverKind::P3m),
+        (1, SolverKind::P3m),
+    ] {
         let one = armed_step_allocs(ranks, solver, 1);
         let four = armed_step_allocs(ranks, solver, 4);
         if ranks == 1 {

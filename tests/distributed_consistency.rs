@@ -59,9 +59,9 @@ fn distributed_ffts_match_serial() {
 }
 
 /// The distributed overloaded driver reproduces the serial driver's
-/// trajectory (the Table II/III workhorse) on every axis the long-range
-/// layer has: PM-only and TreePM, single-level and two-level mesh, and 1,
-/// 2 and 4 ranks. `Simulation` is the engine on the process-wide
+/// trajectory (the Table II/III workhorse) on every axis the force
+/// layers have: PM-only, TreePM and P³M, single-level and two-level
+/// mesh, and 1, 2 and 4 ranks. `Simulation` is the engine on the process-wide
 /// one-rank world, so the 1-rank row pins a view on a fresh world to
 /// it; the two-level mesh's ties to an oracle outside the engine are
 /// `one_rank_two_level_mesh_is_the_serial_two_level_solver` and
@@ -73,7 +73,7 @@ fn distributed_driver_tracks_serial() {
     // ng = 80 gives each of 4 slabs the 20 planes the default two-level
     // split needs (14 kernel + 6 interpolation ghost planes).
     let meshes = [(32, None), (80, Some(hacc::pm::PmLevelConfig::default()))];
-    for solver in [SolverKind::PmOnly, SolverKind::TreePm] {
+    for solver in [SolverKind::PmOnly, SolverKind::TreePm, SolverKind::P3m] {
         for (ng, two_level) in meshes {
             let cfg = SimConfig {
                 cosmology: Cosmology::lcdm(),
