@@ -3,50 +3,78 @@
 //! The paper's table has three blocks: (a) strong scaling of a 1024³
 //! transform from 256 to 8192 ranks, (b) weak scaling at ~160³ points per
 //! rank up to 9216³ on 262,144 ranks, (c) weak scaling at ~200³ per rank
-//! up to 10240³. We measure the same three ladders at laptop scale with
-//! simulated ranks, then print the machine-model rows at the paper's
-//! exact sizes for shape comparison.
+//! up to 10240³. We measure the same ladders at laptop scale with
+//! simulated ranks on the transform the engine ships — the real-to-complex
+//! [`RealPencilFft`] — on both the slab-shaped `p × 1` grid and the
+//! `p1 × p2` pencil grid, then print the machine-model rows at the
+//! paper's exact sizes for shape comparison. The paper's grids are
+//! non-power-of-two on purpose (6400 = 2⁸·5², 9216 = 2¹⁰·3²), so the
+//! measured ladders carry radix-3 (96³) and radix-5 (160³, 40³, 50³)
+//! sizes beside the powers of two.
 
-use std::time::Instant;
-
-use hacc_bench::{fmt_time, print_table};
+use hacc_bench::{best_of_slowest, fft_grids, fmt_time, print_table, r2c_flops, warm_reps};
 use hacc_comm::Machine;
-use hacc_fft::{Complex64, DistFft3, PencilFft};
-use hacc_machine::FftModel;
+use hacc_fft::{DistRealFft3, RealPencilFft};
+use hacc_machine::{calibrate_peak_flops, FftModel};
+
+/// Timed repetitions per measurement (the best one is reported).
+const REPS: usize = 3;
 
 fn main() {
-    println!("Table I: 3-D FFT scaling (pencil decomposition)");
-
-    // Block (a): strong scaling, fixed 64³ transform.
-    let mut rows = Vec::new();
-    for ranks in [1usize, 2, 4, 8] {
-        let t = measure(64, ranks);
-        rows.push(vec![
-            "64^3".into(),
-            ranks.to_string(),
-            fmt_time(t),
-        ]);
-    }
-    print_table(
-        "(a) measured strong scaling, fixed grid",
-        &["FFT size", "ranks", "wall-clock"],
-        &rows,
+    println!("Table I: 3-D FFT scaling (real-to-complex pencil decomposition)");
+    // The measured 1-thread FMA roof is single precision at the widest
+    // dispatched width; an f64 transform's roof is half of it.
+    let roof = calibrate_peak_flops(1, 200) / 2.0;
+    println!(
+        "f64 roof: {:.2} GF/s (half the measured 1-thread f32 FMA peak); \
+         GF/s counts 2.5·N·log2 N per r2c transform",
+        roof / 1e9
     );
+    let row = |n: usize, ranks: usize, grid: [usize; 2]| {
+        let t = measure(n, grid);
+        let rate = r2c_flops(n, t);
+        vec![
+            format!("{n}^3"),
+            ranks.to_string(),
+            format!("{}x{}", grid[0], grid[1]),
+            format!("{}", n * n * n / ranks),
+            fmt_time(t),
+            format!("{:.2}", rate / 1e9),
+            format!("{:.1}", 100.0 * rate / roof),
+        ]
+    };
+    let header = &[
+        "FFT size",
+        "ranks",
+        "grid",
+        "points/rank",
+        "wall-clock",
+        "GF/s",
+        "% roof",
+    ];
+
+    // Block (a): strong scaling at fixed grids — a power of two, the
+    // radix-3 mesh of the `pm.*` benchmark workloads, and a radix-5 size.
+    let mut rows = Vec::new();
+    for n in [64usize, 96, 160] {
+        for ranks in [1usize, 2, 4, 8] {
+            for grid in fft_grids(ranks) {
+                rows.push(row(n, ranks, grid));
+            }
+        }
+    }
+    print_table("(a) measured strong scaling, fixed grid", header, &rows);
 
     // Block (b): weak scaling, fixed ~32³ points per rank.
     let mut rows = Vec::new();
     for (ranks, n) in [(1usize, 32usize), (2, 40), (4, 50), (8, 64)] {
-        let t = measure(n, ranks);
-        rows.push(vec![
-            format!("{n}^3"),
-            ranks.to_string(),
-            format!("{}", (n * n * n) / ranks),
-            fmt_time(t),
-        ]);
+        for grid in fft_grids(ranks) {
+            rows.push(row(n, ranks, grid));
+        }
     }
     print_table(
         "(b) measured weak scaling, ~constant points/rank",
-        &["FFT size", "ranks", "points/rank", "wall-clock"],
+        header,
         &rows,
     );
 
@@ -87,22 +115,22 @@ fn main() {
     );
     println!(
         "\nshape check: strong-scaling block speeds up ~linearly with ranks;\n\
-         weak-scaling blocks stay within a small factor as ranks grow 16x."
+         weak-scaling blocks stay within a small factor as ranks grow 16x.\n\
+         Ranks are threads sharing this host's cores, so the measured blocks\n\
+         show the decomposition's overheads, not a parallel speed-up."
     );
 }
 
-fn measure(n: usize, ranks: usize) -> f64 {
-    let (times, _) = Machine::new(ranks).run(|comm| {
-        let fft = PencilFft::new(&comm, n);
-        let rl = fft.real_layout();
-        let data: Vec<Complex64> = (0..rl.len())
-            .map(|i| Complex64::new((i % 97) as f64 / 97.0 - 0.5, 0.0))
+/// Wall-clock of one warm r2c forward transform of `n³` on a `p1 × p2`
+/// grid (best of [`REPS`], each at its slowest rank).
+fn measure(n: usize, [p1, p2]: [usize; 2]) -> f64 {
+    let (times, _) = Machine::new(p1 * p2).run(|comm| {
+        let fft = RealPencilFft::with_grid(&comm, n, p1, p2);
+        let data: Vec<f64> = (0..fft.real_layout().len())
+            .map(|i| (i % 97) as f64 / 97.0 - 0.5)
             .collect();
-        comm.barrier();
-        let t0 = Instant::now();
-        let k = fft.forward(data);
-        std::hint::black_box(&k);
-        t0.elapsed().as_secs_f64()
+        let mut spec = Vec::new();
+        warm_reps(&comm, REPS, || fft.forward_into(&data, &mut spec))
     });
-    times.into_iter().fold(0.0, f64::max)
+    best_of_slowest(&times)
 }

@@ -69,6 +69,52 @@ pub fn run_science_sim<F: FnMut(f64, &Simulation)>(
     sim
 }
 
+/// The process grids the distributed-FFT experiments compare on `ranks`
+/// ranks: the slab-shaped `p × 1` (one column transpose) and
+/// `dims_create`'s `p1 × p2` pencil grid, once when they coincide.
+#[must_use]
+pub fn fft_grids(ranks: usize) -> Vec<[usize; 2]> {
+    let d = hacc_comm::dims_create(ranks, 2);
+    let mut grids = vec![[ranks, 1]];
+    if d != [ranks, 1] {
+        grids.push([d[0], d[1]]);
+    }
+    grids
+}
+
+/// Time `reps` calls of `f` on this rank after one untimed warm call
+/// (pools and message envelopes filled), each call starting at a barrier.
+pub fn warm_reps(comm: &hacc_comm::Comm, reps: usize, mut f: impl FnMut()) -> Vec<f64> {
+    f();
+    (0..reps)
+        .map(|_| {
+            comm.barrier();
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect()
+}
+
+/// The wall-clock of a distributed section from every rank's
+/// [`warm_reps`]: the best repetition, each repetition counted at its
+/// slowest rank.
+#[must_use]
+pub fn best_of_slowest(per_rank: &[Vec<f64>]) -> f64 {
+    let reps = per_rank.first().map_or(0, Vec::len);
+    (0..reps)
+        .map(|i| per_rank.iter().map(|t| t[i]).fold(0.0, f64::max))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Flop rate of real-to-complex transforms of `n³` points taking `secs`
+/// each, by the conventional count `2.5·N·log2 N` per r2c transform.
+#[must_use]
+pub fn r2c_flops(n: usize, secs: f64) -> f64 {
+    let pts = (n * n * n) as f64;
+    2.5 * pts * pts.log2() / secs
+}
+
 /// Print a formatted table: header row then aligned data rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

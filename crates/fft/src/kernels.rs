@@ -8,26 +8,32 @@
 //! bit-reversal pass), ping-ponging between the data and one scratch
 //! buffer — over per-plan twiddle tables precomputed per stage.
 //!
-//! Two executions of the same stage schedule exist:
+//! Every stage body — radix 2, 3, 4 and 5 — is written **once**, generic
+//! over a private complex-lane trait (`Lanes`), and lowered twice:
 //!
-//! * an **AVX2+FMA** path (`core::arch::x86_64`): radix-4 and radix-2
-//!   butterflies on `__m256d` registers holding two interleaved re/im
-//!   complex lanes, with the complex multiply realized as
-//!   `_mm256_fmaddsub_pd(t, w.re, t_swap·w.im)`;
-//! * a **portable** path whose scalar complex multiply uses exactly the
-//!   same fused ordering via [`f64::mul_add`], so both paths round
-//!   identically and produce **bitwise-identical** spectra (pinned by the
-//!   cross-dispatch determinism tests; miri always runs this path).
+//! * **AVX2+FMA** (`core::arch::x86_64`): `__m256d` registers holding two
+//!   interleaved re/im complex lanes, with the complex multiply realized
+//!   as `_mm256_fmaddsub_pd(t, w.re, t_swap·w.im)`; the whole stage runs
+//!   inside one `#[target_feature(enable = "avx2,fma")]` function, an odd
+//!   batch-stride tail included;
+//! * **portable**: one complex value per lane, each operation written as
+//!   the scalar IEEE operation the AVX2 instruction performs per
+//!   component ([`f64::mul_add`] for the fused ones), so both lowerings
+//!   round identically and produce **bitwise-identical** spectra (pinned
+//!   by the cross-dispatch determinism tests; miri always runs this path).
+//!
+//! A `mul_add` on a dispatched hot path must live inside a
+//! `#[target_feature]` body: the workspace builds without `-C
+//! target-cpu`, so outside one it compiles to an indirect call into
+//! compiler-builtins' `fma` per fused operation instead of one
+//! instruction. The portable lowering pays that price only on hosts
+//! without AVX2+FMA (or when a test forces it).
 //!
 //! Transforms are **batched**: `batch ≤ 4` independent lines are laid out
 //! batch-major (`data[j·batch + b]` is element `j` of line `b`), which
 //! makes the innermost `q` loop of every butterfly contiguous in memory.
 //! The 3-D passes tile strided columns into exactly this layout, so the
 //! kernels always stream contiguous cache lines.
-//!
-//! Radix-3/5 stages run the same scalar code on both dispatch levels
-//! (they only appear for the non-power-of-two grid sides, where the 2/4
-//! stages still dominate the flop count).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -240,46 +246,189 @@ fn conj_slice(data: &mut [Complex64]) {
     }
 }
 
-/// Execute one stage through the selected kernel path. Radix-3/5 stages
-/// are scalar on every level, so both levels share one implementation.
+/// Execute one stage through the selected kernel path: the same generic
+/// stage body, lowered to `__m256d` lanes behind AVX2+FMA or to one
+/// complex value at a time.
 fn run_stage(level: FftSimdLevel, st: &Stage, src: &[Complex64], dst: &mut [Complex64], s: usize) {
     let _ = level; // only consulted on x86_64 builds
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if level == FftSimdLevel::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only ever selected (by `detect` or the
+        // checked override) after `is_x86_feature_detected!` confirmed
+        // avx2+fma — the callee's enabled feature set.
+        unsafe { avx2::stage(st, src, dst, s) };
+        return;
+    }
+    portable_stage(st, src, dst, s);
+}
+
+/// [`run_stage`] on the portable lowering. Out of line, like
+/// `avx2::stage`, so the software `fma` calls this level makes stay in
+/// its own body rather than in every caller of the dispatcher.
+#[inline(never)]
+fn portable_stage(st: &Stage, src: &[Complex64], dst: &mut [Complex64], s: usize) {
+    stage_on::<Complex64>(st, src, dst, s);
+}
+
+/// [`run_stage`]'s radix match, over one lane type.
+#[inline(always)]
+fn stage_on<L: Lanes>(st: &Stage, src: &[Complex64], dst: &mut [Complex64], s: usize) {
+    let (m, tw) = (st.m, &st.tw[..]);
     match st.radix {
-        2 => {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            if level == FftSimdLevel::Avx2Fma {
-                // SAFETY: `Avx2Fma` is only ever selected (by `detect`
-                // or the checked override) after `is_x86_feature_detected!`
-                // confirmed avx2+fma — the callee's enabled feature set.
-                unsafe { avx2::stage_radix2(src, dst, st.m, s, &st.tw) };
-                return;
-            }
-            portable::stage_radix2(src, dst, st.m, s, &st.tw);
-        }
-        4 => {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            if level == FftSimdLevel::Avx2Fma {
-                // SAFETY: as above — avx2+fma proven available at runtime.
-                unsafe { avx2::stage_radix4(src, dst, st.m, s, &st.tw) };
-                return;
-            }
-            portable::stage_radix4(src, dst, st.m, s, &st.tw);
-        }
-        3 => portable::stage_radix3(src, dst, st.m, s, &st.tw),
-        5 => portable::stage_radix5(src, dst, st.m, s, &st.tw),
+        2 => stage::<2, L>(src, dst, m, s, tw),
+        3 => stage::<3, L>(src, dst, m, s, tw),
+        4 => stage::<4, L>(src, dst, m, s, tw),
+        5 => stage::<5, L>(src, dst, m, s, tw),
         r => unreachable!("unsupported radix {r}"),
     }
 }
 
+/// One DIF Stockham stage of radix `R`: input `src[q + s·(p + t·m)]`,
+/// output `dst[q + s·(R·p + r)]`, `q` contiguous over the batch-major
+/// lanes. `L::W` values of `q` go through one butterfly; an odd
+/// remainder of `s` runs one complex value at a time, in the same
+/// (possibly `#[target_feature]`) body.
+#[inline(always)]
+fn stage<const R: usize, L: Lanes>(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    m: usize,
+    s: usize,
+    tw: &[Complex64],
+) where
+    Dif: Butterfly<R>,
+{
+    assert_eq!(src.len(), R * m * s);
+    assert_eq!(dst.len(), src.len());
+    assert_eq!(tw.len(), (R - 1) * m);
+    let sm = s * m;
+    let blocks = tw.chunks_exact(R - 1).zip(dst.chunks_exact_mut(R * s));
+    for (p, (w, mut out)) in blocks.enumerate() {
+        // The `R` input legs and output rows of this `p`, `s` values each.
+        let legs: [&[Complex64]; R] = std::array::from_fn(|t| &src[s * p + t * sm..][..s]);
+        let mut rows: [&mut [Complex64]; R] = std::array::from_fn(|_| {
+            let (row, rest) = std::mem::take(&mut out).split_at_mut(s);
+            out = rest;
+            row
+        });
+        let wv = twiddles::<L>(w);
+        let mut q = 0;
+        while q + L::W <= s {
+            column(&legs, &mut rows, q, &wv);
+            q += L::W;
+        }
+        let ws = twiddles::<Complex64>(w);
+        while q < s {
+            column(&legs, &mut rows, q, &ws);
+            q += 1;
+        }
+    }
+}
+
+/// The butterfly of lanes `q .. q + L::W` of every leg, into the rows.
+#[inline(always)]
+fn column<const R: usize, L: Lanes>(
+    legs: &[&[Complex64]; R],
+    rows: &mut [&mut [Complex64]; R],
+    q: usize,
+    w: &[Twiddle<L>; 4],
+) where
+    Dif: Butterfly<R>,
+{
+    let x = std::array::from_fn(|t| L::load(&legs[t][q..]));
+    for (row, y) in rows.iter_mut().zip(Dif::butterfly(x, w)) {
+        y.store(&mut row[q..]);
+    }
+}
+
+/// Complex-lane arithmetic — the one vocabulary every stage is written
+/// in. A value holds [`Lanes::W`] complex numbers interleaved `[re, im,
+/// re, im, …]`: one [`Complex64`] on the portable level, two in an
+/// `__m256d` behind AVX2+FMA. Each operation is one IEEE operation per
+/// component, so both lowerings round identically.
+trait Lanes: Copy {
+    /// Complex values per register.
+    const W: usize;
+    /// The first `W` values of `s`.
+    fn load(s: &[Complex64]) -> Self;
+    /// Write the `W` values to the front of `s`.
+    fn store(self, s: &mut [Complex64]);
+    /// `v` in every component.
+    fn splat(v: f64) -> Self;
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    /// Component-wise product.
+    fn mul(self, o: Self) -> Self;
+    /// `self·b + c`, fused, component-wise.
+    fn fma(self, b: Self, c: Self) -> Self;
+    /// `self·b − c` on real parts and `self·b + c` on imaginary parts,
+    /// fused (`_mm256_fmaddsub_pd`).
+    fn fmaddsub(self, b: Self, c: Self) -> Self;
+    /// `self − o` on real parts and `self + o` on imaginary parts
+    /// (`_mm256_addsub_pd`).
+    fn addsub(self, o: Self) -> Self;
+    /// Real and imaginary parts exchanged.
+    fn swap(self) -> Self;
+    /// Sign bits flipped (exact, including ±0).
+    fn neg(self) -> Self;
+}
+
+impl Lanes for Complex64 {
+    const W: usize = 1;
+    #[inline(always)]
+    fn load(s: &[Complex64]) -> Self {
+        s[0]
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [Complex64]) {
+        s[0] = self;
+    }
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        Complex64::new(v, v)
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        Complex64::new(self.re * o.re, self.im * o.im)
+    }
+    #[inline(always)]
+    fn fma(self, b: Self, c: Self) -> Self {
+        Complex64::new(self.re.mul_add(b.re, c.re), self.im.mul_add(b.im, c.im))
+    }
+    #[inline(always)]
+    fn fmaddsub(self, b: Self, c: Self) -> Self {
+        Complex64::new(self.re.mul_add(b.re, -c.re), self.im.mul_add(b.im, c.im))
+    }
+    #[inline(always)]
+    fn addsub(self, o: Self) -> Self {
+        Complex64::new(self.re - o.re, self.im + o.im)
+    }
+    #[inline(always)]
+    fn swap(self) -> Self {
+        Complex64::new(self.im, self.re)
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        Complex64::new(-self.re, -self.im)
+    }
+}
+
 // ---------------------------------------------------------------------
-// Shared scalar butterflies.
+// Butterflies, written once over `Lanes`.
 //
 // The complex multiply uses one fixed fused ordering:
 //     re = fma(t.re, w.re, -(t.im · w.im))
 //     im = fma(t.im, w.re,   t.re · w.im )
-// which is exactly what `_mm256_fmaddsub_pd(t, bcast(w.re),
-// t_swap · bcast(w.im))` computes per lane, so the portable and AVX2
-// paths round identically everywhere.
+// i.e. `fmaddsub(t, splat(w.re), swap(t) · splat(w.im))`, and `x ∓ i·y`
+// is `addsub(x, ∓swap(y))`, so every lowering rounds identically.
 // ---------------------------------------------------------------------
 
 /// `sin(2π/3) = √3/2`.
@@ -293,376 +442,191 @@ const C2_5: f64 = -0.809_016_994_374_947_4;
 /// `sin(4π/5)`.
 const S2_5: f64 = 0.587_785_252_292_473_129_168_705_954_639_07;
 
+/// A twiddle broadcast to every lane: `(splat(re), splat(im))`.
+type Twiddle<L> = (L, L);
+
+/// One stage's twiddles for one `p` (`R − 1 ≤ 4` of them), broadcast.
 #[inline(always)]
-fn cmul(t: Complex64, w: Complex64) -> Complex64 {
-    Complex64::new(
-        t.re.mul_add(w.re, -(t.im * w.im)),
-        t.im.mul_add(w.re, t.re * w.im),
-    )
+fn twiddles<L: Lanes>(w: &[Complex64]) -> [Twiddle<L>; 4] {
+    std::array::from_fn(|r| {
+        let w = w.get(r).copied().unwrap_or(Complex64::ZERO);
+        (L::splat(w.re), L::splat(w.im))
+    })
 }
 
+/// `t·w` for a broadcast twiddle.
 #[inline(always)]
-fn bf2(a: Complex64, b: Complex64, w: Complex64) -> (Complex64, Complex64) {
-    (a + b, cmul(a - b, w))
+fn cmul<L: Lanes>(t: L, (wre, wim): Twiddle<L>) -> L {
+    t.fmaddsub(wre, t.swap().mul(wim))
 }
 
+/// `(x − i·y, x + i·y)`.
 #[inline(always)]
-fn bf4(
-    a: Complex64,
-    b: Complex64,
-    c: Complex64,
-    d: Complex64,
-    w1: Complex64,
-    w2: Complex64,
-    w3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let apc = a + c;
-    let amc = a - c;
-    let bpd = b + d;
-    let bmd = b - d;
-    // amc ∓ i·bmd, written as the lane mix the AVX2 addsub produces.
-    let tm = Complex64::new(amc.re + bmd.im, amc.im - bmd.re);
-    let tp = Complex64::new(amc.re - bmd.im, amc.im + bmd.re);
-    (apc + bpd, cmul(tm, w1), cmul(apc - bpd, w2), cmul(tp, w3))
+fn rot_pair<L: Lanes>(x: L, y: L) -> (L, L) {
+    let sw = y.swap();
+    (x.addsub(sw.neg()), x.addsub(sw))
 }
 
-#[inline(always)]
-fn bf3(
-    a: Complex64,
-    b: Complex64,
-    c: Complex64,
-    w1: Complex64,
-    w2: Complex64,
-) -> (Complex64, Complex64, Complex64) {
-    let t1 = b + c;
-    let t2 = Complex64::new(t1.re.mul_add(-0.5, a.re), t1.im.mul_add(-0.5, a.im));
-    let t3 = (b - c).scale(SIN_2PI_3);
-    let u1 = Complex64::new(t2.re + t3.im, t2.im - t3.re); // t2 - i·t3
-    let u2 = Complex64::new(t2.re - t3.im, t2.im + t3.re); // t2 + i·t3
-    (a + t1, cmul(u1, w1), cmul(u2, w2))
+/// The DIF butterflies, one per radix.
+struct Dif;
+
+/// A radix-`R` butterfly: legs `x[t]`, outputs `y[0]` and
+/// `y[r] = w[r−1]·(Σ_t x[t]·e^{−2πi·r·t/R})`.
+trait Butterfly<const R: usize> {
+    fn butterfly<L: Lanes>(x: [L; R], w: &[Twiddle<L>; 4]) -> [L; R];
 }
 
-#[inline(always)]
-#[allow(clippy::many_single_char_names)]
-fn bf5(
-    a: Complex64,
-    b: Complex64,
-    c: Complex64,
-    d: Complex64,
-    e: Complex64,
-    w: [Complex64; 4],
-) -> (Complex64, Complex64, Complex64, Complex64, Complex64) {
-    let t1 = b + e;
-    let t2 = c + d;
-    let t3 = b - e;
-    let t4 = c - d;
-    let m1 = Complex64::new(
-        t2.re.mul_add(C2_5, t1.re.mul_add(C1_5, a.re)),
-        t2.im.mul_add(C2_5, t1.im.mul_add(C1_5, a.im)),
-    );
-    let m2 = Complex64::new(
-        t2.re.mul_add(C1_5, t1.re.mul_add(C2_5, a.re)),
-        t2.im.mul_add(C1_5, t1.im.mul_add(C2_5, a.im)),
-    );
-    let m3 = Complex64::new(
-        t4.re.mul_add(S2_5, t3.re * S1_5),
-        t4.im.mul_add(S2_5, t3.im * S1_5),
-    );
-    let m4 = Complex64::new(
-        t4.re.mul_add(-S1_5, t3.re * S2_5),
-        t4.im.mul_add(-S1_5, t3.im * S2_5),
-    );
-    let u1 = Complex64::new(m1.re + m3.im, m1.im - m3.re); // m1 - i·m3
-    let u4 = Complex64::new(m1.re - m3.im, m1.im + m3.re); // m1 + i·m3
-    let u2 = Complex64::new(m2.re + m4.im, m2.im - m4.re); // m2 - i·m4
-    let u3 = Complex64::new(m2.re - m4.im, m2.im + m4.re); // m2 + i·m4
-    (
-        a + t1 + t2,
-        cmul(u1, w[0]),
-        cmul(u2, w[1]),
-        cmul(u3, w[2]),
-        cmul(u4, w[3]),
-    )
-}
-
-mod portable {
-    //! Scalar stage loops. The DIF Stockham indexing is shared with the
-    //! AVX2 path: stage input `src[q + s·(p + t·m)]`, output
-    //! `dst[q + s·(radix·p + r)]`, `q` contiguous over the batch-major
-    //! lanes.
-
-    use super::{bf2, bf3, bf4, bf5, Complex64};
-
-    pub(super) fn stage_radix2(
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        m: usize,
-        s: usize,
-        tw: &[Complex64],
-    ) {
-        assert_eq!(src.len(), 2 * m * s);
-        assert_eq!(dst.len(), src.len());
-        for (p, &w) in tw.iter().enumerate().take(m) {
-            let i0 = s * p;
-            let i1 = i0 + s * m;
-            let o = 2 * s * p;
-            for q in 0..s {
-                let (y0, y1) = bf2(src[i0 + q], src[i1 + q], w);
-                dst[o + q] = y0;
-                dst[o + s + q] = y1;
-            }
-        }
+impl Butterfly<2> for Dif {
+    #[inline(always)]
+    fn butterfly<L: Lanes>([a, b]: [L; 2], w: &[Twiddle<L>; 4]) -> [L; 2] {
+        [a.add(b), cmul(a.sub(b), w[0])]
     }
+}
 
-    pub(super) fn stage_radix4(
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        m: usize,
-        s: usize,
-        tw: &[Complex64],
-    ) {
-        assert_eq!(src.len(), 4 * m * s);
-        assert_eq!(dst.len(), src.len());
-        let sm = s * m;
-        for p in 0..m {
-            let (w1, w2, w3) = (tw[3 * p], tw[3 * p + 1], tw[3 * p + 2]);
-            let i0 = s * p;
-            let o = 4 * s * p;
-            for q in 0..s {
-                let (y0, y1, y2, y3) = bf4(
-                    src[i0 + q],
-                    src[i0 + sm + q],
-                    src[i0 + 2 * sm + q],
-                    src[i0 + 3 * sm + q],
-                    w1,
-                    w2,
-                    w3,
-                );
-                dst[o + q] = y0;
-                dst[o + s + q] = y1;
-                dst[o + 2 * s + q] = y2;
-                dst[o + 3 * s + q] = y3;
-            }
-        }
+impl Butterfly<3> for Dif {
+    #[inline(always)]
+    fn butterfly<L: Lanes>([a, b, c]: [L; 3], w: &[Twiddle<L>; 4]) -> [L; 3] {
+        let t1 = b.add(c);
+        let t2 = t1.fma(L::splat(-0.5), a);
+        let t3 = b.sub(c).mul(L::splat(SIN_2PI_3));
+        let (u1, u2) = rot_pair(t2, t3);
+        [a.add(t1), cmul(u1, w[0]), cmul(u2, w[1])]
     }
+}
 
-    pub(super) fn stage_radix3(
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        m: usize,
-        s: usize,
-        tw: &[Complex64],
-    ) {
-        assert_eq!(src.len(), 3 * m * s);
-        assert_eq!(dst.len(), src.len());
-        let sm = s * m;
-        for p in 0..m {
-            let (w1, w2) = (tw[2 * p], tw[2 * p + 1]);
-            let i0 = s * p;
-            let o = 3 * s * p;
-            for q in 0..s {
-                let (y0, y1, y2) =
-                    bf3(src[i0 + q], src[i0 + sm + q], src[i0 + 2 * sm + q], w1, w2);
-                dst[o + q] = y0;
-                dst[o + s + q] = y1;
-                dst[o + 2 * s + q] = y2;
-            }
-        }
+impl Butterfly<4> for Dif {
+    #[inline(always)]
+    fn butterfly<L: Lanes>([a, b, c, d]: [L; 4], w: &[Twiddle<L>; 4]) -> [L; 4] {
+        let (apc, amc) = (a.add(c), a.sub(c));
+        let (bpd, bmd) = (b.add(d), b.sub(d));
+        let (tm, tp) = rot_pair(amc, bmd);
+        [
+            apc.add(bpd),
+            cmul(tm, w[0]),
+            cmul(apc.sub(bpd), w[1]),
+            cmul(tp, w[2]),
+        ]
     }
+}
 
-    pub(super) fn stage_radix5(
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        m: usize,
-        s: usize,
-        tw: &[Complex64],
-    ) {
-        assert_eq!(src.len(), 5 * m * s);
-        assert_eq!(dst.len(), src.len());
-        let sm = s * m;
-        for p in 0..m {
-            let w = [tw[4 * p], tw[4 * p + 1], tw[4 * p + 2], tw[4 * p + 3]];
-            let i0 = s * p;
-            let o = 5 * s * p;
-            for q in 0..s {
-                let (y0, y1, y2, y3, y4) = bf5(
-                    src[i0 + q],
-                    src[i0 + sm + q],
-                    src[i0 + 2 * sm + q],
-                    src[i0 + 3 * sm + q],
-                    src[i0 + 4 * sm + q],
-                    w,
-                );
-                dst[o + q] = y0;
-                dst[o + s + q] = y1;
-                dst[o + 2 * s + q] = y2;
-                dst[o + 3 * s + q] = y3;
-                dst[o + 4 * s + q] = y4;
-            }
-        }
+impl Butterfly<5> for Dif {
+    #[inline(always)]
+    #[allow(clippy::many_single_char_names)]
+    fn butterfly<L: Lanes>([a, b, c, d, e]: [L; 5], w: &[Twiddle<L>; 4]) -> [L; 5] {
+        let k = L::splat;
+        let (t1, t2) = (b.add(e), c.add(d));
+        let (t3, t4) = (b.sub(e), c.sub(d));
+        let m1 = t2.fma(k(C2_5), t1.fma(k(C1_5), a));
+        let m2 = t2.fma(k(C1_5), t1.fma(k(C2_5), a));
+        let m3 = t4.fma(k(S2_5), t3.mul(k(S1_5)));
+        let m4 = t4.fma(k(-S1_5), t3.mul(k(S2_5)));
+        let (u1, u4) = rot_pair(m1, m3);
+        let (u2, u3) = rot_pair(m2, m4);
+        [
+            a.add(t1).add(t2),
+            cmul(u1, w[0]),
+            cmul(u2, w[1]),
+            cmul(u3, w[2]),
+            cmul(u4, w[3]),
+        ]
     }
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod avx2 {
-    //! AVX2+FMA stage kernels. Every function here is
-    //! `#[target_feature(enable = "avx2,fma")]`: intrinsic calls inside
-    //! are safe (the feature is statically enabled for the body), while
-    //! *calling* these functions is unsafe unless the caller proves CPU
-    //! support — which [`super::detect`] does once per process.
-    //!
-    //! One `__m256d` holds two complex lanes interleaved `[re0, im0,
-    //! re1, im1]`; the batch-major layout makes consecutive `q` indices
-    //! contiguous, so every load/store is a plain unaligned 256-bit op.
-    //! The complex multiply is `fmaddsub(t, w.re, t_swap·w.im)` — even
-    //! lanes `t.re·w.re − t.im·w.im`, odd lanes `t.im·w.re + t.re·w.im`,
-    //! both with the final operation fused, matching [`super::cmul`]
-    //! bit for bit.
+    //! The AVX2+FMA lowering: one `__m256d` holds two complex lanes
+    //! interleaved `[re0, im0, re1, im1]`; the batch-major layout makes
+    //! consecutive `q` indices contiguous, so every load/store is a
+    //! plain unaligned 256-bit op.
 
     use core::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_fmaddsub_pd, _mm256_loadu_pd,
-        _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd,
-        _mm256_xor_pd,
+        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_fmadd_pd, _mm256_fmaddsub_pd,
+        _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_storeu_pd,
+        _mm256_sub_pd, _mm256_xor_pd,
     };
 
-    use super::{bf2, bf4, Complex64};
+    use super::{stage_on, Complex64, Lanes, Stage};
 
-    /// Two broadcast registers for one twiddle.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    fn bcast(w: Complex64) -> (__m256d, __m256d) {
-        (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im))
-    }
+    /// `__m256d` as the stages' lane type.
+    ///
+    /// Invariant: values of this type are created and used only beneath
+    /// [`stage`], whose `#[target_feature]` gate the dispatcher opens
+    /// after [`super::detect`] confirmed AVX2+FMA. The methods are
+    /// `#[inline(always)]`, so they become part of that function's body
+    /// and the intrinsics run with the features statically enabled.
+    #[derive(Clone, Copy)]
+    struct Avx(__m256d);
 
-    /// Complex multiply of both lanes of `t` by the broadcast twiddle.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    fn cmulv(t: __m256d, wre: __m256d, wim: __m256d) -> __m256d {
-        let t_swap = _mm256_permute_pd::<0b0101>(t);
-        _mm256_fmaddsub_pd(t, wre, _mm256_mul_pd(t_swap, wim))
-    }
-
-    /// Lane-wise negation via sign-bit xor (exact, including ±0).
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    fn negv(v: __m256d) -> __m256d {
-        _mm256_xor_pd(v, _mm256_set1_pd(-0.0))
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn stage_radix2(
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        m: usize,
-        s: usize,
-        tw: &[Complex64],
-    ) {
-        assert_eq!(src.len(), 2 * m * s);
-        assert_eq!(dst.len(), src.len());
-        let sp = src.as_ptr().cast::<f64>();
-        let dp = dst.as_mut_ptr().cast::<f64>();
-        for (p, &w) in tw.iter().enumerate().take(m) {
-            let (wre, wim) = bcast(w);
-            let i0 = s * p;
-            let i1 = i0 + s * m;
-            let o = 2 * s * p;
-            let mut q = 0;
-            while q + 2 <= s {
-                // SAFETY: the largest complex index touched is
-                // `i1 + q + 1 = s·p + s·m + q + 1 ≤ 2·s·m − 1` for reads
-                // and `o + s + q + 1 ≤ 2·s·m − 1` for writes, and both
-                // slices hold exactly `2·s·m` complex (= `4·s·m` f64)
-                // elements, so every 256-bit access is in bounds.
-                unsafe {
-                    let a = _mm256_loadu_pd(sp.add(2 * (i0 + q)));
-                    let b = _mm256_loadu_pd(sp.add(2 * (i1 + q)));
-                    _mm256_storeu_pd(dp.add(2 * (o + q)), _mm256_add_pd(a, b));
-                    _mm256_storeu_pd(
-                        dp.add(2 * (o + s + q)),
-                        cmulv(_mm256_sub_pd(a, b), wre, wim),
-                    );
-                }
-                q += 2;
-            }
-            // Odd batch-stride tail: same math through the scalar helper.
-            while q < s {
-                let (y0, y1) = bf2(src[i0 + q], src[i1 + q], w);
-                dst[o + q] = y0;
-                dst[o + s + q] = y1;
-                q += 1;
-            }
+    impl Lanes for Avx {
+        const W: usize = 2;
+        #[inline(always)]
+        fn load(s: &[Complex64]) -> Self {
+            let s = s.first_chunk::<2>().expect("two complex lanes");
+            // SAFETY: (this and every block in this impl) AVX2+FMA are
+            // available, per the type's invariant; the intrinsics have no
+            // other precondition. Loads and stores go through a checked
+            // `&[Complex64; 2]` (`#[repr(C)]`, 4 × f64), exactly the 32
+            // bytes accessed.
+            Avx(unsafe { _mm256_loadu_pd(s.as_ptr().cast()) })
+        }
+        #[inline(always)]
+        fn store(self, s: &mut [Complex64]) {
+            let s = s.first_chunk_mut::<2>().expect("two complex lanes");
+            // SAFETY: see `load`.
+            unsafe { _mm256_storeu_pd(s.as_mut_ptr().cast(), self.0) }
+        }
+        #[inline(always)]
+        fn splat(v: f64) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_set1_pd(v) })
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_add_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_sub_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_mul_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn fma(self, b: Self, c: Self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_fmadd_pd(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
+        fn fmaddsub(self, b: Self, c: Self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_fmaddsub_pd(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
+        fn addsub(self, o: Self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_addsub_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn swap(self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_permute_pd::<0b0101>(self.0) })
+        }
+        #[inline(always)]
+        fn neg(self) -> Self {
+            // SAFETY: see `load`.
+            Avx(unsafe { _mm256_xor_pd(self.0, _mm256_set1_pd(-0.0)) })
         }
     }
 
+    /// [`super::run_stage`] lowered to AVX2+FMA (an odd `q` tail runs the
+    /// scalar lanes inside this body, so it too gets hardware FMA).
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn stage_radix4(
-        src: &[Complex64],
-        dst: &mut [Complex64],
-        m: usize,
-        s: usize,
-        tw: &[Complex64],
-    ) {
-        assert_eq!(src.len(), 4 * m * s);
-        assert_eq!(dst.len(), src.len());
-        let sp = src.as_ptr().cast::<f64>();
-        let dp = dst.as_mut_ptr().cast::<f64>();
-        let sm = s * m;
-        for p in 0..m {
-            let (w1, w2, w3) = (tw[3 * p], tw[3 * p + 1], tw[3 * p + 2]);
-            let (w1re, w1im) = bcast(w1);
-            let (w2re, w2im) = bcast(w2);
-            let (w3re, w3im) = bcast(w3);
-            let i0 = s * p;
-            let o = 4 * s * p;
-            let mut q = 0;
-            while q + 2 <= s {
-                // SAFETY: the largest complex index touched is
-                // `i0 + 3·s·m + q + 1 ≤ 4·s·m − 1` for reads and
-                // `o + 3·s + q + 1 = 4·s·p + 3·s + q + 1 ≤ 4·s·m − 1`
-                // for writes; both slices hold exactly `4·s·m` complex
-                // elements, so every 256-bit access is in bounds.
-                unsafe {
-                    let a = _mm256_loadu_pd(sp.add(2 * (i0 + q)));
-                    let b = _mm256_loadu_pd(sp.add(2 * (i0 + sm + q)));
-                    let c = _mm256_loadu_pd(sp.add(2 * (i0 + 2 * sm + q)));
-                    let d = _mm256_loadu_pd(sp.add(2 * (i0 + 3 * sm + q)));
-                    let apc = _mm256_add_pd(a, c);
-                    let amc = _mm256_sub_pd(a, c);
-                    let bpd = _mm256_add_pd(b, d);
-                    let bmd = _mm256_sub_pd(b, d);
-                    // bmd with re/im swapped: [im0, re0, im1, re1].
-                    let sw = _mm256_permute_pd::<0b0101>(bmd);
-                    // addsub(x, y): even lanes x−y, odd lanes x+y — so
-                    // amc ∓ i·bmd fall out of one addsub each.
-                    let tm = _mm256_addsub_pd(amc, negv(sw)); // amc − i·bmd
-                    let tp = _mm256_addsub_pd(amc, sw); // amc + i·bmd
-                    _mm256_storeu_pd(dp.add(2 * (o + q)), _mm256_add_pd(apc, bpd));
-                    _mm256_storeu_pd(dp.add(2 * (o + s + q)), cmulv(tm, w1re, w1im));
-                    _mm256_storeu_pd(
-                        dp.add(2 * (o + 2 * s + q)),
-                        cmulv(_mm256_sub_pd(apc, bpd), w2re, w2im),
-                    );
-                    _mm256_storeu_pd(dp.add(2 * (o + 3 * s + q)), cmulv(tp, w3re, w3im));
-                }
-                q += 2;
-            }
-            while q < s {
-                let (y0, y1, y2, y3) = bf4(
-                    src[i0 + q],
-                    src[i0 + sm + q],
-                    src[i0 + 2 * sm + q],
-                    src[i0 + 3 * sm + q],
-                    w1,
-                    w2,
-                    w3,
-                );
-                dst[o + q] = y0;
-                dst[o + s + q] = y1;
-                dst[o + 2 * s + q] = y2;
-                dst[o + 3 * s + q] = y3;
-                q += 1;
-            }
-        }
+    pub(super) fn stage(st: &Stage, src: &[Complex64], dst: &mut [Complex64], s: usize) {
+        stage_on::<Avx>(st, src, dst, s);
     }
 }
 
@@ -783,27 +747,44 @@ mod tests {
     #[test]
     fn portable_matches_detected_level_bitwise() {
         // On AVX2 hardware this pins the cross-dispatch determinism
-        // claim at the kernel level; on other hosts both runs take the
-        // portable path and the test is vacuous (the integration suite
-        // still runs it there for coverage).
-        for &n in &[5usize, 16, 60, 64, 96, 128, 200] {
-            let Some(plan) = StockhamPlan::try_new(n) else {
-                continue;
-            };
+        // claim at the kernel level for every radix, odd `q` tails
+        // included (batches 1 and 3 at odd sizes); on other hosts both
+        // runs take the portable path and the test is vacuous (the
+        // integration suite still runs it there for coverage).
+        for &n in &[
+            3usize, 5, 6, 12, 15, 16, 25, 45, 48, 60, 64, 75, 96, 128, 160, 200, 240, 375,
+        ] {
+            let plan = StockhamPlan::try_new(n).unwrap();
             for b in 1..=MAX_BATCH {
-                let lines: Vec<Vec<Complex64>> =
-                    (0..b).map(|bi| rand_signal(n, (n * 31 + bi) as u64)).collect();
-                let mut auto = interleave(&lines);
-                let mut forced = auto.clone();
-                let mut scratch = vec![Complex64::ZERO; n * b];
-                plan.run_with_level(detect(), &mut auto, b, &mut scratch, false);
-                plan.run_with_level(FftSimdLevel::Portable, &mut forced, b, &mut scratch, false);
-                for (x, y) in auto.iter().zip(&forced) {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "n = {n}, batch {b}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "n = {n}, batch {b}");
+                for inverse in [false, true] {
+                    let lines: Vec<Vec<Complex64>> =
+                        (0..b).map(|bi| rand_signal(n, (n * 31 + bi) as u64)).collect();
+                    let mut auto = interleave(&lines);
+                    let mut forced = auto.clone();
+                    let mut scratch = vec![Complex64::ZERO; n * b];
+                    plan.run_with_level(detect(), &mut auto, b, &mut scratch, inverse);
+                    plan.run_with_level(
+                        FftSimdLevel::Portable,
+                        &mut forced,
+                        b,
+                        &mut scratch,
+                        inverse,
+                    );
+                    for (x, y) in auto.iter().zip(&forced) {
+                        let at = format!("n = {n}, batch {b}, inverse {inverse}");
+                        assert_eq!(x.re.to_bits(), y.re.to_bits(), "{at}");
+                        assert_eq!(x.im.to_bits(), y.im.to_bits(), "{at}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn detection_is_stable() {
+        let level = detect();
+        println!("fft::detect: {level:?}");
+        assert_eq!(level, detect());
     }
 
     #[test]

@@ -313,9 +313,10 @@ impl Bluestein {
 
 /// The transform length for a zero-padded axis of at least `min` points:
 /// the smallest `2^a` or `3·2^a` that is `≥ min`. Their Stockham schedule
-/// is SIMD radix-2/4 stages plus at most one scalar radix-3 stage, while
-/// an arbitrary `min` can carry a factor such as 11 that drops the axis
-/// onto the recursive reference path.
+/// is radix-2/4 stages plus at most one radix-3 stage, every one of them
+/// on the dispatched SIMD lowering, while an arbitrary `min` can carry a
+/// factor such as 11 that drops the axis onto the recursive reference
+/// path.
 #[must_use]
 pub fn fast_len(min: usize) -> usize {
     let pow2 = min.max(1).next_power_of_two();

@@ -66,7 +66,7 @@ fn assert_bits_eq(a: &[Complex64], b: &[Complex64], what: &str) {
 
 /// Forced-portable and AVX2 3-D r2c spectra are bitwise identical at the
 /// production grid sizes (64³, 96³, 128³ — pure radix-4/2 and mixed
-/// 2^a·3 schedules).
+/// 2^a·3 schedules) and at 60³ (2²·3·5: radix-4, -3 and -5 stages).
 #[test]
 fn real_3d_spectra_bitwise_identical_across_dispatch() {
     let _guard = OVERRIDE_LOCK.lock().expect("override lock");
@@ -74,7 +74,7 @@ fn real_3d_spectra_bitwise_identical_across_dispatch() {
         eprintln!("AVX2 unavailable; skipping cross-dispatch comparison");
         return;
     }
-    for n in [64usize, 96, 128] {
+    for n in [60usize, 64, 96, 128] {
         let nzh = n / 2 + 1;
         let data = rand_reals(n * n * n, 42 + n as u64);
         let run = |level| {
@@ -99,7 +99,7 @@ fn complex_3d_spectra_bitwise_identical_across_dispatch() {
         eprintln!("AVX2 unavailable; skipping cross-dispatch comparison");
         return;
     }
-    for n in [64usize, 96] {
+    for n in [60usize, 64, 96] {
         let data = rand_grid(n * n * n, 7 + n as u64);
         let run = |level| {
             with_level(level, || {

@@ -19,6 +19,9 @@ cargo run --release --example quickstart
 echo "==> cargo test --release -p hacc-short --lib detection_is_stable -- --nocapture  (the SIMD level verified below)"
 cargo test --release -q -p hacc-short --lib detection_is_stable -- --nocapture
 
+echo "==> cargo test --release -p hacc-fft --lib detection_is_stable -- --nocapture  (the FFT stage lowering)"
+cargo test --release -q -p hacc-fft --lib detection_is_stable -- --nocapture
+
 echo "==> cargo test --release -p hacc-short --lib --test periodic --test tile_oracle -- --include-ignored  (48³ periodic tree oracle, 48³ cut invariance, tile oracle)"
 cargo test --release -q -p hacc-short --lib --test periodic --test tile_oracle -- --include-ignored
 
