@@ -92,6 +92,21 @@ impl SlabGrid {
         inside.then(|| (ix as usize, ix as usize + 1, gx - fx))
     }
 
+    /// The panic of a particle at grid x `gx` whose CIC cloud leaves the
+    /// slab's `h`-plane halo: `what` overran, where, and why. The
+    /// deposit's `what` is the clause `benchmark/src/run.rs` recognizes
+    /// as its known wrap defect.
+    #[cold]
+    fn halo_overrun(&self, what: &str, gx: f64, h: usize) -> ! {
+        let lo = self.x0 as i64 - h as i64;
+        let hi = (self.x0 + self.lx + h) as i64;
+        panic!(
+            "{what}: its CIC cloud at grid x {gx} leaves the slab's planes \
+             [x0-h, x0+lx+h) = [{lo}, {hi}) (h = {h}); the step drifted it farther \
+             than the halo, so shorter steps are needed"
+        )
+    }
+
     /// Deposit the first `count` particles of `pos` (box units) into
     /// `ext`: the owned planes of a whole slab, or across a split axis
     /// planes `[x0-DEPOSIT_HALO, x0+lx+DEPOSIT_HALO)`, leaving the spill
@@ -107,9 +122,9 @@ impl SlabGrid {
             let gx = f64::from(xs[i]) * self.to_grid;
             let gy = f64::from(ys[i]) * self.to_grid;
             let gz = f64::from(zs[i]) * self.to_grid;
-            let (ix, ix1, dx) = self
-                .x_planes(gx, hd)
-                .expect("active particle drifted outside the deposit halo");
+            let (ix, ix1, dx) = self.x_planes(gx, hd).unwrap_or_else(|| {
+                self.halo_overrun("active particle drifted outside the deposit halo", gx, hd)
+            });
             let (iy, dy) = wrap_cell_near(gy, n);
             let (iz, dz) = wrap_cell_near(gz, n);
             let iy1 = next_cell(iy, n);
@@ -167,7 +182,9 @@ impl SlabGrid {
             let gx = f64::from(xs[i]) * self.to_grid;
             let gy = f64::from(ys[i]) * self.to_grid;
             let gz = f64::from(zs[i]) * self.to_grid;
-            let (ix, ix1, dx) = self.x_planes(gx, h).expect("particle outside the force halo");
+            let (ix, ix1, dx) = self
+                .x_planes(gx, h)
+                .unwrap_or_else(|| self.halo_overrun("particle outside the force halo", gx, h));
             let planes = [(locate(ix), 1.0 - dx), (locate(ix1), dx)];
             let (iy, dy) = wrap_cell_near(gy, n);
             let (iz, dz) = wrap_cell_near(gz, n);
@@ -278,6 +295,32 @@ mod tests {
         for (c, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "cell {c}: {g} vs {w}");
         }
+    }
+
+    /// A particle drifted past the deposit halo of slab 1 of 2 (planes
+    /// `[4, 8)` of an 8-box, halo 2) names its grid x, the slab's range
+    /// and the cause.
+    #[test]
+    #[should_panic(expected = "active particle drifted outside the deposit halo: its CIC cloud \
+                               at grid x 1.5 leaves the slab's planes [x0-h, x0+lx+h) = [2, 10) \
+                               (h = 2); the step drifted it farther than the halo, so shorter \
+                               steps are needed")]
+    fn deposit_past_the_halo_names_particle_and_slab() {
+        let grid = SlabGrid::new(8, 1, 2, 8.0);
+        let pos = [vec![1.5f32], vec![0.0], vec![0.0]];
+        grid.deposit([&pos[0], &pos[1], &pos[2]], 1, &mut Vec::new());
+    }
+
+    /// The gather of a particle past the force halo says the same.
+    #[test]
+    #[should_panic(expected = "particle outside the force halo: its CIC cloud at grid x 6.75 \
+                               leaves the slab's planes [x0-h, x0+lx+h) = [-1, 5) (h = 1)")]
+    fn gather_past_the_halo_names_particle_and_slab() {
+        let grid = SlabGrid::new(8, 0, 2, 8.0);
+        let planes = vec![0.0; 6 * 64];
+        let pos = [vec![6.75f32], vec![0.0], vec![0.0]];
+        let mut out = [Vec::new()];
+        grid.gather([HaloSlab::contiguous(&planes)], 1, [&pos[0], &pos[1], &pos[2]], &mut out, false);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Serial (shared-memory) 3-D complex FFT.
+//! Serial (shared-memory) 3-D complex FFT, and the two batched line
+//! passes under every 3-D transform in the crate.
 //!
 //! Row-major `[nx][ny][nz]` layout (`z` fastest). Lines along each axis
-//! are transformed in **batched bundles** of up to `BATCH` lines: each
-//! pass tiles an L1-sized panel (`[n][BATCH]`, batch-major) out of the
-//! grid with contiguous small copies, runs one batched kernel call over
-//! the whole bundle, and writes the panel back. For the strided y and x
-//! passes this is a cache-blocked transpose — adjacent z columns are
-//! contiguous in memory, so gathering a panel touches each cache line
-//! once instead of once per line. Rayon parallelizes across independent
-//! panels.
+//! are transformed in **batched bundles** of up to `BATCH` lines by one
+//! of two passes, which the serial, real, slab and pencil transforms
+//! all call: `pass_lines` for contiguous lines (the z pass) and
+//! `pass_columns` for the middle axis of a `[outer][n][inner]` view (a
+//! y pass, or an x pass with one outer block). Each tiles an L1-sized
+//! panel (`[n][BATCH]`, batch-major) out of the grid with contiguous
+//! small copies, runs one batched kernel call over the whole bundle,
+//! and writes the panel back. For the strided passes this is a
+//! cache-blocked transpose — adjacent columns are contiguous in memory,
+//! so gathering a panel touches each cache line once instead of once
+//! per line. Rayon splits across independent chunks of lines or outer
+//! blocks.
 
 use crate::complex::Complex64;
 use crate::plan::Fft1d;
@@ -95,41 +100,33 @@ impl Fft3 {
 
     fn transform(&self, data: &mut [Complex64], inverse: bool) {
         assert_eq!(data.len(), self.len(), "grid size mismatch");
-        pass_z(&self.plan_z, data, self.nz, inverse, &self.pool);
-        pass_y(&self.plan_y, data, self.ny, self.nz, inverse, &self.pool);
-        pass_x(&self.plan_x, data, self.ny, self.nz, inverse, &self.pool);
+        pass_lines(&self.plan_z, data, inverse, &self.pool);
+        pass_columns(&self.plan_y, data, self.nz, inverse, &self.pool);
+        pass_columns(&self.plan_x, data, self.ny * self.nz, inverse, &self.pool);
     }
 }
 
-/// Batch width of the tiled passes (bundle of lines per kernel call).
+/// Batch width of the line passes (bundle of lines per kernel call).
 pub(crate) const BATCH: usize = Fft1d::MAX_BATCH;
 
-/// Pass 1 of the 3-D transform: contiguous z lines of length `nz`,
-/// bundled [`BATCH`] at a time into a batch-major tile.
-pub(crate) fn pass_z(
-    plan: &Fft1d,
-    data: &mut [Complex64],
-    nz: usize,
-    inverse: bool,
-    pool: &BufPool,
-) {
-    data.par_chunks_mut(BATCH * nz).for_each_init(
-        || {
-            (
-                pool.lease(BATCH * nz),
-                pool.lease(plan.scratch_len_batch(BATCH)),
-            )
-        },
+/// Transform the contiguous lines of `data`, each `plan.len()` long
+/// (the z pass): [`BATCH`] lines at a time are transposed into a
+/// batch-major tile, run through one batched kernel call and transposed
+/// back.
+pub(crate) fn pass_lines(plan: &Fft1d, data: &mut [Complex64], inverse: bool, pool: &BufPool) {
+    let n = plan.len();
+    data.par_chunks_mut(BATCH * n).for_each_init(
+        || (pool.lease(BATCH * n), pool.lease(plan.scratch_len_batch(BATCH))),
         |(tile, scratch), chunk| {
-            let b = chunk.len() / nz;
-            let tile = &mut tile[..nz * b];
-            for (bi, line) in chunk.chunks(nz).enumerate() {
+            let b = chunk.len() / n;
+            let tile = &mut tile[..n * b];
+            for (bi, line) in chunk.chunks(n).enumerate() {
                 for (j, &v) in line.iter().enumerate() {
                     tile[j * b + bi] = v;
                 }
             }
             plan.transform_batch(tile, b, scratch, inverse);
-            for (bi, line) in chunk.chunks_mut(nz).enumerate() {
+            for (bi, line) in chunk.chunks_mut(n).enumerate() {
                 for (j, v) in line.iter_mut().enumerate() {
                     *v = tile[j * b + bi];
                 }
@@ -138,122 +135,40 @@ pub(crate) fn pass_z(
     );
 }
 
-/// Pass 2: y lines of length `ny`, strided by the z-extent `nzc` within
-/// each x-plane (`nzc` is `nz` for c2c, `nz/2+1` for the half-spectrum).
-///
-/// Adjacent `iz` columns are contiguous, so a `[ny][b]` batch-major tile
-/// is gathered with `ny` contiguous `b`-element copies — the
-/// cache-blocked transpose that feeds the batched kernel contiguous
-/// panels (`ny·BATCH` complex ≤ a few KiB, L1-resident).
-pub(crate) fn pass_y(
+/// Transform the middle axis of `data` viewed as `[outer][n][inner]`,
+/// `n = plan.len()`: a y pass is `inner` = the z extent, an x pass one
+/// outer block with `inner` = the (y, z) plane. Adjacent columns are
+/// contiguous, so a `[n][b]` batch-major tile of [`BATCH`] of them is
+/// gathered with `n` contiguous `b`-element copies — the cache-blocked
+/// transpose that feeds the batched kernel an L1-resident panel.
+/// In an x pass a batch may take columns from two y rows, which is
+/// bitwise inert because lanes never interact. The outer blocks are
+/// the parallel split.
+pub(crate) fn pass_columns(
     plan: &Fft1d,
     data: &mut [Complex64],
-    ny: usize,
-    nzc: usize,
+    inner: usize,
     inverse: bool,
     pool: &BufPool,
 ) {
-    data.par_chunks_mut(ny * nzc).for_each_init(
-        || {
-            (
-                pool.lease(BATCH * ny),
-                pool.lease(plan.scratch_len_batch(BATCH)),
-            )
-        },
-        |(tile, scratch), plane| {
-            let mut iz0 = 0;
-            while iz0 < nzc {
-                let b = BATCH.min(nzc - iz0);
-                let tile = &mut tile[..ny * b];
-                for iy in 0..ny {
-                    let row = iy * nzc + iz0;
-                    tile[iy * b..(iy + 1) * b].copy_from_slice(&plane[row..row + b]);
+    let n = plan.len();
+    data.par_chunks_mut(n * inner).for_each_init(
+        || (pool.lease(BATCH * n), pool.lease(plan.scratch_len_batch(BATCH))),
+        |(tile, scratch), block| {
+            for c0 in (0..inner).step_by(BATCH) {
+                let b = BATCH.min(inner - c0);
+                let tile = &mut tile[..n * b];
+                for (j, row) in tile.chunks_exact_mut(b).enumerate() {
+                    row.copy_from_slice(&block[j * inner + c0..][..b]);
                 }
                 plan.transform_batch(tile, b, scratch, inverse);
-                for iy in 0..ny {
-                    let row = iy * nzc + iz0;
-                    plane[row..row + b].copy_from_slice(&tile[iy * b..(iy + 1) * b]);
+                for (j, row) in tile.chunks_exact(b).enumerate() {
+                    block[j * inner + c0..][..b].copy_from_slice(row);
                 }
-                iz0 += b;
             }
         },
     );
 }
-
-/// Pass 3: x lines strided by `ny·nzc`. Parallelizes over y so each task
-/// works on disjoint (y, z) columns; uses raw indexing through a shared
-/// pointer wrapper kept sound by the disjointness of columns. Within a
-/// task, [`BATCH`] adjacent z columns tile into one batch-major panel
-/// per kernel call, same as [`pass_y`].
-pub(crate) fn pass_x(
-    plan: &Fft1d,
-    data: &mut [Complex64],
-    ny: usize,
-    nzc: usize,
-    inverse: bool,
-    pool: &BufPool,
-) {
-    let nx = plan.len();
-    let plane_stride = ny * nzc;
-    let ptr = SyncPtr(data.as_mut_ptr());
-    (0..ny).into_par_iter().for_each_init(
-        || {
-            (
-                pool.lease(BATCH * nx),
-                pool.lease(plan.scratch_len_batch(BATCH)),
-            )
-        },
-        |(tile, scratch), iy| {
-            let base = ptr;
-            let mut iz0 = 0;
-            while iz0 < nzc {
-                let b = BATCH.min(nzc - iz0);
-                let tile = &mut tile[..nx * b];
-                let off = iy * nzc + iz0;
-                for ix in 0..nx {
-                    // SAFETY: distinct iy tasks touch disjoint (iy, iz)
-                    // columns; `ix·plane_stride + off + b ≤ nx·ny·nzc`
-                    // (the length of the allocation behind `data`), and
-                    // the tile is a private lease, so this contiguous
-                    // b-element copy reads in-bounds, non-overlapping
-                    // memory.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            base.0.add(ix * plane_stride + off),
-                            tile.as_mut_ptr().add(ix * b),
-                            b,
-                        );
-                    }
-                }
-                plan.transform_batch(tile, b, scratch, inverse);
-                for ix in 0..nx {
-                    // SAFETY: writes the same disjoint (iy, iz) columns
-                    // read above, with identical bounds reasoning.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            tile.as_ptr().add(ix * b),
-                            base.0.add(ix * plane_stride + off),
-                            b,
-                        );
-                    }
-                }
-                iz0 += b;
-            }
-        },
-    );
-}
-
-/// Pointer wrapper asserting cross-thread use is sound (columns disjoint).
-#[derive(Clone, Copy)]
-struct SyncPtr(*mut Complex64);
-// SAFETY: the pointer names the caller's cube allocation, which outlives
-// the scoped x-pass, and each parallel (y, z) task touches only its own
-// strided column — distinct (y, z) pairs index disjoint elements. The
-// wrapper only moves the pointer into rayon closures.
-unsafe impl Send for SyncPtr {}
-// SAFETY: shared references only copy the pointer; dereferences happen
-// inside the unsafe blocks that prove per-column disjointness.
-unsafe impl Sync for SyncPtr {}
 
 #[cfg(test)]
 mod tests {
@@ -293,6 +208,55 @@ mod tests {
             }
         }
         out
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// Both passes are bitwise a line-by-line oracle (each line through
+    /// its own batch-1 kernel call), forward and inverse, at lengths
+    /// covering every radix and at `inner`/`outer` extents that leave
+    /// batch tails and let column batches run on across rows.
+    #[test]
+    fn passes_are_bitwise_the_line_by_line_oracle() {
+        let pool = BufPool::new();
+        for n in [6, 15, 16, 96] {
+            let plan = Fft1d::new(n);
+            let mut scratch = vec![Complex64::ZERO; plan.scratch_len_batch(1)];
+            let mut line = vec![Complex64::ZERO; n];
+            for inner in [1, 3, 5, 49] {
+                for outer in [1, 2] {
+                    let sig = rand_grid(outer * n * inner, (n * 100 + inner * 10 + outer) as u64);
+                    for inverse in [false, true] {
+                        let case = format!("n={n} inner={inner} outer={outer} inverse={inverse}");
+                        let mut got = sig.clone();
+                        pass_lines(&plan, &mut got, inverse, &pool);
+                        let mut want = sig.clone();
+                        for l in want.chunks_mut(n) {
+                            plan.transform_batch(l, 1, &mut scratch, inverse);
+                        }
+                        assert_eq!(bits(&got), bits(&want), "pass_lines {case}");
+
+                        let mut got = sig.clone();
+                        pass_columns(&plan, &mut got, inner, inverse, &pool);
+                        let mut want = sig.clone();
+                        for block in want.chunks_mut(n * inner) {
+                            for c in 0..inner {
+                                for (j, v) in line.iter_mut().enumerate() {
+                                    *v = block[j * inner + c];
+                                }
+                                plan.transform_batch(&mut line, 1, &mut scratch, inverse);
+                                for (j, v) in line.iter().enumerate() {
+                                    block[j * inner + c] = *v;
+                                }
+                            }
+                        }
+                        assert_eq!(bits(&got), bits(&want), "pass_columns {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

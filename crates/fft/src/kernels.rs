@@ -256,6 +256,7 @@ fn run_stage(level: FftSimdLevel, st: &Stage, src: &[Complex64], dst: &mut [Comp
         // SAFETY: `Avx2Fma` is only ever selected (by `detect` or the
         // checked override) after `is_x86_feature_detected!` confirmed
         // avx2+fma — the callee's enabled feature set.
+        #[allow(unsafe_code)]
         unsafe { avx2::stage(st, src, dst, s) };
         return;
     }
@@ -533,6 +534,7 @@ impl Butterfly<5> for Dif {
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
+#[allow(unsafe_code)]
 mod avx2 {
     //! The AVX2+FMA lowering: one `__m256d` holds two complex lanes
     //! interleaved `[re0, im0, re1, im1]`; the batch-major layout makes

@@ -17,6 +17,12 @@
 //! Conventions: forward transform is unnormalized
 //! (`X[k] = Σ x[j]·exp(-2πi jk/N)`); `backward` divides by `N` so a
 //! round-trip is the identity.
+//!
+//! The crate's only `unsafe` is the AVX2+FMA lowering of the Stockham
+//! stages (`kernels::avx2` and its one dispatch call); the compiler
+//! refuses it anywhere else.
+
+#![deny(unsafe_code)]
 
 pub mod complex;
 pub mod dim3;

@@ -12,8 +12,10 @@
 //! (odd or even): two real lines `a`, `b` are packed as `z = a + i·b`,
 //! transformed once, and untangled via
 //! `A[k] = (Z[k] + conj(Z[-k]))/2`, `B[k] = -i·(Z[k] - conj(Z[-k]))/2`.
-//! The y and x passes then run standard complex FFTs over the `nzh`
-//! retained columns, reusing the pass machinery of [`crate::dim3`].
+//! `pass_r2c`/`pass_c2r` run that z pass for this serial transform and
+//! for [`crate::pencil::RealPencilFft`] alike. The y and x passes then
+//! run standard complex FFTs over the `nzh` retained columns through
+//! [`crate::dim3`]'s `pass_columns`.
 //!
 //! Scratch comes from an internal [`BufPool`]; repeated transforms on a
 //! warm plan perform zero heap allocations.
@@ -21,7 +23,7 @@
 use rayon::prelude::*;
 
 use crate::complex::Complex64;
-use crate::dim3::{pass_x, pass_y, BATCH};
+use crate::dim3::{pass_columns, BATCH};
 use crate::plan::Fft1d;
 use crate::scratch::BufPool;
 
@@ -107,26 +109,9 @@ impl RealFft3 {
     pub fn forward(&self, input: &[f64], spec: &mut [Complex64]) {
         assert_eq!(input.len(), self.len(), "real grid size mismatch");
         assert_eq!(spec.len(), self.spectrum_len(), "spectrum size mismatch");
-        let (nz, nzh) = (self.nz, self.nzh);
-        // z pass: pair-packed real lines in batched bundles — up to
-        // 2·BATCH real lines pack into ≤ BATCH complex lanes per kernel
-        // call (an odd remainder line rides along as its own lane).
-        input
-            .par_chunks(2 * BATCH * nz)
-            .zip(spec.par_chunks_mut(2 * BATCH * nzh))
-            .for_each_init(
-                || {
-                    (
-                        self.pool.lease(BATCH * nz),
-                        self.pool.lease(self.plan_z.scratch_len_batch(BATCH)),
-                    )
-                },
-                |(zbuf, scratch), (src, dst)| {
-                    r2c_lines(&self.plan_z, src, dst, nz, nzh, zbuf, scratch);
-                },
-            );
-        pass_y(&self.plan_y, spec, self.ny, nzh, false, &self.pool);
-        pass_x(&self.plan_x, spec, self.ny, nzh, false, &self.pool);
+        pass_r2c(&self.plan_z, input, spec, &self.pool);
+        pass_columns(&self.plan_y, spec, self.nzh, false, &self.pool);
+        pass_columns(&self.plan_x, spec, self.ny * self.nzh, false, &self.pool);
     }
 
     /// Normalized backward c2r transform (divides by `nx·ny·nz`): the
@@ -140,44 +125,54 @@ impl RealFft3 {
     pub fn backward(&self, spec: &mut [Complex64], out: &mut [f64]) {
         assert_eq!(spec.len(), self.spectrum_len(), "spectrum size mismatch");
         assert_eq!(out.len(), self.len(), "real grid size mismatch");
-        let (nz, nzh) = (self.nz, self.nzh);
-        // Unnormalized inverse x and y passes on the half-spectrum.
-        pass_x(&self.plan_x, spec, self.ny, nzh, true, &self.pool);
-        pass_y(&self.plan_y, spec, self.ny, nzh, true, &self.pool);
-        // z pass: rebuild full conjugate-symmetric z lines in pairs and
-        // inverse-transform; single global normalization on the output.
-        let inv = 1.0 / self.len() as f64;
-        spec.par_chunks(2 * BATCH * nzh)
-            .zip(out.par_chunks_mut(2 * BATCH * nz))
-            .for_each_init(
-                || {
-                    (
-                        self.pool.lease(BATCH * nz),
-                        self.pool.lease(self.plan_z.scratch_len_batch(BATCH)),
-                    )
-                },
-                |(zbuf, scratch), (src, dst)| {
-                    c2r_lines(&self.plan_z, src, dst, nz, nzh, inv, zbuf, scratch);
-                },
-            );
+        // Unnormalized inverse x and y passes on the half-spectrum, then
+        // the z pass with the single global normalization.
+        pass_columns(&self.plan_x, spec, self.ny * self.nzh, true, &self.pool);
+        pass_columns(&self.plan_y, spec, self.nzh, true, &self.pool);
+        pass_c2r(&self.plan_z, spec, out, 1.0 / self.len() as f64, &self.pool);
     }
+}
+
+/// The r2c z pass: real lines of `input`, each `plan.len()` long, into
+/// half-spectrum rows of `spec`, `plan.len()/2 + 1` long. Bundles of up
+/// to 2·[`BATCH`] real lines pack into ≤ [`BATCH`] complex lanes per
+/// kernel call (an odd remainder line rides along as its own lane).
+pub(crate) fn pass_r2c(plan: &Fft1d, input: &[f64], spec: &mut [Complex64], pool: &BufPool) {
+    let (nz, nzh) = (plan.len(), plan.len() / 2 + 1);
+    input
+        .par_chunks(2 * BATCH * nz)
+        .zip(spec.par_chunks_mut(2 * BATCH * nzh))
+        .for_each_init(
+            || (pool.lease(BATCH * nz), pool.lease(plan.scratch_len_batch(BATCH))),
+            |(zbuf, scratch), (src, dst)| r2c_lines(plan, src, dst, zbuf, scratch),
+        );
+}
+
+/// The c2r z pass, inverse of [`pass_r2c`]: half-spectrum rows of `spec`
+/// into real lines of `out`, scaled by `inv`.
+pub(crate) fn pass_c2r(plan: &Fft1d, spec: &[Complex64], out: &mut [f64], inv: f64, pool: &BufPool) {
+    let (nz, nzh) = (plan.len(), plan.len() / 2 + 1);
+    spec.par_chunks(2 * BATCH * nzh)
+        .zip(out.par_chunks_mut(2 * BATCH * nz))
+        .for_each_init(
+            || (pool.lease(BATCH * nz), pool.lease(plan.scratch_len_batch(BATCH))),
+            |(zbuf, scratch), (src, dst)| c2r_lines(plan, src, dst, inv, zbuf, scratch),
+        );
 }
 
 /// Forward-transform a bundle of real z lines into half-spectrum rows.
 /// `src` holds `L = src.len()/nz ≤ 2·BATCH` lines: consecutive pairs
 /// pack as `a + i·b` complex lanes (an odd trailing line becomes its own
 /// `a + i·0` lane), the whole bundle runs through **one** batched
-/// transform, and each lane untangles into its spectrum row(s). Shared
-/// by the serial and pencil r2c paths.
-pub(crate) fn r2c_lines(
+/// transform, and each lane untangles into its spectrum row(s).
+fn r2c_lines(
     plan_z: &Fft1d,
     src: &[f64],
     dst: &mut [Complex64],
-    nz: usize,
-    nzh: usize,
     zbuf: &mut [Complex64],
     scratch: &mut [Complex64],
 ) {
+    let (nz, nzh) = (plan_z.len(), plan_z.len() / 2 + 1);
     debug_assert!(src.len().is_multiple_of(nz));
     let lines = src.len() / nz;
     let pairs = lines / 2;
@@ -221,17 +216,15 @@ pub(crate) fn r2c_lines(
 /// Inverse of [`r2c_lines`]: synthesize full conjugate-symmetric z lanes
 /// from half-spectrum rows, inverse-transform the bundle in one batched
 /// call, and write the real output scaled by `inv`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn c2r_lines(
+fn c2r_lines(
     plan_z: &Fft1d,
     src: &[Complex64],
     dst: &mut [f64],
-    nz: usize,
-    nzh: usize,
     inv: f64,
     zbuf: &mut [Complex64],
     scratch: &mut [Complex64],
 ) {
+    let (nz, nzh) = (plan_z.len(), plan_z.len() / 2 + 1);
     debug_assert!(dst.len().is_multiple_of(nz));
     let lines = dst.len() / nz;
     let pairs = lines / 2;

@@ -13,7 +13,7 @@
 use hacc_comm::Comm;
 
 use crate::complex::Complex64;
-use crate::dim3::BATCH;
+use crate::dim3::{pass_columns, pass_lines};
 use crate::layout::{block_ranges, DistFft3, Layout3};
 use crate::plan::Fft1d;
 use crate::scratch::BufPool;
@@ -50,80 +50,17 @@ impl<'a> SlabFft<'a> {
         self.ranges[self.comm.rank()]
     }
 
-    /// Local y/z (or inverse) FFTs on the x-slab `[lx][n][n]`, batched
-    /// `BATCH` lines at a time through pooled tiles (alloc-free once the
-    /// pool is warm).
+    /// Local y/z (or inverse) FFTs on the x-slab `[lx][n][n]`: z lines,
+    /// then y columns.
     fn fft_yz(&self, data: &mut [Complex64], inverse: bool) {
-        let n = self.n;
-        let (_, lx) = self.my_range();
-        let mut tile = self.pool.lease(BATCH * n);
-        let mut scratch = self.pool.lease(self.plan.scratch_len_batch(BATCH));
-        for ixl in 0..lx {
-            let plane = &mut data[ixl * n * n..(ixl + 1) * n * n];
-            // z lines (contiguous rows, packed batch-major).
-            let mut iy0 = 0;
-            while iy0 < n {
-                let b = BATCH.min(n - iy0);
-                let block = &mut plane[iy0 * n..(iy0 + b) * n];
-                for (r, row) in block.chunks(n).enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        tile[j * b + r] = v;
-                    }
-                }
-                self.plan
-                    .transform_batch(&mut tile[..n * b], b, &mut scratch, inverse);
-                for (r, row) in block.chunks_mut(n).enumerate() {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = tile[j * b + r];
-                    }
-                }
-                iy0 += b;
-            }
-            // y lines (stride n): gather BATCH adjacent z columns.
-            let mut iz0 = 0;
-            while iz0 < n {
-                let b = BATCH.min(n - iz0);
-                for iy in 0..n {
-                    let row = iy * n + iz0;
-                    tile[iy * b..(iy + 1) * b].copy_from_slice(&plane[row..row + b]);
-                }
-                self.plan
-                    .transform_batch(&mut tile[..n * b], b, &mut scratch, inverse);
-                for iy in 0..n {
-                    let row = iy * n + iz0;
-                    plane[row..row + b].copy_from_slice(&tile[iy * b..(iy + 1) * b]);
-                }
-                iz0 += b;
-            }
-        }
+        pass_lines(&self.plan, data, inverse, &self.pool);
+        pass_columns(&self.plan, data, self.n, inverse, &self.pool);
     }
 
-    /// x-line FFTs in the y-slab layout `[n][ly][n]`, batched over
-    /// adjacent z columns.
+    /// x-line FFTs in the y-slab layout `[n][ly][n]`.
     fn fft_x(&self, data: &mut [Complex64], inverse: bool) {
-        let n = self.n;
         let (_, ly) = self.my_range();
-        let stride = ly * n;
-        let mut tile = self.pool.lease(BATCH * n);
-        let mut scratch = self.pool.lease(self.plan.scratch_len_batch(BATCH));
-        for iyl in 0..ly {
-            let mut iz0 = 0;
-            while iz0 < n {
-                let b = BATCH.min(n - iz0);
-                let off = iyl * n + iz0;
-                for ix in 0..n {
-                    let s = ix * stride + off;
-                    tile[ix * b..(ix + 1) * b].copy_from_slice(&data[s..s + b]);
-                }
-                self.plan
-                    .transform_batch(&mut tile[..n * b], b, &mut scratch, inverse);
-                for ix in 0..n {
-                    let s = ix * stride + off;
-                    data[s..s + b].copy_from_slice(&tile[ix * b..(ix + 1) * b]);
-                }
-                iz0 += b;
-            }
-        }
+        pass_columns(&self.plan, data, ly * self.n, inverse, &self.pool);
     }
 
     /// Transpose x-slab `[lx][n][n]` → y-slab `[n][ly][n]`.

@@ -266,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn sine_density_gives_analytic_force() {
         // source = A·sin(k₀x) ⇒ φ = -A sin(k₀x)/k₀², F_x = A cos(k₀x)/k₀.
         let n = 32;
@@ -295,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn potential_of_sine_matches() {
         let n = 16;
         let l = 1.0;
@@ -334,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn force_field_sums_to_zero() {
         // Momentum conservation: Σ_cells F = 0 for any source.
         let n = 16;
@@ -367,7 +367,7 @@ mod tests {
     /// highest frequency and, on the even grid, each axis's Nyquist index
     /// alone and beside other axes.
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn r2c_forces_match_single_mode_oracle() {
         let cases: [(usize, &[[i64; 3]]); 2] = [
             (
@@ -428,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn solve_into_reuses_buffers_and_matches() {
         let n = 12;
         let solver = PmSolver::new(n, 24.0, SpectralParams::default());
@@ -444,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn pair_force_attractive_and_newtonian_at_medium_range() {
         // Two particles 8 cells apart on a 32³ grid: grid force should be
         // within ~5% of Newtonian -1/r² (normalization: source = 4π·δ mass
@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test; miri exercises the unsafe paths via the small-grid tests")]
+    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn filtered_force_suppressed_below_matching_scale() {
         // Inside ~1 cell the spectrally filtered grid force falls well
         // below Newtonian — that's what the short-range kernel restores.

@@ -563,9 +563,11 @@ fn step_miri(report: &mut Report) {
     // -Zmiri-disable-isolation: the comm/machine layers read Instant for
     // timeout diagnostics. The crates under test shrink their problem
     // sizes via cfg(miri) while still crossing every parallel-path
-    // threshold (see e.g. crates/fft/src/pencil.rs). hacc-pm itself is
-    // `forbid(unsafe_code)`; it stays in the run because its solver
-    // tests drive hacc-fft's unsafe transform passes.
+    // threshold (see e.g. crates/fft/src/pencil.rs). hacc-pm is
+    // `forbid(unsafe_code)`, and hacc-fft's only unsafe (the AVX2+FMA
+    // stage lowering) is compiled out under cfg(miri), so Miri runs no
+    // unsafe of either crate: their tests take the portable FFT
+    // lowering.
     let outcome = run(
         "miri",
         Command::new("cargo")
