@@ -241,6 +241,9 @@ impl PmSolver {
 mod tests {
     use super::*;
     use crate::cic::{deposit_cic, interpolate_cic};
+    use crate::dist::DistRealPoisson;
+    use hacc_comm::Machine;
+    use hacc_fft::{DistRealFft3, RealPencilFft};
 
     /// Exact-spectral variant (no filter beyond necessities) for analytic
     /// comparisons.
@@ -365,7 +368,9 @@ mod tests {
     /// with D_c zeroed at the Nyquist index as `new` documents. Modes:
     /// DC, single and mixed axes, negative frequencies, the odd grid's
     /// highest frequency and, on the even grid, each axis's Nyquist index
-    /// alone and beside other axes.
+    /// alone and beside other axes. Each mode runs through the serial
+    /// solver and through [`DistRealPoisson`] on 2×1, 1×2 and 2×2 pencil
+    /// grids, whose per-rank blocks are reassembled into global grids.
     #[test]
     #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
     fn r2c_forces_match_single_mode_oracle() {
@@ -393,38 +398,90 @@ mod tests {
             let l = 1.3 * n as f64;
             let d = l / n as f64;
             let idx = |k: i64| k.rem_euclid(n as i64) as usize;
+            let phase = |k: [i64; 3], i: usize| {
+                let x = [i / (n * n), i / n % n, i % n];
+                let dot: i64 = (0..3).map(|a| k[a] * x[a] as i64).sum();
+                2.0 * std::f64::consts::PI * dot as f64 / n as f64
+            };
+            let sources: Vec<Vec<f64>> = modes
+                .iter()
+                .map(|&k| (0..n * n * n).map(|i| phase(k, i).cos()).collect())
+                .collect();
             for params in [SpectralParams::default(), exact_params()] {
                 let solver = PmSolver::new(n, l, params);
-                for &k in modes {
-                    let kidx = k.map(idx);
-                    let gs = params.influence(kidx, n, d) * params.filter(kidx, n, d);
-                    let dk = kidx.map(|i| {
-                        if 2 * i == n {
-                            0.0
-                        } else {
-                            params.gradient(i, n, d)
-                        }
-                    });
-                    let phase = |x: [usize; 3]| {
-                        let dot: i64 = (0..3).map(|a| k[a] * x[a] as i64).sum();
-                        2.0 * std::f64::consts::PI * dot as f64 / n as f64
-                    };
-                    let at = |i: usize| phase([i / (n * n), i / n % n, i % n]);
-                    let src: Vec<f64> = (0..n * n * n).map(|i| at(i).cos()).collect();
-                    let f = solver.solve_forces(&src);
-                    for (c, comp) in f.iter().enumerate() {
-                        let mult = Complex64::new(0.0, -dk[c] * gs);
-                        for (i, &got) in comp.iter().enumerate() {
-                            let want = (mult * Complex64::cis(at(i))).re;
-                            assert!(
-                                (got - want).abs() <= 1e-10,
-                                "n={n} k={k:?} c={c} i={i}: {got} vs {want}"
-                            );
+                let mut runs = vec![(
+                    "serial".to_string(),
+                    sources.iter().map(|s| solver.solve_forces(s)).collect::<Vec<_>>(),
+                )];
+                for grid in [[2, 1], [1, 2], [2, 2]] {
+                    runs.push((format!("{grid:?}"), pencil_solves(n, l, params, grid, &sources)));
+                }
+                for (grid, forces) in &runs {
+                    for (&k, f) in modes.iter().zip(forces) {
+                        let kidx = k.map(idx);
+                        let gs = params.influence(kidx, n, d) * params.filter(kidx, n, d);
+                        let dk = kidx.map(|i| {
+                            if 2 * i == n {
+                                0.0
+                            } else {
+                                params.gradient(i, n, d)
+                            }
+                        });
+                        for (c, comp) in f.iter().enumerate() {
+                            let mult = Complex64::new(0.0, -dk[c] * gs);
+                            for (i, &got) in comp.iter().enumerate() {
+                                let want = (mult * Complex64::cis(phase(k, i))).re;
+                                assert!(
+                                    (got - want).abs() <= 1e-10,
+                                    "{grid} n={n} k={k:?} c={c} i={i}: {got} vs {want}"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// [`DistRealPoisson`] over a `p1 × p2` [`RealPencilFft`] on each
+    /// source, every rank's force blocks reassembled into global grids.
+    fn pencil_solves(
+        n: usize,
+        l: f64,
+        params: SpectralParams,
+        [p1, p2]: [usize; 2],
+        sources: &[Vec<f64>],
+    ) -> Vec<[Vec<f64>; 3]> {
+        let (per_rank, _) = Machine::new(p1 * p2).run(|comm| {
+            let fft = RealPencilFft::with_grid(&comm, n, p1, p2);
+            let rl = fft.real_layout();
+            let solver = DistRealPoisson::new(fft, l, params);
+            let forces: Vec<[Vec<f64>; 3]> = sources
+                .iter()
+                .map(|src| {
+                    let local: Vec<f64> = (0..rl.len())
+                        .map(|i| {
+                            let g = rl.global_coords(i);
+                            src[(g[0] * n + g[1]) * n + g[2]]
+                        })
+                        .collect();
+                    solver.solve_forces(&local)
+                })
+                .collect();
+            (rl, forces)
+        });
+        let mut global = vec![[vec![0.0; n * n * n], vec![0.0; n * n * n], vec![0.0; n * n * n]]; sources.len()];
+        for (rl, forces) in &per_rank {
+            for (grids, f) in global.iter_mut().zip(forces) {
+                for c in 0..3 {
+                    for (i, &v) in f[c].iter().enumerate() {
+                        let g = rl.global_coords(i);
+                        grids[c][(g[0] * n + g[1]) * n + g[2]] = v;
+                    }
+                }
+            }
+        }
+        global
     }
 
     #[test]
