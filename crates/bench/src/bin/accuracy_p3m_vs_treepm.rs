@@ -35,8 +35,6 @@ fn main() {
         tree: hacc_short::TreeParams::default(),
         rcut_cells: 3.0,
         skin_cells: 0.25,
-        max_retries: None,
-        backoff_base_ms: None,
     };
     let ics = hacc_ics::zeldovich(np, box_len, &power, 0.2, 555);
 

@@ -88,8 +88,6 @@ fn measure(
         tree: hacc_short::TreeParams::default(),
         rcut_cells: 3.0,
         skin_cells: 0.25,
-        max_retries: None,
-        backoff_base_ms: None,
     };
     let ics = hacc_ics::zeldovich(ng / 4, cfg.box_len, &power, cfg.a_init, 17);
     let (results, _) = Machine::new(ranks).run(move |comm| {

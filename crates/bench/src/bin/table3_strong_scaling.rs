@@ -37,8 +37,6 @@ fn main() {
         tree: hacc_short::TreeParams::default(),
         rcut_cells: 3.0,
         skin_cells: 0.25,
-        max_retries: None,
-        backoff_base_ms: None,
     };
     let ics = hacc_ics::zeldovich(np_side, box_len, &power, cfg_base.a_init, 11);
     let np_total = ics.len();

@@ -35,8 +35,6 @@ pub fn science_config(np: usize, box_len: f64, steps: usize, solver: SolverKind)
         tree: hacc_short::TreeParams::default(),
         rcut_cells: 3.0,
         skin_cells: 0.25,
-        max_retries: None,
-        backoff_base_ms: None,
     }
 }
 

@@ -921,6 +921,16 @@ impl Machine {
     }
 }
 
+/// The process-wide one-rank world: the serial engine and the serial
+/// spectral solvers run on it. Its collectives and its pencil
+/// transforms (both transposes elided) send no message, so any number
+/// of users on any threads can share it without their traffic crossing.
+#[cfg(not(loom))]
+pub fn one_rank() -> &'static Comm {
+    static WORLD: std::sync::OnceLock<Comm> = std::sync::OnceLock::new();
+    WORLD.get_or_init(|| Machine::new(1).handles().pop().expect("one rank, one handle"))
+}
+
 /// Stringify a panic payload for diagnostics.
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload

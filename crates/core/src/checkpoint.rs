@@ -31,13 +31,12 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hacc_comm::Comm;
+use hacc_comm::{one_rank, Comm};
 use hacc_domain::Particles;
 use hacc_genio::{crc32, GenioError, Snapshot};
 
 use crate::config::SimConfig;
 use crate::dist::DistSimulation;
-use crate::sim::one_rank;
 
 /// Metadata key: number of completed long-range steps.
 pub const META_STEP: &str = "step";

@@ -55,14 +55,6 @@ pub struct SimConfig {
     /// from its build position, and rebuilt at the first sub-cycle of
     /// every step. `0` disables reuse (rebuild every sub-cycle).
     pub skin_cells: f64,
-    /// Retry budget for the resilience ladder: how many times a step may
-    /// be re-attempted (tier-0 reconstruction / tier-1 rollback) before
-    /// tier-2 aborts the run. `None` keeps the recovery driver's default.
-    pub max_retries: Option<u32>,
-    /// Base of the exponential retry backoff, milliseconds. Attempt `n`
-    /// sleeps `backoff_base_ms * factor^(n-2)` before retrying. `None`
-    /// keeps the recovery driver's default.
-    pub backoff_base_ms: Option<u64>,
 }
 
 impl SimConfig {
@@ -83,8 +75,6 @@ impl SimConfig {
             tree: TreeParams::default(),
             rcut_cells: 3.0,
             skin_cells: 0.25,
-            max_retries: None,
-            backoff_base_ms: None,
         }
     }
 

@@ -1070,7 +1070,6 @@ pub fn run_elastic(
     schedule: &ScaleSchedule,
     plan: &FaultPlan,
 ) -> Result<ResilientRun, ResilienceError> {
-    let rc = &rc.for_sim(&cfg);
     let mut timeline = Vec::new();
     let mut attempt = 1u32;
     loop {

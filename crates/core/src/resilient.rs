@@ -46,6 +46,9 @@ use crate::config::SimConfig;
 use crate::elastic::{run_elastic, ScaleSchedule};
 use crate::invariant::InvariantConfig;
 
+/// Multiplier applied to the relaunch pause after every failure.
+const BACKOFF_FACTOR: f64 = 2.0;
+
 /// Policy knobs for [`run_resilient`].
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
@@ -57,10 +60,8 @@ pub struct ResilienceConfig {
     /// Relaunch attempts after the first, before giving up. Also bounds
     /// Tier-1 rollbacks within one attempt.
     pub max_retries: u32,
-    /// Pause before the first relaunch.
+    /// Pause before the first relaunch; every later failure doubles it.
     pub backoff: Duration,
-    /// Multiplier applied to the pause after every failure.
-    pub backoff_factor: f64,
     /// Per-receive watchdog for the relaunched machines; a lost message
     /// then surfaces as a diagnostic timeout instead of a hang.
     pub watchdog: Option<Duration>,
@@ -88,7 +89,6 @@ impl ResilienceConfig {
             checkpoint_every: 2,
             max_retries: 3,
             backoff: Duration::from_millis(10),
-            backoff_factor: 2.0,
             watchdog: None,
             heartbeat: HeartbeatConfig::default(),
             invariants: None,
@@ -97,29 +97,10 @@ impl ResilienceConfig {
         }
     }
 
-    /// Apply the per-run overrides a [`SimConfig`] carries: the retry
-    /// budget and backoff base are simulation-level policy (a long
-    /// campaign tolerates more relaunches than a smoke test), so the
-    /// config can tune them without the caller rebuilding the whole
-    /// `ResilienceConfig`. The chosen values are reported in the
-    /// timeline header ([`TimelineHeader`]) so an artifact records what
-    /// policy produced it.
-    #[must_use]
-    pub fn for_sim(&self, cfg: &SimConfig) -> Self {
-        let mut rc = self.clone();
-        if let Some(r) = cfg.max_retries {
-            rc.max_retries = r;
-        }
-        if let Some(ms) = cfg.backoff_base_ms {
-            rc.backoff = Duration::from_millis(ms);
-        }
-        rc
-    }
-
     pub(crate) fn pause_before_attempt(&self, attempt: u32) -> Duration {
         // attempt 2 waits `backoff`, attempt 3 waits `backoff·factor`, …
         let exp = attempt.saturating_sub(2);
-        self.backoff.mul_f64(self.backoff_factor.powi(exp as i32))
+        self.backoff.mul_f64(BACKOFF_FACTOR.powi(exp as i32))
     }
 }
 
@@ -443,13 +424,10 @@ fn json_escape(s: &str) -> String {
 pub struct TimelineHeader {
     /// Ranks of the machine (capacity, for elastic runs).
     pub ranks: usize,
-    /// Effective retry budget ([`ResilienceConfig::max_retries`], after
-    /// any [`SimConfig`] override).
+    /// Retry budget ([`ResilienceConfig::max_retries`]).
     pub max_retries: u32,
-    /// Effective backoff base, milliseconds.
+    /// Backoff base ([`ResilienceConfig::backoff`]), milliseconds.
     pub backoff_base_ms: u64,
-    /// Backoff multiplier per failure.
-    pub backoff_factor: f64,
     /// Checkpoint cadence in steps.
     pub checkpoint_every: u64,
     /// Fault-injection seed, when the run was driven by one.
@@ -457,21 +435,20 @@ pub struct TimelineHeader {
 }
 
 impl TimelineHeader {
-    /// Capture the effective policy of `rc` (call *after*
-    /// [`ResilienceConfig::for_sim`] so overrides are included).
+    /// Capture the policy of `rc`.
     #[must_use]
     pub fn for_config(rc: &ResilienceConfig, fault_seed: Option<u64>) -> Self {
         TimelineHeader {
             ranks: rc.ranks,
             max_retries: rc.max_retries,
             backoff_base_ms: rc.backoff.as_millis() as u64,
-            backoff_factor: rc.backoff_factor,
             checkpoint_every: rc.checkpoint_every,
             fault_seed,
         }
     }
 
-    /// The header's JSON object (manual serialization, no serde).
+    /// The header's JSON object (manual serialization, no serde); it
+    /// records the fixed backoff multiplier as `backoff_factor`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let seed = self.fault_seed.map_or("null".into(), |s| s.to_string());
@@ -480,7 +457,7 @@ impl TimelineHeader {
             self.ranks,
             self.max_retries,
             self.backoff_base_ms,
-            self.backoff_factor,
+            BACKOFF_FACTOR,
             self.checkpoint_every,
             seed
         )
@@ -573,7 +550,6 @@ mod tests {
     fn backoff_grows_exponentially() {
         let mut rc = ResilienceConfig::new(2, "/tmp/unused");
         rc.backoff = Duration::from_millis(8);
-        rc.backoff_factor = 2.0;
         assert_eq!(rc.pause_before_attempt(2), Duration::from_millis(8));
         assert_eq!(rc.pause_before_attempt(3), Duration::from_millis(16));
         assert_eq!(rc.pause_before_attempt(4), Duration::from_millis(32));
@@ -625,23 +601,5 @@ mod tests {
         assert!(body.contains(r#""fault_seed":9"#));
         assert_eq!(body.matches("{\"event\"").count(), timeline.len());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sim_config_overrides_retry_policy() {
-        let rc = ResilienceConfig::new(4, "/tmp/unused");
-        let mut cfg = SimConfig::small_lcdm();
-        assert_eq!(rc.for_sim(&cfg).max_retries, rc.max_retries);
-        cfg.max_retries = Some(7);
-        cfg.backoff_base_ms = Some(25);
-        let tuned = rc.for_sim(&cfg);
-        assert_eq!(tuned.max_retries, 7);
-        assert_eq!(tuned.backoff, Duration::from_millis(25));
-        // Untouched knobs survive.
-        assert_eq!(tuned.checkpoint_every, rc.checkpoint_every);
-        let header = TimelineHeader::for_config(&tuned, None);
-        assert_eq!(header.max_retries, 7);
-        assert_eq!(header.backoff_base_ms, 25);
-        assert!(header.to_json().contains(r#""fault_seed":null"#));
     }
 }

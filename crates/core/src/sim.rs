@@ -1,7 +1,7 @@
 //! The serial engine: the distributed engine on one rank.
 //!
-//! [`Simulation`] is a [`DistSimulation`] on a process-wide one-rank
-//! world, so one integrator, one long-range pipeline and one
+//! [`Simulation`] is a [`DistSimulation`] on the process-wide one-rank
+//! world ([`hacc_comm::one_rank`]), so one integrator, one long-range pipeline and one
 //! short-range layer serve every rank count. A one-rank view spans
 //! every axis whole, and its step sends no message and, once warm,
 //! allocates nothing: the refresh wraps in place, the count is the
@@ -10,9 +10,7 @@
 //! That is also why any number of simulations, on any threads, can
 //! share the one world: none of them ever puts a message on it.
 
-use std::sync::OnceLock;
-
-use hacc_comm::{Comm, Machine};
+use hacc_comm::one_rank;
 
 use crate::config::SimConfig;
 use crate::dist::DistSimulation;
@@ -20,12 +18,6 @@ use crate::dist::DistSimulation;
 /// A running N-body simulation in one process: the one-rank
 /// [`DistSimulation`].
 pub type Simulation = DistSimulation<'static>;
-
-/// The process-wide one-rank world every [`Simulation`] runs on.
-pub(crate) fn one_rank() -> &'static Comm {
-    static WORLD: OnceLock<Comm> = OnceLock::new();
-    WORLD.get_or_init(|| Machine::new(1).handles().pop().expect("one rank, one handle"))
-}
 
 impl DistSimulation<'static> {
     /// Build a one-rank simulation from initial conditions.

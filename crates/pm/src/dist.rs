@@ -4,8 +4,12 @@
 //! the k-space kernel multiplication uses the transform's own k-layout
 //! descriptor, so the same code runs on both decompositions — the
 //! weak-scaling comparison of Fig. 6 and the test reference.
-//! [`DistRealPoisson`] is the half-spectrum, table-driven solve the
-//! full-code driver runs for both of its mesh levels.
+//! [`DistRealPoisson`] is the half-spectrum, table-driven solve, and the
+//! crate's one single-term solve loop: the engine's single-level mesh
+//! and coarse level, the serial [`crate::PmSolver`] and the two-level
+//! oracle's coarse level are each one of these. The two-term loop of
+//! the two-level complement is [`crate::LocalComplementSolver`]'s, so
+//! there is one solve loop per kernel shape.
 
 use std::sync::Mutex;
 
@@ -95,30 +99,34 @@ impl<'a, F: DistFft3 + ?Sized> DistPoisson<'a, F> {
 /// Distributed half-spectrum force solve: a held [`DistRealFft3`] plus
 /// the spectral tables in that transform's own k-layout, built once.
 /// Against the c2c [`DistPoisson`] it moves half the transpose bytes and
-/// evaluates no kernel per solve. Both mesh levels of the distributed
-/// driver are one of these: [`Self::new`] for the single-level mesh,
-/// [`Self::with_kernels`] carrying the two-level split's coarse tables.
+/// evaluates no kernel per solve. [`Self::new`] carries the reference
+/// response, [`Self::with_kernels`] the two-level split's coarse tables.
 pub struct DistRealPoisson<F: DistRealFft3> {
     fft: F,
     /// Per-mode scalar over the local k block, in its row-major order.
     scalar: Vec<f64>,
     /// Gradient multiplier along each axis of the local k block.
     grad: [Vec<f64>; 3],
-    /// Held spectra: the scaled potential and the gradient component
-    /// each inverse transform consumes.
     ws: Mutex<Spectra>,
 }
 
+/// The two half-spectra a solve holds: the scaled potential and the
+/// gradient product each inverse transform consumes.
 #[derive(Default)]
-struct Spectra {
-    phi: Vec<Complex64>,
-    comp: Vec<Complex64>,
+pub(crate) struct Spectra {
+    pub(crate) phi: Vec<Complex64>,
+    pub(crate) comp: Vec<Complex64>,
 }
 
 impl<F: DistRealFft3> DistRealPoisson<F> {
     /// The reference response (influence × filter, Nyquist-zeroed
-    /// gradient — the tables of [`crate::solver::PmSolver`]) on `fft`'s
-    /// grid over a periodic box of side `box_len`.
+    /// gradient) on `fft`'s grid over a periodic box of side `box_len`.
+    ///
+    /// A Hermitian-consistent odd multiplier must vanish at the Nyquist
+    /// index (k ≡ -k there). A complex solve reaches the same answer
+    /// implicitly: a nonzero D(n/2) makes the Nyquist plane of -i·D·φ
+    /// purely anti-Hermitian, and truncating the inverse transform to
+    /// `.re` discards exactly that plane.
     pub fn new(fft: F, box_len: f64, params: SpectralParams) -> Self {
         let n = fft.n();
         let d = box_len / n as f64;
@@ -145,14 +153,27 @@ impl<F: DistRealFft3> DistRealPoisson<F> {
         grad: impl Fn(usize) -> f64,
     ) -> Self {
         let kl = fft.k_layout();
-        let scalar = (0..kl.len()).map(|i| scalar(kl.global_coords(i))).collect();
+        let ([x0, y0, z0], [sx, sy, sz]) = (kl.origin, kl.size);
+        let mut table = Vec::with_capacity(kl.len());
+        for ix in x0..x0 + sx {
+            for iy in y0..y0 + sy {
+                table.extend((z0..z0 + sz).map(|iz| scalar([ix, iy, iz])));
+            }
+        }
         let grad = [0, 1, 2].map(|a| (0..kl.size[a]).map(|i| grad(kl.origin[a] + i)).collect());
         DistRealPoisson {
             fft,
-            scalar,
+            scalar: table,
             grad,
             ws: Mutex::default(),
         }
+    }
+
+    /// The scalar table over the local k block and the gradient table
+    /// along each of its axes, as the solve loop reads them.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> (&[f64], &[Vec<f64>; 3]) {
+        (&self.scalar, &self.grad)
     }
 
     /// The potential of the local block in place: `grid` holds the
@@ -202,11 +223,18 @@ impl<F: DistRealFft3> DistRealPoisson<F> {
             // F_c(k) = -i·D_c(k)·φ(k).
             let g = &self.grad[axis];
             comp.resize(phi.len(), Complex64::ZERO);
+            let mul = |v: &Complex64, d: f64| Complex64::new(v.im * d, -v.re * d);
             for (row, (src, dst)) in phi.chunks(sz).zip(comp.chunks_mut(sz)).enumerate() {
                 let at = [row / sy, row % sy];
-                for (iz, (v, c)) in src.iter().zip(dst).enumerate() {
-                    let d = if axis < 2 { g[at[axis]] } else { g[iz] };
-                    *c = Complex64::new(v.im * d, -v.re * d);
+                if axis < 2 {
+                    let d = g[at[axis]];
+                    for (v, c) in src.iter().zip(dst) {
+                        *c = mul(v, d);
+                    }
+                } else {
+                    for ((v, c), &d) in src.iter().zip(dst).zip(g) {
+                        *c = mul(v, d);
+                    }
                 }
             }
             self.fft.backward_into(comp, slot);

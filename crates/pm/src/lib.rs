@@ -7,6 +7,15 @@
 //! function × 4th-order Super-Lanczos differencing per component) → one
 //! inverse FFT per force component → CIC interpolation back to particles.
 //!
+//! The half-spectrum solve is written once per kernel shape:
+//! [`DistRealPoisson`] holds the single-term loop (`−i·D·G·S`) that the
+//! engine's single-level mesh and coarse level, the serial [`PmSolver`]
+//! (a `1 × 1` grid on [`hacc_comm::one_rank`]) and the two-level oracle's
+//! coarse level all run, and [`LocalComplementSolver`] the two-term loop
+//! (`−i·(D_f·A − D_c·B)`) of the two-level fine complement, engine and
+//! oracle alike. The c2c [`DistPoisson`] evaluates its kernels per mode
+//! and is kept as the reference and the Fig. 6 comparison.
+//!
 //! The short-range solver (crates/short) subtracts the *grid force
 //! response* measured from this solver (fitted to a 5th-order polynomial
 //! in `s = r·r`, paper Eq. 7) so that short + long = Newtonian.

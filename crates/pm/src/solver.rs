@@ -5,202 +5,54 @@
 //! "Poisson-solve" costs one forward FFT, and each gradient component one
 //! independent inverse FFT (Section II).
 //!
-//! The production path works on the Hermitian half-spectrum
-//! (`n × n × (n/2+1)` bins) via [`RealFft3`]: the density is real, so
-//! one r2c forward plus three c2r inverses does the same job as the
-//! complex solve at roughly half the flops and memory traffic. The
-//! influence×filter and gradient kernels are precomputed into tables at
-//! construction, and a single shared spectrum feeds all three gradient
-//! components — no per-component clone of ρ(k). Its tests check it
-//! mode by mode against the kernels' closed form, with no FFT in the
-//! oracle.
+//! [`PmSolver`] is the engine's half-spectrum solve, [`DistRealPoisson`],
+//! over a 1×1 [`RealPencilFft`] on the process-wide one-rank world
+//! ([`hacc_comm::one_rank`]): both transposes are elided and no message
+//! is sent, so the serial solve and every distributed one run the one
+//! single-term solve loop. Its tests check it mode by mode against the
+//! kernels' closed form, with no FFT in the oracle.
 
-use std::sync::Mutex;
+use hacc_comm::one_rank;
+use hacc_fft::RealPencilFft;
 
-use hacc_fft::{Complex64, RealFft3};
-use rayon::prelude::*;
-
+use crate::dist::DistRealPoisson;
 use crate::spectral::SpectralParams;
-
-/// Reusable spectral scratch: the shared filtered spectrum and the
-/// per-component gradient spectrum. Grown once, reused every solve.
-#[derive(Default)]
-struct PmWorkspace {
-    base: Vec<Complex64>,
-    comp: Vec<Complex64>,
-}
 
 /// A reusable spectral solver for a fixed grid.
 pub struct PmSolver {
     n: usize,
-    nzh: usize,
-    box_len: f64,
-    params: SpectralParams,
-    /// Half-spectrum transforms.
-    rfft: RealFft3,
-    /// Influence×filter table over the half-spectrum, `n·n·nzh` entries
-    /// in the same row-major layout as the spectrum itself.
-    gs: Vec<f64>,
-    /// 1-D gradient multiplier table, one entry per global index. The
-    /// grid is cubic so all three components share it.
-    grad: Vec<f64>,
-    ws: Mutex<PmWorkspace>,
+    poisson: DistRealPoisson<RealPencilFft<'static>>,
 }
 
 impl PmSolver {
     /// Create a solver for an `n³` grid over a periodic box of side
     /// `box_len` (any length units; forces come out in source·length).
-    #[must_use] 
+    #[must_use]
     pub fn new(n: usize, box_len: f64, params: SpectralParams) -> Self {
         assert!(n > 1, "grid too small");
-        let nzh = n / 2 + 1;
-        let d = box_len / n as f64;
-        let mut gs = vec![0.0f64; n * n * nzh];
-        gs.par_chunks_mut(n * nzh).enumerate().for_each(|(ix, pl)| {
-            for iy in 0..n {
-                for iz in 0..nzh {
-                    let idx = [ix, iy, iz];
-                    pl[iy * nzh + iz] = params.influence(idx, n, d) * params.filter(idx, n, d);
-                }
-            }
-        });
-        let mut grad: Vec<f64> = (0..n).map(|i| params.gradient(i, n, d)).collect();
-        if n.is_multiple_of(2) {
-            // A Hermitian-consistent odd multiplier must vanish at the
-            // Nyquist index (k ≡ -k there). A complex solve reaches the
-            // same answer implicitly: a nonzero D(n/2) makes the Nyquist
-            // plane of -i·D·φ purely anti-Hermitian, and truncating the
-            // inverse transform to `.re` discards exactly that plane.
-            grad[n / 2] = 0.0;
-        }
+        let fft = RealPencilFft::with_grid(one_rank(), n, 1, 1);
         PmSolver {
             n,
-            nzh,
-            box_len,
-            params,
-            rfft: RealFft3::new_cubic(n),
-            gs,
-            grad,
-            ws: Mutex::new(PmWorkspace::default()),
+            poisson: DistRealPoisson::new(fft, box_len, params),
         }
-    }
-
-    /// Create a solver with caller-supplied spectral tables: `gs` is the
-    /// scalar (influence×filter-like) half-spectrum table (`n·n·(n/2+1)`
-    /// entries) and `grad` the 1-D gradient multiplier (`n` entries,
-    /// already zeroed at Nyquist if Hermitian consistency requires it).
-    /// The two-level mesh uses this to run its coarse level — a low-pass
-    /// filtered, window-deconvolved variant of the standard kernel —
-    /// through the identical pooled, allocation-free solve path.
-    pub(crate) fn with_tables(
-        n: usize,
-        box_len: f64,
-        params: SpectralParams,
-        gs: Vec<f64>,
-        grad: Vec<f64>,
-    ) -> Self {
-        assert!(n > 1, "grid too small");
-        let nzh = n / 2 + 1;
-        assert_eq!(gs.len(), n * n * nzh, "scalar table size");
-        assert_eq!(grad.len(), n, "gradient table size");
-        PmSolver {
-            n,
-            nzh,
-            box_len,
-            params,
-            rfft: RealFft3::new_cubic(n),
-            gs,
-            grad,
-            ws: Mutex::new(PmWorkspace::default()),
-        }
-    }
-
-    /// Scalar (influence×filter) half-spectrum table, `n·n·(n/2+1)`
-    /// row-major entries — exposed so the two-level split can verify
-    /// complementarity against the exact tables the solver applies.
-    #[must_use]
-    pub fn scalar_table(&self) -> &[f64] {
-        &self.gs
-    }
-
-    /// 1-D gradient multiplier table (`n` entries, Nyquist-zeroed for
-    /// even `n`).
-    #[must_use]
-    pub fn gradient_table(&self) -> &[f64] {
-        &self.grad
     }
 
     /// Grid points per side.
+    #[must_use]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Cell size Δ.
-    pub fn delta(&self) -> f64 {
-        self.box_len / self.n as f64
-    }
-
-    /// Box side length.
-    pub fn box_len(&self) -> f64 {
-        self.box_len
-    }
-
-    /// Spectral parameters in use.
-    pub fn params(&self) -> &SpectralParams {
-        &self.params
-    }
-
-    /// Multiply the half-spectrum by the influence×filter table.
-    fn apply_influence(&self, spec: &mut [Complex64]) {
-        spec.par_iter_mut()
-            .zip(self.gs.par_iter())
-            .for_each(|(v, &g)| *v = v.scale(g));
-    }
-
-    /// Write `comp = -i·D_axis·base` over the half-spectrum.
-    ///
-    /// With the gradient table zeroed at DC and Nyquist the multiplier
-    /// is an exactly odd function of its axis index, so the product
-    /// stays Hermitian and the c2r inverse loses nothing.
-    fn apply_gradient(&self, base: &[Complex64], comp: &mut [Complex64], axis: usize) {
-        let (n, nzh) = (self.n, self.nzh);
-        let grad = &self.grad;
-        comp.par_chunks_mut(n * nzh)
-            .enumerate()
-            .for_each(|(ix, cp)| {
-                let bp = &base[ix * n * nzh..(ix + 1) * n * nzh];
-                for iy in 0..n {
-                    let row = iy * nzh;
-                    if axis < 2 {
-                        let d = if axis == 0 { grad[ix] } else { grad[iy] };
-                        for iz in 0..nzh {
-                            let v = bp[row + iz];
-                            cp[row + iz] = Complex64::new(v.im * d, -v.re * d);
-                        }
-                    } else {
-                        for iz in 0..nzh {
-                            let d = grad[iz];
-                            let v = bp[row + iz];
-                            cp[row + iz] = Complex64::new(v.im * d, -v.re * d);
-                        }
-                    }
-                }
-            });
     }
 
     /// Solve for the potential: `φ = FFT⁻¹[ G(k)·S(k)·FFT[source] ]`,
     /// writing into `out` (resized as needed, no allocation once warm).
     pub fn solve_potential_into(&self, source: &[f64], out: &mut Vec<f64>) {
-        let mut ws = self.ws.lock().expect("pm workspace poisoned");
-        let base = &mut ws.base;
-        base.resize(self.rfft.spectrum_len(), Complex64::ZERO);
-        self.rfft.forward(source, base);
-        self.apply_influence(base);
-        out.resize(self.n * self.n * self.n, 0.0);
-        self.rfft.backward(base, out);
+        out.clear();
+        out.extend_from_slice(source);
+        self.poisson.solve_potential_in_place(out);
     }
 
     /// Solve for the potential, returning a fresh grid.
+    #[must_use]
     pub fn solve_potential(&self, source: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
         self.solve_potential_into(source, &mut out);
@@ -214,26 +66,15 @@ impl PmSolver {
     /// Cost: 1 r2c forward + 3 c2r inverses on the half-spectrum. The
     /// filtered spectrum is computed once and shared by all components.
     pub fn solve_forces_into(&self, source: &[f64], out: &mut [Vec<f64>; 3]) {
-        let mut ws = self.ws.lock().expect("pm workspace poisoned");
-        let PmWorkspace { base, comp } = &mut *ws;
-        let slen = self.rfft.spectrum_len();
-        base.resize(slen, Complex64::ZERO);
-        comp.resize(slen, Complex64::ZERO);
-        self.rfft.forward(source, base);
-        self.apply_influence(base);
-        for (c, slot) in out.iter_mut().enumerate() {
-            slot.resize(self.n * self.n * self.n, 0.0);
-            // F_c(k) = -i·D_c(k)·φ(k).
-            self.apply_gradient(base, comp, c);
-            self.rfft.backward(comp, slot);
-        }
+        out[0].clear();
+        out[0].extend_from_slice(source);
+        self.poisson.solve_forces_in_place(out);
     }
 
     /// Solve for the force field, returning fresh component grids.
+    #[must_use]
     pub fn solve_forces(&self, source: &[f64]) -> [Vec<f64>; 3] {
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        self.solve_forces_into(source, &mut out);
-        out
+        self.poisson.solve_forces(source)
     }
 }
 
@@ -241,9 +82,8 @@ impl PmSolver {
 mod tests {
     use super::*;
     use crate::cic::{deposit_cic, interpolate_cic};
-    use crate::dist::DistRealPoisson;
     use hacc_comm::Machine;
-    use hacc_fft::{DistRealFft3, RealPencilFft};
+    use hacc_fft::{Complex64, DistRealFft3};
 
     /// Exact-spectral variant (no filter beyond necessities) for analytic
     /// comparisons.
@@ -365,7 +205,8 @@ mod tests {
     ///
     /// F_c(x) = Re[−i·D_c(k)·G(k)S(k)·e^{2πi k·x/n}],
     ///
-    /// with D_c zeroed at the Nyquist index as `new` documents. Modes:
+    /// with D_c zeroed at the Nyquist index as [`DistRealPoisson::new`]
+    /// documents. Modes:
     /// DC, single and mixed axes, negative frequencies, the odd grid's
     /// highest frequency and, on the even grid, each axis's Nyquist index
     /// alone and beside other axes. Each mode runs through the serial

@@ -32,11 +32,12 @@
 
 use std::sync::Mutex;
 
+use hacc_comm::one_rank;
 use hacc_fft::wavenumber::{k_index, k_of_index};
-use hacc_fft::{Complex64, RealFft3};
+use hacc_fft::{Complex64, RealFft3, RealPencilFft};
 use rayon::prelude::*;
 
-use crate::solver::PmSolver;
+use crate::dist::{DistRealPoisson, Spectra};
 use crate::spectral::{sinc, SpectralParams};
 
 /// Matching scale σ_m in coarse-grid cells: the Gaussian hand-off width
@@ -192,7 +193,7 @@ impl ForceSplit {
     }
 
     /// Fine-level scalar A: the reference `G·S` at fine index `idx` —
-    /// identical arithmetic to the single-level [`PmSolver`] table.
+    /// identical arithmetic to the single-level [`crate::PmSolver`] table.
     #[must_use]
     pub fn fine_scalar_a(&self, idx: [usize; 3]) -> f64 {
         let d = self.delta_f();
@@ -326,35 +327,19 @@ impl ForceSplit {
     }
 }
 
-/// Reusable spectral scratch for the fine-level solve.
-#[derive(Default)]
-struct TlWorkspace {
-    base: Vec<Complex64>,
-    comp: Vec<Complex64>,
-}
-
 /// Serial two-level solver: global fine complement + coarse level on a
-/// shared box. The coarse level *is* a [`PmSolver`] carrying the
-/// low-passed, window-deconvolved tables, so it inherits the pooled,
-/// allocation-free solve path; the fine level mirrors that structure
-/// with two shared scalar spectra (A = reference, B = shadow) and two
-/// 1-D gradient tables instead of three per-axis tables.
+/// shared box, the oracle the engine's two-level mesh is checked
+/// against. Each level is the engine's own solve loop fed the oracle's
+/// own tables: the coarse level is the [`DistRealPoisson`] the engine
+/// builds, on the one-rank world, and the fine level is a
+/// [`LocalComplementSolver`] on the periodic fine grid whose tables come
+/// from the split's index-form kernels (`fine_scalar_a/b`, `fine_grad`,
+/// `fine_grad_coarse`), not from the k-form kernels the engine's local
+/// lattices evaluate.
 pub struct TwoLevelPmSolver {
-    n: usize,
-    nzh: usize,
     split: ForceSplit,
-    rfft: RealFft3,
-    /// Reference scalar `G·S` over the fine half-spectrum.
-    a: Vec<f64>,
-    /// Zone-masked coarse shadow over the fine half-spectrum.
-    b: Vec<f64>,
-    /// Fine gradient table (Nyquist-zeroed), `n` entries.
-    grad_f: Vec<f64>,
-    /// Coarse-spacing gradient on fine indices (zone/Nyquist-zeroed).
-    grad_c: Vec<f64>,
-    /// Coarse level: a PmSolver with the split's coarse tables.
-    coarse: PmSolver,
-    ws: Mutex<TlWorkspace>,
+    fine: LocalComplementSolver,
+    coarse: DistRealPoisson<RealPencilFft<'static>>,
 }
 
 impl TwoLevelPmSolver {
@@ -363,57 +348,28 @@ impl TwoLevelPmSolver {
     #[must_use]
     pub fn new(n: usize, box_len: f64, params: SpectralParams, cfg: PmLevelConfig) -> Self {
         let split = ForceSplit::new(n, box_len, params, cfg);
-        let nzh = n / 2 + 1;
-        let nc = split.nc();
-        let mut a = vec![0.0f64; n * n * nzh];
-        let mut b = vec![0.0f64; n * n * nzh];
-        a.par_chunks_mut(n * nzh)
-            .zip(b.par_chunks_mut(n * nzh))
-            .enumerate()
-            .for_each(|(ix, (ap, bp))| {
-                for iy in 0..n {
-                    for iz in 0..nzh {
-                        let idx = [ix, iy, iz];
-                        ap[iy * nzh + iz] = split.fine_scalar_a(idx);
-                        bp[iy * nzh + iz] = split.fine_scalar_b(idx);
-                    }
-                }
-            });
-        let grad_f: Vec<f64> = (0..n).map(|j| split.fine_grad(j)).collect();
-        let grad_c: Vec<f64> = (0..n).map(|j| split.fine_grad_coarse(j)).collect();
-
-        let nczh = nc / 2 + 1;
-        let mut gs_c = vec![0.0f64; nc * nc * nczh];
-        gs_c.par_chunks_mut(nc * nczh)
-            .enumerate()
-            .for_each(|(ix, pl)| {
-                for iy in 0..nc {
-                    for iz in 0..nczh {
-                        pl[iy * nczh + iz] = split.coarse_scalar([ix, iy, iz]);
-                    }
-                }
-            });
-        let grad_cc: Vec<f64> = (0..nc).map(|jc| split.coarse_grad(jc)).collect();
-        let coarse = PmSolver::with_tables(nc, box_len, params, gs_c, grad_cc);
-
-        TwoLevelPmSolver {
+        let fine = LocalComplementSolver::with_tables(
+            &split,
             n,
-            nzh,
+            |idx| [split.fine_scalar_a(idx), split.fine_scalar_b(idx)],
+            |j| [split.fine_grad(j), split.fine_grad_coarse(j)],
+        );
+        let coarse = DistRealPoisson::with_kernels(
+            RealPencilFft::with_grid(one_rank(), split.nc(), 1, 1),
+            |g| split.coarse_scalar(g),
+            |j| split.coarse_grad(j),
+        );
+        TwoLevelPmSolver {
             split,
-            rfft: RealFft3::new_cubic(n),
-            a,
-            b,
-            grad_f,
-            grad_c,
+            fine,
             coarse,
-            ws: Mutex::new(TlWorkspace::default()),
         }
     }
 
     /// Fine grid side.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.split.n()
     }
 
     /// Coarse grid side.
@@ -428,63 +384,32 @@ impl TwoLevelPmSolver {
         &self.split
     }
 
-    /// The coarse-level solver (a [`PmSolver`] carrying the split's
-    /// low-passed, window-deconvolved tables).
-    #[must_use]
-    pub fn coarse_solver(&self) -> &PmSolver {
-        &self.coarse
-    }
-
-    /// Write `comp = -i·(D_f·A − D_c·B)·base` for one axis over the
-    /// fine half-spectrum.
-    fn apply_residual_gradient(&self, base: &[Complex64], comp: &mut [Complex64], axis: usize) {
-        let (n, nzh) = (self.n, self.nzh);
-        let (gf, gc) = (&self.grad_f, &self.grad_c);
-        comp.par_chunks_mut(n * nzh)
-            .enumerate()
-            .for_each(|(ix, cp)| {
-                let off = ix * n * nzh;
-                let bp = &base[off..off + n * nzh];
-                let ap = &self.a[off..off + n * nzh];
-                let sp = &self.b[off..off + n * nzh];
-                for iy in 0..n {
-                    let row = iy * nzh;
-                    for iz in 0..nzh {
-                        let j = match axis {
-                            0 => ix,
-                            1 => iy,
-                            _ => iz,
-                        };
-                        let d = gf[j] * ap[row + iz] - gc[j] * sp[row + iz];
-                        let v = bp[row + iz];
-                        cp[row + iz] = Complex64::new(v.im * d, -v.re * d);
-                    }
-                }
-            });
-    }
-
     /// Solve the fine complement on the global fine grid (one r2c
     /// forward plus 3 c2r inverses; allocation-free once warm). Serial
     /// reference for the rank-local ghost-padded path.
     pub fn solve_fine_into(&self, source: &[f64], out: &mut [Vec<f64>; 3]) {
-        assert_eq!(source.len(), self.n * self.n * self.n);
-        let mut ws = self.ws.lock().expect("two-level workspace poisoned");
-        let TlWorkspace { base, comp } = &mut *ws;
-        let slen = self.rfft.spectrum_len();
-        base.resize(slen, Complex64::ZERO);
-        comp.resize(slen, Complex64::ZERO);
-        self.rfft.forward(source, base);
-        for (c, slot) in out.iter_mut().enumerate() {
-            slot.resize(self.n * self.n * self.n, 0.0);
-            self.apply_residual_gradient(base, comp, c);
-            self.rfft.backward(comp, slot);
-        }
+        let [fx, fy, fz] = out;
+        // The z slot is the work grid: it takes the source and holds
+        // the z component when the solve ends.
+        fz.clear();
+        fz.extend_from_slice(source);
+        self.fine.solve_each_axis(fz, |axis, force| {
+            let slot = match axis {
+                0 => &mut *fx,
+                1 => &mut *fy,
+                _ => return,
+            };
+            slot.clear();
+            slot.extend_from_slice(force);
+        });
     }
 
     /// Solve the coarse level from its own `(n/c)³` source grid
     /// (allocation-free once warm).
     pub fn solve_coarse_into(&self, coarse_source: &[f64], out: &mut [Vec<f64>; 3]) {
-        self.coarse.solve_forces_into(coarse_source, out);
+        out[0].clear();
+        out[0].extend_from_slice(coarse_source);
+        self.coarse.solve_forces_in_place(out);
     }
 
     /// Full two-level solve: fine complement from the fine source,
@@ -518,6 +443,9 @@ impl TwoLevelPmSolver {
 /// A slab that spans x whole needs neither: [`Self::periodic`] solves on
 /// exactly the `n` planes of the box, whose x period is the box's, so
 /// the lattice *is* the periodic fine grid and no plane is truncated.
+///
+/// Its solve is the crate's one two-term solve loop, `-i·(D_f·A −
+/// D_c·B)`; the serial [`TwoLevelPmSolver`] runs it too.
 pub struct LocalComplementSolver {
     nx: usize,
     n: usize,
@@ -529,7 +457,7 @@ pub struct LocalComplementSolver {
     grad_cx: Vec<f64>,
     grad_fy: Vec<f64>,
     grad_cy: Vec<f64>,
-    ws: Mutex<TlWorkspace>,
+    ws: Mutex<Spectra>,
 }
 
 impl LocalComplementSolver {
@@ -550,42 +478,66 @@ impl LocalComplementSolver {
         Self::with_len(split, split.n())
     }
 
-    /// The local solver on exactly `nx ≥ 2` x-planes.
+    /// The local solver on exactly `nx ≥ 2` x-planes, its kernels
+    /// evaluated at the lattice's own wavevectors (k form).
     fn with_len(split: &ForceSplit, nx: usize) -> Self {
+        let n = split.n();
+        let l = split.box_len();
+        let df = l / n as f64;
+        let lx_phys = nx as f64 * df;
+        let kx = move |ix: usize| k_of_index(ix, nx, lx_phys);
+        Self::with_tables(
+            split,
+            nx,
+            move |[ix, iy, iz]| {
+                let ks = [kx(ix), k_of_index(iy, n, l), k_of_index(iz, n, l)];
+                [split.scalar_a_k(ks), split.scalar_b_k(ks)]
+            },
+            |ix| {
+                // Hermitian rule on the local lattice's own Nyquist.
+                let fine = if 2 * ix == nx {
+                    0.0
+                } else {
+                    split.params().gradient_k(kx(ix), df)
+                };
+                [fine, split.grad_coarse_k(kx(ix))]
+            },
+        )
+    }
+
+    /// The local solver on `nx ≥ 2` x-planes from caller-supplied
+    /// tables: `scalars` gives the `[A, B]` scalars at a local
+    /// half-spectrum mode and `grad_x` the `[D_f, D_c]` multipliers at
+    /// an x index; y and z take the split's index-form gradients.
+    fn with_tables(
+        split: &ForceSplit,
+        nx: usize,
+        scalars: impl Fn([usize; 3]) -> [f64; 2] + Sync,
+        grad_x: impl Fn(usize) -> [f64; 2],
+    ) -> Self {
         assert!(nx >= 2, "local slab too thin");
         let n = split.n();
         let nzh = n / 2 + 1;
-        let df = split.box_len() / n as f64;
-        let lx_phys = nx as f64 * df;
-        let l = split.box_len();
-        let kxs: Vec<f64> = (0..nx).map(|ix| k_of_index(ix, nx, lx_phys)).collect();
         let mut a = vec![0.0f64; nx * n * nzh];
         let mut b = vec![0.0f64; nx * n * nzh];
         a.par_chunks_mut(n * nzh)
             .zip(b.par_chunks_mut(n * nzh))
             .enumerate()
             .for_each(|(ix, (ap, bp))| {
-                let kx = kxs[ix];
                 for iy in 0..n {
-                    let ky = k_of_index(iy, n, l);
                     for iz in 0..nzh {
-                        let ks = [kx, ky, k_of_index(iz, n, l)];
-                        ap[iy * nzh + iz] = split.scalar_a_k(ks);
-                        bp[iy * nzh + iz] = split.scalar_b_k(ks);
+                        [ap[iy * nzh + iz], bp[iy * nzh + iz]] = scalars([ix, iy, iz]);
                     }
                 }
             });
-        let mut grad_fx: Vec<f64> = kxs
-            .iter()
-            .map(|&k| split.params().gradient_k(k, df))
-            .collect();
-        if nx.is_multiple_of(2) {
-            // Hermitian rule on the local lattice's own Nyquist.
-            grad_fx[nx / 2] = 0.0;
-        }
-        let grad_cx: Vec<f64> = kxs.iter().map(|&k| split.grad_coarse_k(k)).collect();
-        let grad_fy: Vec<f64> = (0..n).map(|j| split.fine_grad(j)).collect();
-        let grad_cy: Vec<f64> = (0..n).map(|j| split.fine_grad_coarse(j)).collect();
+        let (grad_fx, grad_cx) = (0..nx)
+            .map(|ix| {
+                let [f, c] = grad_x(ix);
+                (f, c)
+            })
+            .unzip();
+        let grad_fy = (0..n).map(|j| split.fine_grad(j)).collect();
+        let grad_cy = (0..n).map(|j| split.fine_grad_coarse(j)).collect();
         LocalComplementSolver {
             nx,
             n,
@@ -597,7 +549,7 @@ impl LocalComplementSolver {
             grad_cx,
             grad_fy,
             grad_cy,
-            ws: Mutex::new(TlWorkspace::default()),
+            ws: Mutex::default(),
         }
     }
 
@@ -617,7 +569,7 @@ impl LocalComplementSolver {
         let (nx, n, nzh) = (self.nx, self.n, self.nzh);
         assert_eq!(grid.len(), nx * n * n);
         let mut ws = self.ws.lock().expect("local complement workspace poisoned");
-        let TlWorkspace { base, comp } = &mut *ws;
+        let Spectra { phi: base, comp } = &mut *ws;
         let slen = self.rfft.spectrum_len();
         base.resize(slen, Complex64::ZERO);
         comp.resize(slen, Complex64::ZERO);
@@ -654,6 +606,7 @@ impl LocalComplementSolver {
 mod tests {
     use super::*;
     use crate::cic::{deposit_cic, interpolate_cic};
+    use crate::solver::PmSolver;
 
     fn dparams() -> SpectralParams {
         SpectralParams::default()
@@ -688,17 +641,17 @@ mod tests {
         let idx_c = [jc, kc, lc];
         let nc = split.nc();
         let nczh = nc / 2 + 1;
-        let coarse = tl.coarse_solver();
+        let (scalars, grads) = tl.coarse.tables();
         // The coarse table stores shadow×ratio; undo the ratio to
         // compare in fine weighting. z-indices above the half-spectrum
         // fold to their conjugate (scalar tables are even in k).
         let lc_h = if lc < nczh { lc } else { nc - lc };
         let jc_h = if lc < nczh { jc } else { (nc - jc) % nc };
         let kc_h = if lc < nczh { kc } else { (nc - kc) % nc };
-        let scalar = coarse.scalar_table()[(jc_h * nc + kc_h) * nczh + lc_h];
+        let scalar = scalars[(jc_h * nc + kc_h) * nczh + lc_h];
         let ks = idx_c.map(|j| k_of_index(j, nc, split.box_len()));
         let ratio = split.window_ratio(ks);
-        let mut grad = coarse.gradient_table()[idx_c[axis]];
+        let mut grad = grads[axis][idx_c[axis]];
         // The gradient table is odd; conjugate folding flips its sign
         // together with the mode, so read it at the true coarse index
         // (not the folded one) — sign handled by the index itself.
@@ -742,7 +695,13 @@ mod tests {
                     let i = (ix * n + iy) * nzh + iz;
                     for axis in 0..3 {
                         let j = idx[axis];
-                        let fine = tl.grad_f[j] * tl.a[i] - tl.grad_c[j] * tl.b[i];
+                        let f = &tl.fine;
+                        let (gf, gc) = if axis == 0 {
+                            (&f.grad_fx, &f.grad_cx)
+                        } else {
+                            (&f.grad_fy, &f.grad_cy)
+                        };
+                        let fine = gf[j] * f.a[i] - gc[j] * f.b[i];
                         let shadow = coarse_shadow_from_tables(&tl, idx, axis);
                         let reference = reference_kernel(&p, idx, axis, n, d);
                         let err = (fine + shadow - reference).abs();
@@ -791,9 +750,9 @@ mod tests {
     #[test]
     fn dc_mode_is_zero_on_both_levels() {
         let tl = TwoLevelPmSolver::new(16, 16.0, dparams(), PmLevelConfig::default());
-        assert_eq!(tl.a[0], 0.0);
-        assert_eq!(tl.b[0], 0.0);
-        assert_eq!(tl.coarse_solver().scalar_table()[0], 0.0);
+        assert_eq!(tl.fine.a[0], 0.0);
+        assert_eq!(tl.fine.b[0], 0.0);
+        assert_eq!(tl.coarse.tables().0[0], 0.0);
     }
 
     /// Numeric validation of the ghost-width bound: the fine complement

@@ -155,14 +155,19 @@ fn steady_state_step_allocates_nothing() {
 /// be alloc-free once warm: tables are built by `Fft1d::new` at plan
 /// time and every pass buffer comes from the plan's `BufPool`. Checked
 /// at a power-of-two and a mixed-radix (2·3·5) grid so the radix-4,
-/// radix-2, radix-3 and radix-5 stage paths all run.
+/// radix-2, radix-3 and radix-5 stage paths all run. A warm
+/// `PmSolver::solve_forces_into` (the half-spectrum solve on the
+/// one-rank world) rides along: its spectra and output grids are sized
+/// by the first call.
 #[test]
 fn steady_state_serial_fft_allocates_nothing() {
     use hacc::fft::{Complex64, Fft3, RealFft3};
+    use hacc::pm::{PmSolver, SpectralParams};
 
     for n in [16usize, 30] {
         let c2c = Fft3::new_cubic(n);
         let r2c = RealFft3::new_cubic(n);
+        let pm = PmSolver::new(n, 64.0, SpectralParams::default());
         let nzh = n / 2 + 1;
         let mut grid: Vec<Complex64> = (0..n * n * n)
             .map(|i| Complex64::new(i as f64, (i % 7) as f64))
@@ -170,20 +175,23 @@ fn steady_state_serial_fft_allocates_nothing() {
         let real: Vec<f64> = (0..n * n * n).map(|i| (i % 13) as f64).collect();
         let mut spec = vec![Complex64::ZERO; n * n * nzh];
         let mut back = vec![0.0f64; n * n * n];
+        let mut forces: [Vec<f64>; 3] = Default::default();
 
-        // Warm-up fills the buffer pools.
+        // Warm-up fills the buffer pools and sizes the solver's spectra.
         c2c.forward(&mut grid);
         c2c.backward(&mut grid);
         r2c.forward(&real, &mut spec);
         r2c.backward(&mut spec, &mut back);
+        pm.solve_forces_into(&real, &mut forces);
 
         arm();
         c2c.forward(&mut grid);
         c2c.backward(&mut grid);
         r2c.forward(&real, &mut spec);
         r2c.backward(&mut spec, &mut back);
+        pm.solve_forces_into(&real, &mut forces);
         let made = disarm();
-        assert_eq!(made, 0, "warm n={n} serial FFTs made {made} allocations");
+        assert_eq!(made, 0, "warm n={n} serial FFTs and PM solve made {made} allocations");
     }
 }
 
