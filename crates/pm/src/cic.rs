@@ -103,7 +103,7 @@ pub fn deposit_tsc(grid: &mut [f64], n: usize, xs: &[f32], ys: &[f32], zs: &[f32
 }
 
 /// Interpolate a grid field at particle positions (inverse CIC gather).
-#[must_use] 
+#[must_use]
 pub fn interpolate_cic(grid: &[f64], n: usize, xs: &[f32], ys: &[f32], zs: &[f32]) -> Vec<f32> {
     let mut out = Vec::new();
     interpolate_cic_into(grid, n, xs, ys, zs, &mut out);

@@ -36,7 +36,7 @@ impl<'a, F: DistFft3 + ?Sized> DistPoisson<'a, F> {
     }
 
     /// Layout of the rank-local real-space block.
-    #[must_use] 
+    #[must_use]
     pub fn real_layout(&self) -> Layout3 {
         self.fft.real_layout()
     }
@@ -46,7 +46,7 @@ impl<'a, F: DistFft3 + ?Sized> DistPoisson<'a, F> {
     ///
     /// Cost: 1 forward + 3 inverse distributed FFTs, exactly the paper's
     /// "Poisson-solve" composition.
-    #[must_use] 
+    #[must_use]
     pub fn solve_forces(&self, source: &[f64]) -> [Vec<f64>; 3] {
         let rl = self.fft.real_layout();
         assert_eq!(source.len(), rl.len(), "source does not match layout");
@@ -74,7 +74,7 @@ impl<'a, F: DistFft3 + ?Sized> DistPoisson<'a, F> {
     }
 
     /// Solve for the potential only (1 forward + 1 inverse FFT).
-    #[must_use] 
+    #[must_use]
     pub fn solve_potential(&self, source: &[f64]) -> Vec<f64> {
         let rl = self.fft.real_layout();
         assert_eq!(source.len(), rl.len());
@@ -180,7 +180,11 @@ impl<F: DistRealFft3> DistRealPoisson<F> {
     /// source on entry (real layout) and the potential `φ̂ = scalar·δ`
     /// on exit. Cost: 1 r2c forward + 1 c2r inverse.
     pub fn solve_potential_in_place(&self, grid: &mut Vec<f64>) {
-        assert_eq!(grid.len(), self.fft.real_layout().len(), "source does not match layout");
+        assert_eq!(
+            grid.len(),
+            self.fft.real_layout().len(),
+            "source does not match layout"
+        );
         let mut ws = self.ws.lock().expect("distributed pm workspace poisoned");
         let phi = &mut ws.phi;
         self.fft.forward_into(grid, phi);
@@ -342,7 +346,10 @@ mod tests {
                 let params = SpectralParams::default();
                 let c2c_fft = PencilFft::new(&comm, n);
                 let c2c = DistPoisson::new(&c2c_fft, n as f64, params);
-                let mut out = vec![(c2c.real_layout(), c2c.solve_forces(&load(c2c.real_layout())))];
+                let mut out = vec![(
+                    c2c.real_layout(),
+                    c2c.solve_forces(&load(c2c.real_layout())),
+                )];
                 for fft in [
                     RealPencilFft::with_grid(&comm, n, ranks, 1),
                     RealPencilFft::new(&comm, n),
@@ -355,7 +362,14 @@ mod tests {
             });
             // Reassemble each variant's global force grids: [c2c, r2c on
             // p × 1, r2c on the default grid].
-            let mut global = vec![[vec![0.0; n * n * n], vec![0.0; n * n * n], vec![0.0; n * n * n]]; 3];
+            let mut global = vec![
+                [
+                    vec![0.0; n * n * n],
+                    vec![0.0; n * n * n],
+                    vec![0.0; n * n * n]
+                ];
+                3
+            ];
             for per_rank in &results {
                 for (grids, (rl, forces)) in global.iter_mut().zip(per_rank) {
                     for c in 0..3 {

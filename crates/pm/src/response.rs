@@ -45,7 +45,7 @@ impl GridForceFit {
     ///
     /// `n` is the reference grid size (≥ 32 recommended); `r_cut` the
     /// matching radius in grid cells. Deterministic given `seed`.
-    #[must_use] 
+    #[must_use]
     pub fn measure(n: usize, params: SpectralParams, r_cut: f64, seed: u64) -> Self {
         let solver = PmSolver::new(n, n as f64, params);
         let samples = sample_response(&solver, r_cut, seed);
@@ -97,7 +97,7 @@ impl GridForceFit {
     /// The fitted grid response `g(s) = F_grid(r)/r` (normalized so that
     /// Newtonian is `s^{-3/2}`).
     #[inline]
-    #[must_use] 
+    #[must_use]
     pub fn fgrid(&self, s: f64) -> f64 {
         eval_poly5(&self.coeffs, s)
     }
@@ -105,7 +105,7 @@ impl GridForceFit {
     /// Short-range force factor `f_SR(s)` of paper Eq. 7 (zero beyond the
     /// cutoff).
     #[inline]
-    #[must_use] 
+    #[must_use]
     pub fn short_range(&self, s: f64) -> f64 {
         if s >= self.r_cut * self.r_cut {
             0.0
@@ -115,7 +115,7 @@ impl GridForceFit {
     }
 
     /// Coefficients in f32 for the single-precision kernel.
-    #[must_use] 
+    #[must_use]
     pub fn coeffs_f32(&self) -> [f32; 6] {
         let mut out = [0.0f32; 6];
         for (o, c) in out.iter_mut().zip(self.coeffs.iter()) {
@@ -127,7 +127,7 @@ impl GridForceFit {
 
 /// Evaluate `c₀ + c₁s + … + c₅s⁵` by Horner's rule.
 #[inline]
-#[must_use] 
+#[must_use]
 pub fn eval_poly5(c: &[f64; 6], s: f64) -> f64 {
     ((((c[5] * s + c[4]) * s + c[3]) * s + c[2]) * s + c[1]) * s + c[0]
 }
@@ -267,7 +267,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "32-cubed force-response measurement; no unsafe code on this path")]
+    #[cfg_attr(
+        miri,
+        ignore = "32-cubed force-response measurement; no unsafe code on this path"
+    )]
     fn measured_fit_is_tight_and_smooth() {
         let fit = GridForceFit::measure(32, SpectralParams::default(), 3.0, 12345);
         assert!(
@@ -279,7 +282,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "32-cubed force-response measurement; no unsafe code on this path")]
+    #[cfg_attr(
+        miri,
+        ignore = "32-cubed force-response measurement; no unsafe code on this path"
+    )]
     fn short_range_restores_newtonian_asymptotics() {
         let fit = GridForceFit::measure(32, SpectralParams::default(), 3.0, 7);
         // Deep inside the matching region, the grid force is tiny so the
@@ -296,7 +302,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "32-cubed force-response measurement; no unsafe code on this path")]
+    #[cfg_attr(
+        miri,
+        ignore = "32-cubed force-response measurement; no unsafe code on this path"
+    )]
     fn grid_response_is_positive_and_monotone_in_core() {
         // g(s) (normalized) grows from ~0 at s→0 toward s^{-3/2} matching;
         // check positivity over the fitted range.
@@ -318,7 +327,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "32-cubed force-response measurement; no unsafe code on this path")]
+    #[cfg_attr(
+        miri,
+        ignore = "32-cubed force-response measurement; no unsafe code on this path"
+    )]
     fn determinism() {
         let a = GridForceFit::measure(32, SpectralParams::default(), 3.0, 5);
         let b = GridForceFit::measure(32, SpectralParams::default(), 3.0, 5);

@@ -109,7 +109,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn sine_density_gives_analytic_force() {
         // source = A·sin(k₀x) ⇒ φ = -A sin(k₀x)/k₀², F_x = A cos(k₀x)/k₀.
         let n = 32;
@@ -138,7 +141,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn potential_of_sine_matches() {
         let n = 16;
         let l = 1.0;
@@ -177,7 +183,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn force_field_sums_to_zero() {
         // Momentum conservation: Σ_cells F = 0 for any source.
         let n = 16;
@@ -213,7 +222,10 @@ mod tests {
     /// solver and through [`DistRealPoisson`] on 2×1, 1×2 and 2×2 pencil
     /// grids, whose per-rank blocks are reassembled into global grids.
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn r2c_forces_match_single_mode_oracle() {
         let cases: [(usize, &[[i64; 3]]); 2] = [
             (
@@ -233,7 +245,10 @@ mod tests {
                     [6, 6, 6],
                 ],
             ),
-            (9, &[[0, 0, 0], [0, 1, 0], [2, -3, 1], [-4, 4, 4], [1, 0, -2]]),
+            (
+                9,
+                &[[0, 0, 0], [0, 1, 0], [2, -3, 1], [-4, 4, 4], [1, 0, -2]],
+            ),
         ];
         for (n, modes) in cases {
             let l = 1.3 * n as f64;
@@ -252,10 +267,16 @@ mod tests {
                 let solver = PmSolver::new(n, l, params);
                 let mut runs = vec![(
                     "serial".to_string(),
-                    sources.iter().map(|s| solver.solve_forces(s)).collect::<Vec<_>>(),
+                    sources
+                        .iter()
+                        .map(|s| solver.solve_forces(s))
+                        .collect::<Vec<_>>(),
                 )];
                 for grid in [[2, 1], [1, 2], [2, 2]] {
-                    runs.push((format!("{grid:?}"), pencil_solves(n, l, params, grid, &sources)));
+                    runs.push((
+                        format!("{grid:?}"),
+                        pencil_solves(n, l, params, grid, &sources),
+                    ));
                 }
                 for (grid, forces) in &runs {
                     for (&k, f) in modes.iter().zip(forces) {
@@ -311,7 +332,14 @@ mod tests {
                 .collect();
             (rl, forces)
         });
-        let mut global = vec![[vec![0.0; n * n * n], vec![0.0; n * n * n], vec![0.0; n * n * n]]; sources.len()];
+        let mut global = vec![
+            [
+                vec![0.0; n * n * n],
+                vec![0.0; n * n * n],
+                vec![0.0; n * n * n]
+            ];
+            sources.len()
+        ];
         for (rl, forces) in &per_rank {
             for (grids, f) in global.iter_mut().zip(forces) {
                 for c in 0..3 {
@@ -326,7 +354,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn solve_into_reuses_buffers_and_matches() {
         let n = 12;
         let solver = PmSolver::new(n, 24.0, SpectralParams::default());
@@ -342,7 +373,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn pair_force_attractive_and_newtonian_at_medium_range() {
         // Two particles 8 cells apart on a 32³ grid: grid force should be
         // within ~5% of Newtonian -1/r² (normalization: source = 4π·δ mass
@@ -369,7 +403,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it")]
+    #[cfg_attr(
+        miri,
+        ignore = "FFT-heavy accuracy test, too slow interpreted; no unsafe code runs beneath it"
+    )]
     fn filtered_force_suppressed_below_matching_scale() {
         // Inside ~1 cell the spectrally filtered grid force falls well
         // below Newtonian — that's what the short-range kernel restores.

@@ -40,7 +40,7 @@ impl Default for SpectralParams {
 
 /// `sinc(x) = sin(x)/x` with the series limit at small `x`.
 #[inline]
-#[must_use] 
+#[must_use]
 pub fn sinc(x: f64) -> f64 {
     if x.abs() < 1e-6 {
         1.0 - x * x / 6.0

@@ -682,8 +682,7 @@ mod tests {
             for iy in 0..n {
                 for iz in 0..nzh {
                     for axis in 0..3 {
-                        scale = scale
-                            .max(reference_kernel(&p, [ix, iy, iz], axis, n, d).abs());
+                        scale = scale.max(reference_kernel(&p, [ix, iy, iz], axis, n, d).abs());
                     }
                 }
             }
@@ -900,11 +899,7 @@ mod tests {
             let sum_axis = |axis: usize| -> Vec<f32> {
                 let f_fine = interpolate_cic(&ff[axis], n, xs, ys, zs);
                 let f_coarse = interpolate_cic(&fc[axis], nc, &cxs, &cys, &czs);
-                f_fine
-                    .iter()
-                    .zip(&f_coarse)
-                    .map(|(a, b)| a + b)
-                    .collect()
+                f_fine.iter().zip(&f_coarse).map(|(a, b)| a + b).collect()
             };
             let fx = sum_axis(0);
             let fy = sum_axis(1);
@@ -913,11 +908,7 @@ mod tests {
             let mut err2 = 0.0f64;
             let mut ref2 = 0.0f64;
             for i in 0..np {
-                for (got, want) in [
-                    (fx[i], fx_ref[i]),
-                    (fy[i], fy_ref[i]),
-                    (fz[i], fz_ref[i]),
-                ] {
+                for (got, want) in [(fx[i], fx_ref[i]), (fy[i], fy_ref[i]), (fz[i], fz_ref[i])] {
                     err2 += f64::from(got - want).powi(2);
                     ref2 += f64::from(want).powi(2);
                 }
@@ -968,11 +959,7 @@ mod tests {
         let mut ys = Vec::new();
         let mut zs = Vec::new();
         for _ in 0..8 {
-            let (cx, cy, cz) = (
-                next() * n as f64,
-                next() * n as f64,
-                next() * n as f64,
-            );
+            let (cx, cy, cz) = (next() * n as f64, next() * n as f64, next() * n as f64);
             let sigma = 1.5 + 2.0 * next();
             for _ in 0..500 {
                 // Box-Muller pairs for an isotropic Gaussian blob.
@@ -1055,7 +1042,12 @@ mod dist_tests {
     fn dist_coarse_matches_serial_coarse() {
         let (n, c, ranks) = (16usize, 2usize, 4usize);
         let nc = n / c;
-        let tl = TwoLevelPmSolver::new(n, n as f64, SpectralParams::default(), PmLevelConfig::default());
+        let tl = TwoLevelPmSolver::new(
+            n,
+            n as f64,
+            SpectralParams::default(),
+            PmLevelConfig::default(),
+        );
         let split = *tl.split();
         let mut s = 3u64;
         let source: Vec<f64> = (0..nc * nc * nc)
