@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Full CI gate: release build, the complete workspace test suite,
-# lint-clean clippy and docs, then the benchmark's unit tests and its
-# toy-size smoke run.
+# Full CI gate: formatting of the crates already rustfmt-clean, release
+# build, the complete workspace test suite, lint-clean clippy and docs,
+# then the benchmark's unit tests and its toy-size smoke run.
 # Run locally before pushing; .github/workflows/ci.yml runs the same
 # steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt -p hacc-pm --check  (formatting, ratcheted crate by crate)"
+cargo fmt -p hacc-pm --check
 
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
