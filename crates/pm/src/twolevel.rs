@@ -485,6 +485,9 @@ impl LocalComplementSolver {
         let l = split.box_len();
         let df = l / n as f64;
         let lx_phys = nx as f64 * df;
+        // Wavenumbers come from the indices, not from a lookup table:
+        // as pure arithmetic of the loop indices the compiler hoists the
+        // x and y factors out of the z loop (a table made this 2× slower).
         let kx = move |ix: usize| k_of_index(ix, nx, lx_phys);
         Self::with_tables(
             split,
