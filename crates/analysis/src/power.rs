@@ -1,12 +1,13 @@
 //! Matter power spectrum estimator.
 //!
-//! CIC-deposits the particles on a measurement mesh, Fourier transforms
-//! the density contrast, deconvolves the CIC window, and bins `|δ(k)|²`
-//! in shells of `|k|`:
+//! CIC-deposits the particles on a measurement mesh, r2c-transforms the
+//! density contrast, deconvolves the CIC window, and bins `|δ(k)|²` of the
+//! half-spectrum in shells of `|k|`, each unstored mirror mode counted
+//! with the mode it mirrors:
 //!
 //! `P(k) = ⟨|δ(k)|²⟩ · V / N⁶` with `k` in h/Mpc and `P` in (Mpc/h)³.
 
-use hacc_fft::{k_of_index, Complex64, Fft3};
+use hacc_fft::{k_of_index, Complex64, RealFft3};
 use hacc_pm::deposit_cic;
 use hacc_pm::spectral::sinc;
 
@@ -36,58 +37,57 @@ impl PowerSpectrum {
         bins: usize,
     ) -> Self {
         assert!(mesh >= 2 && bins >= 1);
-        let np = xs.len();
-        assert!(np > 0, "no particles");
-        let n3 = mesh * mesh * mesh;
+        let field = density_contrast(xs, ys, zs, box_len, mesh);
+        let fft = RealFft3::new_cubic(mesh);
+        let mut spec = vec![Complex64::ZERO; fft.spectrum_len()];
+        fft.forward(&field, &mut spec);
+        // A bin with 0 < iz < mesh/2 also stands for its unstored mirror.
+        let nzh = fft.nzh();
+        let modes = spec.iter().enumerate().map(|(i, v)| {
+            let iz = i % nzh;
+            let weight = if iz > 0 && 2 * iz < mesh { 2 } else { 1 };
+            ([i / (nzh * mesh), i / nzh % mesh, iz], v.norm_sqr(), weight)
+        });
+        Self::bin(modes, box_len, mesh, bins)
+    }
 
-        // Density contrast on the mesh (positions → grid units).
-        let to_grid = mesh as f64 / box_len;
-        let gx: Vec<f32> = xs.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
-        let gy: Vec<f32> = ys.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
-        let gz: Vec<f32> = zs.iter().map(|&v| (f64::from(v) * to_grid) as f32).collect();
-        let mut grid = vec![0.0f64; n3];
-        deposit_cic(&mut grid, mesh, &gx, &gy, &gz, 1.0);
-        let mean = np as f64 / n3 as f64;
-        let mut field: Vec<Complex64> = grid
-            .iter()
-            .map(|&v| Complex64::new(v / mean - 1.0, 0.0))
-            .collect();
-        Fft3::new_cubic(mesh).forward(&mut field);
-
-        // Bin the deconvolved mode powers.
+    /// Shell-average the CIC-deconvolved powers of `(index, |δ(k)|², weight)`
+    /// modes of a `mesh³` transform into `bins` linear k-shells up to the
+    /// Nyquist frequency; a mode of weight `w` counts `w` times.
+    fn bin(
+        modes: impl Iterator<Item = ([usize; 3], f64, u64)>,
+        box_len: f64,
+        mesh: usize,
+        bins: usize,
+    ) -> Self {
+        let n3 = (mesh * mesh * mesh) as f64;
         let volume = box_len * box_len * box_len;
-        let norm = volume / (n3 as f64 * n3 as f64);
+        let norm = volume / (n3 * n3);
         let k_nyquist = std::f64::consts::PI * mesh as f64 / box_len;
         let dk = k_nyquist / bins as f64;
         let delta_cell = box_len / mesh as f64;
         let mut k_sum = vec![0.0; bins];
         let mut p_sum = vec![0.0; bins];
         let mut count = vec![0u64; bins];
-        for ix in 0..mesh {
-            let kx = k_of_index(ix, mesh, box_len);
-            for iy in 0..mesh {
-                let ky = k_of_index(iy, mesh, box_len);
-                for iz in 0..mesh {
-                    let kz = k_of_index(iz, mesh, box_len);
-                    if ix == 0 && iy == 0 && iz == 0 {
-                        continue;
-                    }
-                    let kk = (kx * kx + ky * ky + kz * kz).sqrt();
-                    let bin = (kk / dk) as usize;
-                    if bin >= bins {
-                        continue;
-                    }
-                    // CIC window: sinc²(k_iΔ/2) per axis.
-                    let w = sinc(0.5 * kx * delta_cell)
-                        * sinc(0.5 * ky * delta_cell)
-                        * sinc(0.5 * kz * delta_cell);
-                    let w2 = (w * w).max(1e-12);
-                    let pk = field[(ix * mesh + iy) * mesh + iz].norm_sqr() * norm / (w2 * w2);
-                    k_sum[bin] += kk;
-                    p_sum[bin] += pk;
-                    count[bin] += 1;
-                }
+        for (idx, power, weight) in modes {
+            if idx == [0, 0, 0] {
+                continue;
             }
+            let [kx, ky, kz] = idx.map(|i| k_of_index(i, mesh, box_len));
+            let kk = (kx * kx + ky * ky + kz * kz).sqrt();
+            let bin = (kk / dk) as usize;
+            if bin >= bins {
+                continue;
+            }
+            // CIC window: sinc²(k_iΔ/2) per axis.
+            let w = sinc(0.5 * kx * delta_cell)
+                * sinc(0.5 * ky * delta_cell)
+                * sinc(0.5 * kz * delta_cell);
+            let w2 = (w * w).max(1e-12);
+            let pk = power * norm / (w2 * w2);
+            k_sum[bin] += weight as f64 * kk;
+            p_sum[bin] += weight as f64 * pk;
+            count[bin] += weight;
         }
         let mut out = PowerSpectrum {
             k: Vec::new(),
@@ -126,6 +126,23 @@ impl PowerSpectrum {
             }
         }
     }
+}
+
+/// The density contrast `ρ/ρ̄ − 1` of the particles, CIC-deposited on a
+/// `mesh³` grid over a periodic box of side `box_len`.
+fn density_contrast(xs: &[f32], ys: &[f32], zs: &[f32], box_len: f64, mesh: usize) -> Vec<f64> {
+    let np = xs.len();
+    assert!(np > 0, "no particles");
+    let to_grid = mesh as f64 / box_len;
+    let [gx, gy, gz] = [xs, ys, zs]
+        .map(|v| -> Vec<f32> { v.iter().map(|&c| (f64::from(c) * to_grid) as f32).collect() });
+    let mut grid = vec![0.0f64; mesh * mesh * mesh];
+    deposit_cic(&mut grid, mesh, &gx, &gy, &gz, 1.0);
+    let mean = np as f64 / grid.len() as f64;
+    for v in &mut grid {
+        *v = *v / mean - 1.0;
+    }
+    grid
 }
 
 #[cfg(test)]
@@ -207,6 +224,33 @@ mod tests {
             (mean_ratio - 1.0).abs() < 0.3,
             "measured/linear = {mean_ratio}"
         );
+    }
+
+    #[test]
+    fn half_spectrum_bins_match_c2c_bins() {
+        // Oracle: the full c2c spectrum binned mode by mode. The
+        // half-spectrum's doubled modes must give the same counts and the
+        // same shell averages up to summation round-off.
+        let power = LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle);
+        let l = 200.0;
+        let ics = zeldovich(12, l, &power, 0.2, 31);
+        for mesh in [16, 15] {
+            let got = PowerSpectrum::measure(&ics.x, &ics.y, &ics.z, l, mesh, 8);
+            let mut full: Vec<Complex64> = density_contrast(&ics.x, &ics.y, &ics.z, l, mesh)
+                .into_iter()
+                .map(|v| Complex64::new(v, 0.0))
+                .collect();
+            hacc_fft::Fft3::new_cubic(mesh).forward(&mut full);
+            let modes = full.iter().enumerate().map(|(i, v)| {
+                let idx = [i / (mesh * mesh), i / mesh % mesh, i % mesh];
+                (idx, v.norm_sqr(), 1)
+            });
+            let want = PowerSpectrum::bin(modes, l, mesh, 8);
+            assert_eq!(got.count, want.count, "mesh {mesh}");
+            for (g, w) in got.k.iter().zip(&want.k).chain(got.p.iter().zip(&want.p)) {
+                assert!((g / w - 1.0).abs() <= 1e-12, "mesh {mesh}: {g} vs {w}");
+            }
+        }
     }
 
     #[test]

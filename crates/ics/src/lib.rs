@@ -1,21 +1,30 @@
-//! Initial conditions: Gaussian random fields and the Zel'dovich
-//! approximation.
+//! Initial conditions: Gaussian random fields and Lagrangian
+//! perturbation theory (Zel'dovich and 2LPT).
 //!
 //! HACC science runs start from a realization of the linear matter power
 //! spectrum at high redshift (the paper's test run starts at z = 25,
-//! production at z ≈ 200) with particles displaced from a uniform grid by
-//! the Zel'dovich approximation. The pipeline here:
+//! production at z ≈ 200) with particles displaced from a uniform grid. One
+//! pipeline over the r2c half-spectrum serves both orders:
 //!
 //! 1. draw a unit white-noise field on the `n³` grid (deterministic from a
-//!    seed), FFT it — Hermitian symmetry comes for free;
+//!    seed) and r2c-transform it — Hermitian symmetry comes for free;
 //! 2. scale each mode by `√(P(k)·n³/V)` to obtain `δ₀(k)` (the *linear*
 //!    field normalized to z = 0);
-//! 3. displacement field `ψ₀(k) = i·(k/k²)·δ₀(k)` so `δ₀ = -∇·ψ₀`;
-//! 4. particles: `x = q + D(a)·ψ₀(q)`, momentum `p = a²·Ḋ(a)·ψ₀(q)` in
-//!    box-length/`1/H0` units, matching the driver's kick/drift maps.
+//! 3. every real field is one multiplier on a spectrum and one c2r: the
+//!    displacement `ψ₀(k) = i·(k/k²)·δ₀(k)` (so `δ₀ = -∇·ψ₀`) and, for
+//!    2LPT, the potential's second derivatives and the second-order
+//!    displacement;
+//! 4. particles: `x = q + Σ D·ψ(q)`, momentum `p = Σ a²·Ḋ·ψ(q)` over the
+//!    orders, in box-length/`1/H0` units, matching the driver's kick/drift
+//!    maps.
+//!
+//! At a Nyquist index `k ≡ -k`, so a multiplier with an odd number of
+//! `k` factors sitting at their Nyquist indices is zeroed there: that
+//! keeps every product Hermitian, which is what taking the real part of a
+//! full complex inverse transform does implicitly.
 
 use hacc_cosmo::LinearPower;
-use hacc_fft::{k_of_index, Complex64, Fft3};
+use hacc_fft::{k_of_index, Complex64, RealFft3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,9 +49,7 @@ pub struct IcsRealization {
     pub vy: Vec<f32>,
     /// Momentum z.
     pub vz: Vec<f32>,
-    /// Linear density contrast at `a_init` (diagnostics/tests).
-    pub delta: Vec<f64>,
-    /// rms Zel'dovich displacement at `a_init`, Mpc/h.
+    /// rms displacement at `a_init`, Mpc/h.
     pub rms_displacement: f64,
 }
 
@@ -72,120 +79,9 @@ pub fn zeldovich(
     a_init: f64,
     seed: u64,
 ) -> IcsRealization {
-    assert!(n >= 2 && box_len > 0.0 && a_init > 0.0 && a_init <= 1.0);
-    let fft = Fft3::new_cubic(n);
-    let volume = box_len * box_len * box_len;
-    let n3 = n * n * n;
-
-    // 1. White noise field, unit variance, deterministic.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut field: Vec<Complex64> = (0..n3)
-        .map(|_| Complex64::new(gaussian(&mut rng), 0.0))
-        .collect();
-    fft.forward(&mut field);
-
-    // 2. Scale to δ₀(k): ⟨|W(k)|²⟩ = n³, want ⟨|δ(k)|²⟩ = n⁶ P(k)/V.
-    let delta_k: Vec<Complex64> = {
-        let mut d = field;
-        for ix in 0..n {
-            for iy in 0..n {
-                for iz in 0..n {
-                    let idx = (ix * n + iy) * n + iz;
-                    let k2 = k_sq([ix, iy, iz], n, box_len);
-                    let scale = if k2 == 0.0 {
-                        0.0
-                    } else {
-                        (power.p_of_k(k2.sqrt()) * n3 as f64 / volume).sqrt()
-                    };
-                    d[idx] = d[idx].scale(scale);
-                }
-            }
-        }
-        d
-    };
-
-    // Diagnostics: δ at a_init in real space.
-    let growth = power.growth();
-    let d_a = growth.d_of_a(a_init);
-    let mut delta_real = delta_k.clone();
-    fft.backward(&mut delta_real);
-    let delta: Vec<f64> = delta_real.iter().map(|c| c.re * d_a).collect();
-
-    // 3. Displacement components ψ₀_c(k) = i k_c/k² δ₀(k).
-    let mut psi = [Vec::new(), Vec::new(), Vec::new()];
-    for (c, slot) in psi.iter_mut().enumerate() {
-        let mut comp = delta_k.clone();
-        for ix in 0..n {
-            for iy in 0..n {
-                for iz in 0..n {
-                    let idx = (ix * n + iy) * n + iz;
-                    let kvec = [
-                        k_of_index(ix, n, box_len),
-                        k_of_index(iy, n, box_len),
-                        k_of_index(iz, n, box_len),
-                    ];
-                    let k2 = kvec[0] * kvec[0] + kvec[1] * kvec[1] + kvec[2] * kvec[2];
-                    comp[idx] = if k2 == 0.0 {
-                        Complex64::ZERO
-                    } else {
-                        // i·k_c/k² δ.
-                        Complex64::new(0.0, kvec[c] / k2) * comp[idx]
-                    };
-                }
-            }
-        }
-        fft.backward(&mut comp);
-        *slot = comp.iter().map(|v| v.re).collect::<Vec<f64>>();
-    }
-
-    // 4. Displace particles from the uniform grid.
-    let d_dot = growth.d_dot(a_init);
-    let p_factor = a_init * a_init * d_dot;
-    let cell = box_len / n as f64;
-    let mut out = IcsRealization {
-        n,
-        box_len,
-        a_init,
-        x: Vec::with_capacity(n3),
-        y: Vec::with_capacity(n3),
-        z: Vec::with_capacity(n3),
-        vx: Vec::with_capacity(n3),
-        vy: Vec::with_capacity(n3),
-        vz: Vec::with_capacity(n3),
-        delta,
-        rms_displacement: 0.0,
-    };
-    let mut disp2 = 0.0f64;
-    let wrap = |v: f64| -> f64 {
-        let w = v - (v / box_len).floor() * box_len;
-        if w >= box_len {
-            0.0
-        } else {
-            w
-        }
-    };
-    for ix in 0..n {
-        for iy in 0..n {
-            for iz in 0..n {
-                let idx = (ix * n + iy) * n + iz;
-                let q = [
-                    (ix as f64 + 0.5) * cell,
-                    (iy as f64 + 0.5) * cell,
-                    (iz as f64 + 0.5) * cell,
-                ];
-                let d = [psi[0][idx] * d_a, psi[1][idx] * d_a, psi[2][idx] * d_a];
-                disp2 += d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                out.x.push(wrap(q[0] + d[0]) as f32);
-                out.y.push(wrap(q[1] + d[1]) as f32);
-                out.z.push(wrap(q[2] + d[2]) as f32);
-                out.vx.push((psi[0][idx] * p_factor) as f32);
-                out.vy.push((psi[1][idx] * p_factor) as f32);
-                out.vz.push((psi[2][idx] * p_factor) as f32);
-            }
-        }
-    }
-    out.rms_displacement = (disp2 / n3 as f64).sqrt();
-    out
+    let lpt = Lagrangian::new(n, box_len, power, seed);
+    let [first, _] = growth(power, a_init);
+    place(n, box_len, a_init, &[(first, lpt.displacement(&lpt.delta))])
 }
 
 /// Generate a second-order Lagrangian perturbation theory (2LPT)
@@ -200,7 +96,8 @@ pub fn zeldovich(
 ///
 /// with `D₂ ≈ -3/7 · D² · Ωm(a)^(-1/143)` and momenta carrying the
 /// corresponding `f₂ ≈ 2 Ωm^(6/11)` growth rate. All second derivatives
-/// of the first-order potential are computed spectrally.
+/// of the first-order potential are computed spectrally. The first order
+/// is [`zeldovich`]'s, mode by mode.
 #[must_use] 
 pub fn zeldovich_2lpt(
     n: usize,
@@ -209,213 +106,188 @@ pub fn zeldovich_2lpt(
     a_init: f64,
     seed: u64,
 ) -> IcsRealization {
-    assert!(n >= 2 && box_len > 0.0 && a_init > 0.0 && a_init <= 1.0);
-    let fft = Fft3::new_cubic(n);
-    let volume = box_len * box_len * box_len;
-    let n3 = n * n * n;
-
-    // First-order δ₀(k), identical pipeline (and seed convention) to
-    // `zeldovich` so the two can be compared mode by mode.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut field: Vec<Complex64> = (0..n3)
-        .map(|_| Complex64::new(gaussian(&mut rng), 0.0))
+    let lpt = Lagrangian::new(n, box_len, power, seed);
+    // φ,ij(k) = k_i k_j δ₀(k)/k².
+    let phi = |i: usize, j: usize| lpt.field(&lpt.delta, &[i, j], Complex64::ONE);
+    let [pxx, pyy, pzz] = [0, 1, 2].map(|c| phi(c, c));
+    let mut src: Vec<f64> = (0..pxx.len())
+        .map(|i| pxx[i] * pyy[i] + pxx[i] * pzz[i] + pyy[i] * pzz[i])
         .collect();
-    fft.forward(&mut field);
-    let mut delta_k = field;
-    for ix in 0..n {
-        for iy in 0..n {
-            for iz in 0..n {
-                let idx = (ix * n + iy) * n + iz;
-                let k2 = k_sq([ix, iy, iz], n, box_len);
-                let scale = if k2 == 0.0 {
-                    0.0
-                } else {
-                    (power.p_of_k(k2.sqrt()) * n3 as f64 / volume).sqrt()
-                };
-                delta_k[idx] = delta_k[idx].scale(scale);
-            }
+    for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+        for (s, v) in src.iter_mut().zip(phi(i, j)) {
+            *s -= v * v;
         }
     }
-
-    let kvec = |i: usize| k_of_index(i, n, box_len);
-
-    // Second derivatives φ,ij of the first-order potential
-    // (φ(k) = -δ(k)/k²  ⇒  φ,ij(k) = k_i k_j δ(k)/k²).
-    let second = |ci: usize, cj: usize| -> Vec<f64> {
-        let mut comp = delta_k.clone();
-        for ix in 0..n {
-            for iy in 0..n {
-                for iz in 0..n {
-                    let idx = (ix * n + iy) * n + iz;
-                    let kv = [kvec(ix), kvec(iy), kvec(iz)];
-                    let k2 = kv[0] * kv[0] + kv[1] * kv[1] + kv[2] * kv[2];
-                    comp[idx] = if k2 == 0.0 {
-                        Complex64::ZERO
-                    } else {
-                        comp[idx].scale(kv[ci] * kv[cj] / k2)
-                    };
-                }
-            }
-        }
-        fft.backward(&mut comp);
-        comp.iter().map(|v| v.re).collect()
-    };
-    let pxx = second(0, 0);
-    let pyy = second(1, 1);
-    let pzz = second(2, 2);
-    let pxy = second(0, 1);
-    let pxz = second(0, 2);
-    let pyz = second(1, 2);
-
-    // Source of the second-order potential.
-    let mut src2: Vec<Complex64> = (0..n3)
-        .map(|i| {
-            let s = pxx[i] * pyy[i] + pxx[i] * pzz[i] + pyy[i] * pzz[i]
-                - pxy[i] * pxy[i]
-                - pxz[i] * pxz[i]
-                - pyz[i] * pyz[i];
-            Complex64::new(s, 0.0)
-        })
-        .collect();
-    fft.forward(&mut src2);
-
-    // ψ⁽²⁾(k) = i k/k² · δ⁽²⁾(k) where δ⁽²⁾ = src2 (already the RHS of
-    // the Poisson-like equation for φ⁽²⁾ whose gradient is ψ⁽²⁾).
-    let displacement = |dk: &[Complex64], c: usize| -> Vec<f64> {
-        let mut comp = dk.to_vec();
-        for ix in 0..n {
-            for iy in 0..n {
-                for iz in 0..n {
-                    let idx = (ix * n + iy) * n + iz;
-                    let kv = [kvec(ix), kvec(iy), kvec(iz)];
-                    let k2 = kv[0] * kv[0] + kv[1] * kv[1] + kv[2] * kv[2];
-                    comp[idx] = if k2 == 0.0 {
-                        Complex64::ZERO
-                    } else {
-                        Complex64::new(0.0, kv[c] / k2) * comp[idx]
-                    };
-                }
-            }
-        }
-        fft.backward(&mut comp);
-        comp.iter().map(|v| v.re).collect()
-    };
-    let psi1: [Vec<f64>; 3] = [
-        displacement(&delta_k, 0),
-        displacement(&delta_k, 1),
-        displacement(&delta_k, 2),
+    // ψ⁽²⁾(k) = i k/k² · src(k): src is the right-hand side of the
+    // Poisson-like equation for φ⁽²⁾, whose gradient is ψ⁽²⁾.
+    let [first, second] = growth(power, a_init);
+    let orders = [
+        (first, lpt.displacement(&lpt.delta)),
+        (second, lpt.displacement(&lpt.forward(&src))),
     ];
-    let psi2: [Vec<f64>; 3] = [
-        displacement(&src2, 0),
-        displacement(&src2, 1),
-        displacement(&src2, 2),
-    ];
-
-    // Growth factors: D, Ḋ from the table; the standard 2LPT fits for D₂.
-    let growth = power.growth();
-    let cosmo = power.cosmology();
-    let d = growth.d_of_a(a_init);
-    let om_a = cosmo.omega_m_of_a(a_init);
-    let d2 = -3.0 / 7.0 * d * d * om_a.powf(-1.0 / 143.0);
-    let e = cosmo.e_of_a(a_init);
-    let f1 = growth.f_of_a(a_init);
-    let f2 = 2.0 * om_a.powf(6.0 / 11.0);
-    let p1_factor = a_init * a_init * d * f1 * e;
-    let p2_factor = a_init * a_init * d2 * f2 * e;
-
-    let cell = box_len / n as f64;
-    let mut out = IcsRealization {
-        n,
-        box_len,
-        a_init,
-        x: Vec::with_capacity(n3),
-        y: Vec::with_capacity(n3),
-        z: Vec::with_capacity(n3),
-        vx: Vec::with_capacity(n3),
-        vy: Vec::with_capacity(n3),
-        vz: Vec::with_capacity(n3),
-        delta: {
-            let mut dr = delta_k.clone();
-            fft.backward(&mut dr);
-            dr.iter().map(|c| c.re * d).collect()
-        },
-        rms_displacement: 0.0,
-    };
-    let wrap = |v: f64| -> f64 {
-        let w = v - (v / box_len).floor() * box_len;
-        if w >= box_len {
-            0.0
-        } else {
-            w
-        }
-    };
-    let mut disp2 = 0.0;
-    for ix in 0..n {
-        for iy in 0..n {
-            for iz in 0..n {
-                let idx = (ix * n + iy) * n + iz;
-                let q = [
-                    (ix as f64 + 0.5) * cell,
-                    (iy as f64 + 0.5) * cell,
-                    (iz as f64 + 0.5) * cell,
-                ];
-                let mut pos = [0.0; 3];
-                let mut mom = [0.0; 3];
-                for c in 0..3 {
-                    let dsp = d * psi1[c][idx] + d2 * psi2[c][idx];
-                    disp2 += dsp * dsp;
-                    pos[c] = wrap(q[c] + dsp);
-                    mom[c] = p1_factor * psi1[c][idx] + p2_factor * psi2[c][idx];
-                }
-                out.x.push(pos[0] as f32);
-                out.y.push(pos[1] as f32);
-                out.z.push(pos[2] as f32);
-                out.vx.push(mom[0] as f32);
-                out.vy.push(mom[1] as f32);
-                out.vz.push(mom[2] as f32);
-            }
-        }
-    }
-    out.rms_displacement = (disp2 / n3 as f64).sqrt();
-    out
+    place(n, box_len, a_init, &orders)
 }
 
 /// Regular (undisplaced) grid load — useful for force tests and as a
 /// "cold" start.
 #[must_use] 
 pub fn uniform_grid(n: usize, box_len: f64) -> IcsRealization {
-    let cell = box_len / n as f64;
-    let n3 = n * n * n;
-    let mut out = IcsRealization {
-        n,
-        box_len,
-        a_init: 1.0,
-        x: Vec::with_capacity(n3),
-        y: Vec::with_capacity(n3),
-        z: Vec::with_capacity(n3),
-        vx: vec![0.0; n3],
-        vy: vec![0.0; n3],
-        vz: vec![0.0; n3],
-        delta: vec![0.0; n3],
-        rms_displacement: 0.0,
-    };
-    for ix in 0..n {
-        for iy in 0..n {
-            for iz in 0..n {
-                out.x.push(((ix as f64 + 0.5) * cell) as f32);
-                out.y.push(((iy as f64 + 0.5) * cell) as f32);
-                out.z.push(((iz as f64 + 0.5) * cell) as f32);
-            }
-        }
-    }
-    out
+    place(n, box_len, 1.0, &[])
 }
 
-fn k_sq(idx: [usize; 3], n: usize, l: f64) -> f64 {
-    let kx = k_of_index(idx[0], n, l);
-    let ky = k_of_index(idx[1], n, l);
-    let kz = k_of_index(idx[2], n, l);
-    kx * kx + ky * ky + kz * kz
+/// The linear field every order starts from, with the r2c plan and the
+/// per-axis wavenumbers its multipliers read.
+struct Lagrangian {
+    fft: RealFft3,
+    /// `k` at each index along an axis.
+    k: Vec<f64>,
+    /// `δ₀(k)` on the half-spectrum.
+    delta: Vec<Complex64>,
+}
+
+/// One retained mode: its index and wavevector.
+struct Mode {
+    idx: [usize; 3],
+    k: [f64; 3],
+    k2: f64,
+}
+
+impl Lagrangian {
+    fn new(n: usize, box_len: f64, power: &LinearPower, seed: u64) -> Self {
+        assert!(n >= 2 && box_len > 0.0);
+        let n3 = n * n * n;
+        let mut lpt = Lagrangian {
+            fft: RealFft3::new_cubic(n),
+            k: (0..n).map(|i| k_of_index(i, n, box_len)).collect(),
+            delta: Vec::new(),
+        };
+        // White noise, unit variance, deterministic. ⟨|W(k)|²⟩ = n³; want
+        // ⟨|δ(k)|²⟩ = n⁶ P(k)/V.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let noise: Vec<f64> = (0..n3).map(|_| gaussian(&mut rng)).collect();
+        let mut delta = lpt.forward(&noise);
+        let volume = box_len * box_len * box_len;
+        for (v, m) in delta.iter_mut().zip(lpt.modes()) {
+            *v = if m.k2 == 0.0 {
+                Complex64::ZERO
+            } else {
+                v.scale((power.p_of_k(m.k2.sqrt()) * n3 as f64 / volume).sqrt())
+            };
+        }
+        lpt.delta = delta;
+        lpt
+    }
+
+    /// The half-spectrum of a real field.
+    fn forward(&self, field: &[f64]) -> Vec<Complex64> {
+        let mut spec = vec![Complex64::ZERO; self.fft.spectrum_len()];
+        self.fft.forward(field, &mut spec);
+        spec
+    }
+
+    /// The real field whose spectrum is `unit·Π_{a ∈ axes} k_a/k² · spec`,
+    /// zero at `k = 0`. A mode at axis `a`'s Nyquist index is its own
+    /// mirror along `a`, so an odd number of such factors makes the product
+    /// anti-Hermitian there: it is zeroed, which is what the real part of
+    /// a full complex inverse transform keeps.
+    fn field(&self, spec: &[Complex64], axes: &[usize], unit: Complex64) -> Vec<f64> {
+        let n = self.k.len();
+        let mut prod: Vec<Complex64> = spec
+            .iter()
+            .zip(self.modes())
+            .map(|(&v, m)| {
+                let nyquist = axes.iter().filter(|&&a| 2 * m.idx[a] == n).count();
+                if m.k2 == 0.0 || nyquist % 2 == 1 {
+                    Complex64::ZERO
+                } else {
+                    unit.scale(axes.iter().map(|&a| m.k[a]).product::<f64>() / m.k2) * v
+                }
+            })
+            .collect();
+        let mut out = vec![0.0; self.fft.len()];
+        self.fft.backward(&mut prod, &mut out);
+        out
+    }
+
+    /// `ψ_c(k) = i·k_c/k²·spec(k)` along each axis `c`.
+    fn displacement(&self, spec: &[Complex64]) -> [Vec<f64>; 3] {
+        [0, 1, 2].map(|c| self.field(spec, &[c], Complex64::I))
+    }
+
+    /// Every retained mode, in half-spectrum order `[n][n][n/2 + 1]`.
+    fn modes(&self) -> impl Iterator<Item = Mode> + '_ {
+        let (n, nzh) = (self.k.len(), self.fft.nzh());
+        (0..self.fft.spectrum_len()).map(move |i| {
+            let idx = [i / (n * nzh), i / nzh % n, i % nzh];
+            let k = idx.map(|j| self.k[j]);
+            Mode {
+                idx,
+                k,
+                k2: k[0] * k[0] + k[1] * k[1] + k[2] * k[2],
+            }
+        })
+    }
+}
+
+/// `(D, a²·Ḋ)` of the first and second Lagrangian orders at `a`: `D` and
+/// `Ḋ = D·f·E` from the growth table, and the standard 2LPT fits
+/// `D₂ ≈ -3/7·D²·Ωm(a)^(-1/143)`, `f₂ ≈ 2·Ωm(a)^(6/11)`.
+fn growth(power: &LinearPower, a: f64) -> [(f64, f64); 2] {
+    assert!(a > 0.0 && a <= 1.0);
+    let (g, cosmo) = (power.growth(), power.cosmology());
+    let d = g.d_of_a(a);
+    let om = cosmo.omega_m_of_a(a);
+    let d2 = -3.0 / 7.0 * d * d * om.powf(-1.0 / 143.0);
+    let d2_dot = d2 * 2.0 * om.powf(6.0 / 11.0) * cosmo.e_of_a(a);
+    [(d, a * a * g.d_dot(a)), (d2, a * a * d2_dot)]
+}
+
+/// One Lagrangian order: its `(D, a²·Ḋ)` and its displacement field `ψ`.
+type Order = ((f64, f64), [Vec<f64>; 3]);
+
+/// Particles on the `n³` cell centres `q` (x-major order), each displaced
+/// by `Σ D·ψ(q)` with momentum `Σ a²·Ḋ·ψ(q)` over the orders.
+fn place(n: usize, box_len: f64, a_init: f64, orders: &[Order]) -> IcsRealization {
+    let n3 = n * n * n;
+    let cell = box_len / n as f64;
+    let mut cols: [Vec<f32>; 6] = std::array::from_fn(|_| Vec::with_capacity(n3));
+    let mut disp2 = 0.0;
+    for idx in 0..n3 {
+        let q = [idx / (n * n), idx / n % n, idx % n].map(|i| (i as f64 + 0.5) * cell);
+        for c in 0..3 {
+            let (mut dsp, mut mom) = (0.0, 0.0);
+            for ((d, p), psi) in orders {
+                dsp += d * psi[c][idx];
+                mom += p * psi[c][idx];
+            }
+            disp2 += dsp * dsp;
+            cols[c].push(wrap(q[c] + dsp, box_len) as f32);
+            cols[3 + c].push(mom as f32);
+        }
+    }
+    let [x, y, z, vx, vy, vz] = cols;
+    IcsRealization {
+        n,
+        box_len,
+        a_init,
+        x,
+        y,
+        z,
+        vx,
+        vy,
+        vz,
+        rms_displacement: (disp2 / n3 as f64).sqrt(),
+    }
+}
+
+/// `v` wrapped into `[0, l)`.
+fn wrap(v: f64, l: f64) -> f64 {
+    let w = v - (v / l).floor() * l;
+    if w >= l {
+        0.0
+    } else {
+        w
+    }
 }
 
 /// Standard normal via Box–Muller.
@@ -456,30 +328,60 @@ mod tests {
     }
 
     #[test]
-    fn delta_field_has_linear_amplitude() {
-        // The rms of δ at a_init should be near D(a)·σ(grid smoothing) —
-        // just check it is small, positive, and grows with a.
+    fn displacement_has_linear_amplitude() {
+        // Same seed, different epoch: the rms displacement is D(a) times
+        // that of ψ₀, and small against the cell at early times.
         let p = power();
         let early = zeldovich(16, 400.0, &p, 0.02, 9);
         let later = zeldovich(16, 400.0, &p, 0.2, 9);
-        let rms = |d: &[f64]| (d.iter().map(|v| v * v).sum::<f64>() / d.len() as f64).sqrt();
-        let r_early = rms(&early.delta);
-        let r_late = rms(&later.delta);
-        assert!(r_early > 0.0 && r_early < 0.3, "rms {r_early}");
+        let (r_early, r_late) = (early.rms_displacement, later.rms_displacement);
+        assert!(
+            r_early > 0.0 && r_early < 0.02 * 400.0 / 16.0,
+            "rms {r_early}"
+        );
         let growth_ratio = p.growth().d_of_a(0.2) / p.growth().d_of_a(0.02);
         assert!(
-            (r_late / r_early - growth_ratio).abs() < 0.01 * growth_ratio,
+            (r_late / r_early / growth_ratio - 1.0).abs() < 1e-12,
             "{} vs {growth_ratio}",
             r_late / r_early
         );
     }
 
     #[test]
-    fn delta_field_has_zero_mean() {
+    fn displacement_has_zero_mean() {
+        // ψ has no k = 0 mode: the particles' mean displacement and mean
+        // momentum vanish to f32 rounding.
         let p = power();
-        let ics = zeldovich(16, 300.0, &p, 0.05, 3);
-        let mean: f64 = ics.delta.iter().sum::<f64>() / ics.delta.len() as f64;
-        assert!(mean.abs() < 1e-10, "mean {mean}");
+        let (n, l) = (16, 300.0);
+        let ics = zeldovich(n, l, &p, 0.05, 3);
+        let grid = uniform_grid(n, l);
+        let pairs = [
+            (&ics.x, &grid.x, &ics.vx),
+            (&ics.y, &grid.y, &ics.vy),
+            (&ics.z, &grid.z, &ics.vz),
+        ];
+        for (xs, qs, ps) in pairs {
+            let count = ics.len() as f64;
+            let dx = xs
+                .iter()
+                .zip(qs)
+                .map(|(&x, &q)| {
+                    let d = f64::from(x - q);
+                    d - (d / l).round() * l
+                })
+                .sum::<f64>()
+                / count;
+            let p_mean = ps.iter().map(|&v| f64::from(v)).sum::<f64>() / count;
+            let p_rms = (ps.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>() / count).sqrt();
+            assert!(
+                dx.abs() < 2e-6 * ics.rms_displacement,
+                "mean displacement {dx}"
+            );
+            assert!(
+                p_mean.abs() < 1e-8 * p_rms,
+                "mean momentum {p_mean} vs rms {p_rms}"
+            );
+        }
     }
 
     #[test]
@@ -601,6 +503,117 @@ mod tests {
             assert!((0.0..100.0).contains(&f64::from(v)));
         }
         assert!(a.vx.iter().all(|v| v.is_finite()));
+    }
+
+    /// The full-spectrum pipeline the half-spectrum one replaced: each
+    /// field is the real part of a c2c inverse transform, with no Nyquist
+    /// rule of its own.
+    fn c2c_realization(
+        n: usize,
+        l: f64,
+        p: &LinearPower,
+        a: f64,
+        seed: u64,
+        lpt2: bool,
+    ) -> IcsRealization {
+        use hacc_fft::Fft3;
+        let fft = Fft3::new_cubic(n);
+        let kv = |i: usize| [i / (n * n), i / n % n, i % n].map(|j| k_of_index(j, n, l));
+        let k2 = |k: [f64; 3]| k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut delta: Vec<Complex64> = (0..n * n * n)
+            .map(|_| Complex64::new(gaussian(&mut rng), 0.0))
+            .collect();
+        fft.forward(&mut delta);
+        for (i, v) in delta.iter_mut().enumerate() {
+            let kk = k2(kv(i));
+            let s = if kk == 0.0 {
+                0.0
+            } else {
+                (p.p_of_k(kk.sqrt()) * (n * n * n) as f64 / (l * l * l)).sqrt()
+            };
+            *v = v.scale(s);
+        }
+        let field = |spec: &[Complex64], m: &dyn Fn([f64; 3]) -> Complex64| -> Vec<f64> {
+            let mut c: Vec<Complex64> = spec
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    if k2(kv(i)) == 0.0 {
+                        Complex64::ZERO
+                    } else {
+                        m(kv(i)) * v
+                    }
+                })
+                .collect();
+            fft.backward(&mut c);
+            c.iter().map(|v| v.re).collect()
+        };
+        let psi = |spec: &[Complex64]| {
+            [0, 1, 2].map(|c| field(spec, &|k| Complex64::new(0.0, k[c] / k2(k))))
+        };
+        let [first, second] = growth(p, a);
+        let mut orders = vec![(first, psi(&delta))];
+        if lpt2 {
+            let phi =
+                |i: usize, j: usize| field(&delta, &|k| Complex64::new(k[i] * k[j] / k2(k), 0.0));
+            let d = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)].map(|(i, j)| phi(i, j));
+            let mut src: Vec<Complex64> = (0..n * n * n)
+                .map(|i| {
+                    let s = d[0][i] * d[1][i] + d[0][i] * d[2][i] + d[1][i] * d[2][i]
+                        - d[3][i] * d[3][i]
+                        - d[4][i] * d[4][i]
+                        - d[5][i] * d[5][i];
+                    Complex64::new(s, 0.0)
+                })
+                .collect();
+            fft.forward(&mut src);
+            orders.push((second, psi(&src)));
+        }
+        place(n, l, a, &orders)
+    }
+
+    #[test]
+    fn half_spectrum_matches_c2c_oracle() {
+        // Even n has Nyquist planes on every axis; odd n has none.
+        let p = power();
+        let (l, a) = (150.0, 0.1);
+        for n in [8, 9] {
+            for lpt2 in [false, true] {
+                let got = if lpt2 {
+                    zeldovich_2lpt(n, l, &p, a, 6)
+                } else {
+                    zeldovich(n, l, &p, a, 6)
+                };
+                let want = c2c_realization(n, l, &p, a, 6, lpt2);
+                let pos = [(&got.x, &want.x), (&got.y, &want.y), (&got.z, &want.z)];
+                for (g, w) in pos {
+                    for (i, (&g, &w)) in g.iter().zip(w).enumerate() {
+                        let d = f64::from(g - w).abs();
+                        let d = d.min(l - d);
+                        assert!(
+                            d <= 1e-6 * l,
+                            "n={n} 2lpt={lpt2} i={i}: position {g} vs {w}"
+                        );
+                    }
+                }
+                let mom = [
+                    (&got.vx, &want.vx),
+                    (&got.vy, &want.vy),
+                    (&got.vz, &want.vz),
+                ];
+                for (g, w) in mom {
+                    for (i, (&g, &w)) in g.iter().zip(w).enumerate() {
+                        assert!(
+                            (g - w).abs() <= 1e-6 * w.abs(),
+                            "n={n} 2lpt={lpt2} i={i}: momentum {g} vs {w}"
+                        );
+                    }
+                }
+                let rel = got.rms_displacement / want.rms_displacement - 1.0;
+                assert!(rel.abs() < 1e-12, "rms displacement off by {rel}");
+            }
+        }
     }
 
     #[test]
