@@ -55,13 +55,13 @@ pub struct IcsRealization {
 
 impl IcsRealization {
     /// Number of particles.
-    #[must_use] 
+    #[must_use]
     pub fn len(&self) -> usize {
         self.x.len()
     }
 
     /// True when empty (never, for valid construction).
-    #[must_use] 
+    #[must_use]
     pub fn is_empty(&self) -> bool {
         self.x.is_empty()
     }
@@ -71,7 +71,7 @@ impl IcsRealization {
 ///
 /// `n` is both the IC grid and particle count per side (`n³` particles).
 /// Deterministic in `seed`.
-#[must_use] 
+#[must_use]
 pub fn zeldovich(
     n: usize,
     box_len: f64,
@@ -98,7 +98,7 @@ pub fn zeldovich(
 /// corresponding `f₂ ≈ 2 Ωm^(6/11)` growth rate. All second derivatives
 /// of the first-order potential are computed spectrally. The first order
 /// is [`zeldovich`]'s, mode by mode.
-#[must_use] 
+#[must_use]
 pub fn zeldovich_2lpt(
     n: usize,
     box_len: f64,
@@ -130,7 +130,7 @@ pub fn zeldovich_2lpt(
 
 /// Regular (undisplaced) grid load — useful for force tests and as a
 /// "cold" start.
-#[must_use] 
+#[must_use]
 pub fn uniform_grid(n: usize, box_len: f64) -> IcsRealization {
     place(n, box_len, 1.0, &[])
 }
