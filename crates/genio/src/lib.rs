@@ -85,7 +85,7 @@ impl From<std::io::Error> for GenioError {
 impl Snapshot {
     /// Build a snapshot from the canonical particle columns.
     #[allow(clippy::too_many_arguments)]
-    #[must_use] 
+    #[must_use]
     pub fn from_particles(
         box_len: f64,
         a: f64,
@@ -129,7 +129,7 @@ impl Snapshot {
     }
 
     /// True when the snapshot holds no particles.
-    #[must_use] 
+    #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -137,7 +137,7 @@ impl Snapshot {
     /// Keep only every `stride`-th particle — the cheap science-output
     /// sub-sampling HACC used when "only a small file system was
     /// available".
-    #[must_use] 
+    #[must_use]
     pub fn subsample(&self, stride: usize) -> Snapshot {
         assert!(stride >= 1);
         let pick = |n: usize| (0..n).step_by(stride);
@@ -158,7 +158,7 @@ impl Snapshot {
     }
 
     /// Serialize to bytes.
-    #[must_use] 
+    #[must_use]
     pub fn to_bytes(&self) -> Bytes {
         let n = self.len();
         let mut buf = BytesMut::with_capacity(64 + n * (self.f32_fields.len() * 4 + 8));
@@ -282,7 +282,13 @@ impl Snapshot {
     }
 }
 
-fn put_block(buf: &mut BytesMut, name: &str, dtype: u8, count: usize, fill: impl FnOnce(&mut BytesMut)) {
+fn put_block(
+    buf: &mut BytesMut,
+    name: &str,
+    dtype: u8,
+    count: usize,
+    fill: impl FnOnce(&mut BytesMut),
+) {
     buf.put_u16_le(name.len() as u16);
     buf.put_slice(name.as_bytes());
     buf.put_u8(dtype);
@@ -451,7 +457,10 @@ mod tests {
         let snap = sample(100);
         let sub = snap.subsample(10);
         assert_eq!(sub.len(), 10);
-        assert_eq!(sub.u64_fields["id"], (0..100).step_by(10).collect::<Vec<u64>>());
+        assert_eq!(
+            sub.u64_fields["id"],
+            (0..100).step_by(10).collect::<Vec<u64>>()
+        );
         assert_eq!(sub.box_len, snap.box_len);
         // Stride 1 is the identity.
         assert_eq!(snap.subsample(1), snap);
