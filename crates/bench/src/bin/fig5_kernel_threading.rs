@@ -1,20 +1,33 @@
-//! Fig. 5 reproduction: force-kernel performance vs neighbor-list size
-//! for different rank × thread configurations.
+//! Fig. 5 reproduction: short-range force-pass performance vs
+//! interaction-list length.
 //!
 //! The paper sweeps the shared-interaction-list length from 50 to 5000 for
 //! eight ranks-per-node/threads configurations on a BG/Q node and reports
 //! percent of node peak; the curves rise with list length and with
 //! hardware threads per core, plateauing near 80% of peak at 4
-//! threads/core. Here "ranks" are rayon worker partitions of the leaf
-//! set and "peak" is the host FMA calibration from `hacc-machine` — the
-//! shape to verify is: longer lists ⇒ higher efficiency, more threads ⇒
-//! higher throughput until the physical cores saturate.
+//! threads/core.
+//!
+//! Here the timed code is the pass both engines run,
+//! `RcbTree::forces_symmetric_into` on a periodic tree, whole: walk, chunk
+//! cull, tiles, fixed-point flushes and the scatter into input order. The
+//! list length — directed kernel evaluations per particle — is set by the
+//! particle density inside the fixed cutoff and by the leaf size. The rate
+//! is evaluations × `FLOPS_PER_INTERACTION_ACTUAL` over the pass's wall
+//! time, against the one-thread FMA roof of `hacc-machine`, as
+//! `crates/machine/tests/kernel_roof.rs` measures it. The sweep runs on
+//! one thread: the workspace's rayon stand-in runs its pools serially, so
+//! the paper's threads axis has no counterpart here.
 
 use std::time::Instant;
 
 use hacc_bench::{fmt_flops, print_table};
 use hacc_machine::calibrate_peak_flops;
-use hacc_short::{ForceKernel, FLOPS_PER_INTERACTION_ACTUAL};
+use hacc_short::{ForceKernel, RcbTree, TreeParams, TreeScratch, FLOPS_PER_INTERACTION_ACTUAL};
+
+/// Particles in every cloud; the box side follows from the density.
+const PARTICLES: usize = 16_384;
+/// Short-range cutoff, in the cloud's length unit.
+const RCUT: f32 = 3.0;
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -34,130 +47,82 @@ fn main() {
             other => panic!("unknown argument {other}"),
         }
     }
-    let hw_threads = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(4);
-    println!("Fig. 5: force kernel threading performance");
-    println!("host hardware threads: {hw_threads}");
-    print!("calibrating host peak... ");
-    let peak_1t = calibrate_peak_flops(1, 200);
-    let peak_all = calibrate_peak_flops(hw_threads, 200);
+    println!("Fig. 5: short-range force-pass performance vs interaction-list length");
+    // The best of a few short probes, so a descheduled probe cannot lower
+    // the roof under the pass.
+    let roof = (0..3)
+        .map(|_| calibrate_peak_flops(1, 100))
+        .fold(0.0, f64::max);
     println!(
-        "1 thread: {}, {hw_threads} threads: {}",
-        fmt_flops(peak_1t),
-        fmt_flops(peak_all)
+        "one thread, {PARTICLES} particles per periodic cloud, r_cut = {RCUT}; roof {}",
+        fmt_flops(roof)
     );
 
     // --quick: a reduced sweep for CI / composite benchmark runs.
-    let list_sizes: Vec<usize> = if quick {
-        vec![100, 500, 2500]
+    let (densities, leaves, reps): (&[f32], &[usize], usize) = if quick {
+        (&[0.5, 2.0, 8.0], &[128], 2)
     } else {
-        vec![50, 100, 250, 500, 1000, 2500, 5000]
+        (&[0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0], &[32, 128, 512], 5)
     };
-    let budget = if quick { 10_000_000 } else { 100_000_000 };
-    let mut thread_counts = if quick { vec![1usize] } else { vec![1usize, 2] };
-    let mut t = 4;
-    while t <= hw_threads {
-        thread_counts.push(t);
-        t *= 2;
-    }
-
-    let kernel = ForceKernel::newtonian(1e9, 1e-5);
-    // First pass: measure raw kernel flop rates for every configuration.
-    let mut rates: Vec<(usize, Vec<f64>)> = Vec::new();
-    for &threads in &thread_counts {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        let mut per_size = Vec::new();
-        for &m in &list_sizes {
-            // Synthetic leaf: 64 targets sharing a list of m neighbors,
-            // replicated so each measurement runs ≥ ~10^8 interactions.
-            let (nx, ny, nz, nm) = synth_list(m);
-            let targets = 64usize;
-            let leaves = (budget / (targets * m)).clamp(4, 4000);
-            let reps: Vec<usize> = (0..leaves).collect();
-            let t0 = Instant::now();
-            let sink: f32 = pool.install(|| {
-                use rayon::prelude::*;
-                reps.par_iter()
-                    .map(|&r| {
-                        let mut acc = 0.0f32;
-                        for tgt in 0..targets {
-                            let x = (tgt as f32 * 0.013 + r as f32 * 1e-6) % 1.0;
-                            let f = kernel.force_on(x, 0.5, 0.5, &nx, &ny, &nz, &nm);
-                            acc += f[0] + f[1] + f[2];
-                        }
-                        acc
-                    })
-                    .sum()
-            });
-            std::hint::black_box(sink);
-            let dt = t0.elapsed().as_secs_f64();
-            let inter = (leaves * targets * m) as f64;
-            per_size.push(inter * FLOPS_PER_INTERACTION_ACTUAL as f64 / dt);
-        }
-        rates.push((threads, per_size));
-    }
-    // Normalize: the reference "peak" is whichever is higher, the FMA
-    // calibration or the best kernel rate observed at that thread count —
-    // on virtualized hosts the simple calibration loop can undershoot
-    // what the vectorized kernel achieves, and a >100% efficiency would
-    // be meaningless.
+    let kernel = ForceKernel::newtonian(RCUT, 1e-5);
     let mut rows = Vec::new();
-    let mut pct_curves: Vec<(usize, Vec<f64>)> = Vec::new();
-    for (threads, per_size) in &rates {
-        let cal = calibrate_peak_flops(*threads, 100);
-        let best = per_size.iter().copied().fold(0.0, f64::max);
-        let peak = cal.max(best);
-        let mut row = vec![format!("{threads}")];
-        let mut pcts = Vec::new();
-        for rate in per_size {
-            let pct = 100.0 * rate / peak;
-            row.push(format!("{pct:.1}"));
-            pcts.push(pct);
+    let mut records = Vec::new();
+    for &density in densities {
+        let (xs, ys, zs, side) = cloud(density);
+        let m = vec![1.0f32; PARTICLES];
+        for &leaf in leaves {
+            let mut tree = RcbTree::build(&xs, &ys, &zs, &m, TreeParams { leaf_size: leaf });
+            tree.set_periods([side; 3]);
+            let mut scratch = TreeScratch::default();
+            let mut out = [Vec::new(), Vec::new(), Vec::new()];
+            // Best of `reps`, after one warm pass sizes the scratch.
+            let (mut best, mut evals) = (f64::MAX, 0);
+            for _ in 0..=reps {
+                let t0 = Instant::now();
+                let rep = tree.forces_symmetric_into(&kernel, 0.0, &mut scratch, &mut out);
+                best = best.min(t0.elapsed().as_secs_f64());
+                evals = rep.evals;
+            }
+            let list = 2.0 * evals as f64 / PARTICLES as f64;
+            let rate = evals as f64 * FLOPS_PER_INTERACTION_ACTUAL as f64 / best;
+            let pct = 100.0 * rate / roof;
+            rows.push(vec![
+                format!("{density}"),
+                leaf.to_string(),
+                format!("{list:.0}"),
+                fmt_flops(rate),
+                format!("{pct:.1}"),
+            ]);
+            records.push(format!(
+                "    {{ \"density\": {density}, \"leaf\": {leaf}, \"list\": {list:.1}, \
+                 \"flops\": {rate:.3e}, \"pct_of_roof\": {pct:.2} }}"
+            ));
         }
-        rows.push(row);
-        pct_curves.push((*threads, pcts));
     }
-    let mut header = vec!["threads"];
-    let labels: Vec<String> = list_sizes.iter().map(|m| format!("list={m}")).collect();
-    header.extend(labels.iter().map(|s| s.as_str()));
     print_table(
-        "Force kernel: % of calibrated peak vs neighbor-list size (paper Fig. 5)",
-        &header,
+        "Force pass: % of the one-thread FMA roof vs list length (paper Fig. 5)",
+        &[
+            "particles/unit^3",
+            "leaf",
+            "list/particle",
+            "rate",
+            "% roof",
+        ],
         &rows,
     );
     println!(
-        "\npaper reference: ~80% of BG/Q node peak at 4 threads/core, rising with list size;\n\
+        "\nlist/particle = 2 x kernel evaluations / particles (each evaluation\n\
+         serves both particles of a pair); rate = evaluations x {FLOPS_PER_INTERACTION_ACTUAL} flops\n\
+         over the whole pass.\n\
+         paper reference: ~80% of BG/Q node peak at 4 threads/core, rising with list size;\n\
          typical production list sizes are 500-2500."
     );
 
     if let Some(path) = &json_path {
-        let sizes = list_sizes
-            .iter()
-            .map(|m| m.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let curves = pct_curves
-            .iter()
-            .map(|(threads, pcts)| {
-                let vals = pcts
-                    .iter()
-                    .map(|p| format!("{p:.2}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "    {{ \"threads\": {threads}, \"pct_of_peak\": [{vals}] }}"
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
         let json = format!(
-            "{{\n  \"bench\": \"fig5_kernel_threading\",\n  \"hw_threads\": {hw_threads},\n  \
-             \"peak_flops_1t\": {peak_1t:.3e},\n  \"peak_flops_all\": {peak_all:.3e},\n  \
-             \"list_sizes\": [{sizes}],\n  \"curves\": [\n{curves}\n  ]\n}}"
+            "{{\n  \"bench\": \"fig5_kernel_threading\",\n  \"particles\": {PARTICLES},\n  \
+             \"roof_flops_1t\": {roof:.3e},\n  \"rows\": [\n{}\n  ]\n}}",
+            records.join(",\n")
         );
         if let Some(dir) = std::path::Path::new(path).parent() {
             std::fs::create_dir_all(dir).expect("create json dir");
@@ -167,22 +132,23 @@ fn main() {
     }
 }
 
-/// Deterministic synthetic neighbor list inside the unit sphere.
-fn synth_list(m: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
-    let mut s = 0x5DEECE66Du64;
+/// A deterministic uniform cloud of [`PARTICLES`] at `density` particles
+/// per unit volume, and its periodic box side.
+fn cloud(density: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>, f32) {
+    let side = (PARTICLES as f32 / density).cbrt();
+    let mut s = 0x0005_DEEC_E66D_u64;
     let mut next = move || {
         s ^= s << 13;
         s ^= s >> 7;
         s ^= s << 17;
-        (s as f64 / u64::MAX as f64) as f32
+        ((s >> 40) as f32 / (1u64 << 24) as f32 * side) % side
     };
-    let mut nx = Vec::with_capacity(m);
-    let mut ny = Vec::with_capacity(m);
-    let mut nz = Vec::with_capacity(m);
-    for _ in 0..m {
-        nx.push(next() * 2.0 - 1.0);
-        ny.push(next() * 2.0 - 1.0);
-        nz.push(next() * 2.0 - 1.0);
+    let mut axes = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..PARTICLES {
+        for axis in &mut axes {
+            axis.push(next());
+        }
     }
-    (nx, ny, nz, vec![1.0; m])
+    let [xs, ys, zs] = axes;
+    (xs, ys, zs, side)
 }

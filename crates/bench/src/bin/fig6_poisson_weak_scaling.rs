@@ -76,12 +76,12 @@ fn main() {
         mrows.push(vec![
             ranks.to_string(),
             format!("{n}^3"),
-            format!("{:.2}", t_solve * 1e9 / (n as f64).powi(3)),
+            format!("{:.1}", t_solve * 1e9 * ranks as f64 / (n as f64).powi(3)),
         ]);
     }
     print_table(
-        "BG/Q model at paper scale (pencil, ~2M pts/rank; flat = ideal weak scaling)",
-        &["ranks", "grid", "ns/pt/solve"],
+        "BG/Q model at paper scale (pencil, ~2M pts/rank; solve time per point a rank holds, flat = ideal weak scaling)",
+        &["ranks", "grid", "ns/rank-pt/solve"],
         &mrows,
     );
     println!(
