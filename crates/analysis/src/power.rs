@@ -41,7 +41,7 @@ impl PowerSpectrum {
         let fft = RealFft3::new_cubic(mesh);
         let mut spec = vec![Complex64::ZERO; fft.spectrum_len()];
         fft.forward(&field, &mut spec);
-        // A bin with 0 < iz < mesh/2 also stands for its unstored mirror.
+        // A mode with 0 < iz < mesh/2 also stands for its unstored mirror.
         let nzh = fft.nzh();
         let modes = spec.iter().enumerate().map(|(i, v)| {
             let iz = i % nzh;

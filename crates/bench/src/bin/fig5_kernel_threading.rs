@@ -132,7 +132,7 @@ fn main() {
     }
 }
 
-/// A deterministic uniform cloud of [`PARTICLES`] at `density` particles
+/// A deterministic uniform cloud of `PARTICLES` at `density` particles
 /// per unit volume, and its periodic box side.
 fn cloud(density: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>, f32) {
     let side = (PARTICLES as f32 / density).cbrt();
