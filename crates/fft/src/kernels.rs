@@ -1,9 +1,8 @@
 //! Iterative Stockham FFT kernels with runtime SIMD dispatch.
 //!
-//! The recursive mixed-radix path in [`crate::plan`] is flexible but slow:
-//! every output recomputes its twiddle index modulo `N` and the recursion
-//! touches one strided line at a time. This module is the hot replacement
-//! for the sizes the paper actually runs (`N = 2^a·3^b·5^c`, Table I): a
+//! This module transforms the sizes the paper actually runs
+//! (`N = 2^a·3^b·5^c`, Table I), and the power-of-two inner transform of
+//! [`crate::plan`]'s Bluestein path for every other length: a
 //! **Stockham autosort** transform — iterative, self-sorting (no
 //! bit-reversal pass), ping-ponging between the data and one scratch
 //! buffer — over per-plan twiddle tables precomputed per stage.
@@ -132,8 +131,8 @@ pub(crate) struct StockhamPlan {
 }
 
 impl StockhamPlan {
-    /// Build the schedule, or `None` when `n` has a factor outside
-    /// {2, 3, 5} (those lengths keep the generic recursive path).
+    /// Build the schedule, or `None` when `n < 2` or `n` has a factor
+    /// outside {2, 3, 5} (those lengths take Bluestein's algorithm).
     pub(crate) fn try_new(n: usize) -> Option<Self> {
         if n < 2 {
             return None;

@@ -3,16 +3,15 @@
 //! The paper stresses that HACC's "performance and flexibility are not
 //! dependent on vendor-supplied or other high-performance libraries"; its
 //! 3-D parallel FFT couples high performance with a small memory footprint.
-//! This crate mirrors that: a plan-based mixed-radix (2/3/4/5, arbitrary
-//! factors, Bluestein for large primes) complex 1-D FFT, a cache-aware
-//! serial 3-D transform, and two distributed decompositions over
-//! [`hacc_comm`]:
-//!
-//! * **slab** — 1-D x-split, the original Roadrunner-era decomposition,
-//!   limited to `ranks ≤ N`;
-//! * **pencil** — 2-D (x,y)-split with interleaved transpose / 1-D FFT
-//!   steps over row and column sub-communicators, supporting
-//!   `ranks ≤ N²` (the BG/P–BG/Q decomposition of Section IV.A).
+//! This crate mirrors that: a plan-based complex 1-D FFT (a SIMD
+//! Stockham schedule for `2^a·3^b·5^c` lengths, Bluestein's chirp-z for
+//! every other length), a cache-aware serial 3-D transform and its
+//! real-to-complex twin, and one distributed decomposition over
+//! [`hacc_comm`]: the **pencil**, a 2-D (x,y)-split with interleaved
+//! transpose / 1-D FFT steps over row and column sub-communicators,
+//! supporting `ranks ≤ N²` (the BG/P–BG/Q decomposition of Section IV.A),
+//! in c2c and r2c forms. The **slab** (the original Roadrunner-era 1-D
+//! x-split, limited to `ranks ≤ N`) is the c2c pencil on a `p × 1` grid.
 //!
 //! Conventions: forward transform is unnormalized
 //! (`X[k] = Σ x[j]·exp(-2πi jk/N)`); `backward` divides by `N` so a

@@ -1,21 +1,15 @@
 //! Plan-based 1-D complex FFT.
 //!
-//! Mixed-radix recursive Cooley–Tukey over the full factorization of `N`
-//! (any factors; small primes handled by a generic butterfly, large primes
-//! by Bluestein's chirp-z algorithm so prime sizes stay O(N log N)).
-//! The paper's pencil FFT is explicitly *non-power-of-two* capable — grid
-//! sizes like 6400³ and 9216³ in Table I factor as 2^a·3^b·5^c — so the
-//! mixed-radix path is exercised by the Table I reproduction.
+//! One algorithm per length. The paper's pencil FFT runs grid sides that
+//! factor as 2^a·3^b·5^c (6400³ and 9216³ in Table I), and so does every
+//! length this reproduction's engines and benchmarks transform: those
+//! take the iterative SIMD Stockham schedule of [`crate::kernels`]. Every
+//! other length `n > 1` takes Bluestein's chirp-z algorithm, whose inner
+//! transform is a power of two and so runs on the same Stockham kernels;
+//! any length stays O(N log N).
 
 use crate::complex::Complex64;
 use crate::kernels::{StockhamPlan, MAX_BATCH};
-
-/// Direction of a transform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Backward,
-}
 
 /// A reusable 1-D FFT plan for a fixed length.
 ///
@@ -24,15 +18,10 @@ enum Direction {
 #[derive(Debug, Clone)]
 pub struct Fft1d {
     n: usize,
-    /// Factorization of `n`, smallest factors first.
-    factors: Vec<usize>,
-    /// Forward twiddles `exp(-2πi j/n)` for `j in 0..n`.
-    twiddles: Vec<Complex64>,
-    /// Bluestein machinery for lengths with a prime factor > 31.
-    bluestein: Option<Box<Bluestein>>,
-    /// Iterative SIMD stage schedule for `n = 2^a·3^b·5^c` (the hot
-    /// path); `None` falls back to the recursive reference.
+    /// Iterative SIMD stage schedule for `n = 2^a·3^b·5^c`.
     stockham: Option<StockhamPlan>,
+    /// Bluestein machinery for every other `n > 1`.
+    bluestein: Option<Box<Bluestein>>,
 }
 
 /// Precomputed state for Bluestein's algorithm.
@@ -51,22 +40,12 @@ impl Fft1d {
     #[must_use] 
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT length must be positive");
-        let factors = factorize(n);
-        let needs_bluestein = factors.iter().any(|&f| f > 31);
-        let twiddles = (0..n)
-            .map(|j| Complex64::cis(-2.0 * std::f64::consts::PI * j as f64 / n as f64))
-            .collect();
-        let bluestein = if needs_bluestein {
-            Some(Box::new(Bluestein::new(n)))
-        } else {
-            None
-        };
+        let stockham = StockhamPlan::try_new(n);
+        let bluestein = (stockham.is_none() && n > 1).then(|| Box::new(Bluestein::new(n)));
         Fft1d {
             n,
-            factors,
-            twiddles,
+            stockham,
             bluestein,
-            stockham: StockhamPlan::try_new(n),
         }
     }
 
@@ -79,7 +58,8 @@ impl Fft1d {
         self.n
     }
 
-    /// True for the degenerate length-1 plan.
+    /// Always false: a plan has length ≥ 1 (the length-1 plan is the
+    /// identity).
     #[must_use] 
     pub fn is_empty(&self) -> bool {
         false
@@ -106,34 +86,27 @@ impl Fft1d {
 
     /// Unnormalized forward transform, in place.
     pub fn forward(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
-        self.process(data, scratch, Direction::Forward);
+        self.process(data, scratch, false);
     }
 
     /// Normalized inverse transform (divides by `n`), in place.
     pub fn backward(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
-        self.process(data, scratch, Direction::Backward);
+        self.process(data, scratch, true);
         let inv = 1.0 / self.n as f64;
         for v in data.iter_mut() {
             *v = v.scale(inv);
         }
     }
 
-    fn process(&self, data: &mut [Complex64], scratch: &mut [Complex64], dir: Direction) {
+    /// Unnormalized transform of one line; the length-1 plan (neither
+    /// path) is the identity.
+    fn process(&self, data: &mut [Complex64], scratch: &mut [Complex64], inverse: bool) {
         assert_eq!(data.len(), self.n, "data length != plan length");
-        if self.n == 1 {
-            return;
-        }
         if let Some(st) = &self.stockham {
-            st.run(data, 1, scratch, dir == Direction::Backward);
-            return;
+            st.run(data, 1, scratch, inverse);
+        } else if let Some(b) = &self.bluestein {
+            b.process(data, scratch, inverse);
         }
-        if let Some(b) = &self.bluestein {
-            b.process(data, scratch, dir, self.n);
-            return;
-        }
-        let (copy, _) = scratch.split_at_mut(self.n);
-        copy.copy_from_slice(data);
-        self.recurse(copy, 1, data, self.n, 1, 0, dir);
     }
 
     /// Required scratch length for a `batch`-wide
@@ -163,93 +136,23 @@ impl Fft1d {
             "batch out of range"
         );
         assert_eq!(data.len(), self.n * batch, "data length != n·batch");
-        if self.n == 1 {
-            return;
-        }
         if let Some(st) = &self.stockham {
             st.run(data, batch, scratch, inverse);
             return;
         }
-        // Generic lengths (large primes / Bluestein): de-interleave one
-        // line at a time through the recursive path. Correct for any
-        // length and trivially dispatch-level-independent.
+        let Some(b) = &self.bluestein else {
+            return; // the length-1 identity
+        };
+        // Bluestein lengths: de-interleave one line at a time.
         let (lines, rest) = scratch.split_at_mut(self.n * batch);
         let line = &mut lines[..self.n];
         for bi in 0..batch {
             for (j, v) in line.iter_mut().enumerate() {
                 *v = data[j * batch + bi];
             }
-            if inverse {
-                for v in line.iter_mut() {
-                    *v = v.conj();
-                }
-                self.forward(line, rest);
-                for v in line.iter_mut() {
-                    *v = v.conj();
-                }
-            } else {
-                self.forward(line, rest);
-            }
+            b.process(line, rest, inverse);
             for (j, &v) in line.iter().enumerate() {
                 data[j * batch + bi] = v;
-            }
-        }
-    }
-
-    /// Recursive mixed-radix step: transform `x` (viewed with `stride`)
-    /// into `out[0..n]`. `tw_mul = N/n` maps local twiddle exponents onto
-    /// the root table; `depth` indexes into the factor list.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        &self,
-        x: &[Complex64],
-        stride: usize,
-        out: &mut [Complex64],
-        n: usize,
-        tw_mul: usize,
-        depth: usize,
-        dir: Direction,
-    ) {
-        if n == 1 {
-            out[0] = x[0];
-            return;
-        }
-        let r = self.factors[depth];
-        let m = n / r;
-        // r sub-transforms of length m over the decimated sequences.
-        for p in 0..r {
-            self.recurse(
-                &x[p * stride..],
-                stride * r,
-                &mut out[p * m..(p + 1) * m],
-                m,
-                tw_mul * r,
-                depth + 1,
-                dir,
-            );
-        }
-        // Combine: X[k1 + q·m] = Σ_p w_n^{p(k1+qm)} F_p[k1].
-        // The outputs land exactly on the slots holding F_p[k1], so gather
-        // into a small stack buffer first (r ≤ 31 by construction).
-        let mut f = [Complex64::ZERO; 32];
-        let nn = self.n;
-        for k1 in 0..m {
-            for p in 0..r {
-                f[p] = out[p * m + k1];
-            }
-            for q in 0..r {
-                let k = k1 + q * m;
-                let mut acc = f[0];
-                for (p, &fp) in f.iter().enumerate().take(r).skip(1) {
-                    // exponent p·k mod n, mapped through tw_mul to root table
-                    let e = (p * k) % n;
-                    let mut w = self.twiddles[(e * tw_mul) % nn];
-                    if dir == Direction::Backward {
-                        w = w.conj();
-                    }
-                    acc += w * fp;
-                }
-                out[k] = acc;
             }
         }
     }
@@ -281,32 +184,33 @@ impl Bluestein {
         }
     }
 
-    fn process(&self, data: &mut [Complex64], scratch: &mut [Complex64], dir: Direction, n: usize) {
-        // Backward via conjugation: ifft(x) = conj(fft(conj(x))).
-        if dir == Direction::Backward {
+    /// Unnormalized transform of one line; the inverse goes through
+    /// conjugation: `ifft(x) = conj(fft(conj(x)))`.
+    fn process(&self, data: &mut [Complex64], scratch: &mut [Complex64], inverse: bool) {
+        if inverse {
             for v in data.iter_mut() {
                 *v = v.conj();
             }
-            self.process(data, scratch, Direction::Forward, n);
-            for v in data.iter_mut() {
-                *v = v.conj();
-            }
-            return;
         }
         let m = self.inner.n;
         let (a, rest) = scratch.split_at_mut(m);
         let inner_scratch = &mut rest[..2 * m];
         a.fill(Complex64::ZERO);
-        for j in 0..n {
-            a[j] = data[j] * self.chirp[j];
+        for (aj, (&x, &c)) in a.iter_mut().zip(data.iter().zip(&self.chirp)) {
+            *aj = x * c;
         }
         self.inner.forward(a, inner_scratch);
         for (av, bv) in a.iter_mut().zip(self.b_hat.iter()) {
             *av *= *bv;
         }
         self.inner.backward(a, inner_scratch);
-        for k in 0..n {
-            data[k] = a[k] * self.chirp[k];
+        for (x, (&ak, &c)) in data.iter_mut().zip(a.iter().zip(&self.chirp)) {
+            *x = ak * c;
+        }
+        if inverse {
+            for v in data.iter_mut() {
+                *v = v.conj();
+            }
         }
     }
 }
@@ -315,8 +219,8 @@ impl Bluestein {
 /// the smallest `2^a` or `3·2^a` that is `≥ min`. Their Stockham schedule
 /// is radix-2/4 stages plus at most one radix-3 stage, every one of them
 /// on the dispatched SIMD lowering, while an arbitrary `min` can carry a
-/// factor such as 11 that drops the axis onto the recursive reference
-/// path.
+/// factor such as 11 that sends the axis through Bluestein's algorithm,
+/// several times the work of a Stockham length.
 #[must_use]
 pub fn fast_len(min: usize) -> usize {
     let pow2 = min.max(1).next_power_of_two();
@@ -327,31 +231,6 @@ pub fn fast_len(min: usize) -> usize {
     } else {
         pow2
     }
-}
-
-/// Prime factorization, smallest factors first, preferring radix-4 splits
-/// (pairs of 2s) for fewer recursion levels.
-fn factorize(mut n: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    while n.is_multiple_of(4) {
-        out.push(4);
-        n /= 4;
-    }
-    for f in [2usize, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31] {
-        while n.is_multiple_of(f) {
-            out.push(f);
-            n /= f;
-        }
-    }
-    // Any remainder is a product of primes > 31; keep it as one factor and
-    // let Bluestein handle the whole length.
-    if n > 1 {
-        out.push(n);
-    }
-    if out.is_empty() {
-        out.push(1);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -393,7 +272,10 @@ mod tests {
 
     #[test]
     fn matches_reference_dft_many_sizes() {
-        for n in [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 24, 25, 27, 30, 32, 48, 60, 64, 100] {
+        for n in [
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 20, 22, 24, 25, 27, 30, 32, 33, 35,
+            48, 60, 64, 100,
+        ] {
             let plan = Fft1d::new(n);
             let sig = rand_signal(n, n as u64);
             let mut data = sig.clone();
@@ -406,7 +288,7 @@ mod tests {
 
     #[test]
     fn bluestein_prime_sizes() {
-        for n in [37, 41, 97, 101, 149] {
+        for n in [7, 11, 14, 37, 41, 49, 77, 88, 97, 101, 149, 210] {
             let plan = Fft1d::new(n);
             assert!(plan.bluestein.is_some(), "n = {n} should use Bluestein");
             let sig = rand_signal(n, n as u64);
@@ -414,7 +296,38 @@ mod tests {
             let mut scratch = plan.make_scratch();
             plan.forward(&mut data, &mut scratch);
             let want = dft(&sig);
-            assert!(max_err(&data, &want) < 1e-8 * n as f64, "n = {n}");
+            assert!(max_err(&data, &want) < 1e-9 * n as f64, "n = {n}");
+        }
+    }
+
+    /// Each length takes exactly one path — Stockham for 2^a·3^b·5^c,
+    /// Bluestein otherwise, neither for the length-1 identity — and both
+    /// directions match the reference DFT.
+    #[test]
+    fn every_length_takes_one_path() {
+        for n in 1..=130usize {
+            let plan = Fft1d::new(n);
+            let smooth = [2, 3, 5].iter().fold(n, |mut r, &f| {
+                while r.is_multiple_of(f) {
+                    r /= f;
+                }
+                r
+            }) == 1;
+            assert_eq!(plan.stockham.is_some(), smooth && n > 1, "n = {n}");
+            assert_eq!(plan.bluestein.is_some(), !smooth, "n = {n}");
+            let sig = rand_signal(n, 5 * n as u64);
+            let mut scratch = plan.make_scratch();
+            let mut fwd = sig.clone();
+            plan.forward(&mut fwd, &mut scratch);
+            let err = max_err(&fwd, &dft(&sig));
+            assert!(err < 1e-9 * n as f64, "forward n = {n}: {err}");
+            // backward(x) = conj(dft(conj(x))) / n
+            let mut back = sig.clone();
+            plan.backward(&mut back, &mut scratch);
+            let conj: Vec<Complex64> = sig.iter().map(|v| v.conj()).collect();
+            let inv = 1.0 / n as f64;
+            let want: Vec<Complex64> = dft(&conj).iter().map(|v| v.conj().scale(inv)).collect();
+            assert!(max_err(&back, &want) < 1e-9, "backward n = {n}");
         }
     }
 
@@ -488,15 +401,6 @@ mod tests {
         plan.forward(&mut fab, &mut scratch);
         let sum: Vec<Complex64> = fa.iter().zip(&fb).map(|(x, y)| *x + *y).collect();
         assert!(max_err(&fab, &sum) < 1e-10 * n as f64);
-    }
-
-    #[test]
-    fn factorize_prefers_radix4() {
-        assert_eq!(factorize(16), vec![4, 4]);
-        assert_eq!(factorize(8), vec![4, 2]);
-        assert_eq!(factorize(60), vec![4, 3, 5]);
-        assert_eq!(factorize(1), vec![1]);
-        assert_eq!(factorize(37), vec![37]);
     }
 
     #[test]

@@ -1,35 +1,31 @@
 //! Slab-decomposed distributed 3-D FFT.
 //!
 //! The first version of HACC used a slab (1-D) decomposition, subject to
-//! the limit `ranks ≤ N` (Section IV.A); we reproduce it both as the
-//! Roadrunner-era baseline of Fig. 6 and as a simpler correctness
-//! cross-check for the pencil transform.
+//! the limit `ranks ≤ N` (Section IV.A). A slab is the pencil
+//! decomposition on a `p × 1` process grid, so [`SlabFft`] is the c2c
+//! [`PencilFft`] on that grid: its z↔y transpose is the identity, and
+//! its one x↔y transpose is the pencil's column transpose.
 //!
-//! Each rank owns `lx` contiguous x-planes of the global `n³` grid. The
-//! forward transform performs local y/z FFTs, a global x↔y transpose
-//! (`alltoallv`), local x FFTs, and a transpose back, so both real and
-//! k-space data live in the same x-slab layout.
+//! Each rank owns `lx` contiguous x-planes of the global `n³` grid in
+//! real space (`[lx][n][n]`) and `ly` contiguous y-planes in k space
+//! (`[n][ly][n]`).
 
 use hacc_comm::Comm;
 
 use crate::complex::Complex64;
-use crate::dim3::{pass_columns, pass_lines};
-use crate::layout::{block_ranges, DistFft3, Layout3};
-use crate::plan::Fft1d;
-use crate::scratch::BufPool;
+use crate::layout::{DistFft3, Layout3};
+use crate::pencil::PencilFft;
 
-/// Slab FFT bound to a communicator.
+/// Slab FFT bound to a communicator: the pencil FFT on a `p × 1` grid.
 pub struct SlabFft<'a> {
-    comm: &'a Comm,
-    n: usize,
-    ranges: Vec<(usize, usize)>,
-    plan: Fft1d,
-    pool: BufPool,
+    pencil: PencilFft<'a>,
 }
 
 impl<'a> SlabFft<'a> {
     /// Create a slab FFT of global side `n` over `comm`.
-    /// Requires `comm.size() ≤ n`.
+    /// Requires `comm.size() ≤ n`. Collective: every rank of `comm` must
+    /// call it, as the pencil's row and column sub-communicators come
+    /// from two `Comm::split`s.
     #[must_use]
     pub fn new(comm: &'a Comm, n: usize) -> Self {
         assert!(
@@ -38,144 +34,34 @@ impl<'a> SlabFft<'a> {
             comm.size()
         );
         SlabFft {
-            comm,
-            n,
-            ranges: block_ranges(n, comm.size()),
-            plan: Fft1d::new(n),
-            pool: BufPool::new(),
+            pencil: PencilFft::with_grid(comm, n, comm.size(), 1),
         }
-    }
-
-    fn my_range(&self) -> (usize, usize) {
-        self.ranges[self.comm.rank()]
-    }
-
-    /// Local y/z (or inverse) FFTs on the x-slab `[lx][n][n]`: z lines,
-    /// then y columns.
-    fn fft_yz(&self, data: &mut [Complex64], inverse: bool) {
-        pass_lines(&self.plan, data, inverse, &self.pool);
-        pass_columns(&self.plan, data, self.n, inverse, &self.pool);
-    }
-
-    /// x-line FFTs in the y-slab layout `[n][ly][n]`.
-    fn fft_x(&self, data: &mut [Complex64], inverse: bool) {
-        let (_, ly) = self.my_range();
-        pass_columns(&self.plan, data, ly * self.n, inverse, &self.pool);
-    }
-
-    /// Transpose x-slab `[lx][n][n]` → y-slab `[n][ly][n]`.
-    fn to_y_slab(&self, data: &[Complex64]) -> Vec<Complex64> {
-        let n = self.n;
-        let (_, lx) = self.my_range();
-        let sends: Vec<Vec<Complex64>> = self
-            .ranges
-            .iter()
-            .map(|&(y0, lyr)| {
-                let mut buf = Vec::with_capacity(lx * lyr * n);
-                for ixl in 0..lx {
-                    for iyl in 0..lyr {
-                        let row = (ixl * n + y0 + iyl) * n;
-                        buf.extend_from_slice(&data[row..row + n]);
-                    }
-                }
-                buf
-            })
-            .collect();
-        let recvs = self.comm.alltoallv(sends);
-        let (_, ly) = self.my_range();
-        let mut out = vec![Complex64::ZERO; n * ly * n];
-        for (r, buf) in recvs.iter().enumerate() {
-            let (x0, lxr) = self.ranges[r];
-            let mut it = buf.iter();
-            for ixl in 0..lxr {
-                for iyl in 0..ly {
-                    let dst = ((x0 + ixl) * ly + iyl) * n;
-                    for v in out[dst..dst + n].iter_mut() {
-                        *v = *it.next().expect("transpose payload size");
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Transpose y-slab `[n][ly][n]` → x-slab `[lx][n][n]`.
-    fn to_x_slab(&self, data: &[Complex64]) -> Vec<Complex64> {
-        let n = self.n;
-        let (_, ly) = self.my_range();
-        let sends: Vec<Vec<Complex64>> = self
-            .ranges
-            .iter()
-            .map(|&(x0, lxr)| {
-                let mut buf = Vec::with_capacity(lxr * ly * n);
-                for ixl in 0..lxr {
-                    for iyl in 0..ly {
-                        let row = ((x0 + ixl) * ly + iyl) * n;
-                        buf.extend_from_slice(&data[row..row + n]);
-                    }
-                }
-                buf
-            })
-            .collect();
-        let recvs = self.comm.alltoallv(sends);
-        let (_, lx) = self.my_range();
-        let mut out = vec![Complex64::ZERO; lx * n * n];
-        for (r, buf) in recvs.iter().enumerate() {
-            let (y0, lyr) = self.ranges[r];
-            let mut it = buf.iter();
-            for ixl in 0..lx {
-                for iyl in 0..lyr {
-                    let dst = (ixl * n + y0 + iyl) * n;
-                    for v in out[dst..dst + n].iter_mut() {
-                        *v = *it.next().expect("transpose payload size");
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
 impl DistFft3 for SlabFft<'_> {
     fn n(&self) -> usize {
-        self.n
+        self.pencil.n()
     }
 
     fn real_layout(&self) -> Layout3 {
-        let (x0, lx) = self.my_range();
-        Layout3 {
-            n: self.n,
-            origin: [x0, 0, 0],
-            size: [lx, self.n, self.n],
-        }
+        self.pencil.real_layout()
     }
 
     fn k_layout(&self) -> Layout3 {
-        self.real_layout()
+        self.pencil.k_layout()
     }
 
-    fn forward(&self, mut data: Vec<Complex64>) -> Vec<Complex64> {
-        assert_eq!(data.len(), self.real_layout().len());
-        self.fft_yz(&mut data, false);
-        let mut y = self.to_y_slab(&data);
-        self.fft_x(&mut y, false);
-        self.to_x_slab(&y)
+    fn forward(&self, data: Vec<Complex64>) -> Vec<Complex64> {
+        self.pencil.forward(data)
     }
 
     fn backward(&self, data: Vec<Complex64>) -> Vec<Complex64> {
-        let mut y = self.to_y_slab(&data);
-        self.fft_x(&mut y, true);
-        let mut out = self.to_x_slab(&y);
-        self.fft_yz(&mut out, true);
-        let inv = 1.0 / (self.n * self.n * self.n) as f64;
-        for v in out.iter_mut() {
-            *v = v.scale(inv);
-        }
-        out
+        self.pencil.backward(data)
     }
 
     fn comm(&self) -> &Comm {
-        self.comm
+        self.pencil.comm()
     }
 }
 
@@ -183,6 +69,7 @@ impl DistFft3 for SlabFft<'_> {
 mod tests {
     use super::*;
     use crate::dim3::Fft3;
+    use crate::layout::block_ranges;
     use hacc_comm::Machine;
 
     fn rand_grid(len: usize, seed: u64) -> Vec<Complex64> {
@@ -211,8 +98,7 @@ mod tests {
                 let g = lay.global_coords(i);
                 *v = globals[(g[0] * n + g[1]) * n + g[2]];
             }
-            let k = fft.forward(local);
-            (lay, k)
+            (fft.k_layout(), fft.forward(local))
         });
         for (lay, k) in &results {
             for (i, v) in k.iter().enumerate() {
@@ -239,6 +125,26 @@ mod tests {
     fn uneven_split() {
         check(10, 3);
         check(9, 4);
+    }
+
+    /// Real space is split over x and k space over y, both by
+    /// `block_ranges` over the ranks: the pencil's `p × 1` grid, not its
+    /// `1 × p` one (which would split real space over y).
+    #[test]
+    fn layouts_are_x_slabs_then_y_slabs() {
+        let (n, ranks) = (10, 3);
+        let (lays, _) = Machine::new(ranks).run(move |comm| {
+            let fft = SlabFft::new(&comm, n);
+            (comm.rank(), fft.real_layout(), fft.k_layout())
+        });
+        let ranges = block_ranges(n, ranks);
+        for (r, real, k) in lays {
+            let (s0, len) = ranges[r];
+            assert_eq!(real.origin, [s0, 0, 0], "rank {r}");
+            assert_eq!(real.size, [len, n, n], "rank {r}");
+            assert_eq!(k.origin, [0, s0, 0], "rank {r}");
+            assert_eq!(k.size, [n, len, n], "rank {r}");
+        }
     }
 
     #[test]

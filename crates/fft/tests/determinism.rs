@@ -119,8 +119,8 @@ fn complex_3d_spectra_bitwise_identical_across_dispatch() {
 }
 
 /// Prime/odd line sizes (5 hits the radix-5 Stockham stage; 7 and 33
-/// fall back to the generic mixed-radix path) stay level-independent
-/// and roundtrip through the batched entry point.
+/// take Bluestein's algorithm over a power-of-two Stockham plan) stay
+/// level-independent and roundtrip through the batched entry point.
 #[test]
 fn odd_and_prime_line_sizes_deterministic_and_roundtrip() {
     let _guard = OVERRIDE_LOCK.lock().expect("override lock");
