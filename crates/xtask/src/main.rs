@@ -172,7 +172,11 @@ impl Report {
 fn rs_sum(path: &Path, count: &dyn Fn(&str) -> usize) -> usize {
     if path.is_dir() {
         let entries = std::fs::read_dir(path).map(|it| it.flatten().map(|e| e.path()).collect());
-        entries.unwrap_or_else(|_| Vec::new()).iter().map(|p| rs_sum(p, count)).sum()
+        entries
+            .unwrap_or_else(|_| Vec::new())
+            .iter()
+            .map(|p| rs_sum(p, count))
+            .sum()
     } else if path.extension().is_some_and(|x| x == "rs") {
         std::fs::read_to_string(path).map_or(0, |s| count(&s))
     } else {
@@ -211,7 +215,12 @@ fn line_counts() -> String {
         "crates/core/src/checkpoint.rs",
         "src/bin/mprun.rs",
     ]);
-    let force_solver = count(&["crates/fft/src", "crates/pm/src", "crates/short/src", "crates/domain/src"]);
+    let force_solver = count(&[
+        "crates/fft/src",
+        "crates/pm/src",
+        "crates/short/src",
+        "crates/domain/src",
+    ]);
     let core = rs_sum(&root.join("crates/core/src"), &non_test_prefix);
     format!("{{\"comm_recovery\":{comm_recovery},\"force_solver\":{force_solver},\"core\":{core}}}")
 }
@@ -377,7 +386,15 @@ fn step_loom(report: &mut Report) {
     let outcome = run(
         "loom comm suite",
         Command::new("cargo")
-            .args(["test", "-q", "-p", "hacc-comm", "--release", "--test", "loom"])
+            .args([
+                "test",
+                "-q",
+                "-p",
+                "hacc-comm",
+                "--release",
+                "--test",
+                "loom",
+            ])
             .env("RUSTFLAGS", loom_rustflags()),
     );
     report.record("loom model suite (hacc-comm)", outcome);
@@ -572,7 +589,14 @@ fn step_miri(report: &mut Report) {
         "miri",
         Command::new("cargo")
             .args([
-                "miri", "test", "-p", "hacc-pm", "-p", "hacc-short", "-p", "hacc-fft",
+                "miri",
+                "test",
+                "-p",
+                "hacc-pm",
+                "-p",
+                "hacc-short",
+                "-p",
+                "hacc-fft",
             ])
             .env("MIRIFLAGS", "-Zmiri-disable-isolation"),
     );
@@ -630,7 +654,11 @@ fn step_tsan(report: &mut Report) {
             let root = String::from_utf8_lossy(&o.stdout).trim().to_string();
             o.status.success().then_some(root)
         })
-        .is_some_and(|root| Path::new(&root).join("lib/rustlib/src/rust/library").is_dir());
+        .is_some_and(|root| {
+            Path::new(&root)
+                .join("lib/rustlib/src/rust/library")
+                .is_dir()
+        });
     let Some(triple) = host_triple() else {
         report.record(
             "tsan (parallel kernels)",
@@ -768,9 +796,7 @@ fn builtin_deny() -> Outcome {
                 continue;
             }
         };
-        let license = text
-            .lines()
-            .find_map(|l| toml_string_value(l, "license"));
+        let license = text.lines().find_map(|l| toml_string_value(l, "license"));
         match license {
             Some(l) if LICENSE_ALLOWLIST.contains(&l.as_str()) => {}
             Some(l) => problems.push(format!(
@@ -834,7 +860,16 @@ fn source_diffstat() -> Option<String> {
             .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
     };
     let base = git(&["merge-base", "HEAD", "main"])?;
-    git(&["diff", "--shortstat", &base, "--", "crates", "src", "tests", "scripts"])
+    git(&[
+        "diff",
+        "--shortstat",
+        &base,
+        "--",
+        "crates",
+        "src",
+        "tests",
+        "scripts",
+    ])
 }
 
 fn usage() -> ExitCode {
@@ -910,9 +945,15 @@ mod tests {
         assert_eq!(rs_lines(&this), text.lines().count());
         // The core figure stops at each file's test module.
         let core = json_int_field(&counts, "core").unwrap_or(0);
-        assert!(core < rs_lines(&repo_root().join("crates/core/src")) as u64, "{counts}");
+        assert!(
+            core < rs_lines(&repo_root().join("crates/core/src")) as u64,
+            "{counts}"
+        );
         assert_eq!(non_test_prefix("a\nb\n#[cfg(test)]\nmod tests {}\n"), 2);
-        assert_eq!(non_test_prefix("#[cfg(test)]\nfn f() {}\n#[cfg(test)]\nmod t;\n"), 2);
+        assert_eq!(
+            non_test_prefix("#[cfg(test)]\nfn f() {}\n#[cfg(test)]\nmod t;\n"),
+            2
+        );
         assert_eq!(non_test_prefix("a\nb\n"), 2);
     }
 
