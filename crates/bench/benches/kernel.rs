@@ -19,11 +19,7 @@ fn synth(m: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
 }
 
 fn bench_kernel(c: &mut Criterion) {
-    let kernel = ForceKernel::new(
-        [0.08, -0.01, 0.0008, -3e-5, 5e-7, -4e-9],
-        3.0,
-        1e-5,
-    );
+    let kernel = ForceKernel::new([0.08, -0.01, 0.0008, -3e-5, 5e-7, -4e-9], 3.0, 1e-5);
     let mut group = c.benchmark_group("force_kernel");
     for &m in &[64usize, 256, 1024, 4096] {
         let (nx, ny, nz, nm) = synth(m);
@@ -32,15 +28,7 @@ fn bench_kernel(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0f32;
                 for t in 0..16 {
-                    let f = kernel.force_on(
-                        t as f32 * 0.05,
-                        0.1,
-                        -0.1,
-                        &nx,
-                        &ny,
-                        &nz,
-                        &nm,
-                    );
+                    let f = kernel.force_on(t as f32 * 0.05, 0.1, -0.1, &nx, &ny, &nz, &nm);
                     acc += f[0] + f[1] + f[2];
                 }
                 std::hint::black_box(acc)

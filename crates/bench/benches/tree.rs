@@ -38,7 +38,12 @@ fn bench_tree(c: &mut Criterion) {
         let mut out = [Vec::new(), Vec::new(), Vec::new()];
         group.bench_with_input(BenchmarkId::new("forces_symmetric", leaf), &leaf, |b, _| {
             b.iter(|| {
-                std::hint::black_box(tree.forces_symmetric_into(&kernel, 0.0, &mut scratch, &mut out))
+                std::hint::black_box(tree.forces_symmetric_into(
+                    &kernel,
+                    0.0,
+                    &mut scratch,
+                    &mut out,
+                ))
             });
         });
     }

@@ -102,7 +102,6 @@ fn anisotropy(solver: &PmSolver, r: f64) -> (f64, f64) {
         }
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var =
-        samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
+    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
     (var.sqrt() / mean.abs().max(1e-30), mean)
 }

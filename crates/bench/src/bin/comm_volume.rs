@@ -161,7 +161,10 @@ fn main() {
         "  two-level:    a2a {} B, p2p {} B, control {} B",
         two[1], two[0], two[2]
     );
-    println!("  alltoallv bytes ratio (single / two-level): {a2a_ratio:.2}x (c^3 = {})", c * c * c);
+    println!(
+        "  alltoallv bytes ratio (single / two-level): {a2a_ratio:.2}x (c^3 = {})",
+        c * c * c
+    );
     println!(
         "  last (warm) step alone: a2a {} B vs {} B, ratio {a2a_ratio_warm_step:.2}x",
         single_warm[1], two_warm[1]

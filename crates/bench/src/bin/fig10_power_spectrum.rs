@@ -7,8 +7,8 @@
 //! structure goes nonlinear. Our laptop-scale run reproduces exactly that
 //! shape; the linear-theory column gives the low-k check.
 
-use hacc_bench::{print_table, reference_power, run_science_sim, FIG10_REDSHIFTS};
 use hacc_analysis::PowerSpectrum;
+use hacc_bench::{print_table, reference_power, run_science_sim, FIG10_REDSHIFTS};
 use hacc_core::SolverKind;
 
 fn main() {

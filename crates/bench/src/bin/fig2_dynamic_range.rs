@@ -32,7 +32,12 @@ fn main() {
         .collect();
     print_table(
         "Nested zooms centered on the densest projected region",
-        &["level", "window [Mpc/h]", "zoom factor", "max/mean contrast"],
+        &[
+            "level",
+            "window [Mpc/h]",
+            "zoom factor",
+            "max/mean contrast",
+        ],
         &rows,
     );
 

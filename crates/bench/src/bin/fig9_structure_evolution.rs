@@ -65,8 +65,8 @@ fn main() {
         .map(|s| s.total().as_secs_f64())
         .collect();
     let early: f64 = times[..times.len() / 3].iter().sum::<f64>() / (times.len() / 3) as f64;
-    let late: f64 =
-        times[2 * times.len() / 3..].iter().sum::<f64>() / (times.len() - 2 * times.len() / 3) as f64;
+    let late: f64 = times[2 * times.len() / 3..].iter().sum::<f64>()
+        / (times.len() - 2 * times.len() / 3) as f64;
     println!(
         "\nwall-clock per step: early mean {:.3}s, late mean {:.3}s (ratio {:.2}) — \n\
          clustering grows the neighbor lists but fat-leaf trees keep the cost bounded.",

@@ -22,8 +22,12 @@ fn main() {
     // with rank count, 2 cells per particle spacing throughout).
     let mut rows = Vec::new();
     let mut measured_flops_pp = 0.0f64;
-    for (ranks, np_side, ng) in [(1usize, 16usize, 32usize), (2, 20, 40), (4, 25, 48), (8, 32, 64)]
-    {
+    for (ranks, np_side, ng) in [
+        (1usize, 16usize, 32usize),
+        (2, 20, 40),
+        (4, 25, 48),
+        (8, 32, 64),
+    ] {
         let box_len = 4.0 * ng as f64; // 4 Mpc/h per cell
         let cfg = SimConfig {
             cosmology: Cosmology::lcdm(),
@@ -74,9 +78,7 @@ fn main() {
         ],
         &rows,
     );
-    println!(
-        "\nmeasured short-range flops per particle per substep: {measured_flops_pp:.0}"
-    );
+    println!("\nmeasured short-range flops per particle per substep: {measured_flops_pp:.0}");
 
     // Paper-scale model block: every row of Table II.
     let model = FullCodeModel::paper_reference();

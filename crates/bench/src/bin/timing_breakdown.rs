@@ -61,7 +61,11 @@ fn main() {
         vec!["stream/kick/other".into(), pct(tot.other), "-".into()],
     ];
     print_table(
-        &format!("Breakdown over {} steps ({:.2}s total)", sim.stats.steps.len(), t),
+        &format!(
+            "Breakdown over {} steps ({:.2}s total)",
+            sim.stats.steps.len(),
+            t
+        ),
         &["phase", "% of time", "paper %"],
         &rows,
     );

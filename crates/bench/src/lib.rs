@@ -12,14 +12,14 @@ use hacc_cosmo::{Cosmology, LinearPower, Transfer};
 pub const FIG10_REDSHIFTS: [f64; 6] = [5.5, 3.0, 1.9, 0.9, 0.4, 0.0];
 
 /// Build the σ8-normalized ΛCDM linear power spectrum used everywhere.
-#[must_use] 
+#[must_use]
 pub fn reference_power() -> LinearPower {
     LinearPower::new(&Cosmology::lcdm(), Transfer::EisensteinHuNoWiggle)
 }
 
 /// Configuration of the laptop-scale "science run" behind Figs. 2/9/10/11:
 /// `np³` particles in a `box_len` Mpc/h box with a `2·np` PM grid.
-#[must_use] 
+#[must_use]
 pub fn science_config(np: usize, box_len: f64, steps: usize, solver: SolverKind) -> SimConfig {
     SimConfig {
         cosmology: Cosmology::lcdm(),
@@ -140,7 +140,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Format seconds adaptively (s / ms / µs / ns).
-#[must_use] 
+#[must_use]
 pub fn fmt_time(secs: f64) -> String {
     if secs >= 1.0 {
         format!("{secs:.3} s")
@@ -154,7 +154,7 @@ pub fn fmt_time(secs: f64) -> String {
 }
 
 /// Format a flop rate adaptively.
-#[must_use] 
+#[must_use]
 pub fn fmt_flops(rate: f64) -> String {
     if rate >= 1e15 {
         format!("{:.2} PF/s", rate / 1e15)
