@@ -7,8 +7,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt -p hacc-pm -p hacc-ics -p hacc-genio --check  (formatting, ratcheted crate by crate)"
-cargo fmt -p hacc-pm -p hacc-ics -p hacc-genio --check
+echo "==> cargo fmt -p hacc-pm -p hacc-ics -p hacc-genio -p xtask -p hacc-bench --check  (formatting, ratcheted crate by crate)"
+cargo fmt -p hacc-pm -p hacc-ics -p hacc-genio -p xtask -p hacc-bench --check
 
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
