@@ -79,7 +79,7 @@ impl Fft1d {
         let inner = self
             .bluestein
             .as_ref()
-            .map(|b| 3 * b.inner.n)
+            .map(|b| 2 * b.inner.n)
             .unwrap_or(0);
         self.n.max(inner)
     }
@@ -193,8 +193,8 @@ impl Bluestein {
             }
         }
         let m = self.inner.n;
-        let (a, rest) = scratch.split_at_mut(m);
-        let inner_scratch = &mut rest[..2 * m];
+        // The padded line, then the inner Stockham run's `m` elements.
+        let (a, inner_scratch) = scratch.split_at_mut(m);
         a.fill(Complex64::ZERO);
         for (aj, (&x, &c)) in a.iter_mut().zip(data.iter().zip(&self.chirp)) {
             *aj = x * c;
